@@ -19,7 +19,9 @@ Acceptance (ISSUE 5): refresh cuts modeled setup flops and branches by
 
 Run as a script for the CI determinism smoke: ``python
 benchmarks/bench_resetup.py --json OUT.json`` writes the measured
-numbers as sorted JSON; two runs must produce identical bytes.
+numbers as sorted JSON; two runs must produce identical bytes, and both
+must equal the committed ``benchmarks/out/resetup.json`` (regenerate it
+with the same command when a PR changes the modeled resetup on purpose).
 """
 
 import json

@@ -19,9 +19,11 @@ from .cycle import cycle, cycle_multi, fcycle, vcycle, vcycle_multi, wcycle
 from .fmg import full_multigrid
 from .interp_direct import direct_interpolation, direct_numeric
 from .interp_extended import (
+    ExtIPlan,
     extended_i_interpolation,
     extended_i_numeric,
     extended_i_reference,
+    extended_i_symbolic,
 )
 from .interp_multipass import multipass_interpolation
 from .interp_twostage import two_stage_extended_i
@@ -71,9 +73,11 @@ __all__ = [
     "full_multigrid",
     "direct_interpolation",
     "direct_numeric",
+    "ExtIPlan",
     "extended_i_interpolation",
     "extended_i_numeric",
     "extended_i_reference",
+    "extended_i_symbolic",
     "multipass_interpolation",
     "two_stage_extended_i",
     "Level",

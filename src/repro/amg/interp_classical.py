@@ -24,13 +24,40 @@ import numpy as np
 
 from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, collect, count
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import gather_range_indices, segment_sum
-from .interp_common import coarse_index, entries_in_pattern, identity_rows, pattern_keys
+from .interp_common import entries_in_pattern
+from .interp_extended import ExtIPlan, _freeze_plan, _plan_weights, _same_pattern
 from .truncation import truncate_interpolation
 
 __all__ = ["classical_interpolation", "classical_numeric"]
 
-_TINY = 1e-300
+
+def _classical_symbolic(
+    A: CSRMatrix, S: CSRMatrix, cf_marker: np.ndarray
+) -> ExtIPlan:
+    """Pattern-only half of classical interpolation: the distance-one case
+    of :func:`repro.amg.interp_extended.extended_i_symbolic` (``Chat_i`` is
+    just ``C_i^s``, no diagonal-return terms)."""
+    n = A.nrows
+    cf_marker = np.asarray(cf_marker)
+    rid = A.row_ids()
+    cols = A.indices
+    offdiag = cols != rid
+    f_row = cf_marker[rid] <= 0
+
+    strong = entries_in_pattern(rid, cols, S)
+    is_c_col = cf_marker[cols] > 0
+
+    # Strong-C pattern per row: the (distance-one) interpolation set.
+    sc = strong & is_c_col & f_row & offdiag
+    Chat = CSRMatrix.from_coo((n, n), rid[sc], cols[sc], np.ones(int(sc.sum())))
+    return _freeze_plan(
+        A, cf_marker, Chat,
+        pairs=strong & ~is_c_col & f_row & offdiag,
+        direct=sc,
+        weak=f_row & offdiag & ~strong,
+        identity_rows=np.flatnonzero(cf_marker > 0),
+        diag_return=False, weak_first=True,
+    )
 
 
 def classical_interpolation(
@@ -41,93 +68,27 @@ def classical_interpolation(
     trunc_fact: float = 0.0,
     max_elmts: int = 0,
     truncate: bool = False,
-    _stats: dict | None = None,
-) -> CSRMatrix:
-    """Classical modified interpolation ``P`` (``n x n_coarse``)."""
+    return_plan: bool = False,
+) -> CSRMatrix | tuple[CSRMatrix, ExtIPlan]:
+    """Classical modified interpolation ``P`` (``n x n_coarse``).
+
+    With ``return_plan`` the pair ``(P, plan)``, as
+    :func:`repro.amg.interp_extended.extended_i_interpolation`.
+    """
+    plan = _classical_symbolic(A, S, cf_marker)
     n = A.nrows
-    cf_marker = np.asarray(cf_marker)
-    c_idx, nc = coarse_index(cf_marker)
-
-    rid = A.row_ids()
-    cols = A.indices
-    vals = A.data
-    diag = A.diagonal()
-    offdiag = cols != rid
-    f_row = cf_marker[rid] <= 0
-
-    strong = entries_in_pattern(rid, cols, S)
-    is_c_col = cf_marker[cols] > 0
-
-    # Strong-C pattern per row: the (distance-one) interpolation set.
-    sc = strong & is_c_col & f_row & offdiag
-    Chat = CSRMatrix.from_coo((n, n), rid[sc], cols[sc], np.ones(int(sc.sum())))
-    chat_keys = pattern_keys(Chat)
-
-    abar = np.where(np.sign(diag)[rid] == np.sign(vals), 0.0, vals)
-
-    # Expansion over strong F-F pairs (i, k).
-    fs = strong & ~is_c_col & f_row & offdiag
-    AFS = CSRMatrix.from_coo((n, n), rid[fs], cols[fs], vals[fs])
-    kcounts = A.indptr[AFS.indices + 1] - A.indptr[AFS.indices]
-    eidx = gather_range_indices(A.indptr[AFS.indices], kcounts)
-    p_pair = np.repeat(np.arange(AFS.nnz, dtype=np.int64), kcounts)
-    p_i = np.repeat(AFS.row_ids(), kcounts)
-    p_aik = np.repeat(AFS.data, kcounts)
-    p_l = A.indices[eidx]
-    p_abar = abar[eidx]
-
-    in_chat = entries_in_pattern(p_i, p_l, Chat, keys=chat_keys)
-    if _stats is not None:
-        # Term counts for the pattern-reuse numeric cost model (see
-        # classical_numeric).
-        _stats["expansion"] = len(p_l)
-        _stats["contrib"] = int(np.count_nonzero(in_chat))
-        _stats["afs_nnz"] = AFS.nnz
-    b = segment_sum(np.where(in_chat, p_abar, 0.0), p_pair, AFS.nnz)
-    b_ok = np.abs(b) > _TINY
-    b_safe = np.where(b_ok, b, 1.0)
-
-    # Diagonal: a_ii + weak neighbours + lumped degenerate strong-F terms.
-    atil = diag.copy()
-    wk = f_row & offdiag & ~strong
-    atil += segment_sum(np.where(wk, vals, 0.0), rid, n)
-    if AFS.nnz:
-        np.add.at(atil, AFS.row_ids()[~b_ok], AFS.data[~b_ok])
-
-    wsel = b_ok[p_pair] & in_chat
-    num_rows = [rid[sc]]
-    num_cols = [cols[sc]]
-    num_vals = [vals[sc]]
-    if wsel.any():
-        num_rows.append(p_i[wsel])
-        num_cols.append(p_l[wsel])
-        num_vals.append(p_aik[wsel] * p_abar[wsel] / b_safe[p_pair[wsel]])
-    nr = np.concatenate(num_rows)
-    ncol = np.concatenate(num_cols)
-    nv = np.concatenate(num_vals)
-    atil_safe = np.where(np.abs(atil) > _TINY, atil, 1.0)
-    nv = -nv / atil_safe[nr]
-
-    cr, cc, cv = identity_rows(cf_marker)
-    P = CSRMatrix.from_coo(
-        (n, nc),
-        np.concatenate([cr, nr]),
-        np.concatenate([cc, c_idx[ncol]]),
-        np.concatenate([cv, nv]),
-    ).eliminate_zeros()
-
-    expansion = len(p_l)
+    P = _plan_weights(plan, A)
     count(
         "interp.classical",
-        flops=4 * expansion + 3 * A.nnz,
+        flops=4 * plan.expansion + 3 * A.nnz,
         bytes_read=A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-        + expansion * (VAL_BYTES + IDX_BYTES),
+        + plan.expansion * (VAL_BYTES + IDX_BYTES),
         bytes_written=P.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
-        branches=float(expansion + A.nnz),
+        branches=float(plan.expansion + A.nnz),
     )
     if truncate:
         P = truncate_interpolation(P, trunc_fact, max_elmts)
-    return P
+    return (P, plan) if return_plan else P
 
 
 def classical_numeric(
@@ -139,35 +100,34 @@ def classical_numeric(
     trunc_fact: float = 0.0,
     max_elmts: int = 0,
     fused_truncation: bool = True,
+    plan: ExtIPlan | None = None,
 ) -> CSRMatrix | None:
     """Numeric-only classical weight recomputation against a frozen pattern.
 
     Pattern-reuse counterpart of :func:`classical_interpolation` (plus its
     separate truncation pass), mirroring
-    :func:`repro.amg.interp_extended.extended_i_numeric`: the structural
-    work is replayed in a discarded collection scope, the result's pattern
-    is checked against *pattern*, and only the irreducible numeric work is
+    :func:`repro.amg.interp_extended.extended_i_numeric`: with the build's
+    *plan* only the weights and the truncation are recomputed (without one
+    the symbolic half is derived first, silently), the result's pattern is
+    checked against *pattern*, and only the irreducible numeric work is
     charged (zero data-dependent branches).  Returns ``None`` on pattern
     drift — the caller must rebuild from scratch.
     """
-    stats: dict = {}
     with collect():
-        P = classical_interpolation(A, S, cf_marker, _stats=stats)
+        if plan is None:
+            plan = _classical_symbolic(A, S, cf_marker)
         P = truncate_interpolation(
-            P, trunc_fact, max_elmts, fused=fused_truncation
+            _plan_weights(plan, A), trunc_fact, max_elmts, fused=fused_truncation
         )
-    if P.shape != pattern.shape or not (
-        np.array_equal(P.indptr, pattern.indptr)
-        and np.array_equal(P.indices, pattern.indices)
-    ):
+    if not _same_pattern(P, pattern):
         return None
     n = A.nrows
-    flops = 2 * stats["contrib"] + 3 * A.nnz + 2 * P.nnz
+    flops = 2 * plan.contrib + 3 * A.nnz + 2 * P.nnz
     count(
         "interp.classical.numeric_only",
         flops=flops,
         bytes_read=A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-        + stats["expansion"] * VAL_BYTES + P.nnz * IDX_BYTES,
+        + plan.expansion * VAL_BYTES + P.nnz * IDX_BYTES,
         bytes_written=P.nnz * VAL_BYTES,
         branches=0.0,
     )

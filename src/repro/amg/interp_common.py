@@ -10,37 +10,27 @@ __all__ = [
     "entries_in_pattern",
     "coarse_index",
     "identity_rows",
-    "pattern_keys",
 ]
 
 
-def pattern_keys(M: CSRMatrix) -> np.ndarray:
-    """Sorted ``row * ncols + col`` keys of a pattern matrix.
-
-    Requires sorted, duplicate-free column indices (guaranteed for matrices
-    produced by this library's kernels).
-    """
-    return M.row_ids() * np.int64(M.ncols) + M.indices
-
-
 def entries_in_pattern(
-    rows: np.ndarray, cols: np.ndarray, pattern: CSRMatrix, keys: np.ndarray | None = None
+    rows: np.ndarray, cols: np.ndarray, pattern: CSRMatrix
 ) -> np.ndarray:
     """Boolean mask: is ``(rows[t], cols[t])`` a stored entry of *pattern*?
 
     Vectorized membership test through a binary search on the pattern's
-    sorted entry keys — the bulk equivalent of the marker-array test in the
-    paper's sparse-accumulator idiom.
+    sorted ``row * ncols + col`` entry keys — the bulk equivalent of the
+    marker-array test in the paper's sparse-accumulator idiom.  Requires
+    sorted, duplicate-free column indices in *pattern* (guaranteed for
+    matrices produced by this library's kernels).
     """
-    if keys is None:
-        keys = pattern_keys(pattern)
+    keys = pattern.row_ids() * np.int64(pattern.ncols) + pattern.indices
     q = np.asarray(rows, dtype=np.int64) * np.int64(pattern.ncols) + np.asarray(
         cols, dtype=np.int64
     )
-    pos = np.searchsorted(keys, q)
-    pos = np.minimum(pos, len(keys) - 1) if len(keys) else pos
     if len(keys) == 0:
         return np.zeros(len(q), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
     return keys[pos] == q
 
 

@@ -105,15 +105,19 @@ def direct_numeric(
     max_elmts: int = 0,
     fused_truncation: bool = True,
 ) -> CSRMatrix | None:
-    """Numeric-only direct-interpolation recomputation against a frozen
-    pattern (plus the separate truncation pass).
+    """Recompute direct interpolation (plus the separate truncation pass)
+    for new values and check it against a frozen pattern.
 
-    Mirrors :func:`repro.amg.interp_extended.extended_i_numeric`: replay in
-    a discarded collection scope, pattern check, then one record charging
-    only the segment sums and weight scalings (zero data-dependent
-    branches).  Returns ``None`` on pattern drift — direct interpolation's
-    pattern is value-dependent (zero strong-C weight sums drop entries), so
-    a sign change can genuinely invalidate the plan.
+    Unlike :func:`repro.amg.interp_extended.extended_i_numeric` and
+    :func:`repro.amg.interp_classical.classical_numeric` this is **not** a
+    numeric-only path in the vehicle: direct interpolation has no pair
+    expansion to freeze, so the whole (cheap, distance-one) build is simply
+    replayed in a discarded collection scope.  Only the modeled record is
+    numeric-only — it charges the segment sums and weight scalings a native
+    frozen-pattern kernel would do, with zero data-dependent branches.
+    Returns ``None`` on pattern drift — direct interpolation's pattern is
+    value-dependent (zero strong-C weight sums drop entries), so a sign
+    change can genuinely invalidate the frozen pattern.
     """
     with collect():
         P = direct_interpolation(A, S, cf_marker)

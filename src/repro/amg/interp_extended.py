@@ -11,11 +11,16 @@ For an F point *i*::
 
 Two implementations:
 
-* :func:`extended_i_interpolation` — fully vectorized.  The distance-two
-  structure is exactly a SpGEMM expansion over the strong-F pairs (the paper
-  makes the same observation), so the kernel reuses the expansion machinery
-  of :mod:`repro.sparse.spgemm`; the set-membership tests that the native
-  code does with a marker array become bulk binary searches.
+* :func:`extended_i_interpolation` — fully vectorized, in two halves.
+  :func:`extended_i_symbolic` is pattern-only: the distance-two structure is
+  exactly a SpGEMM expansion over the strong-F pairs (the paper makes the
+  same observation), so it reuses the expansion machinery of
+  :mod:`repro.sparse.spgemm`, the set-membership tests that the native code
+  does with a marker array become bulk binary searches, and the outcome is
+  frozen into an :class:`ExtIPlan` of entry-id maps.  One numeric kernel
+  then evaluates Eq. (1) through those maps; a from-scratch build and
+  numeric resetup (:func:`extended_i_numeric`, §3.1.1 pattern reuse) run
+  that same kernel, so they cannot disagree.
 * :func:`extended_i_reference` — a literal per-row transcription of Eq. (1)
   with marker arrays, used as the oracle in tests.
 
@@ -31,23 +36,286 @@ sparse-accumulation branches remain.  Truncation is fused (§3.1.2) unless
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
+
 import numpy as np
 
 from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, collect, count
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import gather_range_indices, segment_sum
+from ..sparse.ops import gather_range_indices, indptr_from_counts, segment_sum
 from ..sparse.spgemm import spgemm
-from .interp_common import coarse_index, entries_in_pattern, identity_rows, pattern_keys
+from .interp_common import coarse_index, entries_in_pattern
 from .truncation import truncate_interpolation
 
-__all__ = ["extended_i_interpolation", "extended_i_numeric",
-           "extended_i_reference"]
+__all__ = ["ExtIPlan", "extended_i_symbolic", "extended_i_interpolation",
+           "extended_i_numeric", "extended_i_reference"]
 
 _TINY = 1e-300
 
 
 def _strong_mask(A: CSRMatrix, S: CSRMatrix) -> np.ndarray:
     return entries_in_pattern(A.row_ids(), A.indices, S)
+
+
+@dataclass(frozen=True)
+class ExtIPlan:
+    """Frozen symbolic half of an Eq. (1) interpolation build.
+
+    Everything :func:`_plan_weights` needs to turn the values of an operator
+    with the captured sparsity (and strength pattern, and CF split) into
+    ``P`` with gathers and segment sums only: no membership test, no sort,
+    no SpGEMM.  All maps index the *stored entries* of ``A``; "terms" are
+    the entries ``abar_kl`` of the strong-F pair expansion that contribute
+    to a ``b_ik`` sum (``l`` in ``Chat_i``, or ``l == i``) — every other
+    expanded term adds ``+0.0`` and is dropped.  Classical interpolation is
+    the distance-one case of the same plan (no diagonal-return terms,
+    ``weak_first``).  A plan lives as long as the hierarchies built through
+    it (every hierarchy of a ``refresh`` chain, hierarchy-cache entries):
+    its arrays are read-only, and 32-bit wherever the indices fit.
+    """
+
+    #: shape of ``P`` (``n x n_coarse``) and nnz of the operator captured
+    shape: tuple[int, int]
+    a_nnz: int
+    #: strong-F pairs ``(i, k)``: row ``i`` and the entry id of ``a_ik``
+    pair_row: np.ndarray
+    pair_entry: np.ndarray
+    #: contributing terms, in expansion order: owning pair, entry id of
+    #: ``abar_kl``
+    term_pair: np.ndarray
+    term_entry: np.ndarray
+    #: positions (into the term list) of the ``l == i`` diagonal-return
+    #: terms and of the ``l in Chat_i`` weight terms
+    diag_terms: np.ndarray
+    weight_terms: np.ndarray
+    #: weak neighbours lumped into ``a~_ii``: row and entry id
+    weak_row: np.ndarray
+    weak_entry: np.ndarray
+    #: entry ids of the direct ``a_ij`` numerator terms (``j in Chat_i``)
+    direct_entry: np.ndarray
+    #: row of every numerator term, ``[direct; weight]`` order
+    num_row: np.ndarray
+    #: identity (C-point) entries leading the final COO assembly
+    n_identity: int
+    #: frozen COO -> CSR assembly of ``[identity; direct; weight]``: each
+    #: term's output slot and the slots' (sorted) coordinates
+    slot: np.ndarray
+    out_row: np.ndarray
+    out_col: np.ndarray
+    #: classical accumulates the weak lump into ``a~_ii`` before the
+    #: degenerate-pair lump, extended+i after the diagonal-return terms
+    weak_first: bool
+    #: size of the full pair expansion (both cost records charge it)
+    expansion: int
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
+
+    @property
+    def contrib(self) -> int:
+        return len(self.term_pair)
+
+    @property
+    def afs_nnz(self) -> int:
+        return len(self.pair_row)
+
+
+def _freeze_plan(
+    A: CSRMatrix,
+    cf_marker: np.ndarray,
+    chat: CSRMatrix,
+    *,
+    pairs: np.ndarray,
+    direct: np.ndarray,
+    weak: np.ndarray,
+    identity_rows: np.ndarray,
+    diag_return: bool,
+    weak_first: bool,
+) -> ExtIPlan:
+    """Expand the strong-F pairs and freeze every map of an :class:`ExtIPlan`.
+
+    *pairs*, *direct* and *weak* are boolean masks over ``A``'s stored
+    entries (the strong-F pair entries ``a_ik``, the direct numerator
+    entries, the weak entries lumped into the diagonal); *chat* is the
+    interpolation-set pattern ``Chat``; *identity_rows* the C points that
+    get an identity row.  Shared by extended+i and classical.
+    """
+    n = A.nrows
+    rid = A.row_ids()
+    cols = A.indices
+    c_idx, nc = coarse_index(cf_marker)
+
+    # Pairs in (row, col) order — the order a CSR pair matrix would hold.
+    pair_entry = np.flatnonzero(pairs)
+    pair_entry = pair_entry[np.lexsort((cols[pair_entry], rid[pair_entry]))]
+    pair_row = rid[pair_entry]
+    pair_k = cols[pair_entry]
+
+    # Expansion over (i, k) through row k; keep the contributing terms.
+    kcounts = A.indptr[pair_k + 1] - A.indptr[pair_k]
+    eidx = gather_range_indices(A.indptr[pair_k], kcounts)
+    p_pair = np.repeat(np.arange(len(pair_entry), dtype=np.int64), kcounts)
+    p_i = pair_row[p_pair]
+    p_l = cols[eidx]
+    # Chat holds C columns only: search it for those terms alone.
+    cand = np.flatnonzero(cf_marker[p_l] > 0)
+    in_chat = np.zeros(len(p_l), dtype=bool)
+    in_chat[cand] = entries_in_pattern(p_i[cand], p_l[cand], chat)
+    contributes = in_chat | (p_l == p_i) if diag_return else in_chat
+    terms = np.flatnonzero(contributes)
+    term_pair = p_pair[terms]
+    term_entry = eidx[terms]
+    term_l = p_l[terms]
+    weight_terms = np.flatnonzero(in_chat[terms])
+    diag_terms = np.flatnonzero(term_l == pair_row[term_pair]) if diag_return \
+        else np.empty(0, dtype=np.int64)
+
+    direct_entry = np.flatnonzero(direct)
+    weak_entry = np.flatnonzero(weak)
+    num_row = np.concatenate([rid[direct_entry], pair_row[term_pair[weight_terms]]])
+    num_col = np.concatenate([cols[direct_entry], term_l[weight_terms]])
+
+    # Final COO -> CSR assembly: CSRMatrix.from_coo's (row, col) sort and
+    # duplicate grouping, inverted into one output slot per term.  The sort
+    # is stable, so summing the unsorted terms by slot adds each slot's
+    # duplicates in the order from_coo would.
+    rows = np.concatenate([identity_rows, num_row])
+    ccols = np.concatenate([c_idx[identity_rows], c_idx[num_col]])
+    order = np.lexsort((ccols, rows))
+    rows, ccols = rows[order], ccols[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (ccols[1:] != ccols[:-1])
+    slot = np.empty(len(order), dtype=np.int64)
+    slot[order] = np.cumsum(new) - 1
+
+    # Held for the hierarchy's lifetime: halve the maps when indices fit.
+    dtype = np.int32 if max(A.nnz, n, len(p_l)) < 2**31 else np.int64
+
+    def idx(a: np.ndarray) -> np.ndarray:
+        return a.astype(dtype, copy=False)
+
+    return ExtIPlan(
+        shape=(n, nc), a_nnz=A.nnz,
+        pair_row=idx(pair_row), pair_entry=idx(pair_entry),
+        term_pair=idx(term_pair), term_entry=idx(term_entry),
+        diag_terms=idx(diag_terms), weight_terms=idx(weight_terms),
+        weak_row=idx(rid[weak_entry]), weak_entry=idx(weak_entry),
+        direct_entry=idx(direct_entry), num_row=idx(num_row),
+        n_identity=len(identity_rows),
+        slot=idx(slot), out_row=idx(rows[new]), out_col=ccols[new],
+        weak_first=weak_first, expansion=len(p_l),
+    )
+
+
+def _plan_weights(plan: ExtIPlan, A: CSRMatrix) -> CSRMatrix:
+    """Evaluate Eq. (1) on *A*'s values through a frozen plan (uncounted).
+
+    The one arithmetic path of extended+i and classical interpolation, used
+    by a from-scratch build and by numeric resetup alike.  Every
+    value-dependent decision is taken on the values at hand: the ``abar``
+    sign filter, the ``|b_ik| > tiny`` degenerate-pair lumping, the
+    ``|a~_ii| > tiny`` guard, and the elimination of exactly-zero weights
+    (so the returned pattern may be a strict subset of the frozen slots).
+    Returns the untruncated ``P``.
+    """
+    n, nc = plan.shape
+    if A.nrows != n or A.nnz != plan.a_nnz:
+        raise ValueError("interpolation plan was frozen for a different "
+                         "operator pattern")
+    vals = A.data
+    diag = A.diagonal()
+    # abar: sign-filtered matrix values on A's pattern.
+    abar = np.where(np.sign(diag)[A.row_ids()] == np.sign(vals), 0.0, vals)
+
+    aik = vals[plan.pair_entry]
+    t_abar = abar[plan.term_entry]
+    b = segment_sum(t_abar, plan.term_pair, plan.afs_nnz)
+    b_ok = np.abs(b) > _TINY
+    b_safe = np.where(b_ok, b, 1.0)
+    t_ok = b_ok[plan.term_pair]
+    t_val = aik[plan.term_pair] * t_abar / b_safe[plan.term_pair]
+
+    # a~_ii: diagonal + degenerate pairs (b_ik == 0, treated as weak) +
+    # diagonal-return terms + weak neighbours outside Chat.
+    weak_sum = segment_sum(vals[plan.weak_entry], plan.weak_row, n)
+    atil = diag.copy()
+    if plan.weak_first:
+        atil += weak_sum
+    np.add.at(atil, plan.pair_row[~b_ok], aik[~b_ok])
+    dsel = plan.diag_terms[t_ok[plan.diag_terms]]
+    np.add.at(atil, plan.pair_row[plan.term_pair[dsel]], t_val[dsel])
+    if not plan.weak_first:
+        atil += weak_sum
+    atil_safe = np.where(np.abs(atil) > _TINY, atil, 1.0)
+
+    # Numerators a_ij + sum_k a_ik abar_kj / b_ik, scaled by -1/a~_ii.
+    wt = plan.weight_terms
+    num = np.concatenate([vals[plan.direct_entry],
+                          np.where(t_ok[wt], t_val[wt], 0.0)])
+    num = -num / atil_safe[plan.num_row]
+
+    coo = np.concatenate([np.ones(plan.n_identity), num])
+    out = np.bincount(plan.slot, weights=coo, minlength=len(plan.out_row))
+    keep = np.abs(out) > 0.0
+    counts = segment_sum(keep.astype(np.float64), plan.out_row, n).astype(np.int64)
+    return CSRMatrix((n, nc), indptr_from_counts(counts), plan.out_col[keep],
+                     out[keep])
+
+
+def extended_i_symbolic(
+    A: CSRMatrix,
+    S: CSRMatrix,
+    cf_marker: np.ndarray,
+    active_rows: np.ndarray | None = None,
+) -> ExtIPlan:
+    """Pattern-only half of extended+i: ``Chat``, the strong-F pair
+    expansion and the final assembly, frozen into an :class:`ExtIPlan`.
+
+    Depends on ``A``'s sparsity, ``S``'s pattern and the CF split only, so
+    the plan stays valid for every operator that shares them.  The
+    distance-two structure is a SpGEMM over the strong-F pairs and is
+    counted as one (``interp.exti_dist2``).
+    """
+    n = A.nrows
+    cf_marker = np.asarray(cf_marker)
+    rid = A.row_ids()
+    cols = A.indices
+    offdiag = cols != rid
+    f_row = cf_marker[rid] <= 0
+    identity_rows = np.flatnonzero(cf_marker > 0)
+    if active_rows is not None:
+        active_rows = np.asarray(active_rows, dtype=bool)
+        f_row &= active_rows[rid]
+        identity_rows = identity_rows[active_rows[identity_rows]]
+
+    strong = _strong_mask(A, S)
+    is_c_col = cf_marker[cols] > 0
+
+    # Strong-C adjacency (all rows) and strong-F pairs (F rows only).
+    sc = strong & is_c_col
+    SC = CSRMatrix.from_coo((n, n), rid[sc], cols[sc], np.ones(int(sc.sum())))
+    fs = strong & ~is_c_col & f_row & offdiag
+    AFS = CSRMatrix.from_coo((n, n), rid[fs], cols[fs], np.ones(int(fs.sum())))
+
+    # Chat pattern: strong C of i plus strong C of i's strong F neighbours.
+    D2 = spgemm(AFS, SC, kernel="interp.exti_dist2")
+    sc_f = sc & f_row
+    chat_rows = np.concatenate([rid[sc_f], D2.row_ids()])
+    chat_cols = np.concatenate([cols[sc_f], D2.indices])
+    Chat = CSRMatrix.from_coo((n, n), chat_rows, chat_cols, np.ones(len(chat_rows)))
+
+    in_chat_A = entries_in_pattern(rid, cols, Chat)
+    return _freeze_plan(
+        A, cf_marker, Chat,
+        pairs=fs,
+        direct=f_row & in_chat_A,
+        weak=f_row & offdiag & ~strong & ~in_chat_A,
+        identity_rows=identity_rows,
+        diag_return=True, weak_first=False,
+    )
 
 
 def extended_i_interpolation(
@@ -61,126 +329,34 @@ def extended_i_interpolation(
     fused_truncation: bool = True,
     truncate: bool = True,
     active_rows: np.ndarray | None = None,
-    _stats: dict | None = None,
-) -> CSRMatrix:
-    """Vectorized extended+i interpolation ``P`` (``n x n_coarse``).
+    return_plan: bool = False,
+) -> CSRMatrix | tuple[CSRMatrix, ExtIPlan]:
+    """Extended+i interpolation ``P`` (``n x n_coarse``): Eq. (1) evaluated
+    through :func:`extended_i_symbolic`'s frozen maps.
 
     ``active_rows`` (bool mask) restricts which rows get interpolation
     entries: inactive rows still serve as distance-two neighbours (their
     strong-C sets feed ``Chat``) but receive no P rows.  The distributed
     construction uses this to interpolate only locally owned rows while
     gathered ghost rows provide the distance-two information (§4.3).
+
+    With ``return_plan`` the pair ``(P, plan)``: a capturing hierarchy
+    build keeps the symbolic half for numeric resetup.
     """
+    plan = extended_i_symbolic(A, S, cf_marker, active_rows)
     n = A.nrows
-    cf_marker = np.asarray(cf_marker)
-    c_idx, nc = coarse_index(cf_marker)
-
-    rid = A.row_ids()
-    cols = A.indices
-    vals = A.data
-    diag = A.diagonal()
-    offdiag = cols != rid
-    f_row = cf_marker[rid] <= 0
-    if active_rows is not None:
-        active_rows = np.asarray(active_rows, dtype=bool)
-        f_row &= active_rows[rid]
-
-    strong = _strong_mask(A, S)
-    is_c_col = cf_marker[cols] > 0
-
-    # Strong-C adjacency (all rows) and strong-F pairs (F rows only).
-    sc = strong & is_c_col
-    SC = CSRMatrix.from_coo((n, n), rid[sc], cols[sc], np.ones(int(sc.sum())))
-    fs = strong & ~is_c_col & f_row & offdiag
-    AFS = CSRMatrix.from_coo((n, n), rid[fs], cols[fs], vals[fs])
-
-    # Chat pattern: strong C of i plus strong C of i's strong F neighbours.
-    D2 = spgemm(AFS, SC, kernel="interp.exti_dist2")
-    chat_rows = np.concatenate([rid[sc & f_row], D2.row_ids()])
-    chat_cols = np.concatenate([cols[sc & f_row], D2.indices])
-    Chat = CSRMatrix.from_coo((n, n), chat_rows, chat_cols, np.ones(len(chat_rows)))
-    chat_keys = pattern_keys(Chat)
-
-    # abar: sign-filtered matrix values on A's pattern.
-    abar = np.where(np.sign(diag)[rid] == np.sign(vals), 0.0, vals)
-
-    # ---- pairwise expansion over (i, k in F_i^s) through rows of abar ----
-    kcounts = A.indptr[AFS.indices + 1] - A.indptr[AFS.indices]
-    eidx = gather_range_indices(A.indptr[AFS.indices], kcounts)
-    p_pair = np.repeat(np.arange(AFS.nnz, dtype=np.int64), kcounts)
-    p_i = np.repeat(AFS.row_ids(), kcounts)
-    p_aik = np.repeat(AFS.data, kcounts)
-    p_l = A.indices[eidx]
-    p_abar = abar[eidx]
-    expansion = len(p_l)
-
-    in_chat = entries_in_pattern(p_i, p_l, Chat, keys=chat_keys)
-    is_diag_i = p_l == p_i
-    if _stats is not None:
-        # Term counts for the pattern-reuse numeric cost model (see
-        # extended_i_numeric): only terms that actually contribute to a
-        # b_ik sum or a weight survive a frozen-pattern recomputation.
-        _stats["expansion"] = expansion
-        _stats["contrib"] = int(np.count_nonzero(in_chat | is_diag_i))
-        _stats["afs_nnz"] = AFS.nnz
-
-    b = segment_sum(np.where(in_chat | is_diag_i, p_abar, 0.0), p_pair, AFS.nnz)
-    b_ok = np.abs(b) > _TINY
-    b_safe = np.where(b_ok, b, 1.0)
-
-    # Degenerate pairs: lump a_ik into the diagonal.
-    atil = diag.copy()
-    if AFS.nnz:
-        np.add.at(atil, AFS.row_ids()[~b_ok], AFS.data[~b_ok])
-
-    ok_e = b_ok[p_pair]
-    # Diagonal-return term of a~_ii.
-    dsel = ok_e & is_diag_i
-    if dsel.any():
-        np.add.at(atil, p_i[dsel], p_aik[dsel] * p_abar[dsel] / b_safe[p_pair[dsel]])
-
-    # Weak neighbours not in Chat.
-    in_chat_A = entries_in_pattern(rid, cols, Chat, keys=chat_keys)
-    wk = f_row & offdiag & ~strong & ~in_chat_A
-    atil += segment_sum(np.where(wk, vals, 0.0), rid, n)
-
-    # ---- numerator accumulation ----
-    wsel = ok_e & in_chat
-    num_rows = [rid[f_row & in_chat_A]]
-    num_cols = [cols[f_row & in_chat_A]]
-    num_vals = [vals[f_row & in_chat_A]]
-    if wsel.any():
-        num_rows.append(p_i[wsel])
-        num_cols.append(p_l[wsel])
-        num_vals.append(p_aik[wsel] * p_abar[wsel] / b_safe[p_pair[wsel]])
-    nrows_all = np.concatenate(num_rows)
-    ncols_all = np.concatenate(num_cols)
-    nvals_all = np.concatenate(num_vals)
-
-    atil_safe = np.where(np.abs(atil) > _TINY, atil, 1.0)
-    nvals_all = -nvals_all / atil_safe[nrows_all]
-
-    cr, cc, cv = identity_rows(cf_marker)
-    if active_rows is not None:
-        keep_c = active_rows[cr]
-        cr, cc, cv = cr[keep_c], cc[keep_c], cv[keep_c]
-    P = CSRMatrix.from_coo(
-        (n, nc),
-        np.concatenate([cr, nrows_all]),
-        np.concatenate([cc, c_idx[ncols_all]]),
-        np.concatenate([cv, nvals_all]),
-    )
-    P = P.eliminate_zeros()
+    P = _plan_weights(plan, A)
 
     a_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-    gathered = expansion * (VAL_BYTES + IDX_BYTES) + AFS.nnz * 2 * PTR_BYTES
+    gathered = plan.expansion * (VAL_BYTES + IDX_BYTES) + plan.afs_nnz * 2 * PTR_BYTES
     # Branch model: the irreducible sparse-accumulator branch per expanded
     # term, plus (baseline only) a per-term C/F/sign classification branch
     # that the 3-way partial sort removes.
-    branches = float(expansion) if reordered else float(2 * expansion + A.nnz)
+    branches = (float(plan.expansion) if reordered
+                else float(2 * plan.expansion + A.nnz))
     count(
         "interp.extended_i",
-        flops=5 * expansion + 4 * A.nnz,
+        flops=5 * plan.expansion + 4 * A.nnz,
         bytes_read=a_bytes + gathered,
         bytes_written=P.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
         branches=branches,
@@ -189,7 +365,14 @@ def extended_i_interpolation(
         P = truncate_interpolation(
             P, trunc_fact, max_elmts, fused=fused_truncation
         )
-    return P
+    return (P, plan) if return_plan else P
+
+
+def _same_pattern(P: CSRMatrix, pattern: CSRMatrix) -> bool:
+    """Whether *P* has exactly the sparsity of the frozen *pattern*."""
+    return (P.shape == pattern.shape
+            and np.array_equal(P.indptr, pattern.indptr)
+            and np.array_equal(P.indices, pattern.indices))
 
 
 def extended_i_numeric(
@@ -202,44 +385,44 @@ def extended_i_numeric(
     max_elmts: int = 4,
     reordered: bool = True,
     fused_truncation: bool = True,
+    plan: ExtIPlan | None = None,
 ) -> CSRMatrix | None:
     """Numeric-only extended+i weight recomputation against a frozen pattern.
 
     The §3.1.1 pattern-reuse idea applied to interpolation: when the
     operator's values changed but its sparsity (hence ``S``'s pattern, the
-    CF split, ``Chat``, and the truncation keep-set) did not, every
-    set-membership test, sparse accumulation, and size-discovery pass of
-    :func:`extended_i_interpolation` is redundant — only the ``b_ik`` sums,
-    the weight numerators, and the row scalings must be recomputed.
+    CF split and ``Chat``) did not, every set-membership test, sparse
+    accumulation, and size-discovery pass of the build is redundant.  With
+    the build's *plan* this runs :func:`_plan_weights` and the truncation
+    on the new values and nothing else; ``S`` and ``cf_marker`` are then
+    not consulted.  Without one the symbolic half is derived first
+    (silently), which costs what a build costs.
 
     Returns the recomputed ``P``, or ``None`` when the resulting pattern
     deviates from *pattern* (values drifted far enough to change the
-    interpolation structure — e.g. a truncation keep-set flipped), in which
-    case the caller must fall back to a full rebuild.  On success the
-    counted record charges only the irreducible numeric work, with **zero**
-    data-dependent branches.
+    interpolation structure — a weight cancelled to zero, a truncation
+    keep-set flipped), in which case the caller must fall back to a full
+    rebuild.  On success the counted record charges only the irreducible
+    numeric work, with **zero** data-dependent branches.  ``reordered``
+    is accepted for symmetry with the build; the record does not depend
+    on it.
     """
-    stats: dict = {}
     with collect():
-        P = extended_i_interpolation(
-            A, S, cf_marker,
-            trunc_fact=trunc_fact, max_elmts=max_elmts,
-            reordered=reordered, fused_truncation=fused_truncation,
-            _stats=stats,
+        if plan is None:
+            plan = extended_i_symbolic(A, S, cf_marker)
+        P = truncate_interpolation(
+            _plan_weights(plan, A), trunc_fact, max_elmts, fused=fused_truncation
         )
-    if P.shape != pattern.shape or not (
-        np.array_equal(P.indptr, pattern.indptr)
-        and np.array_equal(P.indices, pattern.indices)
-    ):
+    if not _same_pattern(P, pattern):
         return None
     n = A.nrows
     # Irreducible numeric work on a frozen pattern: abar sign filter and
     # diagonal accumulations over A's entries (~4 per entry), one
     # multiply-divide-accumulate per contributing distance-two term, the
     # row scaling, and the (frozen keep-set) truncation rescale.
-    flops = 3 * stats["contrib"] + 4 * A.nnz + 2 * P.nnz + 2 * stats["afs_nnz"]
+    flops = 3 * plan.contrib + 4 * A.nnz + 2 * P.nnz + 2 * plan.afs_nnz
     a_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-    gathered = stats["expansion"] * VAL_BYTES + stats["afs_nnz"] * 2 * PTR_BYTES
+    gathered = plan.expansion * VAL_BYTES + plan.afs_nnz * 2 * PTR_BYTES
     count(
         "interp.extended_i.numeric_only",
         flops=flops,

@@ -64,7 +64,7 @@ from ..sparse.triple_product import (
 )
 from .interp_classical import classical_numeric
 from .interp_direct import direct_numeric
-from .interp_extended import extended_i_numeric
+from .interp_extended import ExtIPlan, extended_i_numeric
 from .strength import _strong_connections_mask
 
 logger = logging.getLogger("repro.amg.resetup")
@@ -89,6 +89,9 @@ class LevelPlan:
     #: raw interpolation operator as the RAP consumed it (pre column
     #: renumbering); pattern reference for the refresh guard.
     p_raw: CSRMatrix | None = None
+    #: frozen symbolic half of the interpolation build (extended+i and
+    #: classical; direct interpolation has none)
+    interp_plan: ExtIPlan | None = None
     #: RAP reuse plan for this level's Galerkin product
     rap: RAPCFBlockPlan | RAPFusedPlan | None = None
     #: raw-P -> stored-P entry map (column renumbering + re-sort); None
@@ -172,11 +175,13 @@ class PlanBuilder:
         """Snapshot the level operator before any CF reordering."""
         self._incoming = A_incoming
 
-    def capture_level(self, lvl, S: CSRMatrix) -> None:
+    def capture_level(self, lvl, S: CSRMatrix, strong: np.ndarray) -> None:
         """Freeze the split/reorder/strength state of one level.
 
         Called once the level's ``A``/``cf_marker``/``n_coarse`` are final
-        (post CF permutation), with the (permuted) strength matrix.
+        (post CF permutation), with the (permuted) strength matrix and the
+        strong-connection mask :func:`~repro.amg.strength.strength_matrix`
+        computed over the *incoming* operator's entries.
         """
         if self._dead:
             return
@@ -192,9 +197,7 @@ class PlanBuilder:
                 return
         else:
             entry_perm = None
-        mask = _strong_connections_mask(
-            A, config.strength_threshold, config.max_row_sum
-        )
+        mask = strong if entry_perm is None else strong[entry_perm]
         if config.interp == "classical":
             interp = "classical"
         elif config.interp == "direct":
@@ -205,11 +208,13 @@ class PlanBuilder:
             entry_perm=entry_perm, strong_mask=mask, S=S, interp=interp,
         ))
 
-    def capture_interp(self, P: CSRMatrix) -> None:
-        """Freeze the raw (pre-renumbering) interpolation pattern."""
+    def capture_interp(self, P: CSRMatrix, interp_plan: ExtIPlan | None) -> None:
+        """Freeze the raw (pre-renumbering) interpolation pattern and the
+        symbolic plan it was built through."""
         if self._dead:
             return
         self.plan.levels[-1].p_raw = P
+        self.plan.levels[-1].interp_plan = interp_plan
 
     def capture_rap(self, rap_plan) -> None:
         if self._dead:
@@ -230,7 +235,6 @@ class PlanBuilder:
         """
         if self._dead:
             return None
-        flags = self.config.flags
         for l, lp in enumerate(self.plan.levels):
             if lp.p_raw is None or lp.rap is None:
                 self.abort(f"level {l} plan is incomplete")
@@ -262,7 +266,6 @@ class PlanBuilder:
                     ))
                 lp.r_perm = rid.data.astype(np.int64)
                 lp.r_frozen = levels[l].R
-        del flags
         return self.plan
 
 
@@ -273,7 +276,7 @@ def _interp_numeric(lp: LevelPlan, A: CSRMatrix, cf_marker: np.ndarray,
         return classical_numeric(
             A, lp.S, cf_marker, lp.p_raw,
             trunc_fact=config.trunc_fact, max_elmts=config.max_elmts,
-            fused_truncation=flags.fused_truncation,
+            fused_truncation=flags.fused_truncation, plan=lp.interp_plan,
         )
     if lp.interp == "direct":
         return direct_numeric(
@@ -285,7 +288,7 @@ def _interp_numeric(lp: LevelPlan, A: CSRMatrix, cf_marker: np.ndarray,
         A, lp.S, cf_marker, lp.p_raw,
         trunc_fact=config.trunc_fact, max_elmts=config.max_elmts,
         reordered=flags.three_way_partition,
-        fused_truncation=flags.fused_truncation,
+        fused_truncation=flags.fused_truncation, plan=lp.interp_plan,
     )
 
 

@@ -43,7 +43,7 @@ from .coarse import CoarseSolver
 from .coarsen_rs import rs_coarsening
 from .interp_classical import classical_interpolation
 from .interp_direct import direct_interpolation
-from .interp_extended import extended_i_interpolation
+from .interp_extended import ExtIPlan, extended_i_interpolation
 from .interp_multipass import multipass_interpolation
 from .interp_twostage import two_stage_extended_i
 from .level import Level
@@ -113,7 +113,11 @@ class Hierarchy:
         return [(l.A.nrows, l.A.nnz) for l in self.levels]
 
 
-def _build_interp(A, S, cf, cf_stage1, config: AMGConfig, level: int) -> CSRMatrix:
+def _build_interp(
+    A, S, cf, cf_stage1, config: AMGConfig
+) -> tuple[CSRMatrix, ExtIPlan | None]:
+    """Interpolation of one level, plus the symbolic plan it was built
+    through (extended+i and classical; kept only by a capturing build)."""
     flags = config.flags
     aggressive = cf_stage1 is not None
     if aggressive and config.interp == "2s-ei":
@@ -124,21 +128,21 @@ def _build_interp(A, S, cf, cf_stage1, config: AMGConfig, level: int) -> CSRMatr
             trunc_fact=config.trunc_fact,
             max_elmts=config.max_elmts,
             reordered=flags.three_way_partition,
-        )
+        ), None
     if aggressive and config.interp == "multipass":
         return multipass_interpolation(
             A, S, cf, trunc_fact=config.trunc_fact, max_elmts=config.max_elmts
-        )
+        ), None
     if config.interp == "classical":
-        P = classical_interpolation(A, S, cf)
+        P, plan = classical_interpolation(A, S, cf, return_plan=True)
         return truncate_interpolation(
             P, config.trunc_fact, config.max_elmts, fused=flags.fused_truncation
-        )
+        ), plan
     if config.interp == "direct":
         P = direct_interpolation(A, S, cf)
         return truncate_interpolation(
             P, config.trunc_fact, config.max_elmts, fused=flags.fused_truncation
-        )
+        ), None
     # Default / deeper levels: extended+i.
     return extended_i_interpolation(
         A, S, cf,
@@ -146,6 +150,7 @@ def _build_interp(A, S, cf, cf_stage1, config: AMGConfig, level: int) -> CSRMatr
         max_elmts=config.max_elmts,
         reordered=flags.three_way_partition,
         fused_truncation=flags.fused_truncation,
+        return_plan=True,
     )
 
 
@@ -246,11 +251,12 @@ def build_hierarchy(
             builder.start_level(A)
 
         with phase("Strength+Coarsen"):
-            S = strength_matrix(
+            S, strong = strength_matrix(
                 A,
                 config.strength_threshold,
                 config.max_row_sum,
                 parallel=flags.parallel_setup_kernels,
+                return_mask=True,
             )
             aggressive = (
                 l < config.aggressive_levels
@@ -317,15 +323,15 @@ def build_hierarchy(
         lvl.cf_marker = cf
         lvl.n_coarse = nc
         if builder is not None:
-            builder.capture_level(lvl, S)
+            builder.capture_level(lvl, S, strong)
 
         with phase("Interp"):
-            P = _build_interp(A, S, cf, cf_stage1, config, l)
+            P, interp_plan = _build_interp(A, S, cf, cf_stage1, config)
             if checking():
                 check_csr(P, name=f"P[{l}]", level=l)
         lvl.P = P
         if builder is not None:
-            builder.capture_interp(P)
+            builder.capture_interp(P, interp_plan)
 
         with phase("RAP"):
             A_next = _galerkin(A, P, cf, config, plan_builder=builder)

@@ -69,7 +69,8 @@ def strength_matrix(
     max_row_sum: float = 1.0,
     *,
     parallel: bool = True,
-) -> CSRMatrix:
+    return_mask: bool = False,
+) -> CSRMatrix | tuple[CSRMatrix, np.ndarray]:
     """Build the strength matrix ``S`` of *A*.
 
     Parameters
@@ -84,12 +85,16 @@ def strength_matrix(
     parallel:
         Tag the counted assembly work as thread-parallel (optimized) or
         serial (baseline HYPRE, which had not threaded this kernel).
+    return_mask:
+        Also return the boolean strong-connection mask over *A*'s stored
+        entries that ``S`` was assembled from (plan capture freezes it).
 
     Returns
     -------
     CSRMatrix
         Pattern matrix with unit values; ``S[i, j] != 0`` iff *i* strongly
-        depends on *j*.  The diagonal is never included.
+        depends on *j*.  The diagonal is never included.  With
+        ``return_mask`` the pair ``(S, mask)``.
     """
     if A.nrows != A.ncols:
         raise ValueError("strength matrix requires a square operator")
@@ -111,4 +116,4 @@ def strength_matrix(
         branches=float(A.nnz),  # strong/weak test per entry
         parallel=parallel,
     )
-    return S
+    return (S, strong) if return_mask else S

@@ -1,12 +1,22 @@
 """Unit tests for interpolation operators and truncation (§3.1.2)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.amg import (
+    ExtIPlan,
+    build_hierarchy,
+    classical_interpolation,
+    classical_numeric,
     direct_interpolation,
     extended_i_interpolation,
+    extended_i_numeric,
     extended_i_reference,
+    extended_i_symbolic,
     multipass_interpolation,
     pmis,
     aggressive_pmis,
@@ -17,10 +27,13 @@ from repro.amg import (
 from repro.perf import collect
 from repro.problems import (
     anisotropic_2d,
+    convection_diffusion_3d,
     laplace_2d_5pt,
     laplace_3d_7pt,
     laplace_3d_27pt,
+    rotated_anisotropy_2d,
 )
+from repro.serve.workload import PROBLEM_BUILDERS
 from repro.sparse import CSRMatrix
 
 
@@ -213,6 +226,180 @@ class TestMultipass:
         assert rs[sel].max() <= 1.0 + 1e-8
         assert rs[sel].min() >= 0.7
         assert rs[sel].mean() > 0.9
+
+
+def _same_pattern(P: CSRMatrix, Q: CSRMatrix) -> bool:
+    return (P.shape == Q.shape and np.array_equal(P.indptr, Q.indptr)
+            and np.array_equal(P.indices, Q.indices))
+
+
+def _degenerate_pairs(A: CSRMatrix, cf: np.ndarray) -> CSRMatrix:
+    """Give every third F row off-diagonals of the diagonal's sign: its
+    ``abar`` row vanishes, so each pair ``(i, k)`` through it has
+    ``b_ik == 0`` and ``a_ik`` must be lumped into ``a~_ii``."""
+    rid = A.row_ids()
+    k_rows = np.zeros(A.nrows, dtype=bool)
+    k_rows[np.flatnonzero(cf <= 0)[::3]] = True
+    hit = k_rows[rid] & (A.indices != rid)
+    return CSRMatrix(A.shape, A.indptr, A.indices,
+                     np.where(hit, np.abs(A.data), A.data))
+
+
+def _plan_cases():
+    """name -> (A, S, cf, active_rows): the frozen side of each case."""
+    ops = {
+        "lap2d": laplace_2d_5pt(10),
+        "lap3d27g": PROBLEM_BUILDERS["lap3d27g"](5),
+        "rotaniso": rotated_anisotropy_2d(12),
+        "nonsym": convection_diffusion_3d(5, 5, 5),
+    }
+    cases = {}
+    for name, A in ops.items():
+        S, cf, _ = setup_cf(A, seed=2)
+        cases[name] = (A, S, cf, None)
+    A, S, cf, _ = cases["lap2d"]
+    cases["degenerate"] = (_degenerate_pairs(A, cf), S, cf, None)
+    A, S, cf, _ = cases["lap3d27g"]
+    active = np.zeros(A.nrows, dtype=bool)
+    active[: (2 * A.nrows) // 3] = True
+    cases["active_rows"] = (A, S, cf, active)
+    return cases
+
+
+PLAN_CASES = _plan_cases()
+PERTURBATIONS = ("scale", "jitter", "flip")
+
+
+def _perturb(A: CSRMatrix, kind: str, seed: int, amp: float) -> CSRMatrix:
+    rng = np.random.default_rng(seed)
+    if kind == "scale":
+        data = A.data * (1.0 + amp)
+    elif kind == "jitter":
+        data = A.data * (1.0 + amp * rng.random(A.nnz))
+    else:  # sign flips on a seeded ~amp/4 share of the entries
+        data = np.where(rng.random(A.nnz) < amp / 4, -A.data, A.data)
+    return CSRMatrix(A.shape, A.indptr, A.indices, data)
+
+
+TRUNC = dict(trunc_fact=0.1, max_elmts=4)
+
+
+class TestExtendedIPlan:
+    """Symbolic/numeric split: the frozen plan plus new values must give
+    exactly what a fresh build on those values gives, or refuse."""
+
+    @staticmethod
+    def _check(name, kind, seed, amp):
+        A, S, cf, active = PLAN_CASES[name]
+        plan = extended_i_symbolic(A, S, cf, active)
+        frozen = extended_i_interpolation(A, S, cf, active_rows=active, **TRUNC)
+        A2 = _perturb(A, kind, seed, amp)
+        fresh = extended_i_interpolation(A2, S, cf, active_rows=active, **TRUNC)
+        got = extended_i_numeric(A2, S, cf, frozen, plan=plan, **TRUNC)
+        if _same_pattern(fresh, frozen):
+            assert got is not None
+            assert _same_pattern(got, fresh)
+            assert got.data.tobytes() == fresh.data.tobytes()
+        else:
+            assert got is None
+        return got is not None
+
+    @pytest.mark.parametrize("name", sorted(PLAN_CASES))
+    @given(kind=st.sampled_from(PERTURBATIONS), seed=st.integers(0, 2**16),
+           amp=st.floats(1e-4, 0.5))
+    @settings(deadline=None, max_examples=20,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_numeric_is_fresh_build_or_none(self, name, kind, seed, amp):
+        self._check(name, kind, seed, amp)
+
+    def test_both_outcomes_are_exercised(self):
+        outcomes = {
+            (name, kind): {self._check(name, kind, seed, amp)
+                           for seed in range(3) for amp in (1e-3, 0.3)}
+            for name in PLAN_CASES for kind in PERTURBATIONS
+        }
+        # A pure rescale never moves the pattern; large jitter and sign
+        # flips do, on every operator.
+        assert all(outcomes[name, "scale"] == {True} for name in PLAN_CASES)
+        assert all(False in outcomes[name, "flip"] for name in PLAN_CASES)
+        assert any(outcomes[name, "jitter"] == {True, False}
+                   for name in PLAN_CASES)
+
+    def test_degenerate_case_has_zero_b_pairs(self):
+        A, S, cf, _ = PLAN_CASES["degenerate"]
+        plan = extended_i_symbolic(A, S, cf)
+        abar_zero = np.zeros(A.nrows, dtype=bool)
+        abar_zero[np.flatnonzero(cf <= 0)[::3]] = True
+        pair_k = A.indices[plan.pair_entry]
+        assert abar_zero[pair_k].any()
+
+    # (The per-row oracle interpolates every row: no active_rows case.)
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, c in PLAN_CASES.items() if c[3] is None))
+    @pytest.mark.parametrize("kind", PERTURBATIONS)
+    def test_untruncated_matches_reference(self, name, kind):
+        A, S, cf, _ = PLAN_CASES[name]
+        plan = extended_i_symbolic(A, S, cf)
+        A2 = _perturb(A, kind, seed=5, amp=0.2)
+        fresh = extended_i_interpolation(A2, S, cf, truncate=False)
+        got = extended_i_numeric(A2, S, cf, fresh, trunc_fact=0.0,
+                                 max_elmts=0, plan=plan)
+        ref = extended_i_reference(A2, S, cf)
+        assert got is not None and _same_pattern(got, ref)
+        np.testing.assert_allclose(got.data, ref.data, rtol=1e-10, atol=1e-14)
+
+    def test_planless_numeric_still_works(self):
+        A, S, cf, _ = PLAN_CASES["rotaniso"]
+        frozen = extended_i_interpolation(A, S, cf, **TRUNC)
+        A2 = _perturb(A, "scale", 0, 0.02)
+        with collect() as log:
+            got = extended_i_numeric(A2, S, cf, frozen, reordered=True,
+                                     fused_truncation=True, **TRUNC)
+        fresh = extended_i_interpolation(A2, S, cf, **TRUNC)
+        assert got.data.tobytes() == fresh.data.tobytes()
+        assert [r.kernel for r in log.records] == [
+            "interp.extended_i.numeric_only"]
+        assert log.records[0].branches == 0.0
+
+    def test_plan_rejects_other_pattern(self):
+        A, S, cf, _ = PLAN_CASES["lap2d"]
+        plan = extended_i_symbolic(A, S, cf)
+        B = laplace_2d_5pt(9)
+        with pytest.raises(ValueError, match="different operator pattern"):
+            extended_i_numeric(B, S, cf, B, plan=plan)
+
+    def test_plan_arrays_are_read_only(self):
+        A, S, cf, active = PLAN_CASES["active_rows"]
+        hierarchy = build_hierarchy(A, capture_plan=True)
+        plans = [extended_i_symbolic(A, S, cf, active)]
+        plans += [lp.interp_plan for lp in hierarchy.plan.levels]
+        for plan in plans:
+            assert isinstance(plan, ExtIPlan)
+            arrays = [getattr(plan, f.name) for f in fields(plan)
+                      if isinstance(getattr(plan, f.name), np.ndarray)]
+            assert len(arrays) >= 10
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[:1] = 0
+
+    @pytest.mark.parametrize("name", ["lap2d", "rotaniso", "nonsym", "degenerate"])
+    @given(kind=st.sampled_from(PERTURBATIONS), seed=st.integers(0, 2**16),
+           amp=st.floats(1e-4, 0.5))
+    @settings(deadline=None, max_examples=15,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_classical_numeric_is_fresh_build_or_none(self, name, kind, seed, amp):
+        A, S, cf, _ = PLAN_CASES[name]
+        frozen, plan = classical_interpolation(
+            A, S, cf, truncate=True, return_plan=True, **TRUNC)
+        A2 = _perturb(A, kind, seed, amp)
+        fresh = classical_interpolation(A2, S, cf, truncate=True, **TRUNC)
+        got = classical_numeric(A2, S, cf, frozen, plan=plan, **TRUNC)
+        if _same_pattern(fresh, frozen):
+            assert got is not None and _same_pattern(got, fresh)
+            assert got.data.tobytes() == fresh.data.tobytes()
+        else:
+            assert got is None
 
 
 class TestTwoStage:

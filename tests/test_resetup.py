@@ -330,6 +330,68 @@ class TestRefresh:
         assert {r.phase for r in log.records} == {"Resetup"}
         assert all(r.branches == 0 for r in log.records)
 
+    @pytest.mark.parametrize("interp", ["ei", "classical"])
+    def test_refresh_interp_step_runs_no_symbolic_work(self, monkeypatch, interp):
+        """"Numeric-only" is a property of the vehicle, not only of the
+        model: on the fast path the interpolation step of a refresh runs
+        no membership test, SpGEMM, COO assembly or sort.  The one sort left
+        is ``truncate_interpolation`` ranking the new weights of the raw
+        ``P`` — a live check on values, one per level."""
+        from collections import Counter
+        from dataclasses import replace
+
+        from repro.amg import interp_classical, interp_extended, resetup, setup
+
+        calls: Counter = Counter()
+        active: list[str] = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if active:
+                    calls[f"{name}@{active[-1]}"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def scoped(scope, fn):
+            def wrapper(*args, **kwargs):
+                active.append(scope)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    active.pop()
+            return wrapper
+
+        for mod in (interp_extended, interp_classical):
+            monkeypatch.setattr(mod, "entries_in_pattern",
+                                counted("entries_in_pattern", mod.entries_in_pattern))
+            monkeypatch.setattr(mod, "truncate_interpolation",
+                                scoped("truncation", mod.truncate_interpolation))
+        monkeypatch.setattr(interp_extended, "spgemm",
+                            counted("spgemm", interp_extended.spgemm))
+        monkeypatch.setattr(CSRMatrix, "from_coo",
+                            staticmethod(counted("from_coo", CSRMatrix.from_coo)))
+        monkeypatch.setattr(np, "lexsort", counted("lexsort", np.lexsort))
+        monkeypatch.setattr(np, "searchsorted",
+                            counted("searchsorted", np.searchsorted))
+        monkeypatch.setattr(resetup, "_interp_numeric",
+                            scoped("interp", resetup._interp_numeric))
+        monkeypatch.setattr(setup, "_build_interp",
+                            scoped("interp", setup._build_interp))
+
+        A = _jitter(laplace_3d_27pt(8))
+        cfg = replace(single_node_config(True), interp=interp)
+        h = build_hierarchy(A, cfg, capture_plan=True)
+        # The counters see the symbolic work of a build...
+        for name in ("entries_in_pattern", "from_coo", "lexsort", "searchsorted"):
+            assert calls[f"{name}@interp"] > 0, name
+        assert (calls["spgemm@interp"] > 0) == (interp == "ei")
+        # ...and none of it on refresh.
+        calls.clear()
+        with collect() as log:
+            h.refresh(_scale(A, 1.02))
+        assert {r.phase for r in log.records} == {"Resetup"}  # fast path
+        assert dict(calls) == {"lexsort@truncation": len(h.plan.levels)}
+
     def test_refresh_flops_and_branches_win(self):
         """Acceptance: >= 2x modeled setup flops, branch-free refresh."""
         A = _jitter(laplace_3d_27pt(10))
