@@ -8,6 +8,8 @@ the same policy BoomerAMG follows.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..perf.counters import VAL_BYTES, count, phase
@@ -32,22 +34,37 @@ class CoarseSolver:
         self.n = A.nrows
         self.sweeps = sweeps
         self.direct = self.n <= dense_threshold
+        self.inv = None
+        self.smoother = None
         if self.direct:
-            dense = A.to_dense()
-            # Pseudo-inverse tolerates the singular coarse operators of pure
-            # Neumann-like problems.
-            self.inv = np.linalg.pinv(dense)
-            count(
-                "coarse.factorize",
-                flops=2.0 * self.n**3,
-                bytes_read=self.n * self.n * VAL_BYTES,
-                bytes_written=self.n * self.n * VAL_BYTES,
-                phase="Setup_etc",
-            )
-            self.smoother = None
+            self._factorize()
         else:
-            self.inv = None
             self.smoother = HybridGSSmoother(A, nthreads=nthreads)
+
+    def _factorize(self) -> None:
+        # Pseudo-inverse tolerates the singular coarse operators of pure
+        # Neumann-like problems.
+        self.inv = np.linalg.pinv(self.A.to_dense())
+        count(
+            "coarse.factorize",
+            flops=2.0 * self.n**3,
+            bytes_read=self.n * self.n * VAL_BYTES,
+            bytes_written=self.n * self.n * VAL_BYTES,
+            phase="Setup_etc",
+        )
+
+    @classmethod
+    def from_numeric(cls, old: "CoarseSolver", A: CSRMatrix) -> "CoarseSolver":
+        """Same-pattern numeric rebuild of *old* over the values of *A*: a
+        direct solver refactorizes, a swept one shares *old*'s schedules and
+        compiled sweeps (:meth:`HybridGSSmoother.from_numeric`)."""
+        new = copy.copy(old)
+        new.A = A
+        if old.direct:
+            new._factorize()
+        else:
+            new.smoother = HybridGSSmoother.from_numeric(old.smoother, A)
+        return new
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         with phase("Solve_etc"):

@@ -18,18 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..perf.counters import phase
-from ..planexec import plan_enabled
 from ..sparse.blas1 import axpy, axpy_multi
 from ..sparse.spmv import residual, residual_multi
 from .setup import Hierarchy
-
-
-def _level_exec(h: Hierarchy, level: int):
-    """The level's prebound solve-plan transfers, or ``None`` (legacy)."""
-    sp = getattr(h, "solve_plan", None)
-    if sp is not None and plan_enabled():
-        return sp.levels[level]
-    return None
 
 __all__ = ["vcycle", "wcycle", "fcycle", "cycle", "vcycle_multi", "cycle_multi"]
 
@@ -41,7 +32,6 @@ def _smooth_correct(h: Hierarchy, b: np.ndarray, level: int, recurse) -> np.ndar
         return h.coarse_solver.solve(b)
 
     lvl = h.levels[level]
-    lx = _level_exec(h, level)
     x = np.zeros(lvl.n)
 
     with phase("GS"):
@@ -49,12 +39,12 @@ def _smooth_correct(h: Hierarchy, b: np.ndarray, level: int, recurse) -> np.ndar
 
     with phase("SpMV"):
         r = residual(lvl.A, x, b)
-        rc = lx.restrict(r) if lx is not None else lvl.restrict(r, flags)
+        rc = lvl.restrict(r, flags)
 
     xc = recurse(h, rc, level + 1)
 
     with phase("SpMV"):
-        corr = lx.interpolate(xc) if lx is not None else lvl.interpolate(xc, flags)
+        corr = lvl.interpolate(xc, flags)
     with phase("BLAS1"):
         axpy(1.0, corr, x)
 
@@ -132,7 +122,6 @@ def vcycle_multi(h: Hierarchy, B: np.ndarray, level: int = 0) -> np.ndarray:
         return h.coarse_solver.solve_multi(B)
 
     lvl = h.levels[level]
-    lx = _level_exec(h, level)
     X = np.zeros((lvl.n, B.shape[1]))
 
     with phase("GS"):
@@ -140,13 +129,12 @@ def vcycle_multi(h: Hierarchy, B: np.ndarray, level: int = 0) -> np.ndarray:
 
     with phase("SpMV"):
         R = residual_multi(lvl.A, X, B)
-        RC = lx.restrict_multi(R) if lx is not None else lvl.restrict_multi(R, flags)
+        RC = lvl.restrict_multi(R, flags)
 
     XC = vcycle_multi(h, RC, level + 1)
 
     with phase("SpMV"):
-        corr = (lx.interpolate_multi(XC) if lx is not None
-                else lvl.interpolate_multi(XC, flags))
+        corr = lvl.interpolate_multi(XC, flags)
     with phase("BLAS1"):
         axpy_multi(1.0, corr, X)
 

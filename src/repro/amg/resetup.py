@@ -309,14 +309,10 @@ def refresh_hierarchy(hierarchy, A_new: CSRMatrix):
     """
     from ..analysis import check_hierarchy, checking
     from .level import Level
-    from .setup import (
-        Hierarchy,
-        _build_coarse_solver,
-        _build_smoothers,
-        build_hierarchy,
-    )
+    from .setup import Hierarchy, _build_smoothers, build_hierarchy
+    from .coarse import CoarseSolver
     from .smoothers import HybridGSSmoother
-    from .solveplan import attach_solve_plan, refresh_plans
+    from .solveplan import attach_solve_plan
 
     config = hierarchy.config
     plan = hierarchy.plan
@@ -449,23 +445,20 @@ def refresh_hierarchy(hierarchy, A_new: CSRMatrix):
             old_smoothers = [lv.smoother for lv in levels[:-1]]
             if all(sm is not None for sm in old_smoothers):
                 # Numeric-only rebuild: share the wavefront schedules, thread
-                # partitions, and colorings (pure pattern functions) and
-                # regather values/diagonals — bit-identical to, and much
-                # cheaper than, replaying the constructors.
+                # partitions, colorings and compiled sweeps (pure pattern
+                # functions) and regather values/diagonals — bit-identical
+                # to, and much cheaper than, replaying the constructors.
                 for nl, sm in zip(new_levels[:-1], old_smoothers):
                     nl.smoother = HybridGSSmoother.from_numeric(sm, nl.A)
             else:
                 _build_smoothers(new_levels, config)
-            coarse = _build_coarse_solver(new_levels, config)
+            coarse = CoarseSolver.from_numeric(
+                hierarchy.coarse_solver, new_levels[-1].A)
         refreshed = Hierarchy(
             levels=new_levels, coarse_solver=coarse, config=config, plan=plan
         )
-        # Solve plan: rebuild the numeric parts only, sharing every index
-        # array / flat-gather cache / record table with the old plan.
-        if getattr(hierarchy, "solve_plan", None) is not None:
-            refresh_plans(refreshed, hierarchy)
-        else:
-            attach_solve_plan(refreshed)
+        # Compile whatever the numeric rebuild could not carry over.
+        attach_solve_plan(refreshed)
         fine_nnz = sum(lv.A.nnz for lv in new_levels[:-1])
         count(
             "resetup.smoother",

@@ -68,7 +68,13 @@ _SMOOTHER_VARIANTS = {
 
 @dataclass
 class Hierarchy:
-    """The complete multigrid hierarchy produced by :func:`build_hierarchy`."""
+    """The complete multigrid hierarchy produced by :func:`build_hierarchy`.
+
+    There is no separate solve-phase object: each level's smoother (and a
+    swept coarsest solver's) carries its own compiled sweeps, compiled by
+    :func:`~repro.amg.solveplan.attach_solve_plan` at the end of the build,
+    and :class:`~repro.amg.level.Level` dispatches the grid transfers.
+    """
 
     levels: list[Level]
     coarse_solver: CoarseSolver
@@ -77,10 +83,6 @@ class Hierarchy:
     #: the hierarchy was built with ``capture_plan=True`` (and the config
     #: is plan-capable — see :meth:`repro.amg.resetup.PlanBuilder.begin`).
     plan: SetupPlan | None = None
-    #: frozen solve-phase schedules (:class:`repro.amg.solveplan.SolvePlan`),
-    #: attached at the end of every build; execution through it is gated by
-    #: ``REPRO_SOLVEPLAN`` and bit-identical to the legacy path.
-    solve_plan: object | None = None
 
     @property
     def num_levels(self) -> int:
@@ -363,8 +365,8 @@ def build_hierarchy(
     hierarchy = Hierarchy(
         levels=levels, coarse_solver=coarse, config=config, plan=plan
     )
-    # Freeze the solve-phase schedules (compiled sweeps, prebound transfers,
-    # plan-table records).  Pure pattern arithmetic: emits no perf records.
+    # Compile the smoothers' sweeps now so no solve pays for it.  Pure
+    # pattern arithmetic: emits no perf records.
     attach_solve_plan(hierarchy)
     if checking():
         # Cross-level invariants: CF bookkeeping, P = [I; P_F], R == P^T,

@@ -19,7 +19,9 @@ reproduces the sequential in-block GS exactly (verified against a literal
 per-row reference in the tests).  With one block covering all rows the same
 machinery yields the **lexicographic GS** of [38] (point-to-point
 synchronization = level scheduling), whose pre-processing cost (dependency
-analysis) is what §5.2 charges against its better convergence.
+analysis) is what §5.2 charges against its better convergence.  This module
+builds the schedules; the sweep arithmetic and its traffic formulas live in
+:mod:`repro.amg.solveplan`, which compiles each schedule once per smoother.
 
 **C-F smoothing** (§3.2): the C rows are swept first, then the F rows (and
 vice versa in post-smoothing).  The optimized path iterates over the two
@@ -34,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, count
-from ..planexec import plan_enabled
+from ..perf.counters import IDX_BYTES, VAL_BYTES, count, count_record
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import gather_range_indices, segment_sum
 from ..sparse.transpose import balanced_nnz_partition
+from .solveplan import ChebyPlan, CompiledSweep, MulticolorPlan, compile_smoother_plan
 
 __all__ = [
     "GSSchedule",
@@ -185,7 +187,6 @@ def build_gs_schedule(
         if len(dst):
             dec = np.bincount(dst, minlength=m)
             indeg -= dec
-            frontier = np.flatnonzero((indeg == 0) & (level == -1) & (dec[: m] > 0))
             # Rows whose last dependency cleared this round:
             frontier = np.flatnonzero((indeg == 0) & (level == -1))
         else:
@@ -212,7 +213,7 @@ def build_gs_schedule(
     e_cols_p = cols[keep][e_order]
     e_vals_p = vals[keep][e_order]
     e_local_p = local[keep][e_order]
-    e_lower_p = (dep if forward else dep)[keep][e_order]
+    e_lower_p = dep[keep][e_order]
     e_ptr = np.searchsorted(e_out, level_row_ptr)
 
     diag = np.zeros(m)
@@ -289,40 +290,10 @@ def gs_sweep(
     """
     if sched.nrows == 0:
         return x
-    temp = x.copy()
-    rp, ep = sched.level_row_ptr, sched.e_ptr
-    for lv in range(sched.nlevels):
-        r0, r1 = rp[lv], rp[lv + 1]
-        s = slice(ep[lv], ep[lv + 1])
-        rows = sched.rows[r0:r1]
-        cols = sched.e_cols[s]
-        src = np.where(sched.e_local[s], x[cols], temp[cols])
-        acc = b[rows] - np.bincount(
-            sched.e_out[s] - r0, weights=sched.e_vals[s] * src, minlength=r1 - r0
-        )
-        x[rows] = acc / sched.diag[r0:r1]
-
-    nnz = sched.nnz
-    m = sched.nrows
-    touched_nnz = int(sched.e_lower.sum()) + m if zero_guess else nnz
-    bytes_read = (
-        touched_nnz * (VAL_BYTES + IDX_BYTES)
-        + (m + 1) * PTR_BYTES
-        + touched_nnz * VAL_BYTES  # gathered x / temp_x
-        + m * VAL_BYTES  # b
-    )
-    bytes_written = m * VAL_BYTES
-    if not zero_guess:
-        # temp_x copy of the sweep's input vector (Fig. 2 line 1).
-        bytes_read += m * VAL_BYTES
-        bytes_written += m * VAL_BYTES
-    branches = 0.0 if optimized else float(nnz)
-    if not contiguous_rows:
-        # Baseline C-F smoothing scans all rows and tests "is i a C/F
-        # point?" per row instead of iterating contiguous ranges (§3.2).
-        branches += float(m)
-    count(kernel, flops=2 * touched_nnz + m, bytes_read=bytes_read,
-          bytes_written=bytes_written, branches=branches)
+    cs = CompiledSweep(sched, len(x), optimized=optimized,
+                       contiguous_rows=contiguous_rows, kernel=kernel)
+    cs.run(x, b)
+    count_record(cs.record(0, zero_guess))
     return x
 
 
@@ -345,40 +316,10 @@ def gs_sweep_multi(
     """
     if sched.nrows == 0:
         return X
-    k = X.shape[1]
-    temp = X.copy()
-    rp, ep = sched.level_row_ptr, sched.e_ptr
-    for lv in range(sched.nlevels):
-        r0, r1 = rp[lv], rp[lv + 1]
-        s = slice(ep[lv], ep[lv + 1])
-        rows = sched.rows[r0:r1]
-        cols = sched.e_cols[s]
-        for j in range(k):
-            src = np.where(sched.e_local[s], X[cols, j], temp[cols, j])
-            acc = B[rows, j] - np.bincount(
-                sched.e_out[s] - r0, weights=sched.e_vals[s] * src, minlength=r1 - r0
-            )
-            X[rows, j] = acc / sched.diag[r0:r1]
-
-    nnz = sched.nnz
-    m = sched.nrows
-    touched_nnz = int(sched.e_lower.sum()) + m if zero_guess else nnz
-    bytes_read = (
-        touched_nnz * (VAL_BYTES + IDX_BYTES)  # matrix stream, once
-        + (m + 1) * PTR_BYTES
-        + k * touched_nnz * VAL_BYTES  # gathered x / temp_x, per column
-        + k * m * VAL_BYTES  # b
-    )
-    bytes_written = k * m * VAL_BYTES
-    if not zero_guess:
-        # temp_x copy of the sweep's input block (Fig. 2 line 1).
-        bytes_read += k * m * VAL_BYTES
-        bytes_written += k * m * VAL_BYTES
-    branches = 0.0 if optimized else float(nnz)
-    if not contiguous_rows:
-        branches += float(m)
-    count(kernel, flops=(2 * touched_nnz + m) * k, bytes_read=bytes_read,
-          bytes_written=bytes_written, branches=branches)
+    cs = CompiledSweep(sched, len(X), optimized=optimized,
+                       contiguous_rows=contiguous_rows, kernel=kernel)
+    cs.run_multi(X, B)
+    count_record(cs.record(X.shape[1], zero_guess))
     return X
 
 
@@ -527,26 +468,8 @@ def chebyshev_sweep(
     ``D^{-1} A`` — the standard polynomial smoother for highly parallel
     machines (no sequential dependence at all).  Updates ``x`` in place.
     """
-    from ..sparse.spmv import spmv
-
-    theta = 0.5 * (1.0 + lam_min_frac) * lam_max
-    delta = 0.5 * (1.0 - lam_min_frac) * lam_max
-    sigma = theta / delta
-    rho = 1.0 / sigma
-
-    r = b - spmv(A, x, kernel="gs.cheby_spmv")
-    d = (r / diag) / theta
-    x += d
-    for _ in range(degree - 1):
-        r = b - spmv(A, x, kernel="gs.cheby_spmv")
-        rho_new = 1.0 / (2.0 * sigma - rho)
-        d = rho_new * rho * d + (2.0 * rho_new / delta) * (r / diag)
-        x += d
-        rho = rho_new
-    count("gs.cheby_update", flops=6.0 * A.nrows * degree,
-          bytes_read=3 * A.nrows * VAL_BYTES * degree,
-          bytes_written=A.nrows * VAL_BYTES * degree)
-    return x
+    return ChebyPlan(A, diag, lam_max, degree=degree,
+                     lam_min_frac=lam_min_frac).run(x, b)
 
 
 def chebyshev_sweep_multi(
@@ -560,28 +483,8 @@ def chebyshev_sweep_multi(
     lam_min_frac: float = 0.3,
 ) -> np.ndarray:
     """Blocked Chebyshev smoothing step over ``(n, k)`` (in place)."""
-    from ..sparse.spmv import spmv_multi
-
-    k = X.shape[1]
-    theta = 0.5 * (1.0 + lam_min_frac) * lam_max
-    delta = 0.5 * (1.0 - lam_min_frac) * lam_max
-    sigma = theta / delta
-    rho = 1.0 / sigma
-    dcol = diag[:, None]
-
-    R = B - spmv_multi(A, X, kernel="gs.cheby_spmv")
-    D = (R / dcol) / theta
-    X += D
-    for _ in range(degree - 1):
-        R = B - spmv_multi(A, X, kernel="gs.cheby_spmv")
-        rho_new = 1.0 / (2.0 * sigma - rho)
-        D = rho_new * rho * D + (2.0 * rho_new / delta) * (R / dcol)
-        X += D
-        rho = rho_new
-    count("gs.cheby_update", flops=6.0 * A.nrows * degree * k,
-          bytes_read=3 * A.nrows * VAL_BYTES * degree * k,
-          bytes_written=A.nrows * VAL_BYTES * degree * k)
-    return X
+    return ChebyPlan(A, diag, lam_max, degree=degree,
+                     lam_min_frac=lam_min_frac).run_multi(X, B)
 
 
 # ---------------------------------------------------------------------------
@@ -643,24 +546,7 @@ def multicolor_gs_sweep(
     forward: bool = True,
 ) -> np.ndarray:
     """One multicolor-GS sweep (in place; returns ``x``)."""
-    ncolors = int(color.max()) + 1
-    order = range(ncolors) if forward else range(ncolors - 1, -1, -1)
-    rid = A.row_ids()
-    off = A.indices != rid
-    for c in order:
-        rows = np.flatnonzero(color == c)
-        lr, cols, vals = A.row_slice_arrays(rows)
-        sel = cols != rows[lr]
-        acc = b[rows] - np.bincount(lr[sel], weights=vals[sel] * x[cols[sel]],
-                                    minlength=len(rows))
-        x[rows] = acc / diag[rows]
-    count(
-        "gs.multicolor",
-        flops=2 * A.nnz,
-        bytes_read=A.nnz * (2 * VAL_BYTES + IDX_BYTES) + ncolors * A.nrows * PTR_BYTES,
-        bytes_written=A.nrows * VAL_BYTES,
-    )
-    return x
+    return MulticolorPlan(A, color, diag).run(x, b, forward=forward)
 
 
 def multicolor_gs_sweep_multi(
@@ -673,26 +559,7 @@ def multicolor_gs_sweep_multi(
     forward: bool = True,
 ) -> np.ndarray:
     """Blocked multicolor-GS sweep over ``(n, k)`` (in place)."""
-    k = X.shape[1]
-    ncolors = int(color.max()) + 1
-    order = range(ncolors) if forward else range(ncolors - 1, -1, -1)
-    for c in order:
-        rows = np.flatnonzero(color == c)
-        lr, cols, vals = A.row_slice_arrays(rows)
-        sel = cols != rows[lr]
-        for j in range(k):
-            acc = B[rows, j] - np.bincount(
-                lr[sel], weights=vals[sel] * X[cols[sel], j], minlength=len(rows)
-            )
-            X[rows, j] = acc / diag[rows]
-    count(
-        "gs.multicolor",
-        flops=2 * A.nnz * k,
-        bytes_read=A.nnz * (VAL_BYTES + IDX_BYTES) + ncolors * A.nrows * PTR_BYTES
-        + k * A.nnz * VAL_BYTES,
-        bytes_written=A.nrows * VAL_BYTES * k,
-    )
-    return X
+    return MulticolorPlan(A, color, diag).run_multi(X, B, forward=forward)
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +608,9 @@ class HybridGSSmoother:
         n = A.nrows
         self._schedules: dict[tuple[str, bool], GSSchedule] = {}
         self.color: np.ndarray | None = None
-        #: Compiled solve plan (:class:`repro.amg.solveplan.SmootherPlan`),
-        #: attached by ``attach_solve_plan``; ``None`` = legacy execution.
+        #: Compiled sweeps (:class:`repro.amg.solveplan.SmootherPlan`);
+        #: ``None`` = not compiled yet.  ``attach_solve_plan`` compiles at
+        #: setup, otherwise the first sweep does.  Jacobi variants have none.
         self._plan = None
 
         if variant == "jacobi":
@@ -783,8 +651,9 @@ class HybridGSSmoother:
         """Same-pattern numeric rebuild of *old* over the values of *A*.
 
         Shares every pattern-derived structure (groups, thread blocks,
-        wavefront schedules, coloring) and regathers only the numerics —
-        the smoother counterpart of :meth:`repro.amg.Hierarchy.refresh`.
+        wavefront schedules, coloring, compiled sweeps) and regathers only
+        the numerics — the smoother counterpart of
+        :meth:`repro.amg.Hierarchy.refresh`.
         Bit-identical to constructing a fresh smoother with the same
         arguments (the shared structures are pure functions of the frozen
         sparsity and seed).
@@ -801,79 +670,53 @@ class HybridGSSmoother:
         new.color = old.color
         new._plan = None
         new.groups = old.groups
-        if old.variant in ("jacobi", "multicolor"):
-            return new
         if old.variant == "l1_jacobi":
             new.l1diag = l1_diagonal(A)
-            return new
-        if old.variant == "chebyshev":
+        elif old.variant == "chebyshev":
             # Value-dependent: the power iteration must re-run (same seed
             # => same result as a from-scratch rebuild).
             new.lam_max = estimate_lambda_max(A, new.diag, seed=old.seed)
-            return new
-        for key, sched in old._schedules.items():
-            if sched.e_entry is not None:
-                new._schedules[key] = schedule_with_values(sched, A)
-            else:
-                gi = int(key[0][1:])
-                blk = block_of_rows(A.nrows, new.nthreads, A, old.groups[gi])
-                new._schedules[key] = build_gs_schedule(A, blk, forward=key[1])
+        elif old.variant not in ("jacobi", "multicolor"):
+            for key, sched in old._schedules.items():
+                if sched.e_entry is not None:
+                    new._schedules[key] = schedule_with_values(sched, A)
+                else:
+                    gi = int(key[0][1:])
+                    blk = block_of_rows(A.nrows, new.nthreads, A, old.groups[gi])
+                    new._schedules[key] = build_gs_schedule(A, blk, forward=key[1])
+        if old._plan is not None:
+            # Compiled sweeps regather values only; index arrays, flat
+            # caches and record tables stay shared with *old*.
+            new._plan = old._plan.with_values(new)
         return new
 
     # -- sweeps ----------------------------------------------------------
-    def _sweep_groups(self, x, b, group_order, forward, zero_guess):
-        for gi in group_order:
-            sched = self._schedules[(f"g{gi}", forward)]
-            gs_sweep(x, b, sched, optimized=self.optimized,
-                     zero_guess=zero_guess, kernel="gs.hybrid",
-                     contiguous_rows=self.cf_contiguous)
-            zero_guess = False  # only the very first sub-sweep sees zeros
-        return x
-
-    def _sweep_groups_multi(self, X, B, group_order, forward, zero_guess):
-        for gi in group_order:
-            sched = self._schedules[(f"g{gi}", forward)]
-            gs_sweep_multi(X, B, sched, optimized=self.optimized,
-                           zero_guess=zero_guess, kernel="gs.hybrid",
-                           contiguous_rows=self.cf_contiguous)
-            zero_guess = False
-        return X
-
     #: Damping for the Jacobi variant (omega = 2/3, the standard choice that
     #: makes Jacobi an actual smoother on Poisson-like operators).
     JACOBI_WEIGHT = 2.0 / 3.0
 
+    def _compiled(self):
+        """The smoother's :class:`~repro.amg.solveplan.SmootherPlan`,
+        compiled on first use (silent: no perf records)."""
+        if self._plan is None:
+            compile_smoother_plan(self)
+        return self._plan
+
     def presmooth(self, x: np.ndarray, b: np.ndarray, *, zero_guess: bool = False) -> np.ndarray:
         """Forward sweep, C points first (updates ``x`` in place)."""
-        if self._plan is not None and plan_enabled():
-            return self._plan.presmooth(x, b, zero_guess=zero_guess)
         if self.variant == "jacobi":
             x[:] = jacobi_sweep(self.A, x, b, self.diag, weight=self.JACOBI_WEIGHT)
             return x
         if self.variant == "l1_jacobi":
             x[:] = l1_jacobi_sweep(self.A, x, b, self.l1diag)
             return x
-        if self.variant == "chebyshev":
-            return chebyshev_sweep(self.A, x, b, self.diag, self.lam_max)
-        if self.variant == "multicolor":
-            return multicolor_gs_sweep(self.A, x, b, self.color, self.diag, forward=True)
-        return self._sweep_groups(x, b, range(len(self.groups)), True, zero_guess)
+        return self._compiled().presmooth(x, b, zero_guess=zero_guess)
 
     def postsmooth(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Backward sweep, F points first (updates ``x`` in place)."""
-        if self._plan is not None and plan_enabled():
-            return self._plan.postsmooth(x, b)
-        if self.variant == "jacobi":
-            x[:] = jacobi_sweep(self.A, x, b, self.diag, weight=self.JACOBI_WEIGHT)
-            return x
-        if self.variant == "l1_jacobi":
-            x[:] = l1_jacobi_sweep(self.A, x, b, self.l1diag)
-            return x
-        if self.variant == "chebyshev":
-            return chebyshev_sweep(self.A, x, b, self.diag, self.lam_max)
-        if self.variant == "multicolor":
-            return multicolor_gs_sweep(self.A, x, b, self.color, self.diag, forward=False)
-        return self._sweep_groups(x, b, range(len(self.groups) - 1, -1, -1), False, False)
+        if self.variant in ("jacobi", "l1_jacobi"):
+            return self.presmooth(x, b)
+        return self._compiled().postsmooth(x, b)
 
     # -- blocked sweeps (multiple RHS) ------------------------------------
     def presmooth_multi(self, X: np.ndarray, B: np.ndarray, *,
@@ -883,8 +726,6 @@ class HybridGSSmoother:
         Column *j* reproduces :meth:`presmooth` on ``(X[:, j], B[:, j])``
         exactly; the counted matrix stream is shared across columns.
         """
-        if self._plan is not None and plan_enabled():
-            return self._plan.presmooth_multi(X, B, zero_guess=zero_guess)
         if self.variant == "jacobi":
             X[:] = jacobi_sweep_multi(self.A, X, B, self.diag,
                                       weight=self.JACOBI_WEIGHT)
@@ -892,29 +733,10 @@ class HybridGSSmoother:
         if self.variant == "l1_jacobi":
             X[:] = l1_jacobi_sweep_multi(self.A, X, B, self.l1diag)
             return X
-        if self.variant == "chebyshev":
-            return chebyshev_sweep_multi(self.A, X, B, self.diag, self.lam_max)
-        if self.variant == "multicolor":
-            return multicolor_gs_sweep_multi(self.A, X, B, self.color, self.diag,
-                                             forward=True)
-        return self._sweep_groups_multi(X, B, range(len(self.groups)), True,
-                                        zero_guess)
+        return self._compiled().presmooth_multi(X, B, zero_guess=zero_guess)
 
     def postsmooth_multi(self, X: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Blocked backward sweep over an ``(n, k)`` iterate block."""
-        if self._plan is not None and plan_enabled():
-            return self._plan.postsmooth_multi(X, B)
-        if self.variant == "jacobi":
-            X[:] = jacobi_sweep_multi(self.A, X, B, self.diag,
-                                      weight=self.JACOBI_WEIGHT)
-            return X
-        if self.variant == "l1_jacobi":
-            X[:] = l1_jacobi_sweep_multi(self.A, X, B, self.l1diag)
-            return X
-        if self.variant == "chebyshev":
-            return chebyshev_sweep_multi(self.A, X, B, self.diag, self.lam_max)
-        if self.variant == "multicolor":
-            return multicolor_gs_sweep_multi(self.A, X, B, self.color, self.diag,
-                                             forward=False)
-        return self._sweep_groups_multi(X, B, range(len(self.groups) - 1, -1, -1),
-                                        False, False)
+        if self.variant in ("jacobi", "l1_jacobi"):
+            return self.presmooth_multi(X, B)
+        return self._compiled().postsmooth_multi(X, B)

@@ -1,37 +1,36 @@
-"""Solve-phase execution plans (the solve-side sibling of ``SetupPlan``).
+"""Compiled smoother sweeps: the solve phase's only execution path.
 
 The solve phase runs the same kernels thousands of times over *frozen*
-sparsity: every GS sweep follows the same wavefront schedule, every
-restriction multiplies the same ``P_F``, every counter records traffic that
-is a pure function of the pattern.  :func:`attach_solve_plan` therefore
-precomputes, once per hierarchy,
+sparsity: every GS sweep follows the same wavefront schedule and records
+traffic that is a pure function of the pattern.  This module holds each
+sweep's arithmetic **and** its traffic formula, exactly once:
 
 * **compiled GS sweeps** (:class:`CompiledSweep`): per wavefront level, the
   fused gather index into a ``[live x | sweep-start snapshot]`` workspace
-  (replacing the per-sweep ``np.where`` classification), local segment ids,
-  and value/diagonal views — plus *zero-start* variants that skip the
-  entries whose source value is identically zero during the first visit of
-  a level (the executed arithmetic drops exactly the terms §3.2 already
-  excludes from the *count*, so iterates stay bit-identical);
-* **multicolor / Chebyshev plans** with the per-color gathers frozen;
-* **prebound grid transfers** (:class:`LevelExec`): the flag dispatch of
-  :meth:`repro.amg.level.Level.restrict` resolved once per level;
-* **plan-table records**: each kernel invocation's traffic
+  (classify each row's non-zeros once, then sweep branch-free — §3.2,
+  Fig. 2b), local segment ids, and value/diagonal views — plus *zero-start*
+  variants that skip the entries whose source value is identically zero
+  during the first visit of a level (the executed arithmetic drops exactly
+  the terms §3.2 already excludes from the *count*, so iterates are
+  unchanged bit for bit);
+* **multicolor / Chebyshev plans** (:class:`MulticolorPlan`,
+  :class:`ChebyPlan`) with the per-color gathers frozen;
+* **record tables**: each kernel invocation's traffic
   (:class:`repro.perf.counters.KernelRecord`) built once from the pattern
-  and appended per invocation via ``count_record`` — the record *stream* is
-  identical to the legacy per-call ``count()`` arithmetic.
+  and appended per invocation via ``count_record``.
 
-Execution through the plan is gated by ``REPRO_SOLVEPLAN``
-(:func:`repro.planexec.plan_enabled`); the legacy path is kept both as the
-wall-clock baseline and as the bit-identity oracle for the tests.  Plans
-hold only pattern-derived arrays and value *views*; :func:`refresh_plans`
-rebuilds just the numeric parts (value gathers) for a same-pattern refresh,
-reusing every index array of the old plan.
+Who compiles when: a :class:`~repro.amg.smoothers.HybridGSSmoother` compiles
+its :class:`SmootherPlan` on its first sweep; :func:`attach_solve_plan`
+(run at the end of ``build_hierarchy``) and ``DistSmoother.__init__`` do it
+at setup so no solve pays for it; ``HybridGSSmoother.from_numeric`` (the
+``Hierarchy.refresh`` path) regathers values through ``with_values`` and
+shares every index array with the plan it came from.  Compilation is pure
+pattern arithmetic and emits no perf records.  The public kernel functions
+(``gs_sweep``, ``multicolor_gs_sweep``, ``chebyshev_sweep`` and their
+``_multi`` forms) are one-shot wrappers over the same classes.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -45,28 +44,16 @@ from ..perf.counters import (
     count_record,
     make_record,
 )
-from ..sparse.ops import segment_sum
-from ..sparse.spmv import (
-    spmv,
-    spmv_identity_block,
-    spmv_identity_block_multi,
-    spmv_identity_block_transposed,
-    spmv_identity_block_transposed_multi,
-    spmv_multi,
-    spmv_multi_traffic,
-    spmv_traffic,
-    spmv_transposed,
-    spmv_transposed_multi,
-)
+from ..sparse.ops import gather_range_indices, segment_sum
+from ..sparse.spmv import spmv_multi_traffic, spmv_traffic
 
 __all__ = [
     "CompiledSweep",
+    "MulticolorPlan",
+    "ChebyPlan",
     "SmootherPlan",
-    "LevelExec",
-    "SolvePlan",
     "compile_smoother_plan",
     "attach_solve_plan",
-    "refresh_plans",
 ]
 
 
@@ -80,8 +67,9 @@ class CompiledSweep:
     The sweep runs over a ``2n`` workspace ``[live x | sweep-start copy]``:
     entry sources are pre-resolved to ``col`` (in-block, live) or ``col + n``
     (external, snapshot), so each level is six vectorized calls with no
-    per-sweep classification.  Bit-identical to :func:`repro.amg.smoothers.
-    gs_sweep` (same ``np.bincount`` accumulation order, same divisions).
+    per-sweep classification.  Reproduces the sequential in-block GS of
+    :func:`repro.amg.smoothers.gs_sweep_reference` on structurally
+    symmetric patterns.
     """
 
     def __init__(self, sched, n: int, *, optimized: bool, contiguous_rows: bool,
@@ -138,8 +126,15 @@ class CompiledSweep:
 
     # -- counting ---------------------------------------------------------
     def record(self, k: int, zero_guess: bool) -> KernelRecord:
-        """The :func:`repro.amg.smoothers.gs_sweep`/``_multi`` record for a
-        width-*k* sweep (``k=0`` = single RHS), built once per (k, flag)."""
+        """The traffic of one width-*k* sweep (``k=0`` = single RHS), built
+        once per (k, flag).
+
+        Fig. 2(b) accounting when ``optimized`` (pre-partitioned rows, no
+        per-non-zero branch); the Fig. 2(a) baseline adds one branch per
+        non-zero.  ``zero_guess`` skips the upper/external reads and the
+        ``temp_x`` copy (§3.2).  The matrix stream and the classification
+        branches are charged once for all *k* columns; the gathered
+        iterate, ``b`` and the written rows per column."""
         key = (k, zero_guess)
         rec = self._rec.get(key)
         if rec is None:
@@ -150,10 +145,14 @@ class CompiledSweep:
                           + kk * touched * VAL_BYTES + kk * m * VAL_BYTES)
             bytes_written = kk * m * VAL_BYTES
             if not zero_guess:
+                # temp_x copy of the sweep's input (Fig. 2 line 1).
                 bytes_read += kk * m * VAL_BYTES
                 bytes_written += kk * m * VAL_BYTES
             branches = 0.0 if self.optimized else float(nnz)
             if not self.contiguous_rows:
+                # Baseline C-F smoothing scans all rows and tests "is i a
+                # C/F point?" per row instead of iterating contiguous
+                # ranges (§3.2).
                 branches += float(m)
             rec = make_record(self.kernel, flops=(2 * touched + m) * kk,
                               bytes_read=bytes_read, bytes_written=bytes_written,
@@ -289,8 +288,6 @@ class MulticolorPlan:
         self.ncolors = int(color.max()) + 1
         self.colors = []
         self._entry_src = []
-        from ..sparse.ops import gather_range_indices
-
         for c in range(self.ncolors):
             rows = np.flatnonzero(color == c)
             counts = A.indptr[rows + 1] - A.indptr[rows]
@@ -306,23 +303,17 @@ class MulticolorPlan:
         self._flats: dict[tuple[int, int], np.ndarray] = {}
 
     def record(self, k: int) -> KernelRecord:
-        """The legacy ``gs.multicolor`` record (``k=0`` = single RHS)."""
+        """The ``gs.multicolor`` record of one sweep (``k=0`` = single RHS)."""
         rec = self._rec.get(k)
         if rec is None:
-            if k == 0:
-                rec = make_record(
-                    "gs.multicolor", flops=2 * self.nnz,
-                    bytes_read=self.nnz * (2 * VAL_BYTES + IDX_BYTES)
-                    + self.ncolors * self.nrows * PTR_BYTES,
-                    bytes_written=self.nrows * VAL_BYTES, phase="GS")
-            else:
-                rec = make_record(
-                    "gs.multicolor", flops=2 * self.nnz * k,
-                    bytes_read=self.nnz * (VAL_BYTES + IDX_BYTES)
-                    + self.ncolors * self.nrows * PTR_BYTES
-                    + k * self.nnz * VAL_BYTES,
-                    bytes_written=self.nrows * VAL_BYTES * k, phase="GS")
-            self._rec[k] = rec
+            kk = max(k, 1)
+            # Matrix stream once for all columns; gathered x per column.
+            rec = self._rec[k] = make_record(
+                "gs.multicolor", flops=2 * self.nnz * kk,
+                bytes_read=self.nnz * (VAL_BYTES + IDX_BYTES)
+                + self.ncolors * self.nrows * PTR_BYTES
+                + kk * self.nnz * VAL_BYTES,
+                bytes_written=self.nrows * VAL_BYTES * kk, phase="GS")
         return rec
 
     def run(self, x, b, *, forward: bool) -> np.ndarray:
@@ -456,9 +447,9 @@ class SmootherPlan:
     """Planned execution of one :class:`~repro.amg.smoothers.HybridGSSmoother`.
 
     Holds the compiled sweeps of each (group, direction) schedule plus the
-    variant-specific plans; the smoother delegates here when the plan gate
-    is on.  Jacobi-family variants have no plan (already single-call
-    vectorized kernels) and never reach this object.
+    variant-specific plans; the smoother's four entry points delegate here.
+    Jacobi-family variants have no plan (already single-call vectorized
+    kernels) and never reach this object.
     """
 
     def __init__(self, smoother) -> None:
@@ -495,8 +486,8 @@ class SmootherPlan:
     def sweep_groups(self, x, b, group_order, forward, zero_guess):
         # ``zero_guess`` is the caller's promise that the iterate is
         # identically zero at pass start: the first group's sweep is
-        # *counted* with the §3.2 skip (legacy accounting), and every
-        # group's *execution* may drop the reads that are still zero.
+        # *counted* with the §3.2 skip, and every group's *execution* may
+        # drop the reads that are still zero.
         zero_exec = zero_guess and forward
         for gi in group_order:
             cs = self.sweeps[(gi, forward)]
@@ -576,99 +567,26 @@ class SmootherPlan:
 
 
 def compile_smoother_plan(smoother) -> None:
-    """Attach a :class:`SmootherPlan` to *smoother* (idempotent, silent).
+    """Compile *smoother*'s sweeps (idempotent; silent: emits no perf
+    records).  Setup code calls this so no solve pays for it; a smoother
+    nobody prewarmed calls it on its first sweep.
 
-    Jacobi-family variants are left unplanned: their sweeps are already
-    single vectorized kernels with one record each.
+    Jacobi-family variants have no plan: their sweeps are already single
+    vectorized kernels with one record each.
     """
     if smoother is None or smoother.variant in ("jacobi", "l1_jacobi"):
         return
-    if getattr(smoother, "_plan", None) is None:
+    if smoother._plan is None:
         smoother._plan = SmootherPlan(smoother)
 
 
-def refresh_smoother_plan(new_smoother, old_smoother) -> None:
-    """Numeric-only plan rebuild for a same-pattern refreshed smoother."""
-    if new_smoother is None or new_smoother.variant in ("jacobi", "l1_jacobi"):
-        return
-    old_plan = getattr(old_smoother, "_plan", None) if old_smoother is not None else None
-    if old_plan is not None:
-        new_smoother._plan = old_plan.with_values(new_smoother)
-    else:
-        compile_smoother_plan(new_smoother)
-
-
-# ---------------------------------------------------------------------------
-# Per-level prebound grid transfers
-# ---------------------------------------------------------------------------
-
-class LevelExec:
-    """Level *l*'s solve-phase bindings: the restrict/interpolate strategy
-    dispatch of :class:`~repro.amg.level.Level` resolved once at plan time.
-
-    The bound kernels are the same instrumented functions the legacy
-    dispatch reaches, so the record stream is unchanged.
-    """
-
-    __slots__ = ("restrict", "interpolate", "restrict_multi", "interpolate_multi")
-
-    def __init__(self, lvl, flags) -> None:
-        if flags.cf_reorder and lvl.P_F is not None:
-            self.restrict = partial(
-                spmv_identity_block_transposed, lvl.P_F, cperm=lvl.cperm)
-            self.restrict_multi = partial(
-                spmv_identity_block_transposed_multi, lvl.P_F, cperm=lvl.cperm)
-            self.interpolate = partial(
-                spmv_identity_block, lvl.P_F, cperm=lvl.cperm)
-            self.interpolate_multi = partial(
-                spmv_identity_block_multi, lvl.P_F, cperm=lvl.cperm)
-        else:
-            if flags.keep_transpose and lvl.R is not None:
-                self.restrict = partial(spmv, lvl.R, kernel="spmv.restrict")
-                self.restrict_multi = partial(
-                    spmv_multi, lvl.R, kernel="spmv.restrict")
-            else:
-                self.restrict = partial(spmv_transposed, lvl.P, materialize=True)
-                self.restrict_multi = partial(
-                    spmv_transposed_multi, lvl.P, materialize=True)
-            self.interpolate = partial(spmv, lvl.P, kernel="spmv.interp")
-            self.interpolate_multi = partial(
-                spmv_multi, lvl.P, kernel="spmv.interp")
-
-
-class SolvePlan:
-    """Frozen solve-phase schedules of one hierarchy.
-
-    ``levels[l]`` is the :class:`LevelExec` of level *l* (transfer levels
-    only — the coarsest level has no transfers); smoother plans live on the
-    smoothers themselves so direct smoother calls benefit too.
-    """
-
-    def __init__(self, levels: list[LevelExec]) -> None:
-        self.levels = levels
-
-
 def attach_solve_plan(hierarchy) -> None:
-    """Compile and attach the solve plan of *hierarchy* (silent: emits no
-    perf records — all tables are pattern arithmetic done once)."""
-    flags = hierarchy.config.flags
-    execs = []
-    for lvl in hierarchy.levels[:-1]:
+    """Compile every smoother of *hierarchy* — the per-level ones and a
+    swept (non-direct) coarsest solver's — so no solve pays for compilation.
+
+    Idempotent and silent; works on any assembled hierarchy, whoever
+    constructed its smoothers.
+    """
+    for lvl in hierarchy.levels:
         compile_smoother_plan(lvl.smoother)
-        execs.append(LevelExec(lvl, flags))
-    last = hierarchy.levels[-1]
-    if last.smoother is not None:
-        compile_smoother_plan(last.smoother)
-    hierarchy.solve_plan = SolvePlan(execs)
-
-
-def refresh_plans(new_hierarchy, old_hierarchy) -> None:
-    """Attach plans to a refreshed hierarchy, rebuilding only the numeric
-    parts (value/diagonal gathers); every index array, flat-gather cache,
-    and plan-table record is shared with the old hierarchy's plan."""
-    flags = new_hierarchy.config.flags
-    execs = []
-    for new_lvl, old_lvl in zip(new_hierarchy.levels[:-1], old_hierarchy.levels):
-        refresh_smoother_plan(new_lvl.smoother, old_lvl.smoother)
-        execs.append(LevelExec(new_lvl, flags))
-    new_hierarchy.solve_plan = SolvePlan(execs)
+    compile_smoother_plan(hierarchy.coarse_solver.smoother)

@@ -38,11 +38,10 @@ linters cannot see:
     No per-iteration performance counting in the compute tree: a
     ``count(...)`` call lexically inside a ``for``/``while`` body under
     ``sparse``/``amg``/``dist`` charges the model once per Python
-    iteration — the pattern the SolvePlan layer exists to eliminate.
+    iteration — the pattern the compiled solve phase exists to eliminate.
     Hot paths must precompute a record template (``make_record`` +
     ``count_record``) or bulk-append (``count_batch``); loops that are
-    genuinely per-invocation (per-rank setup, leader staging) carry a
-    justified waiver.
+    genuinely per-invocation (per-rank setup) carry a justified waiver.
 ``lockset``
     In any class that documents a lock by assigning ``self._lock``
     (the serving tier, :class:`~repro.amg.cache.HierarchyCache`), every

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import VAL_BYTES, KernelRecord, count, count_record, make_record
-from ..planexec import plan_enabled
+from ..perf.counters import VAL_BYTES, KernelRecord, count_record, make_record
 from .comm import NodeAwareExchange, PersistentExchange, SimComm
 from .parcsr import ParCSRMatrix, ParVector
 
@@ -70,11 +69,12 @@ class HaloExchange:
         self.pattern = pattern
         self.total_elems = sum(pattern.values())
         # Per-rank external-entry counts are frozen with the pattern; the
-        # pack/unpack traffic records are pure functions of (rank, width)
-        # and are cached per width (plan-table counting).
+        # pack/unpack and leader-staging traffic records are pure functions
+        # of (rank, width) and are cached per width (see ``_records``).
         self._ext_n = [sum(len(ids) for _, ids in plan)
                        for plan in self.recv_plan]
-        self._pack_recs: dict[int, list[KernelRecord]] = {}
+        self._recs: dict[int, tuple[list[KernelRecord],
+                                    list[tuple[int, KernelRecord]]]] = {}
 
         # Node-aware 3-step aggregation (repro.topo): adopted only when the
         # modeled two-tier time beats the flat schedule; ppn=1 and losing
@@ -109,6 +109,24 @@ class HaloExchange:
         """Whether this exchange sends the 3-step aggregated schedule."""
         return self._node_exchange is not None
 
+    def _records(self, width: int):
+        """``(pack, stage)`` record tables of a *width*-column exchange:
+        one ``halo.pack_unpack`` record per rank, one ``halo.stage`` record
+        per relaying node leader (empty on the flat schedule)."""
+        recs = self._recs.get(width)
+        if recs is None:
+            def copy_rec(kernel, elems):
+                return make_record(kernel,
+                                   bytes_read=elems * width * VAL_BYTES,
+                                   bytes_written=elems * width * VAL_BYTES)
+
+            pack = [copy_rec("halo.pack_unpack", n) for n in self._ext_n]
+            stage = ([(leader, copy_rec("halo.stage", elems))
+                      for leader, elems in self.node_plan.relay.items()]
+                     if self._node_exchange is not None else [])
+            recs = self._recs[width] = (pack, stage)
+        return recs
+
     def __call__(self, x: ParVector) -> list[np.ndarray]:
         """Gather each rank's external entries; returns ``x_ext`` per rank.
 
@@ -123,6 +141,7 @@ class HaloExchange:
         multi = x.parts[0].ndim == 2
         width = x.parts[0].shape[1] if multi else 1
         dtype = x.parts[0].dtype
+        pack_recs, stage_recs = self._records(width)
         reliable = getattr(self.comm, "reliable_send", None)
         if reliable is not None:
             for (src, dst), n in self.pattern.items():
@@ -134,27 +153,14 @@ class HaloExchange:
             # Leaders relay the aggregated off-node traffic: the gathered
             # entries are staged into per-destination buffers before the
             # inter-node send / after the inter-node receive.
-            for leader, elems in self.node_plan.relay.items():
+            for leader, rec in stage_recs:
                 with self.comm.on_rank(leader):
-                    count("halo.stage",
-                          bytes_read=elems * width * VAL_BYTES,
-                          bytes_written=elems * width * VAL_BYTES)
+                    count_record(rec)
         elif self._persistent_req is not None:
             self._persistent_req.start(width=width)
         else:
             for (src, dst), n in self.pattern.items():
                 self.comm.log_message(src, dst, n * width * VAL_BYTES, tag="halo")
-        pack_recs = None
-        if plan_enabled():
-            pack_recs = self._pack_recs.get(width)
-            if pack_recs is None:
-                pack_recs = [
-                    make_record("halo.pack_unpack",
-                                bytes_read=n * width * VAL_BYTES,
-                                bytes_written=n * width * VAL_BYTES)
-                    for n in self._ext_n
-                ]
-                self._pack_recs[width] = pack_recs
         ext = []
         for p in range(self.comm.nranks):
             pieces = [x.parts[q][ids] for q, ids in self.recv_plan[p]]
@@ -168,12 +174,7 @@ class HaloExchange:
                            else np.empty(0, dtype=dtype))
             # Sender-side pack + receiver-side unpack traffic.
             with self.comm.on_rank(p):
-                if pack_recs is not None:
-                    count_record(pack_recs[p])
-                else:
-                    n = len(ext[-1])
-                    count("halo.pack_unpack", bytes_read=n * width * VAL_BYTES,
-                          bytes_written=n * width * VAL_BYTES)
+                count_record(pack_recs[p])
         return ext
 
 

@@ -22,7 +22,6 @@ from .interp import dist_extended_i, dist_multipass, dist_two_stage_ei
 from .parcsr import ParCSRMatrix, ParVector
 from .pmis import dist_aggressive_pmis, dist_pmis, dist_random_measures
 from .smoothers import DistSmoother
-from .solveplan import attach_dist_solve_plan
 from .sparsify import sparsify_parcsr
 from .spgemm import dist_rap
 from .strength import dist_strength
@@ -300,11 +299,6 @@ def dist_build_hierarchy(
         )
     hierarchy = DistHierarchy(comm, levels, coarse, config,
                               topology=topology, net=net)
-    # Freeze the per-rank solve schedules (wavefront orders, gather maps,
-    # record tables).  DistSmoother already self-plans on construction; this
-    # is the documented entry point and covers any smoother swapped in
-    # since (e.g. by desparsify fallbacks).
-    attach_dist_solve_plan(hierarchy)
     if checking():
         # Per-level ParCSR + frozen-halo consistency, inter-level partition
         # plumbing; full adds per-block sortedness/finiteness sweeps.

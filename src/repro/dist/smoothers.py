@@ -12,13 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..amg.smoothers import HybridGSSmoother
-from ..perf.counters import VAL_BYTES, count, count_record
-from ..planexec import plan_enabled
+from ..amg.solveplan import compile_smoother_plan
+from ..perf.counters import VAL_BYTES, count_record, make_record
 from ..sparse.spmv import spmv
 from .comm import SimComm
 from .halo import build_halo
 from .parcsr import ParCSRMatrix, ParVector
-from .solveplan import plan_dist_smoother
 
 __all__ = ["DistSmoother"]
 
@@ -57,10 +56,17 @@ class DistSmoother:
                         seed=seed + p,
                     )
                 )
-        # Compile the per-rank solve plans (and the frozen gs.offd_sub
-        # record table) up front; execution of the planned paths is gated
-        # by REPRO_SOLVEPLAN at sweep time.
-        plan_dist_smoother(self)
+        # Compile the per-rank sweeps up front so no solve pays for it, and
+        # freeze the gs.offd_sub records: the boundary Jacobi term's traffic
+        # depends only on the row partition.  Both are silent.
+        for local in self.local:
+            compile_smoother_plan(local)
+        self._offd_recs = [
+            make_record("gs.offd_sub", flops=blk.nrows,
+                        bytes_read=blk.nrows * VAL_BYTES,
+                        bytes_written=blk.nrows * VAL_BYTES)
+            for blk in A.blocks
+        ]
 
     def _offd_rhs(self, b: ParVector, x: ParVector, *, zero_guess: bool) -> list[np.ndarray]:
         """``b - A_offd x_ext`` per rank (the Jacobi boundary term)."""
@@ -73,12 +79,7 @@ class DistSmoother:
             with self.comm.on_rank(p):
                 if blk.offd.nnz:
                     rhs = b.parts[p] - spmv(blk.offd, x_ext[p], kernel="gs.offd")
-                    if plan_enabled():
-                        count_record(self._offd_recs[p])
-                    else:
-                        count("gs.offd_sub", flops=blk.nrows,
-                              bytes_read=blk.nrows * VAL_BYTES,
-                              bytes_written=blk.nrows * VAL_BYTES)
+                    count_record(self._offd_recs[p])
                 else:
                     rhs = b.parts[p].copy()
             out.append(rhs)

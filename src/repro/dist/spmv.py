@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..perf.counters import VAL_BYTES, count_record, make_record
 from ..sparse.spmv import spmv, spmv_multi
 from .comm import SimComm
 from .halo import HaloExchange
@@ -69,47 +70,33 @@ def dist_residual_norm(
     fused: bool = True,
 ) -> tuple[ParVector, float]:
     """``r = b - A x`` and its 2-norm (one allreduce)."""
-    from ..perf.counters import VAL_BYTES, count, count_record, make_record
-    from ..planexec import plan_enabled
-
     Ax = dist_spmv(comm, A, x, halo, kernel="spmv.residual")
     # The per-rank record fields depend only on the frozen row partition:
     # prebuild them once per (halo, fused) and replay thereafter.
-    recs = None
-    if plan_enabled():
-        cache = getattr(halo, "_resnorm_recs", None)
-        if cache is None:
-            cache = halo._resnorm_recs = {}
-        recs = cache.get(fused)
-        if recs is None:
-            recs = cache[fused] = [
-                [make_record("residual_norm_fused", flops=3 * n,
-                             bytes_read=2 * n * VAL_BYTES,
-                             bytes_written=n * VAL_BYTES)]
-                if fused else
-                [make_record("residual_sub", flops=n,
-                             bytes_read=2 * n * VAL_BYTES,
-                             bytes_written=n * VAL_BYTES),
-                 make_record("blas1.norm2", flops=2 * n,
-                             bytes_read=n * VAL_BYTES)]
-                for n in (len(b.parts[p]) for p in range(comm.nranks))
-            ]
+    cache = getattr(halo, "_resnorm_recs", None)
+    if cache is None:
+        cache = halo._resnorm_recs = {}
+    recs = cache.get(fused)
+    if recs is None:
+        recs = cache[fused] = [
+            [make_record("residual_norm_fused", flops=3 * n,
+                         bytes_read=2 * n * VAL_BYTES,
+                         bytes_written=n * VAL_BYTES)]
+            if fused else
+            [make_record("residual_sub", flops=n,
+                         bytes_read=2 * n * VAL_BYTES,
+                         bytes_written=n * VAL_BYTES),
+             make_record("blas1.norm2", flops=2 * n,
+                         bytes_read=n * VAL_BYTES)]
+            for n in (len(b.parts[p]) for p in range(comm.nranks))
+        ]
     parts = []
     sq = []
     for p in range(comm.nranks):
         with comm.on_rank(p):
             r = b.parts[p] - Ax.parts[p]
-            n = len(r)
-            if recs is not None:
-                for rec in recs[p]:
-                    count_record(rec)
-            elif fused:
-                count("residual_norm_fused", flops=3 * n,
-                      bytes_read=2 * n * VAL_BYTES, bytes_written=n * VAL_BYTES)
-            else:
-                count("residual_sub", flops=n, bytes_read=2 * n * VAL_BYTES,
-                      bytes_written=n * VAL_BYTES)
-                count("blas1.norm2", flops=2 * n, bytes_read=n * VAL_BYTES)
+            for rec in recs[p]:
+                count_record(rec)
         parts.append(r)
         sq.append(float(r @ r))
     total = comm.allreduce(sq)

@@ -1,15 +1,20 @@
-"""The SolvePlan layer (ISSUE 10): planned execution must be invisible.
+"""The compiled solve phase (ISSUE 10, made the only path by ISSUE 14).
 
 Contract under test (docs/architecture.md, docs/performance_model.md):
 
-* executing through the precompiled per-level solve schedules
-  (``REPRO_SOLVEPLAN=on``, the default) produces bit-identical iterates,
-  residual histories, and PerfLog record streams to the legacy per-sweep
-  re-derivation (``REPRO_SOLVEPLAN=off``) — for every smoother variant and
-  cycle type, at ``REPRO_CHECK=full``;
-* ``Hierarchy.refresh`` rebuilds only the numeric parts of the solve plan:
-  pattern arrays (wavefront orders, gather maps, record-template tables)
-  are shared by identity with the pre-refresh plan, values are regathered;
+* the solve phase reproduces ``tests/golden/solve_streams.json`` — PerfLog
+  record streams, iteration counts and residual histories pinned from the
+  legacy per-sweep execution arm before it was deleted — for every
+  smoother variant and cycle type, ``solve_many``, refresh -> solve, a
+  swept coarsest level, and the distributed Krylov solvers flat and
+  node-aware, at ``REPRO_CHECK=full``;
+* a smoother compiled lazily (on its first sweep) is indistinguishable
+  from one compiled ahead of time;
+* ``Hierarchy.refresh`` rebuilds only the numeric parts of the compiled
+  sweeps: pattern arrays (wavefront orders, gather maps, record-template
+  tables) are shared by identity with the pre-refresh smoother, values are
+  regathered — including the coarsest solver's smoother when that level is
+  swept rather than solved densely;
 * the bulk counter-recording primitives (``count_batch``,
   ``count_record``, ``make_record``) emit record streams indistinguishable
   from per-call ``count``.
@@ -17,14 +22,29 @@ Contract under test (docs/architecture.md, docs/performance_model.md):
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from solve_stream_cases import (
+    CASES,
+    GOLDEN,
+    VARIANTS,
+    record_stream,
+    run_case,
+    strip_iterates,
+)
+from solve_stream_cases import config as _config
 
+from repro import amg
 from repro.amg import build_hierarchy
+from repro.amg.solveplan import (
+    SmootherPlan,
+    attach_solve_plan,
+    compile_smoother_plan,
+)
 from repro.amg.solver import AMGSolver
-from repro.amg.solveplan import CompiledSweep, SmootherPlan
 from repro.analysis import get_check_level, set_check_level
-from repro.config import AMGConfig, single_node_config
 from repro.perf import collect
 from repro.perf.counters import (
     PerfLog,
@@ -38,7 +58,11 @@ from repro.problems import laplace_3d_27pt
 from repro.serve.workload import PROBLEM_BUILDERS
 from repro.sparse import CSRMatrix
 
-VARIANTS = ["hybrid_gs", "lex", "multicolor", "jacobi", "l1_jacobi", "chebyshev"]
+_GOLDEN = json.loads(GOLDEN.read_text())
+
+
+def _record_stream(log: PerfLog):
+    return record_stream(log.records)
 
 
 @pytest.fixture(autouse=True)
@@ -49,67 +73,71 @@ def _full_checks():
     set_check_level(prev)
 
 
-def _config(smoother="hybrid_gs", cycle="V"):
-    from dataclasses import replace
+def _assert_matches_golden(name):
+    got, _ = strip_iterates(run_case(name))
+    got = json.loads(json.dumps(got))
+    want = _GOLDEN[name]
+    assert got.keys() == want.keys()
+    for part, ref in want.items():
+        out = dict(got[part])
+        ref = dict(ref)
+        got_res, ref_res = out.pop("residuals"), ref.pop("residuals")
+        # Counts are exact everywhere; residual values see the host's BLAS.
+        assert out == ref, (name, part)
+        if part == "solve":
+            got_res, ref_res = [got_res], [ref_res]
+        for g, r in zip(got_res, ref_res, strict=True):
+            np.testing.assert_allclose(g, r, rtol=1e-10)
 
-    return replace(single_node_config(True), smoother=smoother,
-                   cycle_type=cycle, nthreads=4)
 
-
-def _record_stream(log: PerfLog):
-    return [
-        (r.phase, r.kernel, r.flops, r.bytes_read, r.bytes_written,
-         r.branches, r.mispredicts, r.parallel, r.level)
-        for r in log.records
-    ]
-
-
-def _solve_both_modes(config, monkeypatch, n=6, k=3):
-    """Run setup + solve + solve_many with the plan on and off."""
-    out = {}
-    for mode in ("on", "off"):
-        monkeypatch.setenv("REPRO_SOLVEPLAN", mode)
-        A = laplace_3d_27pt(n)
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal(A.nrows)
-        B = rng.standard_normal((A.nrows, k))
-        s = AMGSolver(config)
-        with collect() as log:
-            s.setup(A)
-            res = s.solve(b, tol=1e-8)
-            many = s.solve_many(B, tol=1e-8)
-        out[mode] = {
-            "x": res.x.tobytes(),
-            "iters": res.iterations,
-            "residuals": tuple(res.residuals),
-            "many_x": tuple(r.x.tobytes() for r in many),
-            "many_iters": tuple(r.iterations for r in many),
-            "records": _record_stream(log),
-        }
-    return out
+def test_golden_covers_the_case_matrix():
+    assert sorted(_GOLDEN) == sorted(CASES)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_plan_bit_identity_variants(variant, monkeypatch):
-    out = _solve_both_modes(_config(smoother=variant), monkeypatch)
-    assert out["on"] == out["off"]
+def test_plan_bit_identity_variants(variant):
+    _assert_matches_golden(f"{variant}-V")
 
 
 @pytest.mark.parametrize("cycle", ["W", "F"])
-def test_plan_bit_identity_cycles(cycle, monkeypatch):
-    out = _solve_both_modes(_config(cycle=cycle), monkeypatch)
-    assert out["on"] == out["off"]
+def test_plan_bit_identity_cycles(cycle):
+    _assert_matches_golden(f"hybrid_gs-{cycle}")
+
+
+@pytest.mark.parametrize("name", [n for n in CASES if n.startswith("dist-")])
+def test_dist_krylov_matches_golden(name):
+    _assert_matches_golden(name)
 
 
 def test_planned_hierarchy_has_plans():
     A = laplace_3d_27pt(6)
     h = build_hierarchy(A, _config())
-    assert h.solve_plan is not None
     # Every non-coarsest level with a schedulable smoother is compiled.
     for lvl in h.levels[:-1]:
         if lvl.smoother is not None and lvl.smoother.variant in (
                 "hybrid", "lex"):
             assert isinstance(lvl.smoother._plan, SmootherPlan)
+
+
+def _assert_plan_shares_indices(old_sm, new_sm, cold_sm) -> int:
+    """*new_sm* (refreshed from *old_sm*) shares every pattern array with
+    it and carries the numerics of *cold_sm* (a from-scratch build)."""
+    po, pn, pc = old_sm._plan, new_sm._plan, cold_sm._plan
+    shared = 0
+    for key, cs_new in pn.sweeps.items():
+        cs_old = po.sweeps[key]
+        if cs_new is None:
+            assert cs_old is None
+            continue
+        # Pattern arrays are the same objects; values were regathered.
+        assert cs_new._e_src is cs_old._e_src
+        assert cs_new._rec is cs_old._rec
+        assert cs_new.rows is cs_old.rows
+        shared += 1
+        for st_new, st_ref in zip(cs_new.steps, pc.sweeps[key].steps):
+            assert np.array_equal(st_new[4], st_ref[4])  # e_vals
+            assert np.array_equal(st_new[6], st_ref[6])  # diag
+    return shared
 
 
 def test_refresh_rebuilds_numeric_parts_only():
@@ -119,57 +147,121 @@ def test_refresh_rebuilds_numeric_parts_only():
     A2 = CSRMatrix(A.shape, A.indptr, A.indices, A.data * 1.02)
     with collect():
         h2 = h.refresh(A2)
-    assert h2.solve_plan is not None
-
     cold = build_hierarchy(A2, config)
-    shared = 0
-    for old_lvl, new_lvl, cold_lvl in zip(h.levels[:-1], h2.levels[:-1],
-                                          cold.levels[:-1]):
-        po, pn = old_lvl.smoother._plan, new_lvl.smoother._plan
-        if po is None or pn is None:
-            continue
-        for key, cs_new in pn.sweeps.items():
-            cs_old = po.sweeps[key]
-            if cs_new is None:
-                assert cs_old is None
-                continue
-            # Pattern arrays are the same objects; values were regathered.
-            assert cs_new._e_src is cs_old._e_src
-            assert cs_new._rec is cs_old._rec
-            assert cs_new.rows is cs_old.rows
-            shared += 1
-        # The regathered numerics match a from-scratch build bit-for-bit.
-        cs_cold = cold_lvl.smoother._plan
-        for key, cs_new in pn.sweeps.items():
-            if cs_new is None:
-                continue
-            ref = cs_cold.sweeps[key]
-            for st_new, st_ref in zip(cs_new.steps, ref.steps):
-                assert np.array_equal(st_new[4], st_ref[4])  # e_vals
-                assert np.array_equal(st_new[6], st_ref[6])  # diag
+    shared = sum(
+        _assert_plan_shares_indices(o.smoother, n.smoother, c.smoother)
+        for o, n, c in zip(h.levels[:-1], h2.levels[:-1], cold.levels[:-1]))
     assert shared > 0
 
 
-def test_refresh_solve_matches_cold_build(monkeypatch):
+def test_refresh_solve_matches_cold_build():
+    _assert_matches_golden("refresh-solve")
     config = _config()
     A = PROBLEM_BUILDERS["lap3d27g"](8)
-    rng = np.random.default_rng(5)
-    b = rng.standard_normal(A.nrows)
+    b = np.random.default_rng(5).standard_normal(A.nrows)
     A2 = CSRMatrix(A.shape, A.indptr, A.indices, A.data * 1.02)
-
-    results = {}
-    for mode in ("on", "off"):
-        monkeypatch.setenv("REPRO_SOLVEPLAN", mode)
-        h = build_hierarchy(A, config, capture_plan=True)
-        with collect():
-            h2 = h.refresh(A2)
+    with collect():
+        refreshed = build_hierarchy(A, config, capture_plan=True).refresh(A2)
+    results = []
+    for h in (refreshed, build_hierarchy(A2, config)):
         s = AMGSolver(config)
-        s.hierarchy = h2
+        s.hierarchy = h
         with collect() as log:
             res = s.solve(b, tol=1e-8)
-        results[mode] = (res.x.tobytes(), res.iterations,
-                         tuple(res.residuals), _record_stream(log))
-    assert results["on"] == results["off"]
+        results.append((res.x.tobytes(), res.iterations,
+                        tuple(res.residuals), _record_stream(log)))
+    assert results[0] == results[1]
+
+
+class TestSweptCoarsestLevel:
+    """A coarsest level above ``dense_coarse_threshold`` is swept by
+    ``CoarseSolver.smoother`` — a smoother no level owns."""
+
+    config = _config(dense_coarse_threshold=8)
+
+    def test_matches_golden(self):
+        _assert_matches_golden("swept-coarse")
+
+    def test_compiled_at_setup(self):
+        h = build_hierarchy(laplace_3d_27pt(10), self.config)
+        assert not h.coarse_solver.direct
+        assert isinstance(h.coarse_solver.smoother._plan, SmootherPlan)
+
+    def test_refresh_shares_index_arrays(self):
+        A = PROBLEM_BUILDERS["lap3d27g"](10)
+        A2 = CSRMatrix(A.shape, A.indptr, A.indices, A.data * 1.02)
+        h = build_hierarchy(A, self.config, capture_plan=True)
+        with collect():
+            h2 = h.refresh(A2)
+        cold = build_hierarchy(A2, self.config)
+        assert _assert_plan_shares_indices(
+            h.coarse_solver.smoother, h2.coarse_solver.smoother,
+            cold.coarse_solver.smoother) > 0
+        b = np.random.default_rng(5).standard_normal(A.nrows)
+        B = np.random.default_rng(6).standard_normal((A.nrows, 3))
+        results = []
+        for hier in (h2, cold):
+            s = AMGSolver(self.config)
+            s.hierarchy = hier
+            results.append((s.solve(b, tol=1e-8).x.tobytes(),
+                            [r.x.tobytes() for r in s.solve_many(B, tol=1e-8)]))
+        assert results[0] == results[1]
+
+
+def test_attach_solve_plan_compiles_hand_assembled_hierarchy():
+    # benchmarks/perf/ladder.py replays set-up by hand and times this call.
+    built = build_hierarchy(laplace_3d_27pt(10), _config(dense_coarse_threshold=8))
+    levels = [amg.Level(A=lv.A, cf_marker=lv.cf_marker) for lv in built.levels]
+    for lv in levels[:-1]:
+        lv.smoother = amg.HybridGSSmoother(lv.A, nthreads=4, cf_marker=lv.cf_marker)
+    coarse = amg.CoarseSolver(levels[-1].A, dense_threshold=8, nthreads=4)
+    h = amg.Hierarchy(levels=levels, coarse_solver=coarse, config=built.config)
+    smoothers = [lv.smoother for lv in levels[:-1]] + [coarse.smoother]
+    assert all(sm._plan is None for sm in smoothers)
+    with collect() as log:
+        attach_solve_plan(h)
+    assert log.records == []  # compilation is silent
+    plans = [sm._plan for sm in smoothers]
+    assert all(isinstance(p, SmootherPlan) for p in plans)
+    attach_solve_plan(h)  # idempotent
+    assert [sm._plan for sm in smoothers] == plans
+
+
+_SMOOTHER_VARIANTS = ["hybrid", "lex", "multicolor", "chebyshev", "jacobi",
+                      "l1_jacobi"]
+
+
+@pytest.mark.parametrize("variant", _SMOOTHER_VARIANTS)
+def test_lazy_and_prewarmed_smoothers_are_indistinguishable(variant):
+    A = laplace_3d_27pt(6)
+    cf = (np.arange(A.nrows) % 3 == 0).astype(np.int64)
+    rng = np.random.default_rng(11)
+    b, x0 = rng.standard_normal(A.nrows), rng.standard_normal(A.nrows)
+    B, X0 = rng.standard_normal((A.nrows, 3)), rng.standard_normal((A.nrows, 3))
+
+    def sweeps(sm):
+        """Every entry point, first call first (the lazy one compiles there)."""
+        out = []
+        with collect() as log:
+            for zero in (True, False):
+                x = np.zeros(A.nrows) if zero else x0.copy()
+                out.append(sm.presmooth(x, b, zero_guess=zero).tobytes())
+                X = np.zeros((A.nrows, 3)) if zero else X0.copy()
+                out.append(sm.presmooth_multi(X, B, zero_guess=zero).tobytes())
+            out.append(sm.postsmooth(x0.copy(), b).tobytes())
+            out.append(sm.postsmooth_multi(X0.copy(), B).tobytes())
+        return out, _record_stream(log)
+
+    def make():
+        return amg.HybridGSSmoother(A, nthreads=3, cf_marker=cf, variant=variant)
+
+    lazy, warm = make(), make()
+    compile_smoother_plan(warm)
+    planned = variant not in ("jacobi", "l1_jacobi")
+    assert lazy._plan is None
+    assert (warm._plan is not None) == planned
+    assert sweeps(lazy) == sweeps(warm)
+    assert (lazy._plan is not None) == planned
 
 
 class TestBulkRecording:
