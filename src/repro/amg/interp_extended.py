@@ -43,6 +43,7 @@ import numpy as np
 from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, collect, count
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import gather_range_indices, indptr_from_counts, segment_sum
+from ..sparse.ops import group_rowcol, row_ids_from_indptr, rowcol_order
 from ..sparse.spgemm import spgemm
 from .interp_common import coarse_index, entries_in_pattern
 from .truncation import truncate_interpolation
@@ -150,7 +151,7 @@ def _freeze_plan(
 
     # Pairs in (row, col) order — the order a CSR pair matrix would hold.
     pair_entry = np.flatnonzero(pairs)
-    pair_entry = pair_entry[np.lexsort((cols[pair_entry], rid[pair_entry]))]
+    pair_entry = pair_entry[rowcol_order(rid[pair_entry], cols[pair_entry], n, n)]
     pair_row = rid[pair_entry]
     pair_k = cols[pair_entry]
 
@@ -182,14 +183,11 @@ def _freeze_plan(
     # duplicate grouping, inverted into one output slot per term.  The sort
     # is stable, so summing the unsorted terms by slot adds each slot's
     # duplicates in the order from_coo would.
-    rows = np.concatenate([identity_rows, num_row])
-    ccols = np.concatenate([c_idx[identity_rows], c_idx[num_col]])
-    order = np.lexsort((ccols, rows))
-    rows, ccols = rows[order], ccols[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]) | (ccols[1:] != ccols[:-1])
+    order, group, out_indptr, out_col = group_rowcol(
+        np.concatenate([identity_rows, num_row]),
+        np.concatenate([c_idx[identity_rows], c_idx[num_col]]), n, nc)
     slot = np.empty(len(order), dtype=np.int64)
-    slot[order] = np.cumsum(new) - 1
+    slot[order] = group
 
     # Held for the hierarchy's lifetime: halve the maps when indices fit.
     dtype = np.int32 if max(A.nnz, n, len(p_l)) < 2**31 else np.int64
@@ -205,7 +203,7 @@ def _freeze_plan(
         weak_row=idx(rid[weak_entry]), weak_entry=idx(weak_entry),
         direct_entry=idx(direct_entry), num_row=idx(num_row),
         n_identity=len(identity_rows),
-        slot=idx(slot), out_row=idx(rows[new]), out_col=ccols[new],
+        slot=idx(slot), out_row=idx(row_ids_from_indptr(out_indptr)), out_col=out_col,
         weak_first=weak_first, expansion=len(p_l),
     )
 

@@ -16,7 +16,8 @@ numerics recomputed.  This module implements both halves:
   interpolation patterns, and the RAP reuse plan
   (:class:`~repro.sparse.triple_product.RAPCFBlockPlan` /
   :class:`~repro.sparse.triple_product.RAPFusedPlan`).  Capture is
-  **silent**: all replay work runs in discarded collection scopes, so a
+  **silent** and does no kernel work of its own: the interpolation and
+  Galerkin plans are by-products the build's kernels hand out anyway, so a
   capturing build emits exactly the kernel records of a plain one.
 
 * **Refresh** (:func:`refresh_hierarchy`, the implementation of
@@ -220,10 +221,6 @@ class PlanBuilder:
         if self._dead:
             return
         self.plan.levels[-1].rap = rap_plan
-
-    def wants_rap_plan(self) -> bool:
-        """Whether the Galerkin product should run its plan-capturing twin."""
-        return not self._dead
 
     def finish(self, levels) -> SetupPlan | None:
         """Resolve cross-level artifacts once every ordering is final.

@@ -32,9 +32,7 @@ from ..sparse.csr import CSRMatrix
 from ..sparse.reorder import cf_permutation, partition_rows_by_category, permute_matrix
 from ..sparse.transpose import transpose
 from ..sparse.triple_product import (
-    rap_cf_block,
     rap_cf_block_plan,
-    rap_fused,
     rap_fused_plan,
     rap_hypre_fusion,
     rap_unfused,
@@ -165,33 +163,27 @@ def _galerkin(
 ) -> CSRMatrix:
     flags = config.flags
     scheme = flags.rap_scheme
-    capture = plan_builder is not None and plan_builder.wants_rap_plan()
+    method = "one_pass" if flags.spgemm_one_pass else "two_pass"
     if scheme == "cf_block":
         nc = int((cf > 0).sum())
         P_F = P.extract_rows(np.arange(nc, A.nrows, dtype=np.int64))
-        kwargs = dict(
-            method="one_pass" if flags.spgemm_one_pass else "two_pass",
+        A_next, rap_plan = rap_cf_block_plan(
+            A, P_F, cf, method=method,
             already_partitioned=flags.cf_reorder and flags.three_way_partition,
         )
-        if capture:
-            A_next, rap_plan = rap_cf_block_plan(A, P_F, cf, **kwargs)
-            plan_builder.capture_rap(rap_plan)
-            return A_next
-        return rap_cf_block(A, P_F, cf, **kwargs)
-    R = transpose(P, kernel="rap.transpose", parallel=flags.parallel_setup_kernels)
-    if scheme == "fused":
-        if capture:
-            A_next, rap_plan = rap_fused_plan(R, A, P)
-            plan_builder.capture_rap(rap_plan)
-            return A_next
-        return rap_fused(R, A, P)
-    if scheme == "hypre":
-        return rap_hypre_fusion(R, A, P, two_pass=not flags.spgemm_one_pass)
-    if scheme == "unfused":
-        return rap_unfused(
-            R, A, P, method="one_pass" if flags.spgemm_one_pass else "two_pass"
-        )
-    raise ValueError(f"unknown rap_scheme {scheme!r}")
+    else:
+        R = transpose(P, kernel="rap.transpose", parallel=flags.parallel_setup_kernels)
+        if scheme == "hypre":
+            return rap_hypre_fusion(R, A, P, two_pass=not flags.spgemm_one_pass)
+        if scheme == "unfused":
+            return rap_unfused(R, A, P, method=method)
+        if scheme != "fused":
+            raise ValueError(f"unknown rap_scheme {scheme!r}")
+        A_next, rap_plan = rap_fused_plan(R, A, P)
+    # The plan is a by-product of the product; a capturing build keeps it.
+    if plan_builder is not None:
+        plan_builder.capture_rap(rap_plan)
+    return A_next
 
 
 def _build_smoothers(levels: list[Level], config: AMGConfig) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ops import gather_range_indices, indptr_from_counts, row_ids_from_indptr, segment_sum
+from .ops import group_rowcol, rowcol_order
 
 __all__ = ["CSRMatrix"]
 
@@ -83,18 +84,13 @@ class CSRMatrix:
             raise ValueError("row index out of range")
         if len(cols) and (cols.min() < 0 or cols.max() >= ncols):
             raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if sum_duplicates and len(rows):
-            key_new = np.empty(len(rows), dtype=bool)
-            key_new[0] = True
-            key_new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group = np.cumsum(key_new) - 1
-            nuniq = int(group[-1]) + 1
-            out_vals = np.bincount(group, weights=vals, minlength=nuniq)
-            rows, cols, vals = rows[key_new], cols[key_new], out_vals
+        if sum_duplicates:
+            order, group, indptr, indices = group_rowcol(rows, cols, nrows, ncols)
+            vals = np.bincount(group, weights=vals[order], minlength=len(indices))
+            return cls((nrows, ncols), indptr, indices, vals)
+        order = rowcol_order(rows, cols, nrows, ncols)
         indptr = indptr_from_counts(np.bincount(rows, minlength=nrows))
-        return cls((nrows, ncols), indptr, cols, vals)
+        return cls((nrows, ncols), indptr, cols[order], vals[order])
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, *, tol: float = 0.0) -> "CSRMatrix":
@@ -162,7 +158,7 @@ class CSRMatrix:
 
     def sort_indices(self) -> "CSRMatrix":
         """Return a copy with column indices sorted within each row."""
-        order = np.lexsort((self.indices, self.row_ids()))
+        order = rowcol_order(self.row_ids(), self.indices, *self.shape)
         return CSRMatrix(self.shape, self.indptr.copy(), self.indices[order], self.data[order])
 
     def diagonal(self) -> np.ndarray:

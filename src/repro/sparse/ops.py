@@ -14,6 +14,8 @@ __all__ = [
     "indptr_from_counts",
     "counts_from_indptr",
     "gather_range_indices",
+    "rowcol_order",
+    "group_rowcol",
     "segment_sum",
     "prefix_sum_partition",
 ]
@@ -56,6 +58,42 @@ def gather_range_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out = np.arange(total, dtype=np.int64)
     out += np.repeat(starts - seg_offsets, counts)
     return out
+
+
+def rowcol_order(
+    rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int, key: np.ndarray | None = None
+) -> np.ndarray:
+    """The stable ``(row, col)`` ordering, ``== np.lexsort((cols, rows))``.
+
+    The one place the library orders coordinates.  Bounds that fit 16 bits
+    take two least-significant-first stable argsorts on ``uint16`` casts
+    (numpy radix-sorts 16-bit keys); larger operators sort the 64-bit
+    composite *key* ``rows * ncols + cols`` (computed unless handed in).
+    A stable sort's result is unique, so both arms agree.
+    """
+    if max(nrows, ncols) <= 1 << 16:
+        order = np.argsort(cols.astype(np.uint16), kind="stable")
+        return order[np.argsort(rows.astype(np.uint16)[order], kind="stable")]
+    return np.argsort(rows * np.int64(ncols) + cols if key is None else key, kind="stable")
+
+
+def group_rowcol(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int):
+    """Sort entries by ``(row, col)`` and group the duplicates.
+
+    Returns ``(order, group, indptr, indices)``: :func:`rowcol_order`, the
+    output slot of each *sorted* entry — ``np.bincount(group,
+    weights=vals[order])`` sums a slot's duplicates in input order — and
+    the CSR structure of the slots.
+    """
+    key = rows * np.int64(ncols) + cols
+    order = rowcol_order(rows, cols, nrows, ncols, key)
+    skey = key[order]
+    first = np.empty(len(skey), dtype=bool)
+    first[:1] = True
+    first[1:] = skey[1:] != skey[:-1]
+    ukey = skey[first]
+    indptr = indptr_from_counts(np.bincount(ukey // ncols, minlength=nrows))
+    return order, np.cumsum(first) - 1, indptr, ukey % ncols
 
 
 def segment_sum(values: np.ndarray, seg_ids: np.ndarray, nseg: int) -> np.ndarray:

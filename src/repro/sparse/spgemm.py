@@ -19,7 +19,11 @@ Three faithful code paths:
 * :class:`SpGEMMPlan` / :func:`spgemm_numeric` — "pattern reuse": when
   ``rowptr``/``colidx`` of the output are already populated, the numeric
   product runs with no sparse-accumulator branches.  The paper uses this to
-  bound the branching overhead (2.1x speedup, §3.1.1).
+  bound the branching overhead (2.1x speedup, §3.1.1).  A plan freezes the
+  two operand entries and the output slot of every product term; it comes
+  from :func:`spgemm_symbolic` (pattern only) or, as a by-product of the
+  sort a product does anyway, from ``spgemm(..., return_plan=True)`` —
+  there is no separate capture pass (same for :func:`sp_add`).
 
 * :func:`spgemm_gustavson` (in :mod:`repro.sparse.accumulator`) — the
   literal marker-array row loop, kept as the reference implementation and
@@ -39,7 +43,7 @@ import numpy as np
 
 from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, count
 from .csr import CSRMatrix
-from .ops import gather_range_indices, indptr_from_counts
+from .ops import gather_range_indices, group_rowcol
 
 __all__ = [
     "spgemm",
@@ -59,40 +63,38 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _expand(A: CSRMatrix, B: CSRMatrix):
-    """All product terms of ``C = A B``.
+    """All product terms of ``C = A B``, in expansion order (pattern only).
 
-    Returns ``(erows, ecols, evals)`` where entry *t* contributes
-    ``evals[t]`` to ``C[erows[t], ecols[t]]``.
+    Returns ``(erows, ecols, bcounts, eb)``: term *t* lands in
+    ``C[erows[t], ecols[t]]`` and reads ``B.data[eb[t]]``; stored entry *e*
+    of ``A`` owns ``bcounts[e]`` consecutive terms.
     """
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.shape} @ {B.shape}")
     bcounts = B.indptr[A.indices + 1] - B.indptr[A.indices]
-    idx = gather_range_indices(B.indptr[A.indices], bcounts)
-    erows = np.repeat(A.row_ids(), bcounts)
-    ecols = B.indices[idx]
-    evals = np.repeat(A.data, bcounts) * B.data[idx]
-    return erows, ecols, evals
+    eb = gather_range_indices(B.indptr[A.indices], bcounts)
+    return np.repeat(A.row_ids(), bcounts), B.indices[eb], bcounts, eb
 
 
-def _compress(shape, erows, ecols, evals) -> CSRMatrix:
-    """Sum duplicate (row, col) product terms into a CSR matrix."""
-    nrows, ncols = shape
-    if len(erows) == 0:
-        return CSRMatrix.zeros(shape)
-    key = erows * np.int64(ncols) + ecols
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    new = np.empty(len(skey), dtype=bool)
-    new[0] = True
-    new[1:] = skey[1:] != skey[:-1]
-    group = np.cumsum(new) - 1
-    nuniq = int(group[-1]) + 1
-    vals = np.bincount(group, weights=evals[order], minlength=nuniq)
-    ukey = skey[new]
-    out_rows = (ukey // ncols).astype(np.int64)
-    out_cols = (ukey % ncols).astype(np.int64)
-    indptr = indptr_from_counts(np.bincount(out_rows, minlength=nrows))
-    return CSRMatrix(shape, indptr, out_cols, vals)
+def _index_dtype(bound: int) -> type:
+    # Plans live as long as a hierarchy: 32-bit maps when the indices fit.
+    return np.int32 if bound < 2**31 else np.int64
+
+
+def _pattern(M: CSRMatrix) -> tuple:
+    return M.shape, M.indptr, M.indices
+
+
+def _check_pattern(M: CSRMatrix, frozen: tuple) -> None:
+    """Raise unless *M* has exactly the :func:`_pattern` a plan froze."""
+    shape, indptr, indices = frozen
+    if M.shape != shape or M.nnz != len(indices) or not all(
+        a is b or np.array_equal(a, b)
+        for a, b in ((M.indptr, indptr), (M.indices, indices))
+    ):
+        raise ValueError(
+            f"plan was frozen for a different operator pattern: operand "
+            f"{M.shape} with {M.nnz} entries vs {shape} with {len(indices)}")
 
 
 def expansion_size(A: CSRMatrix, B: CSRMatrix) -> int:
@@ -156,11 +158,27 @@ def spgemm(
     method: str = "one_pass",
     kernel: str = "spgemm",
     parallel: bool = True,
-) -> CSRMatrix:
-    """``C = A @ B`` with the traffic/branch profile of *method*."""
-    erows, ecols, evals = _expand(A, B)
-    C = _compress((A.nrows, B.ncols), erows, ecols, evals)
-    expansion = len(erows)
+    return_plan: bool = False,
+) -> CSRMatrix | tuple[CSRMatrix, SpGEMMPlan]:
+    """``C = A @ B`` with the traffic/branch profile of *method*.
+
+    With ``return_plan`` the pair ``(C, plan)``: the :class:`SpGEMMPlan` is
+    built from the sort the product does anyway, ``C``'s values come out of
+    the numeric kernel a later :func:`spgemm_numeric` runs, and the emitted
+    record is the plain call's.
+    """
+    if return_plan:
+        plan = _symbolic(A, B)
+        C = CSRMatrix(plan.shape, plan.indptr, plan.indices, _plan_values(plan, A, B))
+        expansion = plan.expansion
+    else:  # no term operands to materialise: ~1/7 cheaper on large products
+        plan = None
+        erows, ecols, bcounts, eb = _expand(A, B)
+        order, group, indptr, indices = group_rowcol(erows, ecols, A.nrows, B.ncols)
+        evals = np.repeat(A.data, bcounts) * B.data[eb]
+        C = CSRMatrix((A.nrows, B.ncols), indptr, indices,
+                      np.bincount(group, weights=evals[order], minlength=len(indices)))
+        expansion = len(order)
     br, bw, branches = spgemm_traffic(A, B, C, expansion, method)
     count(
         f"{kernel}.{method}",
@@ -170,63 +188,84 @@ def spgemm(
         branches=branches,
         parallel=parallel,
     )
-    return C
+    return (C, plan) if return_plan else C
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpGEMMPlan:
-    """Symbolic SpGEMM result: the output pattern plus the term mapping.
+    """Symbolic SpGEMM result: the output pattern plus every product term's
+    operands, frozen in output order.
 
-    ``term_perm``/``term_group`` map every expanded product term to its
-    output slot, so a numeric pass is a gather–multiply–segment-sum with no
-    sparse-accumulator branches.
+    Term *t* adds ``A.data[term_a[t]] * B.data[term_b[t]]`` to output slot
+    ``term_group[t]``; terms are in the stable ``(row, col)`` order of the
+    Gustavson expansion, so a numeric pass is two gathers, one multiply and
+    one segment sum in the fresh kernel's summation order — no expansion,
+    sort or sparse-accumulator branch.  ``a``/``b`` are the operand
+    patterns ``(shape, indptr, indices)`` the plan is valid for.
+
+    The term arrays are the plan's own: read-only, 32-bit when the indices
+    fit.  ``indptr``/``indices`` and the operand patterns are *shared* with
+    the matrices of the planning call, not copied — CSR structure is
+    immutable once built (lint rule ``no-borrowed-mutation``) — and
+    :func:`spgemm_numeric` hands out copies.
     """
 
     shape: tuple[int, int]
     indptr: np.ndarray
     indices: np.ndarray
-    term_perm: np.ndarray
+    term_a: np.ndarray
+    term_b: np.ndarray
     term_group: np.ndarray
-    expansion: int
+    a: tuple
+    b: tuple
+
+    def __post_init__(self) -> None:
+        for terms in (self.term_a, self.term_b, self.term_group):
+            terms.setflags(write=False)
+
+    @property
+    def expansion(self) -> int:
+        return len(self.term_a)
+
+
+def _symbolic(A: CSRMatrix, B: CSRMatrix) -> SpGEMMPlan:
+    """Expand, sort and group the terms of ``A B`` into a plan (uncounted)."""
+    erows, ecols, bcounts, eb = _expand(A, B)
+    order, group, indptr, indices = group_rowcol(erows, ecols, A.nrows, B.ncols)
+    dtype = _index_dtype(max(A.nnz, B.nnz, len(order)))
+    ea = np.repeat(np.arange(A.nnz, dtype=dtype), bcounts)
+    return SpGEMMPlan(
+        (A.nrows, B.ncols), indptr, indices,
+        ea[order], eb.astype(dtype)[order], group.astype(dtype),
+        _pattern(A), _pattern(B),
+    )
+
+
+def _plan_values(plan: SpGEMMPlan, A: CSRMatrix, B: CSRMatrix) -> np.ndarray:
+    """Values of ``A B`` on the frozen pattern (the one numeric kernel)."""
+    _check_pattern(A, plan.a)
+    _check_pattern(B, plan.b)
+    # take() == fancy indexing, without the latter's 32-bit index penalty.
+    terms = A.data.take(plan.term_a) * B.data.take(plan.term_b)
+    return np.bincount(plan.term_group, weights=terms, minlength=len(plan.indices))
 
 
 def spgemm_symbolic(A: CSRMatrix, B: CSRMatrix, *, kernel: str = "spgemm") -> SpGEMMPlan:
     """Symbolic phase: compute the pattern of ``A B`` and the term mapping."""
-    erows, ecols, _ = _expand(A, B)
-    ncols = B.ncols
-    if len(erows) == 0:
-        return SpGEMMPlan(
-            (A.nrows, ncols),
-            np.zeros(A.nrows + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            0,
-        )
-    key = erows * np.int64(ncols) + ecols
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    new = np.empty(len(skey), dtype=bool)
-    new[0] = True
-    new[1:] = skey[1:] != skey[:-1]
-    group = np.cumsum(new) - 1
-    ukey = skey[new]
-    out_rows = (ukey // ncols).astype(np.int64)
-    out_cols = (ukey % ncols).astype(np.int64)
-    indptr = indptr_from_counts(np.bincount(out_rows, minlength=A.nrows))
+    plan = _symbolic(A, B)
     sym_read = (
         A.nnz * IDX_BYTES
         + (A.nrows + 1) * PTR_BYTES
-        + len(erows) * IDX_BYTES
+        + plan.expansion * IDX_BYTES
         + A.nnz * 2 * PTR_BYTES
     )
     count(
         f"{kernel}.symbolic",
         bytes_read=sym_read,
-        bytes_written=len(out_cols) * IDX_BYTES + (A.nrows + 1) * PTR_BYTES,
-        branches=float(len(erows)),
+        bytes_written=len(plan.indices) * IDX_BYTES + (A.nrows + 1) * PTR_BYTES,
+        branches=float(plan.expansion),
     )
-    return SpGEMMPlan((A.nrows, ncols), indptr, out_cols, order, group, len(erows))
+    return plan
 
 
 def spgemm_numeric(
@@ -236,16 +275,11 @@ def spgemm_numeric(
 
     This is the §3.1.1 experiment: repeated products with an unchanged
     pattern run ~2.1x faster because the hit/miss branch of the marker array
-    disappears.
+    disappears.  Raises ``ValueError`` when an operand's sparsity is not
+    the one the plan was frozen for.
     """
-    _, _, evals = _expand(A, B)
-    nuniq = len(plan.indices)
-    vals = (
-        np.bincount(plan.term_group, weights=evals[plan.term_perm], minlength=nuniq)
-        if plan.expansion
-        else np.empty(0, dtype=np.float64)
-    )
-    C = CSRMatrix(plan.shape, plan.indptr.copy(), plan.indices.copy(), vals)
+    C = CSRMatrix(plan.shape, plan.indptr.copy(), plan.indices.copy(),
+                  _plan_values(plan, A, B))
     br, bw, branches = spgemm_traffic(A, B, C, plan.expansion, "numeric_only")
     count(
         f"{kernel}.numeric_only",
@@ -257,16 +291,27 @@ def spgemm_numeric(
     return C
 
 
-def sp_add(
-    A: CSRMatrix, B: CSRMatrix, alpha: float = 1.0, beta: float = 1.0, *, kernel: str = "sp_add"
-) -> CSRMatrix:
-    """``alpha*A + beta*B`` with union sparsity (explicit zeros kept)."""
+def _union(A: CSRMatrix, B: CSRMatrix):
+    """:func:`group_rowcol` of the stacked entries of two same-shape matrices."""
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    erows = np.concatenate([A.row_ids(), B.row_ids()])
-    ecols = np.concatenate([A.indices, B.indices])
+    return group_rowcol(np.concatenate([A.row_ids(), B.row_ids()]),
+                        np.concatenate([A.indices, B.indices]), *A.shape)
+
+
+def sp_add(
+    A: CSRMatrix, B: CSRMatrix, alpha: float = 1.0, beta: float = 1.0, *,
+    kernel: str = "sp_add", return_plan: bool = False,
+) -> CSRMatrix | tuple[CSRMatrix, SpAddPlan]:
+    """``alpha*A + beta*B`` with union sparsity (explicit zeros kept).
+
+    With ``return_plan`` the pair ``(C, plan)``, the :class:`SpAddPlan` read
+    off the sort the addition does anyway; same record as the plain call.
+    """
+    union = order, group, indptr, indices = _union(A, B)
     evals = np.concatenate([alpha * A.data, beta * B.data])
-    C = _compress(A.shape, erows, ecols, evals)
+    C = CSRMatrix(A.shape, indptr, indices,
+                  np.bincount(group, weights=evals[order], minlength=len(indices)))
     count(
         kernel,
         flops=2 * (A.nnz + B.nnz),
@@ -274,10 +319,10 @@ def sp_add(
         bytes_written=_matrix_bytes(C),
         branches=float(A.nnz + B.nnz),
     )
-    return C
+    return (C, SpAddPlan._freeze(A, B, union)) if return_plan else C
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpAddPlan:
     """Pattern-reuse plan for :func:`sp_add`: union pattern + scatter slots.
 
@@ -286,6 +331,8 @@ class SpAddPlan:
     scatter-accumulates.  Entries are summed A-before-B per output slot —
     the same order :func:`sp_add`'s stable compression uses — so
     :func:`sp_add_numeric` is bit-identical to a fresh :func:`sp_add`.
+    Array ownership as in :class:`SpGEMMPlan`: the slots are the plan's own
+    (read-only, 32-bit when they fit), the patterns are shared.
     """
 
     shape: tuple[int, int]
@@ -293,33 +340,22 @@ class SpAddPlan:
     indices: np.ndarray
     slot_a: np.ndarray
     slot_b: np.ndarray
+    a: tuple
+    b: tuple
 
     @classmethod
     def capture(cls, A: CSRMatrix, B: CSRMatrix) -> "SpAddPlan":
         """Symbolic union of two patterns (uncounted capture helper)."""
-        if A.shape != B.shape:
-            raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-        nrows, ncols = A.shape
-        erows = np.concatenate([A.row_ids(), B.row_ids()])
-        ecols = np.concatenate([A.indices, B.indices])
-        if len(erows) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(A.shape, np.zeros(nrows + 1, dtype=np.int64),
-                       empty, empty.copy(), empty.copy())
-        key = erows * np.int64(ncols) + ecols
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        new = np.empty(len(skey), dtype=bool)
-        new[0] = True
-        new[1:] = skey[1:] != skey[:-1]
-        group = np.cumsum(new) - 1
-        slot = np.empty(len(order), dtype=np.int64)
+        return cls._freeze(A, B, _union(A, B))
+
+    @classmethod
+    def _freeze(cls, A: CSRMatrix, B: CSRMatrix, union: tuple) -> "SpAddPlan":
+        order, group, indptr, indices = union
+        slot = np.empty(len(order), dtype=_index_dtype(len(order)))
         slot[order] = group
-        ukey = skey[new]
-        out_rows = (ukey // ncols).astype(np.int64)
-        out_cols = (ukey % ncols).astype(np.int64)
-        indptr = indptr_from_counts(np.bincount(out_rows, minlength=nrows))
-        return cls(A.shape, indptr, out_cols, slot[: A.nnz], slot[A.nnz:])
+        slot.setflags(write=False)
+        return cls(A.shape, indptr, indices, slot[: A.nnz], slot[A.nnz:],
+                   _pattern(A), _pattern(B))
 
 
 def sp_add_numeric(
@@ -332,9 +368,12 @@ def sp_add_numeric(
     structure and both scatter maps are frozen, so the numeric pass is a
     pair of gathered accumulations with **no** merge branches.  Bit-identical
     to :func:`sp_add` on the same inputs (same per-slot summation order).
+    Raises ``ValueError`` for operands of another shape or sparsity.
     """
     if A.shape != plan.shape or B.shape != plan.shape:
         raise ValueError(f"shape mismatch: {A.shape} / {B.shape} vs plan {plan.shape}")
+    _check_pattern(A, plan.a)
+    _check_pattern(B, plan.b)
     vals = np.zeros(len(plan.indices))
     # Unique slots per operand (each input is duplicate-free), summed
     # A-then-B exactly as the fresh kernel's stable compression does.

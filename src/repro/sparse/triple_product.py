@@ -17,6 +17,11 @@ Variants (all numerically equivalent; instrumentation differs):
 * :func:`rap_cf_block` — with the CF permutation, ``P = [I; P_F]`` and
   ``RAP = A_CC + P_F^T A_FC + (A_CF + P_F^T A_FF) P_F``: the triple product
   shrinks to the ``A_FF`` block.
+
+``rap_fused`` and ``rap_cf_block`` are the ``[0]`` of their ``_plan`` forms:
+every product and addition hands out its reuse plan from the sort it does
+anyway, so there is no capture work to skip, and the ``_numeric`` forms
+replay those plans on new values (§3.1.1 pattern reuse).
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .spgemm import (
     sp_add_numeric,
     spgemm,
     spgemm_numeric,
-    spgemm_symbolic,
 )
 from .transpose import transpose
 
@@ -104,34 +108,7 @@ def rap_fused(R: CSRMatrix, A: CSRMatrix, P: CSRMatrix) -> CSRMatrix:
     product; the counted traffic omits the memory round-trip of ``B`` and
     adds the one-pass output copy (§3.1.1's pre-allocation scheme).
     """
-    _check_dims(R, A, P)
-    N2 = expansion_size(R, A)
-    B = spgemm(R, A, kernel="rap.fused_internal")
-    M2 = expansion_size(B, P)
-    C = spgemm(B, P, kernel="rap.fused_internal")
-    # Discard the two internal records; emit the fused kernel's accounting.
-    from ..perf.counters import active_log
-
-    log = active_log()
-    if log is not None:
-        log.records = [r for r in log.records if r.kernel != "rap.fused_internal.one_pass"]
-    bytes_read = (
-        _matrix_bytes(R)
-        + N2 * (VAL_BYTES + IDX_BYTES)  # gathered rows of A
-        + R.nnz * 2 * PTR_BYTES
-        + M2 * (VAL_BYTES + IDX_BYTES)  # gathered rows of P
-        + B.nnz * 2 * PTR_BYTES
-        + _matrix_bytes(C)  # one-pass chunk copy (read side)
-    )
-    bytes_written = 2 * _matrix_bytes(C)  # chunk write + contiguous copy
-    count(
-        "rap.fused",
-        flops=2 * N2 + 2 * M2,
-        bytes_read=bytes_read,
-        bytes_written=bytes_written,
-        branches=float(N2 + M2),
-    )
-    return C
+    return rap_fused_plan(R, A, P)[0]
 
 
 def _entry_id_matrix(M: CSRMatrix) -> CSRMatrix:
@@ -165,19 +142,41 @@ class RAPFusedPlan:
 def rap_fused_plan(
     R: CSRMatrix, A: CSRMatrix, P: CSRMatrix
 ) -> tuple[CSRMatrix, RAPFusedPlan]:
-    """:func:`rap_fused` plus a captured :class:`RAPFusedPlan`.
+    """:func:`rap_fused` plus its :class:`RAPFusedPlan`.
 
-    Emits exactly the kernel records of the fresh :func:`rap_fused` (the
-    capture itself runs in a discarded collection scope), so a
-    plan-capturing setup is indistinguishable from a plain one in the
-    performance model.  The returned coarse operator is the fresh kernel's.
+    The plan is a by-product: each product hands out the term mapping of
+    the sort it does anyway, so there is no capture work, the records are
+    the fresh kernel's and the coarse operator is the fresh kernel's.
     """
-    C = rap_fused(R, A, P)
+    _check_dims(R, A, P)
+    B, ra = spgemm(R, A, kernel="rap.fused_internal", return_plan=True)
+    C, bp = spgemm(B, P, kernel="rap.fused_internal", return_plan=True)
+    N2, M2 = ra.expansion, bp.expansion
+    # Discard the two internal records; emit the fused kernel's accounting.
+    from ..perf.counters import active_log
+
+    log = active_log()
+    if log is not None:
+        log.records = [r for r in log.records if r.kernel != "rap.fused_internal.one_pass"]
+    bytes_read = (
+        _matrix_bytes(R)
+        + N2 * (VAL_BYTES + IDX_BYTES)  # gathered rows of A
+        + R.nnz * 2 * PTR_BYTES
+        + M2 * (VAL_BYTES + IDX_BYTES)  # gathered rows of P
+        + B.nnz * 2 * PTR_BYTES
+        + _matrix_bytes(C)  # one-pass chunk copy (read side)
+    )
+    bytes_written = 2 * _matrix_bytes(C)  # chunk write + contiguous copy
+    count(
+        "rap.fused",
+        flops=2 * N2 + 2 * M2,
+        bytes_read=bytes_read,
+        bytes_written=bytes_written,
+        branches=float(N2 + M2),
+    )
+    # R arrives transposed: recover its entry permutation (silently).
     with collect():
         rid = transpose(_entry_id_matrix(P))
-        ra = spgemm_symbolic(R, A)
-        B = spgemm_numeric(ra, R, A)
-        bp = spgemm_symbolic(B, P)
     plan = RAPFusedPlan(
         r_shape=R.shape,
         r_indptr=R.indptr,
@@ -292,20 +291,9 @@ def rap_cf_block(
     This is the §3.1.1 "Reordering of the Interpolation Matrix" optimization:
     only the ``(n_l - n_{l+1})^2`` block ``A_FF`` enters a triple product.
     """
-    A_CC, A_CF, A_FC, A_FF = extract_cf_blocks(
-        A, cf_marker, already_partitioned=already_partitioned
-    )
-    if P_F.nrows != A_FF.nrows or P_F.ncols != A_CC.nrows:
-        raise ValueError(
-            f"P_F shape {P_F.shape} inconsistent with CF split "
-            f"({A_FF.nrows} F pts, {A_CC.nrows} C pts)"
-        )
-    PFt = transpose(P_F, kernel="rap.pf_transpose")
-    t_fc = spgemm(PFt, A_FC, method=method, kernel="rap.pft_afc")
-    inner = sp_add(A_CF, spgemm(PFt, A_FF, method=method, kernel="rap.pft_aff"),
-                   kernel="rap.add_inner")
-    t_ff = spgemm(inner, P_F, method=method, kernel="rap.inner_pf")
-    return sp_add(sp_add(A_CC, t_fc, kernel="rap.add1"), t_ff, kernel="rap.add2")
+    return rap_cf_block_plan(
+        A, P_F, cf_marker, method=method, already_partitioned=already_partitioned
+    )[0]
 
 
 @dataclass
@@ -335,6 +323,21 @@ class RAPCFBlockPlan:
     pf_nnz: int
 
 
+_BLOCKS = ("cc", "cf", "fc", "ff")
+
+
+def _frozen(ids: CSRMatrix) -> tuple:
+    """``(shape, indptr, indices, entry map)`` of a transformed
+    :func:`_entry_id_matrix`."""
+    return ids.shape, ids.indptr, ids.indices, ids.data.astype(np.int64)
+
+
+def _gathered(frozen: tuple, data: np.ndarray) -> CSRMatrix:
+    """The matrix a :func:`_frozen` pattern holds for source values *data*."""
+    shape, indptr, indices, emap = frozen
+    return CSRMatrix(shape, indptr, indices, data[emap])
+
+
 def rap_cf_block_plan(
     A: CSRMatrix,
     P_F: CSRMatrix,
@@ -343,55 +346,36 @@ def rap_cf_block_plan(
     method: str = "one_pass",
     already_partitioned: bool = False,
 ) -> tuple[CSRMatrix, RAPCFBlockPlan]:
-    """:func:`rap_cf_block` plus a captured :class:`RAPCFBlockPlan`.
+    """:func:`rap_cf_block` plus its :class:`RAPCFBlockPlan`.
 
-    Emits exactly the fresh kernel's records (all capture work runs in a
-    discarded collection scope) and returns the same coarse operator, so
-    plan capture is free in the performance model.
+    There is no capture work: the block extraction and the transpose run
+    once, over entry ids, and give the gather maps the values then follow
+    (as they do in :func:`rap_cf_block_numeric`); every product and
+    addition hands out the plan of the sort it does anyway.  Records and
+    coarse operator are the fresh kernel's.
     """
-    A_CC, A_CF, A_FC, A_FF = extract_cf_blocks(
-        A, cf_marker, already_partitioned=already_partitioned
-    )
-    if P_F.nrows != A_FF.nrows or P_F.ncols != A_CC.nrows:
+    blocks = dict(zip(_BLOCKS, map(_frozen, extract_cf_blocks(
+        _entry_id_matrix(A), cf_marker, already_partitioned=already_partitioned
+    ))))
+    (nc, _), (nf, _) = blocks["cc"][0], blocks["ff"][0]
+    if P_F.shape != (nf, nc):
         raise ValueError(
             f"P_F shape {P_F.shape} inconsistent with CF split "
-            f"({A_FF.nrows} F pts, {A_CC.nrows} C pts)"
+            f"({nf} F pts, {nc} C pts)"
         )
-    PFt = transpose(P_F, kernel="rap.pf_transpose")
-    t_fc = spgemm(PFt, A_FC, method=method, kernel="rap.pft_afc")
-    t_aff = spgemm(PFt, A_FF, method=method, kernel="rap.pft_aff")
-    inner = sp_add(A_CF, t_aff, kernel="rap.add_inner")
-    t_ff = spgemm(inner, P_F, method=method, kernel="rap.inner_pf")
-    s1 = sp_add(A_CC, t_fc, kernel="rap.add1")
-    C = sp_add(s1, t_ff, kernel="rap.add2")
-
-    with collect():
-        id_blocks = extract_cf_blocks(
-            _entry_id_matrix(A), cf_marker,
-            already_partitioned=already_partitioned,
-        )
-        pft_id = transpose(_entry_id_matrix(P_F))
-        blocks = {
-            name: (blk.shape, blk.indptr, blk.indices,
-                   blk.data.astype(np.int64))
-            for name, blk in zip(("cc", "cf", "fc", "ff"), id_blocks)
-        }
-        plan = RAPCFBlockPlan(
-            blocks=blocks,
-            pft_shape=PFt.shape,
-            pft_indptr=pft_id.indptr,
-            pft_indices=pft_id.indices,
-            pft_perm=pft_id.data.astype(np.int64),
-            p_fc=spgemm_symbolic(PFt, A_FC),
-            p_ff=spgemm_symbolic(PFt, A_FF),
-            p_inner=spgemm_symbolic(inner, P_F),
-            a_inner=SpAddPlan.capture(A_CF, t_aff),
-            a1=SpAddPlan.capture(A_CC, t_fc),
-            a2=SpAddPlan.capture(s1, t_ff),
-            a_nnz=A.nnz,
-            pf_nnz=P_F.nnz,
-        )
-    return C, plan
+    pft = _frozen(transpose(_entry_id_matrix(P_F), kernel="rap.pf_transpose"))
+    A_CC, A_CF, A_FC, A_FF = (_gathered(blocks[n], A.data) for n in _BLOCKS)
+    PFt = _gathered(pft, P_F.data)
+    t_fc, p_fc = spgemm(PFt, A_FC, method=method, kernel="rap.pft_afc", return_plan=True)
+    t_aff, p_ff = spgemm(PFt, A_FF, method=method, kernel="rap.pft_aff", return_plan=True)
+    inner, a_inner = sp_add(A_CF, t_aff, kernel="rap.add_inner", return_plan=True)
+    t_ff, p_inner = spgemm(inner, P_F, method=method, kernel="rap.inner_pf", return_plan=True)
+    s1, a1 = sp_add(A_CC, t_fc, kernel="rap.add1", return_plan=True)
+    C, a2 = sp_add(s1, t_ff, kernel="rap.add2", return_plan=True)
+    return C, RAPCFBlockPlan(
+        blocks, *pft, p_fc=p_fc, p_ff=p_ff, p_inner=p_inner,
+        a_inner=a_inner, a1=a1, a2=a2, a_nnz=A.nnz, pf_nnz=P_F.nnz,
+    )
 
 
 def rap_cf_block_numeric(
@@ -408,14 +392,9 @@ def rap_cf_block_numeric(
     """
     if A.nnz != plan.a_nnz or P_F.nnz != plan.pf_nnz:
         raise ValueError("operator layout differs from the captured plan")
-
-    def block(name: str) -> CSRMatrix:
-        shape, indptr, indices, emap = plan.blocks[name]
-        return CSRMatrix(shape, indptr, indices, A.data[emap])
-
-    A_CC, A_CF, A_FC, A_FF = (block(n) for n in ("cc", "cf", "fc", "ff"))
-    PFt = CSRMatrix(plan.pft_shape, plan.pft_indptr, plan.pft_indices,
-                    P_F.data[plan.pft_perm])
+    A_CC, A_CF, A_FC, A_FF = (_gathered(plan.blocks[n], A.data) for n in _BLOCKS)
+    PFt = _gathered((plan.pft_shape, plan.pft_indptr, plan.pft_indices,
+                     plan.pft_perm), P_F.data)
     # One streaming sweep re-materializes block + transposed values.
     count(
         "rap.block_gather.numeric_only",

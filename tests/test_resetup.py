@@ -330,17 +330,16 @@ class TestRefresh:
         assert {r.phase for r in log.records} == {"Resetup"}
         assert all(r.branches == 0 for r in log.records)
 
-    @pytest.mark.parametrize("interp", ["ei", "classical"])
-    def test_refresh_interp_step_runs_no_symbolic_work(self, monkeypatch, interp):
-        """"Numeric-only" is a property of the vehicle, not only of the
-        model: on the fast path the interpolation step of a refresh runs
-        no membership test, SpGEMM, COO assembly or sort.  The one sort left
-        is ``truncate_interpolation`` ranking the new weights of the raw
-        ``P`` — a live check on values, one per level."""
+    @staticmethod
+    def _call_counters(monkeypatch):
+        """``(calls, counted, scoped)``: ``counted(name, fn)`` tallies calls
+        of *fn* as ``name@scope`` while a ``scoped(scope, fn)`` is running.
+        ``rowcol_order`` — the library's one (row, col) sort — is counted
+        at every module that imports it."""
         from collections import Counter
-        from dataclasses import replace
 
-        from repro.amg import interp_classical, interp_extended, resetup, setup
+        from repro.amg import interp_extended
+        from repro.sparse import csr, ops
 
         calls: Counter = Counter()
         active: list[str] = []
@@ -361,6 +360,24 @@ class TestRefresh:
                     active.pop()
             return wrapper
 
+        for mod in (ops, csr, interp_extended):
+            monkeypatch.setattr(mod, "rowcol_order",
+                                counted("rowcol_order", mod.rowcol_order))
+        monkeypatch.setattr(np, "lexsort", counted("lexsort", np.lexsort))
+        return calls, counted, scoped
+
+    @pytest.mark.parametrize("interp", ["ei", "classical"])
+    def test_refresh_interp_step_runs_no_symbolic_work(self, monkeypatch, interp):
+        """"Numeric-only" is a property of the vehicle, not only of the
+        model: on the fast path the interpolation step of a refresh runs
+        no membership test, SpGEMM, COO assembly or sort.  The one sort left
+        is ``truncate_interpolation`` ranking the new weights of the raw
+        ``P`` — a live check on values, one per level."""
+        from dataclasses import replace
+
+        from repro.amg import interp_classical, interp_extended, resetup, setup
+
+        calls, counted, scoped = self._call_counters(monkeypatch)
         for mod in (interp_extended, interp_classical):
             monkeypatch.setattr(mod, "entries_in_pattern",
                                 counted("entries_in_pattern", mod.entries_in_pattern))
@@ -370,7 +387,6 @@ class TestRefresh:
                             counted("spgemm", interp_extended.spgemm))
         monkeypatch.setattr(CSRMatrix, "from_coo",
                             staticmethod(counted("from_coo", CSRMatrix.from_coo)))
-        monkeypatch.setattr(np, "lexsort", counted("lexsort", np.lexsort))
         monkeypatch.setattr(np, "searchsorted",
                             counted("searchsorted", np.searchsorted))
         monkeypatch.setattr(resetup, "_interp_numeric",
@@ -382,7 +398,8 @@ class TestRefresh:
         cfg = replace(single_node_config(True), interp=interp)
         h = build_hierarchy(A, cfg, capture_plan=True)
         # The counters see the symbolic work of a build...
-        for name in ("entries_in_pattern", "from_coo", "lexsort", "searchsorted"):
+        for name in ("entries_in_pattern", "from_coo", "rowcol_order",
+                     "searchsorted"):
             assert calls[f"{name}@interp"] > 0, name
         assert (calls["spgemm@interp"] > 0) == (interp == "ei")
         # ...and none of it on refresh.
@@ -391,6 +408,58 @@ class TestRefresh:
             h.refresh(_scale(A, 1.02))
         assert {r.phase for r in log.records} == {"Resetup"}  # fast path
         assert dict(calls) == {"lexsort@truncation": len(h.plan.levels)}
+
+    @pytest.mark.parametrize("scheme", ["cf_block", "fused"])
+    def test_refresh_rap_step_runs_no_symbolic_work(self, monkeypatch, scheme):
+        """The same for the Galerkin product: a cold build expands, sorts
+        and groups the product terms; a fast-path refresh only gathers
+        through the frozen term operands — no expansion, no sort."""
+        import importlib
+        from dataclasses import replace
+
+        from repro.amg import resetup, setup
+        from repro.sparse import csr
+
+        spgemm_mod = importlib.import_module("repro.sparse.spgemm")
+        calls, counted, scoped = self._call_counters(monkeypatch)
+        monkeypatch.setattr(spgemm_mod, "_expand",
+                            counted("expand", spgemm_mod._expand))
+        for mod in (spgemm_mod, csr):
+            monkeypatch.setattr(
+                mod, "gather_range_indices",
+                counted("gather_range_indices", mod.gather_range_indices))
+        monkeypatch.setattr(np, "argsort", counted("argsort", np.argsort))
+        monkeypatch.setattr(setup, "_galerkin", scoped("rap", setup._galerkin))
+        for name in ("rap_cf_block_numeric", "rap_fused_numeric"):
+            monkeypatch.setattr(resetup, name,
+                                scoped("rap", getattr(resetup, name)))
+
+        A = _jitter(laplace_3d_27pt(8))
+        base = single_node_config(True)
+        cfg = replace(base, flags=replace(base.flags, rap_scheme=scheme))
+        h = build_hierarchy(A, cfg, capture_plan=True)
+        for name in ("rowcol_order", "expand", "gather_range_indices", "argsort"):
+            assert calls[f"{name}@rap"] > 0, name
+        calls.clear()
+        with collect() as log:
+            h.refresh(_scale(A, 1.02))
+        assert {r.phase for r in log.records} == {"Resetup"}  # fast path
+        assert not [k for k in calls if k.endswith("@rap")], dict(calls)
+
+    def test_plan_capture_sorts_nothing_twice(self, monkeypatch):
+        """Capture is free in the vehicle as in the model: a capturing
+        build orders coordinates exactly as often as a plain one."""
+        from repro.amg import setup
+
+        calls, _, scoped = self._call_counters(monkeypatch)
+        build = scoped("build", setup.build_hierarchy)
+        A = _jitter(laplace_3d_27pt(8))
+        cfg = single_node_config(True)
+        build(A, cfg)
+        plain = calls["rowcol_order@build"]
+        calls.clear()
+        assert build(A, cfg, capture_plan=True).plan is not None
+        assert calls["rowcol_order@build"] == plain > 0
 
     def test_refresh_flops_and_branches_win(self):
         """Acceptance: >= 2x modeled setup flops, branch-free refresh."""

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.perf import collect
 from repro.sparse import (
     CSRMatrix,
+    SpAddPlan,
     expansion_size,
+    permute_rows,
     sp_add,
+    sp_add_numeric,
     spgemm,
     spgemm_gustavson,
     spgemm_numeric,
@@ -160,3 +165,162 @@ class TestSpAdd:
         A = CSRMatrix.from_coo((1, 1), [0], [0], [1.0])
         C = sp_add(A, A, 1.0, -1.0)
         np.testing.assert_allclose(C.to_dense(), [[0.0]])
+
+
+# ---------------------------------------------------------------------------
+# Plans as a by-product: spgemm / sp_add (..., return_plan=True)
+# ---------------------------------------------------------------------------
+
+PLAN = dict(deadline=None, max_examples=60,
+            suppress_health_check=[HealthCheck.too_slow])
+
+
+def _random_pattern(rng, nrows, ncols, density):
+    dense = (rng.random((nrows, ncols)) < density) * rng.standard_normal((nrows, ncols))
+    return CSRMatrix.from_dense(dense)
+
+
+def _revalued(M: CSRMatrix, kind: str, rng) -> CSRMatrix:
+    """Same pattern, new values: the updates a plan must survive."""
+    if kind == "jitter":
+        data = M.data * (1.0 + 0.3 * rng.standard_normal(M.nnz))
+    elif kind == "sign":
+        data = M.data * rng.choice([-1.0, 1.0], M.nnz)
+    else:  # explicit zeros stay stored entries
+        data = np.where(rng.random(M.nnz) < 0.4, 0.0, M.data)
+    return CSRMatrix(M.shape, M.indptr.copy(), M.indices.copy(), data)
+
+
+def _same_bits(X: CSRMatrix, Y: CSRMatrix) -> None:
+    assert X.shape == Y.shape
+    np.testing.assert_array_equal(X.indptr, Y.indptr)
+    np.testing.assert_array_equal(X.indices, Y.indices)
+    assert X.data.tobytes() == Y.data.tobytes()
+
+
+def _assert_frozen(*arrays) -> None:
+    for a in arrays:
+        assert a.dtype == np.int32 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[:1] = 0
+
+
+@st.composite
+def products(draw):
+    """Rectangular ``(A, B)`` with matching inner dimension; density 0
+    (an empty operand, hence an empty product) included."""
+    n, k, m = (draw(st.integers(1, 12)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    da, db = (draw(st.sampled_from([0.0, 0.1, 0.3, 0.6])) for _ in range(2))
+    return _random_pattern(rng, n, k, da), _random_pattern(rng, k, m, db), rng
+
+
+KINDS = st.sampled_from(["jitter", "sign", "zero"])
+
+
+class TestPlanByProduct:
+    @given(products(), KINDS)
+    @settings(**PLAN)
+    def test_spgemm_return_plan(self, abr, kind):
+        A, B, rng = abr
+        with collect() as plain:
+            C = spgemm(A, B, kernel="k", method="two_pass")
+        with collect() as planned:
+            C2, plan = spgemm(A, B, kernel="k", method="two_pass", return_plan=True)
+        _same_bits(C, C2)
+        assert plain.records == planned.records
+        sym = spgemm_symbolic(A, B)
+        np.testing.assert_array_equal(plan.indptr, sym.indptr)
+        np.testing.assert_array_equal(plan.indices, sym.indices)
+        for name in ("term_a", "term_b", "term_group"):
+            np.testing.assert_array_equal(getattr(plan, name), getattr(sym, name))
+        _assert_frozen(plan.term_a, plan.term_b, plan.term_group)
+        assert plan.expansion == expansion_size(A, B) == len(plan.term_a)
+        A2, B2 = _revalued(A, kind, rng), _revalued(B, kind, rng)
+        for p in (plan, sym):
+            _same_bits(spgemm(A2, B2), spgemm_numeric(p, A2, B2))
+
+    @given(products(), KINDS, st.sampled_from([(1.0, 1.0), (2.5, -0.75), (-1.0, 3.0)]))
+    @settings(**PLAN)
+    def test_sp_add_return_plan(self, abr, kind, scalars):
+        A, _, rng = abr
+        B = _random_pattern(rng, *A.shape, 0.3)
+        alpha, beta = scalars
+        with collect() as plain:
+            C = sp_add(A, B, alpha, beta, kernel="k")
+        with collect() as planned:
+            C2, plan = sp_add(A, B, alpha, beta, kernel="k", return_plan=True)
+        _same_bits(C, C2)
+        assert plain.records == planned.records
+        cap = SpAddPlan.capture(A, B)
+        for name in ("indptr", "indices", "slot_a", "slot_b"):
+            np.testing.assert_array_equal(getattr(plan, name), getattr(cap, name))
+        _assert_frozen(plan.slot_a, plan.slot_b)
+        A2, B2 = _revalued(A, kind, rng), _revalued(B, kind, rng)
+        for p in (plan, cap):
+            _same_bits(sp_add(A2, B2, alpha, beta),
+                       sp_add_numeric(p, A2, B2, alpha, beta))
+
+    def test_planning_call_does_not_freeze_its_operands(self):
+        A = random_csr(8, 8, density=0.4, seed=40)
+        C, plan = spgemm(A, A, return_plan=True)
+        S, _ = sp_add(A, C, return_plan=True)
+        for M in (A, C, S):
+            assert M.indptr.flags.writeable and M.indices.flags.writeable
+
+    def test_numeric_output_does_not_alias_the_plan(self):
+        A = random_csr(8, 8, density=0.4, seed=41)
+        _, plan = spgemm(A, A, return_plan=True)
+        C = spgemm_numeric(plan, A, A)
+        assert not np.shares_memory(C.indices, plan.indices)
+        assert not np.shares_memory(C.indptr, plan.indptr)
+
+
+class TestPlanGuards:
+    """A frozen plan names operand entries: foreign operands must raise,
+    not index out of range or silently sum the wrong terms."""
+
+    def _operands(self):
+        A = random_csr(12, 12, density=0.3, seed=50)
+        B = random_csr(12, 12, density=0.3, seed=51)
+        return A, B
+
+    def _foreign(self, A):
+        """Same shape: another pattern, and a row permutation of *A* itself
+        (same nnz, same expansion against a uniform ``B``)."""
+        other = random_csr(*A.shape, density=0.45, seed=52)
+        assert other.nnz != A.nnz
+        perm = np.roll(np.arange(A.nrows), 1)
+        permuted = permute_rows(A, perm)
+        assert permuted.nnz == A.nnz and permuted.shape == A.shape
+        assert not np.array_equal(permuted.indices, A.indices)
+        return other, permuted
+
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_spgemm_numeric_rejects_foreign_pattern(self, which):
+        A, B = self._operands()
+        plan = spgemm_symbolic(A, B)
+        for bad in self._foreign(A if which == "A" else B):
+            ops = (bad, B) if which == "A" else (A, bad)
+            with pytest.raises(ValueError, match="different operator pattern"):
+                spgemm_numeric(plan, *ops)
+        spgemm_numeric(plan, A, B)  # the plan itself is intact
+
+    def test_spgemm_numeric_rejects_swapped_and_reshaped(self):
+        A = random_csr(9, 6, density=0.3, seed=53)
+        B = random_csr(6, 9, density=0.3, seed=54)
+        plan = spgemm_symbolic(A, B)
+        with pytest.raises(ValueError, match="different operator pattern"):
+            spgemm_numeric(plan, B, A)
+        wide = CSRMatrix((9, 7), A.indptr, A.indices, A.data)  # same arrays
+        with pytest.raises(ValueError, match="different operator pattern"):
+            spgemm_numeric(plan, wide, B)
+
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_sp_add_numeric_rejects_foreign_pattern(self, which):
+        A, B = self._operands()
+        _, plan = sp_add(A, B, return_plan=True)
+        for bad in self._foreign(A if which == "A" else B):
+            ops = (bad, B) if which == "A" else (A, bad)
+            with pytest.raises(ValueError, match="different operator pattern"):
+                sp_add_numeric(plan, *ops)
