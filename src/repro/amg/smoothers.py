@@ -46,6 +46,7 @@ __all__ = [
     "GSSchedule",
     "build_gs_schedule",
     "schedule_with_values",
+    "merge_schedules",
     "gs_sweep",
     "gs_sweep_multi",
     "gs_sweep_reference",
@@ -263,6 +264,50 @@ def schedule_with_values(sched: GSSchedule, A: CSRMatrix) -> GSSchedule:
         nnz=sched.nnz,
         e_entry=sched.e_entry,
         diag_entry=sched.diag_entry,
+    )
+
+
+def merge_schedules(scheds: list[GSSchedule], offsets) -> GSSchedule:
+    """One schedule sweeping independent blocks side by side.
+
+    ``scheds[p]`` schedules the rows of diagonal block *p* of a
+    block-diagonal operator, whose rows/columns start at ``offsets[p]``.
+    Wavefront level *l* of the result is level *l* of every block (block
+    order, each block's packing kept), so every row sees the same sources
+    in the same entry order as in its own block's sweep — bit-identical
+    iterates at ``max`` instead of ``sum`` of the blocks' depths.
+    """
+    def cat(field, shift=None):
+        arrs = [getattr(s, field) for s in scheds]
+        if shift is not None:
+            arrs = [a + o for a, o in zip(arrs, shift)]
+        return np.concatenate(arrs)
+
+    def level_of(ptr_field):
+        return np.concatenate([
+            np.repeat(np.arange(s.nlevels), np.diff(getattr(s, ptr_field)))
+            for s in scheds])
+
+    nlev = max(s.nlevels for s in scheds)
+    row_lvl, e_lvl = level_of("level_row_ptr"), level_of("e_ptr")
+    r_order = np.argsort(row_lvl, kind="stable")
+    e_order = np.argsort(e_lvl, kind="stable")
+    # Packed position of each block-major row in the level-major packing.
+    pos = np.empty(len(r_order), dtype=np.int64)
+    pos[r_order] = np.arange(len(r_order))
+    row_base = np.cumsum([0] + [s.nrows for s in scheds[:-1]])
+    levels = np.arange(nlev + 1)
+    return GSSchedule(
+        rows=cat("rows", offsets)[r_order],
+        level_row_ptr=np.searchsorted(row_lvl[r_order], levels),
+        e_ptr=np.searchsorted(e_lvl[e_order], levels),
+        e_cols=cat("e_cols", offsets)[e_order],
+        e_vals=cat("e_vals")[e_order],
+        e_out=pos[cat("e_out", row_base)][e_order],
+        e_local=cat("e_local")[e_order],
+        e_lower=cat("e_lower")[e_order],
+        diag=cat("diag")[r_order],
+        nnz=sum(s.nnz for s in scheds),
     )
 
 
@@ -688,6 +733,35 @@ class HybridGSSmoother:
             # Compiled sweeps regather values only; index arrays, flat
             # caches and record tables stay shared with *old*.
             new._plan = old._plan.with_values(new)
+        return new
+
+    @classmethod
+    def stacked(cls, parts: list["HybridGSSmoother"], A: CSRMatrix) -> "HybridGSSmoother":
+        """*parts* — identically configured smoothers of independent
+        operators — as one smoother of their block-diagonal stack *A*.
+
+        Nothing is re-analysed: groups, colourings and diagonals are
+        concatenated and the wavefront schedules merged level by level
+        (:func:`merge_schedules`), so a stacked sweep leaves every block
+        with the iterate its own smoother would produce, bit for bit.
+        """
+        first = parts[0]
+        offsets = np.cumsum([0] + [s.A.nrows for s in parts[:-1]])
+        new = cls.__new__(cls)
+        new.A = A
+        for name in ("variant", "optimized", "cf_contiguous", "nthreads", "seed"):
+            setattr(new, name, getattr(first, name))
+        new.diag = np.concatenate([s.diag for s in parts])
+        new.color = (None if first.color is None
+                     else np.concatenate([s.color for s in parts]))
+        # (multicolor smoothers have no row groups at all)
+        new.groups = [np.concatenate([s.groups[gi] + o
+                                      for s, o in zip(parts, offsets)])
+                      for gi in range(len(getattr(first, "groups", ())))]
+        new._schedules = {
+            key: merge_schedules([s._schedules[key] for s in parts], offsets)
+            for key in first._schedules}
+        new._plan = None
         return new
 
     # -- sweeps ----------------------------------------------------------

@@ -21,10 +21,11 @@ sweep's arithmetic **and** its traffic formula, exactly once:
 
 Who compiles when: a :class:`~repro.amg.smoothers.HybridGSSmoother` compiles
 its :class:`SmootherPlan` on its first sweep; :func:`attach_solve_plan`
-(run at the end of ``build_hierarchy``) and ``DistSmoother.__init__`` do it
-at setup so no solve pays for it; ``HybridGSSmoother.from_numeric`` (the
-``Hierarchy.refresh`` path) regathers values through ``with_values`` and
-shares every index array with the plan it came from.  Compilation is pure
+(run at the end of ``build_hierarchy``) and ``DistSmoother.__init__`` (for
+its one rank-stacked smoother) do it at setup so no solve pays for it;
+``HybridGSSmoother.from_numeric`` (the ``Hierarchy.refresh`` path) regathers
+values through ``with_values`` and shares every index array with the plan
+it came from.  Compilation is pure
 pattern arithmetic and emits no perf records.  The public kernel functions
 (``gs_sweep``, ``multicolor_gs_sweep``, ``chebyshev_sweep`` and their
 ``_multi`` forms) are one-shot wrappers over the same classes.
@@ -49,6 +50,7 @@ from ..sparse.spmv import spmv_multi_traffic, spmv_traffic
 
 __all__ = [
     "CompiledSweep",
+    "sweep_record",
     "MulticolorPlan",
     "ChebyPlan",
     "SmootherPlan",
@@ -120,7 +122,6 @@ class CompiledSweep:
                                     sched.diag[r0:r1], r1 - r0))
 
         # Plan-table records (pattern-only; shared across refreshes).
-        self._e_lower_sum = int(sched.e_lower.sum())
         self._rec: dict[tuple[int, bool], KernelRecord] = {}
         self._flats: dict[tuple[int, bool], list[np.ndarray]] = {}
 
@@ -138,26 +139,10 @@ class CompiledSweep:
         key = (k, zero_guess)
         rec = self._rec.get(key)
         if rec is None:
-            nnz, m = self.sched.nnz, self.m
-            touched = self._e_lower_sum + m if zero_guess else nnz
-            kk = max(k, 1)
-            bytes_read = (touched * (VAL_BYTES + IDX_BYTES) + (m + 1) * PTR_BYTES
-                          + kk * touched * VAL_BYTES + kk * m * VAL_BYTES)
-            bytes_written = kk * m * VAL_BYTES
-            if not zero_guess:
-                # temp_x copy of the sweep's input (Fig. 2 line 1).
-                bytes_read += kk * m * VAL_BYTES
-                bytes_written += kk * m * VAL_BYTES
-            branches = 0.0 if self.optimized else float(nnz)
-            if not self.contiguous_rows:
-                # Baseline C-F smoothing scans all rows and tests "is i a
-                # C/F point?" per row instead of iterating contiguous
-                # ranges (§3.2).
-                branches += float(m)
-            rec = make_record(self.kernel, flops=(2 * touched + m) * kk,
-                              bytes_read=bytes_read, bytes_written=bytes_written,
-                              branches=branches, phase="GS")
-            self._rec[key] = rec
+            rec = self._rec[key] = sweep_record(
+                self.sched, k, zero_guess, kernel=self.kernel,
+                optimized=self.optimized,
+                contiguous_rows=self.contiguous_rows)
         return rec
 
     # -- execution --------------------------------------------------------
@@ -243,10 +228,34 @@ class CompiledSweep:
                 for zi, (r0, r1, rows, e_src, _, eo, _, m)
                 in zip(self._zidx, self.zsteps)
             ]
-        new._e_lower_sum = self._e_lower_sum
         new._rec = self._rec
         new._flats = self._flats
         return new
+
+
+def sweep_record(sched, k: int, zero_guess: bool, *, kernel: str,
+                 optimized: bool, contiguous_rows: bool) -> KernelRecord:
+    """The :meth:`CompiledSweep.record` of one sweep over *sched*, from the
+    schedule alone (no compilation needed)."""
+    nnz, m = sched.nnz, sched.nrows
+    touched = int(sched.e_lower.sum()) + m if zero_guess else nnz
+    kk = max(k, 1)
+    bytes_read = (touched * (VAL_BYTES + IDX_BYTES) + (m + 1) * PTR_BYTES
+                  + kk * touched * VAL_BYTES + kk * m * VAL_BYTES)
+    bytes_written = kk * m * VAL_BYTES
+    if not zero_guess:
+        # temp_x copy of the sweep's input (Fig. 2 line 1).
+        bytes_read += kk * m * VAL_BYTES
+        bytes_written += kk * m * VAL_BYTES
+    branches = 0.0 if optimized else float(nnz)
+    if not contiguous_rows:
+        # Baseline C-F smoothing scans all rows and tests "is i a
+        # C/F point?" per row instead of iterating contiguous
+        # ranges (§3.2).
+        branches += float(m)
+    return make_record(kernel, flops=(2 * touched + m) * kk,
+                       bytes_read=bytes_read, bytes_written=bytes_written,
+                       branches=branches, phase="GS")
 
 
 def _zero_keep_mask(sched, n: int, prefix_rows: np.ndarray | None) -> np.ndarray:

@@ -9,15 +9,25 @@ afterwards.  Message counts and volumes — the quantities the paper's §4
 optimizations change — are therefore exact; only the clock is modeled.
 
 Per-rank *compute* is attributed the same way: each rank owns a
-:class:`repro.perf.counters.PerfLog`, and kernels invoked inside a
-``with comm.on_rank(r):`` block count into it.  A phase's modeled compute
-time is the makespan over ranks.
+:class:`repro.perf.counters.PerfLog`.  Set-up kernels invoked inside a
+``with comm.on_rank(r):`` block count into it; the solve phase, whose
+per-rank records are pure functions of the partition and the sparsity,
+appends them from frozen :class:`~repro.perf.counters.RecordTable` rows
+(:meth:`SimComm.record_on_ranks`).  A phase's modeled compute time is the
+makespan over ranks.
 
 Persistent communication (§4.4): a :class:`PersistentExchange` freezes a
 neighbor-exchange pattern once; every subsequent ``start()`` logs its
 messages with the ``persistent`` flag so the network model can drop the
 per-exchange setup cost, reproducing the 1.7–1.8x halo speedup the paper
 measures.
+
+Logging in bulk: an exchange logs the same messages every time it runs, so
+each exchange object freezes one tuple of immutable log entries per
+``(width, phase)`` (:func:`frozen_messages`) and :meth:`SimComm.log_batch`
+appends it with a single ``list.extend``.  The log holds the same entries
+in the same order as per-message :meth:`SimComm.log_message` calls would
+produce; repeated exchanges alias the same entry objects.
 
 Fault injection: :class:`repro.faults.comm.FaultyComm` subclasses this
 communicator and adds a ``reliable_send`` protocol (sequence-numbered acks,
@@ -35,11 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..perf.counters import PerfLog, collect, current_phase
+from ..perf.counters import PerfLog, RecordTable, collect, current_phase
 from ..perf.network import MessageEvent, NetworkModel
 
 __all__ = ["SimComm", "PersistentExchange", "NodeAwareExchange",
-           "CollectiveEvent"]
+           "CollectiveEvent", "frozen_messages"]
 
 
 @dataclass(frozen=True)
@@ -52,10 +62,22 @@ class CollectiveEvent:
     phase: str
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _LoggedMessage:
     event: MessageEvent
     phase: str
+
+
+def frozen_messages(pattern: dict[tuple[int, int], int], elem_bytes: float,
+                    *, persistent: bool = False,
+                    tag: str = "") -> tuple[_LoggedMessage, ...]:
+    """The log entries of one exchange of *pattern* (``(src, dst) -> element
+    count``, self-sends skipped) under the live phase, as a frozen batch."""
+    ph = current_phase()
+    return tuple(
+        _LoggedMessage(
+            MessageEvent(src, dst, int(n * elem_bytes), persistent, tag), ph)
+        for (src, dst), n in pattern.items() if src != dst)
 
 
 class SimComm:
@@ -95,6 +117,22 @@ class SimComm:
                 current_phase(),
             )
         )
+
+    def log_batch(self, batch: tuple[_LoggedMessage, ...]) -> None:
+        """Append a frozen batch (see :func:`frozen_messages`) in one go.
+
+        Only tuples are accepted: the entries are aliased by every later
+        append of the same batch, so the batch must not be editable.
+        """
+        if not isinstance(batch, tuple):
+            raise TypeError("log_batch takes a tuple of frozen log entries")
+        self.messages.extend(batch)
+
+    def record_on_ranks(self, table: RecordTable) -> None:
+        """Append row *p* of *table* to rank *p*'s compute log — the stream
+        ``with on_rank(p): count_record(...)`` per rank would produce."""
+        for log, recs in zip(self.rank_logs, table.live()):
+            log.records.extend(recs)
 
     def exchange(
         self,
@@ -180,7 +218,35 @@ class SimComm:
         self.collectives.clear()
 
 
-class PersistentExchange:
+class _FrozenExchange:
+    """An exchange over ``rounds`` of ``(tag, pattern)`` that logs the same
+    messages on every :meth:`start`: one frozen batch per (width, phase)."""
+
+    def __init__(self, comm: SimComm, rounds, bytes_per_elem: float,
+                 persistent: bool) -> None:
+        self.comm = comm
+        self.rounds = rounds
+        self.bytes_per_elem = bytes_per_elem
+        self.persistent = persistent
+        self._batches: dict[tuple[int, str], tuple[_LoggedMessage, ...]] = {}
+
+    def start(self, *, width: int = 1) -> None:
+        """Log one message per neighbor pair of every round, in round order.
+
+        ``width > 1`` sends a *k*-column block through the same frozen
+        pattern: still one message per pair, *k* times the bytes.
+        """
+        key = (width, current_phase())
+        batch = self._batches.get(key)
+        if batch is None:
+            batch = self._batches[key] = tuple(
+                m for tag, pat in self.rounds
+                for m in frozen_messages(pat, width * self.bytes_per_elem,
+                                         persistent=self.persistent, tag=tag))
+        self.comm.log_batch(batch)
+
+
+class PersistentExchange(_FrozenExchange):
     """A frozen neighbor-exchange pattern (§4.4 persistent communication).
 
     ``pattern`` maps ``(src, dst) -> element count``.  Creation logs the
@@ -190,47 +256,32 @@ class PersistentExchange:
 
     def __init__(self, comm: SimComm, pattern: dict[tuple[int, int], int],
                  *, bytes_per_elem: float = 8.0, tag: str = "halo") -> None:
-        self.comm = comm
         self.pattern = dict(pattern)
-        self.bytes_per_elem = bytes_per_elem
         self.tag = tag
+        super().__init__(comm, [(tag, self.pattern)], bytes_per_elem, True)
         comm.persistent_created += len(self.pattern)
         comm.persistent_requests.append(self)
 
-    def start(self, *, width: int = 1) -> None:
-        """Log one persistent message per neighbor pair.
 
-        ``width > 1`` sends a *k*-column block through the same frozen
-        pattern: still one message per pair, *k* times the bytes.
-        """
-        for (src, dst), count in self.pattern.items():
-            if src != dst:
-                self.comm.log_message(
-                    src, dst, count * width * self.bytes_per_elem,
-                    persistent=True, tag=self.tag,
-                )
-
-
-class NodeAwareExchange:
+class NodeAwareExchange(_FrozenExchange):
     """A multi-round wire schedule (the node-aware 3-step halo, §4.4-style).
 
     ``rounds`` is an ordered list of ``(tag, pattern)`` wire rounds — the
     on-node direct round plus the gather / inter-node / scatter rounds of a
-    :class:`~repro.topo.NodeAwarePlan`.  With ``persistent=True`` every
-    round is frozen into its own :class:`PersistentExchange` (so the §4.4
-    setup amortization and the comm-trace persistent-drift replay both see
-    each round as one frozen pattern); otherwise each :meth:`start` logs
-    the rounds' messages with the per-exchange setup cost.
+    :class:`~repro.topo.NodeAwarePlan`, or the single round of a flat
+    non-persistent halo.  With ``persistent=True`` every round is
+    registered as its own :class:`PersistentExchange` (so the §4.4 setup
+    amortization and the comm-trace persistent-drift replay both see each
+    round as one frozen pattern); otherwise each :meth:`start` logs the
+    rounds' messages with the per-exchange setup cost.
     """
 
     def __init__(self, comm: SimComm,
                  rounds: list[tuple[str, dict[tuple[int, int], int]]],
                  *, bytes_per_elem: float = 8.0,
                  persistent: bool = True) -> None:
-        self.comm = comm
-        self.persistent = persistent
-        self.bytes_per_elem = bytes_per_elem
-        self.rounds = [(tag, dict(pat)) for tag, pat in rounds if pat]
+        super().__init__(comm, [(tag, dict(pat)) for tag, pat in rounds if pat],
+                         bytes_per_elem, persistent)
         self._reqs = (
             [PersistentExchange(comm, pat, bytes_per_elem=bytes_per_elem,
                                 tag=tag)
@@ -238,17 +289,3 @@ class NodeAwareExchange:
             if persistent
             else None
         )
-
-    def start(self, *, width: int = 1) -> None:
-        """Log every round's messages, in round order."""
-        if self._reqs is not None:
-            for req in self._reqs:
-                req.start(width=width)
-            return
-        for tag, pat in self.rounds:
-            for (src, dst), count in pat.items():
-                if src != dst:
-                    self.comm.log_message(
-                        src, dst, count * width * self.bytes_per_elem,
-                        tag=tag,
-                    )

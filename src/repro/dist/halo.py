@@ -7,6 +7,13 @@ that appear in other ranks' colmaps.  ``persistent=True`` freezes the
 pattern into a :class:`repro.dist.comm.PersistentExchange` (§4.4); otherwise
 every exchange logs the non-persistent per-message setup cost.
 
+Everything an exchange does is frozen with the pattern: the wire messages
+are one immutable batch per ``(width, phase)`` appended in bulk, the
+``halo.pack_unpack`` / ``halo.stage`` records are per-rank
+:class:`~repro.perf.counters.RecordTable` rows, and the data movement is
+one fancy index over the vector's backing array (:meth:`HaloExchange.gather`
+returns the rank-concatenated buffer, ``__call__`` per-rank views of it).
+
 Node-aware aggregation: given a :class:`repro.topo.NodeTopology` the
 exchange additionally builds the 3-step wire schedule of Bienz et al.
 (arXiv:1904.05838) — intra-node gather to the node leader, one inter-node
@@ -27,15 +34,15 @@ exponential backoff when the fault plan drops or corrupts it, and raising
 :class:`repro.faults.comm.CommFault` when the retry budget is exhausted.
 The reliable protocol always runs the flat logical pattern — aggregation
 through a leader would turn one lost link into a whole node's retry storm,
-so node-aware plans are bypassed under fault injection.  On a plain
-``SimComm`` this module's behavior is unchanged.
+so node-aware plans are bypassed under fault injection — and it decides per
+message, so it is the one arm that still logs message by message.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import VAL_BYTES, KernelRecord, count_record, make_record
+from ..perf.counters import VAL_BYTES, RecordTable, make_record
 from .comm import NodeAwareExchange, PersistentExchange, SimComm
 from .parcsr import ParCSRMatrix, ParVector
 
@@ -68,13 +75,17 @@ class HaloExchange:
             needs.append(need)
         self.pattern = pattern
         self.total_elems = sum(pattern.values())
-        # Per-rank external-entry counts are frozen with the pattern; the
+        # The gather, frozen with the pattern: rank p's external entries
+        # (its owners' pieces, in owner order) are
+        # ``x.array[_gather[_ext_ptr[p]:_ext_ptr[p + 1]]]``.  The
         # pack/unpack and leader-staging traffic records are pure functions
         # of (rank, width) and are cached per width (see ``_records``).
-        self._ext_n = [sum(len(ids) for _, ids in plan)
-                       for plan in self.recv_plan]
-        self._recs: dict[int, tuple[list[KernelRecord],
-                                    list[tuple[int, KernelRecord]]]] = {}
+        self._gather = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [ids for need in needs for _, ids in need])
+        self._ext_ptr = np.cumsum(
+            [0] + [len(blk.colmap) for blk in A.blocks]).tolist()
+        self._recs: dict[int, tuple[RecordTable, RecordTable]] = {}
 
         # Node-aware 3-step aggregation (repro.topo): adopted only when the
         # modeled two-tier time beats the flat schedule; ppn=1 and losing
@@ -103,13 +114,19 @@ class HaloExchange:
             if persistent and self._node_exchange is None
             else None
         )
+        # The wire schedule one exchange logs; a flat non-persistent halo
+        # is a one-round schedule paying the per-exchange setup cost.
+        self._wire = (
+            self._node_exchange or self._persistent_req
+            or NodeAwareExchange(comm, [("halo", pattern)],
+                                 bytes_per_elem=VAL_BYTES, persistent=False))
 
     @property
     def node_aware(self) -> bool:
         """Whether this exchange sends the 3-step aggregated schedule."""
         return self._node_exchange is not None
 
-    def _records(self, width: int):
+    def _records(self, width: int) -> tuple[RecordTable, RecordTable]:
         """``(pack, stage)`` record tables of a *width*-column exchange:
         one ``halo.pack_unpack`` record per rank, one ``halo.stage`` record
         per relaying node leader (empty on the flat schedule)."""
@@ -120,27 +137,26 @@ class HaloExchange:
                                    bytes_read=elems * width * VAL_BYTES,
                                    bytes_written=elems * width * VAL_BYTES)
 
-            pack = [copy_rec("halo.pack_unpack", n) for n in self._ext_n]
-            stage = ([(leader, copy_rec("halo.stage", elems))
-                      for leader, elems in self.node_plan.relay.items()]
-                     if self._node_exchange is not None else [])
-            recs = self._recs[width] = (pack, stage)
+            relay = self.node_plan.relay if self.node_aware else {}
+            recs = self._recs[width] = (
+                RecordTable([copy_rec("halo.pack_unpack", b - a)]
+                            for a, b in zip(self._ext_ptr, self._ext_ptr[1:])),
+                RecordTable([copy_rec("halo.stage", relay[p])]
+                            if p in relay else ()
+                            for p in range(self.comm.nranks)))
         return recs
 
-    def __call__(self, x: ParVector) -> list[np.ndarray]:
-        """Gather each rank's external entries; returns ``x_ext`` per rank.
+    def gather(self, x: ParVector) -> np.ndarray:
+        """One exchange of *x*: every rank's external entries, concatenated
+        in rank order (rank *p*'s start at the cumulated ``colmap`` lengths
+        — the columns of :meth:`ParCSRMatrix.stacked`'s ``offd``).
 
-        The returned array of rank *p* is indexed by the compressed offd
-        column index (aligned with ``colmap``), as in Fig. 3(b).
-
-        Multi-column payloads (parts of shape ``(n_p, k)``) exchange all *k*
-        columns in **one** message per neighbor pair — the message count is
-        unchanged and the logged bytes scale by *k*, which is exactly how a
-        blocked halo exchange amortizes latency.
+        Multi-column payloads (``x.array`` of shape ``(n, k)``) exchange all
+        *k* columns in **one** message per neighbor pair — the message count
+        is unchanged and the logged bytes scale by *k*, which is exactly how
+        a blocked halo exchange amortizes latency.
         """
-        multi = x.parts[0].ndim == 2
-        width = x.parts[0].shape[1] if multi else 1
-        dtype = x.parts[0].dtype
+        width = x.array.shape[1] if x.array.ndim == 2 else 1
         pack_recs, stage_recs = self._records(width)
         reliable = getattr(self.comm, "reliable_send", None)
         if reliable is not None:
@@ -148,34 +164,24 @@ class HaloExchange:
                 if src != dst:
                     reliable(src, dst, n * width * VAL_BYTES, tag="halo",
                              persistent=self.persistent)
-        elif self._node_exchange is not None:
-            self._node_exchange.start(width=width)
-            # Leaders relay the aggregated off-node traffic: the gathered
-            # entries are staged into per-destination buffers before the
-            # inter-node send / after the inter-node receive.
-            for leader, rec in stage_recs:
-                with self.comm.on_rank(leader):
-                    count_record(rec)
-        elif self._persistent_req is not None:
-            self._persistent_req.start(width=width)
         else:
-            for (src, dst), n in self.pattern.items():
-                self.comm.log_message(src, dst, n * width * VAL_BYTES, tag="halo")
-        ext = []
-        for p in range(self.comm.nranks):
-            pieces = [x.parts[q][ids] for q, ids in self.recv_plan[p]]
-            if pieces:
-                ext.append(np.concatenate(pieces))
-            else:
-                # Allocate with the payload dtype: a bare np.empty defaults
-                # to float64 and would silently upcast mixed-precision
-                # parts in downstream concatenations.
-                ext.append(np.empty((0, width), dtype=dtype) if multi
-                           else np.empty(0, dtype=dtype))
-            # Sender-side pack + receiver-side unpack traffic.
-            with self.comm.on_rank(p):
-                count_record(pack_recs[p])
+            self._wire.start(width=width)
+            if self._node_exchange is not None:
+                # Leaders relay the aggregated off-node traffic: the
+                # gathered entries are staged into per-destination buffers
+                # before the inter-node send / after the inter-node receive.
+                self.comm.record_on_ranks(stage_recs)
+        ext = x.array[self._gather]
+        # Sender-side pack + receiver-side unpack traffic.
+        self.comm.record_on_ranks(pack_recs)
         return ext
+
+    def __call__(self, x: ParVector) -> list[np.ndarray]:
+        """:meth:`gather`, split per rank: the returned array of rank *p* is
+        indexed by the compressed offd column index (aligned with
+        ``colmap``), as in Fig. 3(b)."""
+        ext = self.gather(x)
+        return [ext[a:b] for a, b in zip(self._ext_ptr, self._ext_ptr[1:])]
 
 
 def build_halo(comm: SimComm, A: ParCSRMatrix, *, persistent: bool = True,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..faults.guards import ResidualGuard
 from ..faults.plan import FaultEvent
-from ..perf.counters import VAL_BYTES, count, phase
+from ..perf.counters import phase
 from ..results import resolve_maxiter
 from .comm import SimComm
 from .halo import build_halo
@@ -106,13 +106,8 @@ def dist_pcg(
                 rz_new = par_dot(comm, r, z)
             beta = rz_new / rz
             rz = rz_new
-            for q in range(comm.nranks):
-                with comm.on_rank(q):
-                    n = len(p.parts[q])
-                    p.parts[q] = z.parts[q] + beta * p.parts[q]
-                    count("blas1.waxpby", flops=2 * n,
-                          bytes_read=2 * n * VAL_BYTES,
-                          bytes_written=n * VAL_BYTES)
+            p = ParVector(z.array + beta * p.array, p.part)
+            comm.record_on_ranks(p.part.vector_records("blas1.waxpby", 2, 2, 1))
     except CommFault as exc:
         solver_events.append(FaultEvent("comm_abort", detail=str(exc)))
         return result(x, it, residuals, False, degraded=True, reason=str(exc))

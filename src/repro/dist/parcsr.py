@@ -9,6 +9,15 @@ indexes directly (Fig. 3b).
 
 Rectangular operators (interpolation!) carry separate row and column
 partitions.
+
+Rank stacking: the ranks live in one process, so the solve phase runs each
+distributed kernel once over all of them.  A :class:`ParVector` owns one
+contiguous array (``parts`` are per-rank views of it) and
+:meth:`ParCSRMatrix.stacked` concatenates the ranks' ``diag`` / ``offd``
+blocks row-wise — ``diag`` columns re-based to global indices, ``offd``
+columns to offsets into the rank-concatenated halo buffer — so ``y = A x``
+is two SpMVs.  Every row keeps its entries and their order, hence its
+floating-point sum, bit for bit.
 """
 
 from __future__ import annotations
@@ -74,6 +83,16 @@ def _split_rows(
     return RankBlock(diag=diag, offd=offd, colmap=colmap)
 
 
+def _stack_rows(mats: list[CSRMatrix], col_offsets, ncols: int) -> CSRMatrix:
+    """*mats* concatenated row-wise, block *p*'s columns shifted by
+    ``col_offsets[p]``; rows keep their entries in order."""
+    indptr = np.concatenate([[0]] + [m.row_nnz() for m in mats]).cumsum()
+    return CSRMatrix(
+        (len(indptr) - 1, ncols), indptr,
+        np.concatenate([m.indices + o for m, o in zip(mats, col_offsets)]),
+        np.concatenate([m.data for m in mats]))
+
+
 class ParCSRMatrix:
     """A distributed CSR matrix over a :class:`SimComm`'s rank count."""
 
@@ -86,6 +105,9 @@ class ParCSRMatrix:
         self.blocks = blocks
         self.row_part = row_part
         self.col_part = col_part if col_part is not None else row_part
+        self._stacked: tuple[CSRMatrix, CSRMatrix] | None = None
+        #: Frozen per-rank record tables of products with this matrix.
+        self.tables: dict = {}
         for p, blk in enumerate(blocks):
             if blk.nrows != row_part.size(p):
                 raise ValueError(f"rank {p}: block has {blk.nrows} rows, "
@@ -138,6 +160,23 @@ class ParCSRMatrix:
         ]
         return cls(blocks, row_part, col_part)
 
+    # -- rank stacking ------------------------------------------------------
+    def stacked(self) -> tuple[CSRMatrix, CSRMatrix]:
+        """``(diag, offd)`` of all ranks stacked row-wise (built once; the
+        blocks are frozen from then on).
+
+        ``diag`` takes the whole distributed vector (global column ids);
+        ``offd`` takes the rank-concatenated halo buffer of
+        :meth:`repro.dist.halo.HaloExchange.gather`.
+        """
+        if self._stacked is None:
+            ext = np.cumsum([0] + [len(b.colmap) for b in self.blocks])
+            self._stacked = (
+                _stack_rows([b.diag for b in self.blocks],
+                            self.col_part.bounds, self.col_part.n),
+                _stack_rows([b.offd for b in self.blocks], ext, int(ext[-1])))
+        return self._stacked
+
     # -- conversion ---------------------------------------------------------
     def to_global(self) -> CSRMatrix:
         """Reassemble the full matrix (tests / small problems only)."""
@@ -162,33 +201,56 @@ class ParCSRMatrix:
 
 
 class ParVector:
-    """A distributed vector partitioned like the rows of a ParCSR matrix."""
+    """A distributed vector partitioned like the rows of a ParCSR matrix.
 
-    def __init__(self, parts: list[np.ndarray], part: RowPartition) -> None:
-        self.parts = [np.asarray(p, dtype=np.float64) for p in parts]
+    ``array`` is the one contiguous backing array — ``(n,)`` or, for a
+    multi-RHS block, ``(n, k)`` — and ``parts[p]`` is always the view of
+    rank *p*'s rows: a list of per-rank arrays (at construction, or
+    assigned to ``parts`` later) is copied into a fresh backing array; an
+    ``ndarray`` is adopted as the backing array itself.
+    """
+
+    def __init__(self, parts: list[np.ndarray] | np.ndarray,
+                 part: RowPartition) -> None:
         self.part = part
-        for p, arr in enumerate(self.parts):
-            if len(arr) != part.size(p):
+        if isinstance(parts, np.ndarray):
+            self._adopt(np.ascontiguousarray(parts, dtype=np.float64))
+        else:
+            self.parts = [np.asarray(p, dtype=np.float64) for p in parts]
+
+    @property
+    def parts(self) -> list[np.ndarray]:
+        return self._parts
+
+    @parts.setter
+    def parts(self, parts: list[np.ndarray]) -> None:
+        for p, arr in enumerate(parts):
+            if len(arr) != self.part.size(p):
                 raise ValueError("vector part size mismatch")
+        self._adopt(np.concatenate(parts))
+
+    def _adopt(self, array: np.ndarray) -> None:
+        if len(array) != self.part.n:
+            raise ValueError("vector part size mismatch")
+        self.array = array
+        b = self.part.bounds
+        self._parts = [array[b[p]: b[p + 1]] for p in range(self.part.nranks)]
 
     @classmethod
     def from_global(cls, x: np.ndarray, part: RowPartition) -> "ParVector":
-        x = np.asarray(x, dtype=np.float64)
-        return cls([x[part.lo(p): part.hi(p)].copy() for p in range(part.nranks)], part)
+        return cls(np.array(x, dtype=np.float64), part)
 
     @classmethod
     def zeros(cls, part: RowPartition, ncols: int | None = None) -> "ParVector":
         """All-zero vector; ``ncols`` makes each part an ``(n_p, ncols)``
         multi-column block (the distributed multi-RHS payload)."""
-        if ncols is None:
-            return cls([np.zeros(part.size(p)) for p in range(part.nranks)], part)
-        return cls([np.zeros((part.size(p), ncols)) for p in range(part.nranks)], part)
+        return cls(np.zeros(part.n if ncols is None else (part.n, ncols)), part)
 
     def to_global(self) -> np.ndarray:
-        return np.concatenate(self.parts) if self.parts else np.empty(0)
+        return self.array.copy()
 
     def copy(self) -> "ParVector":
-        return ParVector([p.copy() for p in self.parts], self.part)
+        return ParVector(self.array.copy(), self.part)
 
     def __len__(self) -> int:
         return self.part.n

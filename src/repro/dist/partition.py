@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..perf.counters import VAL_BYTES, RecordTable, make_record
+
 __all__ = ["RowPartition"]
 
 
@@ -24,6 +26,7 @@ class RowPartition:
         object.__setattr__(self, "bounds", b)
         if b[0] != 0 or np.any(np.diff(b) < 0):
             raise ValueError("invalid partition bounds")
+        object.__setattr__(self, "_tables", {})
 
     @classmethod
     def uniform(cls, n: int, nranks: int) -> "RowPartition":
@@ -55,6 +58,21 @@ class RowPartition:
 
     def range(self, rank: int) -> np.ndarray:
         return np.arange(self.lo(rank), self.hi(rank), dtype=np.int64)
+
+    def vector_records(self, kernel: str, flops: int, reads: int,
+                       writes: int = 0) -> RecordTable:
+        """Per-rank records of a streaming vector kernel that spends, per
+        owned row, *flops* flops and *reads* / *writes* values of traffic.
+        A pure function of the partition: frozen on first use."""
+        key = (kernel, flops, reads, writes)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = RecordTable(
+                [make_record(kernel, flops=flops * n,
+                             bytes_read=reads * n * VAL_BYTES,
+                             bytes_written=writes * n * VAL_BYTES)]
+                for n in np.diff(self.bounds).tolist())
+        return table
 
     def owner_of(self, global_ids: np.ndarray) -> np.ndarray:
         """Owning rank of each global index (vectorized)."""

@@ -15,8 +15,8 @@ import numpy as np
 from ..analysis import check_dist_hierarchy, check_parcsr, checking
 from ..analysis.sched import check_schedule
 from ..config import AMGConfig
-from ..perf.counters import VAL_BYTES, count, phase
-from .comm import SimComm
+from ..perf.counters import VAL_BYTES, RecordTable, count, make_record, phase
+from .comm import SimComm, frozen_messages
 from .halo import HaloExchange, build_halo
 from .interp import dist_extended_i, dist_multipass, dist_two_stage_ei
 from .parcsr import ParCSRMatrix, ParVector
@@ -72,6 +72,18 @@ class DistCoarseSolver:
                       bytes_written=self.n * self.n * VAL_BYTES, phase="Setup_etc")
             self.inv = np.linalg.pinv(dense)
             self.smoother = None
+            # Each solve gathers b to the root and scatters x back; sizes
+            # follow the row partition, so both batches (and the root's
+            # dense-solve record) are frozen here, under solve()'s phase.
+            sizes = [(p, A.row_part.size(p)) for p in range(1, comm.nranks)]
+            with phase("Solve_etc"):
+                self._gather = frozen_messages(
+                    {(p, 0): n for p, n in sizes}, VAL_BYTES, tag="coarse.b")
+                self._scatter = frozen_messages(
+                    {(0, p): n for p, n in sizes}, VAL_BYTES, tag="coarse.x")
+            self._solve_recs = RecordTable([[make_record(
+                "coarse.direct_solve", flops=2.0 * self.n * self.n,
+                bytes_read=self.n * self.n * VAL_BYTES)]])
         else:
             self.inv = None
             self.smoother = DistSmoother(
@@ -81,19 +93,11 @@ class DistCoarseSolver:
     def solve(self, b: ParVector) -> ParVector:
         with phase("Solve_etc"):
             if self.direct:
-                for p in range(1, self.comm.nranks):
-                    self.comm.log_message(
-                        p, 0, b.part.size(p) * VAL_BYTES, tag="coarse.b"
-                    )
-                x = self.inv @ b.to_global()
-                with self.comm.on_rank(0):
-                    count("coarse.direct_solve", flops=2.0 * self.n * self.n,
-                          bytes_read=self.n * self.n * VAL_BYTES)
-                for p in range(1, self.comm.nranks):
-                    self.comm.log_message(
-                        0, p, b.part.size(p) * VAL_BYTES, tag="coarse.x"
-                    )
-                return ParVector.from_global(x, b.part)
+                self.comm.log_batch(self._gather)
+                x = self.inv @ b.array
+                self.comm.record_on_ranks(self._solve_recs)
+                self.comm.log_batch(self._scatter)
+                return ParVector(x, b.part)
             x = ParVector.zeros(b.part)
             self.smoother.presmooth(x, b, zero_guess=True)
             for _ in range(3):
@@ -297,6 +301,12 @@ def dist_build_hierarchy(
             dense_threshold=config.dense_coarse_threshold,
             nthreads=config.nthreads,
         )
+        # Stack the transfer operators now, as the smoothers did the level
+        # operators (silent), so that no solve pays for it.
+        for lvl in levels:
+            for M in (lvl.A, lvl.P, lvl.R):
+                if M is not None:
+                    M.stacked()
     hierarchy = DistHierarchy(comm, levels, coarse, config,
                               topology=topology, net=net)
     if checking():

@@ -5,6 +5,15 @@ exchanged once per sweep (the solve-phase communication that dominates at
 128 nodes, Fig. 7) and each rank then smooths its local ``diag`` block with
 the node-level hybrid-GS machinery (``nthreads`` blocks, C-F ordering),
 reading the off-rank contribution from the exchanged buffer.
+
+The ranks' sweeps are independent once the boundary term is on the
+right-hand side, so the vehicle runs them as **one** smoother over the
+block-diagonal stack of the ``diag`` blocks
+(:meth:`HybridGSSmoother.stacked`: wavefront level *l* of the stack is
+level *l* of every rank) and appends rank *p*'s records — exactly what its
+own smoother would emit, zero-guess placement included — from tables
+frozen per pass.  The per-rank smoothers are still *built* per rank (their
+set-up records and schedules are per rank) but never compiled or run.
 """
 
 from __future__ import annotations
@@ -12,14 +21,41 @@ from __future__ import annotations
 import numpy as np
 
 from ..amg.smoothers import HybridGSSmoother
-from ..amg.solveplan import compile_smoother_plan
-from ..perf.counters import VAL_BYTES, count_record, make_record
+from ..amg.solveplan import compile_smoother_plan, sweep_record
+from ..perf.counters import VAL_BYTES, RecordTable, collect, make_record, silent
 from ..sparse.spmv import spmv
 from .comm import SimComm
 from .halo import build_halo
 from .parcsr import ParCSRMatrix, ParVector
+from .spmv import _spmv_record
 
 __all__ = ["DistSmoother"]
+
+
+def _pass_records(local: HybridGSSmoother, forward: bool, zero_guess: bool):
+    """The records one pre- (*forward*) or post-smoothing pass of *local*
+    emits: for the GS variants what ``SmootherPlan.sweep_groups`` records
+    (the first non-empty group carries the zero-guess count), from the
+    schedules alone; the other variants are asked once, on a dry run."""
+    if local.variant in ("hybrid", "lex"):
+        recs = []
+        order = range(len(local.groups))
+        for gi in order if forward else reversed(order):
+            sched = local._schedules[(f"g{gi}", forward)]
+            if sched.nrows:
+                recs.append(sweep_record(
+                    sched, 0, zero_guess, kernel="gs.hybrid",
+                    optimized=local.optimized,
+                    contiguous_rows=local.cf_contiguous))
+                zero_guess = False
+        return recs
+    x = np.zeros(local.A.nrows)
+    with collect() as log:
+        if forward:
+            local.presmooth(x, x.copy(), zero_guess=zero_guess)
+        else:
+            local.postsmooth(x, x.copy())
+    return log.records
 
 
 class DistSmoother:
@@ -56,45 +92,51 @@ class DistSmoother:
                         seed=seed + p,
                     )
                 )
-        # Compile the per-rank sweeps up front so no solve pays for it, and
-        # freeze the gs.offd_sub records: the boundary Jacobi term's traffic
-        # depends only on the row partition.  Both are silent.
-        for local in self.local:
-            compile_smoother_plan(local)
-        self._offd_recs = [
-            make_record("gs.offd_sub", flops=blk.nrows,
-                        bytes_read=blk.nrows * VAL_BYTES,
-                        bytes_written=blk.nrows * VAL_BYTES)
-            for blk in A.blocks
-        ]
+        # Stack and compile the ranks' sweeps up front so no solve pays for
+        # it, and freeze the boundary Jacobi term's records: they depend
+        # only on the sparsity.  All of it is silent.
+        diag, offd = A.stacked()
+        self.stacked = HybridGSSmoother.stacked(self.local, diag)
+        compile_smoother_plan(self.stacked)
+        self._pass_recs = {
+            key: RecordTable(_pass_records(local, *key) for local in self.local)
+            for key in ((True, True), (True, False), (False, False))}
 
-    def _offd_rhs(self, b: ParVector, x: ParVector, *, zero_guess: bool) -> list[np.ndarray]:
-        """``b - A_offd x_ext`` per rank (the Jacobi boundary term)."""
+        self._offd = offd
+        self._offd_recs = RecordTable(
+            [_spmv_record("gs.offd", blk.offd),
+             make_record("gs.offd_sub", flops=blk.nrows,
+                         bytes_read=blk.nrows * VAL_BYTES,
+                         bytes_written=blk.nrows * VAL_BYTES)]
+            if blk.offd.nnz else () for blk in A.blocks)
+
+    def _offd_rhs(self, b: ParVector, x: ParVector, *, zero_guess: bool) -> np.ndarray:
+        """``b - A_offd x_ext`` of all ranks (the Jacobi boundary term)."""
         if zero_guess:
             # x is identically zero: skip the exchange and the offd product.
-            return [b.parts[p].copy() for p in range(self.comm.nranks)]
-        x_ext = self.halo(x)
-        out = []
-        for p, blk in enumerate(self.A.blocks):
-            with self.comm.on_rank(p):
-                if blk.offd.nnz:
-                    rhs = b.parts[p] - spmv(blk.offd, x_ext[p], kernel="gs.offd")
-                    count_record(self._offd_recs[p])
-                else:
-                    rhs = b.parts[p].copy()
-            out.append(rhs)
-        return out
+            return b.array.copy()
+        x_ext = self.halo.gather(x)
+        with silent():
+            # Rows of ranks without off-diagonal entries subtract an exact
+            # +0.0 and keep b's bits.
+            rhs = b.array - spmv(self._offd, x_ext)
+        self.comm.record_on_ranks(self._offd_recs)
+        return rhs
+
+    def _sweep(self, forward: bool, x: ParVector, rhs: np.ndarray,
+               zero_guess: bool) -> ParVector:
+        with silent():
+            if forward:
+                self.stacked.presmooth(x.array, rhs, zero_guess=zero_guess)
+            else:
+                self.stacked.postsmooth(x.array, rhs)
+        self.comm.record_on_ranks(self._pass_recs[(forward, zero_guess)])
+        return x
 
     def presmooth(self, x: ParVector, b: ParVector, *, zero_guess: bool = False) -> ParVector:
         rhs = self._offd_rhs(b, x, zero_guess=zero_guess)
-        for p in range(self.comm.nranks):
-            with self.comm.on_rank(p):
-                self.local[p].presmooth(x.parts[p], rhs[p], zero_guess=zero_guess)
-        return x
+        return self._sweep(True, x, rhs, zero_guess)
 
     def postsmooth(self, x: ParVector, b: ParVector) -> ParVector:
         rhs = self._offd_rhs(b, x, zero_guess=False)
-        for p in range(self.comm.nranks):
-            with self.comm.on_rank(p):
-                self.local[p].postsmooth(x.parts[p], rhs[p])
-        return x
+        return self._sweep(False, x, rhs, False)

@@ -2,7 +2,10 @@
 
 Vector primitives (``par_dot`` etc.) count local BLAS1 work per rank and
 log one allreduce per global reduction — the solve-phase collectives of
-Fig. 7's ``Solve_MPI`` bucket, alongside the halo exchanges.
+Fig. 7's ``Solve_MPI`` bucket, alongside the halo exchanges.  Elementwise
+updates run once over the vectors' backing arrays and the per-rank records
+come from tables frozen per :class:`RowPartition`; only the local dot
+products stay per rank (their summation order is part of the result).
 
 Resilience: on a fault-injecting communicator
 (:class:`repro.faults.comm.FaultyComm`) ``DistAMGSolver.solve`` keeps
@@ -22,7 +25,7 @@ from ..analysis import check_comm_trace, checking, persistent_patterns_of
 from ..config import AMGConfig
 from ..faults.guards import ResidualGuard
 from ..faults.plan import FaultEvent
-from ..perf.counters import VAL_BYTES, count, phase
+from ..perf.counters import phase
 from ..results import DistSolveResult, resolve_maxiter
 from .comm import SimComm
 from .parcsr import ParCSRMatrix, ParVector
@@ -46,13 +49,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def par_dot(comm: SimComm, x: ParVector, y: ParVector) -> float:
-    locals_ = []
-    for p in range(comm.nranks):
-        with comm.on_rank(p):
-            n = len(x.parts[p])
-            count("blas1.dot", flops=2 * n, bytes_read=2 * n * VAL_BYTES)
-        locals_.append(float(x.parts[p] @ y.parts[p]))
-    return comm.allreduce(locals_)
+    comm.record_on_ranks(x.part.vector_records("blas1.dot", 2, 2))
+    return comm.allreduce([float(a @ b) for a, b in zip(x.parts, y.parts)])
 
 
 def par_norm2(comm: SimComm, x: ParVector) -> float:
@@ -60,22 +58,14 @@ def par_norm2(comm: SimComm, x: ParVector) -> float:
 
 
 def par_axpy(comm: SimComm, alpha: float, x: ParVector, y: ParVector) -> ParVector:
-    for p in range(comm.nranks):
-        with comm.on_rank(p):
-            n = len(x.parts[p])
-            y.parts[p] += alpha * x.parts[p]
-            count("blas1.axpy", flops=2 * n, bytes_read=2 * n * VAL_BYTES,
-                  bytes_written=n * VAL_BYTES)
+    y.array += alpha * x.array
+    comm.record_on_ranks(x.part.vector_records("blas1.axpy", 2, 2, 1))
     return y
 
 
 def par_scale(comm: SimComm, alpha: float, x: ParVector) -> ParVector:
-    for p in range(comm.nranks):
-        with comm.on_rank(p):
-            n = len(x.parts[p])
-            x.parts[p] *= alpha
-            count("blas1.scal", flops=n, bytes_read=n * VAL_BYTES,
-                  bytes_written=n * VAL_BYTES)
+    x.array *= alpha
+    comm.record_on_ranks(x.part.vector_records("blas1.scal", 1, 1, 1))
     return x
 
 
@@ -96,14 +86,8 @@ def dist_vcycle(h: DistHierarchy, b: ParVector, level: int = 0) -> ParVector:
 
     with phase("SpMV"):
         Ax = dist_spmv(comm, lvl.A, x, lvl.halo, kernel="spmv.residual")
-        r = ParVector(
-            [b.parts[p] - Ax.parts[p] for p in range(comm.nranks)], b.part
-        )
-        for p in range(comm.nranks):
-            with comm.on_rank(p):
-                n = len(r.parts[p])
-                count("residual_sub", flops=n, bytes_read=2 * n * VAL_BYTES,
-                      bytes_written=n * VAL_BYTES)
+        r = ParVector(b.array - Ax.array, b.part)
+        comm.record_on_ranks(b.part.vector_records("residual_sub", 1, 2, 1))
 
     with phase("SpMV"):
         if lvl.R is not None:
@@ -332,7 +316,7 @@ def dist_fgmres(
     while total_it < max_iter:
         m = min(restart, max_iter - total_it)
         try:
-            V = [ParVector([p / beta for p in r.parts], b.part)]
+            V = [ParVector(r.array / beta, b.part)]
             Z: list[ParVector] = []
             H = np.zeros((m + 1, m))
             cs = np.zeros(m)
@@ -353,7 +337,7 @@ def dist_fgmres(
                         par_axpy(comm, -H[i, j], V[i], w)
                     H[j + 1, j] = par_norm2(comm, w)
                 if H[j + 1, j] != 0.0:
-                    V.append(ParVector([p / H[j + 1, j] for p in w.parts], b.part))
+                    V.append(ParVector(w.array / H[j + 1, j], b.part))
                 else:
                     V.append(w)
                 for i in range(j):
@@ -393,8 +377,7 @@ def dist_fgmres(
                     par_axpy(comm, y[i], Z[i], x)
             with phase("SpMV"):
                 Ax = dist_spmv(comm, A, x, halo, kernel="spmv.krylov")
-            r = ParVector([b.parts[p] - Ax.parts[p] for p in range(comm.nranks)],
-                          b.part)
+            r = ParVector(b.array - Ax.array, b.part)
             beta = par_norm2(comm, r)
         except CommFault as exc:
             solver_events.append(FaultEvent("comm_abort", detail=str(exc)))

@@ -3,7 +3,11 @@
 ``y = A x``: each rank gathers its external vector entries via the halo
 exchange, multiplies its ``diag`` block by the local part (this computation
 overlaps the exchange in the modeled implementation) and its ``offd`` block
-by the gathered buffer.
+by the gathered buffer.  The vehicle runs all ranks at once — one SpMV over
+the stacked ``diag`` blocks and one over the stacked ``offd`` blocks
+(:meth:`ParCSRMatrix.stacked`) — and appends each rank's records from a
+table frozen per ``(kernel, width)``.  Per-rank *reductions* stay per rank:
+a BLAS dot's summation order is not reproducible by a segmented sum.
 
 Resilience: the halo exchange is the only communication here, so on a
 fault-injecting communicator (:class:`repro.faults.comm.FaultyComm`) every
@@ -19,13 +23,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import VAL_BYTES, count_record, make_record
-from ..sparse.spmv import spmv, spmv_multi
+from ..perf.counters import KernelRecord, RecordTable, make_record, silent
+from ..sparse.spmv import spmv, spmv_multi, spmv_multi_traffic, spmv_traffic
 from .comm import SimComm
 from .halo import HaloExchange
 from .parcsr import ParCSRMatrix, ParVector
 
 __all__ = ["dist_spmv", "dist_residual_norm"]
+
+
+def _spmv_record(kernel: str, M, width: int = 0) -> KernelRecord:
+    """What ``spmv(M, x, kernel=...)`` (*width* 0) or ``spmv_multi`` over
+    *width* columns records, without running it."""
+    br, bw = (spmv_multi_traffic(M.nrows, M.nnz, width) if width
+              else spmv_traffic(M.nrows, M.nnz))
+    return make_record(kernel, flops=2 * M.nnz * max(width, 1),
+                       bytes_read=br, bytes_written=bw)
+
+
+def _spmv_table(A: ParCSRMatrix, kernel: str, width: int) -> RecordTable:
+    """Rank *p*'s records of one ``A x``: its ``diag`` SpMV and, where it
+    has off-diagonal entries, its ``offd`` SpMV (*width* 0 = single RHS)."""
+    table = A.tables.get((kernel, width))
+    if table is None:
+        table = A.tables[(kernel, width)] = RecordTable(
+            [_spmv_record(kernel, blk.diag, width)]
+            + ([_spmv_record(kernel + ".offd", blk.offd, width)]
+               if blk.offd.nnz else [])
+            for blk in A.blocks)
+    return table
 
 
 def dist_spmv(
@@ -43,21 +69,20 @@ def dist_spmv(
     """
     if x.part.n != A.col_part.n:
         raise ValueError("dimension mismatch")
-    x_ext = halo(x)
-    multi = x.parts[0].ndim == 2
-    out = []
-    for p, blk in enumerate(A.blocks):
-        with comm.on_rank(p):
-            if multi:
-                y = spmv_multi(blk.diag, x.parts[p], kernel=kernel)
-                if blk.offd.nnz:
-                    y += spmv_multi(blk.offd, x_ext[p], kernel=kernel + ".offd")
-            else:
-                y = spmv(blk.diag, x.parts[p], kernel=kernel)
-                if blk.offd.nnz:
-                    y += spmv(blk.offd, x_ext[p], kernel=kernel + ".offd")
-        out.append(y)
-    return ParVector(out, A.row_part)
+    x_ext = halo.gather(x)
+    diag, offd = A.stacked()
+    width = x.array.shape[1] if x.array.ndim == 2 else 0
+    # ``+=`` adds an exact +0.0 on rows without off-diagonal entries; diag's
+    # bincount sums are never -0.0, so those rows keep their bits.
+    with silent():
+        if width:
+            y = spmv_multi(diag, x.array)
+            y += spmv_multi(offd, x_ext)
+        else:
+            y = spmv(diag, x.array)
+            y += spmv(offd, x_ext)
+    comm.record_on_ranks(_spmv_table(A, kernel, width))
+    return ParVector(y, A.row_part)
 
 
 def dist_residual_norm(
@@ -71,33 +96,12 @@ def dist_residual_norm(
 ) -> tuple[ParVector, float]:
     """``r = b - A x`` and its 2-norm (one allreduce)."""
     Ax = dist_spmv(comm, A, x, halo, kernel="spmv.residual")
-    # The per-rank record fields depend only on the frozen row partition:
-    # prebuild them once per (halo, fused) and replay thereafter.
-    cache = getattr(halo, "_resnorm_recs", None)
-    if cache is None:
-        cache = halo._resnorm_recs = {}
-    recs = cache.get(fused)
-    if recs is None:
-        recs = cache[fused] = [
-            [make_record("residual_norm_fused", flops=3 * n,
-                         bytes_read=2 * n * VAL_BYTES,
-                         bytes_written=n * VAL_BYTES)]
-            if fused else
-            [make_record("residual_sub", flops=n,
-                         bytes_read=2 * n * VAL_BYTES,
-                         bytes_written=n * VAL_BYTES),
-             make_record("blas1.norm2", flops=2 * n,
-                         bytes_read=n * VAL_BYTES)]
-            for n in (len(b.parts[p]) for p in range(comm.nranks))
-        ]
-    parts = []
-    sq = []
-    for p in range(comm.nranks):
-        with comm.on_rank(p):
-            r = b.parts[p] - Ax.parts[p]
-            for rec in recs[p]:
-                count_record(rec)
-        parts.append(r)
-        sq.append(float(r @ r))
-    total = comm.allreduce(sq)
-    return ParVector(parts, A.row_part), float(np.sqrt(total))
+    r = ParVector(b.array - Ax.array, A.row_part)
+    if fused:
+        comm.record_on_ranks(
+            b.part.vector_records("residual_norm_fused", 3, 2, 1))
+    else:
+        comm.record_on_ranks(b.part.vector_records("residual_sub", 1, 2, 1))
+        comm.record_on_ranks(b.part.vector_records("blas1.norm2", 2, 1))
+    total = comm.allreduce([float(p @ p) for p in r.parts])
+    return r, float(np.sqrt(total))

@@ -13,6 +13,7 @@ from .counters import (
     VAL_BYTES,
     KernelRecord,
     PerfLog,
+    RecordTable,
     active_log,
     collect,
     count,
@@ -21,6 +22,7 @@ from .counters import (
     current_phase,
     make_record,
     phase,
+    silent,
 )
 from .machine import HaswellModel, K40cModel, MachineModel
 from .network import FDRInfinibandModel, MessageEvent, NetworkModel
@@ -40,6 +42,7 @@ __all__ = [
     "VAL_BYTES",
     "KernelRecord",
     "PerfLog",
+    "RecordTable",
     "active_log",
     "collect",
     "count",
@@ -48,6 +51,7 @@ __all__ = [
     "current_phase",
     "make_record",
     "phase",
+    "silent",
     "MachineModel",
     "HaswellModel",
     "K40cModel",

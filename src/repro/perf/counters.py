@@ -33,8 +33,10 @@ __all__ = [
     "VAL_BYTES",
     "PTR_BYTES",
     "KernelRecord",
+    "RecordTable",
     "PerfLog",
     "collect",
+    "silent",
     "phase",
     "count",
     "count_batch",
@@ -237,7 +239,7 @@ class PerfLog:
 # Module-level active log
 # --------------------------------------------------------------------------
 
-_ACTIVE: list[PerfLog] = []
+_ACTIVE: list[PerfLog | None] = []  # None = recording suspended (silent)
 
 
 def active_log() -> PerfLog | None:
@@ -262,6 +264,20 @@ def collect(log: PerfLog | None = None):
     _ACTIVE.append(log)
     try:
         yield log
+    finally:
+        _ACTIVE.pop()
+
+
+@contextmanager
+def silent():
+    """Suspend recording for the enclosed block.
+
+    For callers that run one stacked kernel over many logs' worth of work
+    and then append each log's share from a prebuilt :class:`RecordTable`.
+    """
+    _ACTIVE.append(None)
+    try:
+        yield
     finally:
         _ACTIVE.pop()
 
@@ -312,6 +328,32 @@ def count_record(rec: KernelRecord) -> None:
     log = active_log()
     if log is not None:
         log.add_record(rec)
+
+
+class RecordTable:
+    """Prebuilt records in rows, one row per destination log (a rank).
+
+    ``live()`` is what appending every row through :func:`count_record`
+    would log under the current phase/level stacks; the retagged copy is
+    memoised per ``(phase, level)``, so ``dataclasses.replace`` runs once
+    per phase rather than once per append.  Rows alias their records across
+    appends: records are immutable once logged.
+    """
+
+    def __init__(self, rows) -> None:
+        self.rows = tuple(tuple(row) for row in rows)
+        self._live: dict[tuple[str, int | None], tuple] = {}
+
+    def live(self) -> tuple[tuple[KernelRecord, ...], ...]:
+        ph = _PHASE_STACK[-1] if _PHASE_STACK else "unattributed"
+        lv = _LEVEL_STACK[-1] if _LEVEL_STACK else None
+        rows = self._live.get((ph, lv))
+        if rows is None:
+            rows = self._live[(ph, lv)] = tuple(
+                tuple(r if r.phase == ph and r.level == lv
+                      else replace(r, phase=ph, level=lv) for r in row)
+                for row in self.rows)
+        return rows
 
 
 def make_record(
