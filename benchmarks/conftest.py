@@ -14,6 +14,11 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+# One BLAS / OpenMP thread, set before numpy loads (a user's own setting
+# wins); see tests/conftest.py.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 OUT_DIR = Path(__file__).parent / "out"
 
 

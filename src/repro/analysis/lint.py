@@ -8,8 +8,9 @@ linters cannot see:
     Every public module-level function in a *kernel module* (the
     instrumented compute kernels of ``sparse``/``amg``/``dist``) must
     charge the performance model — call
-    :func:`repro.perf.counters.count` directly or (transitively) call
-    another kernel that does.  An uncharged kernel silently corrupts the
+    :func:`repro.perf.counters.count` (or log prebuilt records through
+    ``count_record`` / ``SimComm.record_on_ranks``) directly or
+    (transitively) call another kernel that does.  An uncharged kernel silently corrupts the
     modeled times the whole reproduction is built on.
 ``no-scipy``
     No ``scipy`` imports under ``src/``: the library is from-scratch by
@@ -529,6 +530,10 @@ def _resolve_relative(key: str, level: int, module: str | None) -> str | None:
     return "/".join(base) + ".py"
 
 
+#: Calls that put kernel records into a perf log.
+_CHARGING_CALLS = {"count", "count_record", "record_on_ranks"}
+
+
 class _ModuleInfo:
     def __init__(self, key: str, tree: ast.Module) -> None:
         self.key = key
@@ -536,7 +541,10 @@ class _ModuleInfo:
         self.public: dict[str, int] = {}
         #: every module-level function name -> called names (local view)
         self.calls: dict[str, set[str]] = {}
-        #: functions that call ``count(...)`` (or ``...counters.count``).
+        #: functions that charge directly: ``count(...)`` (or
+        #: ``...counters.count``), a prebuilt record through
+        #: ``count_record(...)``, or per-rank rows through
+        #: ``comm.record_on_ranks(...)``.
         self.direct: set[str] = set()
         #: imported name -> (module id, original name)
         self.imports: dict[str, tuple[str, str]] = {}
@@ -558,7 +566,7 @@ class _ModuleInfo:
                 for sub in ast.walk(node):
                     if isinstance(sub, ast.Call):
                         name = _call_target_names(sub)
-                        if name == "count":
+                        if name in _CHARGING_CALLS:
                             charges = True
                         elif name is not None:
                             called.add(name)

@@ -16,7 +16,7 @@ from .parcsr import ParCSRMatrix, ParVector, RankBlock
 from .partition import RowPartition
 from .pmis import dist_aggressive_pmis, dist_pmis, dist_random_measures
 from .renumber import RenumberResult, renumber_baseline, renumber_parallel
-from .rowgather import GatheredRows, gather_matrix_rows
+from .rowgather import GatheredRows, GatheredStack, gather_matrix_rows
 from .setup import DistHierarchy, DistLevel, dist_build_hierarchy
 from .smoothers import DistSmoother
 from .solver import (
@@ -41,7 +41,7 @@ __all__ = [
     "ParCSRMatrix", "ParVector", "RankBlock", "RowPartition",
     "dist_aggressive_pmis", "dist_pmis", "dist_random_measures",
     "RenumberResult", "renumber_baseline", "renumber_parallel",
-    "GatheredRows", "gather_matrix_rows",
+    "GatheredRows", "GatheredStack", "gather_matrix_rows",
     "DistHierarchy", "DistLevel", "dist_build_hierarchy",
     "DistSmoother",
     "DistAMGSolver", "DistSolveResult", "dist_fgmres", "dist_vcycle",

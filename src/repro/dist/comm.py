@@ -9,12 +9,14 @@ afterwards.  Message counts and volumes — the quantities the paper's §4
 optimizations change — are therefore exact; only the clock is modeled.
 
 Per-rank *compute* is attributed the same way: each rank owns a
-:class:`repro.perf.counters.PerfLog`.  Set-up kernels invoked inside a
-``with comm.on_rank(r):`` block count into it; the solve phase, whose
-per-rank records are pure functions of the partition and the sparsity,
-appends them from frozen :class:`~repro.perf.counters.RecordTable` rows
-(:meth:`SimComm.record_on_ranks`).  A phase's modeled compute time is the
-makespan over ranks.
+:class:`repro.perf.counters.PerfLog`.  A kernel that runs once over all
+ranks appends rank *p*'s row of a :class:`~repro.perf.counters.RecordTable`
+(:meth:`SimComm.record_on_ranks`) — frozen rows in the solve phase, whose
+records are pure functions of the partition and the sparsity; rows built
+from per-rank counts (:func:`~repro.perf.counters.make_records`) in the
+set-up.  Node-level kernels that stay per rank count into their rank's log
+through :meth:`SimComm.run_on_ranks` (or a ``with comm.on_rank(r):``
+block).  A phase's modeled compute time is the makespan over ranks.
 
 Persistent communication (§4.4): a :class:`PersistentExchange` freezes a
 neighbor-exchange pattern once; every subsequent ``start()`` logs its
@@ -25,9 +27,11 @@ measures.
 Logging in bulk: an exchange logs the same messages every time it runs, so
 each exchange object freezes one tuple of immutable log entries per
 ``(width, phase)`` (:func:`frozen_messages`) and :meth:`SimComm.log_batch`
-appends it with a single ``list.extend``.  The log holds the same entries
-in the same order as per-message :meth:`SimComm.log_message` calls would
-produce; repeated exchanges alias the same entry objects.
+appends it with a single ``list.extend``; a set-up kernel builds the batch
+of everything it sends from arrays (:func:`message_batch`).  The log holds
+the same entries in the same order as per-message
+:meth:`SimComm.log_message` calls would produce; repeated exchanges alias
+the same entry objects.
 
 Fault injection: :class:`repro.faults.comm.FaultyComm` subclasses this
 communicator and adds a ``reliable_send`` protocol (sequence-numbered acks,
@@ -49,7 +53,7 @@ from ..perf.counters import PerfLog, RecordTable, collect, current_phase
 from ..perf.network import MessageEvent, NetworkModel
 
 __all__ = ["SimComm", "PersistentExchange", "NodeAwareExchange",
-           "CollectiveEvent", "frozen_messages"]
+           "CollectiveEvent", "frozen_messages", "message_batch"]
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,22 @@ def frozen_messages(pattern: dict[tuple[int, int], int], elem_bytes: float,
         _LoggedMessage(
             MessageEvent(src, dst, int(n * elem_bytes), persistent, tag), ph)
         for (src, dst), n in pattern.items() if src != dst)
+
+
+def message_batch(src, dst, nbytes, tags, *,
+                  persistent: bool = False) -> tuple[_LoggedMessage, ...]:
+    """The log entries of messages ``src[i] -> dst[i]`` of ``nbytes[i]``
+    bytes tagged ``tags[i]`` (arrays in send order; *tags* may be one str
+    for all) under the live phase, as a frozen batch — what one
+    :meth:`SimComm.log_message` per message would append, self-sends
+    skipped."""
+    ph = current_phase()
+    if isinstance(tags, str):
+        tags = [tags] * len(src)
+    return tuple(
+        _LoggedMessage(MessageEvent(s, d, int(b), persistent, t), ph)
+        for s, d, b, t in zip(src.tolist(), dst.tolist(), nbytes.tolist(), tags)
+        if s != d)
 
 
 class SimComm:
@@ -133,6 +153,19 @@ class SimComm:
         ``with on_rank(p): count_record(...)`` per rank would produce."""
         for log, recs in zip(self.rank_logs, table.live()):
             log.records.extend(recs)
+
+    def run_on_ranks(self, kernel) -> list:
+        """``kernel(p)`` for every rank *p* in turn, the records of call *p*
+        attributed to rank *p* — what ``with on_rank(p): kernel(p)`` per
+        rank logs, under one log activation.  Returns the results."""
+        out, marks = [], [0]
+        with collect() as log:
+            for p in range(self.nranks):
+                out.append(kernel(p))
+                marks.append(len(log.records))
+        for rank_log, a, b in zip(self.rank_logs, marks, marks[1:]):
+            rank_log.records.extend(log.records[a:b])
+        return out
 
     def exchange(
         self,

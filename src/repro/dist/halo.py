@@ -3,7 +3,9 @@
 A :class:`HaloExchange` is built once per matrix from the ranks' ``colmap``
 arrays: rank *p* must receive the vector entries at global indices
 ``colmap_p`` from their owners, and symmetrically send its owned entries
-that appear in other ranks' colmaps.  ``persistent=True`` freezes the
+that appear in other ranks' colmaps.  Colmaps are sorted, so the entries a
+rank reads from one owner are one run of its colmap and the whole pattern
+falls out of the runs of the stacked colmap.  ``persistent=True`` freezes the
 pattern into a :class:`repro.dist.comm.PersistentExchange` (§4.4); otherwise
 every exchange logs the non-persistent per-message setup cost.
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..perf.counters import VAL_BYTES, RecordTable, make_record
+from ..sparse.ops import run_starts
 from .comm import NodeAwareExchange, PersistentExchange, SimComm
 from .parcsr import ParCSRMatrix, ParVector
 
@@ -58,33 +61,24 @@ class HaloExchange:
         self.persistent = persistent
         col_part = A.col_part
         self.col_part = col_part
-        # For each receiving rank: the owners and per-owner index lists.
-        self.recv_plan: list[list[tuple[int, np.ndarray]]] = []
-        needs: list[list[tuple[int, np.ndarray]]] = []
-        pattern: dict[tuple[int, int], int] = {}
-        for p, blk in enumerate(A.blocks):
-            owners = col_part.owner_of(blk.colmap)
-            plan = []
-            need = []
-            for q in np.unique(owners):
-                ids = blk.colmap[owners == q]
-                plan.append((int(q), col_part.to_local(ids, int(q))))
-                need.append((int(q), ids))
-                pattern[(int(q), p)] = len(ids)
-            self.recv_plan.append(plan)
-            needs.append(need)
-        self.pattern = pattern
-        self.total_elems = sum(pattern.values())
+        # Colmaps are sorted, so the entries rank p receives from owner q are
+        # one run of p's colmap: the (owner, receiver) pairs are the runs of
+        # the stacked colmap, receiver-major.
+        colmap = A.colmap
+        owners = col_part.owner_of(colmap)
+        pair = A.ext_ranks() * comm.nranks + owners
+        first = run_starts(pair)
+        self._runs = (owners[first].tolist(), (pair[first] // comm.nranks).tolist(),
+                      first.tolist(), [*first[1:].tolist(), len(pair)])
+        self.pattern = {(q, p): b - a for q, p, a, b in zip(*self._runs)}
+        self.total_elems = len(colmap)
         # The gather, frozen with the pattern: rank p's external entries
         # (its owners' pieces, in owner order) are
         # ``x.array[_gather[_ext_ptr[p]:_ext_ptr[p + 1]]]``.  The
         # pack/unpack and leader-staging traffic records are pure functions
         # of (rank, width) and are cached per width (see ``_records``).
-        self._gather = np.concatenate(
-            [np.empty(0, dtype=np.int64)]
-            + [ids for need in needs for _, ids in need])
-        self._ext_ptr = np.cumsum(
-            [0] + [len(blk.colmap) for blk in A.blocks]).tolist()
+        self._gather = colmap
+        self._ext_ptr = A.ext_ptr.tolist()
         self._recs: dict[int, tuple[RecordTable, RecordTable]] = {}
 
         # Node-aware 3-step aggregation (repro.topo): adopted only when the
@@ -102,7 +96,7 @@ class HaloExchange:
                     f"communicator has {comm.nranks}")
             self.topology = topology
             self.node_plan = build_node_plan(
-                needs, topology, net=net, bytes_per_elem=VAL_BYTES,
+                self._pieces(local=False), topology, net=net, bytes_per_elem=VAL_BYTES,
                 persistent=persistent)
             if self.node_plan.aggregated:
                 self._node_exchange = NodeAwareExchange(
@@ -110,7 +104,8 @@ class HaloExchange:
                     bytes_per_elem=VAL_BYTES, persistent=persistent)
 
         self._persistent_req = (
-            PersistentExchange(comm, pattern, bytes_per_elem=VAL_BYTES, tag="halo")
+            PersistentExchange(comm, self.pattern, bytes_per_elem=VAL_BYTES,
+                               tag="halo")
             if persistent and self._node_exchange is None
             else None
         )
@@ -118,8 +113,24 @@ class HaloExchange:
         # is a one-round schedule paying the per-exchange setup cost.
         self._wire = (
             self._node_exchange or self._persistent_req
-            or NodeAwareExchange(comm, [("halo", pattern)],
+            or NodeAwareExchange(comm, [("halo", self.pattern)],
                                  bytes_per_elem=VAL_BYTES, persistent=False))
+
+    def _pieces(self, local: bool) -> list[list[tuple[int, np.ndarray]]]:
+        """Per receiving rank, ``(owner, ids)`` of every run of its colmap:
+        global ids, or indices *local* to the owner."""
+        out: list[list[tuple[int, np.ndarray]]] = [
+            [] for _ in range(self.comm.nranks)]
+        for q, p, a, b in zip(*self._runs):
+            ids = self._gather[a:b]
+            out[p].append((q, self.col_part.to_local(ids, q) if local else ids))
+        return out
+
+    @property
+    def recv_plan(self) -> list[list[tuple[int, np.ndarray]]]:
+        """For each receiving rank: its owners and the owner-local indices
+        of the entries it reads from each (the unpack side's view)."""
+        return self._pieces(local=True)
 
     @property
     def node_aware(self) -> bool:

@@ -14,6 +14,10 @@ diagonal itself, or entries pointing back into the requester's row range
 everything else at the sender; the result is bit-identical (asserted in
 tests) while the communication volume drops by >3x on the paper's inputs.
 
+The needed rows, the gather, the filter, the renumbering and the assembly
+of the compact blocks run once for all ranks (see
+:func:`dist_extended_i`); only the node-level kernel runs per rank.
+
 Multipass interpolation gathers *interpolation* rows instead (one
 distributed SpGEMM per pass); the 2-stage extended+i composes two
 distributed extended+i applications around a distributed RAP.
@@ -26,15 +30,16 @@ import numpy as np
 from ..amg.interp_direct import direct_interpolation
 from ..amg.interp_extended import extended_i_interpolation
 from ..amg.truncation import truncate_interpolation
+from ..amg.interp_common import entries_in_pattern
 from ..perf.counters import phase
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import segment_sum
+from ..sparse.ops import indptr_from_counts, segment_sum
 from .comm import SimComm
 from .halo import build_halo
-from .parcsr import ParCSRMatrix, ParVector
+from .parcsr import ParCSRMatrix, ParVector, row_block, stack_rows, vstack_rows
 from .partition import RowPartition
-from .renumber import renumber_baseline, renumber_parallel
-from .rowgather import gather_matrix_rows
+from .renumber import renumber_ranks
+from .rowgather import gather_rows
 from .spgemm import dist_rap, dist_spgemm
 
 __all__ = [
@@ -57,25 +62,22 @@ def coarse_numbering(
     holding each point's coarse gid (-1 for F points).
     """
     ncs = np.array([(cf > 0).sum() for cf in cf_parts], dtype=np.int64)
-    offsets = comm.scan_offsets(ncs)
-    cgid_parts = []
-    for p, cf in enumerate(cf_parts):
-        g = np.full(len(cf), -1, dtype=np.int64)
-        sel = cf > 0
-        g[sel] = offsets[p] + np.arange(int(sel.sum()), dtype=np.int64)
-        cgid_parts.append(g)
-    return RowPartition.from_sizes(ncs), cgid_parts
+    comm.scan_offsets(ncs)
+    # Rank-major numbering = the running count of C points.
+    sel = np.concatenate(cf_parts) > 0
+    g = np.full(len(sel), -1, dtype=np.int64)
+    g[sel] = np.arange(int(ncs.sum()), dtype=np.int64)
+    cuts = np.cumsum([len(cf) for cf in cf_parts])[:-1]
+    return RowPartition.from_sizes(ncs), np.split(g, cuts)
 
 
-def _exchange_point_info(comm, A, cf_parts, cgid_parts):
-    """Halo-exchange cf markers and coarse gids over A's pattern."""
+def _exchange_point_info(comm, A, cf, cg):
+    """Halo-exchange cf markers and coarse gids (whole distributed vectors)
+    over A's pattern; returns them aligned with ``A.colmap``."""
     halo = build_halo(comm, A, persistent=False)
-    cf_ext = halo(ParVector([c.astype(np.float64) for c in cf_parts], A.row_part))
-    cg_ext = halo(ParVector([g.astype(np.float64) for g in cgid_parts], A.row_part))
-    return (
-        [e.astype(np.int64) for e in cf_ext],
-        [e.astype(np.int64) for e in cg_ext],
-    )
+    return tuple(
+        halo.gather(ParVector(v.astype(np.float64), A.row_part)).astype(np.int64)
+        for v in (cf, cg))
 
 
 def _strong_flags(A: ParCSRMatrix, S: ParCSRMatrix) -> list[np.ndarray]:
@@ -109,174 +111,118 @@ def dist_extended_i(
     nthreads: int = 14,
     truncate: bool = True,
 ) -> tuple[ParCSRMatrix, RowPartition]:
-    """Distributed extended+i; returns ``(P, coarse_partition)``."""
+    """Distributed extended+i; returns ``(P, coarse_partition)``.
+
+    Needed rows, the gather, the renumbering and the compact-space
+    assembly run once for all ranks; the node-level kernel then runs per
+    rank on its compact block, charging its rank.
+    """
     part = A.row_part
-    nranks = comm.nranks
+    n = part.n
+    lo, hi = part.bounds[:-1], part.bounds[1:]
     coarse_part, cgid_parts = coarse_numbering(comm, cf_parts)
-    cf_ext_A, cg_ext_A = _exchange_point_info(comm, A, cf_parts, cgid_parts)
+    cf, cg = np.concatenate(cf_parts), np.concatenate(cgid_parts)
+    cf_ext, cg_ext = _exchange_point_info(comm, A, cf, cg)
 
     # ---- rows to gather: external strong F neighbours of local F rows ----
-    needed: list[np.ndarray] = []
-    for p in range(nranks):
-        sblk = S.blocks[p]
-        if sblk.offd.nnz:
-            # cf of S's offd columns, via A's colmap-aligned exchange.
-            pos = np.searchsorted(A.blocks[p].colmap, sblk.colmap)
-            cf_scols = cf_ext_A[p][pos]
-            f_rows = cf_parts[p][sblk.offd.row_ids()] <= 0
-            sel = f_rows & (cf_scols[sblk.offd.indices] <= 0)
-            needed.append(np.unique(sblk.colmap[sblk.offd.indices[sel]]))
-        else:
-            needed.append(np.empty(0, dtype=np.int64))
-
-    # ---- owner-side payloads: strong flag, column cf, column coarse gid ----
-    strong = _strong_flags(A, S)
-    col_cf: list[np.ndarray] = []
-    col_cg: list[np.ndarray] = []
-    diag_vals: list[np.ndarray] = []
-    for q in range(nranks):
-        blk = A.blocks[q]
-        dcols = blk.diag.indices
-        ocols = blk.offd.indices
-        col_cf.append(
-            np.concatenate([cf_parts[q][dcols], cf_ext_A[q][ocols]]).astype(np.float64)
-        )
-        col_cg.append(
-            np.concatenate([cgid_parts[q][dcols], cg_ext_A[q][ocols]]).astype(np.float64)
-        )
-        diag_vals.append(blk.diag.diagonal())
+    s_rid = S.offd.row_ids()
+    s_gcol = S.colmap[S.offd.indices]
+    sel = (cf[s_rid] <= 0) & (cf[s_gcol] <= 0)
+    want = np.unique(S.row_part.ranks()[s_rid[sel]] * n + s_gcol[sel])
 
     if filter_comm:
-        # §4.3: the sender keeps only entries Eq. (1) can use.
-        def entry_filter(req_rank, row_gids, gcols, vals):
-            q = int(A.row_part.owner_of(row_gids[:1])[0]) if len(row_gids) else 0
-            d = diag_vals[q][row_gids - A.row_part.lo(q)]
-            opposite = np.sign(vals) != np.sign(d)
-            is_diag = gcols == row_gids
-            # cf of the entry's column, via the owner's payload alignment:
-            # recomputed from ownership (C-ness is what matters).
-            lo_r, hi_r = part.lo(req_rank), part.hi(req_rank)
-            back_ref = (gcols >= lo_r) & (gcols < hi_r)
-            # C columns: owner's col_cf payload is aligned with its stored
-            # entries, but here we only have the selected subset; reuse the
-            # global rule: a column is C iff its owner's cf says so.  The
-            # owner knows cf for all its stored columns, shipped in col_cf —
-            # reconstructed per call from the same arrays.
-            return is_diag | back_ref & opposite | (_col_is_c(q, row_gids, gcols) & opposite)
+        # §4.3: the sender keeps only entries Eq. (1) can use — the
+        # diagonal, and opposite-sign entries that point back into the
+        # requester's rows or at a C point (the owner knows the cf of every
+        # column it stores).
+        diag_vals = A.diag.diagonal()
 
-        # Helper: per-owner sorted (row, col) -> is-C lookup built once.
-        _c_lookup = []
-        for q in range(nranks):
-            r, c, _ = A.blocks[q].row_arrays_global(A.col_part.lo(q))
-            keys = r.astype(np.int64) * A.col_part.n + c
-            order = np.argsort(keys)
-            _c_lookup.append((keys[order], (col_cf[q][order] > 0)))
-
-        def _col_is_c(q, row_gids, gcols):
-            keys, isc = _c_lookup[q]
-            if len(keys) == 0:
-                return np.zeros(len(gcols), dtype=bool)
-            qk = (row_gids - A.row_part.lo(q)).astype(np.int64) * A.col_part.n + gcols
-            pos = np.minimum(np.searchsorted(keys, qk), len(keys) - 1)
-            return (keys[pos] == qk) & isc[pos]
+        def entry_filter(req, row_gids, gcols, vals):
+            opposite = np.sign(vals) != np.sign(diag_vals[row_gids])
+            back_ref = (gcols >= lo[req]) & (gcols < hi[req])
+            return (gcols == row_gids) | back_ref & opposite \
+                | (cf[gcols] > 0) & opposite
     else:
         entry_filter = None
 
-    gathered = gather_matrix_rows(
-        comm,
-        A,
-        needed,
-        tag="interp",
-        entry_filter=entry_filter,
-        extra_payloads={"strong": strong, "cf": col_cf, "cg": col_cg},
-        extra_bytes_per_entry=10.0,
-    )
+    # Shipped with every entry: strong flag, column cf, column coarse gid.
+    g = gather_rows(comm, A, want // n, want % n, tag="interp",
+                    entry_filter=entry_filter, extra_bytes_per_entry=10.0)
+    g_rank = g.spread(g.req)
+    g_strong = entries_in_pattern(g.spread(g.row_gids), g.gcols, S.to_global())
 
-    triplets = []
-    for p in range(nranks):
-        blk = A.blocks[p]
-        sblk = S.blocks[p]
-        g = gathered[p]
-        lo, hi = part.lo(p), part.hi(p)
-        nloc = blk.nrows
-        with comm.on_rank(p), phase("Interp"):
-            # ---- §4.2 renumbering into the extended compact space ----
-            owned = (g.gcols >= lo) & (g.gcols < hi)
-            queries = g.gcols[~owned]
-            ren = (
-                renumber_parallel(blk.colmap, queries, nthreads=nthreads)
-                if parallel_renumber
-                else renumber_baseline(blk.colmap, queries)
-            )
-            colmap_ext = ren.colmap_new
-            m = nloc + len(colmap_ext)
+    with phase("Interp"):
+        # ---- §4.2 renumbering into the extended compact space ----
+        owned = (g.gcols >= lo[g_rank]) & (g.gcols < hi[g_rank])
+        ren = renumber_ranks(comm, A.colmap, A.ext_ptr,
+                             (g_rank * n + g.gcols)[~owned], n,
+                             parallel=parallel_renumber, nthreads=nthreads)
 
-            def to_compact_local():
-                # Local rows of A and S in the compact space.
-                ra = np.concatenate([blk.diag.row_ids(), blk.offd.row_ids()])
-                ca = np.concatenate([blk.diag.indices, nloc + blk.offd.indices])
-                va = np.concatenate([blk.diag.data, blk.offd.data])
-                s_off_pos = np.searchsorted(blk.colmap, sblk.colmap)
-                rs = np.concatenate([sblk.diag.row_ids(), sblk.offd.row_ids()])
-                cs = np.concatenate(
-                    [sblk.diag.indices, nloc + s_off_pos[sblk.offd.indices]]
-                )
-                return ra, ca, va, rs, cs
+    # Rank p's compact space: its rows, then its external slots — old
+    # colmap, appended columns.  Its block of the compact operators is its
+    # rows of ``A`` / ``S`` (sorted as stored) over the gathered rows, each
+    # at the slot of its gid (sorted here); columns are block-relative.
+    nloc, n_old = hi - lo, np.diff(A.ext_ptr)
+    X = indptr_from_counts(n_old + np.diff(ren.app_ptr))    # slots per rank
+    slot_at = X[:-1] - A.ext_ptr[:-1]                       # + stacked colmap slot
+    col_at = nloc - A.ext_ptr[:-1]                          # (block-relative)
+    rank, a_ext = A.row_part.ranks(), A.ext_ranks()
+    a_key = a_ext * n + A.colmap
+    # S's colmap slots as A colmap slots.
+    s_slot = np.searchsorted(a_key, S.ext_ranks() * n + S.colmap)
+    size = (int(X[-1]), int((nloc + np.diff(X)).max()))
+    g_rows = g.spread(np.searchsorted(a_key, g.req * n + g.row_gids)
+                      + slot_at[g.req])
+    g_cols = g.gcols - lo[g_rank]
+    g_cols[~owned] = ren.compressed + nloc[g_rank[~owned]]
+    del g_rank, owned
+    pieces = []
+    for M, offd_cols, E in (
+            (A, A.offd.indices,
+             CSRMatrix.from_coo(size, g_rows, g_cols, g.vals)),
+            (S, s_slot[S.offd.indices],
+             CSRMatrix.from_coo(size, g_rows[g_strong], g_cols[g_strong],
+                                np.ones(int(g_strong.sum()))))):
+        pieces.append((stack_rows(
+            M, M.diag.indices - lo[rank][M.diag.row_ids()],
+            offd_cols + col_at[rank][M.offd.row_ids()], size[1]), E))
+    del g, g_rows, g_cols, g_strong
+    # cf / coarse gids of the external slots.
+    cf_x = np.empty(size[0], dtype=np.int64)
+    cg_x = np.empty(size[0], dtype=np.int64)
+    for at, f, c in (
+            (np.arange(len(a_ext)) + slot_at[a_ext], cf_ext, cg_ext),
+            (np.arange(len(ren.appended)) + np.repeat(
+                X[:-1] + n_old - ren.app_ptr[:-1], np.diff(ren.app_ptr)),
+             cf[ren.appended], cg[ren.appended])):
+        cf_x[at], cg_x[at] = f, c
 
-            ra, ca, va, rs, cs = to_compact_local()
+    rb, xb = part.bounds.tolist(), X.tolist()
 
-            # Gathered ext rows: row position = colmap slot of the row gid.
-            g_row_pos = nloc + np.searchsorted(blk.colmap, g.row_gids)
-            g_rows = np.repeat(g_row_pos, np.diff(g.indptr))
-            g_cols = np.empty(g.nnz, dtype=np.int64)
-            g_cols[owned] = g.gcols[owned] - lo
-            g_cols[~owned] = nloc + ren.compressed
+    def local_kernel(p):
+        span = (rb[p], rb[p + 1], xb[p], xb[p + 1])
+        m = span[1] - span[0] + span[3] - span[2]
+        active = np.zeros(m, dtype=bool)
+        active[: span[1] - span[0]] = True
+        cf_c = np.concatenate([cf[span[0]: span[1]], cf_x[span[2]: span[3]]])
+        P_c = extended_i_interpolation(
+            *(vstack_rows(L, E, *span, m) for L, E in pieces), cf_c,
+            trunc_fact=trunc_fact,
+            max_elmts=max_elmts,
+            reordered=reordered,
+            fused_truncation=fused_truncation,
+            truncate=truncate,
+            active_rows=active,
+        )
+        # Compact coarse index -> global coarse id.
+        cg_c = np.concatenate([cg[span[0]: span[1]], cg_x[span[2]: span[3]]])
+        return (P_c.row_ids() + span[0],
+                cg_c[np.flatnonzero(cf_c > 0)[P_c.indices]], P_c.data)
 
-            A_c = CSRMatrix.from_coo(
-                (m, m),
-                np.concatenate([ra, g_rows]),
-                np.concatenate([ca, g_cols]),
-                np.concatenate([va, g.vals]),
-            )
-            gs = g.extra["strong"] > 0
-            S_c = CSRMatrix.from_coo(
-                (m, m),
-                np.concatenate([rs, g_rows[gs]]),
-                np.concatenate([cs, g_cols[gs]]),
-                np.ones(len(rs) + int(gs.sum())),
-            )
-
-            # cf / coarse gids over the compact space.
-            cf_c = np.full(m, -1, dtype=np.int64)
-            cg_c = np.full(m, -1, dtype=np.int64)
-            cf_c[:nloc] = cf_parts[p]
-            cg_c[:nloc] = cgid_parts[p]
-            ncol_old = len(blk.colmap)
-            cf_c[nloc: nloc + ncol_old] = cf_ext_A[p]
-            cg_c[nloc: nloc + ncol_old] = cg_ext_A[p]
-            # Appended columns: scatter from the gathered payload.
-            app = g_cols >= nloc + ncol_old
-            if app.any():
-                cf_c[g_cols[app]] = g.extra["cf"][app].astype(np.int64)
-                cg_c[g_cols[app]] = g.extra["cg"][app].astype(np.int64)
-
-            active = np.zeros(m, dtype=bool)
-            active[:nloc] = True
-            P_c = extended_i_interpolation(
-                A_c, S_c, cf_c,
-                trunc_fact=trunc_fact,
-                max_elmts=max_elmts,
-                reordered=reordered,
-                fused_truncation=fused_truncation,
-                truncate=truncate,
-                active_rows=active,
-            )
-            # Compact coarse index -> global coarse id.
-            c_compact = np.flatnonzero(cf_c > 0)
-            gcols_P = cg_c[c_compact[P_c.indices]]
-        triplets.append((P_c.row_ids(), gcols_P, P_c.data))
-
-    P = ParCSRMatrix.from_rank_triplets(triplets, part, coarse_part)
+    with phase("Interp"):
+        triplets = comm.run_on_ranks(local_kernel)
+    P = ParCSRMatrix.from_triplets(
+        *(np.concatenate(x) for x in zip(*triplets)), part, coarse_part)
     return P, coarse_part
 
 
@@ -300,7 +246,9 @@ def dist_multipass(
     part = A.row_part
     nranks = comm.nranks
     coarse_part, cgid_parts = coarse_numbering(comm, cf_parts)
-    cf_ext_A, cg_ext_A = _exchange_point_info(comm, A, cf_parts, cgid_parts)
+    cf_ext_A, cg_ext_A = (
+        np.split(ext, A.ext_ptr[1:-1]) for ext in _exchange_point_info(
+            comm, A, np.concatenate(cf_parts), np.concatenate(cgid_parts)))
     strong = _strong_flags(A, S)
 
     # ---- pass 1 per rank: direct interpolation (no row gathering) ----
@@ -483,12 +431,10 @@ def par_truncate(
     comm: SimComm, P: ParCSRMatrix, trunc_fact: float, max_elmts: int
 ) -> ParCSRMatrix:
     """Row-wise interpolation truncation applied per rank (rows are local)."""
-    triplets = []
-    for p in range(comm.nranks):
-        blk = P.blocks[p]
-        r, c, v = blk.row_arrays_global(P.col_part.lo(p))
-        local = CSRMatrix.from_coo((blk.nrows, P.col_part.n), r, c, v)
-        with comm.on_rank(p), phase("Interp"):
-            t = truncate_interpolation(local, trunc_fact, max_elmts)
-        triplets.append((t.row_ids(), t.indices, t.data))
-    return ParCSRMatrix.from_rank_triplets(triplets, P.row_part, P.col_part)
+    G = P.to_global()
+    rb = P.row_part.bounds.tolist()
+    with phase("Interp"):
+        T = comm.run_on_ranks(lambda p: truncate_interpolation(
+            row_block(G, rb[p], rb[p + 1], 0, G.ncols), trunc_fact, max_elmts))
+    return ParCSRMatrix.from_rank_triplets(
+        [(t.row_ids(), t.indices, t.data) for t in T], P.row_part, P.col_part)

@@ -74,6 +74,11 @@ class RowPartition:
                 for n in np.diff(self.bounds).tolist())
         return table
 
+    def ranks(self) -> np.ndarray:
+        """Owning rank of every index ``0..n-1``."""
+        return np.repeat(np.arange(self.nranks, dtype=np.int64),
+                         np.diff(self.bounds))
+
     def owner_of(self, global_ids: np.ndarray) -> np.ndarray:
         """Owning rank of each global index (vectorized)."""
         return (

@@ -1,9 +1,10 @@
 """Distributed PMIS coarsening (§2, §4).
 
 The same round structure as the node-level kernel
-(:func:`repro.amg.pmis.pmis`), executed per rank with halo exchanges of the
-boundary measures and states each round — the communication pattern the real
-BoomerAMG PMIS performs.  Given the same measure vector, the distributed
+(:func:`repro.amg.pmis.pmis`), with halo exchanges of the boundary measures
+and states each round — the communication pattern the real BoomerAMG PMIS
+performs.  The ranks advance through a round together: one pass over the
+stacked adjacency, each rank charged its ``pmis.round`` record.  Given the same measure vector, the distributed
 result equals the sequential result point for point (asserted in the tests).
 
 Aggressive coarsening runs a second PMIS over the distance-<=2 strong graph
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import IDX_BYTES, PTR_BYTES, count
+from ..perf.counters import IDX_BYTES, PTR_BYTES, RecordTable, make_records
+from ..sparse.csr import CSRMatrix
+from ..sparse.ops import indptr_from_counts, sorted_unique
 from .comm import SimComm
 from .halo import build_halo
 from .parcsr import ParCSRMatrix, ParVector
@@ -41,14 +44,21 @@ def dist_random_measures(comm: SimComm, part, seed: int) -> list[np.ndarray]:
 def _union_adjacency(comm: SimComm, S: ParCSRMatrix) -> ParCSRMatrix:
     """Pattern of ``S + S^T`` as a ParCSR matrix (unit values)."""
     St = dist_transpose(comm, S, tag="pmis.transpose")
-    triplets = []
-    for p in range(comm.nranks):
-        r1, c1, _ = S.blocks[p].row_arrays_global(S.col_part.lo(p))
-        r2, c2, _ = St.blocks[p].row_arrays_global(St.col_part.lo(p))
-        rows = np.concatenate([r1, r2])
-        cols = np.concatenate([c1, c2])
-        triplets.append((rows, cols, np.ones(len(rows))))
-    return ParCSRMatrix.from_rank_triplets(triplets, S.row_part, S.col_part)
+    n, m = S.shape
+    keys = sorted_unique(np.concatenate(
+        [M.row_ids() * m + cols for P in (S, St)
+         for M, cols in ((P.diag, P.diag.indices),
+                         (P.offd, P.colmap[P.offd.indices]))]))
+    rows = keys // max(m, 1)
+    return ParCSRMatrix.from_sorted(
+        CSRMatrix((n, m), indptr_from_counts(np.bincount(rows, minlength=n)),
+                  keys - rows * m, np.ones(len(keys))),
+        S.row_part, S.col_part)
+
+
+def _rank_counts(part, mask: np.ndarray) -> np.ndarray:
+    """Per-rank number of set entries of a row mask."""
+    return np.diff(np.concatenate([[0], np.cumsum(mask)])[part.bounds])
 
 
 def dist_pmis(
@@ -64,92 +74,57 @@ def dist_pmis(
     ``measures`` overrides the random fractions (used by tests for
     dist-vs-sequential equality); ``candidates`` (bool per rank) freezes
     non-candidate points as F immediately (aggressive second pass).
+
+    All ranks advance through a round together: the measure / state
+    vectors are whole distributed vectors, the neighbour maxima one pass
+    over the stacked adjacency.
     """
     part = S.row_part
     St = dist_transpose(comm, S, tag="pmis.transpose")
     adj = _union_adjacency(comm, S)
     halo = build_halo(comm, adj, persistent=True)
+    diag, offd = adj.stacked()
+    d_rid, o_rid = diag.row_ids(), offd.row_ids()
+    n = part.n
 
     frac = measures if measures is not None else dist_random_measures(comm, part, seed)
-    measure_parts = []
-    state_parts = []
-    for p in range(comm.nranks):
-        infl = St.blocks[p].diag.row_nnz() + St.blocks[p].offd.row_nnz()
-        m = infl.astype(np.float64) + frac[p]
-        measure_parts.append(m)
-        st = np.zeros(part.size(p), dtype=np.float64)
-        st[infl < 1] = F_PT
-        if candidates is not None:
-            st[~candidates[p]] = F_PT
-        state_parts.append(st)
-
-    measure = ParVector(measure_parts, part)
+    infl = St.diag.row_nnz() + St.offd.row_nnz()
+    measure = infl.astype(np.float64) + np.concatenate(frac)
+    state = np.zeros(n, dtype=np.float64)
+    state[infl < 1] = F_PT
+    if candidates is not None:
+        state[~np.concatenate(candidates)] = F_PT
+    round_read = (sum(adj.rank_nnz()) * IDX_BYTES
+                  + np.diff(part.bounds) * (IDX_BYTES + PTR_BYTES))
 
     while True:
-        undecided_count = comm.allreduce(
-            [float((s == 0).sum()) for s in state_parts], kind="pmis.count"
-        )
-        if undecided_count == 0:
+        und = state == 0
+        undecided = _rank_counts(part, und)
+        if comm.allreduce(undecided.astype(np.float64), kind="pmis.count") == 0:
             break
         # Exchange the "undecided measure" boundary values.
-        u_parts = [
-            np.where(state_parts[p] == 0, measure_parts[p], -np.inf)
-            for p in range(comm.nranks)
-        ]
-        u_ext = halo(ParVector(u_parts, part))
-
-        new_c_parts = []
-        for p in range(comm.nranks):
-            blk = adj.blocks[p]
-            nloc = blk.nrows
-            with comm.on_rank(p):
-                nbr_max = np.full(nloc, -np.inf)
-                d_rid = blk.diag.row_ids()
-                np.maximum.at(nbr_max, d_rid, u_parts[p][blk.diag.indices])
-                if blk.offd.nnz:
-                    o_rid = blk.offd.row_ids()
-                    np.maximum.at(nbr_max, o_rid, u_ext[p][blk.offd.indices])
-                und = state_parts[p] == 0
-                winners = und & (measure_parts[p] > nbr_max)
-                count(
-                    "pmis.round",
-                    bytes_read=blk.nnz * IDX_BYTES + nloc * (IDX_BYTES + PTR_BYTES),
-                    branches=float(und.sum()),
-                )
-            state_parts[p][winners] = C_PT
-            new_c_parts.append(winners)
+        u = np.where(und, measure, -np.inf)
+        u_ext = halo.gather(ParVector(u, part))
+        nbr_max = np.full(n, -np.inf)
+        np.maximum.at(nbr_max, d_rid, u[diag.indices])
+        np.maximum.at(nbr_max, o_rid, u_ext[offd.indices])
+        state[und & (measure > nbr_max)] = C_PT
+        comm.record_on_ranks(RecordTable([r] for r in make_records(
+            "pmis.round", comm.nranks, bytes_read=round_read,
+            branches=undecided)))
 
         # Exchange updated states; undecided neighbours of C points in the
         # symmetrized strong graph become F (independence even under
         # asymmetric strength).
-        st_ext = halo(ParVector(state_parts, part))
-        for p in range(comm.nranks):
-            blk = adj.blocks[p]
-            nloc = blk.nrows
-            adj_c = np.zeros(nloc, dtype=bool)
-            d_rid = blk.diag.row_ids()
-            adj_c |= (
-                np.bincount(
-                    d_rid,
-                    weights=(state_parts[p][blk.diag.indices] == C_PT).astype(float),
-                    minlength=nloc,
-                )
-                > 0
-            )
-            if blk.offd.nnz:
-                o_rid = blk.offd.row_ids()
-                adj_c |= (
-                    np.bincount(
-                        o_rid,
-                        weights=(st_ext[p][blk.offd.indices] == C_PT).astype(float),
-                        minlength=nloc,
-                    )
-                    > 0
-                )
-            sel = (state_parts[p] == 0) & adj_c
-            state_parts[p][sel] = F_PT
+        st_ext = halo.gather(ParVector(state.copy(), part))
+        adj_c = np.bincount(d_rid, weights=state[diag.indices] == C_PT,
+                            minlength=n) > 0
+        adj_c |= np.bincount(o_rid, weights=st_ext[offd.indices] == C_PT,
+                             minlength=n) > 0
+        state[(state == 0) & adj_c] = F_PT
 
-    return [s.astype(np.int64) for s in state_parts]
+    cf = state.astype(np.int64)
+    return [cf[a:b] for a, b in zip(part.bounds[:-1], part.bounds[1:])]
 
 
 def dist_aggressive_pmis(

@@ -19,6 +19,11 @@ Two implementations, identical results:
   merge sort, and lookups go through a range-partitioned reverse hash map
   (``O(log t)`` per lookup instead of ``O(log n)``).
 
+The vehicle renumbers all ranks in one pass (:func:`renumber_ranks`): old
+colmaps and queries are keyed ``rank * ncols + column``, so one search and one
+duplicate-eliminating sort serve every rank, and each rank's record follows
+from its own counts.  The two algorithms differ only in that counted work.
+
 Both return the extended colmap and the compressed indices of the queried
 columns in the extended local space: owned columns map to
 ``[0, nloc)``-style diag indices separately (callers handle the diag/offd
@@ -29,14 +34,21 @@ split); here *every* queried global column gets an index into
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..perf.counters import IDX_BYTES, count
+from ..perf.counters import (
+    IDX_BYTES,
+    KernelRecord,
+    RecordTable,
+    count_record,
+    make_records,
+)
+from ..sparse.ops import indptr_from_counts, sorted_unique
 
-__all__ = ["renumber_baseline", "renumber_parallel", "RenumberResult"]
-
-from dataclasses import dataclass
+__all__ = ["renumber_baseline", "renumber_parallel", "renumber_ranks",
+           "RenumberResult", "RenumberStack"]
 
 
 @dataclass
@@ -52,41 +64,101 @@ class RenumberResult:
     n_appended: int
 
 
-def _finish(old_colmap: np.ndarray, queries: np.ndarray) -> RenumberResult:
-    """Shared result construction (the algorithms differ in counted work).
+@dataclass
+class RenumberStack:
+    """Every rank's renumbering.  Rank *p* appends the sorted new columns
+    ``appended[app_ptr[p]:app_ptr[p + 1]]`` after its old colmap (Fig. 3c
+    appends and assigns the next local indices); ``compressed[t]`` indexes
+    the extended colmap of the rank query *t* belongs to."""
 
-    New columns are appended after the existing colmap, sorted among
-    themselves (Fig. 3c appends and assigns the next local indices).
+    appended: np.ndarray
+    app_ptr: np.ndarray
+    compressed: np.ndarray
+
+
+def renumber_ranks(comm, colmap: np.ndarray, ext_ptr: np.ndarray,
+                   q_key: np.ndarray, ncols: int, *,
+                   parallel: bool = True, nthreads: int = 14) -> RenumberStack:
+    """Renumber the received columns ``q_key[t] = rank * ncols + column``
+    against each rank's slice ``ext_ptr[p]:ext_ptr[p + 1]`` of the stacked
+    sorted ``colmap``, for all ranks of *comm* at once, charging each rank
+    its record.
+
+    ``parallel`` selects the counted algorithm: Fig. 4 (thread-parallel,
+    ``O(1)`` hash probes, one streaming pass plus the merge traffic over
+    the distinct columns, ``O(log t)`` range search per lookup) or the
+    serial ordered-set baseline (an ``O(log n)`` probe chain per index).
     """
-    in_old = np.isin(queries, old_colmap)
-    new_sorted = np.unique(queries[~in_old])
-    colmap_new = np.concatenate([old_colmap, new_sorted])
-    compressed = np.empty(len(queries), dtype=np.int64)
-    if len(old_colmap):
-        pos_old = np.searchsorted(old_colmap, queries[in_old])
-        compressed[in_old] = pos_old
-    compressed[~in_old] = len(old_colmap) + np.searchsorted(
-        new_sorted, queries[~in_old]
-    )
-    return RenumberResult(colmap_new, compressed, len(new_sorted))
+    ren, records = _renumber(colmap, ext_ptr, q_key, ncols,
+                             parallel=parallel, nthreads=nthreads)
+    comm.record_on_ranks(RecordTable([r] for r in records))
+    return ren
+
+
+def _renumber(
+    colmap: np.ndarray,
+    ext_ptr: np.ndarray,
+    q_key: np.ndarray,
+    ncols: int,
+    *,
+    parallel: bool = True,
+    nthreads: int = 14,
+) -> tuple[RenumberStack, list[KernelRecord]]:
+    """The renumbering of all ranks and each rank's record of it."""
+    nranks = len(ext_ptr) - 1
+    n_old = np.diff(ext_ptr)
+    old_key = np.repeat(np.arange(nranks, dtype=np.int64), n_old) * ncols + colmap
+    n = np.bincount(q_key // ncols, minlength=nranks)
+    # Classify and number the distinct (rank, column) pairs, then look every
+    # query up among them.
+    ukey = sorted_unique(q_key)
+    u_rank = ukey // ncols
+    pos = np.searchsorted(old_key, ukey)
+    in_old = np.zeros(len(ukey), dtype=bool)
+    if len(old_key):
+        in_old = old_key[np.minimum(pos, len(old_key) - 1)] == ukey
+    n_app = np.bincount(u_rank[~in_old], minlength=nranks)
+    app_ptr = indptr_from_counts(n_app)
+    u_comp = pos - ext_ptr[u_rank]
+    u_comp[~in_old] = np.arange(app_ptr[-1]) + (n_old - app_ptr[:-1])[u_rank[~in_old]]
+    compressed = u_comp[np.searchsorted(ukey, q_key)]
+
+    if parallel:
+        merged = np.bincount(u_rank, minlength=nranks)  # distinct columns
+        records = make_records(
+            "renumber.parallel", nranks,
+            bytes_read=n * IDX_BYTES  # one streaming pass through the indices
+            + merged * IDX_BYTES * 2,  # merge traffic
+            bytes_written=n_app * IDX_BYTES,
+            branches=n + n * math.log2(max(nthreads, 2)) / 8,
+            parallel=True)
+    else:
+        logn = np.array([math.log2(max(m, 2)) for m in (n_old + n_app).tolist()])
+        records = make_records(
+            "renumber.baseline", nranks,
+            bytes_read=n * IDX_BYTES * logn,  # ordered-set probe chain
+            bytes_written=n_app * IDX_BYTES * logn,
+            branches=n * logn,
+            parallel=False)
+    return RenumberStack(ukey[~in_old] % ncols, app_ptr, compressed), records
+
+
+def _one_rank(old_colmap, queries, **kw) -> RenumberResult:
+    old_colmap = np.asarray(old_colmap, dtype=np.int64)
+    queries = np.asarray(queries, dtype=np.int64)
+    ren, records = _renumber(
+        old_colmap, np.array([0, len(old_colmap)]), queries,
+        int(max(old_colmap.max(initial=0), queries.max(initial=0))) + 1, **kw)
+    count_record(records[0])
+    return RenumberResult(np.concatenate([old_colmap, ren.appended]),
+                          ren.compressed, len(ren.appended))
 
 
 def renumber_baseline(
     old_colmap: np.ndarray, queries: np.ndarray, *, owned_mask: np.ndarray | None = None
 ) -> RenumberResult:
     """Serial ordered-set renumbering (baseline HYPRE accounting)."""
-    queries = np.asarray(queries, dtype=np.int64)
-    res = _finish(np.asarray(old_colmap, dtype=np.int64), queries)
-    n = len(queries)
-    logn = math.log2(max(len(res.colmap_new), 2))
-    count(
-        "renumber.baseline",
-        bytes_read=n * IDX_BYTES * logn,  # ordered-set probe chain
-        bytes_written=res.n_appended * IDX_BYTES * logn,
-        branches=float(n * logn),
-        parallel=False,
-    )
-    return res
+    return _one_rank(old_colmap, queries, parallel=False)
 
 
 def renumber_parallel(
@@ -95,49 +167,5 @@ def renumber_parallel(
     *,
     nthreads: int = 14,
 ) -> RenumberResult:
-    """Fig. 4 parallel renumbering.
-
-    The execution path really performs the three stages (per-chunk
-    dedup -> merge -> partitioned reverse-map lookup); the counted work is
-    thread-parallel with ``O(1)`` hash probes plus the ``O(log t)`` range
-    search per lookup.
-    """
-    queries = np.asarray(queries, dtype=np.int64)
-    old_colmap = np.asarray(old_colmap, dtype=np.int64)
-    n = len(queries)
-
-    # Stage 1: thread-private hash filters (per-chunk dedup), vectorized as
-    # one lexsort over (chunk id, query) with a first-occurrence mask —
-    # identical survivor multiset to per-chunk np.unique without a Python
-    # loop over threads.
-    t = max(nthreads, 1)
-    if n:
-        # np.array_split boundaries: the first n % t chunks get one extra.
-        size, extra = divmod(n, t)
-        sizes = np.full(t, size, dtype=np.int64)
-        sizes[:extra] += 1
-        chunk_of = np.repeat(np.arange(t, dtype=np.int64), sizes)
-        order = np.lexsort((queries, chunk_of))
-        qs, cs = queries[order], chunk_of[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = (qs[1:] != qs[:-1]) | (cs[1:] != cs[:-1])
-        survivors_flat = qs[first]
-    else:
-        survivors_flat = queries
-    # Stage 2: duplicate-eliminating parallel merge.
-    merged = np.unique(survivors_flat)
-    # Stage 3: partitioned reverse map (executed via the shared helper —
-    # results are identical; the stages above establish the counted cost).
-    res = _finish(old_colmap, queries)
-
-    logt = math.log2(max(nthreads, 2))
-    count(
-        "renumber.parallel",
-        bytes_read=n * IDX_BYTES  # one streaming pass through the indices
-        + len(merged) * IDX_BYTES * 2,  # merge traffic
-        bytes_written=res.n_appended * IDX_BYTES,
-        branches=float(n + n * logt / 8),
-        parallel=True,
-    )
-    return res
+    """Fig. 4 parallel renumbering of one rank's queries."""
+    return _one_rank(old_colmap, queries, parallel=True, nthreads=nthreads)

@@ -4,6 +4,9 @@ Mirrors :mod:`repro.amg.setup` with the distributed kernels: distributed
 strength, distributed (aggressive) PMIS, distributed extended+i / multipass
 / 2-stage interpolation with §4.2 renumbering and §4.3 comm filtering, and
 the distributed Galerkin product.  Phase attribution matches Fig. 5/7.
+Every kernel on the way runs over the rank-stacked storage of
+:class:`~repro.dist.parcsr.ParCSRMatrix`; what is left per rank are the
+node-level kernels (see docs/architecture.md, "Distributed set-up").
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from ..analysis import check_dist_hierarchy, check_parcsr, checking
 from ..analysis.sched import check_schedule
 from ..config import AMGConfig
 from ..perf.counters import VAL_BYTES, RecordTable, count, make_record, phase
-from .comm import SimComm, frozen_messages
+from .comm import SimComm, frozen_messages, message_batch
 from .halo import HaloExchange, build_halo
 from .interp import dist_extended_i, dist_multipass, dist_two_stage_ei
 from .parcsr import ParCSRMatrix, ParVector
@@ -64,8 +67,10 @@ class DistCoarseSolver:
         self.direct = self.n <= dense_threshold
         if self.direct:
             # Gather the coarsest operator to rank 0 once, at setup.
-            for p in range(1, comm.nranks):
-                comm.log_message(p, 0, A.blocks[p].nnz * 16, tag="coarse.gather")
+            senders = np.arange(1, comm.nranks)
+            comm.log_batch(message_batch(
+                senders, np.zeros_like(senders),
+                sum(A.rank_nnz())[1:] * 16, "coarse.gather"))
             dense = A.to_global().to_dense()
             with comm.on_rank(0):
                 count("coarse.factorize", flops=2.0 * self.n**3,
@@ -301,12 +306,6 @@ def dist_build_hierarchy(
             dense_threshold=config.dense_coarse_threshold,
             nthreads=config.nthreads,
         )
-        # Stack the transfer operators now, as the smoothers did the level
-        # operators (silent), so that no solve pays for it.
-        for lvl in levels:
-            for M in (lvl.A, lvl.P, lvl.R):
-                if M is not None:
-                    M.stacked()
     hierarchy = DistHierarchy(comm, levels, coarse, config,
                               topology=topology, net=net)
     if checking():

@@ -12,8 +12,9 @@ block-diagonal stack of the ``diag`` blocks
 (:meth:`HybridGSSmoother.stacked`: wavefront level *l* of the stack is
 level *l* of every rank) and appends rank *p*'s records — exactly what its
 own smoother would emit, zero-guess placement included — from tables
-frozen per pass.  The per-rank smoothers are still *built* per rank (their
-set-up records and schedules are per rank) but never compiled or run.
+frozen per pass.  The per-rank smoothers are still *built* per rank, on the
+ranks' ``diag`` blocks (their set-up records and schedules are per rank),
+but never compiled or run.
 """
 
 from __future__ import annotations
@@ -79,19 +80,15 @@ class DistSmoother:
         self.A = A
         self.halo = build_halo(comm, A, persistent=persistent,
                                topology=topology, net=net)
-        self.local: list[HybridGSSmoother] = []
-        for p in range(comm.nranks):
-            with comm.on_rank(p):
-                self.local.append(
-                    HybridGSSmoother(
-                        A.blocks[p].diag,
-                        nthreads=nthreads,
-                        cf_marker=cf_parts[p] if cf_parts is not None else None,
-                        variant=variant,
-                        optimized=optimized,
-                        seed=seed + p,
-                    )
-                )
+        self.local: list[HybridGSSmoother] = comm.run_on_ranks(
+            lambda p: HybridGSSmoother(
+                A.blocks[p].diag,
+                nthreads=nthreads,
+                cf_marker=cf_parts[p] if cf_parts is not None else None,
+                variant=variant,
+                optimized=optimized,
+                seed=seed + p,
+            ))
         # Stack and compile the ranks' sweeps up front so no solve pays for
         # it, and freeze the boundary Jacobi term's records: they depend
         # only on the sparsity.  All of it is silent.
@@ -104,11 +101,11 @@ class DistSmoother:
 
         self._offd = offd
         self._offd_recs = RecordTable(
-            [_spmv_record("gs.offd", blk.offd),
-             make_record("gs.offd_sub", flops=blk.nrows,
-                         bytes_read=blk.nrows * VAL_BYTES,
-                         bytes_written=blk.nrows * VAL_BYTES)]
-            if blk.offd.nnz else () for blk in A.blocks)
+            [_spmv_record("gs.offd", n, o),
+             make_record("gs.offd_sub", flops=n, bytes_read=n * VAL_BYTES,
+                         bytes_written=n * VAL_BYTES)]
+            if o else () for n, o in zip(
+                np.diff(A.row_part.bounds).tolist(), A.rank_nnz()[1].tolist()))
 
     def _offd_rhs(self, b: ParVector, x: ParVector, *, zero_guess: bool) -> np.ndarray:
         """``b - A_offd x_ext`` of all ranks (the Jacobi boundary term)."""

@@ -20,18 +20,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import VAL_BYTES, count
-from .comm import SimComm
-from .parcsr import ParCSRMatrix, RankBlock
+from ..perf.counters import VAL_BYTES, RecordTable, make_records
 from ..sparse.csr import CSRMatrix
+from .comm import SimComm
+from .parcsr import ParCSRMatrix
 
 __all__ = ["sparsify_parcsr"]
 
 
-def _row_abs_max(blk: CSRMatrix, nrows: int) -> np.ndarray:
-    out = np.zeros(nrows)
-    if blk.nnz:
-        np.maximum.at(out, blk.row_ids(), np.abs(blk.data))
+def _row_abs_max(blk: CSRMatrix) -> np.ndarray:
+    out = np.zeros(blk.nrows)
+    np.maximum.at(out, blk.row_ids(), np.abs(blk.data))
     return out
 
 
@@ -44,46 +43,37 @@ def sparsify_parcsr(comm: SimComm, A: ParCSRMatrix,
     values are added to ``a_ii``, so every row sum — and hence the action
     on constant vectors — is preserved.  Returns the sparsified operator
     (with a correspondingly shrunk ``colmap``) and the number of entries
-    dropped across all ranks.
+    dropped across all ranks.  Ranks without off-diagonal entries do no
+    work (and log none); ranks that drop nothing keep their block as is.
     """
-    blocks: list[RankBlock] = []
-    dropped_total = 0
-    for p, blk in enumerate(A.blocks):
-        offd = blk.offd
-        if offd.nnz == 0:
-            blocks.append(blk)
-            continue
-        with comm.on_rank(p):
-            thr = tol * np.maximum(_row_abs_max(blk.diag, blk.nrows),
-                                   _row_abs_max(offd, blk.nrows))
-            rid = offd.row_ids()
-            keep = np.abs(offd.data) >= thr[rid]
-            count("sparsify.filter",
-                  flops=2.0 * blk.nnz,
-                  bytes_read=blk.nnz * VAL_BYTES,
-                  bytes_written=int(keep.sum()) * VAL_BYTES)
-        dropped = int((~keep).sum())
-        if dropped == 0:
-            blocks.append(blk)
-            continue
-        dropped_total += dropped
-        # Lump the dropped mass into the diagonal entry of each row.
-        lump = np.zeros(blk.nrows)
-        np.add.at(lump, rid[~keep], offd.data[~keep])
-        diag = blk.diag.copy()
-        dmask = diag.indices == diag.row_ids()
-        diag.data[dmask] += lump[diag.row_ids()[dmask]]
-        # Recompress the offd block against the surviving columns.
-        used = np.unique(offd.indices[keep])
-        new_offd = CSRMatrix.from_coo(
-            (blk.nrows, len(used)),
-            rid[keep],
-            np.searchsorted(used, offd.indices[keep]),
-            offd.data[keep],
-            sum_duplicates=False,
-        )
-        blocks.append(RankBlock(diag=diag, offd=new_offd,
-                                colmap=blk.colmap[used]))
-    if dropped_total == 0:
+    diag, offd = A.stacked()
+    rid = offd.row_ids()
+    thr = tol * np.maximum(_row_abs_max(diag), _row_abs_max(offd))
+    keep = np.abs(offd.data) >= thr[rid]
+    rank = A.row_part.ranks()
+    d_nnz, o_nnz = A.rank_nnz()
+    kept = np.bincount(rank[rid[keep]], minlength=comm.nranks)
+    records = make_records(
+        "sparsify.filter", comm.nranks,
+        flops=2.0 * (d_nnz + o_nnz),
+        bytes_read=(d_nnz + o_nnz) * VAL_BYTES,
+        bytes_written=kept * VAL_BYTES)
+    comm.record_on_ranks(RecordTable(
+        [r] if o else () for r, o in zip(records, o_nnz.tolist())))
+    dropped = o_nnz - kept
+    if not dropped.any():
         return A, 0
-    return ParCSRMatrix(blocks, A.row_part, A.col_part), dropped_total
+    # Lump the dropped mass into the diagonal entry of each row (of the
+    # ranks that dropped anything).
+    lump = np.zeros(diag.nrows)
+    np.add.at(lump, rid[~keep], offd.data[~keep])
+    d_rid = diag.row_ids()
+    dmask = (diag.indices == d_rid) & (dropped > 0)[rank][d_rid]
+    data = diag.data.copy()
+    data[dmask] += lump[d_rid[dmask]]
+    # Recompress the offd blocks against the surviving columns.
+    used = (dropped == 0)[A.ext_ranks()]
+    used[offd.indices[keep]] = True
+    return A.recompressed(
+        CSRMatrix(diag.shape, diag.indptr, diag.indices, data), keep,
+        used), int(dropped.sum())

@@ -10,20 +10,62 @@ the stacked operand.
 The renumbering really feeds the computation: the stacked multiply runs in
 the compact column space produced by :mod:`repro.dist.renumber`, and the
 result's columns are mapped back through the extended colmap.
+
+The vehicle gathers, renumbers and stacks for all ranks at once: ``B``'s own
+rows over every rank's gathered rows form one right operand whose columns
+are the ranks' compact spaces back to back, and ``A``'s columns are
+re-pointed at its rows.  The node-level product then runs per rank, on the
+rank's rows of ``A`` — small sorts, and the kernel charges its own rank.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..sparse.csr import CSRMatrix
 from ..sparse.spgemm import spgemm
 from .comm import SimComm
-from .parcsr import ParCSRMatrix
-from .renumber import renumber_baseline, renumber_parallel
-from .rowgather import gather_matrix_rows
+from .parcsr import ParCSRMatrix, row_block, stack_rows
+from .renumber import renumber_ranks
+from .rowgather import gather_rows
 
 __all__ = ["dist_spgemm", "dist_rap"]
+
+
+def _stack_operand(comm, B, g, parallel_renumber, nthreads):
+    """``B``'s own rows over the gathered rows *g* (consumed), as one right
+    operand whose columns are the ranks' compact spaces back to back — rank
+    *p*'s owned range, its old colmap, its appended columns — plus the map
+    from those columns back to global ids."""
+    cb = B.col_part.bounds
+    # ---- §4.2 renumbering of received column indices ----
+    ext = (g.gcols < g.spread(cb[:-1][g.req])) | (g.gcols >= g.spread(cb[1:][g.req]))
+    q_key = g.spread(g.req * cb[-1])[ext]
+    q_key += g.gcols[ext]
+    ren = renumber_ranks(comm, B.colmap, B.ext_ptr, q_key, int(cb[-1]),
+                         parallel=parallel_renumber, nthreads=nthreads)
+    del q_key
+    # Offsets of the three column pieces of every rank:
+    own_at = B.ext_ptr[:-1] + ren.app_ptr[:-1]          # + global column
+    old_at = cb[1:] + ren.app_ptr[:-1]                  # + stacked colmap slot
+    app_at = cb[1:] + B.ext_ptr[1:]                     # + stacked appended slot
+    ncols = int(cb[-1] + B.ext_ptr[-1] + ren.app_ptr[-1])
+    gid = np.empty(ncols, dtype=np.int64)
+    owned = np.arange(cb[-1])
+    gid[owned + own_at[B.col_part.ranks()]] = owned
+    gid[np.arange(len(B.colmap)) + old_at[B.ext_ranks()]] = B.colmap
+    gid[np.arange(len(ren.appended))
+        + np.repeat(app_at, np.diff(ren.app_ptr))] = ren.appended
+
+    g_cols = g.gcols  # re-pointed in place
+    g_cols += g.spread(own_at[g.req])
+    g_cols[ext] = ren.compressed + g.spread((old_at + B.ext_ptr[:-1])[g.req])[ext]
+    del ren, ext
+    b_rank = B.row_part.ranks()
+    # (a product does not need its right operand's rows sorted)
+    return stack_rows(
+        B, B.diag.indices + own_at[b_rank][B.diag.row_ids()],
+        B.offd.indices + old_at[b_rank][B.offd.row_ids()], ncols,
+        below=(g.indptr, g_cols, g.vals)), gid
 
 
 def dist_spgemm(
@@ -38,80 +80,25 @@ def dist_spgemm(
 ) -> ParCSRMatrix:
     if A.col_part.bounds.tolist() != B.row_part.bounds.tolist():
         raise ValueError("inner partitions must match")
-    nranks = comm.nranks
-
-    needed = [A.blocks[p].colmap for p in range(nranks)]
-    gathered = gather_matrix_rows(comm, B, needed, tag=tag)
-
-    triplets = []
-    for p in range(nranks):
-        blkA = A.blocks[p]
-        blkB = B.blocks[p]
-        g = gathered[p]
-        lo_b = B.col_part.lo(p)
-        hi_b = B.col_part.hi(p)
-        nloc = hi_b - lo_b
-
-        with comm.on_rank(p):
-            # ---- §4.2 renumbering of received column indices ----
-            ext_mask = (g.gcols < lo_b) | (g.gcols >= hi_b)
-            queries = g.gcols[ext_mask]
-            if parallel_renumber:
-                ren = renumber_parallel(blkB.colmap, queries, nthreads=nthreads)
-            else:
-                ren = renumber_baseline(blkB.colmap, queries)
-            colmap_ext = ren.colmap_new
-
-            # ---- stack local B rows over the gathered rows ----
-            # Compact column space: [0, nloc) owned, then colmap_ext order.
-            nB_local = blkB.nrows
-            loc_rows = np.concatenate([blkB.diag.row_ids(), blkB.offd.row_ids()])
-            loc_cols = np.concatenate(
-                [blkB.diag.indices, nloc + blkB.offd.indices]
-            )
-            loc_vals = np.concatenate([blkB.diag.data, blkB.offd.data])
-
-            g_rows = nB_local + np.repeat(
-                np.arange(len(g.row_gids), dtype=np.int64), np.diff(g.indptr)
-            )
-            g_cols = np.empty(g.nnz, dtype=np.int64)
-            g_cols[~ext_mask] = g.gcols[~ext_mask] - lo_b
-            g_cols[ext_mask] = nloc + ren.compressed
-            Bstack = CSRMatrix.from_coo(
-                (nB_local + len(g.row_gids), nloc + len(colmap_ext)),
-                np.concatenate([loc_rows, g_rows]),
-                np.concatenate([loc_cols, g_cols]),
-                np.concatenate([loc_vals, g.vals]),
-            )
-
-            # ---- A's columns as stacked-B row indices ----
-            # diag col j -> local B row j; offd col c -> stacked row
-            # nB_local + c (gathered rows were requested in colmap order).
-            a_rows = np.concatenate([blkA.diag.row_ids(), blkA.offd.row_ids()])
-            a_cols = np.concatenate(
-                [blkA.diag.indices, nB_local + blkA.offd.indices]
-            )
-            a_vals = np.concatenate([blkA.diag.data, blkA.offd.data])
-            Astack = CSRMatrix.from_coo(
-                (blkA.nrows, Bstack.nrows), a_rows, a_cols, a_vals
-            )
-
-            Cp = spgemm(Astack, Bstack, method=spgemm_method, kernel=f"{tag}.local")
-
-            # Map compact columns back to global ids.
-            # Map compact columns back to global ids (clip the ext lookup so
-            # diag-column positions never index out of range; np.where
-            # evaluates both branches).
-            if len(colmap_ext):
-                ext_lookup = colmap_ext[
-                    np.clip(Cp.indices - nloc, 0, len(colmap_ext) - 1)
-                ]
-            else:
-                ext_lookup = Cp.indices
-            c_gcols = np.where(Cp.indices < nloc, Cp.indices + lo_b, ext_lookup)
-        triplets.append((Cp.row_ids(), c_gcols, Cp.data))
-
-    return ParCSRMatrix.from_rank_triplets(triplets, A.row_part, B.col_part)
+    # Rank p gathers the B rows its colmap lists (already sorted, distinct).
+    Bstack, gid = _stack_operand(
+        comm, B, gather_rows(comm, B, A.ext_ranks(), A.colmap, tag=tag),
+        parallel_renumber, nthreads)
+    # A's columns as stacked-B row indices: diag col j -> B row j; offd col
+    # c -> gathered row c.
+    Astack = stack_rows(A, A.diag.indices, B.row_part.n + A.offd.indices,
+                        Bstack.nrows)
+    # The node-level product, per rank on its rows of the stack.
+    rb = A.row_part.bounds.tolist()
+    C = comm.run_on_ranks(lambda p: spgemm(
+        row_block(Astack, rb[p], rb[p + 1], 0, Bstack.nrows), Bstack,
+        method=spgemm_method, kernel=f"{tag}.local"))
+    del Astack, Bstack
+    # Compact columns back to global ids.
+    return ParCSRMatrix.from_triplets(
+        np.concatenate([Cp.row_ids() + lo for Cp, lo in zip(C, rb)]),
+        gid[np.concatenate([Cp.indices for Cp in C])],
+        np.concatenate([Cp.data for Cp in C]), A.row_part, B.col_part)
 
 
 def dist_rap(

@@ -32,12 +32,13 @@ from .parcsr import ParCSRMatrix, ParVector
 __all__ = ["dist_spmv", "dist_residual_norm"]
 
 
-def _spmv_record(kernel: str, M, width: int = 0) -> KernelRecord:
+def _spmv_record(kernel: str, nrows: int, nnz: int, width: int = 0) -> KernelRecord:
     """What ``spmv(M, x, kernel=...)`` (*width* 0) or ``spmv_multi`` over
-    *width* columns records, without running it."""
-    br, bw = (spmv_multi_traffic(M.nrows, M.nnz, width) if width
-              else spmv_traffic(M.nrows, M.nnz))
-    return make_record(kernel, flops=2 * M.nnz * max(width, 1),
+    *width* columns records for an *nrows*-row, *nnz*-entry ``M``, without
+    running it."""
+    br, bw = (spmv_multi_traffic(nrows, nnz, width) if width
+              else spmv_traffic(nrows, nnz))
+    return make_record(kernel, flops=2 * nnz * max(width, 1),
                        bytes_read=br, bytes_written=bw)
 
 
@@ -46,11 +47,11 @@ def _spmv_table(A: ParCSRMatrix, kernel: str, width: int) -> RecordTable:
     has off-diagonal entries, its ``offd`` SpMV (*width* 0 = single RHS)."""
     table = A.tables.get((kernel, width))
     if table is None:
+        sizes = np.diff(A.row_part.bounds).tolist()
         table = A.tables[(kernel, width)] = RecordTable(
-            [_spmv_record(kernel, blk.diag, width)]
-            + ([_spmv_record(kernel + ".offd", blk.offd, width)]
-               if blk.offd.nnz else [])
-            for blk in A.blocks)
+            [_spmv_record(kernel, n, d, width)]
+            + ([_spmv_record(kernel + ".offd", n, o, width)] if o else [])
+            for n, d, o in zip(sizes, *(c.tolist() for c in A.rank_nnz())))
     return table
 
 

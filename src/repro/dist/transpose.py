@@ -5,14 +5,19 @@ each rank scatters its entries ``(global col, global row, value)`` to the
 rank owning the entry's column, then assembles its received triplets with
 the parallel counting-sort transpose locally.  Used for ``R = P^T`` in the
 coarse-operator construction and kept for the solve phase (§3.2).
+
+The vehicle transposes all ranks in one pass: one message per (sender,
+receiver) pair from a ``bincount`` over pair ids, the ``transpose.scatter``
+/ ``transpose.local_sort`` records from per-rank entry counts, and one
+assembly of the transposed triplets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import VAL_BYTES, count
-from .comm import SimComm
+from ..perf.counters import VAL_BYTES, RecordTable, make_records
+from .comm import SimComm, message_batch
 from .parcsr import ParCSRMatrix
 from .rowgather import GLOBAL_IDX_BYTES
 
@@ -21,48 +26,29 @@ __all__ = ["dist_transpose"]
 
 def dist_transpose(comm: SimComm, A: ParCSRMatrix, *, tag: str = "transpose") -> ParCSRMatrix:
     nranks = comm.nranks
-    out_rows: list[list[np.ndarray]] = [[] for _ in range(nranks)]
-    out_cols: list[list[np.ndarray]] = [[] for _ in range(nranks)]
-    out_vals: list[list[np.ndarray]] = [[] for _ in range(nranks)]
-
-    for p, blk in enumerate(A.blocks):
-        r, c, v = blk.row_arrays_global(A.col_part.lo(p))
-        gr = r + A.row_part.lo(p)
-        dest = A.col_part.owner_of(c)
-        with comm.on_rank(p):
-            count("transpose.scatter",
-                  bytes_read=len(v) * (VAL_BYTES + GLOBAL_IDX_BYTES),
-                  bytes_written=len(v) * (VAL_BYTES + 2 * GLOBAL_IDX_BYTES),
-                  branches=float(len(v)))
-        for q in np.unique(dest):
-            q = int(q)
-            sel = dest == q
-            if q != p:
-                comm.log_message(
-                    p, q,
-                    int(sel.sum()) * (VAL_BYTES + 2 * GLOBAL_IDX_BYTES),
-                    tag=tag,
-                )
-            # Transposed triplet: row = old column (local at q), col = old row.
-            out_rows[q].append(A.col_part.to_local(c[sel], q))
-            out_cols[q].append(gr[sel])
-            out_vals[q].append(v[sel])
-
-    triplets = []
-    for q in range(nranks):
-        if out_rows[q]:
-            r = np.concatenate(out_rows[q])
-            c = np.concatenate(out_cols[q])
-            v = np.concatenate(out_vals[q])
-        else:
-            r = np.empty(0, dtype=np.int64)
-            c = np.empty(0, dtype=np.int64)
-            v = np.empty(0, dtype=np.float64)
-        with comm.on_rank(q):
-            # Local counting-sort assembly of received triplets.
-            count("transpose.local_sort",
-                  bytes_read=2 * len(v) * (VAL_BYTES + GLOBAL_IDX_BYTES),
-                  bytes_written=len(v) * (VAL_BYTES + GLOBAL_IDX_BYTES))
-        triplets.append((r, c, v))
-
-    return ParCSRMatrix.from_rank_triplets(triplets, A.col_part, A.row_part)
+    rows = np.concatenate([A.diag.row_ids(), A.offd.row_ids()])
+    cols = np.concatenate([A.diag.indices, A.colmap[A.offd.indices]])
+    src = A.row_part.ranks()[rows]
+    dst = A.col_part.owner_of(cols)
+    # Entries sent per (sender, receiver) pair, sender-major.
+    sent = np.bincount(src * nranks + dst,
+                       minlength=nranks * nranks).reshape(nranks, nranks)
+    s, d = np.nonzero(sent)
+    comm.log_batch(message_batch(
+        s, d, sent[s, d] * (VAL_BYTES + 2 * GLOBAL_IDX_BYTES), tag))
+    out, got = sent.sum(axis=1), sent.sum(axis=0)
+    scatter = make_records(
+        "transpose.scatter", nranks,
+        bytes_read=out * (VAL_BYTES + GLOBAL_IDX_BYTES),
+        bytes_written=out * (VAL_BYTES + 2 * GLOBAL_IDX_BYTES),
+        branches=out)
+    # Local counting-sort assembly of received triplets.
+    local_sort = make_records(
+        "transpose.local_sort", nranks,
+        bytes_read=2 * got * (VAL_BYTES + GLOBAL_IDX_BYTES),
+        bytes_written=got * (VAL_BYTES + GLOBAL_IDX_BYTES))
+    comm.record_on_ranks(RecordTable(zip(scatter, local_sort)))
+    # Transposed triplet: row = old column, col = old row.
+    return ParCSRMatrix.from_triplets(
+        cols, rows, np.concatenate([A.diag.data, A.offd.data]),
+        A.col_part, A.row_part)

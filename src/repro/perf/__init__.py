@@ -21,6 +21,7 @@ from .counters import (
     count_record,
     current_phase,
     make_record,
+    make_records,
     phase,
     silent,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "count_record",
     "current_phase",
     "make_record",
+    "make_records",
     "phase",
     "silent",
     "MachineModel",

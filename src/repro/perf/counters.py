@@ -28,6 +28,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 __all__ = [
     "IDX_BYTES",
     "VAL_BYTES",
@@ -42,6 +44,7 @@ __all__ = [
     "count_batch",
     "count_record",
     "make_record",
+    "make_records",
     "active_log",
     "current_phase",
 ]
@@ -387,3 +390,29 @@ def make_record(
         parallel=parallel,
         level=level,
     )
+
+
+def make_records(
+    kernel: str,
+    n: int,
+    *,
+    flops=0.0,
+    bytes_read=0.0,
+    bytes_written=0.0,
+    branches=0.0,
+    parallel: bool = True,
+) -> list[KernelRecord]:
+    """*n* records of *kernel*, tagged with the live phase and level.
+
+    Each field is a length-*n* array (or one value for all): record *i* is
+    byte for byte what ``count(kernel, flops=flops[i], ...)`` would log
+    now, built without *n* calls — the per-rank records of a kernel that
+    ran once over all ranks, from segment sums over the rank boundaries.
+    """
+    ph = _PHASE_STACK[-1] if _PHASE_STACK else "unattributed"
+    lv = _LEVEL_STACK[-1] if _LEVEL_STACK else None
+    cols = [np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
+            for c in (flops, bytes_read, bytes_written, branches)]
+    cols.append(cols[-1] * DEFAULT_MISPREDICT_RATE)
+    return [KernelRecord(ph, kernel, f, r, w, b, m, parallel, lv)
+            for f, r, w, b, m in zip(*(c.tolist() for c in cols))]

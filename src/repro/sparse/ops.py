@@ -17,6 +17,8 @@ __all__ = [
     "rowcol_order",
     "group_rowcol",
     "segment_sum",
+    "run_starts",
+    "sorted_unique",
     "prefix_sum_partition",
 ]
 
@@ -101,6 +103,18 @@ def segment_sum(values: np.ndarray, seg_ids: np.ndarray, nseg: int) -> np.ndarra
     if len(values) == 0:
         return np.zeros(nseg, dtype=np.float64)
     return np.bincount(seg_ids, weights=values, minlength=nseg)[:nseg]
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal neighbours in *keys*."""
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: len(keys)])
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending (``np.unique``'s
+    result, by a value sort and a neighbour compare)."""
+    keys = np.sort(keys)
+    return keys[run_starts(keys)]
 
 
 def prefix_sum_partition(counts: np.ndarray) -> tuple[np.ndarray, int]:

@@ -6,11 +6,23 @@ library itself never imports it.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
+import sys
 
-from repro.problems import laplace_2d_5pt, laplace_3d_7pt, laplace_3d_27pt
-from repro.sparse import CSRMatrix
+# Pin the BLAS / OpenMP pools to one thread before numpy loads them (a
+# user's own setting wins): unpinned, the 68x68 ``pinv`` of a coarsest level
+# stalls to ~0.1 s instead of ~0.001 s whenever the pool's threads contend
+# on a small host, in any test that builds a hierarchy.  ``BLAS_PINNED``
+# records whether the pin came early enough to take effect.
+BLAS_PINNED = "numpy" not in sys.modules
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.problems import laplace_2d_5pt, laplace_3d_7pt, laplace_3d_27pt  # noqa: E402
+from repro.sparse import CSRMatrix  # noqa: E402
 
 
 def random_csr(

@@ -106,3 +106,36 @@ class TestBenchScale:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "128")
         assert bench_scale(64) == 128
+
+
+class TestThreadPins:
+    """``tests/conftest.py`` pins the BLAS / OpenMP pools before numpy loads."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_pin_came_before_numpy(self):
+        import os
+
+        import conftest
+
+        # No plugin imported numpy ahead of the root conftest ...
+        assert conftest.BLAS_PINNED
+        # ... so every pool variable is set (to 1 unless the user chose).
+        assert all(os.environ.get(v) for v in self.VARS)
+
+    def test_users_own_setting_wins(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env["OPENBLAS_NUM_THREADS"] = "3"
+        env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import os, runpy; runpy.run_path('conftest.py'); "
+             f"print([os.environ[v] for v in {self.VARS!r}])"],
+            cwd=Path(__file__).parent, env=env, capture_output=True,
+            text=True, check=True).stdout
+        assert out.strip() == "['3', '1', '1']"
