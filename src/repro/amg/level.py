@@ -55,6 +55,19 @@ class Level:
     def n(self) -> int:
         return self.A.nrows
 
+    def cycle_products(self, flags: OptimizationFlags):
+        """``(operator, transposed)`` of every product a cycle performs on
+        this level under *flags*: the residual and the arms
+        :meth:`restrict` / :meth:`interpolate` pick (none on the coarsest
+        level, which is solved, not cycled through)."""
+        if self.P is None:
+            return []
+        if flags.cf_reorder and self.P_F is not None:
+            return [(self.A, False), (self.P_F, True), (self.P_F, False)]
+        if flags.keep_transpose and self.R is not None:
+            return [(self.A, False), (self.R, False), (self.P, False)]
+        return [(self.A, False), (self.P, True), (self.P, False)]
+
     # -- grid transfers ---------------------------------------------------
     def restrict(self, r: np.ndarray, flags: OptimizationFlags) -> np.ndarray:
         """``r_coarse = R r`` with the configured restriction strategy."""

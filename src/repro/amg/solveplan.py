@@ -26,7 +26,11 @@ its one rank-stacked smoother) do it at setup so no solve pays for it;
 ``HybridGSSmoother.from_numeric`` (the ``Hierarchy.refresh`` path) regathers
 values through ``with_values`` and shares every index array with the plan
 it came from.  Compilation is pure
-pattern arithmetic and emits no perf records.  The public kernel functions
+pattern arithmetic and emits no perf records.  :func:`attach_solve_plan`
+also decides — and builds where admitted — the lockstep layouts
+(:meth:`repro.sparse.csr.CSRMatrix.lockstep`) of the operators the
+configured cycle multiplies by; the sweeps themselves stay on ``bincount``
+(a wavefront level holds 100-300 rows, far below the layout's crossover).  The public kernel functions
 (``gs_sweep``, ``multicolor_gs_sweep``, ``chebyshev_sweep`` and their
 ``_multi`` forms) are one-shot wrappers over the same classes.
 """
@@ -45,7 +49,7 @@ from ..perf.counters import (
     count_record,
     make_record,
 )
-from ..sparse.ops import gather_range_indices, segment_sum
+from ..sparse.ops import gather_range_indices
 from ..sparse.spmv import spmv_multi_traffic, spmv_traffic
 
 __all__ = [
@@ -398,12 +402,11 @@ class ChebyPlan:
         A, diag = self.A, self.diag
         theta, delta, sigma = self._params()
         rho = 1.0 / sigma
-        rid = A.row_ids()
-        r = b - segment_sum(A.data * x[A.indices], rid, A.nrows)
+        r = b - A._dot(x)
         d = (r / diag) / theta
         x += d
         for _ in range(self.degree - 1):
-            r = b - segment_sum(A.data * x[A.indices], rid, A.nrows)
+            r = b - A._dot(x)
             rho_new = 1.0 / (2.0 * sigma - rho)
             d = rho_new * rho * d + (2.0 * rho_new / delta) * (r / diag)
             x += d
@@ -421,20 +424,12 @@ class ChebyPlan:
         k = X.shape[1]
         theta, delta, sigma = self._params()
         rho = 1.0 / sigma
-        rid = A.row_ids()
         dcol = diag[:, None]
-
-        def apply(V):
-            Y = np.empty((A.nrows, k))
-            for j in range(k):
-                Y[:, j] = segment_sum(A.data * V[A.indices, j], rid, A.nrows)
-            return Y
-
-        R = B - apply(X)
+        R = B - A._dot(X)
         D = (R / dcol) / theta
         X += D
         for _ in range(self.degree - 1):
-            R = B - apply(X)
+            R = B - A._dot(X)
             rho_new = 1.0 / (2.0 * sigma - rho)
             D = rho_new * rho * D + (2.0 * rho_new / delta) * (R / dcol)
             X += D
@@ -591,11 +586,16 @@ def compile_smoother_plan(smoother) -> None:
 
 def attach_solve_plan(hierarchy) -> None:
     """Compile every smoother of *hierarchy* — the per-level ones and a
-    swept (non-direct) coarsest solver's — so no solve pays for compilation.
+    swept (non-direct) coarsest solver's — and decide (building where the
+    coverage rule admits) the lockstep layouts of the operators the
+    configured cycle multiplies by, so no solve pays for either.
 
     Idempotent and silent; works on any assembled hierarchy, whoever
     constructed its smoothers.
     """
+    flags = hierarchy.config.flags
     for lvl in hierarchy.levels:
         compile_smoother_plan(lvl.smoother)
+        for M, transposed in lvl.cycle_products(flags):
+            M.lockstep(transposed)
     compile_smoother_plan(hierarchy.coarse_solver.smoother)

@@ -70,7 +70,8 @@ def check_csr(
     Cheap checks: indptr shape, start-at-zero, monotonicity, nnz/array-length
     consistency, column indices in ``[0, ncols)``.  Full checks add: column
     indices strictly increasing within each row (which also rules out
-    duplicates; skipped when ``sorted_indices=False``) and all values finite.
+    duplicates; skipped when ``sorted_indices=False``), memoised lockstep
+    layouts still holding ``A.data``'s values, and all values finite.
 
     ``full=None`` follows the active :func:`~repro.analysis.checking` level.
     """
@@ -131,6 +132,14 @@ def check_csr(
                 "csr.indices_sorted",
                 f"{name} has {which} column index {int(indices[k + 1])} in "
                 f"row {row}",
+                **kw)
+    for direction, lay in zip(("row", "column"), getattr(A, "_lockstep", ())):
+        # A lockstep layout snapshots the values it was built from.
+        if lay and lay.vals.tobytes() != data.take(lay.perm()).tobytes():
+            raise InvariantViolation(
+                "csr.stale_layout",
+                f"{name}.data changed after its {direction} lockstep layout "
+                "was built, without invalidate_cache()",
                 **kw)
     if nnz and not np.isfinite(data).all():
         bad = int(np.count_nonzero(~np.isfinite(data)))

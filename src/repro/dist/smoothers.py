@@ -95,6 +95,8 @@ class DistSmoother:
         diag, offd = A.stacked()
         self.stacked = HybridGSSmoother.stacked(self.local, diag)
         compile_smoother_plan(self.stacked)
+        diag.lockstep()  # what dist_spmv and the boundary term multiply by
+        offd.lockstep()
         self._pass_recs = {
             key: RecordTable(_pass_records(local, *key) for local in self.local)
             for key in ((True, True), (True, False), (False, False))}

@@ -73,8 +73,10 @@ def dist_spmv(
     x_ext = halo.gather(x)
     diag, offd = A.stacked()
     width = x.array.shape[1] if x.array.ndim == 2 else 0
-    # ``+=`` adds an exact +0.0 on rows without off-diagonal entries; diag's
-    # bincount sums are never -0.0, so those rows keep their bits.
+    # ``+=`` adds an exact +0.0 on rows without off-diagonal entries.  Those
+    # rows keep their bits because diag's sums are never -0.0: either arm of
+    # ``CSRMatrix._dot`` (bincount, lockstep) starts every row from +0.0,
+    # and a sum is -0.0 only when both addends are.
     with silent():
         if width:
             y = spmv_multi(diag, x.array)

@@ -21,9 +21,16 @@ Multiple right-hand sides: the ``*_multi`` variants operate on ``(n, k)``
 blocks.  A blocked native kernel streams the matrix (values + indices +
 row pointer) **once** for all *k* columns and the vector data *k* times, so
 the counted traffic amortizes the matrix stream — the multi-RHS lever of
-Richtmann et al. applied to the paper's bandwidth-bound solve kernels.  The
-Python vehicle computes column by column (bit-identical to *k* single-RHS
-calls); only the accounting is blocked.
+Richtmann et al. applied to the paper's bandwidth-bound solve kernels.
+
+Execution: every kernel here is validation + :meth:`CSRMatrix._dot` + its
+own record.  ``_dot`` sums ``data[e] * x[src[e]]`` per row (or column) in
+entry order; on operators the coverage rule admits it runs the
+:class:`~repro.sparse.ops.Lockstep` layout — all rows advance one entry at
+a time, an ``(n, k)`` block rides along as the trailing axis, so the
+vehicle too streams the operator once for all *k* columns — and on small
+ones the ``bincount`` form.  Both round identically, so column *j* of a
+blocked kernel is bit-identical to the single-RHS kernel on column *j*.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ import numpy as np
 
 from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, count
 from .csr import CSRMatrix
-from .ops import segment_sum
 
 __all__ = [
     "spmv",
@@ -64,9 +70,7 @@ def spmv(A: CSRMatrix, x: np.ndarray, *, kernel: str = "spmv") -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != A.ncols:
         raise ValueError(f"dimension mismatch: A is {A.shape}, x has {x.shape[0]}")
-    t = x[A.indices]
-    np.multiply(A.data, t, out=t)  # reuse the gather's buffer
-    y = segment_sum(t, A.row_ids(), A.nrows)
+    y = A._dot(x)
     br, bw = spmv_traffic(A.nrows, A.nnz)
     count(kernel, flops=2 * A.nnz, bytes_read=br, bytes_written=bw)
     return y
@@ -83,7 +87,7 @@ def spmv_transposed(A: CSRMatrix, x: np.ndarray, *, materialize: bool = False) -
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != A.nrows:
         raise ValueError("dimension mismatch")
-    y = segment_sum(A.data * x[A.row_ids()], A.indices, A.ncols)
+    y = A._dot(x, transposed=True)
     if materialize:
         # Transpose built then multiplied: counting-sort transpose traffic
         # (read matrix, write matrix) plus the SpMV on the result.  The
@@ -114,7 +118,7 @@ def spmv_identity_block(
     """
     xc = np.asarray(xc, dtype=np.float64)
     xf_c = xc if cperm is None else xc[cperm]
-    xf_f = segment_sum(P_F.data * xc[P_F.indices], P_F.row_ids(), P_F.nrows)
+    xf_f = P_F._dot(xc)
     br, bw = spmv_traffic(P_F.nrows, P_F.nnz)
     # The identity/permutation part is a vector copy (streamed read+write).
     count(
@@ -132,8 +136,7 @@ def spmv_identity_block_transposed(
     """Restriction with ``R = P^T = [Pi^T  P_F^T]``: ``y = Pi^T x_C + P_F^T x_F``."""
     xf = np.asarray(xf, dtype=np.float64)
     nc = P_F.ncols
-    xF = xf[nc:]
-    y = segment_sum(P_F.data * xF[P_F.row_ids()], P_F.indices, nc)
+    y = P_F._dot(xf[nc:], transposed=True)
     if cperm is None:
         y += xf[:nc]
     else:
@@ -158,7 +161,7 @@ def spmv_dot_fused(A: CSRMatrix, x: np.ndarray, w: np.ndarray | None = None) -> 
     ``y`` (callers may want it); the counted traffic omits the store.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = segment_sum(A.data * x[A.indices], A.row_ids(), A.nrows)
+    y = A._dot(x)
     d = float(y @ (y if w is None else np.asarray(w, dtype=np.float64)))
     br, _ = spmv_traffic(A.nrows, A.nnz, write_output=False)
     extra_read = A.nrows * VAL_BYTES if w is not None else 0.0
@@ -174,10 +177,7 @@ def residual(A: CSRMatrix, x: np.ndarray, b: np.ndarray, *, fused_norm: bool = F
     """
     b = np.asarray(b, dtype=np.float64)
     if fused_norm:
-        t = np.asarray(x, dtype=np.float64)[A.indices]
-        np.multiply(A.data, t, out=t)
-        y = segment_sum(t, A.row_ids(), A.nrows)
-        r = b - y
+        r = b - A._dot(np.asarray(x, dtype=np.float64))
         nrm = float(np.sqrt(r @ r))
         br, bw = spmv_traffic(A.nrows, A.nnz)
         # b is streamed in; r is written once (needed by the caller), but the
@@ -233,10 +233,7 @@ def spmv_multi(A: CSRMatrix, X: np.ndarray, *, kernel: str = "spmv_multi") -> np
     """``Y = A @ X`` for an ``(ncols, k)`` block ``X``."""
     X = as_multi(X, A.ncols)
     k = X.shape[1]
-    rid = A.row_ids()
-    Y = np.empty((A.nrows, k))
-    for j in range(k):
-        Y[:, j] = segment_sum(A.data * X[A.indices, j], rid, A.nrows)
+    Y = A._dot(X)
     br, bw = spmv_multi_traffic(A.nrows, A.nnz, k)
     count(kernel, flops=2 * A.nnz * k, bytes_read=br, bytes_written=bw)
     return Y
@@ -248,10 +245,7 @@ def spmv_transposed_multi(
     """``Y = A^T @ X`` for a block; one (optional) transpose serves all columns."""
     X = as_multi(X, A.nrows)
     k = X.shape[1]
-    rid = A.row_ids()
-    Y = np.empty((A.ncols, k))
-    for j in range(k):
-        Y[:, j] = segment_sum(A.data * X[rid, j], A.indices, A.ncols)
+    Y = A._dot(X, transposed=True)
     if materialize:
         matrix_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (A.nrows + 1) * PTR_BYTES
         count(
@@ -272,11 +266,8 @@ def spmv_identity_block_multi(
     """Blocked interpolation with the permuted operator ``P = [Pi; P_F]``."""
     Xc = as_multi(Xc, P_F.ncols)
     k = Xc.shape[1]
-    rid = P_F.row_ids()
     Xf_c = Xc if cperm is None else Xc[cperm]
-    Xf_f = np.empty((P_F.nrows, k))
-    for j in range(k):
-        Xf_f[:, j] = segment_sum(P_F.data * Xc[P_F.indices, j], rid, P_F.nrows)
+    Xf_f = P_F._dot(Xc)
     br, bw = spmv_multi_traffic(P_F.nrows, P_F.nnz, k)
     count(
         "spmv.interp_idblock",
@@ -294,11 +285,7 @@ def spmv_identity_block_transposed_multi(
     Xf = as_multi(Xf, P_F.ncols + P_F.nrows)
     k = Xf.shape[1]
     nc = P_F.ncols
-    rid = P_F.row_ids()
-    XF = Xf[nc:]
-    Y = np.empty((nc, k))
-    for j in range(k):
-        Y[:, j] = segment_sum(P_F.data * XF[rid, j], P_F.indices, nc)
+    Y = P_F._dot(Xf[nc:], transposed=True)
     # One add per element per column, exactly as the per-column scatter
     # (cperm is a permutation), but batched over the block.
     if cperm is None:
@@ -329,10 +316,8 @@ def residual_multi(
         raise ValueError("X and B must have the same number of columns")
     k = X.shape[1]
     n = A.nrows
-    rid = A.row_ids()
-    R = np.empty((n, k))
-    for j in range(k):
-        R[:, j] = B[:, j] - segment_sum(A.data * X[A.indices, j], rid, n)
+    R = A._dot(X)
+    np.subtract(B, R, out=R)
     br, bw = spmv_multi_traffic(n, A.nnz, k)
     if fused_norm:
         nrms = np.empty(k)
