@@ -98,7 +98,7 @@ def test_multirhs_krylov_amortization(benchmark, setup):
         t_single += machine.log_time(log)
     with collect() as log:
         results = fgmres_multi(A, B[:, :k],
-                               precondition_multi=solver.precondition_multi)
+                               precondition_multi=solver.precondition)
     t_batch = machine.log_time(log)
     assert all(r.converged for r in results)
     speedup = t_single / t_batch

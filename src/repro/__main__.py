@@ -222,7 +222,7 @@ def cmd_solve(args) -> int:
         with collect() as solve_log:
             if args.krylov:
                 results = fgmres_multi(
-                    A, B, precondition_multi=solver.precondition_multi,
+                    A, B, precondition_multi=solver.precondition,
                     tol=args.tol)
             else:
                 results = solver.solve_many(B, tol=args.tol)

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..perf.counters import VAL_BYTES, count, phase
 from ..sparse.csr import CSRMatrix
+from ..sparse.spmv import rhs_width
 from .smoothers import HybridGSSmoother
 
 __all__ = ["CoarseSolver"]
@@ -67,45 +68,32 @@ class CoarseSolver:
         return new
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        with phase("Solve_etc"):
-            if self.direct:
-                x = self.inv @ b
-                count(
-                    "coarse.direct_solve",
-                    flops=2.0 * self.n * self.n,
-                    bytes_read=self.n * self.n * VAL_BYTES + self.n * VAL_BYTES,
-                    bytes_written=self.n * VAL_BYTES,
-                )
-                return x
-            x = np.zeros(self.n)
-            self.smoother.presmooth(x, b, zero_guess=True)
-            for _ in range(self.sweeps - 1):
-                self.smoother.presmooth(x, b)
-                self.smoother.postsmooth(x, b)
-            return x
+        """Coarsest solve of a vector or an ``(n, k)`` block.
 
-    def solve_multi(self, B: np.ndarray) -> np.ndarray:
-        """Blocked coarsest solve over an ``(n, k)`` block.
-
-        Column *j* matches :meth:`solve` on ``B[:, j]`` exactly; the direct
-        variant reads the factor once for all *k* right-hand sides.
+        Column *j* of a block matches the solve of ``b[:, j]`` exactly; the
+        direct variant reads the factor once for all *k* right-hand sides.
         """
-        k = B.shape[1]
         with phase("Solve_etc"):
             if self.direct:
-                X = np.empty((self.n, k))
-                for j in range(k):
-                    X[:, j] = self.inv @ B[:, j]
+                if b.ndim == 1:
+                    x = self.inv @ b
+                else:
+                    # One matrix-vector product per column: a matrix-matrix
+                    # product would round differently.
+                    x = np.empty(b.shape)
+                    for j in range(b.shape[1]):
+                        x[:, j] = self.inv @ b[:, j]
+                k = max(rhs_width(b), 1)
                 count(
                     "coarse.direct_solve",
                     flops=2.0 * self.n * self.n * k,
                     bytes_read=self.n * self.n * VAL_BYTES + k * self.n * VAL_BYTES,
                     bytes_written=k * self.n * VAL_BYTES,
                 )
-                return X
-            X = np.zeros((self.n, k))
-            self.smoother.presmooth_multi(X, B, zero_guess=True)
+                return x
+            x = np.zeros(b.shape)
+            self.smoother.presmooth(x, b, zero_guess=True)
             for _ in range(self.sweeps - 1):
-                self.smoother.presmooth_multi(X, B)
-                self.smoother.postsmooth_multi(X, B)
-            return X
+                self.smoother.presmooth(x, b)
+                self.smoother.postsmooth(x, b)
+            return x

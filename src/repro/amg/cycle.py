@@ -11,6 +11,11 @@ alternative for weak aggregation — W/F are their fixed-schedule cousins):
 
 Pre-smoothing at levels below the finest starts from a zero iterate,
 enabling the §3.2 skip-the-upper-triangle optimization (``zero_guess``).
+
+Every cycle takes a vector or an ``(n, k)`` block of right-hand sides.  On
+a block each kernel along the way streams its matrix once for all *k*
+columns — the multi-RHS amortization — and column *j* is bit-identical to
+the cycle applied to column *j* alone.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..perf.counters import phase
-from ..sparse.blas1 import axpy, axpy_multi
-from ..sparse.spmv import residual, residual_multi
+from ..sparse.blas1 import axpy
+from ..sparse.spmv import residual
 from .setup import Hierarchy
 
-__all__ = ["vcycle", "wcycle", "fcycle", "cycle", "vcycle_multi", "cycle_multi"]
+__all__ = ["vcycle", "wcycle", "fcycle", "cycle"]
 
 
 def _smooth_correct(h: Hierarchy, b: np.ndarray, level: int, recurse) -> np.ndarray:
@@ -32,7 +37,7 @@ def _smooth_correct(h: Hierarchy, b: np.ndarray, level: int, recurse) -> np.ndar
         return h.coarse_solver.solve(b)
 
     lvl = h.levels[level]
-    x = np.zeros(lvl.n)
+    x = np.zeros((lvl.n,) + b.shape[1:])
 
     with phase("GS"):
         lvl.smoother.presmooth(x, b, zero_guess=True)
@@ -105,56 +110,3 @@ def cycle(h: Hierarchy, b: np.ndarray, kind: str = "V") -> np.ndarray:
     except KeyError:
         raise ValueError(f"unknown cycle type {kind!r}; know {sorted(_CYCLES)}")
 
-
-# ---------------------------------------------------------------------------
-# Batched cycles (multiple RHS)
-# ---------------------------------------------------------------------------
-
-def vcycle_multi(h: Hierarchy, B: np.ndarray, level: int = 0) -> np.ndarray:
-    """One V-cycle applied column-wise to an ``(n, k)`` block.
-
-    Column *j* is bit-identical to ``vcycle(h, B[:, j], level)``; every
-    kernel along the way streams its matrix once for all *k* columns, which
-    is where the multi-RHS amortization comes from.
-    """
-    flags = h.config.flags
-    if level == h.num_levels - 1:
-        return h.coarse_solver.solve_multi(B)
-
-    lvl = h.levels[level]
-    X = np.zeros((lvl.n, B.shape[1]))
-
-    with phase("GS"):
-        lvl.smoother.presmooth_multi(X, B, zero_guess=True)
-
-    with phase("SpMV"):
-        R = residual_multi(lvl.A, X, B)
-        RC = lvl.restrict_multi(R, flags)
-
-    XC = vcycle_multi(h, RC, level + 1)
-
-    with phase("SpMV"):
-        corr = lvl.interpolate_multi(XC, flags)
-    with phase("BLAS1"):
-        axpy_multi(1.0, corr, X)
-
-    with phase("GS"):
-        lvl.smoother.postsmooth_multi(X, B)
-    return X
-
-
-def cycle_multi(h: Hierarchy, B: np.ndarray, kind: str = "V") -> np.ndarray:
-    """Apply one batched cycle of the given kind to an ``(n, k)`` block.
-
-    Only the V-cycle (the paper's evaluated schedule) has a blocked
-    implementation; W- and F-cycles fall back to one column at a time.
-    """
-    kind = kind.upper()
-    if kind == "V":
-        return vcycle_multi(h, B)
-    if kind not in _CYCLES:
-        raise ValueError(f"unknown cycle type {kind!r}; know {sorted(_CYCLES)}")
-    out = np.empty_like(np.asarray(B, dtype=np.float64))
-    for j in range(B.shape[1]):
-        out[:, j] = _CYCLES[kind](h, B[:, j])
-    return out

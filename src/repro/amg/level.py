@@ -11,12 +11,8 @@ from ..sparse.csr import CSRMatrix
 from ..sparse.spmv import (
     spmv,
     spmv_identity_block,
-    spmv_identity_block_multi,
     spmv_identity_block_transposed,
-    spmv_identity_block_transposed_multi,
-    spmv_multi,
     spmv_transposed,
-    spmv_transposed_multi,
 )
 from .smoothers import HybridGSSmoother
 
@@ -68,7 +64,7 @@ class Level:
             return [(self.A, False), (self.R, False), (self.P, False)]
         return [(self.A, False), (self.P, True), (self.P, False)]
 
-    # -- grid transfers ---------------------------------------------------
+    # -- grid transfers (vectors or (n, k) blocks) -------------------------
     def restrict(self, r: np.ndarray, flags: OptimizationFlags) -> np.ndarray:
         """``r_coarse = R r`` with the configured restriction strategy."""
         if flags.cf_reorder and self.P_F is not None:
@@ -83,18 +79,3 @@ class Level:
         if flags.cf_reorder and self.P_F is not None:
             return spmv_identity_block(self.P_F, xc, self.cperm)
         return spmv(self.P, xc, kernel="spmv.interp")
-
-    # -- blocked grid transfers (multiple RHS) ----------------------------
-    def restrict_multi(self, R: np.ndarray, flags: OptimizationFlags) -> np.ndarray:
-        """``R_coarse = R r`` column-wise on an ``(n, k)`` block."""
-        if flags.cf_reorder and self.P_F is not None:
-            return spmv_identity_block_transposed_multi(self.P_F, R, self.cperm)
-        if flags.keep_transpose and self.R is not None:
-            return spmv_multi(self.R, R, kernel="spmv.restrict")
-        return spmv_transposed_multi(self.P, R, materialize=True)
-
-    def interpolate_multi(self, Xc: np.ndarray, flags: OptimizationFlags) -> np.ndarray:
-        """``X_fine = P X_coarse`` column-wise on an ``(nc, k)`` block."""
-        if flags.cf_reorder and self.P_F is not None:
-            return spmv_identity_block_multi(self.P_F, Xc, self.cperm)
-        return spmv_multi(self.P, Xc, kernel="spmv.interp")

@@ -31,8 +31,13 @@ also decides — and builds where admitted — the lockstep layouts
 (:meth:`repro.sparse.csr.CSRMatrix.lockstep`) of the operators the
 configured cycle multiplies by; the sweeps themselves stay on ``bincount``
 (a wavefront level holds 100-300 rows, far below the layout's crossover).  The public kernel functions
-(``gs_sweep``, ``multicolor_gs_sweep``, ``chebyshev_sweep`` and their
-``_multi`` forms) are one-shot wrappers over the same classes.
+(``gs_sweep``, ``multicolor_gs_sweep``, ``chebyshev_sweep``) are one-shot
+wrappers over the same classes.
+
+Every ``run`` / ``sweep_groups`` takes an iterate ``(n,)`` or an ``(n, k)``
+block (*width* 0 or *k*): the block's columns ride along as the inner axis
+of the same steps, and column *j* is bit-identical to the sweep of column
+*j* alone.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from ..perf.counters import (
     make_record,
 )
 from ..sparse.ops import gather_range_indices
-from ..sparse.spmv import spmv_multi_traffic, spmv_traffic
+from ..sparse.spmv import rhs_width, spmv_traffic
 
 __all__ = [
     "CompiledSweep",
@@ -125,9 +130,11 @@ class CompiledSweep:
                                     sched.e_vals[zi], e_out_local[zi],
                                     sched.diag[r0:r1], r1 - r0))
 
-        # Plan-table records (pattern-only; shared across refreshes).
+        # Plan-table records and block segment ids (pattern-only; shared
+        # across refreshes), and the block steps built from them.
         self._rec: dict[tuple[int, bool], KernelRecord] = {}
         self._flats: dict[tuple[int, bool], list[np.ndarray]] = {}
+        self._wide: dict[tuple[int, bool], list[tuple]] = {}
 
     # -- counting ---------------------------------------------------------
     def record(self, k: int, zero_guess: bool) -> KernelRecord:
@@ -150,58 +157,36 @@ class CompiledSweep:
         return rec
 
     # -- execution --------------------------------------------------------
-    def _flat(self, k: int, zero: bool) -> list[np.ndarray]:
-        """Flattened ``(entry, column) -> segment`` bincount ids per level."""
+    def _steps(self, k: int, zero: bool) -> list[tuple]:
+        """Per level ``(r0, r1, rows, e_src, vals, seg, diag, nseg)`` of a
+        width-*k* sweep: for a block, values and diagonal shaped to scale
+        rows and the segments flattened over ``(entry, column)``."""
+        steps = self.zsteps if zero else self.steps
+        if k == 0:
+            return steps
         key = (k, zero)
-        fc = self._flats.get(key)
-        if fc is None:
-            ar = np.arange(k, dtype=np.int64)
-            steps = self.zsteps if zero else self.steps
-            fc = [(st[5][:, None] * k + ar).ravel() for st in steps]
-            self._flats[key] = fc
-        return fc
+        wide = self._wide.get(key)
+        if wide is None:
+            flats = self._flats.get(key)
+            if flats is None:
+                flats = self._flats[key] = [_widen(st[5], k) for st in steps]
+            wide = self._wide[key] = [
+                (r0, r1, rows, e_src, ev[:, None], fl, dg[:, None], m * k)
+                for (r0, r1, rows, e_src, ev, _, dg, m), fl in zip(steps, flats)]
+        return wide
 
     def run(self, x: np.ndarray, b: np.ndarray, *, zero: bool = False) -> np.ndarray:
-        n = self.n
-        steps = self.zsteps if (zero and self.zsteps is not None) else self.steps
-        ws = np.empty(2 * n)
+        """One sweep over *x* (``(n,)`` or ``(n, k)``) in place."""
+        n, k = self.n, rhs_width(x)
+        steps = self._steps(k, zero and self.zsteps is not None)
+        ws = np.empty((2 * n,) + x.shape[1:])
         ws[:n] = x
         ws[n:] = x
         bp = b[self.rows]
-        for r0, r1, rows, e_src, ev, eo, dg, m in steps:
-            src = ws[e_src]
-            np.multiply(ev, src, out=src)
-            acc = np.bincount(eo, weights=src, minlength=m)
-            if acc.dtype != np.float64:  # bincount of an empty weights array
-                acc = acc.astype(np.float64)
-            np.subtract(bp[r0:r1], acc, out=acc)
-            np.divide(acc, dg, out=acc)
-            ws[rows] = acc
+        for r0, r1, rows, e_src, ev, seg, dg, nseg in steps:
+            ws[rows] = _relax(ws, e_src, ev, seg, nseg, bp[r0:r1], dg, k)
         x[self.rows] = ws[self.rows]
         return x
-
-    def run_multi(self, X: np.ndarray, B: np.ndarray, *, zero: bool = False) -> np.ndarray:
-        n = self.n
-        k = X.shape[1]
-        zero = zero and self.zsteps is not None
-        steps = self.zsteps if zero else self.steps
-        flats = self._flat(k, zero)
-        ws = np.empty((2 * n, k))
-        ws[:n] = X
-        ws[n:] = X
-        Bp = B[self.rows]
-        for (r0, r1, rows, e_src, ev, eo, dg, m), fl in zip(steps, flats):
-            src = ws[e_src]
-            src *= ev[:, None]
-            acc = np.bincount(fl, weights=src.ravel(), minlength=m * k)
-            if acc.dtype != np.float64:
-                acc = acc.astype(np.float64)
-            acc = acc.reshape(m, k)
-            np.subtract(Bp[r0:r1], acc, out=acc)
-            acc /= dg[:, None]
-            ws[rows] = acc
-        X[self.rows] = ws[self.rows]
-        return X
 
     # -- numeric refresh --------------------------------------------------
     def with_values(self, sched) -> "CompiledSweep":
@@ -234,7 +219,32 @@ class CompiledSweep:
             ]
         new._rec = self._rec
         new._flats = self._flats
+        new._wide = {}
         return new
+
+
+def _widen(seg: np.ndarray, k: int) -> np.ndarray:
+    """Segment ids of a width-*k* ``bincount``: entry *e* of column *j*
+    sums into ``seg[e] * k + j``."""
+    return (seg[:, None] * k + np.arange(k, dtype=np.int64)).ravel()
+
+
+def _relax(x: np.ndarray, src: np.ndarray, vals, seg: np.ndarray, nseg: int,
+           rhs: np.ndarray, diag, k: int) -> np.ndarray:
+    """``(rhs - sum_e vals[e] * x[src[e]]) / diag`` per segment, in entry
+    order — one wavefront level (or colour) of a GS sweep, on a vector or,
+    for width *k*, a block (*seg* widened, *vals* / *diag* shaped to scale
+    rows)."""
+    t = x[src]
+    np.multiply(vals, t, out=t)
+    acc = np.bincount(seg, weights=t.ravel() if k else t, minlength=nseg)
+    if acc.dtype != np.float64:  # bincount of an empty weights array
+        acc = acc.astype(np.float64)
+    if k:
+        acc = acc.reshape(-1, k)
+    np.subtract(rhs, acc, out=acc)
+    np.divide(acc, diag, out=acc)
+    return acc
 
 
 def sweep_record(sched, k: int, zero_guess: bool, *, kernel: str,
@@ -313,7 +323,8 @@ class MulticolorPlan:
             self.colors.append((rows, lr[sel], cols[sel], A.data[src_idx],
                                 diag[rows], len(rows)))
         self._rec: dict[int, KernelRecord] = {}
-        self._flats: dict[tuple[int, int], np.ndarray] = {}
+        self._flats: dict[int, list[np.ndarray]] = {}
+        self._wide: dict[int, list[tuple]] = {}
 
     def record(self, k: int) -> KernelRecord:
         """The ``gs.multicolor`` record of one sweep (``k=0`` = single RHS)."""
@@ -329,42 +340,31 @@ class MulticolorPlan:
                 bytes_written=self.nrows * VAL_BYTES * kk, phase="GS")
         return rec
 
-    def run(self, x, b, *, forward: bool) -> np.ndarray:
-        order = range(self.ncolors) if forward else range(self.ncolors - 1, -1, -1)
-        for c in order:
-            rows, lr, cols, vals, dg, m = self.colors[c]
-            src = x[cols]
-            np.multiply(vals, src, out=src)
-            acc = np.bincount(lr, weights=src, minlength=m)
-            if acc.dtype != np.float64:
-                acc = acc.astype(np.float64)
-            np.subtract(b[rows], acc, out=acc)
-            np.divide(acc, dg, out=acc)
-            x[rows] = acc
-        count_record(self.record(0))
-        return x
+    def _colors(self, k: int) -> list[tuple]:
+        """Per colour ``(rows, seg, cols, vals, diag, nseg)`` of a width-*k*
+        sweep (see :meth:`CompiledSweep._steps`)."""
+        if k == 0:
+            return self.colors
+        wide = self._wide.get(k)
+        if wide is None:
+            flats = self._flats.get(k)
+            if flats is None:
+                flats = self._flats[k] = [_widen(c[1], k) for c in self.colors]
+            wide = self._wide[k] = [
+                (rows, fl, cols, vals[:, None], dg[:, None], m * k)
+                for (rows, _, cols, vals, dg, m), fl in zip(self.colors, flats)]
+        return wide
 
-    def run_multi(self, X, B, *, forward: bool) -> np.ndarray:
-        k = X.shape[1]
+    def run(self, x, b, *, forward: bool) -> np.ndarray:
+        """One sweep over *x* (``(n,)`` or ``(n, k)``) in place."""
+        k = rhs_width(x)
+        colors = self._colors(k)
         order = range(self.ncolors) if forward else range(self.ncolors - 1, -1, -1)
-        ar = np.arange(k, dtype=np.int64)
         for c in order:
-            rows, lr, cols, vals, dg, m = self.colors[c]
-            fl = self._flats.get((c, k))
-            if fl is None:
-                fl = (lr[:, None] * k + ar).ravel()
-                self._flats[(c, k)] = fl
-            src = X[cols]
-            src *= vals[:, None]
-            acc = np.bincount(fl, weights=src.ravel(), minlength=m * k)
-            if acc.dtype != np.float64:
-                acc = acc.astype(np.float64)
-            acc = acc.reshape(m, k)
-            np.subtract(B[rows], acc, out=acc)
-            acc /= dg[:, None]
-            X[rows] = acc
+            rows, seg, cols, vals, dg, nseg = colors[c]
+            x[rows] = _relax(x, cols, vals, seg, nseg, b[rows], dg, k)
         count_record(self.record(k))
-        return X
+        return x
 
     def with_values(self, A, diag: np.ndarray) -> "MulticolorPlan":
         """Same-pattern numeric refresh: regather values/diagonal only."""
@@ -379,6 +379,7 @@ class MulticolorPlan:
         ]
         new._rec = self._rec
         new._flats = self._flats
+        new._wide = {}
         return new
 
 
@@ -399,7 +400,10 @@ class ChebyPlan:
         return theta, delta, theta / delta
 
     def run(self, x, b) -> np.ndarray:
-        A, diag = self.A, self.diag
+        """One smoothing step on *x* (``(n,)`` or ``(n, k)``) in place."""
+        A = self.A
+        k = rhs_width(x)
+        diag = self.diag[:, None] if k else self.diag
         theta, delta, sigma = self._params()
         rho = 1.0 / sigma
         r = b - A._dot(x)
@@ -411,36 +415,14 @@ class ChebyPlan:
             d = rho_new * rho * d + (2.0 * rho_new / delta) * (r / diag)
             x += d
             rho = rho_new
-        br, bw = spmv_traffic(A.nrows, A.nnz)
-        count_batch("gs.cheby_spmv", self.degree, flops=2 * A.nnz,
+        kk = max(k, 1)
+        br, bw = spmv_traffic(A.nrows, A.nnz, k)
+        count_batch("gs.cheby_spmv", self.degree, flops=2 * A.nnz * kk,
                     bytes_read=br, bytes_written=bw)
-        count("gs.cheby_update", flops=6.0 * A.nrows * self.degree,
-              bytes_read=3 * A.nrows * VAL_BYTES * self.degree,
-              bytes_written=A.nrows * VAL_BYTES * self.degree)
+        count("gs.cheby_update", flops=6.0 * A.nrows * self.degree * kk,
+              bytes_read=3 * A.nrows * VAL_BYTES * self.degree * kk,
+              bytes_written=A.nrows * VAL_BYTES * self.degree * kk)
         return x
-
-    def run_multi(self, X, B) -> np.ndarray:
-        A, diag = self.A, self.diag
-        k = X.shape[1]
-        theta, delta, sigma = self._params()
-        rho = 1.0 / sigma
-        dcol = diag[:, None]
-        R = B - A._dot(X)
-        D = (R / dcol) / theta
-        X += D
-        for _ in range(self.degree - 1):
-            R = B - A._dot(X)
-            rho_new = 1.0 / (2.0 * sigma - rho)
-            D = rho_new * rho * D + (2.0 * rho_new / delta) * (R / dcol)
-            X += D
-            rho = rho_new
-        br, bw = spmv_multi_traffic(A.nrows, A.nnz, k)
-        count_batch("gs.cheby_spmv", self.degree, flops=2 * A.nnz * k,
-                    bytes_read=br, bytes_written=bw)
-        count("gs.cheby_update", flops=6.0 * A.nrows * self.degree * k,
-              bytes_read=3 * A.nrows * VAL_BYTES * self.degree * k,
-              bytes_written=A.nrows * VAL_BYTES * self.degree * k)
-        return X
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +433,7 @@ class SmootherPlan:
     """Planned execution of one :class:`~repro.amg.smoothers.HybridGSSmoother`.
 
     Holds the compiled sweeps of each (group, direction) schedule plus the
-    variant-specific plans; the smoother's four entry points delegate here.
+    variant-specific plans; the smoother's two entry points delegate here.
     Jacobi-family variants have no plan (already single-call vectorized
     kernels) and never reach this object.
     """
@@ -493,26 +475,15 @@ class SmootherPlan:
         # *counted* with the §3.2 skip, and every group's *execution* may
         # drop the reads that are still zero.
         zero_exec = zero_guess and forward
+        k = rhs_width(x)
         for gi in group_order:
             cs = self.sweeps[(gi, forward)]
             if cs is None:
                 continue
             cs.run(x, b, zero=zero_exec)
-            count_record(cs.record(0, zero_guess))
-            zero_guess = False
-        return x
-
-    def sweep_groups_multi(self, X, B, group_order, forward, zero_guess):
-        zero_exec = zero_guess and forward
-        k = X.shape[1]
-        for gi in group_order:
-            cs = self.sweeps[(gi, forward)]
-            if cs is None:
-                continue
-            cs.run_multi(X, B, zero=zero_exec)
             count_record(cs.record(k, zero_guess))
             zero_guess = False
-        return X
+        return x
 
     # -- smoother-facing entry points -------------------------------------
     def presmooth(self, x, b, *, zero_guess=False):
@@ -529,22 +500,6 @@ class SmootherPlan:
             return self.mc.run(x, b, forward=False)
         return self.sweep_groups(x, b, range(self.ngroups - 1, -1, -1),
                                  False, False)
-
-    def presmooth_multi(self, X, B, *, zero_guess=False):
-        if self.cheby is not None:
-            return self.cheby.run_multi(X, B)
-        if self.mc is not None:
-            return self.mc.run_multi(X, B, forward=True)
-        return self.sweep_groups_multi(X, B, range(self.ngroups), True,
-                                       zero_guess)
-
-    def postsmooth_multi(self, X, B):
-        if self.cheby is not None:
-            return self.cheby.run_multi(X, B)
-        if self.mc is not None:
-            return self.mc.run_multi(X, B, forward=False)
-        return self.sweep_groups_multi(X, B, range(self.ngroups - 1, -1, -1),
-                                       False, False)
 
     # -- numeric refresh --------------------------------------------------
     def with_values(self, smoother) -> "SmootherPlan":

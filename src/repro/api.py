@@ -401,7 +401,8 @@ class SolverHandle:
 
         Broken columns are frozen by the blocked solvers without touching
         their siblings; with ``fallback`` on, each broken column is then
-        retried individually through the degradation ladder.
+        retried individually through the degradation ladder.  A block
+        without columns yields no results, whatever the method.
         """
         B = _as_rhs_block(B, self.A.nrows)
         with check_scope(self.check):
@@ -410,12 +411,12 @@ class SolverHandle:
             elif method == "fgmres":
                 results = fgmres_multi(
                     self.A, B,
-                    precondition_multi=self._solver.precondition_multi,
+                    precondition_multi=self._solver.precondition,
                     tol=tol, maxiter=maxiter)
             elif method == "cg":
                 results = pcg_multi(
                     self.A, B,
-                    precondition_multi=self._solver.precondition_multi,
+                    precondition_multi=self._solver.precondition,
                     tol=tol, maxiter=maxiter)
             else:
                 raise ValueError(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..perf.counters import KernelRecord, RecordTable, make_record, silent
-from ..sparse.spmv import spmv, spmv_multi, spmv_multi_traffic, spmv_traffic
+from ..sparse.spmv import rhs_width, spmv, spmv_traffic
 from .comm import SimComm
 from .halo import HaloExchange
 from .parcsr import ParCSRMatrix, ParVector
@@ -33,11 +33,10 @@ __all__ = ["dist_spmv", "dist_residual_norm"]
 
 
 def _spmv_record(kernel: str, nrows: int, nnz: int, width: int = 0) -> KernelRecord:
-    """What ``spmv(M, x, kernel=...)`` (*width* 0) or ``spmv_multi`` over
-    *width* columns records for an *nrows*-row, *nnz*-entry ``M``, without
+    """What ``spmv(M, x, kernel=...)`` records for an *nrows*-row,
+    *nnz*-entry ``M`` and an *x* of *width* columns (0 = a vector), without
     running it."""
-    br, bw = (spmv_multi_traffic(nrows, nnz, width) if width
-              else spmv_traffic(nrows, nnz))
+    br, bw = spmv_traffic(nrows, nnz, width)
     return make_record(kernel, flops=2 * nnz * max(width, 1),
                        bytes_read=br, bytes_written=bw)
 
@@ -72,19 +71,14 @@ def dist_spmv(
         raise ValueError("dimension mismatch")
     x_ext = halo.gather(x)
     diag, offd = A.stacked()
-    width = x.array.shape[1] if x.array.ndim == 2 else 0
     # ``+=`` adds an exact +0.0 on rows without off-diagonal entries.  Those
     # rows keep their bits because diag's sums are never -0.0: either arm of
     # ``CSRMatrix._dot`` (bincount, lockstep) starts every row from +0.0,
     # and a sum is -0.0 only when both addends are.
     with silent():
-        if width:
-            y = spmv_multi(diag, x.array)
-            y += spmv_multi(offd, x_ext)
-        else:
-            y = spmv(diag, x.array)
-            y += spmv(offd, x_ext)
-    comm.record_on_ranks(_spmv_table(A, kernel, width))
+        y = spmv(diag, x.array)
+        y += spmv(offd, x_ext)
+    comm.record_on_ranks(_spmv_table(A, kernel, rhs_width(x.array)))
     return ParVector(y, A.row_part)
 
 

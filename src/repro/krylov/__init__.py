@@ -1,7 +1,10 @@
 """Krylov solvers: FGMRES (the paper's multi-node outer solver), GMRES, CG.
 
-The ``*_multi`` variants solve a block of right-hand sides in lockstep with
-blocked kernels (see :mod:`repro.sparse.spmv`).
+``pcg_multi`` and ``fgmres_multi`` solve a block of right-hand sides in
+lockstep — every kernel they call takes the whole ``(n, k)`` block (see
+:mod:`repro.sparse.spmv`) — freezing each column as it converges or breaks,
+so their results are one per column, each bit-identical to the single-RHS
+solve of that column.
 """
 
 from .bicgstab import bicgstab

@@ -22,18 +22,9 @@ from ..faults.guards import ResidualGuard
 from ..faults.plan import FaultEvent
 from ..perf.counters import phase
 from ..results import KrylovResult, resolve_maxiter
-from ..sparse.blas1 import (
-    axpy,
-    axpy_multi,
-    dot,
-    dot_multi,
-    norm2,
-    norm2_multi,
-    waxpby,
-    waxpby_multi,
-)
+from ..sparse.blas1 import axpy, dot, norm2, waxpby
 from ..sparse.csr import CSRMatrix
-from ..sparse.spmv import spmv, spmv_multi
+from ..sparse.spmv import spmv
 
 __all__ = ["pcg", "pcg_multi"]
 
@@ -110,6 +101,8 @@ def pcg_multi(
     A: CSRMatrix,
     B: np.ndarray,
     *,
+    # (this keyword's name is pinned by the perf harness's
+    # krylov.pcg_multi8_iter_s rung)
     precondition_multi: Callable[[np.ndarray], np.ndarray] | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
     x0: np.ndarray | None = None,
@@ -127,8 +120,9 @@ def pcg_multi(
     divergence, non-positive curvature — is likewise frozen and flagged
     (``converged=False``, the verdict in its ``fault_events``) without
     touching its siblings.  ``precondition_multi`` takes an
-    ``(n, k_active)`` block (e.g. ``AMGSolver.precondition_multi``); a
-    single-vector ``precondition`` is applied column-wise instead.
+    ``(n, k_active)`` block (e.g. ``AMGSolver.precondition``, which takes
+    vectors and blocks alike); a single-vector ``precondition`` is applied
+    column-wise instead.  A block without columns has no results.
     """
     from ..faults.guards import DEFAULT_LIMITS
     from .gmres import _resolve_multi_precondition
@@ -138,6 +132,8 @@ def pcg_multi(
     if B.ndim != 2:
         raise ValueError(f"expected a 2-D (n, k) block, got shape {B.shape}")
     n, k = B.shape
+    if k == 0:
+        return []
     if precondition_multi is None and precondition is None:
         M = lambda Vb: Vb.copy()  # noqa: E731 — matches pcg's identity default
     else:
@@ -145,12 +141,12 @@ def pcg_multi(
 
     X = np.zeros((n, k)) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     with phase("SpMV"):
-        R = B - spmv_multi(A, X, kernel="spmv.krylov")
+        R = B - spmv(A, X, kernel="spmv.krylov")
     Z = M(R)
     P = Z.copy()
     with phase("BLAS1"):
-        rz = dot_multi(R, Z)
-        r0 = norm2_multi(R)
+        rz = dot(R, Z)
+        r0 = norm2(R)
     residuals: list[list[float]] = [[float(r0[c])] for c in range(k)]
     iterations = np.zeros(k, dtype=np.int64)
     converged = r0 == 0.0
@@ -168,9 +164,9 @@ def pcg_multi(
             break
         Pa = P[:, active]
         with phase("SpMV"):
-            APa = spmv_multi(A, Pa, kernel="spmv.krylov")
+            APa = spmv(A, Pa, kernel="spmv.krylov")
         with phase("BLAS1"):
-            curv = dot_multi(Pa, APa)
+            curv = dot(Pa, APa)
         bad = np.flatnonzero((curv <= 0.0) | ~np.isfinite(curv))
         if len(bad):
             for idx in bad:
@@ -189,12 +185,12 @@ def pcg_multi(
         with phase("BLAS1"):
             alpha = rz[active] / curv
             Xa = X[:, active]
-            axpy_multi(alpha, Pa, Xa)
+            axpy(alpha, Pa, Xa)
             X[:, active] = Xa
             Ra = R[:, active]
-            axpy_multi(-alpha, APa, Ra)
+            axpy(-alpha, APa, Ra)
             R[:, active] = Ra
-            rn = norm2_multi(Ra)
+            rn = norm2(Ra)
         drop = []
         for idx, c in enumerate(active):
             residuals[c].append(float(rn[idx]))
@@ -219,9 +215,9 @@ def pcg_multi(
         Za = M(R[:, active])
         Z[:, active] = Za
         with phase("BLAS1"):
-            rz_new = dot_multi(R[:, active], Za)
+            rz_new = dot(R[:, active], Za)
             beta = rz_new / rz[active]
-            P[:, active] = waxpby_multi(1.0, Za, beta, P[:, active])
+            P[:, active] = waxpby(1.0, Za, beta, P[:, active])
         rz[active] = rz_new
 
     return [

@@ -215,12 +215,10 @@ def fgmres_multi(
     its siblings are unaffected.
 
     ``precondition_multi`` takes and returns an ``(n, k_active)`` block
-    (e.g. ``AMGSolver.precondition_multi``); alternatively a single-vector
-    ``precondition`` is applied column-wise.
+    (e.g. ``AMGSolver.precondition``, which takes vectors and blocks
+    alike); alternatively a single-vector ``precondition`` is applied
+    column-wise.
     """
-    from ..sparse.blas1 import axpy_multi, dot_multi, norm2_multi
-    from ..sparse.spmv import spmv_multi
-
     max_iter = resolve_maxiter(maxiter, max_iter, 200)
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
@@ -231,7 +229,7 @@ def fgmres_multi(
     X = np.zeros((n, k))
     R = B.copy()
     with phase("BLAS1"):
-        beta = norm2_multi(R)
+        beta = norm2(R)
     r0 = beta.copy()
     residuals: list[list[float]] = [[float(beta[c])] for c in range(k)]
     iterations = np.zeros(k, dtype=np.int64)
@@ -262,13 +260,13 @@ def fgmres_multi(
             Zj = M(V[j])
             Z.append(Zj)
             with phase("SpMV"):
-                W = spmv_multi(A, Zj, kernel="spmv.krylov")
+                W = spmv(A, Zj, kernel="spmv.krylov")
             with phase("BLAS1"):
                 for i in range(j + 1):
-                    hij = dot_multi(W, V[i])
+                    hij = dot(W, V[i])
                     H[i, j] = hij
-                    axpy_multi(-hij, V[i], W)
-                h_last = norm2_multi(W)
+                    axpy(-hij, V[i], W)
+                h_last = norm2(W)
                 H[j + 1, j] = h_last
             Vn = W.copy()
             nz = h_last != 0.0
@@ -328,10 +326,10 @@ def fgmres_multi(
                 for i in range(jd):
                     axpy(y[i], Z[i][:, idx], xc)
         with phase("SpMV"):
-            Rnew = B[:, active] - spmv_multi(A, X[:, active], kernel="spmv.krylov")
+            Rnew = B[:, active] - spmv(A, X[:, active], kernel="spmv.krylov")
         R[:, active] = Rnew
         with phase("BLAS1"):
-            beta[active] = norm2_multi(Rnew)
+            beta[active] = norm2(Rnew)
         converged[active[conv_local]] = True
         active = active[~conv_local & ~fail_local]
 

@@ -6,22 +6,7 @@ numpy arrays only.  scipy.sparse appears solely in test oracles.
 """
 
 from .accumulator import SparseAccumulator, spgemm_gustavson
-from .blas1 import (
-    axpy,
-    axpy_multi,
-    dot,
-    dot_multi,
-    norm2,
-    norm2_multi,
-    scale,
-    scale_multi,
-    vcopy,
-    vcopy_multi,
-    vzero,
-    vzero_multi,
-    waxpby,
-    waxpby_multi,
-)
+from .blas1 import axpy, dot, norm2, scale, vcopy, vzero, waxpby
 from .csr import CSRMatrix
 from .io import load_matrix_market, load_npz, save_matrix_market, save_npz
 from .ops import (
@@ -52,16 +37,12 @@ from .spgemm import (
 )
 from .spmv import (
     residual,
-    residual_multi,
+    rhs_width,
     spmv,
     spmv_dot_fused,
     spmv_identity_block,
-    spmv_identity_block_multi,
     spmv_identity_block_transposed,
-    spmv_identity_block_transposed_multi,
-    spmv_multi,
     spmv_transposed,
-    spmv_transposed_multi,
 )
 from .transpose import balanced_nnz_partition, transpose
 from .triple_product import (
@@ -78,6 +59,9 @@ from .triple_product import (
     rap_unfused,
 )
 
+#: Pinned by the perf harness's ``sparse.spmv_multi8_s`` rung.
+spmv_multi = spmv
+
 __all__ = [
     "CSRMatrix",
     "load_matrix_market",
@@ -87,19 +71,12 @@ __all__ = [
     "SparseAccumulator",
     "spgemm_gustavson",
     "axpy",
-    "axpy_multi",
     "dot",
-    "dot_multi",
     "norm2",
-    "norm2_multi",
     "scale",
-    "scale_multi",
     "vcopy",
-    "vcopy_multi",
     "vzero",
-    "vzero_multi",
     "waxpby",
-    "waxpby_multi",
     "counts_from_indptr",
     "gather_range_indices",
     "indptr_from_counts",
@@ -121,16 +98,13 @@ __all__ = [
     "spgemm_numeric",
     "spgemm_symbolic",
     "residual",
-    "residual_multi",
+    "rhs_width",
     "spmv",
     "spmv_dot_fused",
     "spmv_identity_block",
-    "spmv_identity_block_multi",
     "spmv_identity_block_transposed",
-    "spmv_identity_block_transposed_multi",
     "spmv_multi",
     "spmv_transposed",
-    "spmv_transposed_multi",
     "balanced_nnz_partition",
     "transpose",
     "fusion_flop_counts",

@@ -4,12 +4,13 @@ The solve phase's ``BLAS1`` bucket in Fig. 5 (vector scaling, addition,
 inner products).  Each helper performs the numpy operation and counts the
 streaming traffic of a native implementation.
 
-The ``*_multi`` variants operate on ``(n, k)`` blocks — one fused pass over
-*k* right-hand sides.  BLAS1 traffic is pure vector data, so there is no
-matrix stream to amortize; batching still helps the machine model through
-one kernel record (one launch on GPU models) per block instead of *k*.
-Column *j* of every multi op is bit-identical to the single-vector op on
-column *j*.
+Every op takes vectors ``(n,)`` or ``(n, k)`` blocks — one fused pass over
+*k* right-hand sides, with per-column scalars given as length-*k* arrays
+and reductions returning one value per column.  BLAS1 traffic is pure
+vector data, so there is no matrix stream to amortize; batching still
+helps the machine model through one kernel record (one launch on GPU
+models) per block instead of *k*.  Column *j* of a block op is
+bit-identical to the op on column *j*.
 """
 
 from __future__ import annotations
@@ -18,125 +19,64 @@ import numpy as np
 
 from ..perf.counters import VAL_BYTES, count
 
-__all__ = [
-    "dot", "norm2", "axpy", "scale", "waxpby", "vcopy", "vzero",
-    "dot_multi", "norm2_multi", "axpy_multi", "scale_multi", "waxpby_multi",
-    "vcopy_multi", "vzero_multi",
-]
+__all__ = ["dot", "norm2", "axpy", "scale", "waxpby", "vcopy", "vzero"]
 
 
-def dot(x: np.ndarray, y: np.ndarray) -> float:
-    n = len(x)
+def _columns(x: np.ndarray):
+    """The columns of a block as contiguous copies: the reduction then takes
+    the same code path (and produces the same bits) as on a 1-D vector."""
+    return (np.ascontiguousarray(c) for c in x.T)
+
+
+def dot(x: np.ndarray, y: np.ndarray):
+    """``<x, y>``; column-wise (a length-*k* array) for blocks."""
+    n = x.size
     count("blas1.dot", flops=2 * n, bytes_read=2 * n * VAL_BYTES)
-    return float(np.dot(x, y))
+    if x.ndim == 1:
+        return float(np.dot(x, y))
+    return np.array([float(np.dot(a, b)) for a, b in zip(_columns(x), _columns(y))])
 
 
-def norm2(x: np.ndarray) -> float:
-    n = len(x)
+def norm2(x: np.ndarray):
+    """``||x||_2``; column-wise (a length-*k* array) for blocks."""
+    n = x.size
     count("blas1.norm2", flops=2 * n, bytes_read=n * VAL_BYTES)
-    return float(np.sqrt(np.dot(x, x)))
+    if x.ndim == 1:
+        return float(np.sqrt(np.dot(x, x)))
+    return np.array([float(np.sqrt(np.dot(c, c))) for c in _columns(x)])
 
 
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def axpy(alpha, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``y += alpha * x`` (in place, returns y)."""
-    n = len(x)
+    n = x.size
     y += alpha * x
     count("blas1.axpy", flops=2 * n, bytes_read=2 * n * VAL_BYTES, bytes_written=n * VAL_BYTES)
     return y
 
 
-def waxpby(alpha: float, x: np.ndarray, beta: float, y: np.ndarray) -> np.ndarray:
+def waxpby(alpha, x: np.ndarray, beta, y: np.ndarray) -> np.ndarray:
     """``w = alpha*x + beta*y`` (new vector)."""
-    n = len(x)
+    n = x.size
     count("blas1.waxpby", flops=3 * n, bytes_read=2 * n * VAL_BYTES, bytes_written=n * VAL_BYTES)
     return alpha * x + beta * y
 
 
-def scale(alpha: float, x: np.ndarray) -> np.ndarray:
+def scale(alpha, x: np.ndarray) -> np.ndarray:
     """``x *= alpha`` (in place, returns x)."""
-    n = len(x)
+    n = x.size
     x *= alpha
     count("blas1.scal", flops=n, bytes_read=n * VAL_BYTES, bytes_written=n * VAL_BYTES)
     return x
 
 
 def vcopy(x: np.ndarray) -> np.ndarray:
-    n = len(x)
+    n = x.size
     count("blas1.copy", bytes_read=n * VAL_BYTES, bytes_written=n * VAL_BYTES)
     return x.copy()
 
 
-def vzero(n: int) -> np.ndarray:
-    count("blas1.zero", bytes_written=n * VAL_BYTES)
-    return np.zeros(n, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# Multiple right-hand sides
-# ---------------------------------------------------------------------------
-
-def _nk(X: np.ndarray) -> tuple[int, int]:
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D (n, k) block, got shape {X.shape}")
-    return X.shape[0], X.shape[1]
-
-
-def dot_multi(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Column-wise inner products; returns a length-``k`` array."""
-    n, k = _nk(X)
-    count("blas1.dot", flops=2 * n * k, bytes_read=2 * n * k * VAL_BYTES)
-    out = np.empty(k)
-    for j in range(k):
-        # Contiguous copies so the reduction takes the same code path (and
-        # produces the same bits) as dot() on a 1-D vector.
-        out[j] = float(np.dot(np.ascontiguousarray(X[:, j]),
-                              np.ascontiguousarray(Y[:, j])))
-    return out
-
-
-def norm2_multi(X: np.ndarray) -> np.ndarray:
-    """Column-wise 2-norms; returns a length-``k`` array."""
-    n, k = _nk(X)
-    count("blas1.norm2", flops=2 * n * k, bytes_read=n * k * VAL_BYTES)
-    out = np.empty(k)
-    for j in range(k):
-        xj = np.ascontiguousarray(X[:, j])
-        out[j] = float(np.sqrt(np.dot(xj, xj)))
-    return out
-
-
-def axpy_multi(alpha, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``Y += alpha * X`` in place; *alpha* is a scalar or per-column array."""
-    n, k = _nk(X)
-    Y += np.asarray(alpha) * X
-    count("blas1.axpy", flops=2 * n * k, bytes_read=2 * n * k * VAL_BYTES,
-          bytes_written=n * k * VAL_BYTES)
-    return Y
-
-
-def waxpby_multi(alpha, X: np.ndarray, beta, Y: np.ndarray) -> np.ndarray:
-    """``W = alpha*X + beta*Y`` (new block); scalars or per-column arrays."""
-    n, k = _nk(X)
-    count("blas1.waxpby", flops=3 * n * k, bytes_read=2 * n * k * VAL_BYTES,
-          bytes_written=n * k * VAL_BYTES)
-    return np.asarray(alpha) * X + np.asarray(beta) * Y
-
-
-def scale_multi(alpha, X: np.ndarray) -> np.ndarray:
-    """``X *= alpha`` in place; *alpha* is a scalar or per-column array."""
-    n, k = _nk(X)
-    X *= np.asarray(alpha)
-    count("blas1.scal", flops=n * k, bytes_read=n * k * VAL_BYTES,
-          bytes_written=n * k * VAL_BYTES)
-    return X
-
-
-def vcopy_multi(X: np.ndarray) -> np.ndarray:
-    n, k = _nk(X)
-    count("blas1.copy", bytes_read=n * k * VAL_BYTES, bytes_written=n * k * VAL_BYTES)
-    return X.copy()
-
-
-def vzero_multi(n: int, k: int) -> np.ndarray:
-    count("blas1.zero", bytes_written=n * k * VAL_BYTES)
-    return np.zeros((n, k), dtype=np.float64)
+def vzero(shape) -> np.ndarray:
+    """Zeros of *shape*: a length ``n`` or an ``(n, k)`` block."""
+    x = np.zeros(shape, dtype=np.float64)
+    count("blas1.zero", bytes_written=x.size * VAL_BYTES)
+    return x

@@ -47,7 +47,7 @@ from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.perf.counters import VAL_BYTES, count, phase
 from repro.problems import laplace_3d_27pt
 from repro.sparse import CSRMatrix
-from repro.sparse.spmv import spmv, spmv_multi
+from repro.sparse.spmv import spmv
 from repro.topo import NodeTopology
 
 # ---------------------------------------------------------------------------
@@ -92,13 +92,12 @@ def ref_halo(comm, halo, parts):
 
 def ref_spmv(comm, A, parts, halo, kernel="spmv"):
     ext = ref_halo(comm, halo, parts)
-    mv = spmv_multi if parts[0].ndim == 2 else spmv
     out = []
     for p, blk in enumerate(A.blocks):
         with comm.on_rank(p):
-            y = mv(blk.diag, parts[p], kernel=kernel)
+            y = spmv(blk.diag, parts[p], kernel=kernel)
             if blk.offd.nnz:
-                y += mv(blk.offd, ext[p], kernel=kernel + ".offd")
+                y += spmv(blk.offd, ext[p], kernel=kernel + ".offd")
         out.append(y)
     return out
 

@@ -1,13 +1,15 @@
 """The lockstep segmented-sum core against the ``bincount`` kernels it replaced.
 
-Every member of the SpMV family (six single-RHS kernels, five ``_multi``
-twins, ``ChebyPlan``'s inline products, ``dist_spmv`` through ``spmv``) now
-runs on :meth:`CSRMatrix._dot` — the :class:`~repro.sparse.ops.Lockstep`
-layout on operators the coverage rule admits, the ``bincount`` form on the
-rest.  The oracle here is *not* that code: the ``ref_*`` functions below
-are the eleven kernel bodies of the parent commit, kept literally (gather,
-multiply, ``np.bincount(weights=)``, the per-column loops, the ``count``
-calls).  Results are compared as **bytes** (``tobytes()``: signed zeros
+Every member of the SpMV family (six kernels, each on a vector and on an
+``(n, k)`` block, ``ChebyPlan``'s inline products, ``dist_spmv`` through
+``spmv``) runs on :meth:`CSRMatrix._dot` — the
+:class:`~repro.sparse.ops.Lockstep` layout on operators the coverage rule
+admits, the ``bincount`` form on the rest.  The oracle here is *not* that
+code: the ``ref_*`` functions below are the eleven kernel bodies (six
+single-RHS ones and five blocked twins) of the commit before the core, kept
+literally (gather, multiply, ``np.bincount(weights=)``, the per-column
+loops, the ``count`` calls, the blocked twins' validation and traffic
+helpers).  Results are compared as **bytes** (``tobytes()``: signed zeros
 count), the record streams with ``==``, and every product additionally
 against ``analysis/sanitizers.py``'s independent ``np.add.at`` oracle.
 
@@ -51,7 +53,7 @@ from repro.serve.workload import PROBLEM_BUILDERS, WorkloadSpec
 from repro.serve.workload import build as build_workload
 from repro.sparse import CSRMatrix
 from repro.sparse.ops import Lockstep
-from repro.sparse.spmv import as_multi, spmv_multi_traffic, spmv_traffic
+from repro.sparse.spmv import spmv_traffic
 
 #: The kernel module (``repro.sparse.spmv`` the attribute is the function).
 K = importlib.import_module("repro.sparse.spmv")
@@ -65,6 +67,23 @@ def segment_sum(values, seg_ids, nseg):
     if len(values) == 0:
         return np.zeros(nseg, dtype=np.float64)
     return np.bincount(seg_ids, weights=values, minlength=nseg)[:nseg]
+
+
+def as_multi(X, nrows):
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D (n, k) block, got shape {X.shape}")
+    if X.shape[0] != nrows:
+        raise ValueError(f"dimension mismatch: expected {nrows} rows, got {X.shape[0]}")
+    if X.shape[1] < 1:
+        raise ValueError("multi-RHS block needs at least one column")
+    return X
+
+
+def spmv_multi_traffic(nrows, nnz, k, *, write_output=True):
+    bytes_read = nnz * (VAL_BYTES + IDX_BYTES) + (nrows + 1) * PTR_BYTES + k * nnz * VAL_BYTES
+    bytes_written = k * nrows * VAL_BYTES if write_output else 0.0
+    return float(bytes_read), float(bytes_written)
 
 
 def ref_spmv(A, x, *, kernel="spmv"):
@@ -285,9 +304,12 @@ def run_family(A, x, xt, cperm, kernels, same=canon):
     ``ref_`` namespace) on *A*: ``{name: bytes}`` plus the record stream.
     *x* / *xt* have ``A.ncols`` / ``A.nrows`` rows; square-only members
     run when the shapes allow."""
-    g = (lambda n: getattr(kernels, n)) if kernels is K else (lambda n: globals()["ref_" + n])
-    out = {}
     multi = "_multi" if x.ndim == 2 else ""
+    # The library has one polymorphic kernel per name; the reference keeps
+    # the single-RHS body and its blocked ``_multi`` twin apart.
+    g = ((lambda n: getattr(kernels, n.removesuffix(multi)))
+         if kernels is K else (lambda n: globals()["ref_" + n]))
+    out = {}
     with np.errstate(all="ignore"), collect() as log:
         out["spmv"] = same(g("spmv" + multi)(A, x))
         out["spmv_t"] = same(g("spmv_transposed" + multi)(A, xt))
@@ -433,7 +455,7 @@ class TestBitIdentity:
         want = raw(ref_spmv(A, x)), raw(ref_spmv_multi(A, X))
         with coverage_rule(*rule):
             B = fresh(A)
-            assert (raw(K.spmv(B, x)), raw(K.spmv_multi(B, X))) == want
+            assert (raw(K.spmv(B, x)), raw(K.spmv(B, X))) == want
             assert isinstance(B._lockstep[0], Lockstep) is covered
             assert B.lockstep() is (B._lockstep[0] if covered else None)
 
@@ -444,7 +466,7 @@ class TestBitIdentity:
         # Decided under the low rule; later calls of any width reuse it.
         lay = A._lockstep[0]
         K.spmv(A, rng.standard_normal(A.ncols))
-        K.spmv_multi(A, rng.standard_normal((A.ncols, 8)))
+        K.spmv(A, rng.standard_normal((A.ncols, 8)))
         assert A._lockstep[0] is lay
 
     def test_cheby_plan_inline_products(self, rng):
@@ -453,14 +475,14 @@ class TestBitIdentity:
         b, B = rng.standard_normal(A.nrows), rng.standard_normal((A.nrows, 3))
         small = ChebyPlan(fresh(A), diag, 2.0)
         with collect() as want_log:
-            want = small.run(np.zeros(A.nrows), b), small.run_multi(np.zeros((A.nrows, 3)), B)
+            want = small.run(np.zeros(A.nrows), b), small.run(np.zeros((A.nrows, 3)), B)
         assert small.A._lockstep[0] is False
         for j in range(3):   # the blocked sweep is the single one per column
             assert raw(want[1][:, j]) == raw(small.run(np.zeros(A.nrows), B[:, j]))
         with coverage_rule():
             core = ChebyPlan(fresh(A), diag, 2.0)
             with collect() as log:
-                got = core.run(np.zeros(A.nrows), b), core.run_multi(np.zeros((A.nrows, 3)), B)
+                got = core.run(np.zeros(A.nrows), b), core.run(np.zeros((A.nrows, 3)), B)
         assert isinstance(core.A._lockstep[0], Lockstep)
         assert [raw(v) for v in got] == [raw(v) for v in want]
         assert log.records == want_log.records

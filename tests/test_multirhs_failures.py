@@ -109,3 +109,59 @@ class TestSolveMany:
 
         with pytest.raises(ValueError, match="column"):
             repro.solve_many(A, _with_nan_column(B))
+
+
+def _pure_neumann(m):
+    """5-point Laplacian with zero row sums: singular, so a right-hand side
+    with a nonzero mean has no solution and the AMG iteration stalls."""
+    L = laplace_2d_5pt(m).to_dense()
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return CSRMatrix.from_dense(L)
+
+
+def _same_result(got, want):
+    assert got.iterations == want.iterations
+    assert got.residuals == want.residuals
+    assert got.fault_events == want.fault_events
+    assert (got.converged, got.degraded) == (want.converged, want.degraded)
+    assert got.x.tobytes() == want.x.tobytes()
+
+
+class TestStagnationGuard:
+    """``solve_many`` runs the same per-column guard as ``solve``."""
+
+    @pytest.fixture(scope="class")
+    def singular(self):
+        A = _pure_neumann(16)
+        B = np.random.default_rng(0).standard_normal((A.nrows, 2))
+        return A, B
+
+    def test_solve_many_stops_each_column_where_solve_does(self, singular):
+        A, B = singular
+        s = AMGSolver(single_node_config())
+        s.setup(A)
+        results = s.solve_many(B)
+        for j, r in enumerate(results):
+            solo = s.solve(B[:, j])
+            assert [e.kind for e in solo.fault_events] == ["stagnated"]
+            assert solo.iterations < 500
+            _same_result(r, solo)
+
+    def test_facade_falls_back_per_column(self, singular):
+        import repro
+
+        A, B = singular
+        handle = repro.setup(A, cache=None)
+        for j, r in enumerate(handle.solve_many(B)):
+            solo = handle.solve(B[:, j])
+            assert "degraded_fallback" in [e.kind for e in solo.fault_events]
+            _same_result(r, solo)
+
+
+@pytest.mark.parametrize("method", ["amg", "cg", "fgmres"])
+def test_zero_column_block_has_no_results(A, method):
+    import repro
+
+    handle = repro.setup(A, cache=None)
+    assert handle.solve_many(np.zeros((A.nrows, 0)), method=method) == []

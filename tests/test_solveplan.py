@@ -247,9 +247,9 @@ def test_lazy_and_prewarmed_smoothers_are_indistinguishable(variant):
                 x = np.zeros(A.nrows) if zero else x0.copy()
                 out.append(sm.presmooth(x, b, zero_guess=zero).tobytes())
                 X = np.zeros((A.nrows, 3)) if zero else X0.copy()
-                out.append(sm.presmooth_multi(X, B, zero_guess=zero).tobytes())
+                out.append(sm.presmooth(X, B, zero_guess=zero).tobytes())
             out.append(sm.postsmooth(x0.copy(), b).tobytes())
-            out.append(sm.postsmooth_multi(X0.copy(), B).tobytes())
+            out.append(sm.postsmooth(X0.copy(), B).tobytes())
         return out, _record_stream(log)
 
     def make():
