@@ -4,7 +4,7 @@ renumbering, and the fully distributed AMG setup/solve."""
 
 from .comm import CollectiveEvent, PersistentExchange, SimComm
 from .halo import HaloExchange, build_halo
-from .krylov import dist_pcg
+from .krylov import dist_fgmres, dist_pcg
 from .interp import (
     coarse_numbering,
     dist_extended_i,
@@ -22,7 +22,6 @@ from .smoothers import DistSmoother
 from .solver import (
     DistAMGSolver,
     DistSolveResult,
-    dist_fgmres,
     dist_vcycle,
     par_axpy,
     par_dot,

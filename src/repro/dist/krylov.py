@@ -1,30 +1,96 @@
-"""Distributed preconditioned conjugate gradients.
+"""Distributed Krylov solvers: AMG-preconditioned FGMRES (Table 4) and PCG.
 
-Companion of :func:`repro.dist.solver.dist_fgmres` for SPD systems: fewer
-collectives per iteration (two dots + a norm vs. the Arnoldi sweep), which
-matters when allreduce latency dominates at scale (§5.4).
-
-Guarded like the other solvers: non-positive curvature (CG breakdown) and
-NaN/Inf residuals terminate with a recorded verdict, and an unrecoverable
-:class:`~repro.faults.comm.CommFault` on a fault-injecting communicator
-returns the best iterate so far (``degraded=True``) instead of propagating.
+Neither has a loop of its own: ``dist_fgmres`` / ``dist_pcg`` run the
+node-level drivers over :class:`ParSpace` — ``dist_spmv`` through the halo,
+``par_dot`` / ``par_norm2`` with their allreduces, ``par_axpy``.  PCG has
+fewer collectives per iteration (two dots + a norm vs. the Arnoldi sweep),
+which matters when allreduce latency dominates at scale (§5.4).  An
+unrecoverable :class:`~repro.faults.comm.CommFault` returns the iterate so
+far (``degraded``, a ``comm_abort`` event after the communicator's own).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from contextlib import nullcontext
 
-from ..faults.guards import ResidualGuard
-from ..faults.plan import FaultEvent
+from ..krylov.cg import pcg_solve
+from ..krylov.gmres import fgmres_solve
 from ..perf.counters import phase
-from ..results import resolve_maxiter
+from ..results import DistSolveResult, resolve_maxiter
 from .comm import SimComm
 from .halo import build_halo
 from .parcsr import ParCSRMatrix, ParVector
-from .solver import DistSolveResult, par_axpy, par_dot, par_norm2
+from .solver import par_axpy, par_dot, par_norm2
 from .spmv import dist_spmv
 
-__all__ = ["dist_pcg"]
+__all__ = ["ParSpace", "dist_pcg", "dist_fgmres"]
+
+
+class ParSpace:
+    """Krylov vector space over ``ParVector``\\ s under *A* (a persistent
+    halo is built unless given).  Vectors only: an ``(n, k)`` ``ParVector``
+    raises ``ValueError``, so ``take`` is never needed."""
+
+    def __init__(self, comm: SimComm, A: ParCSRMatrix, precondition=None,
+                 halo=None) -> None:
+        from ..faults.comm import CommFault
+
+        self.catches = (CommFault,)
+        self.comm = comm
+        self.A = A
+        self._M = precondition
+        self.halo = build_halo(comm, A, persistent=True) if halo is None else halo
+        self._faulty = comm.supports_fault_injection
+        self._events_start = len(comm.events) if self._faulty else 0
+
+    @staticmethod
+    def width(b: ParVector) -> int:
+        if b.array.ndim != 1:
+            raise ValueError("distributed Krylov solves take one right-hand "
+                             f"side, got a block of shape {b.array.shape}")
+        return 0
+
+    def matvec(self, x: ParVector) -> ParVector:
+        with phase("SpMV"):
+            return dist_spmv(self.comm, self.A, x, self.halo,
+                             kernel="spmv.krylov")
+
+    def residual(self, b: ParVector, x: ParVector) -> ParVector:
+        return ParVector(b.array - self.matvec(x).array, b.part)
+
+    def precondition(self, v: ParVector) -> ParVector:
+        return v.copy() if self._M is None else self._M(v)
+
+    #: The start-up reductions, the restart-end norm and CG's direction
+    #: update log under the caller's phase, as they always have.
+    edge_phase = staticmethod(lambda name: nullcontext())
+
+    def dot(self, x: ParVector, y: ParVector) -> float:
+        return par_dot(self.comm, x, y)
+
+    def norm2(self, x: ParVector) -> float:
+        return par_norm2(self.comm, x)
+
+    def axpy(self, alpha, x: ParVector, y: ParVector) -> ParVector:
+        return par_axpy(self.comm, alpha, x, y)
+
+    def waxpby(self, alpha, x: ParVector, beta, y: ParVector) -> ParVector:
+        self.comm.record_on_ranks(y.part.vector_records("blas1.waxpby", 2, 2, 1))
+        return ParVector(alpha * x.array + beta * y.array, y.part)
+
+    zeros = staticmethod(lambda b: ParVector.zeros(b.part))
+    scaled = staticmethod(lambda v, s: ParVector(v.array / s, v.part))
+    column = staticmethod(lambda v, i: v)
+    #: The small Hessenberg work every rank repeats is not charged.
+    rotations = staticmethod(lambda k: None)
+
+    def result(self, x, iterations, residuals, converged, reason, events):
+        comm_events = (list(self.comm.events[self._events_start:])
+                       if self._faulty else [])
+        return DistSolveResult(x, iterations, residuals, converged,
+                               degraded=reason is not None,
+                               degraded_reason=reason,
+                               fault_events=comm_events + events)
 
 
 def dist_pcg(
@@ -38,77 +104,25 @@ def dist_pcg(
     maxiter: int | None = None,
     max_iter: int | None = None,
 ) -> DistSolveResult:
-    """Distributed PCG for SPD ParCSR systems."""
-    from ..faults.comm import CommFault
+    """Distributed PCG for SPD ParCSR systems, from ``x = 0``."""
+    return pcg_solve(ParSpace(comm, A, precondition, halo), b, tol=tol,
+                     maxiter=resolve_maxiter(maxiter, max_iter, 1000))
 
-    max_iter = resolve_maxiter(maxiter, max_iter, 1000)
-    if halo is None:
-        halo = build_halo(comm, A, persistent=True)
-    M = precondition if precondition is not None else (lambda v: v.copy())
 
-    faulty = comm.supports_fault_injection
-    events_start = len(comm.events) if faulty else 0
-    solver_events: list[FaultEvent] = []
-
-    def result(x, it, residuals, converged, *, degraded=False, reason=None):
-        comm_events = list(comm.events[events_start:]) if faulty else []
-        return DistSolveResult(x, it, residuals, converged, degraded=degraded,
-                               degraded_reason=reason,
-                               fault_events=comm_events + solver_events)
-
-    x = ParVector.zeros(b.part)
-    try:
-        r = b.copy()
-        z = M(r)
-        p = z.copy()
-        rz = par_dot(comm, r, z)
-        r0 = par_norm2(comm, r)
-    except CommFault as exc:
-        solver_events.append(FaultEvent("comm_abort", detail=str(exc)))
-        return result(x, 0, [], False, degraded=True, reason=str(exc))
-    residuals = [r0]
-    if r0 == 0.0:
-        return result(x, 0, residuals, True)
-    if not np.isfinite(r0):
-        solver_events.append(FaultEvent("nonfinite", detail="initial residual"))
-        return result(x, 0, residuals, False, degraded=True,
-                      reason="nonfinite initial residual")
-    guard = ResidualGuard(r0, stagnation=False)
-
-    it = 0
-    try:
-        for it in range(1, max_iter + 1):
-            with phase("SpMV"):
-                Ap = dist_spmv(comm, A, p, halo, kernel="spmv.krylov")
-            with phase("BLAS1"):
-                pAp = par_dot(comm, p, Ap)
-            if pAp <= 0.0 or not np.isfinite(pAp):
-                solver_events.append(FaultEvent(
-                    "breakdown", detail=f"non-positive curvature p'Ap={pAp:g} "
-                                        f"at iteration {it}"))
-                return result(x, it - 1, residuals, False, degraded=True,
-                              reason="CG breakdown (non-positive curvature)")
-            alpha = rz / pAp
-            with phase("BLAS1"):
-                par_axpy(comm, alpha, p, x)
-                par_axpy(comm, -alpha, Ap, r)
-                rn = par_norm2(comm, r)
-            residuals.append(rn)
-            if rn <= tol * r0:
-                return result(x, it, residuals, True)
-            verdict = guard.check(rn)
-            if verdict is not None:
-                solver_events.append(FaultEvent(verdict, detail=f"iter {it}"))
-                return result(x, it, residuals, False, degraded=True,
-                              reason=f"{verdict} at iteration {it}")
-            z = M(r)
-            with phase("BLAS1"):
-                rz_new = par_dot(comm, r, z)
-            beta = rz_new / rz
-            rz = rz_new
-            p = ParVector(z.array + beta * p.array, p.part)
-            comm.record_on_ranks(p.part.vector_records("blas1.waxpby", 2, 2, 1))
-    except CommFault as exc:
-        solver_events.append(FaultEvent("comm_abort", detail=str(exc)))
-        return result(x, it, residuals, False, degraded=True, reason=str(exc))
-    return result(x, len(residuals) - 1, residuals, False)
+def dist_fgmres(
+    comm: SimComm,
+    A: ParCSRMatrix,
+    b: ParVector,
+    *,
+    precondition=None,
+    halo=None,
+    tol: float = 1e-7,
+    maxiter: int | None = None,
+    max_iter: int | None = None,
+    restart: int = 50,
+) -> DistSolveResult:
+    """Distributed Flexible GMRES (right-preconditioned, MGS + Givens),
+    from ``x = 0``."""
+    return fgmres_solve(ParSpace(comm, A, precondition, halo), b, tol=tol,
+                        maxiter=resolve_maxiter(maxiter, max_iter, 200),
+                        restart=restart)

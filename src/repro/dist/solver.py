@@ -1,4 +1,4 @@
-"""Distributed V-cycle and AMG-preconditioned Flexible GMRES (Table 4).
+"""Distributed BLAS1, V-cycle and standalone AMG solver.
 
 Vector primitives (``par_dot`` etc.) count local BLAS1 work per rank and
 log one allreduce per global reduction — the solve-phase collectives of
@@ -12,9 +12,10 @@ Resilience: on a fault-injecting communicator
 periodic in-memory checkpoints of the iterate; a delivery that exhausts its
 retries (a transient rank failure, a badly lossy link) rolls the solve back
 to the last checkpoint instead of aborting, and the redone iterations plus
-retry traffic surface in the modeled times and ``fault_events``.  Every
-solver here also runs a :class:`~repro.faults.guards.ResidualGuard`, so
-NaN/Inf or exploding residuals terminate the loop with a recorded verdict.
+retry traffic surface in the modeled times and ``fault_events``.  The
+solver also runs a :class:`~repro.faults.guards.ResidualGuard`, so NaN/Inf
+or exploding residuals terminate the loop with a recorded verdict.  The
+AMG-preconditioned Krylov solvers (Table 4) are in :mod:`repro.dist.krylov`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "par_axpy",
     "dist_vcycle",
     "DistAMGSolver",
-    "dist_fgmres",
     "DistSolveResult",
 ]
 
@@ -61,12 +61,6 @@ def par_axpy(comm: SimComm, alpha: float, x: ParVector, y: ParVector) -> ParVect
     y.array += alpha * x.array
     comm.record_on_ranks(x.part.vector_records("blas1.axpy", 2, 2, 1))
     return y
-
-
-def par_scale(comm: SimComm, alpha: float, x: ParVector) -> ParVector:
-    x.array *= alpha
-    comm.record_on_ranks(x.part.vector_records("blas1.scal", 1, 1, 1))
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -255,134 +249,3 @@ class DistAMGSolver:
             if faulty and checkpoint_every > 0 and it % checkpoint_every == 0:
                 ckpt_it, ckpt_x, ckpt_res = it, x.copy(), list(residuals)
         return result(x, max_iter, residuals, False)
-
-
-def dist_fgmres(
-    comm: SimComm,
-    A: ParCSRMatrix,
-    b: ParVector,
-    *,
-    precondition=None,
-    halo=None,
-    tol: float = 1e-7,
-    maxiter: int | None = None,
-    max_iter: int | None = None,
-    restart: int = 50,
-) -> DistSolveResult:
-    """Distributed Flexible GMRES (right-preconditioned, MGS + Givens).
-
-    Guarded: a NaN/Inf residual terminates the iteration with a recorded
-    verdict, and on a fault-injecting communicator an unrecoverable
-    :class:`~repro.faults.comm.CommFault` returns the best iterate so far
-    (``degraded=True``) instead of propagating.
-    """
-    from ..faults.comm import CommFault
-    from .halo import build_halo
-
-    max_iter = resolve_maxiter(maxiter, max_iter, 200)
-
-    if halo is None:
-        halo = build_halo(comm, A, persistent=True)
-    M = precondition if precondition is not None else (lambda v: v.copy())
-
-    faulty = comm.supports_fault_injection
-    events_start = len(comm.events) if faulty else 0
-    solver_events: list[FaultEvent] = []
-
-    def result(x, it, residuals, converged, *, degraded=False, reason=None):
-        comm_events = list(comm.events[events_start:]) if faulty else []
-        return DistSolveResult(x, it, residuals, converged, degraded=degraded,
-                               degraded_reason=reason,
-                               fault_events=comm_events + solver_events)
-
-    x = ParVector.zeros(b.part)
-    try:
-        r = b.copy()
-        beta = par_norm2(comm, r)
-    except CommFault as exc:
-        solver_events.append(FaultEvent("comm_abort", detail=str(exc)))
-        return result(x, 0, [], False, degraded=True, reason=str(exc))
-    r0 = beta
-    residuals = [beta]
-    if beta == 0.0:
-        return result(x, 0, residuals, True)
-    if not np.isfinite(beta):
-        solver_events.append(FaultEvent("nonfinite", detail="initial residual"))
-        return result(x, 0, residuals, False, degraded=True,
-                      reason="nonfinite initial residual")
-    guard = ResidualGuard(r0, stagnation=False)
-
-    total_it = 0
-    while total_it < max_iter:
-        m = min(restart, max_iter - total_it)
-        try:
-            V = [ParVector(r.array / beta, b.part)]
-            Z: list[ParVector] = []
-            H = np.zeros((m + 1, m))
-            cs = np.zeros(m)
-            sn = np.zeros(m)
-            g = np.zeros(m + 1)
-            g[0] = beta
-            j_done = 0
-            converged = False
-            broken = None
-            for j in range(m):
-                z = M(V[j])
-                Z.append(z)
-                with phase("SpMV"):
-                    w = dist_spmv(comm, A, z, halo, kernel="spmv.krylov")
-                with phase("BLAS1"):
-                    for i in range(j + 1):
-                        H[i, j] = par_dot(comm, w, V[i])
-                        par_axpy(comm, -H[i, j], V[i], w)
-                    H[j + 1, j] = par_norm2(comm, w)
-                if H[j + 1, j] != 0.0:
-                    V.append(ParVector(w.array / H[j + 1, j], b.part))
-                else:
-                    V.append(w)
-                for i in range(j):
-                    t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                    H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                    H[i, j] = t
-                denom = np.hypot(H[j, j], H[j + 1, j])
-                cs[j] = H[j, j] / denom if denom else 1.0
-                sn[j] = H[j + 1, j] / denom if denom else 0.0
-                H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
-                H[j + 1, j] = 0.0
-                g[j + 1] = -sn[j] * g[j]
-                g[j] = cs[j] * g[j]
-                res = abs(g[j + 1])
-                residuals.append(res)
-                total_it += 1
-                verdict = guard.check(res)
-                if verdict is not None:
-                    # NaN/Inf infected the Hessenberg: the triangular solve
-                    # would poison x, so keep the previous restart's iterate.
-                    broken = verdict
-                    break
-                j_done = j + 1
-                if res <= tol * r0:
-                    converged = True
-                    break
-            if broken is not None:
-                solver_events.append(FaultEvent(
-                    broken, detail=f"iteration {total_it}"))
-                return result(x, total_it, residuals, False, degraded=True,
-                              reason=f"{broken} at iteration {total_it}")
-            y = np.zeros(j_done)
-            for i in range(j_done - 1, -1, -1):
-                y[i] = (g[i] - H[i, i + 1: j_done] @ y[i + 1: j_done]) / H[i, i]
-            with phase("BLAS1"):
-                for i in range(j_done):
-                    par_axpy(comm, y[i], Z[i], x)
-            with phase("SpMV"):
-                Ax = dist_spmv(comm, A, x, halo, kernel="spmv.krylov")
-            r = ParVector(b.array - Ax.array, b.part)
-            beta = par_norm2(comm, r)
-        except CommFault as exc:
-            solver_events.append(FaultEvent("comm_abort", detail=str(exc)))
-            return result(x, total_it, residuals, False, degraded=True,
-                          reason=str(exc))
-        if converged or total_it >= max_iter:
-            return result(x, total_it, residuals, converged)
-    return result(x, total_it, residuals, False)

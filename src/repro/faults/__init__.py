@@ -25,13 +25,13 @@ cheap.
 
 from __future__ import annotations
 
-from .guards import GuardLimits, ResidualGuard, nonfinite_columns
+from .guards import GuardLimits, ResidualGuard
 from .plan import FaultEvent, FaultPlan, RetryPolicy
 from .shard_plan import ShardFaultPlan
 
 __all__ = [
     "FaultPlan", "RetryPolicy", "FaultEvent", "ShardFaultPlan",
-    "GuardLimits", "ResidualGuard", "nonfinite_columns",
+    "GuardLimits", "ResidualGuard",
     "FaultyComm", "CommFault", "RetriesExhausted", "RankFailure", "ACK_BYTES",
 ]
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GuardLimits", "ResidualGuard", "nonfinite_columns"]
+__all__ = ["GuardLimits", "ResidualGuard"]
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,3 @@ class ResidualGuard:
         ):
             return "stagnated"
         return None
-
-
-def nonfinite_columns(norms: np.ndarray) -> np.ndarray:
-    """Boolean mask of columns whose norm is NaN/Inf (multi-RHS guard)."""
-    return ~np.isfinite(np.asarray(norms, dtype=np.float64))

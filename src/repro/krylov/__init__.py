@@ -1,10 +1,9 @@
-"""Krylov solvers: FGMRES (the paper's multi-node outer solver), GMRES, CG.
+"""Krylov solvers: FGMRES (the paper's multi-node outer solver), GMRES, CG,
+BiCGStab — one driver per algorithm over a vector space (:mod:`.space`).
 
-``pcg_multi`` and ``fgmres_multi`` solve a block of right-hand sides in
-lockstep — every kernel they call takes the whole ``(n, k)`` block (see
-:mod:`repro.sparse.spmv`) — freezing each column as it converges or breaks,
-so their results are one per column, each bit-identical to the single-RHS
-solve of that column.
+``pcg_multi`` and ``fgmres_multi`` solve an ``(n, k)`` block in lockstep,
+freezing each column as it converges or breaks; each column's result is
+bit-identical to the single-RHS solve of that column.
 """
 
 from .bicgstab import bicgstab

@@ -8,6 +8,9 @@ storing the preconditioned basis ``Z`` alongside the Krylov basis ``V``.
 Right-preconditioned formulation with modified Gram–Schmidt; the Hessenberg
 least-squares problem is solved with Givens rotations, so the residual norm
 is available every iteration without forming the solution.
+:func:`fgmres_solve` is the one FGMRES body, run over a vector space (see
+:mod:`repro.krylov.space`): ``fgmres``, ``gmres``, ``fgmres_multi`` and
+:func:`repro.dist.krylov.dist_fgmres` are wrappers that build a space.
 """
 
 from __future__ import annotations
@@ -16,46 +19,111 @@ from collections.abc import Callable
 
 import numpy as np
 
-from ..faults.guards import ResidualGuard
-from ..faults.plan import FaultEvent
-from ..perf.counters import count, phase
+from ..perf.counters import phase
 from ..results import KrylovResult, resolve_maxiter
-from ..sparse.blas1 import axpy, dot, norm2
 from ..sparse.csr import CSRMatrix
-from ..sparse.spmv import spmv
+from .space import Columns, NodeSpace, columnwise
 
-__all__ = ["fgmres", "gmres", "fgmres_multi", "KrylovResult"]
-
-
-def _arnoldi_step(A: CSRMatrix, V: list[np.ndarray], H: np.ndarray, j: int,
-                  w: np.ndarray) -> np.ndarray:
-    """Modified Gram–Schmidt orthogonalization of ``w`` against ``V[:j+1]``."""
-    with phase("BLAS1"):
-        for i in range(j + 1):
-            H[i, j] = dot(w, V[i])
-            axpy(-H[i, j], V[i], w)
-        H[j + 1, j] = norm2(w)
-    return w
+__all__ = ["fgmres", "gmres", "fgmres_multi", "fgmres_solve", "KrylovResult"]
 
 
-def _givens_update(H: np.ndarray, cs: np.ndarray, sn: np.ndarray,
-                   g: np.ndarray, j: int) -> float:
-    """Apply/extend the Givens rotations; returns the new residual norm."""
+def _givens(H: np.ndarray, cs: np.ndarray, sn: np.ndarray, g: np.ndarray,
+            j: int) -> np.ndarray:
+    """Rotate column *j* of each Hessenberg system ``H[c]`` by the earlier
+    rotations, extend them by one; returns the residual norms ``|g[:, j+1]|``."""
     for i in range(j):
-        t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-        H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-        H[i, j] = t
-    denom = np.hypot(H[j, j], H[j + 1, j])
-    if denom == 0.0:
-        cs[j], sn[j] = 1.0, 0.0
-    else:
-        cs[j] = H[j, j] / denom
-        sn[j] = H[j + 1, j] / denom
-    H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
-    H[j + 1, j] = 0.0
-    g[j + 1] = -sn[j] * g[j]
-    g[j] = cs[j] * g[j]
-    return abs(g[j + 1])
+        t = cs[:, i] * H[:, i, j] + sn[:, i] * H[:, i + 1, j]
+        H[:, i + 1, j] = -sn[:, i] * H[:, i, j] + cs[:, i] * H[:, i + 1, j]
+        H[:, i, j] = t
+    denom = np.hypot(H[:, j, j], H[:, j + 1, j])
+    nz = denom != 0.0
+    cs[:, j], sn[:, j] = 1.0, 0.0
+    cs[nz, j] = H[nz, j, j] / denom[nz]
+    sn[nz, j] = H[nz, j + 1, j] / denom[nz]
+    H[:, j, j] = cs[:, j] * H[:, j, j] + sn[:, j] * H[:, j + 1, j]
+    H[:, j + 1, j] = 0.0
+    g[:, j + 1] = -sn[:, j] * g[:, j]
+    g[:, j] = cs[:, j] * g[:, j]
+    return np.abs(g[:, j + 1])
+
+
+def _back_substitute(H: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """Solve the leading ``n x n`` triangle of one column's (contiguous)
+    Hessenberg system for the update coefficients."""
+    y = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        y[i] = (g[i] - H[i, i + 1: n] @ y[i + 1: n]) / H[i, i]
+    return y
+
+
+def fgmres_solve(space, b, *, x0=None, tol: float, maxiter: int,
+                 restart: int):
+    """FGMRES over *space* for a vector *b* (one result) or a block (a list).
+
+    Each column keeps its own Hessenberg system.  A column that stops
+    mid-restart *coasts* — later Arnoldi steps never touch the triangular
+    prefix its update is formed from — and leaves the block at the restart
+    end.  A broken column skips its update: the poisoned Hessenberg would
+    poison ``x``, so it keeps the previous restart's iterate.  ``r = b -
+    A x0`` is formed only when a start *x0* is given.
+    """
+    cols = Columns(space, b, tol, "iteration {}")
+    x = space.zeros(b) if x0 is None else x0.copy()
+    total = 0
+    try:
+        r = b.copy() if x0 is None else space.residual(b, x)
+        with space.edge_phase("BLAS1"):
+            beta = np.atleast_1d(space.norm2(r))
+        x, b, r, beta = cols.retire(cols.start(beta), x, b, r, beta)
+        while total < maxiter and cols.running:
+            m = min(restart, maxiter - total)
+            k = beta.size
+            V = [space.scaled(r, beta)]
+            Z = []
+            H = np.zeros((k, m + 1, m))
+            cs, sn = np.zeros((k, m)), np.zeros((k, m))
+            g = np.zeros((k, m + 1))
+            g[:, 0] = beta
+            steps = np.zeros(k, dtype=np.int64)
+            stopped = np.zeros(k, dtype=bool)
+            failed = np.zeros(k, dtype=bool)
+            for j in range(m):
+                Z.append(space.precondition(V[j]))
+                w = space.matvec(Z[j])
+                with phase("BLAS1"):
+                    for i in range(j + 1):
+                        h = space.dot(w, V[i])
+                        H[:, i, j] = h
+                        space.axpy(-h, V[i], w)
+                    H[:, j + 1, j] = space.norm2(w)
+                hn = H[:, j + 1, j]  # 0: the basis is exhausted, keep w as is
+                V.append(space.scaled(w, np.where(hn != 0.0, hn, 1.0)))
+                res = _givens(H, cs, sn, g, j)
+                space.rotations(k)
+                total += 1
+                for i in np.flatnonzero(~stopped):
+                    stopped[i] = cols.observe(i, total, res[i])
+                    failed[i] = stopped[i] and cols.failed(i)
+                    if not failed[i]:
+                        steps[i] = j + 1
+                if stopped.all():
+                    break
+            with phase("BLAS1"):
+                for i in np.flatnonzero(~failed):
+                    y = _back_substitute(H[i], g[i], steps[i])
+                    xi = space.column(x, i)
+                    for l, yl in enumerate(y):
+                        space.axpy(yl, space.column(Z[l], i), xi)
+            x, b, stopped = cols.retire(failed, x, b, stopped)
+            if not cols.running:
+                break
+            r = space.residual(b, x)
+            with space.edge_phase("BLAS1"):
+                beta = np.atleast_1d(space.norm2(r))
+            x, b, r, beta = cols.retire(stopped, x, b, r, beta)
+    except space.catches as exc:
+        cols.abort(exc, total)
+    return cols.results(x)
 
 
 def fgmres(
@@ -70,84 +138,11 @@ def fgmres(
     restart: int = 50,
 ) -> KrylovResult:
     """Flexible GMRES with a (possibly varying) right preconditioner."""
-    max_iter = resolve_maxiter(maxiter, max_iter, 200)
     b = np.asarray(b, dtype=np.float64)
-    n = len(b)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    M = precondition if precondition is not None else (lambda v: v)
-
-    with phase("SpMV"):
-        r = b - spmv(A, x, kernel="spmv.krylov")
-    with phase("BLAS1"):
-        beta = norm2(r)
-    r0 = beta
-    residuals = [beta]
-    if beta == 0.0:
-        return KrylovResult(x, 0, residuals, True)
-    if not np.isfinite(beta):
-        return KrylovResult(x, 0, residuals, False, degraded=True,
-                            degraded_reason="nonfinite initial residual",
-                            fault_events=[FaultEvent(
-                                "nonfinite", detail="initial residual")])
-    guard = ResidualGuard(r0, stagnation=False)
-
-    total_it = 0
-    while total_it < max_iter:
-        m = min(restart, max_iter - total_it)
-        V = [r / beta]
-        Z: list[np.ndarray] = []
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        j_done = 0
-        converged = False
-        for j in range(m):
-            z = M(V[j])
-            Z.append(z)
-            with phase("SpMV"):
-                w = spmv(A, z, kernel="spmv.krylov")
-            w = _arnoldi_step(A, V, H, j, w)
-            if H[j + 1, j] != 0.0:
-                V.append(w / H[j + 1, j])
-            else:
-                V.append(w)
-            res = _givens_update(H, cs, sn, g, j)
-            count("krylov.givens", flops=20.0, phase="Solve_etc")
-            residuals.append(res)
-            total_it += 1
-            verdict = guard.check(res)
-            if verdict is not None:
-                # A poisoned Hessenberg would poison x through the
-                # triangular solve; keep the previous restart's iterate.
-                return KrylovResult(
-                    x, total_it, residuals, False, degraded=True,
-                    degraded_reason=f"{verdict} at iteration {total_it}",
-                    fault_events=[FaultEvent(
-                        verdict, detail=f"iteration {total_it}")])
-            j_done = j + 1
-            if res <= tol * r0:
-                converged = True
-                break
-        # Solve the small triangular system and update x from Z.
-        y = np.zeros(j_done)
-        for i in range(j_done - 1, -1, -1):
-            y[i] = (g[i] - H[i, i + 1: j_done] @ y[i + 1: j_done]) / H[i, i]
-        with phase("BLAS1"):
-            for i in range(j_done):
-                axpy(y[i], Z[i], x)
-        if converged or total_it >= max_iter:
-            with phase("SpMV"):
-                r = b - spmv(A, x, kernel="spmv.krylov")
-            with phase("BLAS1"):
-                beta = norm2(r)
-            return KrylovResult(x, total_it, residuals, converged)
-        with phase("SpMV"):
-            r = b - spmv(A, x, kernel="spmv.krylov")
-        with phase("BLAS1"):
-            beta = norm2(r)
-    return KrylovResult(x, total_it, residuals, False)
+    x0 = np.zeros(len(b)) if x0 is None else np.asarray(x0, dtype=np.float64)
+    return fgmres_solve(NodeSpace(A, precondition), b, x0=x0, tol=tol,
+                        maxiter=resolve_maxiter(maxiter, max_iter, 200),
+                        restart=restart)
 
 
 def gmres(
@@ -162,29 +157,8 @@ def gmres(
 ) -> KrylovResult:
     """Plain (unpreconditioned) restarted GMRES — the Krylov baseline whose
     iteration growth with problem size motivates AMG (§1)."""
-    return fgmres(
-        A, b, precondition=None, x0=x0, tol=tol,
-        max_iter=resolve_maxiter(maxiter, max_iter, 200), restart=restart
-    )
-
-
-# ---------------------------------------------------------------------------
-# Blocked FGMRES (multiple right-hand sides)
-# ---------------------------------------------------------------------------
-
-def _resolve_multi_precondition(precondition_multi, precondition):
-    """Build a block preconditioner from whichever callable was given."""
-    if precondition_multi is not None:
-        return precondition_multi
-    if precondition is not None:
-        def columnwise(Vb: np.ndarray) -> np.ndarray:
-            out = np.empty_like(Vb)
-            for j in range(Vb.shape[1]):
-                out[:, j] = precondition(Vb[:, j])
-            return out
-
-        return columnwise
-    return lambda Vb: Vb
+    return fgmres(A, b, x0=x0, tol=tol, maxiter=maxiter, max_iter=max_iter,
+                  restart=restart)
 
 
 def fgmres_multi(
@@ -202,142 +176,23 @@ def fgmres_multi(
 
     The *k* Krylov iterations run in lockstep so every SpMV, preconditioner
     application, and BLAS1 step is one blocked kernel (matrix streamed once
-    per step, not *k* times).  Each column keeps its own Hessenberg system;
-    a column that converges mid-restart *coasts* — later Arnoldi steps never
-    touch the triangular prefix its solution is formed from, so column *j*
-    is bit-identical to ``fgmres(A, B[:, j], ...)``.  Converged columns are
-    dropped from the block at restart boundaries.
-
-    A column whose residual goes NaN/Inf is *frozen the same way* but
-    flagged instead of converged: its solution update is skipped (the
-    poisoned Hessenberg would poison ``x``), the verdict lands in its
-    ``fault_events``, and — because every blocked kernel is column-wise —
-    its siblings are unaffected.
+    per step, not *k* times).  Column *j*'s result — iterate bits, history,
+    verdicts — is that of ``fgmres(A, B[:, j], ...)``: a column that
+    converges or breaks mid-restart coasts, and leaves the block at the
+    restart end (see :func:`fgmres_solve`).
 
     ``precondition_multi`` takes and returns an ``(n, k_active)`` block
     (e.g. ``AMGSolver.precondition``, which takes vectors and blocks
     alike); alternatively a single-vector ``precondition`` is applied
-    column-wise.
+    column-wise.  A block without columns has no results.
     """
-    max_iter = resolve_maxiter(maxiter, max_iter, 200)
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
         raise ValueError(f"expected a 2-D (n, k) block, got shape {B.shape}")
-    n, k = B.shape
-    M = _resolve_multi_precondition(precondition_multi, precondition)
-
-    X = np.zeros((n, k))
-    R = B.copy()
-    with phase("BLAS1"):
-        beta = norm2(R)
-    r0 = beta.copy()
-    residuals: list[list[float]] = [[float(beta[c])] for c in range(k)]
-    iterations = np.zeros(k, dtype=np.int64)
-    converged = beta == 0.0
-    failed = np.zeros(k, dtype=bool)
-    col_events: list[list[FaultEvent]] = [[] for _ in range(k)]
-    for c in np.flatnonzero(~np.isfinite(beta)):
-        failed[c] = True
-        col_events[c].append(FaultEvent("nonfinite",
-                                        detail="initial residual"))
-    active = np.flatnonzero(~converged & ~failed)
-
-    total_it = 0
-    while total_it < max_iter and len(active):
-        m = min(restart, max_iter - total_it)
-        ka = len(active)
-        V = [R[:, active] / beta[active]]
-        Z: list[np.ndarray] = []
-        H = np.zeros((m + 1, m, ka))
-        cs = np.zeros((m, ka))
-        sn = np.zeros((m, ka))
-        g = np.zeros((m + 1, ka))
-        g[0] = beta[active]
-        j_done = np.zeros(ka, dtype=np.int64)
-        conv_local = np.zeros(ka, dtype=bool)
-        fail_local = np.zeros(ka, dtype=bool)
-        for j in range(m):
-            Zj = M(V[j])
-            Z.append(Zj)
-            with phase("SpMV"):
-                W = spmv(A, Zj, kernel="spmv.krylov")
-            with phase("BLAS1"):
-                for i in range(j + 1):
-                    hij = dot(W, V[i])
-                    H[i, j] = hij
-                    axpy(-hij, V[i], W)
-                h_last = norm2(W)
-                H[j + 1, j] = h_last
-            Vn = W.copy()
-            nz = h_last != 0.0
-            Vn[:, nz] /= h_last[nz]
-            V.append(Vn)
-            # Givens update, vectorized over columns (same FP ops per column
-            # as the scalar _givens_update).
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            csj = np.ones(ka)
-            snj = np.zeros(ka)
-            nzd = denom != 0.0
-            csj[nzd] = H[j, j, nzd] / denom[nzd]
-            snj[nzd] = H[j + 1, j, nzd] / denom[nzd]
-            cs[j], sn[j] = csj, snj
-            H[j, j] = csj * H[j, j] + snj * H[j + 1, j]
-            H[j + 1, j] = 0.0
-            g[j + 1] = -snj * g[j]
-            g[j] = csj * g[j]
-            count("krylov.givens", flops=20.0 * ka, phase="Solve_etc")
-            res = np.abs(g[j + 1])
-            total_it += 1
-            for idx in range(ka):
-                if conv_local[idx] or fail_local[idx]:
-                    continue
-                c = active[idx]
-                residuals[c].append(float(res[idx]))
-                iterations[c] += 1
-                if not np.isfinite(res[idx]):
-                    fail_local[idx] = True
-                    failed[c] = True
-                    col_events[c].append(FaultEvent(
-                        "nonfinite", detail=f"iteration {int(iterations[c])}"))
-                    continue
-                j_done[idx] = j + 1
-                if res[idx] <= tol * r0[c]:
-                    conv_local[idx] = True
-            if (conv_local | fail_local).all():
-                break
-        # Per-column triangular solve and solution update (same work as the
-        # scalar restart boundary — the batched savings are in the loop above).
-        # Failed columns are skipped: their Hessenberg prefix is poisoned, so
-        # their x keeps the last healthy restart's value.
-        with phase("BLAS1"):
-            for idx in range(ka):
-                if fail_local[idx]:
-                    continue
-                jd = int(j_done[idx])
-                Hc, gc = H[:, :, idx], g[:, idx]
-                y = np.zeros(jd)
-                for i in range(jd - 1, -1, -1):
-                    y[i] = (gc[i] - Hc[i, i + 1: jd] @ y[i + 1: jd]) / Hc[i, i]
-                xc = X[:, active[idx]]
-                for i in range(jd):
-                    axpy(y[i], Z[i][:, idx], xc)
-        with phase("SpMV"):
-            Rnew = B[:, active] - spmv(A, X[:, active], kernel="spmv.krylov")
-        R[:, active] = Rnew
-        with phase("BLAS1"):
-            beta[active] = norm2(Rnew)
-        converged[active[conv_local]] = True
-        active = active[~conv_local & ~fail_local]
-
-    return [
-        KrylovResult(X[:, c].copy(), int(iterations[c]), residuals[c],
-                     bool(converged[c]), degraded=bool(failed[c]),
-                     degraded_reason=(col_events[c][-1].kind
-                                      if failed[c] and col_events[c] else None),
-                     fault_events=list(col_events[c]))
-        for c in range(k)
-    ]
+    if B.shape[1] == 0:
+        return []
+    M = precondition_multi if precondition_multi is not None \
+        else columnwise(precondition)
+    return fgmres_solve(NodeSpace(A, M), B, tol=tol,
+                        maxiter=resolve_maxiter(maxiter, max_iter, 200),
+                        restart=restart)

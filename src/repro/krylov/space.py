@@ -1,0 +1,185 @@
+"""What a Krylov driver runs over: a vector space, and per-column state.
+
+Each algorithm (:mod:`.cg`, :mod:`.gmres`, :mod:`.bicgstab`) is written once
+against a *space* that supplies the operator product, the preconditioner,
+the instrumented BLAS1 ops, the faults a solve survives and the result
+type — like Oceananigans' multigrid solver, built from a
+``linear_operation!(Ax, x)`` rather than a matrix.  :class:`NodeSpace` runs
+over a vector ``(n,)`` or a block ``(n, k)`` of right-hand sides;
+:class:`repro.dist.krylov.ParSpace` over ``ParVector``\\ s.
+
+:class:`Columns` is the per-column state the drivers share, including one
+:class:`~repro.faults.guards.ResidualGuard` per column — the one guard site
+of the Krylov layer.  A column that converges or breaks is *retired*: its
+iterate is copied out and the working block narrowed to the others, so each
+column's bits are those of a solo solve.  A vector is a block of one column
+that is never narrowed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..faults.guards import ResidualGuard
+from ..faults.plan import FaultEvent
+from ..perf.counters import count, phase
+from ..results import KrylovResult
+from ..sparse import blas1
+from ..sparse.spmv import rhs_width, spmv
+
+__all__ = ["NodeSpace", "Columns", "columnwise"]
+
+
+class NodeSpace:
+    """ndarray vectors and blocks under a :class:`CSRMatrix` ``A``.
+
+    ``dot`` / ``norm2`` return a float for a vector, one value per column
+    for a block.  ``take`` narrows a block (or a per-column array) to the
+    columns kept; ``column`` is a view of one column.
+    """
+
+    catches: tuple[type[BaseException], ...] = ()
+
+    def __init__(self, A, precondition=None) -> None:
+        self.A = A
+        self._M = precondition
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        with phase("SpMV"):
+            return spmv(self.A, x, kernel="spmv.krylov")
+
+    def residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return b - self.matvec(x)
+
+    def precondition(self, v: np.ndarray) -> np.ndarray:
+        return v.copy() if self._M is None else self._M(v)
+
+    #: Phase of the start-up reductions, the restart-end norm and CG's
+    #: direction update (the distributed space leaves them untagged).
+    edge_phase = staticmethod(phase)
+
+    width = staticmethod(rhs_width)
+    dot = staticmethod(blas1.dot)
+    norm2 = staticmethod(blas1.norm2)
+    axpy = staticmethod(blas1.axpy)
+    waxpby = staticmethod(blas1.waxpby)
+    scaled = staticmethod(np.divide)  # uncounted basis normalisation
+    zeros = staticmethod(lambda b: np.zeros(b.shape))
+    column = staticmethod(lambda v, i: v if v.ndim == 1 else v[:, i])
+    take = staticmethod(lambda v, keep: v[..., keep])
+
+    @staticmethod
+    def rotations(k: int) -> None:
+        """Charge one Givens step of *k* Hessenberg systems."""
+        count("krylov.givens", flops=20.0 * k, phase="Solve_etc")
+
+    @staticmethod
+    def result(x, iterations, residuals, converged, reason, events):
+        return KrylovResult(x, iterations, residuals, converged,
+                            degraded=reason is not None,
+                            degraded_reason=reason, fault_events=events)
+
+
+def columnwise(precondition):
+    """A block preconditioner from a vector one (``None`` stays ``None``)."""
+    if precondition is None:
+        return None
+    return lambda V: np.column_stack([precondition(v) for v in V.T])
+
+
+class Columns:
+    """Per-column state of one solve over *space*.
+
+    Columns are addressed by their index ``i`` in the working block — the
+    columns still iterating, in their original order.  ``detail`` formats
+    the iteration number into a guard verdict's event detail.
+    """
+
+    def __init__(self, space, b, tol: float, detail: str) -> None:
+        width = space.width(b)
+        k = max(width, 1)
+        self.space = space
+        self.vector = width == 0
+        self.tol = tol
+        self.detail = detail
+        self.active = np.arange(k)
+        self.r0 = np.zeros(k)
+        self.guards: list[ResidualGuard] = []
+        self.residuals: list[list[float]] = [[] for _ in range(k)]
+        self.iterations = [0] * k
+        self.converged = [False] * k
+        self.reasons: list[str | None] = [None] * k
+        self.events: list[list[FaultEvent]] = [[] for _ in range(k)]
+        self.x: list = [None] * k
+
+    @property
+    def running(self) -> bool:
+        return self.active.size > 0
+
+    def start(self, r0) -> np.ndarray:
+        """Take the initial residual norms; the mask of columns that stop
+        here (a zero residual converged, a broken one failed)."""
+        self.r0 = np.atleast_1d(r0)
+        self.guards = [ResidualGuard(v, stagnation=False) for v in self.r0]
+        done = np.zeros(self.r0.size, dtype=bool)
+        for i, v in enumerate(self.r0):
+            self.residuals[i].append(float(v))
+            self.converged[i] = bool(v == 0.0)
+            done[i] = self.converged[i] or self._guard(
+                i, v, "initial residual", "initial residual")
+        return done
+
+    def observe(self, i: int, it: int, rn) -> bool:
+        """Log column *i*'s residual norm at iteration *it*; True when the
+        column stops there (converged, or a guard verdict)."""
+        c = self.active[i]
+        self.residuals[c].append(float(rn))
+        self.iterations[c] = it
+        if rn <= self.tol * self.r0[c]:
+            self.converged[c] = True
+            return True
+        return self._guard(i, rn, self.detail.format(it), f"at iteration {it}")
+
+    def _guard(self, i: int, rn, detail: str, where: str) -> bool:
+        verdict = self.guards[self.active[i]].check(rn)
+        if verdict is not None:
+            self.fail(i, verdict, detail, f"{verdict} {where}")
+        return verdict is not None
+
+    def fail(self, i: int, kind: str, detail: str, reason: str) -> None:
+        c = self.active[i]
+        self.events[c].append(FaultEvent(kind, detail=detail))
+        self.reasons[c] = reason
+
+    def failed(self, i: int) -> bool:
+        return self.reasons[self.active[i]] is not None
+
+    def abort(self, exc: BaseException, it: int) -> None:
+        """An unrecoverable fault of the space ends every running column."""
+        for i, c in enumerate(self.active):
+            self.iterations[c] = it
+            self.converged[c] = False
+            self.fail(i, "comm_abort", str(exc), str(exc))
+
+    def retire(self, done: np.ndarray, x, *rest):
+        """Freeze the working columns where *done* — copy out their iterate
+        from *x* and drop them — and return ``(x, *rest)`` (blocks and
+        per-column arrays) narrowed to the columns still running."""
+        if not done.any():
+            return (x, *rest)
+        for i in np.flatnonzero(done):
+            self.x[self.active[i]] = self.space.column(x, i).copy()
+        self.active = self.active[~done]
+        if not self.running:
+            return (x, *rest)
+        return tuple(self.space.take(v, ~done) for v in (x, *rest))
+
+    def results(self, x):
+        """One result per column (one result for a vector), from iterate *x*
+        of the columns still running."""
+        self.retire(np.ones(self.active.size, dtype=bool), x)
+        out = [self.space.result(self.x[c], self.iterations[c],
+                                 self.residuals[c], self.converged[c],
+                                 self.reasons[c], list(self.events[c]))
+               for c in range(len(self.x))]
+        return out[0] if self.vector else out

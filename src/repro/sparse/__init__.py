@@ -6,7 +6,7 @@ numpy arrays only.  scipy.sparse appears solely in test oracles.
 """
 
 from .accumulator import SparseAccumulator, spgemm_gustavson
-from .blas1 import axpy, dot, norm2, scale, vcopy, vzero, waxpby
+from .blas1 import axpy, dot, norm2, waxpby
 from .csr import CSRMatrix
 from .io import load_matrix_market, load_npz, save_matrix_market, save_npz
 from .ops import (
@@ -73,9 +73,6 @@ __all__ = [
     "axpy",
     "dot",
     "norm2",
-    "scale",
-    "vcopy",
-    "vzero",
     "waxpby",
     "counts_from_indptr",
     "gather_range_indices",

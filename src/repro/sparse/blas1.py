@@ -19,7 +19,7 @@ import numpy as np
 
 from ..perf.counters import VAL_BYTES, count
 
-__all__ = ["dot", "norm2", "axpy", "scale", "waxpby", "vcopy", "vzero"]
+__all__ = ["dot", "norm2", "axpy", "waxpby"]
 
 
 def _columns(x: np.ndarray):
@@ -60,23 +60,3 @@ def waxpby(alpha, x: np.ndarray, beta, y: np.ndarray) -> np.ndarray:
     count("blas1.waxpby", flops=3 * n, bytes_read=2 * n * VAL_BYTES, bytes_written=n * VAL_BYTES)
     return alpha * x + beta * y
 
-
-def scale(alpha, x: np.ndarray) -> np.ndarray:
-    """``x *= alpha`` (in place, returns x)."""
-    n = x.size
-    x *= alpha
-    count("blas1.scal", flops=n, bytes_read=n * VAL_BYTES, bytes_written=n * VAL_BYTES)
-    return x
-
-
-def vcopy(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    count("blas1.copy", bytes_read=n * VAL_BYTES, bytes_written=n * VAL_BYTES)
-    return x.copy()
-
-
-def vzero(shape) -> np.ndarray:
-    """Zeros of *shape*: a length ``n`` or an ``(n, k)`` block."""
-    x = np.zeros(shape, dtype=np.float64)
-    count("blas1.zero", bytes_written=x.size * VAL_BYTES)
-    return x

@@ -7,6 +7,8 @@ must be bit-identical to a plain ``SimComm`` run (zero retries, identical
 message log, no modeled-time change).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.dist import (
     ParVector,
     RowPartition,
     SimComm,
+    dist_fgmres,
     dist_pcg,
 )
 from repro.faults import FaultEvent, FaultPlan, RetryPolicy
@@ -252,6 +255,41 @@ class TestResilientSolve:
         assert r0.converged and r1.converged
         np.testing.assert_array_equal(r0.x.to_global(), r1.x.to_global())
         assert any(e.kind == "drop" for e in r1.fault_events)
+
+
+#: Unpreconditioned distributed Krylov solves on a fault-injecting
+#: communicator, taken before the solvers shared one driver per algorithm:
+#: iterations, ``degraded_reason``, ``(kind, detail)`` of every fault event
+#: and the sha256 prefix of the iterate's bytes.
+DROPS = [("drop", ""), ("delivered_after_retry", "")] * 6
+ABORT = [("rank_down", "")] * 3 + [("comm_abort", "rank 2 is down")]
+DIST_KRYLOV_FAULTS_AT_PARENT = {
+    ("dist_pcg", "drops"): (19, None, DROPS, "49ce1515dad1706f"),
+    ("dist_pcg", "abort"): (17, "rank 2 is down", ABORT, "e782f460d44ed5ef"),
+    ("dist_fgmres", "drops"): (19, None, DROPS, "119e27e1fe16af7f"),
+    ("dist_fgmres", "abort"): (11, "rank 2 is down", ABORT, "ad7facb2586fc6e9"),
+}
+FAULT_PLANS = {
+    "drops": FaultPlan(seed=9, drop_prob=0.05),
+    # Rank 2 dies mid-solve for good: the next exchange exhausts its retries.
+    "abort": FaultPlan(seed=1, rank_failures=((2, 150, 10 ** 9),),
+                       retry=RetryPolicy(max_retries=2)),
+}
+
+
+class TestDistKrylovFaults:
+    @pytest.mark.parametrize("solver", [dist_pcg, dist_fgmres],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
+    def test_events_and_iterate_pinned(self, solver, plan):
+        Ad, bd, _ = _dist_problem()
+        res = solver(FaultyComm(NRANKS, FAULT_PLANS[plan]), Ad, bd, tol=1e-8)
+        assert res.converged == (plan == "drops")
+        assert res.degraded == (plan == "abort")
+        got = (res.iterations, res.degraded_reason,
+               [(e.kind, e.detail) for e in res.fault_events],
+               hashlib.sha256(res.x.to_global().tobytes()).hexdigest()[:16])
+        assert got == DIST_KRYLOV_FAULTS_AT_PARENT[(solver.__name__, plan)]
 
 
 class TestFaultSummary:

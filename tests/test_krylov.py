@@ -1,12 +1,16 @@
 """Unit tests for the Krylov solvers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.amg import AMGSolver
 from repro.config import single_node_config
-from repro.krylov import fgmres, gmres, pcg
+from repro.krylov import bicgstab, fgmres, gmres, pcg
+from repro.perf import collect
 from repro.problems import laplace_2d_5pt
+from repro.sparse import CSRMatrix
 from repro.sparse.spmv import spmv
 
 from conftest import random_csr
@@ -106,3 +110,57 @@ class TestPCG:
         A = random_csr(20, 20, seed=7, spd=True)
         res = pcg(A, rng.standard_normal(20), tol=1e-9)
         assert res.final_relres <= 1e-9
+
+
+#: A clean unpreconditioned ``bicgstab`` solve (see ``_bicgstab_case``)
+#: before it was guarded: iterations and sha256 prefixes of ``x``, the
+#: residual history and the PerfLog record stream.
+BICGSTAB_AT_PARENT = (32, "1c7b686d83a82e4f", "47c2e34e12bef2c2",
+                      "91c553978ea49f38")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _bicgstab_case():
+    A = laplace_2d_5pt(12)
+    b = np.random.default_rng(0).standard_normal(A.nrows)
+    with collect() as log:
+        res = bicgstab(A, b, tol=1e-9)
+    stream = [(r.phase, r.kernel, r.flops, r.bytes_read, r.bytes_written,
+               r.branches, r.mispredicts, r.parallel, r.level)
+              for r in log.records]
+    return (res.iterations, _sha(res.x.tobytes()),
+            _sha(np.array(res.residuals).tobytes()),
+            _sha(repr(stream).encode()))
+
+
+class TestBiCGStabGuard:
+    def test_clean_solve_unchanged_by_the_guard(self):
+        assert _bicgstab_case() == BICGSTAB_AT_PARENT
+
+    def test_nan_rhs_stops_at_once(self):
+        A = laplace_2d_5pt(12)
+        b = np.ones(A.nrows)
+        b[0] = np.nan
+        res = bicgstab(A, b)
+        assert res.iterations <= 1 and res.degraded and not res.converged
+        assert [e.kind for e in res.fault_events] == ["nonfinite"]
+        assert res.degraded_reason == "nonfinite initial residual"
+
+    def test_breakdown_is_recorded(self):
+        # r0hat'v = 0 on the first step: A rotates r0 onto its orthogonal
+        # complement.
+        A = CSRMatrix.from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        res = bicgstab(A, np.array([1.0, 0.0]))
+        assert not res.converged and res.degraded
+        assert [(e.kind, e.detail) for e in res.fault_events] == [
+            ("breakdown", "r0hat'v=0 at iteration 1")]
+
+    def test_takes_maxiter(self):
+        A = laplace_2d_5pt(12)
+        b = np.ones(A.nrows)
+        res = bicgstab(A, b, maxiter=3, tol=1e-12)
+        assert res.iterations == 3 and not res.converged
+        assert bicgstab(A, b, max_iter=3, tol=1e-12).residuals == res.residuals

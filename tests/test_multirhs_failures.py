@@ -38,7 +38,7 @@ class TestPCGMulti:
         Bad = _with_nan_column(B)
         results = pcg_multi(A, Bad, tol=1e-9)
         assert not results[1].converged and results[1].degraded
-        assert results[1].degraded_reason == "nonfinite"
+        assert results[1].degraded_reason == "nonfinite initial residual"
         assert [e.kind for e in results[1].fault_events] == ["nonfinite"]
         assert results[1].iterations == 0
         for c in (0, 2):
@@ -73,15 +73,13 @@ class TestFGMRESMulti:
         Bad = _with_nan_column(B)
         results = fgmres_multi(A, Bad, tol=1e-9)
         assert not results[1].converged and results[1].degraded
-        assert results[1].degraded_reason == "nonfinite"
+        assert results[1].degraded_reason == "nonfinite initial residual"
         for c in (0, 2):
             solo = fgmres(A, B[:, c], tol=1e-9)
             assert results[c].converged and not results[c].degraded
             assert results[c].iterations == solo.iterations
-            # Unpreconditioned blocked FGMRES reassociates its reductions,
-            # so equality is to rounding, not bitwise (the preconditioned
-            # driver is bitwise — see test_multirhs.py).
-            np.testing.assert_allclose(results[c].x, solo.x, rtol=1e-12)
+            assert results[c].residuals == solo.residuals
+            assert results[c].x.tobytes() == solo.x.tobytes()
 
     def test_all_nan_block_terminates(self, A):
         Bad = np.full((A.nrows, 2), np.nan)
@@ -122,10 +120,61 @@ def _pure_neumann(m):
 
 def _same_result(got, want):
     assert got.iterations == want.iterations
-    assert got.residuals == want.residuals
+    # Bytes, not ==: a broken column's history ends in NaN.
+    assert np.array(got.residuals).tobytes() == np.array(want.residuals).tobytes()
     assert got.fault_events == want.fault_events
     assert (got.converged, got.degraded) == (want.converged, want.degraded)
     assert got.x.tobytes() == want.x.tobytes()
+
+
+def _krylov_case(A, B, case):
+    """Operator, block and keywords of one column-vs-vector case."""
+    if case == "clean":
+        return A, B, {}
+    if case == "nan-column":
+        return A, _with_nan_column(B), {}
+    if case == "maxiter":
+        # Column 1 has three eigencomponents: unpreconditioned, it converges
+        # in 3 iterations while its siblings run out of iterations.
+        mixed = B.copy()
+        mixed[:, 1] = np.linalg.eigh(A.to_dense())[1][:, [3, 50, 100]].sum(axis=1)
+        return A, mixed, {"maxiter": 5}
+    # Indefinite diagonal: CG's curvature p'Ap goes non-positive, except on
+    # column 1, which has no component along the negative entries.
+    d = np.arange(1.0, A.nrows + 1)
+    d[::7] *= -1
+    Bd = B.copy()
+    Bd[::7, 1] = 0.0
+    return CSRMatrix.from_dense(np.diag(d)), Bd, {}
+
+
+@pytest.mark.parametrize("amg", [False, True], ids=["plain", "amg"])
+@pytest.mark.parametrize("method,case", [
+    (method, case) for method in ("pcg", "fgmres")
+    for case in ("clean", "nan-column", "breakdown", "maxiter")
+    if (method, case) != ("fgmres", "breakdown")  # no curvature test
+])
+def test_block_column_is_the_vector_solve(A, B, method, case, amg):
+    """Every field of a blocked column's result is the solo solve's."""
+    single, multi = {"pcg": (pcg, pcg_multi), "fgmres": (fgmres, fgmres_multi)}[method]
+    op, block, kw = _krylov_case(A, B, case)
+    M = None
+    if amg:
+        s = AMGSolver(single_node_config(nthreads=2))
+        s.setup(A)
+        M = s.precondition
+    results = multi(op, block, precondition_multi=M, tol=1e-9, **kw)
+    for j, r in enumerate(results):
+        solo = single(op, block[:, j], precondition=M, tol=1e-9, **kw)
+        _same_result(r, solo)
+        assert r.degraded_reason == solo.degraded_reason
+    kinds = [[e.kind for e in r.fault_events] for r in results]
+    if case == "nan-column":
+        assert kinds[1] == ["nonfinite"]
+    if case == "breakdown":
+        assert ["breakdown"] in kinds
+    if case == "maxiter":
+        assert any(not r.converged and not r.degraded for r in results)
 
 
 class TestStagnationGuard:
