@@ -1,7 +1,9 @@
 """Classical AMG (BoomerAMG-style): the paper's primary contribution.
 
-Setup: strength -> PMIS / aggressive PMIS -> {direct, extended+i, multipass,
-2-stage extended+i} interpolation with fused truncation -> Galerkin product.
+Setup: strength -> PMIS / aggressive PMIS -> {extended+i, classical, direct,
+2-stage extended+i, multipass} interpolation with fused truncation (one
+:class:`InterpScheme` per family, looked up by :func:`interp_scheme`) ->
+Galerkin product.
 Solve: V-cycles with C-F hybrid Gauss–Seidel smoothing.
 """
 
@@ -14,10 +16,11 @@ from .cache import (
 )
 from .coarse import CoarseSolver
 from .coarsen_rs import rs_coarsening
-from .interp_classical import classical_interpolation, classical_numeric
+from .interp import InterpScheme, interp_scheme
+from .interp_classical import classical_interpolation
 from .cycle import cycle, fcycle, vcycle, wcycle
 from .fmg import full_multigrid
-from .interp_direct import direct_interpolation, direct_numeric
+from .interp_direct import direct_interpolation
 from .interp_extended import (
     ExtIPlan,
     extended_i_interpolation,
@@ -62,7 +65,6 @@ __all__ = [
     "CoarseSolver",
     "rs_coarsening",
     "classical_interpolation",
-    "classical_numeric",
     "chebyshev_sweep",
     "estimate_lambda_max",
     "l1_diagonal",
@@ -74,8 +76,9 @@ __all__ = [
     "vcycle_multi",
     "full_multigrid",
     "direct_interpolation",
-    "direct_numeric",
     "ExtIPlan",
+    "InterpScheme",
+    "interp_scheme",
     "extended_i_interpolation",
     "extended_i_numeric",
     "extended_i_reference",

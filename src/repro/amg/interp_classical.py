@@ -14,21 +14,21 @@ are lumped into the diagonal, degrading (not crashing) the operator; the
 tests and the extension bench quantify the resulting convergence gap.
 
 Structurally a strict simplification of
-:mod:`repro.amg.interp_extended` and implemented with the same vectorized
-expansion machinery.
+:mod:`repro.amg.interp_extended`: the distance-one :class:`ExtIPlan`,
+built and refreshed through the same two bodies
+(:func:`~repro.amg.interp_extended.plan_interpolation` /
+:func:`~repro.amg.interp_extended.plan_numeric`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, collect, count
 from ..sparse.csr import CSRMatrix
 from .interp_common import entries_in_pattern
-from .interp_extended import ExtIPlan, _freeze_plan, _plan_weights, _same_pattern
-from .truncation import truncate_interpolation
+from .interp_extended import ExtIPlan, _freeze_plan, plan_interpolation
 
-__all__ = ["classical_interpolation", "classical_numeric"]
+__all__ = ["classical_interpolation"]
 
 
 def _classical_symbolic(
@@ -56,7 +56,7 @@ def _classical_symbolic(
         direct=sc,
         weak=f_row & offdiag & ~strong,
         identity_rows=np.flatnonzero(cf_marker > 0),
-        diag_return=False, weak_first=True,
+        weak_first=True, kernel="interp.classical",
     )
 
 
@@ -67,6 +67,7 @@ def classical_interpolation(
     *,
     trunc_fact: float = 0.0,
     max_elmts: int = 0,
+    fused_truncation: bool = True,
     truncate: bool = False,
     return_plan: bool = False,
 ) -> CSRMatrix | tuple[CSRMatrix, ExtIPlan]:
@@ -76,59 +77,8 @@ def classical_interpolation(
     :func:`repro.amg.interp_extended.extended_i_interpolation`.
     """
     plan = _classical_symbolic(A, S, cf_marker)
-    n = A.nrows
-    P = _plan_weights(plan, A)
-    count(
-        "interp.classical",
-        flops=4 * plan.expansion + 3 * A.nnz,
-        bytes_read=A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-        + plan.expansion * (VAL_BYTES + IDX_BYTES),
-        bytes_written=P.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
-        branches=float(plan.expansion + A.nnz),
+    P = plan_interpolation(
+        plan, A, trunc_fact=trunc_fact, max_elmts=max_elmts,
+        fused_truncation=fused_truncation, truncate=truncate,
     )
-    if truncate:
-        P = truncate_interpolation(P, trunc_fact, max_elmts)
     return (P, plan) if return_plan else P
-
-
-def classical_numeric(
-    A: CSRMatrix,
-    S: CSRMatrix,
-    cf_marker: np.ndarray,
-    pattern: CSRMatrix,
-    *,
-    trunc_fact: float = 0.0,
-    max_elmts: int = 0,
-    fused_truncation: bool = True,
-    plan: ExtIPlan | None = None,
-) -> CSRMatrix | None:
-    """Numeric-only classical weight recomputation against a frozen pattern.
-
-    Pattern-reuse counterpart of :func:`classical_interpolation` (plus its
-    separate truncation pass), mirroring
-    :func:`repro.amg.interp_extended.extended_i_numeric`: with the build's
-    *plan* only the weights and the truncation are recomputed (without one
-    the symbolic half is derived first, silently), the result's pattern is
-    checked against *pattern*, and only the irreducible numeric work is
-    charged (zero data-dependent branches).  Returns ``None`` on pattern
-    drift — the caller must rebuild from scratch.
-    """
-    with collect():
-        if plan is None:
-            plan = _classical_symbolic(A, S, cf_marker)
-        P = truncate_interpolation(
-            _plan_weights(plan, A), trunc_fact, max_elmts, fused=fused_truncation
-        )
-    if not _same_pattern(P, pattern):
-        return None
-    n = A.nrows
-    flops = 2 * plan.contrib + 3 * A.nnz + 2 * P.nnz
-    count(
-        "interp.classical.numeric_only",
-        flops=flops,
-        bytes_read=A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-        + plan.expansion * VAL_BYTES + P.nnz * IDX_BYTES,
-        bytes_written=P.nnz * VAL_BYTES,
-        branches=0.0,
-    )
-    return P

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, collect, count
+from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, count
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import segment_sum
 from .interp_common import coarse_index, entries_in_pattern, identity_rows
-from .truncation import truncate_interpolation
 
-__all__ = ["direct_interpolation", "direct_numeric"]
+__all__ = ["direct_interpolation"]
 
 
 def direct_interpolation(
@@ -91,51 +90,5 @@ def direct_interpolation(
         bytes_read=a_bytes,
         bytes_written=P.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
         branches=float(A.nnz),
-    )
-    return P
-
-
-def direct_numeric(
-    A: CSRMatrix,
-    S: CSRMatrix,
-    cf_marker: np.ndarray,
-    pattern: CSRMatrix,
-    *,
-    trunc_fact: float = 0.0,
-    max_elmts: int = 0,
-    fused_truncation: bool = True,
-) -> CSRMatrix | None:
-    """Recompute direct interpolation (plus the separate truncation pass)
-    for new values and check it against a frozen pattern.
-
-    Unlike :func:`repro.amg.interp_extended.extended_i_numeric` and
-    :func:`repro.amg.interp_classical.classical_numeric` this is **not** a
-    numeric-only path in the vehicle: direct interpolation has no pair
-    expansion to freeze, so the whole (cheap, distance-one) build is simply
-    replayed in a discarded collection scope.  Only the modeled record is
-    numeric-only — it charges the segment sums and weight scalings a native
-    frozen-pattern kernel would do, with zero data-dependent branches.
-    Returns ``None`` on pattern drift — direct interpolation's pattern is
-    value-dependent (zero strong-C weight sums drop entries), so a sign
-    change can genuinely invalidate the frozen pattern.
-    """
-    with collect():
-        P = direct_interpolation(A, S, cf_marker)
-        P = truncate_interpolation(
-            P, trunc_fact, max_elmts, fused=fused_truncation
-        )
-    if P.shape != pattern.shape or not (
-        np.array_equal(P.indptr, pattern.indptr)
-        and np.array_equal(P.indices, pattern.indices)
-    ):
-        return None
-    n = A.nrows
-    count(
-        "interp.direct.numeric_only",
-        flops=4 * A.nnz + 2 * P.nnz,
-        bytes_read=A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-        + P.nnz * IDX_BYTES,
-        bytes_written=P.nnz * VAL_BYTES,
-        branches=0.0,
     )
     return P

@@ -18,9 +18,11 @@ Two implementations:
   :mod:`repro.sparse.spgemm`, the set-membership tests that the native code
   does with a marker array become bulk binary searches, and the outcome is
   frozen into an :class:`ExtIPlan` of entry-id maps.  One numeric kernel
-  then evaluates Eq. (1) through those maps; a from-scratch build and
-  numeric resetup (:func:`extended_i_numeric`, §3.1.1 pattern reuse) run
-  that same kernel, so they cannot disagree.
+  then evaluates Eq. (1) through those maps; a from-scratch build
+  (:func:`plan_interpolation`) and numeric resetup (:func:`plan_numeric`,
+  §3.1.1 pattern reuse) run that same kernel, so they cannot disagree.
+  Classical interpolation is the distance-one plan through the same two
+  bodies.
 * :func:`extended_i_reference` — a literal per-row transcription of Eq. (1)
   with marker arrays, used as the oracle in tests.
 
@@ -49,7 +51,8 @@ from .interp_common import coarse_index, entries_in_pattern
 from .truncation import truncate_interpolation
 
 __all__ = ["ExtIPlan", "extended_i_symbolic", "extended_i_interpolation",
-           "extended_i_numeric", "extended_i_reference"]
+           "extended_i_numeric", "extended_i_reference", "plan_interpolation",
+           "plan_numeric"]
 
 _TINY = 1e-300
 
@@ -104,10 +107,13 @@ class ExtIPlan:
     out_row: np.ndarray
     out_col: np.ndarray
     #: classical accumulates the weak lump into ``a~_ii`` before the
-    #: degenerate-pair lump, extended+i after the diagonal-return terms
+    #: degenerate-pair lump, extended+i after the diagonal-return terms;
+    #: it is the distance-one plan
     weak_first: bool
     #: size of the full pair expansion (both cost records charge it)
     expansion: int
+    #: name of the build's cost record (``<kernel>.numeric_only`` on resetup)
+    kernel: str
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -123,6 +129,10 @@ class ExtIPlan:
     def afs_nnz(self) -> int:
         return len(self.pair_row)
 
+    @property
+    def distance_two(self) -> bool:
+        return not self.weak_first
+
 
 def _freeze_plan(
     A: CSRMatrix,
@@ -133,8 +143,8 @@ def _freeze_plan(
     direct: np.ndarray,
     weak: np.ndarray,
     identity_rows: np.ndarray,
-    diag_return: bool,
     weak_first: bool,
+    kernel: str,
 ) -> ExtIPlan:
     """Expand the strong-F pairs and freeze every map of an :class:`ExtIPlan`.
 
@@ -142,7 +152,8 @@ def _freeze_plan(
     entries (the strong-F pair entries ``a_ik``, the direct numerator
     entries, the weak entries lumped into the diagonal); *chat* is the
     interpolation-set pattern ``Chat``; *identity_rows* the C points that
-    get an identity row.  Shared by extended+i and classical.
+    get an identity row; the distance-one plan (``weak_first``) has no
+    ``l == i`` diagonal-return terms.  Shared by extended+i and classical.
     """
     n = A.nrows
     rid = A.row_ids()
@@ -165,14 +176,14 @@ def _freeze_plan(
     cand = np.flatnonzero(cf_marker[p_l] > 0)
     in_chat = np.zeros(len(p_l), dtype=bool)
     in_chat[cand] = entries_in_pattern(p_i[cand], p_l[cand], chat)
-    contributes = in_chat | (p_l == p_i) if diag_return else in_chat
+    contributes = in_chat if weak_first else in_chat | (p_l == p_i)
     terms = np.flatnonzero(contributes)
     term_pair = p_pair[terms]
     term_entry = eidx[terms]
     term_l = p_l[terms]
     weight_terms = np.flatnonzero(in_chat[terms])
-    diag_terms = np.flatnonzero(term_l == pair_row[term_pair]) if diag_return \
-        else np.empty(0, dtype=np.int64)
+    diag_terms = np.empty(0, dtype=np.int64) if weak_first \
+        else np.flatnonzero(term_l == pair_row[term_pair])
 
     direct_entry = np.flatnonzero(direct)
     weak_entry = np.flatnonzero(weak)
@@ -204,7 +215,7 @@ def _freeze_plan(
         direct_entry=idx(direct_entry), num_row=idx(num_row),
         n_identity=len(identity_rows),
         slot=idx(slot), out_row=idx(row_ids_from_indptr(out_indptr)), out_col=out_col,
-        weak_first=weak_first, expansion=len(p_l),
+        weak_first=weak_first, expansion=len(p_l), kernel=kernel,
     )
 
 
@@ -312,8 +323,96 @@ def extended_i_symbolic(
         direct=f_row & in_chat_A,
         weak=f_row & offdiag & ~strong & ~in_chat_A,
         identity_rows=identity_rows,
-        diag_return=True, weak_first=False,
+        weak_first=False, kernel="interp.extended_i",
     )
+
+
+def plan_interpolation(
+    plan: ExtIPlan,
+    A: CSRMatrix,
+    *,
+    trunc_fact: float = 0.1,
+    max_elmts: int = 4,
+    reordered: bool = True,
+    fused_truncation: bool = True,
+    truncate: bool = True,
+) -> CSRMatrix:
+    """``P`` through a freshly frozen *plan*, charged as ``plan.kernel``:
+    the one build body of extended+i and classical (distance one)."""
+    n = A.nrows
+    d2 = int(plan.distance_two)
+    P = _plan_weights(plan, A)
+    a_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
+    gathered = (plan.expansion * (VAL_BYTES + IDX_BYTES)
+                + d2 * plan.afs_nnz * 2 * PTR_BYTES)
+    # Branch model: the irreducible sparse-accumulator branch per expanded
+    # term, plus a per-entry C/F/sign classification branch — and, at
+    # distance two, a per-term one — that only extended+i's 3-way partial
+    # sort removes.
+    branches = plan.expansion
+    if not (reordered and d2):
+        branches += d2 * plan.expansion + A.nnz
+    count(
+        plan.kernel,
+        flops=(4 + d2) * plan.expansion + (3 + d2) * A.nnz,
+        bytes_read=a_bytes + gathered,
+        bytes_written=P.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
+        branches=float(branches),
+    )
+    if truncate:
+        P = truncate_interpolation(
+            P, trunc_fact, max_elmts, fused=fused_truncation
+        )
+    return P
+
+
+def _same_pattern(P: CSRMatrix, pattern: CSRMatrix) -> bool:
+    """Whether *P* has exactly the sparsity of the frozen *pattern*."""
+    return (P.shape == pattern.shape
+            and np.array_equal(P.indptr, pattern.indptr)
+            and np.array_equal(P.indices, pattern.indices))
+
+
+def plan_numeric(
+    plan: ExtIPlan,
+    A: CSRMatrix,
+    pattern: CSRMatrix,
+    *,
+    trunc_fact: float = 0.1,
+    max_elmts: int = 4,
+    fused_truncation: bool = True,
+) -> CSRMatrix | None:
+    """Numeric-only recomputation through the build's *plan* (§3.1.1
+    pattern reuse): :func:`_plan_weights` and the truncation on the new
+    values, nothing else.  ``None`` when the result's pattern deviates
+    from *pattern* (a weight cancelled, a truncation keep-set flipped) —
+    the caller must rebuild.  The ``<plan.kernel>.numeric_only`` record
+    charges only the irreducible work, with **zero** branches.
+    """
+    with collect():
+        P = truncate_interpolation(
+            _plan_weights(plan, A), trunc_fact, max_elmts, fused=fused_truncation
+        )
+    if not _same_pattern(P, pattern):
+        return None
+    n = A.nrows
+    d2 = int(plan.distance_two)
+    # Irreducible numeric work on a frozen pattern: abar sign filter and
+    # diagonal accumulations over A's entries, one multiply-divide-
+    # accumulate per contributing term, the row scaling, and the (frozen
+    # keep-set) truncation rescale; distance two adds the pair-row walk.
+    flops = ((2 + d2) * plan.contrib + (3 + d2) * A.nnz + 2 * P.nnz
+             + d2 * 2 * plan.afs_nnz)
+    a_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
+    gathered = plan.expansion * VAL_BYTES + d2 * plan.afs_nnz * 2 * PTR_BYTES
+    count(
+        f"{plan.kernel}.numeric_only",
+        flops=flops,
+        bytes_read=a_bytes + gathered + P.nnz * IDX_BYTES,
+        bytes_written=P.nnz * VAL_BYTES,
+        branches=0.0,
+    )
+    return P
 
 
 def extended_i_interpolation(
@@ -342,35 +441,12 @@ def extended_i_interpolation(
     build keeps the symbolic half for numeric resetup.
     """
     plan = extended_i_symbolic(A, S, cf_marker, active_rows)
-    n = A.nrows
-    P = _plan_weights(plan, A)
-
-    a_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-    gathered = plan.expansion * (VAL_BYTES + IDX_BYTES) + plan.afs_nnz * 2 * PTR_BYTES
-    # Branch model: the irreducible sparse-accumulator branch per expanded
-    # term, plus (baseline only) a per-term C/F/sign classification branch
-    # that the 3-way partial sort removes.
-    branches = (float(plan.expansion) if reordered
-                else float(2 * plan.expansion + A.nnz))
-    count(
-        "interp.extended_i",
-        flops=5 * plan.expansion + 4 * A.nnz,
-        bytes_read=a_bytes + gathered,
-        bytes_written=P.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
-        branches=branches,
+    P = plan_interpolation(
+        plan, A, trunc_fact=trunc_fact, max_elmts=max_elmts,
+        reordered=reordered, fused_truncation=fused_truncation,
+        truncate=truncate,
     )
-    if truncate:
-        P = truncate_interpolation(
-            P, trunc_fact, max_elmts, fused=fused_truncation
-        )
     return (P, plan) if return_plan else P
-
-
-def _same_pattern(P: CSRMatrix, pattern: CSRMatrix) -> bool:
-    """Whether *P* has exactly the sparsity of the frozen *pattern*."""
-    return (P.shape == pattern.shape
-            and np.array_equal(P.indptr, pattern.indptr)
-            and np.array_equal(P.indices, pattern.indices))
 
 
 def extended_i_numeric(
@@ -385,50 +461,14 @@ def extended_i_numeric(
     fused_truncation: bool = True,
     plan: ExtIPlan | None = None,
 ) -> CSRMatrix | None:
-    """Numeric-only extended+i weight recomputation against a frozen pattern.
-
-    The §3.1.1 pattern-reuse idea applied to interpolation: when the
-    operator's values changed but its sparsity (hence ``S``'s pattern, the
-    CF split and ``Chat``) did not, every set-membership test, sparse
-    accumulation, and size-discovery pass of the build is redundant.  With
-    the build's *plan* this runs :func:`_plan_weights` and the truncation
-    on the new values and nothing else; ``S`` and ``cf_marker`` are then
-    not consulted.  Without one the symbolic half is derived first
-    (silently), which costs what a build costs.
-
-    Returns the recomputed ``P``, or ``None`` when the resulting pattern
-    deviates from *pattern* (values drifted far enough to change the
-    interpolation structure — a weight cancelled to zero, a truncation
-    keep-set flipped), in which case the caller must fall back to a full
-    rebuild.  On success the counted record charges only the irreducible
-    numeric work, with **zero** data-dependent branches.  ``reordered``
-    is accepted for symmetry with the build; the record does not depend
-    on it.
-    """
-    with collect():
-        if plan is None:
+    """:func:`plan_numeric` for extended+i; without the build's *plan*
+    the symbolic half is derived first, silently.  ``reordered`` is
+    accepted for symmetry with the build."""
+    if plan is None:
+        with collect():
             plan = extended_i_symbolic(A, S, cf_marker)
-        P = truncate_interpolation(
-            _plan_weights(plan, A), trunc_fact, max_elmts, fused=fused_truncation
-        )
-    if not _same_pattern(P, pattern):
-        return None
-    n = A.nrows
-    # Irreducible numeric work on a frozen pattern: abar sign filter and
-    # diagonal accumulations over A's entries (~4 per entry), one
-    # multiply-divide-accumulate per contributing distance-two term, the
-    # row scaling, and the (frozen keep-set) truncation rescale.
-    flops = 3 * plan.contrib + 4 * A.nnz + 2 * P.nnz + 2 * plan.afs_nnz
-    a_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-    gathered = plan.expansion * VAL_BYTES + plan.afs_nnz * 2 * PTR_BYTES
-    count(
-        "interp.extended_i.numeric_only",
-        flops=flops,
-        bytes_read=a_bytes + gathered + P.nnz * IDX_BYTES,
-        bytes_written=P.nnz * VAL_BYTES,
-        branches=0.0,
-    )
-    return P
+    return plan_numeric(plan, A, pattern, trunc_fact=trunc_fact,
+                        max_elmts=max_elmts, fused_truncation=fused_truncation)
 
 
 def extended_i_reference(

@@ -38,6 +38,7 @@ def multipass_interpolation(
     *,
     trunc_fact: float = 0.1,
     max_elmts: int = 4,
+    fused_truncation: bool = True,
     truncate: bool = True,
     max_passes: int = 10,
 ) -> CSRMatrix:
@@ -111,5 +112,6 @@ def multipass_interpolation(
         branches=float(A.nnz),
     )
     if truncate:
-        P = truncate_interpolation(P, trunc_fact, max_elmts)
+        P = truncate_interpolation(P, trunc_fact, max_elmts,
+                                   fused=fused_truncation)
     return P

@@ -46,23 +46,19 @@ def two_stage_extended_i(
     trunc_fact: float = 0.1,
     max_elmts: int = 4,
     reordered: bool = True,
+    fused_truncation: bool = True,
 ) -> CSRMatrix:
-    """Two-stage extended+i operator ``P`` (``n x n_final_coarse``)."""
+    """Two-stage extended+i operator ``P`` (``n x n_final_coarse``); all
+    three truncations are charged as ``fused_truncation`` says."""
     cf_final = np.asarray(cf_final)
     cf_stage1 = np.asarray(cf_stage1)
     if np.any((cf_final > 0) & (cf_stage1 <= 0)):
         raise ValueError("final C points must be a subset of stage-1 C points")
 
+    ei = dict(trunc_fact=trunc_fact, max_elmts=max_elmts,
+              reordered=reordered, fused_truncation=fused_truncation)
     # Stage 1: interpolate everything from the stage-1 C points.
-    P1 = extended_i_interpolation(
-        A,
-        S,
-        cf_stage1,
-        trunc_fact=trunc_fact,
-        max_elmts=max_elmts,
-        reordered=reordered,
-        truncate=True,
-    )
+    P1 = extended_i_interpolation(A, S, cf_stage1, **ei)
 
     # Intermediate operator on the stage-1 coarse grid.
     R1 = transpose(P1, kernel="interp.2s_transpose")
@@ -73,15 +69,8 @@ def two_stage_extended_i(
     c1 = np.flatnonzero(cf_stage1 > 0)
     cf2 = np.where(cf_final[c1] > 0, 1, -1).astype(np.int64)
 
-    P2 = extended_i_interpolation(
-        A1,
-        S1,
-        cf2,
-        trunc_fact=trunc_fact,
-        max_elmts=max_elmts,
-        reordered=reordered,
-        truncate=True,
-    )
+    P2 = extended_i_interpolation(A1, S1, cf2, **ei)
 
     P = spgemm(P1, P2, kernel="interp.2s_product")
-    return truncate_interpolation(P, trunc_fact, max_elmts)
+    return truncate_interpolation(P, trunc_fact, max_elmts,
+                                  fused=fused_truncation)

@@ -27,6 +27,12 @@ numerics recomputed.  This module implements both halves:
   is never mutated, so handles and cache entries that still reference it
   keep solving the operator it was built for (hierarchies are frozen once
   handed out; the two share only the immutable plan and symbolic arrays).
+  Each level's interpolation is recomputed by the ``numeric`` of the
+  :class:`~repro.amg.interp.InterpScheme` its :class:`LevelPlan` captured —
+  the one lookup (:func:`~repro.amg.interp.interp_scheme`) the build used
+  too, so refresh never re-reads ``config.interp``; capture is refused
+  exactly when some level's scheme has no ``numeric`` (the
+  aggressive-coarsening families).
   Cheap vectorized guards validate that the frozen symbolic artifacts are
   still correct for the new values — the level-0 sparsity pattern, the
   per-level strength mask, and the interpolation pattern produced by each
@@ -63,9 +69,8 @@ from ..sparse.triple_product import (
     rap_cf_block_numeric,
     rap_fused_numeric,
 )
-from .interp_classical import classical_numeric
-from .interp_direct import direct_numeric
-from .interp_extended import ExtIPlan, extended_i_numeric
+from .interp import InterpScheme, interp_scheme
+from .interp_extended import ExtIPlan
 from .strength import _strong_connections_mask
 
 logger = logging.getLogger("repro.amg.resetup")
@@ -85,8 +90,8 @@ class LevelPlan:
     strong_mask: np.ndarray
     #: frozen strength matrix (unit values — never changes on refresh)
     S: CSRMatrix
-    #: interpolation family: "extended_i" | "classical" | "direct"
-    interp: str
+    #: the level's interpolation scheme (refresh calls its ``numeric``)
+    scheme: InterpScheme
     #: raw interpolation operator as the RAP consumed it (pre column
     #: renumbering); pattern reference for the refresh guard.
     p_raw: CSRMatrix | None = None
@@ -145,9 +150,10 @@ class PlanBuilder:
     """Incrementally captures a :class:`SetupPlan` during a hierarchy build.
 
     Created through :meth:`begin`, which returns None for configurations
-    the resetup path does not support (aggressive-coarsening interpolation
-    families, non-plan-capable RAP schemes) — the build then proceeds
-    exactly as without capture and the hierarchy simply carries no plan.
+    the resetup path does not support (a level whose interpolation scheme
+    has no ``numeric``, non-plan-capable RAP schemes) — the build then
+    proceeds exactly as without capture and the hierarchy simply carries
+    no plan.
     All methods are cheap and silent (no kernel records).
     """
 
@@ -161,8 +167,9 @@ class PlanBuilder:
 
     @classmethod
     def begin(cls, A0: CSRMatrix, config: AMGConfig) -> "PlanBuilder | None":
-        if config.interp in ("2s-ei", "multipass"):
-            return None  # aggressive-coarsening families: no numeric path
+        if any(interp_scheme(config, l).numeric is None
+               for l in range(config.max_levels - 1)):
+            return None
         if config.flags.rap_scheme not in cls.SUPPORTED_RAP:
             return None
         return cls(A0, config)
@@ -176,17 +183,18 @@ class PlanBuilder:
         """Snapshot the level operator before any CF reordering."""
         self._incoming = A_incoming
 
-    def capture_level(self, lvl, S: CSRMatrix, strong: np.ndarray) -> None:
+    def capture_level(self, lvl, S: CSRMatrix, strong: np.ndarray,
+                      scheme: InterpScheme) -> None:
         """Freeze the split/reorder/strength state of one level.
 
         Called once the level's ``A``/``cf_marker``/``n_coarse`` are final
         (post CF permutation), with the (permuted) strength matrix and the
         strong-connection mask :func:`~repro.amg.strength.strength_matrix`
-        computed over the *incoming* operator's entries.
+        computed over the *incoming* operator's entries, and the scheme the
+        level interpolates with.
         """
         if self._dead:
             return
-        config = self.config
         A = lvl.A
         if lvl.new2old is not None:
             entry_perm = _entry_permutation(
@@ -199,14 +207,8 @@ class PlanBuilder:
         else:
             entry_perm = None
         mask = strong if entry_perm is None else strong[entry_perm]
-        if config.interp == "classical":
-            interp = "classical"
-        elif config.interp == "direct":
-            interp = "direct"
-        else:
-            interp = "extended_i"
         self.plan.levels.append(LevelPlan(
-            entry_perm=entry_perm, strong_mask=mask, S=S, interp=interp,
+            entry_perm=entry_perm, strong_mask=mask, S=S, scheme=scheme,
         ))
 
     def capture_interp(self, P: CSRMatrix, interp_plan: ExtIPlan | None) -> None:
@@ -264,29 +266,6 @@ class PlanBuilder:
                 lp.r_perm = rid.data.astype(np.int64)
                 lp.r_frozen = levels[l].R
         return self.plan
-
-
-def _interp_numeric(lp: LevelPlan, A: CSRMatrix, cf_marker: np.ndarray,
-                    config: AMGConfig) -> CSRMatrix | None:
-    flags = config.flags
-    if lp.interp == "classical":
-        return classical_numeric(
-            A, lp.S, cf_marker, lp.p_raw,
-            trunc_fact=config.trunc_fact, max_elmts=config.max_elmts,
-            fused_truncation=flags.fused_truncation, plan=lp.interp_plan,
-        )
-    if lp.interp == "direct":
-        return direct_numeric(
-            A, lp.S, cf_marker, lp.p_raw,
-            trunc_fact=config.trunc_fact, max_elmts=config.max_elmts,
-            fused_truncation=flags.fused_truncation,
-        )
-    return extended_i_numeric(
-        A, lp.S, cf_marker, lp.p_raw,
-        trunc_fact=config.trunc_fact, max_elmts=config.max_elmts,
-        reordered=flags.three_way_partition,
-        fused_truncation=flags.fused_truncation, plan=lp.interp_plan,
-    )
 
 
 def refresh_hierarchy(hierarchy, A_new: CSRMatrix):
@@ -363,7 +342,8 @@ def refresh_hierarchy(hierarchy, A_new: CSRMatrix):
                 return fallback(
                     f"strength-of-connection pattern drifted at level {l}")
 
-            P_raw = _interp_numeric(lp, stored, lvl.cf_marker, config)
+            P_raw = lp.scheme.numeric(lp.interp_plan, stored, lp.S,
+                                      lvl.cf_marker, lp.p_raw, config)
             if P_raw is None:
                 return fallback(
                     f"interpolation pattern drifted at level {l}")

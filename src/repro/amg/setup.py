@@ -2,9 +2,11 @@
 
 Per level: strength matrix -> PMIS (or aggressive PMIS) -> optional CF
 reordering of the level operator -> interpolation (+ fused truncation) ->
-Galerkin product.  The paper's Fig. 5 breakdown buckets are attributed here:
-``Strength+Coarsen``, ``Interp``, ``RAP``, ``Setup_etc`` (reordering
-pre-processing, kept transposes, smoother/coarse-solver setup).
+Galerkin product.  The level's :class:`~repro.amg.interp.InterpScheme`
+decides whether it coarsens aggressively and how it interpolates.  The
+paper's Fig. 5 breakdown buckets are attributed here: ``Strength+Coarsen``,
+``Interp``, ``RAP``, ``Setup_etc`` (reordering pre-processing, kept
+transposes, smoother/coarse-solver setup).
 
 Ordering convention (see :class:`repro.amg.level.Level`): every level matrix
 lives in its own ordering; when ``cf_reorder`` is on, a level is permuted
@@ -39,18 +41,13 @@ from ..sparse.triple_product import (
 )
 from .coarse import CoarseSolver
 from .coarsen_rs import rs_coarsening
-from .interp_classical import classical_interpolation
-from .interp_direct import direct_interpolation
-from .interp_extended import ExtIPlan, extended_i_interpolation
-from .interp_multipass import multipass_interpolation
-from .interp_twostage import two_stage_extended_i
+from .interp import interp_scheme
 from .level import Level
 from .pmis import aggressive_pmis, pmis
 from .resetup import PlanBuilder, SetupPlan
 from .smoothers import HybridGSSmoother
 from .solveplan import attach_solve_plan
 from .strength import strength_matrix
-from .truncation import truncate_interpolation
 
 __all__ = ["Hierarchy", "build_hierarchy"]
 
@@ -111,47 +108,6 @@ class Hierarchy:
 
     def level_sizes(self) -> list[tuple[int, int]]:
         return [(l.A.nrows, l.A.nnz) for l in self.levels]
-
-
-def _build_interp(
-    A, S, cf, cf_stage1, config: AMGConfig
-) -> tuple[CSRMatrix, ExtIPlan | None]:
-    """Interpolation of one level, plus the symbolic plan it was built
-    through (extended+i and classical; kept only by a capturing build)."""
-    flags = config.flags
-    aggressive = cf_stage1 is not None
-    if aggressive and config.interp == "2s-ei":
-        return two_stage_extended_i(
-            A, S, cf, cf_stage1,
-            theta=config.strength_threshold,
-            max_row_sum=config.max_row_sum,
-            trunc_fact=config.trunc_fact,
-            max_elmts=config.max_elmts,
-            reordered=flags.three_way_partition,
-        ), None
-    if aggressive and config.interp == "multipass":
-        return multipass_interpolation(
-            A, S, cf, trunc_fact=config.trunc_fact, max_elmts=config.max_elmts
-        ), None
-    if config.interp == "classical":
-        P, plan = classical_interpolation(A, S, cf, return_plan=True)
-        return truncate_interpolation(
-            P, config.trunc_fact, config.max_elmts, fused=flags.fused_truncation
-        ), plan
-    if config.interp == "direct":
-        P = direct_interpolation(A, S, cf)
-        return truncate_interpolation(
-            P, config.trunc_fact, config.max_elmts, fused=flags.fused_truncation
-        ), None
-    # Default / deeper levels: extended+i.
-    return extended_i_interpolation(
-        A, S, cf,
-        trunc_fact=config.trunc_fact,
-        max_elmts=config.max_elmts,
-        reordered=flags.three_way_partition,
-        fused_truncation=flags.fused_truncation,
-        return_plan=True,
-    )
 
 
 def _galerkin(
@@ -233,10 +189,11 @@ def build_hierarchy(
     if A0.nrows != A0.ncols:
         raise ValueError("AMG requires a square operator")
 
+    schemes = [interp_scheme(config, l) for l in range(config.max_levels - 1)]
     builder = PlanBuilder.begin(A0, config) if capture_plan else None
     levels: list[Level] = [Level(A=A0)]
 
-    for l in range(config.max_levels - 1):
+    for l, scheme in enumerate(schemes):
         lvl = levels[l]
         A = lvl.A
         if A.nrows <= config.coarse_size:
@@ -252,11 +209,7 @@ def build_hierarchy(
                 parallel=flags.parallel_setup_kernels,
                 return_mask=True,
             )
-            aggressive = (
-                l < config.aggressive_levels
-                and config.interp in ("2s-ei", "multipass")
-            )
-            if aggressive:
+            if scheme.aggressive:
                 cf, cf_stage1 = aggressive_pmis(
                     S, seed=config.seed + l, nthreads=config.nthreads,
                     parallel_rng=flags.parallel_rng,
@@ -317,10 +270,10 @@ def build_hierarchy(
         lvl.cf_marker = cf
         lvl.n_coarse = nc
         if builder is not None:
-            builder.capture_level(lvl, S, strong)
+            builder.capture_level(lvl, S, strong, scheme)
 
         with phase("Interp"):
-            P, interp_plan = _build_interp(A, S, cf, cf_stage1, config)
+            P, interp_plan = scheme.build(A, S, cf, cf_stage1, config)
             if checking():
                 check_csr(P, name=f"P[{l}]", level=l)
         lvl.P = P

@@ -92,11 +92,13 @@ class AMGConfig:
     #: "pmis" (the paper's choice) or "rs" (serial Ruge-Stueben, the
     #: classical comparator of §2).
     coarsening: str = "pmis"
-    #: "extended+i", "multipass", "2s-ei", or "direct".  With aggressive
-    #: coarsening ("2s-ei"/"multipass" presets) this is the *top-level*
-    #: scheme; deeper levels always use extended+i (Table 4).
+    #: "extended+i", "classical", "direct", "2s-ei" or "multipass" (others
+    #: raise ValueError); the distributed build runs "extended+i", "2s-ei"
+    #: and "multipass".  Read only by :func:`repro.amg.interp.interp_scheme`.
     interp: str = "extended+i"
-    #: Number of top levels coarsened aggressively (Table 4 uses 1).
+    #: "2s-ei"/"multipass" coarsen aggressively with their interpolation on
+    #: the top ``aggressive_levels`` levels (Table 4 uses 1) and use
+    #: extended+i below; the other families ignore it.
     aggressive_levels: int = 0
     trunc_fact: float = 0.1
     max_elmts: int = 4

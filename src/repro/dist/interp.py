@@ -80,22 +80,6 @@ def _exchange_point_info(comm, A, cf, cg):
         for v in (cf, cg))
 
 
-def _strong_flags(A: ParCSRMatrix, S: ParCSRMatrix) -> list[np.ndarray]:
-    """Per-rank per-entry strong flags in ``row_arrays_global`` order."""
-    out = []
-    for p in range(A.row_part.nranks):
-        ra, ca, _ = A.blocks[p].row_arrays_global(A.col_part.lo(p))
-        rs, cs, _ = S.blocks[p].row_arrays_global(S.col_part.lo(p))
-        n_glob = A.col_part.n
-        skeys = np.sort(rs.astype(np.int64) * n_glob + cs)
-        akeys = ra.astype(np.int64) * n_glob + ca
-        pos = np.searchsorted(skeys, akeys)
-        pos = np.minimum(pos, max(len(skeys) - 1, 0))
-        flags = (skeys[pos] == akeys) if len(skeys) else np.zeros(len(akeys), bool)
-        out.append(flags.astype(np.float64))
-    return out
-
-
 def dist_extended_i(
     comm: SimComm,
     A: ParCSRMatrix,
@@ -109,7 +93,6 @@ def dist_extended_i(
     filter_comm: bool = True,
     parallel_renumber: bool = True,
     nthreads: int = 14,
-    truncate: bool = True,
 ) -> tuple[ParCSRMatrix, RowPartition]:
     """Distributed extended+i; returns ``(P, coarse_partition)``.
 
@@ -211,7 +194,6 @@ def dist_extended_i(
             max_elmts=max_elmts,
             reordered=reordered,
             fused_truncation=fused_truncation,
-            truncate=truncate,
             active_rows=active,
         )
         # Compact coarse index -> global coarse id.
@@ -238,6 +220,7 @@ def dist_multipass(
     *,
     trunc_fact: float = 0.1,
     max_elmts: int = 4,
+    fused_truncation: bool = True,
     parallel_renumber: bool = True,
     nthreads: int = 14,
     max_passes: int = 10,
@@ -249,7 +232,12 @@ def dist_multipass(
     cf_ext_A, cg_ext_A = (
         np.split(ext, A.ext_ptr[1:-1]) for ext in _exchange_point_info(
             comm, A, np.concatenate(cf_parts), np.concatenate(cgid_parts)))
-    strong = _strong_flags(A, S)
+    # Per-rank strong flags of A's entries, in ``row_arrays_global`` order.
+    S_glob = S.to_global()
+    strong = []
+    for p in range(nranks):
+        r, c, _ = A.blocks[p].row_arrays_global(A.col_part.lo(p))
+        strong.append(entries_in_pattern(r + part.lo(p), c, S_glob))
 
     # ---- pass 1 per rank: direct interpolation (no row gathering) ----
     triplets = []
@@ -323,7 +311,7 @@ def dist_multipass(
             with comm.on_rank(p), phase("Interp"):
                 lo = part.lo(p)
                 # strong mask aligned with row_arrays_global order
-                st = strong[p] > 0
+                st = strong[p]
                 r, c, v = blk.row_arrays_global(A.col_part.lo(p))
                 col_owned = (c >= lo) & (c < part.hi(p))
                 col_done = np.zeros(len(c), dtype=bool)
@@ -376,7 +364,8 @@ def dist_multipass(
             done_parts[p][work_rows[p]] = True
         P = ParCSRMatrix.from_rank_triplets(new_triplets, part, coarse_part)
 
-    return par_truncate(comm, P, trunc_fact, max_elmts), coarse_part
+    return par_truncate(comm, P, trunc_fact, max_elmts,
+                        fused=fused_truncation), coarse_part
 
 
 def dist_two_stage_ei(
@@ -394,16 +383,16 @@ def dist_two_stage_ei(
     parallel_renumber: bool = True,
     nthreads: int = 14,
     reordered: bool = True,
+    fused_truncation: bool = True,
 ) -> tuple[ParCSRMatrix, RowPartition]:
     """Distributed 2-stage extended+i; returns ``(P, coarse_part)``."""
     from .strength import dist_strength
 
-    P1, cp1 = dist_extended_i(
-        comm, A, S, cf_stage1,
-        trunc_fact=trunc_fact, max_elmts=max_elmts,
-        filter_comm=filter_comm, parallel_renumber=parallel_renumber,
-        nthreads=nthreads, reordered=reordered,
-    )
+    ei = dict(trunc_fact=trunc_fact, max_elmts=max_elmts,
+              filter_comm=filter_comm, parallel_renumber=parallel_renumber,
+              nthreads=nthreads, reordered=reordered,
+              fused_truncation=fused_truncation)
+    P1, _ = dist_extended_i(comm, A, S, cf_stage1, **ei)
     A1, _ = dist_rap(
         comm, A, P1,
         parallel_renumber=parallel_renumber, nthreads=nthreads,
@@ -413,28 +402,26 @@ def dist_two_stage_ei(
         np.where(cf_final[p][cf_stage1[p] > 0] > 0, 1, -1).astype(np.int64)
         for p in range(comm.nranks)
     ]
-    P2, cp2 = dist_extended_i(
-        comm, A1, S1, cf2,
-        trunc_fact=trunc_fact, max_elmts=max_elmts,
-        filter_comm=filter_comm, parallel_renumber=parallel_renumber,
-        nthreads=nthreads, reordered=reordered,
-    )
+    P2, cp2 = dist_extended_i(comm, A1, S1, cf2, **ei)
     P = dist_spgemm(
         comm, P1, P2,
         parallel_renumber=parallel_renumber, nthreads=nthreads,
         tag="interp.2s",
     )
-    return par_truncate(comm, P, trunc_fact, max_elmts), cp2
+    return par_truncate(comm, P, trunc_fact, max_elmts,
+                        fused=fused_truncation), cp2
 
 
 def par_truncate(
-    comm: SimComm, P: ParCSRMatrix, trunc_fact: float, max_elmts: int
+    comm: SimComm, P: ParCSRMatrix, trunc_fact: float, max_elmts: int,
+    *, fused: bool = True,
 ) -> ParCSRMatrix:
     """Row-wise interpolation truncation applied per rank (rows are local)."""
     G = P.to_global()
     rb = P.row_part.bounds.tolist()
     with phase("Interp"):
         T = comm.run_on_ranks(lambda p: truncate_interpolation(
-            row_block(G, rb[p], rb[p + 1], 0, G.ncols), trunc_fact, max_elmts))
+            row_block(G, rb[p], rb[p + 1], 0, G.ncols), trunc_fact, max_elmts,
+            fused=fused))
     return ParCSRMatrix.from_rank_triplets(
         [(t.row_ids(), t.indices, t.data) for t in T], P.row_part, P.col_part)

@@ -4,6 +4,9 @@ Mirrors :mod:`repro.amg.setup` with the distributed kernels: distributed
 strength, distributed (aggressive) PMIS, distributed extended+i / multipass
 / 2-stage interpolation with §4.2 renumbering and §4.3 comm filtering, and
 the distributed Galerkin product.  Phase attribution matches Fig. 5/7.
+Each level looks its distributed interpolation kernel up by the scheme
+:func:`~repro.amg.interp.interp_scheme` gives it; classical and direct
+interpolation have no distributed build and are refused before any work.
 Every kernel on the way runs over the rank-stacked storage of
 :class:`~repro.dist.parcsr.ParCSRMatrix`; what is left per rank are the
 node-level kernels (see docs/architecture.md, "Distributed set-up").
@@ -17,6 +20,7 @@ import numpy as np
 
 from ..analysis import check_dist_hierarchy, check_parcsr, checking
 from ..analysis.sched import check_schedule
+from ..amg.interp import EXTENDED_I, MULTIPASS, TWO_STAGE_EI, interp_scheme
 from ..config import AMGConfig
 from ..perf.counters import VAL_BYTES, RecordTable, count, make_record, phase
 from .comm import SimComm, frozen_messages, message_batch
@@ -33,6 +37,39 @@ __all__ = ["DistLevel", "DistHierarchy", "dist_build_hierarchy"]
 
 _SMOOTHER_VARIANTS = {"hybrid_gs": "hybrid", "lex": "lex",
                       "multicolor": "multicolor", "jacobi": "jacobi"}
+
+
+def _common(config: AMGConfig) -> dict:
+    flags = config.flags
+    return dict(trunc_fact=config.trunc_fact, max_elmts=config.max_elmts,
+                fused_truncation=flags.fused_truncation,
+                parallel_renumber=flags.parallel_renumber,
+                nthreads=config.nthreads)
+
+
+#: scheme -> ``(comm, A, S, cf, cf_stage1, config) -> (P, coarse_part)``
+_DIST_INTERP = {
+    EXTENDED_I: lambda comm, A, S, cf, cf1, config: dist_extended_i(
+        comm, A, S, cf, reordered=config.flags.three_way_partition,
+        filter_comm=config.flags.filter_interp_comm, **_common(config)),
+    TWO_STAGE_EI: lambda comm, A, S, cf, cf1, config: dist_two_stage_ei(
+        comm, A, S, cf, cf1, theta=config.strength_threshold,
+        max_row_sum=config.max_row_sum,
+        reordered=config.flags.three_way_partition,
+        filter_comm=config.flags.filter_interp_comm, **_common(config)),
+    MULTIPASS: lambda comm, A, S, cf, cf1, config: dist_multipass(
+        comm, A, S, cf, **_common(config)),
+}
+
+
+def _dist_interp(config: AMGConfig, level: int):
+    """The level's scheme and its distributed build (ValueError if none)."""
+    scheme = interp_scheme(config, level)
+    if scheme not in _DIST_INTERP:
+        raise ValueError(f"no distributed build for {scheme.name!r} "
+                         "interpolation; the distributed set-up runs "
+                         + ", ".join(repr(s.name) for s in _DIST_INTERP))
+    return scheme, _DIST_INTERP[scheme]
 
 
 @dataclass
@@ -185,9 +222,10 @@ def dist_build_hierarchy(
     if topology is not None and net is None:
         net = topology.network()
     flags = config.flags
+    interps = [_dist_interp(config, l) for l in range(config.max_levels - 1)]
     levels: list[DistLevel] = [DistLevel(A=A0)]
 
-    for l in range(config.max_levels - 1):
+    for l, (scheme, build_interp) in enumerate(interps):
         lvl = levels[l]
         A = lvl.A
         if A.shape[0] <= config.coarse_size:
@@ -198,12 +236,8 @@ def dist_build_hierarchy(
                 comm, A, config.strength_threshold, config.max_row_sum,
                 parallel=flags.parallel_setup_kernels,
             )
-            aggressive = (
-                l < config.aggressive_levels
-                and config.interp in ("2s-ei", "multipass")
-            )
             measures = dist_random_measures(comm, A.row_part, config.seed + l)
-            if aggressive:
+            if scheme.aggressive:
                 cf, cf1 = dist_aggressive_pmis(comm, S, seed=config.seed + l,
                                                measures=measures)
             else:
@@ -218,37 +252,7 @@ def dist_build_hierarchy(
         lvl.cf_parts = cf
 
         with phase("Interp"):
-            if aggressive and config.interp == "2s-ei":
-                P, cpart = dist_two_stage_ei(
-                    comm, A, S, cf, cf1,
-                    theta=config.strength_threshold,
-                    max_row_sum=config.max_row_sum,
-                    trunc_fact=config.trunc_fact,
-                    max_elmts=config.max_elmts,
-                    filter_comm=flags.filter_interp_comm,
-                    parallel_renumber=flags.parallel_renumber,
-                    nthreads=config.nthreads,
-                    reordered=flags.three_way_partition,
-                )
-            elif aggressive and config.interp == "multipass":
-                P, cpart = dist_multipass(
-                    comm, A, S, cf,
-                    trunc_fact=config.trunc_fact,
-                    max_elmts=config.max_elmts,
-                    parallel_renumber=flags.parallel_renumber,
-                    nthreads=config.nthreads,
-                )
-            else:
-                P, cpart = dist_extended_i(
-                    comm, A, S, cf,
-                    trunc_fact=config.trunc_fact,
-                    max_elmts=config.max_elmts,
-                    reordered=flags.three_way_partition,
-                    fused_truncation=flags.fused_truncation,
-                    filter_comm=flags.filter_interp_comm,
-                    parallel_renumber=flags.parallel_renumber,
-                    nthreads=config.nthreads,
-                )
+            P, _ = build_interp(comm, A, S, cf, cf1, config)
             if checking():
                 check_parcsr(P, name=f"P[{l}]", level=l)
         lvl.P = P

@@ -11,7 +11,6 @@ from repro.amg import (
     ExtIPlan,
     build_hierarchy,
     classical_interpolation,
-    classical_numeric,
     direct_interpolation,
     extended_i_interpolation,
     extended_i_numeric,
@@ -24,6 +23,7 @@ from repro.amg import (
     truncate_interpolation,
     two_stage_extended_i,
 )
+from repro.amg.interp_extended import plan_numeric
 from repro.perf import collect
 from repro.problems import (
     anisotropic_2d,
@@ -394,7 +394,7 @@ class TestExtendedIPlan:
             A, S, cf, truncate=True, return_plan=True, **TRUNC)
         A2 = _perturb(A, kind, seed, amp)
         fresh = classical_interpolation(A2, S, cf, truncate=True, **TRUNC)
-        got = classical_numeric(A2, S, cf, frozen, plan=plan, **TRUNC)
+        got = plan_numeric(plan, A2, frozen, **TRUNC)
         if _same_pattern(fresh, frozen):
             assert got is not None and _same_pattern(got, fresh)
             assert got.data.tobytes() == fresh.data.tobytes()

@@ -366,7 +366,7 @@ class TestRefresh:
         monkeypatch.setattr(np, "lexsort", counted("lexsort", np.lexsort))
         return calls, counted, scoped
 
-    @pytest.mark.parametrize("interp", ["ei", "classical"])
+    @pytest.mark.parametrize("interp", ["extended+i", "classical"])
     def test_refresh_interp_step_runs_no_symbolic_work(self, monkeypatch, interp):
         """"Numeric-only" is a property of the vehicle, not only of the
         model: on the fast path the interpolation step of a refresh runs
@@ -375,24 +375,31 @@ class TestRefresh:
         ``P`` — a live check on values, one per level."""
         from dataclasses import replace
 
-        from repro.amg import interp_classical, interp_extended, resetup, setup
+        from repro.amg import interp_classical, interp_extended, setup
 
         calls, counted, scoped = self._call_counters(monkeypatch)
         for mod in (interp_extended, interp_classical):
             monkeypatch.setattr(mod, "entries_in_pattern",
                                 counted("entries_in_pattern", mod.entries_in_pattern))
-            monkeypatch.setattr(mod, "truncate_interpolation",
-                                scoped("truncation", mod.truncate_interpolation))
+        monkeypatch.setattr(interp_extended, "truncate_interpolation",
+                            scoped("truncation",
+                                   interp_extended.truncate_interpolation))
         monkeypatch.setattr(interp_extended, "spgemm",
                             counted("spgemm", interp_extended.spgemm))
         monkeypatch.setattr(CSRMatrix, "from_coo",
                             staticmethod(counted("from_coo", CSRMatrix.from_coo)))
         monkeypatch.setattr(np, "searchsorted",
                             counted("searchsorted", np.searchsorted))
-        monkeypatch.setattr(resetup, "_interp_numeric",
-                            scoped("interp", resetup._interp_numeric))
-        monkeypatch.setattr(setup, "_build_interp",
-                            scoped("interp", setup._build_interp))
+        # Scope the level schemes' build and numeric; the captured plan
+        # keeps the scoped scheme, so refresh runs through it too.
+        lookup = setup.interp_scheme
+
+        def scoped_scheme(config, level):
+            s = lookup(config, level)
+            return replace(s, build=scoped("interp", s.build),
+                           numeric=scoped("interp", s.numeric))
+
+        monkeypatch.setattr(setup, "interp_scheme", scoped_scheme)
 
         A = _jitter(laplace_3d_27pt(8))
         cfg = replace(single_node_config(True), interp=interp)
@@ -401,7 +408,7 @@ class TestRefresh:
         for name in ("entries_in_pattern", "from_coo", "rowcol_order",
                      "searchsorted"):
             assert calls[f"{name}@interp"] > 0, name
-        assert (calls["spgemm@interp"] > 0) == (interp == "ei")
+        assert (calls["spgemm@interp"] > 0) == (interp == "extended+i")
         # ...and none of it on refresh.
         calls.clear()
         with collect() as log:
