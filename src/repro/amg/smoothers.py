@@ -642,8 +642,8 @@ class HybridGSSmoother:
                     blk = block_of_rows(A.nrows, new.nthreads, A, old.groups[gi])
                     new._schedules[key] = build_gs_schedule(A, blk, forward=key[1])
         if old._plan is not None:
-            # Compiled sweeps regather values only; index arrays, flat
-            # caches and record tables stay shared with *old*.
+            # Compiled sweeps regather values only; slab index arrays and
+            # record tables stay shared with *old*.
             new._plan = old._plan.with_values(new)
         return new
 

@@ -130,13 +130,22 @@ def _assert_plan_shares_indices(old_sm, new_sm, cold_sm) -> int:
             assert cs_old is None
             continue
         # Pattern arrays are the same objects; values were regathered.
-        assert cs_new._e_src is cs_old._e_src
+        assert cs_new.slabs is cs_old.slabs
+        assert cs_new.zslabs is cs_old.zslabs
         assert cs_new._rec is cs_old._rec
         assert cs_new.rows is cs_old.rows
         shared += 1
-        for st_new, st_ref in zip(cs_new.steps, pc.sweeps[key].steps):
-            assert np.array_equal(st_new[4], st_ref[4])  # e_vals
-            assert np.array_equal(st_new[6], st_ref[6])  # diag
+        cs_cold = pc.sweeps[key]
+        for name in ("levels", "zlevels"):
+            new, old, cold = (getattr(cs, name) for cs in (cs_new, cs_old, cs_cold))
+            assert (new is None) == (old is None) == (cold is None), name
+            for lv_new, lv_old, lv_cold in zip(new or (), old or (), cold or (),
+                                               strict=True):
+                assert lv_new.src is lv_old.src
+                assert lv_new.vals is not lv_old.vals
+                assert (lv_new.r0, lv_new.r1) == (lv_cold.r0, lv_cold.r1)
+                assert np.array_equal(lv_new.vals, lv_cold.vals)
+                assert np.array_equal(lv_new.diag, lv_cold.diag)
     return shared
 
 
