@@ -26,6 +26,14 @@ Two implementations:
 * :func:`extended_i_reference` — a literal per-row transcription of Eq. (1)
   with marker arrays, used as the oracle in tests.
 
+The model and the vehicle walk the strong-F pair expansion differently.
+The model charges all of it (``ExtIPlan.expansion``: every entry of every
+strong-F neighbour's row, as the native loop reads them).  The vehicle
+visits only the entries that can contribute (§3.1.2's coarse/fine row
+split): the C columns of row ``k`` and one probe for the diagonal-return
+entry ``(k, i)``.  On level 0 of the n = 8000 27-point Laplacian that is
+0.35 M C columns and 0.15 M probes out of a 3.9 M-term expansion.
+
 Degenerate strong-F neighbours with ``b_ik == 0`` are treated as weak
 (``a_ik`` lumped into the diagonal), matching BoomerAMG's guard.
 
@@ -42,6 +50,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..analysis import InvariantViolation, checking
 from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, collect, count
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import gather_range_indices, indptr_from_counts, segment_sum
@@ -134,6 +143,81 @@ class ExtIPlan:
         return not self.weak_first
 
 
+def _pair_terms(
+    A: CSRMatrix,
+    cf_marker: np.ndarray,
+    chat: CSRMatrix,
+    pair_row: np.ndarray,
+    pair_k: np.ndarray,
+    pair_chat: np.ndarray | None,
+    weak_first: bool,
+    dtype: type,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The contributing terms of the strong-F pair expansion, in (pair,
+    entry) order: ``(term_pair, term_entry, weight_terms, diag_terms)``.
+
+    The pair ``(i, k)`` expands row ``k``, but only its C columns can lie
+    in ``Chat_i`` and only ``(k, i)`` returns to the diagonal, so those are
+    the only entries visited (§3.1.2's coarse/fine row split).  *pair_chat*,
+    if given, masks the entries ``a_kl`` whose column is in ``Chat_i`` for
+    every pair through row ``k`` (extended+i: the strong C of ``k``); only
+    the others are searched in *chat*.  Needs column-sorted, duplicate-free
+    rows (the library's CSR invariant), checked under ``REPRO_CHECK``.
+    """
+    cols = A.indices
+    keys = A.row_ids() * np.int64(A.ncols) + cols
+    if checking() and not (np.diff(keys) > 0).all():
+        raise InvariantViolation(
+            "csr.indices_sorted",
+            "interpolation needs column-sorted, duplicate-free rows")
+    starts, ends = A.indptr[pair_k], A.indptr[pair_k + 1]
+
+    # Candidates: the C entries of each pair's row k — a row prefix once the
+    # C points lead the numbering (CF reorder), a mask otherwise.
+    is_c = cf_marker > 0
+    c_col = is_c[cols]
+    c_before = np.zeros(A.nnz + 1, dtype=np.int64)
+    np.cumsum(c_col, out=c_before[1:])
+    c_count = c_before[ends] - c_before[starts]
+    c_lead = not is_c[np.count_nonzero(is_c):].any()
+    cand = gather_range_indices(starts if c_lead else c_before[starts], c_count)
+    if not c_lead:
+        cand = np.flatnonzero(c_col)[cand]
+    cand_pair = np.repeat(np.arange(len(pair_k), dtype=np.int64), c_count)
+    if pair_chat is None:
+        in_chat = entries_in_pattern(pair_row[cand_pair], cols[cand], chat)
+    else:
+        in_chat = pair_chat[cand]
+        rest = np.flatnonzero(~in_chat)
+        in_chat[rest] = entries_in_pattern(pair_row[cand_pair[rest]],
+                                           cols[cand[rest]], chat)
+    hit = np.flatnonzero(in_chat)
+
+    # Diagonal return: one probe per pair for the stored entry (k, i); the
+    # term follows the pair's hits among the C entries left of it.
+    if weak_first:
+        d_pair = d_entry = np.empty(0, dtype=np.int64)
+    else:
+        q = pair_k * np.int64(A.ncols) + pair_row
+        pos = np.minimum(np.searchsorted(keys, q), A.nnz - 1)
+        d_pair = np.flatnonzero(keys[pos] == q)
+        d_entry = pos[d_pair]
+    hits_before = np.zeros(len(cand) + 1, dtype=np.int64)
+    np.cumsum(in_chat, out=hits_before[1:])
+    first = np.cumsum(c_count) - c_count
+    diag_terms = (hits_before[first[d_pair] + c_before[d_entry] - c_before[starts[d_pair]]]
+                  + np.arange(len(d_pair), dtype=np.int64))
+
+    weight = np.ones(len(hit) + len(d_pair), dtype=bool)
+    weight[diag_terms] = False
+    weight_terms = np.flatnonzero(weight)
+    term_pair = np.empty(len(weight), dtype=dtype)
+    term_entry = np.empty(len(weight), dtype=dtype)
+    term_pair[weight_terms], term_pair[diag_terms] = cand_pair[hit], d_pair
+    term_entry[weight_terms], term_entry[diag_terms] = cand[hit], d_entry
+    return term_pair, term_entry, weight_terms.astype(dtype), diag_terms.astype(dtype)
+
+
 def _freeze_plan(
     A: CSRMatrix,
     cf_marker: np.ndarray,
@@ -145,6 +229,7 @@ def _freeze_plan(
     identity_rows: np.ndarray,
     weak_first: bool,
     kernel: str,
+    pair_chat: np.ndarray | None = None,
 ) -> ExtIPlan:
     """Expand the strong-F pairs and freeze every map of an :class:`ExtIPlan`.
 
@@ -153,7 +238,8 @@ def _freeze_plan(
     entries, the weak entries lumped into the diagonal); *chat* is the
     interpolation-set pattern ``Chat``; *identity_rows* the C points that
     get an identity row; the distance-one plan (``weak_first``) has no
-    ``l == i`` diagonal-return terms.  Shared by extended+i and classical.
+    ``l == i`` diagonal-return terms; *pair_chat* as in
+    :func:`_pair_terms`.  Shared by extended+i and classical.
     """
     n = A.nrows
     rid = A.row_ids()
@@ -165,30 +251,17 @@ def _freeze_plan(
     pair_entry = pair_entry[rowcol_order(rid[pair_entry], cols[pair_entry], n, n)]
     pair_row = rid[pair_entry]
     pair_k = cols[pair_entry]
+    # The full expansion's size: what the cost records charge.
+    expansion = int((A.indptr[pair_k + 1] - A.indptr[pair_k]).sum())
+    # Held for the hierarchy's lifetime: halve the maps when indices fit.
+    dtype = np.int32 if max(A.nnz, n, expansion) < 2**31 else np.int64
 
-    # Expansion over (i, k) through row k; keep the contributing terms.
-    kcounts = A.indptr[pair_k + 1] - A.indptr[pair_k]
-    eidx = gather_range_indices(A.indptr[pair_k], kcounts)
-    p_pair = np.repeat(np.arange(len(pair_entry), dtype=np.int64), kcounts)
-    p_i = pair_row[p_pair]
-    p_l = cols[eidx]
-    # Chat holds C columns only: search it for those terms alone.
-    cand = np.flatnonzero(cf_marker[p_l] > 0)
-    in_chat = np.zeros(len(p_l), dtype=bool)
-    in_chat[cand] = entries_in_pattern(p_i[cand], p_l[cand], chat)
-    contributes = in_chat if weak_first else in_chat | (p_l == p_i)
-    terms = np.flatnonzero(contributes)
-    term_pair = p_pair[terms]
-    term_entry = eidx[terms]
-    term_l = p_l[terms]
-    weight_terms = np.flatnonzero(in_chat[terms])
-    diag_terms = np.empty(0, dtype=np.int64) if weak_first \
-        else np.flatnonzero(term_l == pair_row[term_pair])
-
+    term_pair, term_entry, weight_terms, diag_terms = _pair_terms(
+        A, cf_marker, chat, pair_row, pair_k, pair_chat, weak_first, dtype)
     direct_entry = np.flatnonzero(direct)
     weak_entry = np.flatnonzero(weak)
     num_row = np.concatenate([rid[direct_entry], pair_row[term_pair[weight_terms]]])
-    num_col = np.concatenate([cols[direct_entry], term_l[weight_terms]])
+    num_col = np.concatenate([cols[direct_entry], cols[term_entry[weight_terms]]])
 
     # Final COO -> CSR assembly: CSRMatrix.from_coo's (row, col) sort and
     # duplicate grouping, inverted into one output slot per term.  The sort
@@ -199,9 +272,6 @@ def _freeze_plan(
         np.concatenate([c_idx[identity_rows], c_idx[num_col]]), n, nc)
     slot = np.empty(len(order), dtype=np.int64)
     slot[order] = group
-
-    # Held for the hierarchy's lifetime: halve the maps when indices fit.
-    dtype = np.int32 if max(A.nnz, n, len(p_l)) < 2**31 else np.int64
 
     def idx(a: np.ndarray) -> np.ndarray:
         return a.astype(dtype, copy=False)
@@ -215,7 +285,7 @@ def _freeze_plan(
         direct_entry=idx(direct_entry), num_row=idx(num_row),
         n_identity=len(identity_rows),
         slot=idx(slot), out_row=idx(row_ids_from_indptr(out_indptr)), out_col=out_col,
-        weak_first=weak_first, expansion=len(p_l), kernel=kernel,
+        weak_first=weak_first, expansion=expansion, kernel=kernel,
     )
 
 
@@ -323,7 +393,7 @@ def extended_i_symbolic(
         direct=f_row & in_chat_A,
         weak=f_row & offdiag & ~strong & ~in_chat_A,
         identity_rows=identity_rows,
-        weak_first=False, kernel="interp.extended_i",
+        weak_first=False, kernel="interp.extended_i", pair_chat=sc,
     )
 
 

@@ -31,7 +31,7 @@ from ..analysis import check_csr, check_hierarchy, checking
 from ..config import AMGConfig
 from ..perf.counters import phase
 from ..sparse.csr import CSRMatrix
-from ..sparse.reorder import cf_permutation, partition_rows_by_category, permute_matrix
+from ..sparse.reorder import cf_permutation, count_fused_partition, permute_matrix
 from ..sparse.transpose import transpose
 from ..sparse.triple_product import (
     rap_cf_block_plan,
@@ -257,15 +257,11 @@ def build_hierarchy(
                     parent.cperm = old2new
                 if flags.three_way_partition:
                     # In-row 3-way partial sort: coarse>=0 | coarse<0 | fine,
-                    # fused into the permutation's data sweep (§3.1.2).
-                    is_c_col = cf[A.indices] > 0
-                    cat = np.where(
-                        is_c_col & (A.data >= 0), 0, np.where(is_c_col, 1, 2)
-                    )
-                    partition_rows_by_category(
-                        A, cat, 3, kernel="reorder.threeway",
-                        fused_with_permute=True,
-                    )
+                    # fused into the permutation's data sweep (§3.1.2).  The
+                    # permuted rows are column-sorted, so the C columns lead
+                    # each row already — the split the kernels use; the
+                    # partitioned copy is never read, only its cost recorded.
+                    count_fused_partition(A.nrows, 3, kernel="reorder.threeway")
 
         lvl.cf_marker = cf
         lvl.n_coarse = nc

@@ -178,18 +178,12 @@ def build_gs_schedule(
         level[frontier] = lev
         lev += 1
         # Decrement in-degrees of the dependents of the frontier rows.
-        segs = [rev_dst_s[rev_ptr[r]: rev_ptr[r + 1]] for r in frontier]
-        if segs:
-            dst = np.concatenate(segs) if len(segs) > 1 else segs[0]
-        else:
-            dst = np.empty(0, dtype=np.int64)
+        dst = rev_dst_s[gather_range_indices(
+            rev_ptr[frontier], rev_ptr[frontier + 1] - rev_ptr[frontier])]
         if len(dst):
-            dec = np.bincount(dst, minlength=m)
-            indeg -= dec
-            # Rows whose last dependency cleared this round:
-            frontier = np.flatnonzero((indeg == 0) & (level == -1))
-        else:
-            frontier = np.flatnonzero((indeg == 0) & (level == -1))
+            indeg -= np.bincount(dst, minlength=m)
+        # Rows whose last dependency cleared this round:
+        frontier = np.flatnonzero((indeg == 0) & (level == -1))
         if len(frontier) == 0 and (level == -1).any() and not len(dst):
             raise RuntimeError("GS schedule: dependency cycle (non-symmetric pattern?)")
 

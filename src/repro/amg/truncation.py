@@ -5,9 +5,10 @@ For each row *i* of ``P`` the truncation threshold is (paper, verbatim)::
     min( trunc_fact * |p|_(1),  |p|_(max_elmts) )
 
 where ``|p|_(1)`` is the largest absolute value in the row and
-``|p|_(max_elmts)`` the ``max_elmts``-th largest (taken as +inf when the row
-has fewer entries, so only the relative threshold applies).  Entries whose
-absolute value falls below the threshold are dropped, and the surviving
+``|p|_(max_elmts)`` the ``max_elmts``-th largest, ties counted (taken as
++inf when the row has fewer entries, so only the relative threshold
+applies; found by ``max_elmts`` rounds of segmented max, no sort).  Entries
+whose absolute value falls below the threshold are dropped, and the surviving
 entries are rescaled so the row sum is preserved (BoomerAMG behaviour —
 interpolation of the constant is retained).
 
@@ -29,6 +30,32 @@ from ..sparse.ops import indptr_from_counts, segment_sum
 __all__ = ["truncate_interpolation"]
 
 
+def _kth_largest(absv: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+    """The *k*-th largest of each segment ``absv[starts[s]:starts[s + 1]]``
+    (the last one runs to the end), ties counted; ``inf`` when the segment
+    is shorter than *k*.  NaN ranks below every number, where a descending
+    sort would put it.  *k* rounds of segmented max, no sort: each round
+    takes the segment's current maximum and all its ties.
+    """
+    nseg = len(starts)
+    seg = np.repeat(np.arange(nseg), np.diff(starts, append=len(absv)))
+    # Taken entries rank below NaN, NaN below every |value|.
+    w = np.where(np.isnan(absv), -1.0, absv)
+    need = np.full(nseg, k, dtype=np.int64)
+    kth = np.full(nseg, np.inf)
+    for _ in range(k):
+        top = np.maximum.reduceat(w, starts)
+        at_top = w == top[seg]
+        ties = np.add.reduceat(at_top, starts, dtype=np.int64)
+        done = (need > 0) & (ties >= need) & (top > -np.inf)
+        kth[done] = np.where(top[done] < 0.0, np.nan, top[done])
+        need -= ties
+        if not (need > 0).any():
+            break
+        w[at_top] = -np.inf
+    return kth
+
+
 def truncate_interpolation(
     P: CSRMatrix,
     trunc_fact: float = 0.1,
@@ -43,19 +70,15 @@ def truncate_interpolation(
         return P
     rid = P.row_ids()
     absv = np.abs(P.data)
+    # Rows with entries: maximum.reduceat segments run start to next start.
+    rows = np.flatnonzero(np.diff(P.indptr))
+    starts = P.indptr[rows]
 
     row_max = np.zeros(n, dtype=np.float64)
-    np.maximum.at(row_max, rid, absv)
-
+    row_max[rows] = np.maximum.reduceat(absv, starts)
+    kth = np.full(n, np.inf)
     if max_elmts > 0:
-        # k-th largest per row: sort entries by (row, -|v|), rank in row.
-        order = np.lexsort((-absv, rid))
-        rank = np.arange(P.nnz, dtype=np.int64) - P.indptr[rid[order]]
-        kth = np.full(n, np.inf)
-        sel = rank == (max_elmts - 1)
-        kth[rid[order[sel]]] = absv[order[sel]]
-    else:
-        kth = np.full(n, np.inf)
+        kth[rows] = _kth_largest(absv, starts, max_elmts)
 
     rel = trunc_fact * row_max if trunc_fact > 0 else np.zeros(n)
     thresh = np.minimum(rel, kth)

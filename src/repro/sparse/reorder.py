@@ -30,6 +30,7 @@ __all__ = [
     "permute_matrix",
     "permute_rows",
     "partition_rows_by_category",
+    "count_fused_partition",
     "extract_cf_blocks",
     "compose_cf_interpolation",
 ]
@@ -113,10 +114,7 @@ def partition_rows_by_category(
         in_cat = segment_sum((category == c).astype(np.float64), rid, A.nrows).astype(np.int64)
         ptrs[c + 1] = ptrs[c] + in_cat
     if fused_with_permute:
-        # §3.1.2: "while we are permuting A, we also partition the coarse
-        # point columns" — the categorization rides along the permutation's
-        # data sweep; only the partition pointers are extra traffic.
-        count(kernel + ".fused", bytes_written=ncat * A.nrows * PTR_BYTES)
+        count_fused_partition(A.nrows, ncat, kernel=kernel)
     else:
         m_bytes = A.nnz * (VAL_BYTES + IDX_BYTES)
         # One sweep: read entries, write them to their partition slot.
@@ -124,6 +122,18 @@ def partition_rows_by_category(
               bytes_written=m_bytes + ncat * A.nrows * PTR_BYTES,
               branches=float(A.nnz))
     return B, ptrs
+
+
+def count_fused_partition(nrows: int, ncat: int, *, kernel: str = "row_partition") -> None:
+    """Charge an ``ncat``-way in-row partition fused into a permutation.
+
+    §3.1.2: "while we are permuting A, we also partition the coarse point
+    columns" — the categorization rides along the permutation's data sweep;
+    only the partition pointers are extra traffic.  The record of
+    ``partition_rows_by_category(..., fused_with_permute=True)``, for a
+    caller whose kernels need no partitioned copy.
+    """
+    count(kernel + ".fused", bytes_written=ncat * nrows * PTR_BYTES)
 
 
 def extract_cf_blocks(

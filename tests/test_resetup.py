@@ -370,9 +370,9 @@ class TestRefresh:
     def test_refresh_interp_step_runs_no_symbolic_work(self, monkeypatch, interp):
         """"Numeric-only" is a property of the vehicle, not only of the
         model: on the fast path the interpolation step of a refresh runs
-        no membership test, SpGEMM, COO assembly or sort.  The one sort left
-        is ``truncate_interpolation`` ranking the new weights of the raw
-        ``P`` — a live check on values, one per level."""
+        no membership test, SpGEMM, COO assembly or sort — not even in
+        ``truncate_interpolation``, which ranks the new weights of the raw
+        ``P`` by segmented max."""
         from dataclasses import replace
 
         from repro.amg import interp_classical, interp_extended, setup
@@ -414,7 +414,7 @@ class TestRefresh:
         with collect() as log:
             h.refresh(_scale(A, 1.02))
         assert {r.phase for r in log.records} == {"Resetup"}  # fast path
-        assert dict(calls) == {"lexsort@truncation": len(h.plan.levels)}
+        assert dict(calls) == {}
 
     @pytest.mark.parametrize("scheme", ["cf_block", "fused"])
     def test_refresh_rap_step_runs_no_symbolic_work(self, monkeypatch, scheme):
