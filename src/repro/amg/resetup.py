@@ -63,6 +63,7 @@ from ..config import AMGConfig
 from ..perf.counters import IDX_BYTES, VAL_BYTES, collect, count, phase
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import row_ids_from_indptr
+from ..sparse.spgemm import _index_dtype
 from ..sparse.triple_product import (
     RAPCFBlockPlan,
     RAPFusedPlan,
@@ -143,7 +144,7 @@ def _entry_permutation(
         return None
     if not np.array_equal(keys_in[perm], keys_stored):
         return None
-    return perm.astype(np.int64)
+    return perm.astype(_index_dtype(len(keys_in)))
 
 
 class PlanBuilder:
@@ -206,7 +207,7 @@ class PlanBuilder:
                 return
         else:
             entry_perm = None
-        mask = strong if entry_perm is None else strong[entry_perm]
+        mask = strong if entry_perm is None else strong.take(entry_perm)
         self.plan.levels.append(LevelPlan(
             entry_perm=entry_perm, strong_mask=mask, S=S, scheme=scheme,
         ))
@@ -251,7 +252,7 @@ class PlanBuilder:
                 if not np.array_equal(keys_raw[perm], keys_stored):
                     self.abort(f"level {l} interpolation is not canonical")
                     return None
-                lp.p_perm = perm.astype(np.int64)
+                lp.p_perm = perm.astype(_index_dtype(raw.nnz))
                 lp.stored_p = stored_p
             if levels[l].R is not None:
                 # Kept transpose: capture R's entry permutation by pushing
@@ -263,7 +264,7 @@ class PlanBuilder:
                         stored_p.shape, stored_p.indptr, stored_p.indices,
                         np.arange(stored_p.nnz, dtype=np.float64),
                     ))
-                lp.r_perm = rid.data.astype(np.int64)
+                lp.r_perm = rid.data.astype(_index_dtype(stored_p.nnz))
                 lp.r_frozen = levels[l].R
         return self.plan
 
@@ -317,7 +318,7 @@ def refresh_hierarchy(hierarchy, A_new: CSRMatrix):
             lvl = levels[l]
             if lp.entry_perm is not None:
                 stored = CSRMatrix(lvl.A.shape, lvl.A.indptr, lvl.A.indices,
-                                   incoming.data[lp.entry_perm])
+                                   incoming.data.take(lp.entry_perm))
                 count(
                     "resetup.reorder_gather",
                     bytes_read=stored.nnz * (VAL_BYTES + IDX_BYTES),
@@ -358,7 +359,7 @@ def refresh_hierarchy(hierarchy, A_new: CSRMatrix):
             if lp.p_perm is not None:
                 P_stored = CSRMatrix(
                     lp.stored_p.shape, lp.stored_p.indptr,
-                    lp.stored_p.indices, P_raw.data[lp.p_perm])
+                    lp.stored_p.indices, P_raw.data.take(lp.p_perm))
                 count(
                     "resetup.renumber_gather",
                     bytes_read=P_stored.nnz * (VAL_BYTES + IDX_BYTES),
@@ -375,7 +376,7 @@ def refresh_hierarchy(hierarchy, A_new: CSRMatrix):
             if lp.r_perm is not None:
                 entry["R"] = CSRMatrix(
                     lp.r_frozen.shape, lp.r_frozen.indptr,
-                    lp.r_frozen.indices, P_stored.data[lp.r_perm])
+                    lp.r_frozen.indices, P_stored.data.take(lp.r_perm))
                 count(
                     "resetup.transpose_gather",
                     bytes_read=P_stored.nnz * (VAL_BYTES + IDX_BYTES),

@@ -32,7 +32,7 @@ row.  With a zero initial guess the upper-triangle reads are skipped
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .solveplan import ChebyPlan, CompiledSweep, MulticolorPlan, compile_smoothe
 __all__ = [
     "GSSchedule",
     "build_gs_schedule",
-    "schedule_with_values",
     "merge_schedules",
     "gs_sweep",
     "gs_sweep_reference",
@@ -72,7 +71,11 @@ class GSSchedule:
     levels): ``e_out`` is the entry's position within ``rows``, ``e_local``
     marks in-block (live ``x``) reads vs external (``temp_x``) reads.
     ``nlevels`` is the synchronization depth — the quantity that limits
-    lexicographic-GS parallelism.
+    lexicographic-GS parallelism.  ``e_entry`` / ``diag_entry`` give the
+    position of each packed entry / each packed row's diagonal in
+    ``A.data`` (``-1``: structurally missing); the compiled sweep
+    (:class:`repro.amg.solveplan.CompiledSweep`) composes its value maps
+    with them, binds straight from ``A.data`` and keeps no schedule.
     """
 
     rows: np.ndarray
@@ -85,12 +88,8 @@ class GSSchedule:
     e_lower: np.ndarray
     diag: np.ndarray
     nnz: int
-    #: Position of each packed entry in ``A.data`` (and of each packed row's
-    #: diagonal; ``-1`` = structurally missing).  Lets a same-pattern numeric
-    #: refresh regather ``e_vals``/``diag`` without re-running the wavefront
-    #: analysis (:func:`schedule_with_values`).
-    e_entry: np.ndarray | None = None
-    diag_entry: np.ndarray | None = None
+    e_entry: np.ndarray
+    diag_entry: np.ndarray
 
     @property
     def nlevels(self) -> int:
@@ -231,39 +230,12 @@ def build_gs_schedule(
     )
 
 
-def schedule_with_values(sched: GSSchedule, A: CSRMatrix) -> GSSchedule:
-    """*sched* regathered over the (same-pattern) values of *A*.
-
-    Numeric-resetup companion of :func:`build_gs_schedule`: every index
-    array is shared with *sched*; only ``e_vals`` and ``diag`` are rebuilt,
-    via the recorded ``e_entry``/``diag_entry`` gather maps.
-    """
-    if sched.e_entry is None or sched.diag_entry is None:
-        raise ValueError("schedule has no entry maps; rebuild it instead")
-    diag = np.zeros(sched.nrows)
-    has = sched.diag_entry >= 0
-    diag[has] = A.data[sched.diag_entry[has]]
-    return GSSchedule(
-        rows=sched.rows,
-        level_row_ptr=sched.level_row_ptr,
-        e_ptr=sched.e_ptr,
-        e_cols=sched.e_cols,
-        e_vals=A.data[sched.e_entry],
-        e_out=sched.e_out,
-        e_local=sched.e_local,
-        e_lower=sched.e_lower,
-        diag=diag,
-        nnz=sched.nnz,
-        e_entry=sched.e_entry,
-        diag_entry=sched.diag_entry,
-    )
-
-
-def merge_schedules(scheds: list[GSSchedule], offsets) -> GSSchedule:
+def merge_schedules(scheds: list[GSSchedule], offsets, entry_offsets) -> GSSchedule:
     """One schedule sweeping independent blocks side by side.
 
     ``scheds[p]`` schedules the rows of diagonal block *p* of a
-    block-diagonal operator, whose rows/columns start at ``offsets[p]``.
+    block-diagonal operator, whose rows/columns start at ``offsets[p]``
+    and whose stored entries start at ``entry_offsets[p]``.
     Wavefront level *l* of the result is level *l* of every block (block
     order, each block's packing kept), so every row sees the same sources
     in the same entry order as in its own block's sweep — bit-identical
@@ -300,6 +272,10 @@ def merge_schedules(scheds: list[GSSchedule], offsets) -> GSSchedule:
         e_lower=cat("e_lower")[e_order],
         diag=cat("diag")[r_order],
         nnz=sum(s.nnz for s in scheds),
+        e_entry=cat("e_entry", entry_offsets)[e_order],
+        diag_entry=np.concatenate([
+            np.where(s.diag_entry >= 0, s.diag_entry + o, -1)
+            for s, o in zip(scheds, entry_offsets)])[r_order],
     )
 
 
@@ -329,8 +305,13 @@ def gs_sweep(
     """
     if sched.nrows == 0:
         return x
-    cs = CompiledSweep(sched, len(x), optimized=optimized,
-                       contiguous_rows=contiguous_rows, kernel=kernel)
+    # The schedule's own values, laid out entries first, then diagonals.
+    ne = len(sched.e_vals)
+    own = replace(sched, e_entry=np.arange(ne),
+                  diag_entry=np.arange(ne, ne + sched.nrows))
+    cs = CompiledSweep(own, len(x), np.concatenate([sched.e_vals, sched.diag]),
+                       optimized=optimized, contiguous_rows=contiguous_rows,
+                       kernel=kernel)
     cs.run(x, b)
     count_record(cs.record(rhs_width(x), zero_guess))
     return x
@@ -557,7 +538,9 @@ class HybridGSSmoother:
         self.seed = seed
         self.diag = A.diagonal()
         n = A.nrows
-        self._schedules: dict[tuple[str, bool], GSSchedule] = {}
+        #: Wavefront schedules per (group, direction), read once by the
+        #: compile; ``None`` from then on.
+        self._schedules: dict[tuple[str, bool], GSSchedule] | None = {}
         self.color: np.ndarray | None = None
         #: Compiled sweeps (:class:`repro.amg.solveplan.SmootherPlan`);
         #: ``None`` = not compiled yet.  ``attach_solve_plan`` compiles at
@@ -601,13 +584,13 @@ class HybridGSSmoother:
     def from_numeric(cls, old: "HybridGSSmoother", A: CSRMatrix) -> "HybridGSSmoother":
         """Same-pattern numeric rebuild of *old* over the values of *A*.
 
-        Shares every pattern-derived structure (groups, thread blocks,
-        wavefront schedules, coloring, compiled sweeps) and regathers only
-        the numerics — the smoother counterpart of
-        :meth:`repro.amg.Hierarchy.refresh`.
-        Bit-identical to constructing a fresh smoother with the same
-        arguments (the shared structures are pure functions of the frozen
-        sparsity and seed).
+        Shares every pattern-derived structure (groups, coloring, the
+        compiled sweeps' slabs and records) and rebinds only the numerics —
+        the smoother counterpart of :meth:`repro.amg.Hierarchy.refresh`.
+        A GS smoother's sweeps rebind straight from ``A.data`` (*old* is
+        compiled first if nothing swept it yet).  Bit-identical to
+        constructing a fresh smoother with the same arguments (the shared
+        structures are pure functions of the frozen sparsity and seed).
         """
         new = cls.__new__(cls)
         new.A = A
@@ -628,15 +611,10 @@ class HybridGSSmoother:
             # => same result as a from-scratch rebuild).
             new.lam_max = estimate_lambda_max(A, new.diag, seed=old.seed)
         elif old.variant not in ("jacobi", "multicolor"):
-            for key, sched in old._schedules.items():
-                if sched.e_entry is not None:
-                    new._schedules[key] = schedule_with_values(sched, A)
-                else:
-                    gi = int(key[0][1:])
-                    blk = block_of_rows(A.nrows, new.nthreads, A, old.groups[gi])
-                    new._schedules[key] = build_gs_schedule(A, blk, forward=key[1])
+            compile_smoother_plan(old)
+            new._schedules = None
         if old._plan is not None:
-            # Compiled sweeps regather values only; slab index arrays and
+            # Compiled sweeps rebind values only; slab index arrays and
             # record tables stay shared with *old*.
             new._plan = old._plan.with_values(new)
         return new
@@ -650,9 +628,13 @@ class HybridGSSmoother:
         concatenated and the wavefront schedules merged level by level
         (:func:`merge_schedules`), so a stacked sweep leaves every block
         with the iterate its own smoother would produce, bit for bit.
+        *A*'s stored entries are the parts' operators' entries in part
+        order, and the parts are not compiled yet (compiling drops their
+        schedules).
         """
         first = parts[0]
         offsets = np.cumsum([0] + [s.A.nrows for s in parts[:-1]])
+        entry_offsets = np.cumsum([0] + [s.A.nnz for s in parts[:-1]])
         new = cls.__new__(cls)
         new.A = A
         for name in ("variant", "optimized", "cf_contiguous", "nthreads", "seed"):
@@ -665,7 +647,8 @@ class HybridGSSmoother:
                                       for s, o in zip(parts, offsets)])
                       for gi in range(len(getattr(first, "groups", ())))]
         new._schedules = {
-            key: merge_schedules([s._schedules[key] for s in parts], offsets)
+            key: merge_schedules([s._schedules[key] for s in parts], offsets,
+                                 entry_offsets)
             for key in first._schedules}
         new._plan = None
         return new

@@ -23,11 +23,13 @@ sweep's arithmetic **and** its traffic formula, exactly once:
 Who compiles when: a :class:`~repro.amg.smoothers.HybridGSSmoother` compiles
 its :class:`SmootherPlan` on its first sweep; :func:`attach_solve_plan`
 (run at the end of ``build_hierarchy``) and ``DistSmoother.__init__`` (for
-its one rank-stacked smoother) do it at setup so no solve pays for it;
-``HybridGSSmoother.from_numeric`` (the ``Hierarchy.refresh`` path) regathers
-values through ``with_values`` and shares every index array with the plan
-it came from.  Compilation is pure
-pattern arithmetic and emits no perf records.  :func:`attach_solve_plan`
+its one rank-stacked smoother) do it at setup so no solve pays for it.
+A compiled sweep's value maps index the operator's ``A.data`` directly, so
+compiling drops the smoother's wavefront schedules, and
+``HybridGSSmoother.from_numeric`` (the ``Hierarchy.refresh`` path) rebinds
+the sweeps straight from the new ``A.data`` through ``with_values``,
+sharing every index array with the plan it came from.  Compilation is
+pure pattern arithmetic and emits no perf records.  :func:`attach_solve_plan`
 also decides — and builds where admitted — the lockstep layouts
 (:meth:`repro.sparse.csr.CSRMatrix.lockstep`) of the operators the
 configured cycle multiplies by; the sweeps have their own slabs (a
@@ -64,6 +66,7 @@ from ..sparse.spmv import rhs_width, spmv_traffic
 
 __all__ = [
     "CompiledSweep",
+    "SweepCounts",
     "sweep_record",
     "MulticolorPlan",
     "ChebyPlan",
@@ -109,9 +112,8 @@ class Slabs:
                  e_id: np.ndarray, nvals: int, pad: int) -> None:
         """*e_row* is the workspace row each entry sums into (non-decreasing:
         a row's entries are contiguous, in entry order), *e_src* the row it
-        reads, *e_id* its position in a value array of length *nvals*
-        (``None``: entry *e* is value *e*).  Every level holds at least one
-        row."""
+        reads, *e_id* its position in a value array of length *nvals*.
+        Every level holds at least one row."""
         row_ptr = np.asarray(row_ptr, dtype=np.int64)
         m = np.diff(row_ptr)
         nrows = int(row_ptr[-1])
@@ -134,8 +136,7 @@ class Slabs:
         self.src[slot] = e_src
         self.emap = np.full(int(off[-1]), nvals,
                             dtype=np.int32 if nvals < 2**31 else np.intp)
-        self.emap[slot] = (np.arange(len(slot), dtype=self.emap.dtype)
-                           if e_id is None else e_id)
+        self.emap[slot] = e_id
         # Per level: its rows, slab view, and where its values sit in the
         # gathered array.
         src = self.src
@@ -149,7 +150,11 @@ class Slabs:
         """The levels over *padded_vals* (the values, indexed by the entries'
         ids, then one ``0.0``) and the per-row *diag* (in workspace order):
         one ``take`` gathers every slab value."""
-        v = padded_vals.take(self.emap)
+        return self.split(padded_vals.take(self.emap), diag)
+
+    def split(self, v: np.ndarray, diag: np.ndarray) -> list[SlabLevel]:
+        """The levels over the gathered slab values *v* (``bind``'s
+        ``take``)."""
         return [SlabLevel(r0, r1, src, v[a:b].reshape(shape), diag[r0:r1], one_row)
                 for r0, r1, src, a, b, shape, one_row in self.levels]
 
@@ -201,6 +206,21 @@ def _sweep_levels(x: np.ndarray, b: np.ndarray, rows: np.ndarray,
     return x
 
 
+class SweepCounts(NamedTuple):
+    """What a sweep's traffic formula (:func:`sweep_record`) reads of its
+    schedule: the swept rows' stored entries (diagonals included), the
+    swept rows, and the entries a zero-start sweep still reads
+    (``e_lower``)."""
+
+    nnz: int
+    nrows: int
+    nlower: int
+
+    @classmethod
+    def of(cls, sched) -> "SweepCounts":
+        return cls(sched.nnz, sched.nrows, int(sched.e_lower.sum()))
+
+
 class CompiledSweep:
     """One GS schedule compiled to one padded slab per wavefront level.
 
@@ -212,32 +232,46 @@ class CompiledSweep:
     per-sweep classification and no scatter.  Reproduces the sequential
     in-block GS of :func:`repro.amg.smoothers.gs_sweep_reference` on
     structurally symmetric patterns.
+
+    The slabs' value maps (and the diagonal's) are composed with the
+    schedule's ``e_entry`` / ``diag_entry`` at compile time, so a sweep
+    binds straight from the operator's ``data`` (*data*, and the argument
+    of :meth:`with_values`) and keeps nothing of the schedule but its
+    :class:`SweepCounts`.
     """
 
-    def __init__(self, sched, n: int, *, optimized: bool, contiguous_rows: bool,
-                 kernel: str, zero_keep: np.ndarray | None = None) -> None:
+    def __init__(self, sched, n: int, data: np.ndarray, *, optimized: bool,
+                 contiguous_rows: bool, kernel: str,
+                 zero_keep: np.ndarray | None = None) -> None:
         self.n = n
         self.rows = sched.rows
         self.m = sched.nrows
         self.kernel = kernel
         self.optimized = optimized
         self.contiguous_rows = contiguous_rows
+        self.counts = SweepCounts.of(sched)
 
-        self.slabs, self.zslabs = _sweep_slabs(sched, n, zero_keep)
+        self.slabs, self.zslabs = _sweep_slabs(sched, n, len(data), zero_keep)
+        # A structurally missing diagonal reads the appended 0.0.
+        self.diag_map = np.where(sched.diag_entry >= 0, sched.diag_entry,
+                                 len(data)).astype(self.slabs.emap.dtype)
         # Plan-table records (pattern-only; shared across refreshes).
         self._rec: dict[tuple[int, bool], KernelRecord] = {}
-        self._bind(sched)
+        self._bind(data)
 
-    def _bind(self, sched) -> None:
-        """Attach *sched*'s values.  The zero-start slabs are admitted only
-        while every value is finite (``inf * 0.0`` is a NaN, not a term to
-        drop) — decided here, from the values being bound."""
-        self.sched = sched
-        vals = np.append(sched.e_vals, 0.0)
-        self.levels = self.slabs.bind(vals, sched.diag)
+    def _bind(self, data: np.ndarray) -> None:
+        """Attach the values *data* (the operator's ``data``): one ``take``
+        per slab set and one for the diagonal.  The zero-start slabs are
+        admitted only while every bound value is finite (``inf * 0.0`` is
+        a NaN, not a term to drop) — decided here, from the values being
+        bound."""
+        vals = np.append(data, 0.0)
+        v = vals.take(self.slabs.emap)
+        diag = vals.take(self.diag_map)
+        self.levels = self.slabs.split(v, diag)
         self.zlevels = None
-        if self.zslabs is not None and np.isfinite(sched.e_vals).all():
-            self.zlevels = self.zslabs.bind(vals, sched.diag)
+        if self.zslabs is not None and np.isfinite(v).all():
+            self.zlevels = self.zslabs.bind(vals, diag)
 
     # -- counting ---------------------------------------------------------
     def record(self, k: int, zero_guess: bool) -> KernelRecord:
@@ -254,7 +288,7 @@ class CompiledSweep:
         rec = self._rec.get(key)
         if rec is None:
             rec = self._rec[key] = sweep_record(
-                self.sched, k, zero_guess, kernel=self.kernel,
+                self.counts, k, zero_guess, kernel=self.kernel,
                 optimized=self.optimized,
                 contiguous_rows=self.contiguous_rows)
         return rec
@@ -268,17 +302,19 @@ class CompiledSweep:
         return _sweep_levels(x, b, self.rows, levels, snapshot=True)
 
     # -- numeric refresh --------------------------------------------------
-    def with_values(self, sched) -> "CompiledSweep":
-        """A sweep over *sched* (same pattern, new values), sharing every
-        slab index array and plan-table record of ``self``."""
+    def with_values(self, data: np.ndarray) -> "CompiledSweep":
+        """The sweep over *data* (a same-pattern operator's values), sharing
+        every slab index array and plan-table record of ``self``."""
         new = copy.copy(self)
-        new._bind(sched)
+        new._bind(data)
         return new
 
 
-def _sweep_slabs(sched, n: int, zero_keep: np.ndarray | None) -> tuple[Slabs, Slabs | None]:
+def _sweep_slabs(sched, n: int, nvals: int,
+                 zero_keep: np.ndarray | None) -> tuple[Slabs, Slabs | None]:
     """The slabs of *sched* over ``[swept rows, packed | +0.0 | sweep-start
-    x]`` and, given *zero_keep*, its zero-start slabs.
+    x]`` and, given *zero_keep*, its zero-start slabs; their value maps
+    index the operator's *nvals* stored values (``sched.e_entry``).
 
     Zero-start slabs keep only entries whose source can be nonzero when the
     swept rows start at zero (lower-local reads, already-updated upper-local
@@ -293,21 +329,20 @@ def _sweep_slabs(sched, n: int, zero_keep: np.ndarray | None) -> tuple[Slabs, Sl
     # In-block reads go to the live packed row, external ones to the snapshot.
     e_src = sched.e_cols + (m + 1)
     np.copyto(e_src, packed.take(sched.e_cols), where=sched.e_local)
-    ne = len(e_src)
-    slabs = Slabs(sched.level_row_ptr, sched.e_out, e_src, None, ne, m)
+    slabs = Slabs(sched.level_row_ptr, sched.e_out, e_src, sched.e_entry, nvals, m)
     if zero_keep is None:
         return slabs, None
     keep = np.flatnonzero(zero_keep)
     return slabs, Slabs(sched.level_row_ptr, sched.e_out[keep], e_src[keep],
-                        keep, ne, m)
+                        sched.e_entry[keep], nvals, m)
 
 
-def sweep_record(sched, k: int, zero_guess: bool, *, kernel: str,
+def sweep_record(counts, k: int, zero_guess: bool, *, kernel: str,
                  optimized: bool, contiguous_rows: bool) -> KernelRecord:
-    """The :meth:`CompiledSweep.record` of one sweep over *sched*, from the
-    schedule alone (no compilation needed)."""
-    nnz, m = sched.nnz, sched.nrows
-    touched = int(sched.e_lower.sum()) + m if zero_guess else nnz
+    """The :meth:`CompiledSweep.record` of one sweep with :class:`SweepCounts`
+    *counts* (no compilation needed)."""
+    nnz, m, nlower = counts
+    touched = nlower + m if zero_guess else nnz
     kk = max(k, 1)
     bytes_read = (touched * (VAL_BYTES + IDX_BYTES) + (m + 1) * PTR_BYTES
                   + kk * touched * VAL_BYTES + kk * m * VAL_BYTES)
@@ -490,7 +525,7 @@ class SmootherPlan:
                 # (pre-smoothing) pass; compile its keep mask there.
                 zk = _zero_keep_mask(sched, n, prefix) if fwd else None
                 self.sweeps[(gi, fwd)] = CompiledSweep(
-                    sched, n, optimized=smoother.optimized,
+                    sched, n, A.data, optimized=smoother.optimized,
                     contiguous_rows=smoother.cf_contiguous,
                     kernel="gs.hybrid", zero_keep=zk)
 
@@ -543,11 +578,7 @@ class SmootherPlan:
             new.cheby = ChebyPlan(smoother.A, smoother.diag, smoother.lam_max)
             return new
         for key, cs in self.sweeps.items():
-            gi, fwd = key
-            new.sweeps[key] = (
-                None if cs is None
-                else cs.with_values(smoother._schedules[(f"g{gi}", fwd)])
-            )
+            new.sweeps[key] = None if cs is None else cs.with_values(smoother.A.data)
         return new
 
 
@@ -557,12 +588,16 @@ def compile_smoother_plan(smoother) -> None:
     nobody prewarmed calls it on its first sweep.
 
     Jacobi-family variants have no plan: their sweeps are already single
-    vectorized kernels with one record each.
+    vectorized kernels with one record each.  A GS smoother drops its
+    wavefront schedules once compiled.
     """
     if smoother is None or smoother.variant in ("jacobi", "l1_jacobi"):
         return
     if smoother._plan is None:
         smoother._plan = SmootherPlan(smoother)
+        # No solve or refresh reads a schedule again: the sweeps bind
+        # straight from A.data.
+        smoother._schedules = None
 
 
 def attach_solve_plan(hierarchy) -> None:

@@ -14,7 +14,8 @@ level *l* of every rank) and appends rank *p*'s records — exactly what its
 own smoother would emit, zero-guess placement included — from tables
 frozen per pass.  The per-rank smoothers are still *built* per rank, on the
 ranks' ``diag`` blocks (their set-up records and schedules are per rank),
-but never compiled or run.
+but never compiled or run, and not kept: once stacked and their records
+frozen, only the one compiled stacked smoother remains.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..amg.smoothers import HybridGSSmoother
-from ..amg.solveplan import compile_smoother_plan, sweep_record
+from ..amg.solveplan import SweepCounts, compile_smoother_plan, sweep_record
 from ..perf.counters import VAL_BYTES, RecordTable, collect, make_record, silent
 from ..sparse.spmv import spmv
 from .comm import SimComm
@@ -45,7 +46,7 @@ def _pass_records(local: HybridGSSmoother, forward: bool, zero_guess: bool):
             sched = local._schedules[(f"g{gi}", forward)]
             if sched.nrows:
                 recs.append(sweep_record(
-                    sched, 0, zero_guess, kernel="gs.hybrid",
+                    SweepCounts.of(sched), 0, zero_guess, kernel="gs.hybrid",
                     optimized=local.optimized,
                     contiguous_rows=local.cf_contiguous))
                 zero_guess = False
@@ -80,7 +81,7 @@ class DistSmoother:
         self.A = A
         self.halo = build_halo(comm, A, persistent=persistent,
                                topology=topology, net=net)
-        self.local: list[HybridGSSmoother] = comm.run_on_ranks(
+        local: list[HybridGSSmoother] = comm.run_on_ranks(
             lambda p: HybridGSSmoother(
                 A.blocks[p].diag,
                 nthreads=nthreads,
@@ -93,12 +94,12 @@ class DistSmoother:
         # it, and freeze the boundary Jacobi term's records: they depend
         # only on the sparsity.  All of it is silent.
         diag, offd = A.stacked()
-        self.stacked = HybridGSSmoother.stacked(self.local, diag)
+        self.stacked = HybridGSSmoother.stacked(local, diag)
         compile_smoother_plan(self.stacked)
         diag.lockstep()  # what dist_spmv and the boundary term multiply by
         offd.lockstep()
         self._pass_recs = {
-            key: RecordTable(_pass_records(local, *key) for local in self.local)
+            key: RecordTable(_pass_records(sm, *key) for sm in local)
             for key in ((True, True), (True, False), (False, False))}
 
         self._offd = offd

@@ -20,7 +20,8 @@ Three faithful code paths:
   ``rowptr``/``colidx`` of the output are already populated, the numeric
   product runs with no sparse-accumulator branches.  The paper uses this to
   bound the branching overhead (2.1x speedup, §3.1.1).  A plan freezes the
-  two operand entries and the output slot of every product term; it comes
+  ``B`` entry and the output slot of every product term, in expansion
+  order, and the term count of every ``A`` entry; it comes
   from :func:`spgemm_symbolic` (pattern only) or, as a by-product of the
   sort a product does anyway, from ``spgemm(..., return_plan=True)`` —
   there is no separate capture pass (same for :func:`sp_add`).
@@ -194,38 +195,41 @@ def spgemm(
 @dataclass(frozen=True)
 class SpGEMMPlan:
     """Symbolic SpGEMM result: the output pattern plus every product term's
-    operands, frozen in output order.
+    ``B`` operand and output slot, frozen in Gustavson expansion order.
 
-    Term *t* adds ``A.data[term_a[t]] * B.data[term_b[t]]`` to output slot
-    ``term_group[t]``; terms are in the stable ``(row, col)`` order of the
-    Gustavson expansion, so a numeric pass is two gathers, one multiply and
-    one segment sum in the fresh kernel's summation order — no expansion,
-    sort or sparse-accumulator branch.  ``a``/``b`` are the operand
-    patterns ``(shape, indptr, indices)`` the plan is valid for.
+    Stored entry *e* of ``A`` owns ``a_counts[e]`` consecutive terms; term
+    *t* adds ``a * B.data[term_b[t]]`` (``a`` its ``A`` entry's value) to
+    output slot ``term_slot[t]``.  A numeric pass is one repeat, one
+    gather, one multiply and one ``bincount`` — no expansion, sort or
+    sparse-accumulator branch — and it is bit-identical to the fresh
+    kernel: ``bincount`` adds each slot's terms in input order, which is
+    the expansion order the fresh kernel's stable ``(row, col)`` sort keeps
+    within a slot.  ``a``/``b`` are the operand patterns ``(shape, indptr,
+    indices)`` the plan is valid for.
 
-    The term arrays are the plan's own: read-only, 32-bit when the indices
-    fit.  ``indptr``/``indices`` and the operand patterns are *shared* with
-    the matrices of the planning call, not copied — CSR structure is
-    immutable once built (lint rule ``no-borrowed-mutation``) — and
-    :func:`spgemm_numeric` hands out copies.
+    The term arrays and counts are the plan's own: read-only, 32-bit when
+    the indices fit.  ``indptr``/``indices`` and the operand patterns are
+    *shared* with the matrices of the planning call, not copied — CSR
+    structure is immutable once built (lint rule ``no-borrowed-mutation``)
+    — and :func:`spgemm_numeric` hands out copies.
     """
 
     shape: tuple[int, int]
     indptr: np.ndarray
     indices: np.ndarray
-    term_a: np.ndarray
     term_b: np.ndarray
-    term_group: np.ndarray
+    term_slot: np.ndarray
+    a_counts: np.ndarray
     a: tuple
     b: tuple
 
     def __post_init__(self) -> None:
-        for terms in (self.term_a, self.term_b, self.term_group):
-            terms.setflags(write=False)
+        for arr in (self.term_b, self.term_slot, self.a_counts):
+            arr.setflags(write=False)
 
     @property
     def expansion(self) -> int:
-        return len(self.term_a)
+        return len(self.term_b)
 
 
 def _symbolic(A: CSRMatrix, B: CSRMatrix) -> SpGEMMPlan:
@@ -233,10 +237,11 @@ def _symbolic(A: CSRMatrix, B: CSRMatrix) -> SpGEMMPlan:
     erows, ecols, bcounts, eb = _expand(A, B)
     order, group, indptr, indices = group_rowcol(erows, ecols, A.nrows, B.ncols)
     dtype = _index_dtype(max(A.nnz, B.nnz, len(order)))
-    ea = np.repeat(np.arange(A.nnz, dtype=dtype), bcounts)
+    slot = np.empty(len(order), dtype=dtype)
+    slot[order] = group
     return SpGEMMPlan(
         (A.nrows, B.ncols), indptr, indices,
-        ea[order], eb.astype(dtype)[order], group.astype(dtype),
+        eb.astype(dtype), slot, bcounts.astype(dtype),
         _pattern(A), _pattern(B),
     )
 
@@ -245,9 +250,10 @@ def _plan_values(plan: SpGEMMPlan, A: CSRMatrix, B: CSRMatrix) -> np.ndarray:
     """Values of ``A B`` on the frozen pattern (the one numeric kernel)."""
     _check_pattern(A, plan.a)
     _check_pattern(B, plan.b)
+    terms = np.repeat(A.data, plan.a_counts)
     # take() == fancy indexing, without the latter's 32-bit index penalty.
-    terms = A.data.take(plan.term_a) * B.data.take(plan.term_b)
-    return np.bincount(plan.term_group, weights=terms, minlength=len(plan.indices))
+    terms *= B.data.take(plan.term_b)
+    return np.bincount(plan.term_slot, weights=terms, minlength=len(plan.indices))
 
 
 def spgemm_symbolic(A: CSRMatrix, B: CSRMatrix, *, kernel: str = "spgemm") -> SpGEMMPlan:

@@ -37,6 +37,7 @@ from .reorder import extract_cf_blocks
 from .spgemm import (
     SpAddPlan,
     SpGEMMPlan,
+    _index_dtype,
     expansion_size,
     sp_add,
     sp_add_numeric,
@@ -181,7 +182,7 @@ def rap_fused_plan(
         r_shape=R.shape,
         r_indptr=R.indptr,
         r_indices=R.indices,
-        r_perm=rid.data.astype(np.int64),
+        r_perm=rid.data.astype(_index_dtype(P.nnz)),
         ra=ra,
         bp=bp,
     )
@@ -199,7 +200,7 @@ def rap_fused_numeric(plan: RAPFusedPlan, A: CSRMatrix, P: CSRMatrix) -> CSRMatr
     every sparse-accumulator branch.
     """
     R = CSRMatrix(plan.r_shape, plan.r_indptr, plan.r_indices,
-                  P.data[plan.r_perm])
+                  P.data.take(plan.r_perm))
     with collect():
         B = spgemm_numeric(plan.ra, R, A)
         C = spgemm_numeric(plan.bp, B, P)
@@ -326,16 +327,17 @@ class RAPCFBlockPlan:
 _BLOCKS = ("cc", "cf", "fc", "ff")
 
 
-def _frozen(ids: CSRMatrix) -> tuple:
+def _frozen(ids: CSRMatrix, nnz: int) -> tuple:
     """``(shape, indptr, indices, entry map)`` of a transformed
-    :func:`_entry_id_matrix`."""
-    return ids.shape, ids.indptr, ids.indices, ids.data.astype(np.int64)
+    :func:`_entry_id_matrix` of a matrix with *nnz* entries (the map is
+    32-bit when they fit)."""
+    return ids.shape, ids.indptr, ids.indices, ids.data.astype(_index_dtype(nnz))
 
 
 def _gathered(frozen: tuple, data: np.ndarray) -> CSRMatrix:
     """The matrix a :func:`_frozen` pattern holds for source values *data*."""
     shape, indptr, indices, emap = frozen
-    return CSRMatrix(shape, indptr, indices, data[emap])
+    return CSRMatrix(shape, indptr, indices, data.take(emap))
 
 
 def rap_cf_block_plan(
@@ -354,16 +356,16 @@ def rap_cf_block_plan(
     addition hands out the plan of the sort it does anyway.  Records and
     coarse operator are the fresh kernel's.
     """
-    blocks = dict(zip(_BLOCKS, map(_frozen, extract_cf_blocks(
-        _entry_id_matrix(A), cf_marker, already_partitioned=already_partitioned
-    ))))
+    blocks = {name: _frozen(ids, A.nnz) for name, ids in zip(_BLOCKS, extract_cf_blocks(
+        _entry_id_matrix(A), cf_marker, already_partitioned=already_partitioned))}
     (nc, _), (nf, _) = blocks["cc"][0], blocks["ff"][0]
     if P_F.shape != (nf, nc):
         raise ValueError(
             f"P_F shape {P_F.shape} inconsistent with CF split "
             f"({nf} F pts, {nc} C pts)"
         )
-    pft = _frozen(transpose(_entry_id_matrix(P_F), kernel="rap.pf_transpose"))
+    pft = _frozen(transpose(_entry_id_matrix(P_F), kernel="rap.pf_transpose"),
+                  P_F.nnz)
     A_CC, A_CF, A_FC, A_FF = (_gathered(blocks[n], A.data) for n in _BLOCKS)
     PFt = _gathered(pft, P_F.data)
     t_fc, p_fc = spgemm(PFt, A_FC, method=method, kernel="rap.pft_afc", return_plan=True)

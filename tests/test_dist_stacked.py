@@ -41,11 +41,12 @@ from repro.dist import (
     dist_spmv,
     dist_vcycle,
 )
+from repro.amg.smoothers import HybridGSSmoother
 from repro.dist.smoothers import DistSmoother
 from repro.dist.solver import par_axpy, par_dot
 from repro.faults.comm import CommFault, FaultyComm
 from repro.faults.plan import FaultPlan, RetryPolicy
-from repro.perf.counters import VAL_BYTES, count, phase
+from repro.perf.counters import VAL_BYTES, count, phase, silent
 from repro.problems import laplace_3d_27pt
 from repro.sparse import CSRMatrix
 from repro.sparse.spmv import spmv
@@ -103,8 +104,31 @@ def ref_spmv(comm, A, parts, halo, kernel="spmv"):
     return out
 
 
-def ref_smooth(sm, x, b, *, forward, zero_guess=False):
-    """Old ``DistSmoother.presmooth`` / ``postsmooth`` incl. ``_offd_rhs``."""
+def ref_local_smoothers(A, cf_parts=None, *, seed=0, **kw):
+    """One ``HybridGSSmoother`` per rank on its ``diag`` block with the
+    arguments the ``DistSmoother`` under test was given — the per-rank
+    smoothers the old loop swept, built here and silently (the stacked
+    side logged their set-up records when it built its own)."""
+    with silent():
+        return [HybridGSSmoother(blk.diag, cf_marker=None if cf_parts is None
+                                 else cf_parts[p], seed=seed + p, **kw)
+                for p, blk in enumerate(A.blocks)]
+
+
+def ref_level_smoothers(h, lvl):
+    """:func:`ref_local_smoothers` of a distributed hierarchy level, from
+    the hierarchy's configuration."""
+    cfg = h.config
+    variant = {"hybrid_gs": "hybrid"}.get(cfg.smoother, cfg.smoother)
+    return ref_local_smoothers(lvl.smoother.A, lvl.cf_parts,
+                               nthreads=cfg.nthreads, variant=variant,
+                               optimized=cfg.flags.three_way_partition,
+                               seed=cfg.seed)
+
+
+def ref_smooth(sm, local, x, b, *, forward, zero_guess=False):
+    """Old ``DistSmoother.presmooth`` / ``postsmooth`` incl. ``_offd_rhs``,
+    sweeping the per-rank smoothers *local* (:func:`ref_local_smoothers`)."""
     comm = sm.comm
     if zero_guess:
         rhs = [bp.copy() for bp in b]
@@ -123,9 +147,9 @@ def ref_smooth(sm, x, b, *, forward, zero_guess=False):
     for p in range(comm.nranks):
         with comm.on_rank(p):
             if forward:
-                sm.local[p].presmooth(x[p], rhs[p], zero_guess=zero_guess)
+                local[p].presmooth(x[p], rhs[p], zero_guess=zero_guess)
             else:
-                sm.local[p].postsmooth(x[p], rhs[p])
+                local[p].postsmooth(x[p], rhs[p])
     return x
 
 
@@ -166,9 +190,10 @@ def ref_vcycle(h, b, level=0):
                 comm.log_message(0, p, len(b[p]) * VAL_BYTES, tag="coarse.x")
         return split(x, cs.A.row_part)
     lvl = h.levels[level]
+    local = ref_level_smoothers(h, lvl)
     x = [np.zeros(len(bp)) for bp in b]
     with phase("GS"):
-        ref_smooth(lvl.smoother, x, b, forward=True, zero_guess=True)
+        ref_smooth(lvl.smoother, local, x, b, forward=True, zero_guess=True)
     with phase("SpMV"):
         Ax = ref_spmv(comm, lvl.A, x, lvl.halo, "spmv.residual")
         r = [bp - ap for bp, ap in zip(b, Ax)]
@@ -185,7 +210,7 @@ def ref_vcycle(h, b, level=0):
     with phase("BLAS1"):
         ref_axpy(comm, 1.0, corr, x)
     with phase("GS"):
-        ref_smooth(lvl.smoother, x, b, forward=False)
+        ref_smooth(lvl.smoother, local, x, b, forward=False)
     return x
 
 
@@ -247,6 +272,7 @@ def check_stack(A, bounds, *, ppn=1, persistent=True, k=3, cf=None, seed=0,
         return comm, Ap, halo, sm
 
     (comm, Ap, halo, sm), (rcomm, rAp, rhalo, rsm) = build(), build()
+    local = ref_local_smoothers(rAp, cf_parts, nthreads=nthreads)
     rng = np.random.default_rng(seed)
     x, y, b = (rng.standard_normal(n) for _ in range(3))
     X = rng.standard_normal((n, k))
@@ -274,7 +300,8 @@ def check_stack(A, bounds, *, ppn=1, persistent=True, k=3, cf=None, seed=0,
                 sm.presmooth(xs, bp, zero_guess=zg)
             else:
                 sm.postsmooth(xs, bp)
-            ref_smooth(rsm, rxs, split(b, part), forward=fwd, zero_guess=zg)
+            ref_smooth(rsm, local, rxs, split(b, part), forward=fwd,
+                       zero_guess=zg)
         assert_parts_equal(xs.parts, rxs)
 
     xp, yp = ParVector.from_global(x, part), ParVector.from_global(y, part)
@@ -352,7 +379,8 @@ class TestStackedEqualsPerRank:
         cf[10:20] = -1
         _, _, sm = check_stack(sym_matrix(30, 4, 0.25), [0, 10, 20, 30],
                                cf=cf)
-        assert sm.local[1]._schedules[("g0", True)].nrows == 0
+        local = ref_local_smoothers(sm.A, split(cf, sm.A.row_part), nthreads=2)
+        assert local[1]._schedules[("g0", True)].nrows == 0
 
     def test_node_aware_aggregated_arm(self):
         # Dense coupling between 8 small ranks: the 3-step plan wins.
@@ -371,6 +399,7 @@ class TestStackedEqualsPerRank:
                               nthreads=2, variant=variant)
             pair.append((comm, sm))
         (comm, sm), (rcomm, rsm) = pair
+        local = ref_local_smoothers(rsm.A, nthreads=2, variant=variant)
         b = np.random.default_rng(7).standard_normal(36)
         xs, rxs = ParVector.zeros(part), split(np.zeros(36), part)
         for fwd, zg in ((True, True), (True, False), (False, False)):
@@ -378,7 +407,8 @@ class TestStackedEqualsPerRank:
                 sm.presmooth(xs, ParVector.from_global(b, part), zero_guess=zg)
             else:
                 sm.postsmooth(xs, ParVector.from_global(b, part))
-            ref_smooth(rsm, rxs, split(b, part), forward=fwd, zero_guess=zg)
+            ref_smooth(rsm, local, rxs, split(b, part), forward=fwd,
+                       zero_guess=zg)
             assert_parts_equal(xs.parts, rxs)
         assert_same_logs(comm, rcomm)
 

@@ -232,10 +232,12 @@ class TestPlanByProduct:
         sym = spgemm_symbolic(A, B)
         np.testing.assert_array_equal(plan.indptr, sym.indptr)
         np.testing.assert_array_equal(plan.indices, sym.indices)
-        for name in ("term_a", "term_b", "term_group"):
+        for name in ("term_b", "term_slot", "a_counts"):
             np.testing.assert_array_equal(getattr(plan, name), getattr(sym, name))
-        _assert_frozen(plan.term_a, plan.term_b, plan.term_group)
-        assert plan.expansion == expansion_size(A, B) == len(plan.term_a)
+        _assert_frozen(plan.term_b, plan.term_slot, plan.a_counts)
+        assert plan.expansion == expansion_size(A, B) == len(plan.term_b)
+        assert len(plan.term_slot) == plan.expansion == int(plan.a_counts.sum())
+        assert len(plan.a_counts) == A.nnz
         A2, B2 = _revalued(A, kind, rng), _revalued(B, kind, rng)
         for p in (plan, sym):
             _same_bits(spgemm(A2, B2), spgemm_numeric(p, A2, B2))
