@@ -248,7 +248,7 @@ def _freeze_plan(
 
     # Pairs in (row, col) order — the order a CSR pair matrix would hold.
     pair_entry = np.flatnonzero(pairs)
-    pair_entry = pair_entry[rowcol_order(rid[pair_entry], cols[pair_entry], n, n)]
+    pair_entry = pair_entry[rowcol_order(rid[pair_entry], cols[pair_entry], n)]
     pair_row = rid[pair_entry]
     pair_k = cols[pair_entry]
     # The full expansion's size: what the cost records charge.
@@ -263,15 +263,12 @@ def _freeze_plan(
     num_row = np.concatenate([rid[direct_entry], pair_row[term_pair[weight_terms]]])
     num_col = np.concatenate([cols[direct_entry], cols[term_entry[weight_terms]]])
 
-    # Final COO -> CSR assembly: CSRMatrix.from_coo's (row, col) sort and
-    # duplicate grouping, inverted into one output slot per term.  The sort
-    # is stable, so summing the unsorted terms by slot adds each slot's
-    # duplicates in the order from_coo would.
-    order, group, out_indptr, out_col = group_rowcol(
+    # Final COO -> CSR assembly: CSRMatrix.from_coo's duplicate grouping,
+    # one output slot per term.  Summing the terms by slot adds each slot's
+    # duplicates in input order, as from_coo does.
+    slot, out_indptr, out_col = group_rowcol(
         np.concatenate([identity_rows, num_row]),
         np.concatenate([c_idx[identity_rows], c_idx[num_col]]), n, nc)
-    slot = np.empty(len(order), dtype=np.int64)
-    slot[order] = group
 
     def idx(a: np.ndarray) -> np.ndarray:
         return a.astype(dtype, copy=False)

@@ -93,10 +93,10 @@ class CSRMatrix:
         if len(cols) and (cols.min() < 0 or cols.max() >= ncols):
             raise ValueError("column index out of range")
         if sum_duplicates:
-            order, group, indptr, indices = group_rowcol(rows, cols, nrows, ncols)
-            vals = np.bincount(group, weights=vals[order], minlength=len(indices))
+            slot, indptr, indices = group_rowcol(rows, cols, nrows, ncols)
+            vals = np.bincount(slot, weights=vals, minlength=len(indices))
             return cls((nrows, ncols), indptr, indices, vals)
-        order = rowcol_order(rows, cols, nrows, ncols)
+        order = rowcol_order(rows, cols, ncols)
         indptr = indptr_from_counts(np.bincount(rows, minlength=nrows))
         return cls((nrows, ncols), indptr, cols[order], vals[order])
 
@@ -235,7 +235,7 @@ class CSRMatrix:
 
     def sort_indices(self) -> "CSRMatrix":
         """Return a copy with column indices sorted within each row."""
-        order = rowcol_order(self.row_ids(), self.indices, *self.shape)
+        order = rowcol_order(self.row_ids(), self.indices, self.ncols)
         return CSRMatrix(self.shape, self.indptr.copy(), self.indices[order], self.data[order])
 
     def diagonal(self) -> np.ndarray:

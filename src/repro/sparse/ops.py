@@ -70,40 +70,66 @@ def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(keys.astype(np.uint16) if bound <= 1 << 16 else keys, kind="stable")
 
 
-def rowcol_order(
-    rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int, key: np.ndarray | None = None
-) -> np.ndarray:
+def rowcol_order(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
     """The stable ``(row, col)`` ordering, ``== np.lexsort((cols, rows))``.
 
-    The one place the library orders coordinates.  Bounds that fit 16 bits
-    take two least-significant-first stable argsorts on ``uint16`` casts
-    (numpy radix-sorts 16-bit keys); larger operators sort the 64-bit
-    composite *key* ``rows * ncols + cols`` (computed unless handed in).
-    A stable sort's result is unique, so both arms agree.
+    The one place the library orders coordinates: a stable sort of the
+    64-bit composite key ``rows * ncols + cols``.  Its set-up callers hand
+    in row-sorted coordinates (CSR entries), on which numpy's timsort runs
+    in near-linear time.  Grouping needs no order: see :func:`group_rowcol`.
     """
-    if max(nrows, ncols) <= 1 << 16:
-        order = np.argsort(cols.astype(np.uint16), kind="stable")
-        return order[np.argsort(rows.astype(np.uint16)[order], kind="stable")]
-    return np.argsort(rows * np.int64(ncols) + cols if key is None else key, kind="stable")
+    return np.argsort(rows * np.int64(ncols) + cols, kind="stable")
+
+
+#: :func:`group_rowcol` marks keys in a dense ``nrows * ncols`` array when
+#: that array holds at most this many keys per input entry, and sorts them
+#: otherwise.  Measured over every grouping call of the four benchmark
+#: set-ups (EXPERIMENTS.md "Set-up groups with a marker array", crossover
+#: table): marking takes 0.1-0.3x the sort's time up to 16 keys per entry,
+#: 0.6x up to 32, 0.9x up to 64, and loses from there.  A threshold of 32
+#: groups 3-15 % faster than 16, but whole set-ups tie; 16 caps the
+#: transient mark and rank arrays at 80 B per entry and keeps the
+#: ``node-lap27`` set-up's max RSS ~5 MB lower.
+GROUP_MARKER_DENSITY = 16
 
 
 def group_rowcol(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int):
-    """Sort entries by ``(row, col)`` and group the duplicates.
+    """Group entries by ``(row, col)``: COO to CSR slots.
 
-    Returns ``(order, group, indptr, indices)``: :func:`rowcol_order`, the
-    output slot of each *sorted* entry — ``np.bincount(group,
-    weights=vals[order])`` sums a slot's duplicates in input order — and
-    the CSR structure of the slots.
+    Returns ``(slot, indptr, indices)``: ``slot[t]`` is the output slot of
+    input entry *t* (int32 when the entries fit), and ``indptr`` /
+    ``indices`` the CSR structure of the distinct coordinates in ``(row,
+    col)`` order.  ``np.bincount(slot, weights=vals)`` sums each slot's
+    duplicates in input order.
+
+    Dense key spaces use the marker array of the paper's kernels (§3.1.1)
+    as a perfect hash: mark every key, read the distinct keys off the
+    marks — already in ``(row, col)`` order — and rank them.  Sparse ones
+    take one stable sort of the composite key.
     """
     key = rows * np.int64(ncols) + cols
-    order = rowcol_order(rows, cols, nrows, ncols, key)
-    skey = key[order]
-    first = np.empty(len(skey), dtype=bool)
-    first[:1] = True
-    first[1:] = skey[1:] != skey[:-1]
-    ukey = skey[first]
-    indptr = indptr_from_counts(np.bincount(ukey // ncols, minlength=nrows))
-    return order, np.cumsum(first) - 1, indptr, ukey % ncols
+    space = nrows * ncols
+    dtype = np.int32 if len(key) < 2**31 else np.int64
+    if space <= GROUP_MARKER_DENSITY * len(key):
+        mark = np.zeros(space, dtype=bool)
+        mark[key] = True
+        ukey = np.flatnonzero(mark)
+        rank = np.empty(space, dtype=dtype)
+        rank[ukey] = np.arange(len(ukey), dtype=dtype)
+        slot = rank.take(key)
+    else:
+        order = np.argsort(key, kind="stable")
+        skey = key[order]
+        first = np.empty(len(skey), dtype=bool)
+        first[:1] = True
+        first[1:] = skey[1:] != skey[:-1]
+        ukey = skey[first]
+        slot = np.empty(len(key), dtype=dtype)
+        slot[order] = np.cumsum(first) - 1
+    # Row r's keys are [r * ncols, (r + 1) * ncols): its slots start at the
+    # first distinct key at or past r * ncols.
+    indptr = np.searchsorted(ukey, np.arange(nrows + 1, dtype=np.int64) * ncols)
+    return slot, indptr, ukey % ncols
 
 
 def segment_sum(values: np.ndarray, seg_ids: np.ndarray, nseg: int) -> np.ndarray:

@@ -4,7 +4,11 @@ Three faithful code paths:
 
 * :func:`spgemm` — the production kernel.  Numerically it is a vectorized
   Gustavson expansion (one product term per ``(a_ij, b_jk)`` pair) followed
-  by a duplicate-eliminating compression.  Its *instrumentation* switches
+  by a duplicate-eliminating compression,
+  :func:`~repro.sparse.ops.group_rowcol`: the accumulator's marker array,
+  spread over the output's whole ``(row, col)`` key space as a perfect
+  hash, when that space is dense; one stable sort of the keys when it is
+  not.  Its *instrumentation* switches
   between the two implementations the paper contrasts:
 
   - ``method="two_pass"`` — the traditional implementation: a symbolic pass
@@ -23,8 +27,8 @@ Three faithful code paths:
   ``B`` entry and the output slot of every product term, in expansion
   order, and the term count of every ``A`` entry; it comes
   from :func:`spgemm_symbolic` (pattern only) or, as a by-product of the
-  sort a product does anyway, from ``spgemm(..., return_plan=True)`` —
-  there is no separate capture pass (same for :func:`sp_add`).
+  grouping a product does anyway, from ``spgemm(..., return_plan=True)``
+  — there is no separate capture pass (same for :func:`sp_add`).
 
 * :func:`spgemm_gustavson` (in :mod:`repro.sparse.accumulator`) — the
   literal marker-array row loop, kept as the reference implementation and
@@ -164,7 +168,7 @@ def spgemm(
     """``C = A @ B`` with the traffic/branch profile of *method*.
 
     With ``return_plan`` the pair ``(C, plan)``: the :class:`SpGEMMPlan` is
-    built from the sort the product does anyway, ``C``'s values come out of
+    the term grouping the product does anyway, ``C``'s values come out of
     the numeric kernel a later :func:`spgemm_numeric` runs, and the emitted
     record is the plain call's.
     """
@@ -175,11 +179,11 @@ def spgemm(
     else:  # no term operands to materialise: ~1/7 cheaper on large products
         plan = None
         erows, ecols, bcounts, eb = _expand(A, B)
-        order, group, indptr, indices = group_rowcol(erows, ecols, A.nrows, B.ncols)
+        slot, indptr, indices = group_rowcol(erows, ecols, A.nrows, B.ncols)
         evals = np.repeat(A.data, bcounts) * B.data[eb]
         C = CSRMatrix((A.nrows, B.ncols), indptr, indices,
-                      np.bincount(group, weights=evals[order], minlength=len(indices)))
-        expansion = len(order)
+                      np.bincount(slot, weights=evals, minlength=len(indices)))
+        expansion = len(slot)
     br, bw, branches = spgemm_traffic(A, B, C, expansion, method)
     count(
         f"{kernel}.{method}",
@@ -200,12 +204,11 @@ class SpGEMMPlan:
     Stored entry *e* of ``A`` owns ``a_counts[e]`` consecutive terms; term
     *t* adds ``a * B.data[term_b[t]]`` (``a`` its ``A`` entry's value) to
     output slot ``term_slot[t]``.  A numeric pass is one repeat, one
-    gather, one multiply and one ``bincount`` — no expansion, sort or
+    gather, one multiply and one ``bincount`` — no expansion, grouping or
     sparse-accumulator branch — and it is bit-identical to the fresh
-    kernel: ``bincount`` adds each slot's terms in input order, which is
-    the expansion order the fresh kernel's stable ``(row, col)`` sort keeps
-    within a slot.  ``a``/``b`` are the operand patterns ``(shape, indptr,
-    indices)`` the plan is valid for.
+    kernel, which sums the same slots with the same ``bincount`` over the
+    terms in expansion order.  ``a``/``b`` are the operand patterns
+    ``(shape, indptr, indices)`` the plan is valid for.
 
     The term arrays and counts are the plan's own: read-only, 32-bit when
     the indices fit.  ``indptr``/``indices`` and the operand patterns are
@@ -233,15 +236,13 @@ class SpGEMMPlan:
 
 
 def _symbolic(A: CSRMatrix, B: CSRMatrix) -> SpGEMMPlan:
-    """Expand, sort and group the terms of ``A B`` into a plan (uncounted)."""
+    """Expand and group the terms of ``A B`` into a plan (uncounted)."""
     erows, ecols, bcounts, eb = _expand(A, B)
-    order, group, indptr, indices = group_rowcol(erows, ecols, A.nrows, B.ncols)
-    dtype = _index_dtype(max(A.nnz, B.nnz, len(order)))
-    slot = np.empty(len(order), dtype=dtype)
-    slot[order] = group
+    slot, indptr, indices = group_rowcol(erows, ecols, A.nrows, B.ncols)
+    dtype = _index_dtype(max(A.nnz, B.nnz, len(slot)))
     return SpGEMMPlan(
         (A.nrows, B.ncols), indptr, indices,
-        eb.astype(dtype), slot, bcounts.astype(dtype),
+        eb.astype(dtype), slot.astype(dtype, copy=False), bcounts.astype(dtype),
         _pattern(A), _pattern(B),
     )
 
@@ -312,12 +313,12 @@ def sp_add(
     """``alpha*A + beta*B`` with union sparsity (explicit zeros kept).
 
     With ``return_plan`` the pair ``(C, plan)``, the :class:`SpAddPlan` read
-    off the sort the addition does anyway; same record as the plain call.
+    off the grouping the addition does anyway; same record as the plain call.
     """
-    union = order, group, indptr, indices = _union(A, B)
+    union = slot, indptr, indices = _union(A, B)
     evals = np.concatenate([alpha * A.data, beta * B.data])
     C = CSRMatrix(A.shape, indptr, indices,
-                  np.bincount(group, weights=evals[order], minlength=len(indices)))
+                  np.bincount(slot, weights=evals, minlength=len(indices)))
     count(
         kernel,
         flops=2 * (A.nnz + B.nnz),
@@ -335,8 +336,8 @@ class SpAddPlan:
     ``slot_a[t]``/``slot_b[t]`` give the output position of the *t*-th
     stored entry of ``A``/``B``, so a numeric re-add is two branch-free
     scatter-accumulates.  Entries are summed A-before-B per output slot —
-    the same order :func:`sp_add`'s stable compression uses — so
-    :func:`sp_add_numeric` is bit-identical to a fresh :func:`sp_add`.
+    the order of :func:`sp_add`'s ``bincount`` over the stacked entries —
+    so :func:`sp_add_numeric` is bit-identical to a fresh :func:`sp_add`.
     Array ownership as in :class:`SpGEMMPlan`: the slots are the plan's own
     (read-only, 32-bit when they fit), the patterns are shared.
     """
@@ -356,9 +357,8 @@ class SpAddPlan:
 
     @classmethod
     def _freeze(cls, A: CSRMatrix, B: CSRMatrix, union: tuple) -> "SpAddPlan":
-        order, group, indptr, indices = union
-        slot = np.empty(len(order), dtype=_index_dtype(len(order)))
-        slot[order] = group
+        slot, indptr, indices = union
+        slot = slot.astype(_index_dtype(len(slot)), copy=False)
         slot.setflags(write=False)
         return cls(A.shape, indptr, indices, slot[: A.nnz], slot[A.nnz:],
                    _pattern(A), _pattern(B))
@@ -382,7 +382,7 @@ def sp_add_numeric(
     _check_pattern(B, plan.b)
     vals = np.zeros(len(plan.indices))
     # Unique slots per operand (each input is duplicate-free), summed
-    # A-then-B exactly as the fresh kernel's stable compression does.
+    # A-then-B exactly as the fresh kernel's bincount does.
     vals[plan.slot_a] += alpha * A.data
     vals[plan.slot_b] += beta * B.data
     C = CSRMatrix(plan.shape, plan.indptr.copy(), plan.indices.copy(), vals)

@@ -6,8 +6,9 @@ pointer, then scatter every entry to its slot.  Load balance comes from
 partitioning input rows so each thread owns a similar number of non-zeros.
 
 The vectorized implementation here is exactly a counting sort: ``bincount``
-is the count phase, ``cumsum`` the prefix sum, and a stable argsort on the
-column keys is the scatter.
+is the count phase, ``cumsum`` the prefix sum, and the scatter order is
+:func:`~repro.sparse.ops.stable_order` of the column ids — numpy's radix
+sort on a 16-bit cast whenever the column count fits 16 bits.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, count
 from .csr import CSRMatrix
-from .ops import indptr_from_counts
+from .ops import indptr_from_counts, stable_order
 
 __all__ = ["transpose", "balanced_nnz_partition"]
 
@@ -30,7 +31,7 @@ def transpose(A: CSRMatrix, *, parallel: bool = True, kernel: str = "transpose")
     """
     counts = np.bincount(A.indices, minlength=A.ncols)
     indptrT = indptr_from_counts(counts)
-    order = np.argsort(A.indices, kind="stable")
+    order = stable_order(A.indices, A.ncols)
     indicesT = A.row_ids()[order]
     dataT = A.data[order]
     matrix_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (A.nrows + 1) * PTR_BYTES

@@ -19,8 +19,8 @@ Variants (all numerically equivalent; instrumentation differs):
   shrinks to the ``A_FF`` block.
 
 ``rap_fused`` and ``rap_cf_block`` are the ``[0]`` of their ``_plan`` forms:
-every product and addition hands out its reuse plan from the sort it does
-anyway, so there is no capture work to skip, and the ``_numeric`` forms
+every product and addition hands out its reuse plan from the grouping it
+does anyway, so there is no capture work to skip, and the ``_numeric`` forms
 replay those plans on new values (§3.1.1 pattern reuse).
 """
 
@@ -146,7 +146,7 @@ def rap_fused_plan(
     """:func:`rap_fused` plus its :class:`RAPFusedPlan`.
 
     The plan is a by-product: each product hands out the term mapping of
-    the sort it does anyway, so there is no capture work, the records are
+    the grouping it does anyway, so there is no capture work, the records are
     the fresh kernel's and the coarse operator is the fresh kernel's.
     """
     _check_dims(R, A, P)
@@ -353,7 +353,7 @@ def rap_cf_block_plan(
     There is no capture work: the block extraction and the transpose run
     once, over entry ids, and give the gather maps the values then follow
     (as they do in :func:`rap_cf_block_numeric`); every product and
-    addition hands out the plan of the sort it does anyway.  Records and
+    addition hands out the plan of the grouping it does anyway.  Records and
     coarse operator are the fresh kernel's.
     """
     blocks = {name: _frozen(ids, A.nnz) for name, ids in zip(_BLOCKS, extract_cf_blocks(

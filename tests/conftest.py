@@ -63,6 +63,24 @@ def lap3d27_small():
     return laplace_3d_27pt(7)
 
 
+def lexsort_group(rows, cols, nrows: int, ncols: int):
+    """Oracle of :func:`repro.sparse.ops.group_rowcol`, written without it:
+    ``np.lexsort`` into ``(row, col)`` order, then run detection.  Returns
+    ``(slot, indptr, indices)``: the output slot of every input entry, in
+    input order, and the CSR structure of the distinct coordinates."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    order = np.lexsort((cols, rows))
+    r, c = rows[order], cols[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    slot = np.empty(len(order), dtype=np.int64)
+    slot[order] = np.cumsum(new) - 1
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r[new], minlength=nrows), out=indptr[1:])
+    return slot, indptr, c[new]
+
+
 def assert_csr_equal(A: CSRMatrix, B, atol: float = 1e-12) -> None:
     """Compare our CSR with a scipy matrix or another CSRMatrix densely."""
     lhs = A.to_dense()

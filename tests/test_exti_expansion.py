@@ -29,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import lexsort_group
 from repro.amg import interp_classical, interp_extended
 from repro.amg.interp_classical import _classical_symbolic
 from repro.amg.interp_common import coarse_index, entries_in_pattern
@@ -43,10 +44,8 @@ from repro.serve.workload import PROBLEM_BUILDERS
 from repro.sparse import CSRMatrix
 from repro.sparse.ops import (
     gather_range_indices,
-    group_rowcol,
     indptr_from_counts,
     row_ids_from_indptr,
-    rowcol_order,
     segment_sum,
 )
 from repro.sparse.reorder import cf_permutation, permute_matrix
@@ -78,7 +77,7 @@ def _freeze_plan_full(
 
     # Pairs in (row, col) order — the order a CSR pair matrix would hold.
     pair_entry = np.flatnonzero(pairs)
-    pair_entry = pair_entry[rowcol_order(rid[pair_entry], cols[pair_entry], n, n)]
+    pair_entry = pair_entry[np.lexsort((cols[pair_entry], rid[pair_entry]))]
     pair_row = rid[pair_entry]
     pair_k = cols[pair_entry]
 
@@ -106,15 +105,11 @@ def _freeze_plan_full(
     num_row = np.concatenate([rid[direct_entry], pair_row[term_pair[weight_terms]]])
     num_col = np.concatenate([cols[direct_entry], term_l[weight_terms]])
 
-    # Final COO -> CSR assembly: CSRMatrix.from_coo's (row, col) sort and
-    # duplicate grouping, inverted into one output slot per term.  The sort
-    # is stable, so summing the unsorted terms by slot adds each slot's
-    # duplicates in the order from_coo would.
-    order, group, out_indptr, out_col = group_rowcol(
+    # Final COO -> CSR assembly: the stable (row, col) sort and duplicate
+    # grouping of the lexsort oracle, one output slot per term.
+    slot, out_indptr, out_col = lexsort_group(
         np.concatenate([identity_rows, num_row]),
         np.concatenate([c_idx[identity_rows], c_idx[num_col]]), n, nc)
-    slot = np.empty(len(order), dtype=np.int64)
-    slot[order] = group
 
     # Held for the hierarchy's lifetime: halve the maps when indices fit.
     dtype = np.int32 if max(A.nnz, n, len(p_l)) < 2**31 else np.int64

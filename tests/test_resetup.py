@@ -334,12 +334,17 @@ class TestRefresh:
     def _call_counters(monkeypatch):
         """``(calls, counted, scoped)``: ``counted(name, fn)`` tallies calls
         of *fn* as ``name@scope`` while a ``scoped(scope, fn)`` is running.
-        ``rowcol_order`` — the library's one (row, col) sort — is counted
-        at every module that imports it."""
+        ``rowcol_order`` — the library's one (row, col) sort — and
+        ``group_rowcol`` — its one (row, col) grouping, which marks dense
+        key spaces without sorting — are counted at every module that
+        imports them."""
+        import importlib
         from collections import Counter
 
         from repro.amg import interp_extended
         from repro.sparse import csr, ops
+
+        spgemm_mod = importlib.import_module("repro.sparse.spgemm")
 
         calls: Counter = Counter()
         active: list[str] = []
@@ -363,6 +368,9 @@ class TestRefresh:
         for mod in (ops, csr, interp_extended):
             monkeypatch.setattr(mod, "rowcol_order",
                                 counted("rowcol_order", mod.rowcol_order))
+        for mod in (ops, csr, spgemm_mod, interp_extended):
+            monkeypatch.setattr(mod, "group_rowcol",
+                                counted("group_rowcol", mod.group_rowcol))
         monkeypatch.setattr(np, "lexsort", counted("lexsort", np.lexsort))
         return calls, counted, scoped
 
@@ -406,7 +414,7 @@ class TestRefresh:
         h = build_hierarchy(A, cfg, capture_plan=True)
         # The counters see the symbolic work of a build...
         for name in ("entries_in_pattern", "from_coo", "rowcol_order",
-                     "searchsorted"):
+                     "group_rowcol", "searchsorted"):
             assert calls[f"{name}@interp"] > 0, name
         assert (calls["spgemm@interp"] > 0) == (interp == "extended+i")
         # ...and none of it on refresh.
@@ -418,9 +426,10 @@ class TestRefresh:
 
     @pytest.mark.parametrize("scheme", ["cf_block", "fused"])
     def test_refresh_rap_step_runs_no_symbolic_work(self, monkeypatch, scheme):
-        """The same for the Galerkin product: a cold build expands, sorts
-        and groups the product terms; a fast-path refresh only gathers
-        through the frozen term operands — no expansion, no sort."""
+        """The same for the Galerkin product: a cold build expands and
+        groups the product terms (and sorts for the transpose); a fast-path
+        refresh only gathers through the frozen term operands — no
+        expansion, no grouping, no sort."""
         import importlib
         from dataclasses import replace
 
@@ -445,7 +454,7 @@ class TestRefresh:
         base = single_node_config(True)
         cfg = replace(base, flags=replace(base.flags, rap_scheme=scheme))
         h = build_hierarchy(A, cfg, capture_plan=True)
-        for name in ("rowcol_order", "expand", "gather_range_indices", "argsort"):
+        for name in ("group_rowcol", "expand", "gather_range_indices", "argsort"):
             assert calls[f"{name}@rap"] > 0, name
         calls.clear()
         with collect() as log:
@@ -455,7 +464,8 @@ class TestRefresh:
 
     def test_plan_capture_sorts_nothing_twice(self, monkeypatch):
         """Capture is free in the vehicle as in the model: a capturing
-        build orders coordinates exactly as often as a plain one."""
+        build orders and groups coordinates exactly as often as a plain
+        one."""
         from repro.amg import setup
 
         calls, _, scoped = self._call_counters(monkeypatch)
@@ -463,10 +473,12 @@ class TestRefresh:
         A = _jitter(laplace_3d_27pt(8))
         cfg = single_node_config(True)
         build(A, cfg)
-        plain = calls["rowcol_order@build"]
+        plain = dict(calls)
         calls.clear()
         assert build(A, cfg, capture_plan=True).plan is not None
-        assert calls["rowcol_order@build"] == plain > 0
+        for name in ("rowcol_order", "group_rowcol"):
+            key = f"{name}@build"
+            assert calls[key] == plain[key] > 0, name
 
     def test_refresh_flops_and_branches_win(self):
         """Acceptance: >= 2x modeled setup flops, branch-free refresh."""
