@@ -51,19 +51,29 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..analysis import InvariantViolation, checking
-from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, collect, count
+from ..perf.counters import (
+    IDX_BYTES,
+    PTR_BYTES,
+    VAL_BYTES,
+    collect,
+    count,
+    make_records,
+    silent,
+)
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import gather_range_indices, indptr_from_counts, segment_sum
 from ..sparse.ops import group_rowcol, row_ids_from_indptr, rowcol_order
-from ..sparse.spgemm import spgemm
+from ..sparse.spgemm import spgemm, spgemm_traffic
 from .interp_common import coarse_index, entries_in_pattern
-from .truncation import truncate_interpolation
+from .truncation import _truncation_record, truncate_interpolation
 
 __all__ = ["ExtIPlan", "extended_i_symbolic", "extended_i_interpolation",
-           "extended_i_numeric", "extended_i_reference", "plan_interpolation",
-           "plan_numeric"]
+           "extended_i_blocks", "extended_i_numeric", "extended_i_reference",
+           "plan_interpolation", "plan_numeric"]
 
 _TINY = 1e-300
+#: kernel of the distance-two SpGEMM (``Chat``'s pattern)
+_DIST2 = "interp.exti_dist2"
 
 
 def _strong_mask(A: CSRMatrix, S: CSRMatrix) -> np.ndarray:
@@ -355,6 +365,18 @@ def extended_i_symbolic(
     distance-two structure is a SpGEMM over the strong-F pairs and is
     counted as one (``interp.exti_dist2``).
     """
+    return _symbolic(A, S, cf_marker, active_rows)[0]
+
+
+def _symbolic(
+    A: CSRMatrix,
+    S: CSRMatrix,
+    cf_marker: np.ndarray,
+    active_rows: np.ndarray | None,
+) -> tuple[ExtIPlan, CSRMatrix, CSRMatrix]:
+    """:func:`extended_i_symbolic`'s plan, with the strong-C pattern ``SC``
+    and the distance-two product ``D2 = AFS SC`` its record is sized by
+    (``AFS`` holds the plan's pairs, in order)."""
     n = A.nrows
     cf_marker = np.asarray(cf_marker)
     rid = A.row_ids()
@@ -377,14 +399,14 @@ def extended_i_symbolic(
     AFS = CSRMatrix.from_coo((n, n), rid[fs], cols[fs], np.ones(int(fs.sum())))
 
     # Chat pattern: strong C of i plus strong C of i's strong F neighbours.
-    D2 = spgemm(AFS, SC, kernel="interp.exti_dist2")
+    D2 = spgemm(AFS, SC, kernel=_DIST2)
     sc_f = sc & f_row
     chat_rows = np.concatenate([rid[sc_f], D2.row_ids()])
     chat_cols = np.concatenate([cols[sc_f], D2.indices])
     Chat = CSRMatrix.from_coo((n, n), chat_rows, chat_cols, np.ones(len(chat_rows)))
 
     in_chat_A = entries_in_pattern(rid, cols, Chat)
-    return _freeze_plan(
+    plan = _freeze_plan(
         A, cf_marker, Chat,
         pairs=fs,
         direct=f_row & in_chat_A,
@@ -392,6 +414,7 @@ def extended_i_symbolic(
         identity_rows=identity_rows,
         weak_first=False, kernel="interp.extended_i", pair_chat=sc,
     )
+    return plan, SC, D2
 
 
 def plan_interpolation(
@@ -406,31 +429,39 @@ def plan_interpolation(
 ) -> CSRMatrix:
     """``P`` through a freshly frozen *plan*, charged as ``plan.kernel``:
     the one build body of extended+i and classical (distance one)."""
-    n = A.nrows
-    d2 = int(plan.distance_two)
     P = _plan_weights(plan, A)
-    a_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-    gathered = (plan.expansion * (VAL_BYTES + IDX_BYTES)
-                + d2 * plan.afs_nnz * 2 * PTR_BYTES)
-    # Branch model: the irreducible sparse-accumulator branch per expanded
-    # term, plus a per-entry C/F/sign classification branch — and, at
-    # distance two, a per-term one — that only extended+i's 3-way partial
-    # sort removes.
-    branches = plan.expansion
-    if not (reordered and d2):
-        branches += d2 * plan.expansion + A.nnz
-    count(
-        plan.kernel,
-        flops=(4 + d2) * plan.expansion + (3 + d2) * A.nnz,
-        bytes_read=a_bytes + gathered,
-        bytes_written=P.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
-        branches=float(branches),
-    )
+    count(plan.kernel, **_build_fields(
+        A.nrows, A.nnz, plan.expansion, plan.afs_nnz, P.nnz,
+        int(plan.distance_two), reordered))
     if truncate:
         P = truncate_interpolation(
             P, trunc_fact, max_elmts, fused=fused_truncation
         )
     return P
+
+
+def _build_fields(n, a_nnz, expansion, afs_nnz, p_nnz, d2: int,
+                  reordered: bool) -> dict:
+    """Record fields of one :func:`plan_interpolation` build: an *n*-row
+    operator of *a_nnz* entries, *expansion* pair-expansion terms over
+    *afs_nnz* strong-F pairs, an untruncated ``P`` of *p_nnz* entries —
+    counts, or arrays of per-block counts."""
+    a_bytes = a_nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
+    gathered = (expansion * (VAL_BYTES + IDX_BYTES)
+                + d2 * afs_nnz * 2 * PTR_BYTES)
+    # Branch model: the irreducible sparse-accumulator branch per expanded
+    # term, plus a per-entry C/F/sign classification branch — and, at
+    # distance two, a per-term one — that only extended+i's 3-way partial
+    # sort removes.
+    branches = expansion
+    if not (reordered and d2):
+        branches = branches + d2 * expansion + a_nnz
+    return dict(
+        flops=(4 + d2) * expansion + (3 + d2) * a_nnz,
+        bytes_read=a_bytes + gathered,
+        bytes_written=p_nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
+        branches=branches,
+    )
 
 
 def _same_pattern(P: CSRMatrix, pattern: CSRMatrix) -> bool:
@@ -514,6 +545,70 @@ def extended_i_interpolation(
         truncate=truncate,
     )
     return (P, plan) if return_plan else P
+
+
+def extended_i_blocks(
+    A: CSRMatrix,
+    S: CSRMatrix,
+    cf_marker: np.ndarray,
+    blocks: np.ndarray,
+    *,
+    trunc_fact: float = 0.1,
+    max_elmts: int = 4,
+    reordered: bool = True,
+    fused_truncation: bool = True,
+    truncate: bool = True,
+    active_rows: np.ndarray | None = None,
+) -> tuple[CSRMatrix, list[list]]:
+    """:func:`extended_i_interpolation` over a block-diagonal stack of
+    independent operators: ``(P, records)``.
+
+    Block *b* of *A* and *S* owns rows and columns ``blocks[b]:blocks[b +
+    1]`` — the distributed build's ranks, one call per chunk of them.
+    ``P`` is every block's own ``P`` side by side, bit for bit (every step
+    is row-local and keeps each row's term order).  Nothing is counted:
+    ``records[b]`` are the records block *b*'s own call would count, from
+    per-block sizes.
+    """
+    with silent():
+        plan, SC, D2 = _symbolic(A, S, cf_marker, active_rows)
+        P = _plan_weights(plan, A)
+        Pt = (truncate_interpolation(P, trunc_fact, max_elmts,
+                                     fused=fused_truncation)
+              if truncate else P)
+    nb, m = len(blocks) - 1, np.diff(blocks)
+
+    def per_block(ptr, weights=None):
+        """Per-block totals of items that *ptr* delimits by block rows:
+        their count, or the sum of their integer *weights*."""
+        if weights is None:
+            return np.diff(ptr[blocks])
+        total = np.zeros(len(weights) + 1, dtype=np.int64)
+        np.cumsum(weights, out=total[1:])
+        return np.diff(total[ptr[blocks]])
+
+    # The strong-F pairs are AFS's entries in order; pair (i, k) expands
+    # row k of A (the plan's record) and of SC (the distance-two SpGEMM's).
+    pair_ptr = np.searchsorted(plan.pair_row, np.arange(A.nrows + 1))
+    pair_k = A.indices[plan.pair_entry]
+    afs = per_block(pair_ptr)
+    p_nnz = per_block(P.indptr)
+    rows = [
+        make_records(f"{_DIST2}.one_pass", nb, **spgemm_traffic(
+            afs, m, per_block(pair_ptr, SC.indptr[pair_k + 1] - SC.indptr[pair_k]),
+            per_block(D2.indptr), "one_pass")),
+        make_records(plan.kernel, nb, **_build_fields(
+            m, per_block(A.indptr),
+            per_block(pair_ptr, A.indptr[pair_k + 1] - A.indptr[pair_k]),
+            afs, p_nnz, 1, reordered)),
+    ]
+    if truncate and (trunc_fact > 0.0 or max_elmts > 0):
+        kernel, fields = _truncation_record(m, p_nnz, per_block(Pt.indptr),
+                                           fused_truncation)
+        rows.append(make_records(kernel, nb, **fields))
+    # (truncate_interpolation charges nothing for an empty P)
+    return Pt, [list(recs if p else recs[:2])
+                for recs, p in zip(zip(*rows), (p_nnz > 0).tolist())]
 
 
 def extended_i_numeric(

@@ -40,13 +40,11 @@ from ..perf.counters import IDX_BYTES, VAL_BYTES, count, count_record
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import gather_range_indices, segment_sum
 from ..sparse.spmv import rhs_width, spmv
-from ..sparse.transpose import balanced_nnz_partition
 from .solveplan import ChebyPlan, CompiledSweep, MulticolorPlan, compile_smoother_plan
 
 __all__ = [
     "GSSchedule",
     "build_gs_schedule",
-    "merge_schedules",
     "gs_sweep",
     "gs_sweep_reference",
     "jacobi_sweep",
@@ -100,25 +98,41 @@ class GSSchedule:
         return len(self.rows)
 
 
-def block_of_rows(n: int, nblocks: int, A: CSRMatrix | None = None,
-                  rows: np.ndarray | None = None) -> np.ndarray:
+def block_of_rows(n: int, nblocks: int, A: CSRMatrix,
+                  rows: np.ndarray | None = None,
+                  stack: np.ndarray | None = None) -> np.ndarray:
     """Assign rows to ``nblocks`` contiguous blocks, balanced by non-zeros.
 
     Returns a length-``n`` array with block ids for the selected ``rows``
-    (all rows by default) and ``-1`` elsewhere.
+    (all rows by default; ascending) and ``-1`` elsewhere.  ``stack`` —
+    the row boundaries of independent diagonal blocks of *A*, a rank
+    stack — balances the selected rows of each part separately (the rule
+    of :func:`~repro.sparse.transpose.balanced_nnz_partition` on each
+    part's rows) and numbers part *s*'s blocks ``s * nblocks + t``, in one
+    pass over all parts.
     """
     block = np.full(n, -1, dtype=np.int64)
     if rows is None:
         rows = np.arange(n, dtype=np.int64)
-    if len(rows) == 0:
-        return block
-    if A is not None:
-        sub = A.extract_rows(rows)
-        bounds = balanced_nnz_partition(sub, nblocks)
-    else:
-        bounds = np.linspace(0, len(rows), nblocks + 1).astype(np.int64)
-    for t in range(nblocks):
-        block[rows[bounds[t]: bounds[t + 1]]] = t
+    if stack is None:
+        stack = np.array([0, n], dtype=np.int64)
+    # Part s owns rows[cuts[s]:cuts[s + 1]], whose non-zeros end at
+    # cum[cuts[s] - 1] (base[s]) and run to base[s + 1].
+    cuts = np.searchsorted(rows, stack)
+    cum = np.cumsum(A.indptr[rows + 1] - A.indptr[rows])
+    base = np.concatenate(([0], cum))[cuts]
+    m = np.diff(cuts)
+    # balanced_nnz_partition's interior bounds, part-local: rows whose
+    # running count stays below nnz * t / nblocks, plus one.
+    targets = np.diff(base)[:, None] * np.arange(1, nblocks, dtype=np.float64) / nblocks
+    below = np.searchsorted(cum, base[:-1, None] + targets, side="left") - cuts[:-1, None]
+    bounds = np.minimum(np.maximum(below, 0) + 1, m[:, None]) + cuts[:-1, None]
+    # A row's block: the interior bounds at or before its position, less
+    # those of the earlier parts (nblocks - 1 each).
+    part = np.repeat(np.arange(len(m), dtype=np.int64), m)
+    t = (np.searchsorted(bounds.ravel(), np.arange(len(rows)), side="right")
+         - part * (nblocks - 1))
+    block[rows] = part * nblocks + t
     return block
 
 
@@ -227,55 +241,6 @@ def build_gs_schedule(
         nnz=int(keep.sum()) + int(dsel.sum()),
         e_entry=idx[keep][e_order],
         diag_entry=diag_entry,
-    )
-
-
-def merge_schedules(scheds: list[GSSchedule], offsets, entry_offsets) -> GSSchedule:
-    """One schedule sweeping independent blocks side by side.
-
-    ``scheds[p]`` schedules the rows of diagonal block *p* of a
-    block-diagonal operator, whose rows/columns start at ``offsets[p]``
-    and whose stored entries start at ``entry_offsets[p]``.
-    Wavefront level *l* of the result is level *l* of every block (block
-    order, each block's packing kept), so every row sees the same sources
-    in the same entry order as in its own block's sweep — bit-identical
-    iterates at ``max`` instead of ``sum`` of the blocks' depths.
-    """
-    def cat(field, shift=None):
-        arrs = [getattr(s, field) for s in scheds]
-        if shift is not None:
-            arrs = [a + o for a, o in zip(arrs, shift)]
-        return np.concatenate(arrs)
-
-    def level_of(ptr_field):
-        return np.concatenate([
-            np.repeat(np.arange(s.nlevels), np.diff(getattr(s, ptr_field)))
-            for s in scheds])
-
-    nlev = max(s.nlevels for s in scheds)
-    row_lvl, e_lvl = level_of("level_row_ptr"), level_of("e_ptr")
-    r_order = np.argsort(row_lvl, kind="stable")
-    e_order = np.argsort(e_lvl, kind="stable")
-    # Packed position of each block-major row in the level-major packing.
-    pos = np.empty(len(r_order), dtype=np.int64)
-    pos[r_order] = np.arange(len(r_order))
-    row_base = np.cumsum([0] + [s.nrows for s in scheds[:-1]])
-    levels = np.arange(nlev + 1)
-    return GSSchedule(
-        rows=cat("rows", offsets)[r_order],
-        level_row_ptr=np.searchsorted(row_lvl[r_order], levels),
-        e_ptr=np.searchsorted(e_lvl[e_order], levels),
-        e_cols=cat("e_cols", offsets)[e_order],
-        e_vals=cat("e_vals")[e_order],
-        e_out=pos[cat("e_out", row_base)][e_order],
-        e_local=cat("e_local")[e_order],
-        e_lower=cat("e_lower")[e_order],
-        diag=cat("diag")[r_order],
-        nnz=sum(s.nnz for s in scheds),
-        e_entry=cat("e_entry", entry_offsets)[e_order],
-        diag_entry=np.concatenate([
-            np.where(s.diag_entry >= 0, s.diag_entry + o, -1)
-            for s, o in zip(scheds, entry_offsets)])[r_order],
     )
 
 
@@ -498,6 +463,13 @@ def multicolor_gs_sweep(
 # Smoother object used by the AMG hierarchy
 # ---------------------------------------------------------------------------
 
+def pattern_scan_fields(nnz):
+    """Record fields of one set-up scan over a pattern of *nnz* entries (a
+    colouring, or level scheduling's dependency graph [38]); *nnz* is a
+    count or an array of per-rank counts."""
+    return dict(bytes_read=2 * nnz * IDX_BYTES, branches=nnz)
+
+
 class HybridGSSmoother:
     """Per-level smoother with C-F ordering (§3.2).
 
@@ -515,6 +487,13 @@ class HybridGSSmoother:
         ``"multicolor"``.
     optimized:
         Fig. 2(b) (partitioned, branch-free) vs Fig. 2(a) accounting.
+    stack:
+        Row boundaries of independent diagonal blocks of *A* (a rank
+        stack).  The GS variants then balance each part's rows into its
+        own ``nthreads`` blocks (:func:`block_of_rows`), so every wavefront
+        schedule, built once over the stack, is the parts' own schedules
+        side by side: level *l* of the stack is level *l* of every part,
+        each part's packing kept.
     """
 
     def __init__(
@@ -527,6 +506,7 @@ class HybridGSSmoother:
         optimized: bool = True,
         cf_contiguous: bool = True,
         seed: int = 0,
+        stack: np.ndarray | None = None,
     ) -> None:
         self.A = A
         self.variant = variant
@@ -560,8 +540,8 @@ class HybridGSSmoother:
             return
         if variant == "multicolor":
             self.color = greedy_coloring(A, seed=seed)
-            count("gs.coloring_setup", bytes_read=2 * A.nnz * IDX_BYTES,
-                  branches=float(A.nnz), phase="Setup_etc")
+            count("gs.coloring_setup", **pattern_scan_fields(A.nnz),
+                  phase="Setup_etc")
             return
 
         if cf_marker is not None:
@@ -572,13 +552,13 @@ class HybridGSSmoother:
             self.groups = [np.arange(n, dtype=np.int64)]
 
         for gi, rows in enumerate(self.groups):
-            blk = block_of_rows(n, self.nthreads, A, rows)
+            blk = block_of_rows(n, self.nthreads, A, rows, stack)
             for fwd in (True, False):
                 self._schedules[(f"g{gi}", fwd)] = build_gs_schedule(A, blk, forward=fwd)
         if variant == "lex":
             # Dependency-graph construction cost of level scheduling [38].
-            count("gs.lex_schedule_setup", bytes_read=2 * A.nnz * IDX_BYTES,
-                  branches=float(A.nnz), phase="Setup_etc")
+            count("gs.lex_schedule_setup", **pattern_scan_fields(A.nnz),
+                  phase="Setup_etc")
 
     @classmethod
     def from_numeric(cls, old: "HybridGSSmoother", A: CSRMatrix) -> "HybridGSSmoother":
@@ -621,20 +601,14 @@ class HybridGSSmoother:
 
     @classmethod
     def stacked(cls, parts: list["HybridGSSmoother"], A: CSRMatrix) -> "HybridGSSmoother":
-        """*parts* — identically configured smoothers of independent
-        operators — as one smoother of their block-diagonal stack *A*.
-
-        Nothing is re-analysed: groups, colourings and diagonals are
-        concatenated and the wavefront schedules merged level by level
-        (:func:`merge_schedules`), so a stacked sweep leaves every block
-        with the iterate its own smoother would produce, bit for bit.
-        *A*'s stored entries are the parts' operators' entries in part
-        order, and the parts are not compiled yet (compiling drops their
-        schedules).
+        """*parts* — identically configured Jacobi or multicolour smoothers
+        of independent operators — as one smoother of their block-diagonal
+        stack *A*: diagonals and colourings are concatenated, nothing is
+        re-analysed, and a stacked sweep leaves every block with the
+        iterate its own smoother would produce, bit for bit.  (The GS
+        variants are built over the stack directly, ``stack=``.)
         """
         first = parts[0]
-        offsets = np.cumsum([0] + [s.A.nrows for s in parts[:-1]])
-        entry_offsets = np.cumsum([0] + [s.A.nnz for s in parts[:-1]])
         new = cls.__new__(cls)
         new.A = A
         for name in ("variant", "optimized", "cf_contiguous", "nthreads", "seed"):
@@ -642,14 +616,8 @@ class HybridGSSmoother:
         new.diag = np.concatenate([s.diag for s in parts])
         new.color = (None if first.color is None
                      else np.concatenate([s.color for s in parts]))
-        # (multicolor smoothers have no row groups at all)
-        new.groups = [np.concatenate([s.groups[gi] + o
-                                      for s, o in zip(parts, offsets)])
-                      for gi in range(len(getattr(first, "groups", ())))]
-        new._schedules = {
-            key: merge_schedules([s._schedules[key] for s in parts], offsets,
-                                 entry_offsets)
-            for key in first._schedules}
+        new.groups = []
+        new._schedules = {}
         new._plan = None
         return new
 

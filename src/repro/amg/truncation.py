@@ -96,19 +96,21 @@ def truncate_interpolation(
 
     Pt = CSRMatrix((n, P.ncols), indptr_from_counts(counts), P.indices[keep], data)
 
-    full_bytes = P.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-    trunc_bytes = Pt.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
+    kernel, fields = _truncation_record(n, P.nnz, Pt.nnz, fused)
+    count(kernel, **fields)
+    return Pt
+
+
+def _truncation_record(n, p_nnz, pt_nnz, fused: bool) -> tuple[str, dict]:
+    """Kernel name and record fields of truncating an *n*-row ``P`` of
+    *p_nnz* entries to *pt_nnz*: counts, or arrays of per-block counts."""
+    full_bytes = p_nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
+    trunc_bytes = pt_nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
     if fused:
         # Rows truncated in cache right after construction: only the final
         # matrix is written.
-        count("interp.truncate_fused", flops=2 * P.nnz, bytes_written=trunc_bytes,
-              branches=float(P.nnz))
-    else:
-        count(
-            "interp.truncate",
-            flops=2 * P.nnz,
-            bytes_read=full_bytes,
-            bytes_written=full_bytes + trunc_bytes,
-            branches=float(P.nnz),
-        )
-    return Pt
+        return "interp.truncate_fused", dict(
+            flops=2 * p_nnz, bytes_written=trunc_bytes, branches=p_nnz)
+    return "interp.truncate", dict(
+        flops=2 * p_nnz, bytes_read=full_bytes,
+        bytes_written=full_bytes + trunc_bytes, branches=p_nnz)

@@ -4,8 +4,8 @@ Extended+i traverses *neighbours of neighbours*, so each rank must gather
 the rows of ``A`` owned by other ranks that its strong fine neighbours live
 in — a matrix-row halo exchange with the column-index renumbering of §4.2 —
 before running the node-level kernel on the assembled local block
-(:func:`repro.amg.interp_extended.extended_i_interpolation` with
-``active_rows`` limiting construction to owned rows).
+(:func:`repro.amg.interp_extended.extended_i_blocks` with ``active_rows``
+limiting construction to owned rows).
 
 §4.3 — *filtered* transfers: of a shipped row ``k``, Eq. (1) can only ever
 use entries whose column is a C point with sign opposite to ``a_kk``, the
@@ -16,7 +16,9 @@ tests) while the communication volume drops by >3x on the paper's inputs.
 
 The needed rows, the gather, the filter, the renumbering and the assembly
 of the compact blocks run once for all ranks (see
-:func:`dist_extended_i`); only the node-level kernel runs per rank.
+:func:`dist_extended_i`), and the node-level kernel runs once per chunk of
+:data:`CHUNK_RANKS` ranks over the block-diagonal stack of their compact
+blocks, each rank charged the records its own call would count.
 
 Multipass interpolation gathers *interpolation* rows instead (one
 distributed SpGEMM per pass); the 2-stage extended+i composes two
@@ -28,15 +30,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..amg.interp_direct import direct_interpolation
-from ..amg.interp_extended import extended_i_interpolation
+from ..amg.interp_extended import extended_i_blocks
 from ..amg.truncation import truncate_interpolation
 from ..amg.interp_common import entries_in_pattern
-from ..perf.counters import phase
+from ..perf.counters import RecordTable, phase
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import indptr_from_counts, segment_sum
+from ..sparse.ops import gather_range_indices, indptr_from_counts, segment_sum
 from .comm import SimComm
 from .halo import build_halo
-from .parcsr import ParCSRMatrix, ParVector, row_block, stack_rows, vstack_rows
+from .parcsr import ParCSRMatrix, ParVector, row_block, stack_rows
 from .partition import RowPartition
 from .renumber import renumber_ranks
 from .rowgather import gather_rows
@@ -51,6 +53,13 @@ __all__ = [
 ]
 
 C_PT = 1
+
+#: Ranks per node-level extended+i call.  The kernel's time is flat from a
+#: few ranks per call up, while its transients grow with the chunk (~0.9 MB
+#: per rank on the benchmark's shape; all 32 ranks in one call hold 29 MB):
+#: four keep them under 4 MB (EXPERIMENTS.md, "Distributed set-up over the
+#: rank stack").
+CHUNK_RANKS = 4
 
 
 def coarse_numbering(
@@ -97,8 +106,9 @@ def dist_extended_i(
     """Distributed extended+i; returns ``(P, coarse_partition)``.
 
     Needed rows, the gather, the renumbering and the compact-space
-    assembly run once for all ranks; the node-level kernel then runs per
-    rank on its compact block, charging its rank.
+    assembly run once for all ranks; the node-level kernel then runs once
+    per chunk of :data:`CHUNK_RANKS` ranks over their compact blocks,
+    charging each rank its own records.
     """
     part = A.row_part
     n = part.n
@@ -145,8 +155,11 @@ def dist_extended_i(
     # colmap, appended columns.  Its block of the compact operators is its
     # rows of ``A`` / ``S`` (sorted as stored) over the gathered rows, each
     # at the slot of its gid (sorted here); columns are block-relative.
+    # The blocks are stacked rank-major: rank p's block starts at row
+    # ``off[p]``, its local rows first.
     nloc, n_old = hi - lo, np.diff(A.ext_ptr)
     X = indptr_from_counts(n_old + np.diff(ren.app_ptr))    # slots per rank
+    off = part.bounds + X
     slot_at = X[:-1] - A.ext_ptr[:-1]                       # + stacked colmap slot
     col_at = nloc - A.ext_ptr[:-1]                          # (block-relative)
     rank, a_ext = A.row_part.ranks(), A.ext_ranks()
@@ -159,53 +172,74 @@ def dist_extended_i(
     g_cols = g.gcols - lo[g_rank]
     g_cols[~owned] = ren.compressed + nloc[g_rank[~owned]]
     del g_rank, owned
-    pieces = []
+    # All local rows of A / S, then all gathered rows.
+    stacks = []
     for M, offd_cols, E in (
             (A, A.offd.indices,
              CSRMatrix.from_coo(size, g_rows, g_cols, g.vals)),
             (S, s_slot[S.offd.indices],
              CSRMatrix.from_coo(size, g_rows[g_strong], g_cols[g_strong],
                                 np.ones(int(g_strong.sum()))))):
-        pieces.append((stack_rows(
+        stacks.append(stack_rows(
             M, M.diag.indices - lo[rank][M.diag.row_ids()],
-            offd_cols + col_at[rank][M.offd.row_ids()], size[1]), E))
-    del g, g_rows, g_cols, g_strong
-    # cf / coarse gids of the external slots.
-    cf_x = np.empty(size[0], dtype=np.int64)
-    cg_x = np.empty(size[0], dtype=np.int64)
+            offd_cols + col_at[rank][M.offd.row_ids()], size[1],
+            below=(E.indptr, E.indices, E.data)))
+    del g, g_rows, g_cols, g_strong, E
+    # cf / coarse gids / global row (-1: external) of every stacked row.
+    at_ext = np.arange(size[0]) + np.repeat(part.bounds[1:], np.diff(X))
+    at_local = np.arange(n) + X[rank]
+    cf_x = np.empty(n + size[0], dtype=np.int64)
+    cg_x = np.empty(n + size[0], dtype=np.int64)
+    gid = np.full(n + size[0], -1, dtype=np.int64)
+    cf_x[at_local], cg_x[at_local], gid[at_local] = cf, cg, np.arange(n)
     for at, f, c in (
             (np.arange(len(a_ext)) + slot_at[a_ext], cf_ext, cg_ext),
             (np.arange(len(ren.appended)) + np.repeat(
                 X[:-1] + n_old - ren.app_ptr[:-1], np.diff(ren.app_ptr)),
              cf[ren.appended], cg[ren.appended])):
-        cf_x[at], cg_x[at] = f, c
+        cf_x[at_ext[at]], cg_x[at_ext[at]] = f, c
+    # Where rank p's rows sit in ``stacks``: its local rows, its gathered rows.
+    src = np.column_stack([lo, n + X[:-1]]).ravel()
+    src_count = np.column_stack([nloc, np.diff(X)]).ravel()
 
-    rb, xb = part.bounds.tolist(), X.tolist()
-
-    def local_kernel(p):
-        span = (rb[p], rb[p + 1], xb[p], xb[p + 1])
-        m = span[1] - span[0] + span[3] - span[2]
-        active = np.zeros(m, dtype=bool)
-        active[: span[1] - span[0]] = True
-        cf_c = np.concatenate([cf[span[0]: span[1]], cf_x[span[2]: span[3]]])
-        P_c = extended_i_interpolation(
-            *(vstack_rows(L, E, *span, m) for L, E in pieces), cf_c,
-            trunc_fact=trunc_fact,
-            max_elmts=max_elmts,
-            reordered=reordered,
-            fused_truncation=fused_truncation,
-            active_rows=active,
-        )
-        # Compact coarse index -> global coarse id.
-        cg_c = np.concatenate([cg[span[0]: span[1]], cg_x[span[2]: span[3]]])
-        return (P_c.row_ids() + span[0],
-                cg_c[np.flatnonzero(cf_c > 0)[P_c.indices]], P_c.data)
-
+    # The node-level kernel once per chunk of ranks, over the
+    # block-diagonal stack of their compact blocks; each rank is charged
+    # what its own call would count.
+    triplets, records = [], []
     with phase("Interp"):
-        triplets = comm.run_on_ranks(local_kernel)
+        for a in range(0, comm.nranks, CHUNK_RANKS):
+            b = min(a + CHUNK_RANKS, comm.nranks)
+            rows = gather_range_indices(src[2 * a: 2 * b], src_count[2 * a: 2 * b])
+            shift = np.repeat(off[a:b] - off[a], np.diff(off[a: b + 1]))
+            c0, c1 = int(off[a]), int(off[b])
+            cf_c = cf_x[c0:c1]
+            P_c, recs = extended_i_blocks(
+                *(_shifted_rows(M, rows, shift, c1 - c0) for M in stacks), cf_c,
+                off[a: b + 1] - off[a],
+                trunc_fact=trunc_fact,
+                max_elmts=max_elmts,
+                reordered=reordered,
+                fused_truncation=fused_truncation,
+                active_rows=gid[c0:c1] >= 0,
+            )
+            # Compact coarse index -> global coarse id.
+            triplets.append((gid[c0 + P_c.row_ids()],
+                             cg_x[c0 + np.flatnonzero(cf_c > 0)[P_c.indices]],
+                             P_c.data))
+            records += recs
+        comm.record_on_ranks(RecordTable(records))
     P = ParCSRMatrix.from_triplets(
         *(np.concatenate(x) for x in zip(*triplets)), part, coarse_part)
     return P, coarse_part
+
+
+def _shifted_rows(M: CSRMatrix, rows: np.ndarray, shift: np.ndarray,
+                  ncols: int) -> CSRMatrix:
+    """Rows *rows* of *M* as one matrix of *ncols* columns, row *t*'s
+    columns shifted by ``shift[t]``."""
+    sub = M.extract_rows(rows)
+    sub.indices += np.repeat(shift, np.diff(sub.indptr))
+    return CSRMatrix((len(rows), ncols), sub.indptr, sub.indices, sub.data)
 
 
 # ---------------------------------------------------------------------------

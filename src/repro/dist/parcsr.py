@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import indptr_from_counts, sorted_unique
+from ..sparse.ops import indptr_from_counts, unique_inverse
 from .partition import RowPartition
 
 __all__ = ["RankBlock", "ParCSRMatrix", "ParVector"]
@@ -69,19 +69,6 @@ def row_block(M: CSRMatrix, lo: int, hi: int, col_lo: int, ncols: int) -> CSRMat
     a, b = M.indptr[lo], M.indptr[hi]
     return CSRMatrix((hi - lo, ncols), M.indptr[lo: hi + 1] - a,
                      M.indices[a:b] - col_lo, M.data[a:b])
-
-
-def vstack_rows(top: CSRMatrix, bottom: CSRMatrix, t0: int, t1: int, b0: int,
-                b1: int, ncols: int) -> CSRMatrix:
-    """Rows ``[t0, t1)`` of *top* over rows ``[b0, b1)`` of *bottom*."""
-    ta, tb = top.indptr[t0], top.indptr[t1]
-    ba, bb = bottom.indptr[b0], bottom.indptr[b1]
-    return CSRMatrix(
-        (t1 - t0 + b1 - b0, ncols),
-        np.concatenate([top.indptr[t0: t1 + 1] - ta,
-                        bottom.indptr[b0 + 1: b1 + 1] + (tb - ta - ba)]),
-        np.concatenate([top.indices[ta:tb], bottom.indices[ba:bb]]),
-        np.concatenate([top.data[ta:tb], bottom.data[ba:bb]]))
 
 
 def keep_entries(M: CSRMatrix, keep: np.ndarray, ncols: int | None = None,
@@ -192,15 +179,15 @@ class ParCSRMatrix:
     def from_sorted(cls, G: CSRMatrix, row_part: RowPartition,
                     col_part: RowPartition) -> "ParCSRMatrix":
         """Partition a global matrix whose rows are sorted and duplicate-free:
-        one diag/offd classification, every rank's colmap from one ``(rank,
-        column)``-keyed sort."""
+        one diag/offd classification, every rank's colmap from one map over
+        the ``(rank, column)`` keys (:func:`~repro.sparse.ops.unique_inverse`)."""
         m = max(col_part.n, 1)
         rank = row_part.ranks()[G.row_ids()]
         cb = col_part.bounds
         ext = (G.indices < cb[rank]) | (G.indices >= cb[rank + 1])
-        key = rank[ext] * m + G.indices[ext]
-        ukey = sorted_unique(key)
-        offd = keep_entries(G, ext, len(ukey), np.searchsorted(ukey, key))
+        ukey, inv = unique_inverse(rank[ext] * m + G.indices[ext],
+                                   row_part.nranks * m)
+        offd = keep_entries(G, ext, len(ukey), inv)
         ext_ptr = indptr_from_counts(
             np.bincount(ukey // m, minlength=row_part.nranks))
         return cls(keep_entries(G, ~ext), offd, ukey % m, ext_ptr,

@@ -20,9 +20,12 @@ Two implementations, identical results:
   (``O(log t)`` per lookup instead of ``O(log n)``).
 
 The vehicle renumbers all ranks in one pass (:func:`renumber_ranks`): old
-colmaps and queries are keyed ``rank * ncols + column``, so one search and one
-duplicate-eliminating sort serve every rank, and each rank's record follows
-from its own counts.  The two algorithms differ only in that counted work.
+colmaps and queries are keyed ``rank * ncols + column``, and Fig. 4's hash
+table becomes one dense map over that key space
+(:func:`repro.sparse.ops.unique_inverse`; a sort where the space is too
+sparse for it), which numbers every distinct key of every rank at once.
+Each rank's record follows from its own counts.  The two algorithms differ
+only in that counted work.
 
 Both return the extended colmap and the compressed indices of the queried
 columns in the extended local space: owned columns map to
@@ -45,7 +48,7 @@ from ..perf.counters import (
     count_record,
     make_records,
 )
-from ..sparse.ops import indptr_from_counts, sorted_unique
+from ..sparse.ops import indptr_from_counts, unique_inverse
 
 __all__ = ["renumber_baseline", "renumber_parallel", "renumber_ranks",
            "RenumberResult", "RenumberStack"]
@@ -109,22 +112,23 @@ def _renumber(
     n_old = np.diff(ext_ptr)
     old_key = np.repeat(np.arange(nranks, dtype=np.int64), n_old) * ncols + colmap
     n = np.bincount(q_key // ncols, minlength=nranks)
-    # Classify and number the distinct (rank, column) pairs, then look every
-    # query up among them.
-    ukey = sorted_unique(q_key)
+    # One map over the (rank, column) keys of the old colmaps and the
+    # queries numbers every distinct key; classify the queried ones.
+    n_o = len(old_key)
+    ukey, inv = unique_inverse(np.concatenate([old_key, q_key]), nranks * ncols)
     u_rank = ukey // ncols
-    pos = np.searchsorted(old_key, ukey)
-    in_old = np.zeros(len(ukey), dtype=bool)
-    if len(old_key):
-        in_old = old_key[np.minimum(pos, len(old_key) - 1)] == ukey
-    n_app = np.bincount(u_rank[~in_old], minlength=nranks)
+    u_comp = np.full(len(ukey), -1, dtype=np.int64)
+    u_comp[inv[:n_o]] = np.arange(n_o) - ext_ptr[u_rank[inv[:n_o]]]
+    queried = np.zeros(len(ukey), dtype=bool)
+    queried[inv[n_o:]] = True
+    new = queried & (u_comp < 0)
+    n_app = np.bincount(u_rank[new], minlength=nranks)
     app_ptr = indptr_from_counts(n_app)
-    u_comp = pos - ext_ptr[u_rank]
-    u_comp[~in_old] = np.arange(app_ptr[-1]) + (n_old - app_ptr[:-1])[u_rank[~in_old]]
-    compressed = u_comp[np.searchsorted(ukey, q_key)]
+    u_comp[new] = np.arange(app_ptr[-1]) + (n_old - app_ptr[:-1])[u_rank[new]]
+    compressed = u_comp[inv[n_o:]]
 
     if parallel:
-        merged = np.bincount(u_rank, minlength=nranks)  # distinct columns
+        merged = np.bincount(u_rank[queried], minlength=nranks)  # distinct columns
         records = make_records(
             "renumber.parallel", nranks,
             bytes_read=n * IDX_BYTES  # one streaming pass through the indices
@@ -140,7 +144,7 @@ def _renumber(
             bytes_written=n_app * IDX_BYTES * logn,
             branches=n * logn,
             parallel=False)
-    return RenumberStack(ukey[~in_old] % ncols, app_ptr, compressed), records
+    return RenumberStack(ukey[new] % ncols, app_ptr, compressed), records
 
 
 def _one_rank(old_colmap, queries, **kw) -> RenumberResult:

@@ -8,8 +8,11 @@ Each level looks its distributed interpolation kernel up by the scheme
 :func:`~repro.amg.interp.interp_scheme` gives it; classical and direct
 interpolation have no distributed build and are refused before any work.
 Every kernel on the way runs over the rank-stacked storage of
-:class:`~repro.dist.parcsr.ParCSRMatrix`; what is left per rank are the
-node-level kernels (see docs/architecture.md, "Distributed set-up").
+:class:`~repro.dist.parcsr.ParCSRMatrix`, the node-level extended+i once per
+chunk of ranks and the GS schedules once over the whole stack; what is left
+per rank is the local SpGEMM, the multipass glue and the Jacobi /
+multicolour smoother builds (see docs/architecture.md, "Distributed
+set-up").
 """
 
 from __future__ import annotations

@@ -8,23 +8,34 @@ reading the off-rank contribution from the exchanged buffer.
 
 The ranks' sweeps are independent once the boundary term is on the
 right-hand side, so the vehicle runs them as **one** smoother over the
-block-diagonal stack of the ``diag`` blocks
-(:meth:`HybridGSSmoother.stacked`: wavefront level *l* of the stack is
-level *l* of every rank) and appends rank *p*'s records — exactly what its
-own smoother would emit, zero-guess placement included — from tables
-frozen per pass.  The per-rank smoothers are still *built* per rank, on the
-ranks' ``diag`` blocks (their set-up records and schedules are per rank),
-but never compiled or run, and not kept: once stacked and their records
-frozen, only the one compiled stacked smoother remains.
+block-diagonal stack of the ``diag`` blocks and appends rank *p*'s records —
+exactly what its own smoother would emit, zero-guess placement included —
+from tables frozen per pass.  The GS variants are also *built* once over the
+stack (``HybridGSSmoother(..., stack=)``): thread blocks are balanced within
+each rank and numbered ``p * nthreads + t``, so each (C/F group, direction)
+wavefront schedule is every rank's own schedule side by side — level *l* of
+the stack is level *l* of every rank — and each rank's pass records come
+from its share of the stacked schedules.  Jacobi and multicolour smoothers
+are built per rank (a multicolour rank's colouring is seeded by its rank)
+and stacked.
+Only the one compiled stacked smoother is kept.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..amg.smoothers import HybridGSSmoother
+from ..amg.smoothers import HybridGSSmoother, pattern_scan_fields
 from ..amg.solveplan import SweepCounts, compile_smoother_plan, sweep_record
-from ..perf.counters import VAL_BYTES, RecordTable, collect, make_record, silent
+from ..perf.counters import (
+    VAL_BYTES,
+    RecordTable,
+    collect,
+    make_record,
+    make_records,
+    phase,
+    silent,
+)
 from ..sparse.spmv import spmv
 from .comm import SimComm
 from .halo import build_halo
@@ -34,23 +45,50 @@ from .spmv import _spmv_record
 __all__ = ["DistSmoother"]
 
 
-def _pass_records(local: HybridGSSmoother, forward: bool, zero_guess: bool):
-    """The records one pre- (*forward*) or post-smoothing pass of *local*
-    emits: for the GS variants what ``SmootherPlan.sweep_groups`` records
-    (the first non-empty group carries the zero-guess count), from the
-    schedules alone; the other variants are asked once, on a dry run."""
-    if local.variant in ("hybrid", "lex"):
+#: The three passes a V-cycle runs: ``(forward, zero_guess)``.
+_PASSES = ((True, True), (True, False), (False, False))
+
+
+def _gs_pass_tables(stacked: HybridGSSmoother,
+                    bounds: np.ndarray) -> dict[tuple[bool, bool], RecordTable]:
+    """Every rank's records of each pass of the GS smoother *stacked*
+    (built over the rank stack with row boundaries *bounds*): what
+    ``SmootherPlan.sweep_groups`` records for the rank's own smoother — a
+    record per group the rank has rows in, the first of them carrying the
+    zero-guess count — from the :class:`SweepCounts` of the rank's share
+    of each stacked schedule."""
+    nranks = len(bounds) - 1
+    counts = {}
+    for key, sched in stacked._schedules.items():
+        rank = np.searchsorted(bounds, sched.rows, side="right") - 1
+        e_rank = rank[sched.e_out]
+        nrows = np.bincount(rank, minlength=nranks)
+        nnz = (np.bincount(e_rank, minlength=nranks)
+               + np.bincount(rank[sched.diag_entry >= 0], minlength=nranks))
+        nlower = np.bincount(e_rank[sched.e_lower], minlength=nranks)
+        counts[key] = [SweepCounts(*c) for c in zip(
+            nnz.tolist(), nrows.tolist(), nlower.tolist())]
+
+    def rank_pass(p: int, forward: bool, zero_guess: bool) -> list:
         recs = []
-        order = range(len(local.groups))
+        order = range(len(stacked.groups))
         for gi in order if forward else reversed(order):
-            sched = local._schedules[(f"g{gi}", forward)]
-            if sched.nrows:
+            c = counts[(f"g{gi}", forward)][p]
+            if c.nrows:
                 recs.append(sweep_record(
-                    SweepCounts.of(sched), 0, zero_guess, kernel="gs.hybrid",
-                    optimized=local.optimized,
-                    contiguous_rows=local.cf_contiguous))
+                    c, 0, zero_guess, kernel="gs.hybrid",
+                    optimized=stacked.optimized,
+                    contiguous_rows=stacked.cf_contiguous))
                 zero_guess = False
         return recs
+
+    return {key: RecordTable(rank_pass(p, *key) for p in range(nranks))
+            for key in _PASSES}
+
+
+def _dry_run_records(local: HybridGSSmoother, forward: bool, zero_guess: bool):
+    """The records one pre- (*forward*) or post-smoothing pass of a Jacobi
+    or multicolour smoother *local* emits, asked once on a dry run."""
     x = np.zeros(local.A.nrows)
     with collect() as log:
         if forward:
@@ -81,26 +119,41 @@ class DistSmoother:
         self.A = A
         self.halo = build_halo(comm, A, persistent=persistent,
                                topology=topology, net=net)
-        local: list[HybridGSSmoother] = comm.run_on_ranks(
-            lambda p: HybridGSSmoother(
-                A.blocks[p].diag,
-                nthreads=nthreads,
-                cf_marker=cf_parts[p] if cf_parts is not None else None,
-                variant=variant,
-                optimized=optimized,
-                seed=seed + p,
-            ))
-        # Stack and compile the ranks' sweeps up front so no solve pays for
-        # it, and freeze the boundary Jacobi term's records: they depend
-        # only on the sparsity.  All of it is silent.
+        # Build, stack and compile the ranks' sweeps up front so no solve
+        # pays for it, and freeze the boundary Jacobi term's records: they
+        # depend only on the sparsity.  Compiling is silent.
         diag, offd = A.stacked()
-        self.stacked = HybridGSSmoother.stacked(local, diag)
+        bounds = A.row_part.bounds
+        if variant in ("hybrid", "lex"):
+            # One schedule build per (group, direction) over the stack; each
+            # rank is charged its own smoother's set-up records.
+            with silent():
+                self.stacked = HybridGSSmoother(
+                    diag, nthreads,
+                    None if cf_parts is None else np.concatenate(cf_parts),
+                    variant=variant, optimized=optimized, seed=seed,
+                    stack=bounds)
+            if variant == "lex":
+                with phase("Setup_etc"):
+                    comm.record_on_ranks(RecordTable([r] for r in make_records(
+                        "gs.lex_schedule_setup", comm.nranks,
+                        **pattern_scan_fields(A.rank_nnz()[0]))))
+            self._pass_recs = _gs_pass_tables(self.stacked, bounds)
+        else:
+            # Jacobi and multicolour smoothers are built per rank (a rank's
+            # colouring is seeded by its rank) and stacked.
+            local: list[HybridGSSmoother] = comm.run_on_ranks(
+                lambda p: HybridGSSmoother(
+                    A.blocks[p].diag, nthreads,
+                    None if cf_parts is None else cf_parts[p],
+                    variant=variant, optimized=optimized, seed=seed + p))
+            self.stacked = HybridGSSmoother.stacked(local, diag)
+            self._pass_recs = {key: RecordTable(_dry_run_records(sm, *key)
+                                                for sm in local)
+                               for key in _PASSES}
         compile_smoother_plan(self.stacked)
         diag.lockstep()  # what dist_spmv and the boundary term multiply by
         offd.lockstep()
-        self._pass_recs = {
-            key: RecordTable(_pass_records(sm, *key) for sm in local)
-            for key in ((True, True), (True, False), (False, False))}
 
         self._offd = offd
         self._offd_recs = RecordTable(

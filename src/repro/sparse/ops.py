@@ -17,6 +17,7 @@ __all__ = [
     "stable_order",
     "rowcol_order",
     "group_rowcol",
+    "unique_inverse",
     "segment_sum",
     "Lockstep",
     "run_starts",
@@ -81,16 +82,44 @@ def rowcol_order(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
     return np.argsort(rows * np.int64(ncols) + cols, kind="stable")
 
 
-#: :func:`group_rowcol` marks keys in a dense ``nrows * ncols`` array when
-#: that array holds at most this many keys per input entry, and sorts them
-#: otherwise.  Measured over every grouping call of the four benchmark
-#: set-ups (EXPERIMENTS.md "Set-up groups with a marker array", crossover
-#: table): marking takes 0.1-0.3x the sort's time up to 16 keys per entry,
-#: 0.6x up to 32, 0.9x up to 64, and loses from there.  A threshold of 32
-#: groups 3-15 % faster than 16, but whole set-ups tie; 16 caps the
-#: transient mark and rank arrays at 80 B per entry and keeps the
-#: ``node-lap27`` set-up's max RSS ~5 MB lower.
+#: :func:`unique_inverse` (and through it :func:`group_rowcol`) marks keys
+#: in a dense array over the key space when that array holds at most this
+#: many keys per input entry, and sorts them otherwise.  Measured over every
+#: grouping call of the four benchmark set-ups (EXPERIMENTS.md "Set-up
+#: groups with a marker array", crossover table): marking takes 0.1-0.3x
+#: the sort's time up to 16 keys per entry, 0.6x up to 32, 0.9x up to 64,
+#: and loses from there.  A threshold of 32 groups 3-15 % faster than 16,
+#: but whole set-ups tie; 16 caps the transient mark and rank arrays at
+#: 80 B per entry and keeps the ``node-lap27`` set-up's max RSS ~5 MB lower.
 GROUP_MARKER_DENSITY = 16
+
+
+def unique_inverse(keys: np.ndarray, space: int, dtype=np.int64):
+    """``np.unique(keys, return_inverse=True)`` of integer *keys* in ``[0,
+    space)``: the distinct keys, ascending, and each key's index among them
+    (as *dtype*).
+
+    A dense key space uses the marker array of the paper's kernels (§3.1.1)
+    as a perfect hash: mark every key, read the distinct keys off the marks
+    — already in order — and rank them; the Fig. 4 renumbering's hash
+    table is this map over ``(rank, column)`` keys.  A sparse one takes
+    one stable sort.
+    """
+    if space <= GROUP_MARKER_DENSITY * len(keys):
+        mark = np.zeros(space, dtype=bool)
+        mark[keys] = True
+        ukey = np.flatnonzero(mark)
+        rank = np.empty(space, dtype=dtype)
+        rank[ukey] = np.arange(len(ukey), dtype=dtype)
+        return ukey, rank.take(keys)
+    order = np.argsort(keys, kind="stable")
+    skey = keys[order]
+    first = np.empty(len(skey), dtype=bool)
+    first[:1] = True
+    first[1:] = skey[1:] != skey[:-1]
+    inverse = np.empty(len(keys), dtype=dtype)
+    inverse[order] = np.cumsum(first) - 1
+    return skey[first], inverse
 
 
 def group_rowcol(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int):
@@ -100,32 +129,12 @@ def group_rowcol(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int):
     input entry *t* (int32 when the entries fit), and ``indptr`` /
     ``indices`` the CSR structure of the distinct coordinates in ``(row,
     col)`` order.  ``np.bincount(slot, weights=vals)`` sums each slot's
-    duplicates in input order.
-
-    Dense key spaces use the marker array of the paper's kernels (§3.1.1)
-    as a perfect hash: mark every key, read the distinct keys off the
-    marks — already in ``(row, col)`` order — and rank them.  Sparse ones
-    take one stable sort of the composite key.
+    duplicates in input order.  The distinct keys come from
+    :func:`unique_inverse` (a marker array where the key space is dense).
     """
     key = rows * np.int64(ncols) + cols
-    space = nrows * ncols
-    dtype = np.int32 if len(key) < 2**31 else np.int64
-    if space <= GROUP_MARKER_DENSITY * len(key):
-        mark = np.zeros(space, dtype=bool)
-        mark[key] = True
-        ukey = np.flatnonzero(mark)
-        rank = np.empty(space, dtype=dtype)
-        rank[ukey] = np.arange(len(ukey), dtype=dtype)
-        slot = rank.take(key)
-    else:
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        first = np.empty(len(skey), dtype=bool)
-        first[:1] = True
-        first[1:] = skey[1:] != skey[:-1]
-        ukey = skey[first]
-        slot = np.empty(len(key), dtype=dtype)
-        slot[order] = np.cumsum(first) - 1
+    ukey, slot = unique_inverse(key, nrows * ncols,
+                                np.int32 if len(key) < 2**31 else np.int64)
     # Row r's keys are [r * ncols, (r + 1) * ncols): its slots start at the
     # first distinct key at or past r * ncols.
     indptr = np.searchsorted(ukey, np.arange(nrows + 1, dtype=np.int64) * ncols)

@@ -116,40 +116,35 @@ def _matrix_bytes(M: CSRMatrix) -> float:
     return float(M.nnz * (VAL_BYTES + IDX_BYTES) + (M.nrows + 1) * PTR_BYTES)
 
 
-def spgemm_traffic(
-    A: CSRMatrix, B: CSRMatrix, C: CSRMatrix, expansion: int, method: str
-) -> tuple[float, float, float]:
-    """(bytes_read, bytes_written, branches) of one SpGEMM.
+def spgemm_traffic(a_nnz, a_nrows, expansion, c_nnz, method: str) -> dict:
+    """The record fields (flops, bytes read and written, branches) of one
+    SpGEMM ``C = A B`` from its sizes: counts, or arrays of per-block
+    counts (``C`` has ``A``'s rows).
 
     ``B`` is accessed row-by-gathered-row: each product term reads one
     ``(value, index)`` pair of ``B`` non-contiguously; every distinct
     ``a_ij`` also reads two ``B`` row-pointer entries.
     """
-    read_A = _matrix_bytes(A)
-    read_B = expansion * (VAL_BYTES + IDX_BYTES) + A.nnz * 2 * PTR_BYTES
-    write_C = _matrix_bytes(C)
+    if method not in ("one_pass", "two_pass", "numeric_only"):
+        raise ValueError(f"unknown SpGEMM method {method!r}")
+    read_A = a_nnz * (VAL_BYTES + IDX_BYTES) + (a_nrows + 1) * PTR_BYTES
+    read_B = expansion * (VAL_BYTES + IDX_BYTES) + a_nnz * 2 * PTR_BYTES
+    write_C = c_nnz * (VAL_BYTES + IDX_BYTES) + (a_nrows + 1) * PTR_BYTES
     if method == "one_pass":
         # Single read of the inputs; thread chunks copied into the final
         # contiguous allocation (streaming read + write of C).
-        bytes_read = read_A + read_B + write_C
-        bytes_written = 2 * write_C
-        branches = float(expansion)
+        traffic = (read_A + read_B + write_C, 2 * write_C, expansion)
     elif method == "two_pass":
         # Symbolic pass reads the index structure of both inputs, numeric
         # pass reads everything again.
-        sym_read = A.nnz * IDX_BYTES + (A.nrows + 1) * PTR_BYTES
-        sym_read += expansion * IDX_BYTES + A.nnz * 2 * PTR_BYTES
-        bytes_read = sym_read + read_A + read_B
-        bytes_written = write_C
-        branches = 2.0 * expansion
-    elif method == "numeric_only":
+        sym_read = (a_nnz * IDX_BYTES + (a_nrows + 1) * PTR_BYTES
+                    + expansion * IDX_BYTES + a_nnz * 2 * PTR_BYTES)
+        traffic = (sym_read + read_A + read_B, write_C, 2 * expansion)
+    else:
         # Pattern reuse: read inputs once, write values only, no branches.
-        bytes_read = read_A + read_B + C.nnz * IDX_BYTES
-        bytes_written = C.nnz * VAL_BYTES
-        branches = 0.0
-    else:  # pragma: no cover - guarded by callers
-        raise ValueError(f"unknown SpGEMM method {method!r}")
-    return bytes_read, bytes_written, branches
+        traffic = (read_A + read_B + c_nnz * IDX_BYTES, c_nnz * VAL_BYTES, 0)
+    return dict(zip(("bytes_read", "bytes_written", "branches"), traffic),
+                flops=2 * expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +179,8 @@ def spgemm(
         C = CSRMatrix((A.nrows, B.ncols), indptr, indices,
                       np.bincount(slot, weights=evals, minlength=len(indices)))
         expansion = len(slot)
-    br, bw, branches = spgemm_traffic(A, B, C, expansion, method)
-    count(
-        f"{kernel}.{method}",
-        flops=2 * expansion,
-        bytes_read=br,
-        bytes_written=bw,
-        branches=branches,
-        parallel=parallel,
-    )
+    count(f"{kernel}.{method}", parallel=parallel,
+          **spgemm_traffic(A.nnz, A.nrows, expansion, C.nnz, method))
     return (C, plan) if return_plan else C
 
 
@@ -287,14 +275,8 @@ def spgemm_numeric(
     """
     C = CSRMatrix(plan.shape, plan.indptr.copy(), plan.indices.copy(),
                   _plan_values(plan, A, B))
-    br, bw, branches = spgemm_traffic(A, B, C, plan.expansion, "numeric_only")
-    count(
-        f"{kernel}.numeric_only",
-        flops=2 * plan.expansion,
-        bytes_read=br,
-        bytes_written=bw,
-        branches=branches,
-    )
+    count(f"{kernel}.numeric_only",
+          **spgemm_traffic(A.nnz, A.nrows, plan.expansion, C.nnz, "numeric_only"))
     return C
 
 

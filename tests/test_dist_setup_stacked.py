@@ -42,6 +42,7 @@ from repro.dist import (
     renumber_baseline,
     renumber_parallel,
 )
+from repro.dist.interp import CHUNK_RANKS
 from repro.perf.counters import (
     IDX_BYTES,
     PTR_BYTES,
@@ -641,14 +642,21 @@ class TestNoPerRankPython:
     """One ``DistAMGSolver.setup`` on the benchmark's 32-rank shape, counted
     with ``sys.setprofile`` (Python-level calls and C-function dispatches).
 
-    At the parent commit the same set-up made 804,180 calls (424,190
+    At the last per-rank commit the same set-up made 804,180 calls (424,190
     Python-level + 379,990 into C), among them 2,840 ``np.isin``, 2,650
     ``np.unique``, 1,921 ``CSRMatrix.from_coo``, 576 ``_split_rows``, 192
     ``renumber_parallel``, 7,443 ``log_message`` and 8,370 ``on_rank``
     (a generator-based context manager counts twice per entry).  With the
-    ranks stacked: 288,009 calls, 0 ``np.isin``, 476 ``np.unique`` (inside
-    the per-rank ext+i kernel), 210 ``from_coo`` (192 of them there), 2
-    ``on_rank`` (the coarse factorization).
+    ranks stacked: 308,288 calls, 0 ``np.isin``, 210 ``from_coo`` (192 of
+    them in the per-rank ext+i kernel), 64 per-rank ``HybridGSSmoother``
+    builds making 256 ``build_gs_schedule`` calls, 64
+    ``extended_i_interpolation`` calls and 8 ``run_on_ranks``.  With the
+    schedules and extended+i built over the rank stack: 185,008 calls, 66
+    ``from_coo``, one ``HybridGSSmoother`` per smoothed level (2) making 8
+    ``build_gs_schedule`` calls, 16 ``extended_i_blocks`` calls (one per
+    chunk of 4 ranks per level), 4 ``run_on_ranks`` (all from
+    ``dist_spgemm``), 476 ``np.unique`` (474 in the node-aware halo plans)
+    and 2 ``on_rank`` (the coarse factorization).
     """
 
     @pytest.fixture(scope="class")
@@ -659,10 +667,10 @@ class TestNoPerRankPython:
 
         def setup():
             comm = SimComm(32)
-            DistAMGSolver(comm, multi_node_config("ei"), topology=topo,
-                          net=topo.network()).setup(
-                ParCSRMatrix.from_global(A, part))
-            return comm
+            solver = DistAMGSolver(comm, multi_node_config("ei"), topology=topo,
+                                   net=topo.network())
+            solver.setup(ParCSRMatrix.from_global(A, part))
+            return comm, solver.hierarchy
 
         seen: dict = {}
 
@@ -670,6 +678,9 @@ class TestNoPerRankPython:
             if event == "call":
                 code = frame.f_code
                 key = ("/".join(code.co_filename.split("/")[-2:]), code.co_name)
+                if code.co_name == "run_on_ranks":
+                    caller = ("run_on_ranks from", frame.f_back.f_code.co_name)
+                    seen[caller] = seen.get(caller, 0) + 1
             elif event == "c_call":
                 key = ("C", getattr(arg, "__qualname__", repr(arg)))
             else:
@@ -681,10 +692,12 @@ class TestNoPerRankPython:
             setup()  # imports, caches
             sys.setprofile(profile)
             try:
-                comm = setup()
+                comm, h = setup()
             finally:
                 sys.setprofile(None)
         seen["messages"] = len(comm.messages)
+        seen["smoothed levels"] = sum(lvl.smoother is not None for lvl in h.levels)
+        seen["interpolated levels"] = sum(lvl.P is not None for lvl in h.levels)
         return seen
 
     def test_no_per_rank_assembly_or_search(self, calls):
@@ -695,10 +708,29 @@ class TestNoPerRankPython:
         assert n("dist/comm.py", "log_message") == 0
         assert calls["messages"] == 18563  # dist.setup_messages, unchanged
         assert n("lib/_arraysetops_impl.py", "isin") <= 200
-        assert n("sparse/csr.py", "from_coo") <= 600
+        assert n("sparse/csr.py", "from_coo") <= 100
         assert n("dist/comm.py", "on_rank") <= 400
         assert n("dist/renumber.py", "renumber_parallel") == 0
 
+    def test_node_kernels_run_over_the_rank_stack(self, calls):
+        def n(path, name):
+            return calls.get((path, name), 0)
+
+        smoothed = calls["smoothed levels"]
+        assert smoothed == 2 and calls["interpolated levels"] == 2
+        # Two C/F groups, two directions, once per level — not per rank —
+        # and one stacked smoother per level (HybridGSSmoother.__init__ is
+        # the module's only __init__): no per-rank smoother is built.
+        assert n("amg/smoothers.py", "build_gs_schedule") == 2 * 2 * smoothed
+        assert n("amg/smoothers.py", "__init__") == smoothed
+        # One extended+i call per chunk of ranks per level.
+        assert n("amg/interp_extended.py", "extended_i_interpolation") == 0
+        assert (n("amg/interp_extended.py", "extended_i_blocks")
+                <= math.ceil(32 / CHUNK_RANKS) * calls["interpolated levels"])
+        runs = {k[1]: v for k, v in calls.items() if k[0] == "run_on_ranks from"}
+        assert set(runs) == {"dist_spgemm"}, runs
+
     def test_total_calls(self, calls):
-        total = sum(v for k, v in calls.items() if k != "messages")
-        assert total <= 400_000, total
+        total = sum(v for k, v in calls.items()
+                    if isinstance(k, tuple) and k[0] != "run_on_ranks from")
+        assert total <= 194_000, total  # measured 185,008, plus 5 %

@@ -17,6 +17,7 @@ from repro.sparse.ops import (
     row_ids_from_indptr,
     rowcol_order,
     segment_sum,
+    unique_inverse,
 )
 
 
@@ -204,3 +205,47 @@ class TestGroupRowCol:
         assert len(calls) == sorts
         monkeypatch.undo()
         assert_groups_like_the_oracle(rows, cols, 1, C * n + extra)
+
+
+class TestUniqueInverse:
+    """The dense map of the (rank, column) renumbering against
+    ``np.unique(return_inverse=True)``, on both arms."""
+
+    @staticmethod
+    def check(keys, space, dtype=np.int64):
+        ukey, inv = unique_inverse(keys, space, dtype)
+        want_u, want_inv = np.unique(keys, return_inverse=True)
+        np.testing.assert_array_equal(ukey, want_u)
+        np.testing.assert_array_equal(inv, want_inv.ravel())
+        assert ukey.dtype == np.int64 and inv.dtype == dtype
+        return ukey, inv
+
+    @given(st.integers(0, 80), st.sampled_from([1, 2, C - 1, C, C + 1, 4 * C]),
+           st.integers(0, 2**31 - 1))
+    @settings(deadline=None, max_examples=200)
+    def test_is_np_unique(self, n, per_entry, seed):
+        space = max(1, per_entry * n)
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([[0, space - 1], rng.integers(0, space, 5)])
+        self.check(rng.choice(pool, n).astype(np.int64), space)
+
+    @pytest.mark.parametrize("extra, sorts", [(0, 0), (1, 1)])
+    def test_arm_at_the_density_threshold(self, monkeypatch, extra, sorts):
+        """``GROUP_MARKER_DENSITY`` keys per entry are marked; one more key
+        is sorted.  Both give ``np.unique``'s answer."""
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort",
+                            lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        n = 12
+        keys = np.random.default_rng(5).integers(0, C * n, n)
+        ukey, inv = unique_inverse(keys, C * n + extra)
+        assert len(calls) == sorts
+        monkeypatch.undo()
+        self.check(keys, C * n + extra)
+
+    @pytest.mark.parametrize("space", [0, 1, 100])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_empty_input(self, space, dtype):
+        ukey, inv = self.check(np.empty(0, dtype=np.int64), space, dtype)
+        assert len(ukey) == len(inv) == 0

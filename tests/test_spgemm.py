@@ -59,7 +59,7 @@ class TestSpGEMM:
     def test_unknown_method_rejected(self):
         A = random_csr(4, 4, seed=5)
         with pytest.raises(ValueError):
-            spgemm_traffic(A, A, A, 4, "bogus")
+            spgemm_traffic(A.nnz, A.nrows, 4, A.nnz, "bogus")
 
 
 class TestTrafficModel:
