@@ -45,20 +45,11 @@ from .interp import interp_scheme
 from .level import Level
 from .pmis import aggressive_pmis, pmis
 from .resetup import PlanBuilder, SetupPlan
-from .smoothers import HybridGSSmoother
+from .smoothers import HybridGSSmoother, smoother_variant
 from .solveplan import attach_solve_plan
 from .strength import strength_matrix
 
 __all__ = ["Hierarchy", "build_hierarchy"]
-
-_SMOOTHER_VARIANTS = {
-    "hybrid_gs": "hybrid",
-    "lex": "lex",
-    "multicolor": "multicolor",
-    "jacobi": "jacobi",
-    "l1_jacobi": "l1_jacobi",
-    "chebyshev": "chebyshev",
-}
 
 
 @dataclass
@@ -154,7 +145,7 @@ def _build_smoothers(levels: list[Level], config: AMGConfig) -> None:
             lvl.A,
             nthreads=nthreads_l,
             cf_marker=lvl.cf_marker,
-            variant=_SMOOTHER_VARIANTS[config.smoother],
+            variant=smoother_variant(config.smoother),
             optimized=flags.three_way_partition,
             cf_contiguous=flags.cf_reorder,
             seed=config.seed,

@@ -11,17 +11,19 @@ external, ``extptr``) so the sweep is branch-free.  Both code paths produce
 bit-identical iterates; only the counted work differs.
 
 **Execution strategy** (the Python-vectorization substitute for the tight C
-loop): the sequential dependence of GS inside a block follows only the
-*lower-local* couplings, so rows are scheduled into **wavefront levels** —
-rows in a level have no lower-local coupling to each other and are updated
-with one vectorized step.  For structurally symmetric matrices this
-reproduces the sequential in-block GS exactly (verified against a literal
-per-row reference in the tests).  With one block covering all rows the same
-machinery yields the **lexicographic GS** of [38] (point-to-point
-synchronization = level scheduling), whose pre-processing cost (dependency
-analysis) is what §5.2 charges against its better convergence.  This module
-builds the schedules; the sweep arithmetic and its traffic formulas live in
-:mod:`repro.amg.solveplan`, which compiles each schedule once per smoother.
+loop): the sequential dependence of GS inside a block follows its in-block
+couplings — each, in whichever triangle it is stored, orders its two rows by
+index — so rows are scheduled into **wavefront levels**: rows in a level
+couple to no other row of the level and are updated with one vectorized
+step.  On any sparsity pattern this reproduces the sequential in-block GS
+exactly (verified against a literal per-row reference in the tests).  With
+one block covering all rows the same machinery yields the **lexicographic
+GS** of [38] (point-to-point synchronization = level scheduling), whose
+pre-processing cost (dependency analysis) is what §5.2 charges against its
+better convergence.  This module builds the schedules — each row's
+non-zeros classified once, in the layout the sweep reads; the sweep
+arithmetic and its traffic formulas live in :mod:`repro.amg.solveplan`,
+which compiles each schedule once per smoother.
 
 **C-F smoothing** (§3.2): the C rows are swept first, then the F rows (and
 vice versa in post-smoothing).  The optimized path iterates over the two
@@ -32,13 +34,13 @@ row.  With a zero initial guess the upper-triangle reads are skipped
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..perf.counters import IDX_BYTES, VAL_BYTES, count, count_record
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import gather_range_indices, segment_sum
+from ..sparse.ops import gather_range_indices, indptr_from_counts, segment_sum, stable_order
 from ..sparse.spmv import rhs_width, spmv
 from .solveplan import ChebyPlan, CompiledSweep, MulticolorPlan, compile_smoother_plan
 
@@ -52,6 +54,7 @@ __all__ = [
     "multicolor_gs_sweep",
     "HybridGSSmoother",
     "block_of_rows",
+    "smoother_variant",
 ]
 
 
@@ -61,33 +64,29 @@ __all__ = [
 
 @dataclass
 class GSSchedule:
-    """Wavefront schedule of one GS sweep over a row subset.
+    """Wavefront schedule of one GS sweep over a row subset: what the
+    compiled sweep's slabs (:class:`repro.amg.solveplan.Slabs`) read.
 
-    ``rows`` lists the swept rows packed level by level
-    (``level_row_ptr`` delimits levels).  ``e_*`` arrays hold the off-
-    diagonal entries of those rows in the same packing (``e_ptr`` delimits
-    levels): ``e_out`` is the entry's position within ``rows``, ``e_local``
-    marks in-block (live ``x``) reads vs external (``temp_x``) reads.
-    ``nlevels`` is the synchronization depth — the quantity that limits
-    lexicographic-GS parallelism.  ``e_entry`` / ``diag_entry`` give the
-    position of each packed entry / each packed row's diagonal in
-    ``A.data`` (``-1``: structurally missing); the compiled sweep
-    (:class:`repro.amg.solveplan.CompiledSweep`) composes its value maps
-    with them, binds straight from ``A.data`` and keeps no schedule.
+    ``rows`` lists the swept rows packed level by level (``level_row_ptr``
+    delimits levels) and ``diag_entry`` the position of each packed row's
+    diagonal in ``A.data`` (``-1``: structurally missing).  ``nlevels`` is
+    the synchronization depth — the quantity that limits lexicographic-GS
+    parallelism.  The ``e_*`` arrays hold the off-diagonal entries of the
+    packed rows in packed order (a row's entries contiguous, in CSR order):
+    ``e_row`` is the entry's packed row, ``e_src`` the workspace row it
+    reads — the packed row of an in-block column (live ``x``), ``m + 1 +
+    col`` for an external one (the sweep-start snapshot ``temp_x``; *m* =
+    ``nrows``) — ``e_entry`` its position in ``A.data`` and ``e_lower``
+    whether it reads a row this sweep has already updated.
     """
 
     rows: np.ndarray
     level_row_ptr: np.ndarray
-    e_ptr: np.ndarray
-    e_cols: np.ndarray
-    e_vals: np.ndarray
-    e_out: np.ndarray
-    e_local: np.ndarray
-    e_lower: np.ndarray
-    diag: np.ndarray
-    nnz: int
-    e_entry: np.ndarray
     diag_entry: np.ndarray
+    e_row: np.ndarray
+    e_src: np.ndarray
+    e_entry: np.ndarray
+    e_lower: np.ndarray
 
     @property
     def nlevels(self) -> int:
@@ -96,6 +95,11 @@ class GSSchedule:
     @property
     def nrows(self) -> int:
         return len(self.rows)
+
+    @property
+    def nnz(self) -> int:
+        """The swept rows' stored entries, diagonals included."""
+        return len(self.e_row) + int((self.diag_entry >= 0).sum())
 
 
 def block_of_rows(n: int, nblocks: int, A: CSRMatrix,
@@ -136,6 +140,27 @@ def block_of_rows(n: int, nblocks: int, A: CSRMatrix,
     return block
 
 
+def _wavefront_levels(src: np.ndarray, dst: np.ndarray, m: int) -> np.ndarray:
+    """Level of each of *m* nodes of the DAG with edges ``src -> dst``: the
+    length of the longest path reaching it (topological peeling)."""
+    indeg = np.bincount(dst, minlength=m)
+    # Each node's successors, grouped by node.
+    succ = dst[stable_order(src, m)]
+    ptr = indptr_from_counts(np.bincount(src, minlength=m))
+    level = np.full(m, -1, dtype=np.int64)
+    frontier = np.flatnonzero(indeg == 0)
+    lev = 0
+    while len(frontier):
+        level[frontier] = lev
+        indeg[frontier] = -1  # levelled
+        lev += 1
+        done = succ[gather_range_indices(ptr[frontier],
+                                         ptr[frontier + 1] - ptr[frontier])]
+        indeg -= np.bincount(done, minlength=m)
+        frontier = np.flatnonzero(indeg == 0)
+    return level
+
+
 def build_gs_schedule(
     A: CSRMatrix,
     block_of: np.ndarray,
@@ -146,8 +171,11 @@ def build_gs_schedule(
 
     ``block_of[i] >= 0`` selects the swept rows and gives their thread
     block; ``-1`` rows are treated as external (their values are read from
-    ``temp_x``).  Dependencies follow lower (forward) or upper (backward)
-    in-block couplings.
+    ``temp_x``).  Every in-block coupling, whichever triangle stores it,
+    orders its two rows: the lower-numbered one is swept first (forward) or
+    last (backward).  The rows are levelled by that order, so no level
+    holds two coupled rows and the wavefront sweep is the sequential
+    in-block GS on any sparsity pattern.
     """
     n = A.nrows
     in_range = block_of >= 0
@@ -156,91 +184,47 @@ def build_gs_schedule(
     local_id = np.full(n, -1, dtype=np.int64)
     local_id[rows_sel] = np.arange(m)
 
-    # Expanded row_slice_arrays that also keeps the global entry positions
-    # (``idx``) so the schedule records where its values live in ``A.data``.
+    # The swept rows' entries, with their positions in ``A.data`` (``idx``).
     counts = A.indptr[rows_sel + 1] - A.indptr[rows_sel]
     idx = gather_range_indices(A.indptr[rows_sel], counts)
     lr = np.repeat(np.arange(m), counts)
     cols = A.indices[idx]
-    vals = A.data[idx]
     grows = rows_sel[lr]
     off = cols != grows
-    same_block = in_range[cols] & (block_of[cols] == block_of[grows])
-    if forward:
-        dep = off & same_block & (cols < grows)
-    else:
-        dep = off & same_block & (cols > grows)
-    local = off & same_block
+    local = off & in_range[cols] & (block_of[cols] == block_of[grows])
+    lower = local & ((cols < grows) if forward else (cols > grows))
 
-    # Level assignment by topological peeling of the dependency DAG.
-    indeg = np.bincount(lr[dep], minlength=m).astype(np.int64)
-    level = np.full(m, -1, dtype=np.int64)
-    frontier = np.flatnonzero(indeg == 0)
-    lev = 0
-    # dependents: for symmetric patterns, the dependents of local row r are
-    # its same-block neighbours on the other triangle.
-    rev = off & same_block & ((cols > grows) if forward else (cols < grows))
-    rev_src = lr[rev]
-    rev_dst = local_id[cols[rev]]
-    order_rev = np.argsort(rev_src, kind="stable")
-    rev_src_s = rev_src[order_rev]
-    rev_dst_s = rev_dst[order_rev]
-    rev_ptr = np.searchsorted(rev_src_s, np.arange(m + 1))
-
-    while len(frontier):
-        level[frontier] = lev
-        lev += 1
-        # Decrement in-degrees of the dependents of the frontier rows.
-        dst = rev_dst_s[gather_range_indices(
-            rev_ptr[frontier], rev_ptr[frontier + 1] - rev_ptr[frontier])]
-        if len(dst):
-            indeg -= np.bincount(dst, minlength=m)
-        # Rows whose last dependency cleared this round:
-        frontier = np.flatnonzero((indeg == 0) & (level == -1))
-        if len(frontier) == 0 and (level == -1).any() and not len(dst):
-            raise RuntimeError("GS schedule: dependency cycle (non-symmetric pattern?)")
-
+    # Each in-block coupling is an edge from the row swept first.
+    row_l, col_l, low_l = lr[local], local_id[cols[local]], lower[local]
+    level = _wavefront_levels(np.where(low_l, col_l, row_l),
+                              np.where(low_l, row_l, col_l), m)
     if (level == -1).any():
         raise RuntimeError("GS schedule failed to level all rows")
 
-    order = np.lexsort((np.arange(m), level))
-    rows_packed = rows_sel[order]
-    lvl_sorted = level[order]
-    nlev = int(lvl_sorted[-1]) + 1 if m else 0
-    level_row_ptr = np.searchsorted(lvl_sorted, np.arange(nlev + 1))
-
-    # Pack entries in the same order.
-    pos_in_pack = np.empty(m, dtype=np.int64)
-    pos_in_pack[order] = np.arange(m)
-    e_entry_row = pos_in_pack[lr]  # packed row position per entry
-    keep = off  # all off-diagonal entries participate in the sweep
-    e_order = np.argsort(e_entry_row[keep], kind="stable")
-    e_out = e_entry_row[keep][e_order]
-    e_cols_p = cols[keep][e_order]
-    e_vals_p = vals[keep][e_order]
-    e_local_p = local[keep][e_order]
-    e_lower_p = dep[keep][e_order]
-    e_ptr = np.searchsorted(e_out, level_row_ptr)
-
-    diag = np.zeros(m)
-    dsel = ~off
-    diag[pos_in_pack[lr[dsel]]] = vals[dsel]
+    # Rows by level (ascending within one); each row's entries in CSR order.
+    nlev = int(level.max()) + 1 if m else 0
+    order = stable_order(level, nlev)
+    rows = rows_sel[order]
+    cnt = counts[order]
+    perm = gather_range_indices(indptr_from_counts(counts)[order], cnt)
+    row_of = np.repeat(np.arange(m), cnt)
+    is_off = off[perm]
+    e = perm[is_off]
     diag_entry = np.full(m, -1, dtype=np.int64)
-    diag_entry[pos_in_pack[lr[dsel]]] = idx[dsel]
+    diag_entry[row_of[~is_off]] = idx[perm[~is_off]]
 
+    # In-block reads go to the live packed row, external ones to the snapshot.
+    packed = np.empty(n, dtype=np.int64)
+    packed[rows] = np.arange(m)
+    col = cols[e]
     return GSSchedule(
-        rows=rows_packed,
-        level_row_ptr=level_row_ptr.astype(np.int64),
-        e_ptr=e_ptr.astype(np.int64),
-        e_cols=e_cols_p,
-        e_vals=e_vals_p,
-        e_out=e_out,
-        e_local=e_local_p,
-        e_lower=e_lower_p,
-        diag=diag,
-        nnz=int(keep.sum()) + int(dsel.sum()),
-        e_entry=idx[keep][e_order],
+        rows=rows,
+        level_row_ptr=indptr_from_counts(np.bincount(level, minlength=nlev)),
         diag_entry=diag_entry,
+        e_row=row_of[is_off],
+        e_src=np.where(local[e], packed[col], col + (m + 1)),
+        e_entry=idx[e],
+        e_lower=lower[e],
     )
 
 
@@ -249,6 +233,7 @@ def build_gs_schedule(
 # ---------------------------------------------------------------------------
 
 def gs_sweep(
+    A: CSRMatrix,
     x: np.ndarray,
     b: np.ndarray,
     sched: GSSchedule,
@@ -258,7 +243,7 @@ def gs_sweep(
     contiguous_rows: bool = True,
     kernel: str = "gs",
 ) -> np.ndarray:
-    """One in-place hybrid-GS sweep following *sched* (returns ``x``).
+    """One in-place hybrid-GS sweep of *A* following *sched* (returns ``x``).
 
     ``optimized`` selects the Fig. 2(b) accounting (pre-partitioned rows, no
     per-non-zero branch); the baseline Fig. 2(a) accounting adds one branch
@@ -270,13 +255,8 @@ def gs_sweep(
     """
     if sched.nrows == 0:
         return x
-    # The schedule's own values, laid out entries first, then diagonals.
-    ne = len(sched.e_vals)
-    own = replace(sched, e_entry=np.arange(ne),
-                  diag_entry=np.arange(ne, ne + sched.nrows))
-    cs = CompiledSweep(own, len(x), np.concatenate([sched.e_vals, sched.diag]),
-                       optimized=optimized, contiguous_rows=contiguous_rows,
-                       kernel=kernel)
+    cs = CompiledSweep(sched, len(x), A.data, optimized=optimized,
+                       contiguous_rows=contiguous_rows, kernel=kernel)
     cs.run(x, b)
     count_record(cs.record(rhs_width(x), zero_guess))
     return x
@@ -470,6 +450,35 @@ def pattern_scan_fields(nnz):
     return dict(bytes_read=2 * nnz * IDX_BYTES, branches=nnz)
 
 
+#: Each ``AMGConfig.smoother`` name and the :class:`HybridGSSmoother`
+#: variant it selects.
+_SMOOTHER_VARIANTS = {
+    "hybrid_gs": "hybrid",
+    "lex": "lex",
+    "multicolor": "multicolor",
+    "jacobi": "jacobi",
+    "l1_jacobi": "l1_jacobi",
+    "chebyshev": "chebyshev",
+}
+
+#: The variants the distributed layer stacks over ranks (``DistSmoother``).
+_DIST_VARIANTS = ("hybrid", "lex", "multicolor", "jacobi")
+
+
+def smoother_variant(name: str, *, distributed: bool = False) -> str:
+    """The :class:`HybridGSSmoother` variant ``AMGConfig.smoother`` *name*
+    selects.  Raises ValueError, naming the known names, for an unknown
+    one — or, with *distributed*, for one the distributed layer cannot
+    stack."""
+    known = [k for k, v in _SMOOTHER_VARIANTS.items()
+             if not distributed or v in _DIST_VARIANTS]
+    if name not in known:
+        kind = "distributed smoother" if distributed else "smoother"
+        raise ValueError(f"unknown {kind} {name!r}; known: "
+                         + ", ".join(map(repr, known)))
+    return _SMOOTHER_VARIANTS[name]
+
+
 class HybridGSSmoother:
     """Per-level smoother with C-F ordering (§3.2).
 
@@ -483,8 +492,9 @@ class HybridGSSmoother:
     cf_marker:
         Per-row C/F split in A's ordering; ``None`` disables C-F ordering.
     variant:
-        ``"hybrid"`` (default), ``"lex"`` (one block), ``"jacobi"``, or
-        ``"multicolor"``.
+        ``"hybrid"`` (default), ``"lex"`` (one block), ``"multicolor"``,
+        ``"jacobi"``, ``"l1_jacobi"`` or ``"chebyshev"``; anything else
+        raises ValueError.
     optimized:
         Fig. 2(b) (partitioned, branch-free) vs Fig. 2(a) accounting.
     stack:
@@ -508,6 +518,9 @@ class HybridGSSmoother:
         seed: int = 0,
         stack: np.ndarray | None = None,
     ) -> None:
+        if variant not in _SMOOTHER_VARIANTS.values():
+            raise ValueError(f"unknown smoother variant {variant!r}; known: "
+                             + ", ".join(map(repr, _SMOOTHER_VARIANTS.values())))
         self.A = A
         self.variant = variant
         self.optimized = optimized
@@ -520,7 +533,7 @@ class HybridGSSmoother:
         n = A.nrows
         #: Wavefront schedules per (group, direction), read once by the
         #: compile; ``None`` from then on.
-        self._schedules: dict[tuple[str, bool], GSSchedule] | None = {}
+        self._schedules: dict[tuple[int, bool], GSSchedule] | None = {}
         self.color: np.ndarray | None = None
         #: Compiled sweeps (:class:`repro.amg.solveplan.SmootherPlan`);
         #: ``None`` = not compiled yet.  ``attach_solve_plan`` compiles at
@@ -554,7 +567,7 @@ class HybridGSSmoother:
         for gi, rows in enumerate(self.groups):
             blk = block_of_rows(n, self.nthreads, A, rows, stack)
             for fwd in (True, False):
-                self._schedules[(f"g{gi}", fwd)] = build_gs_schedule(A, blk, forward=fwd)
+                self._schedules[(gi, fwd)] = build_gs_schedule(A, blk, forward=fwd)
         if variant == "lex":
             # Dependency-graph construction cost of level scheduling [38].
             count("gs.lex_schedule_setup", **pattern_scan_fields(A.nnz),

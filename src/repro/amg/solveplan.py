@@ -7,8 +7,10 @@ sweep's arithmetic **and** its traffic formula, exactly once:
 
 * **compiled GS sweeps** (:class:`CompiledSweep`): each wavefront level is
   one padded ELL slab (:class:`Slabs`) over a schedule-ordered workspace
-  ``[swept rows, packed | +0.0 | sweep-start x]`` (classify each row's
-  non-zeros once, then sweep branch-free — §3.2, Fig. 2b), so a level is
+  ``[swept rows, packed | +0.0 | sweep-start x]``, built straight from the
+  :class:`~repro.amg.smoothers.GSSchedule`, whose entries already carry
+  their workspace source (each row's non-zeros are classified once, at
+  set-up, then swept branch-free — §3.2, Fig. 2b), so a level is
   one gather, one multiply and one reduction written straight into its
   contiguous output rows — plus *zero-start* slabs that leave out the
   entries whose source value is identically zero during the first visit
@@ -225,19 +227,20 @@ class CompiledSweep:
     """One GS schedule compiled to one padded slab per wavefront level.
 
     The sweep runs over the workspace ``[swept rows in packed order | +0.0 |
-    sweep-start x]``: an in-block read of column *c* is pre-resolved to
-    *c*'s packed row (live: already updated when its level came first), an
-    external read to the snapshot, so level *l* reads its slab and writes
-    the contiguous rows ``level_row_ptr[l]:level_row_ptr[l + 1]`` with no
-    per-sweep classification and no scatter.  Reproduces the sequential
-    in-block GS of :func:`repro.amg.smoothers.gs_sweep_reference` on
-    structurally symmetric patterns.
+    sweep-start x]``: the schedule's ``e_src`` already resolves an in-block
+    read to the column's packed row (live: already updated when its level
+    came first) and an external read to the snapshot, so level *l* reads
+    its slab and writes the contiguous rows ``level_row_ptr[l]:
+    level_row_ptr[l + 1]`` with no per-sweep classification and no
+    scatter.  Reproduces the sequential in-block GS of
+    :func:`repro.amg.smoothers.gs_sweep_reference` on any pattern.
 
-    The slabs' value maps (and the diagonal's) are composed with the
-    schedule's ``e_entry`` / ``diag_entry`` at compile time, so a sweep
-    binds straight from the operator's ``data`` (*data*, and the argument
-    of :meth:`with_values`) and keeps nothing of the schedule but its
-    :class:`SweepCounts`.
+    The slabs' value maps (and the diagonal's) are the schedule's
+    ``e_entry`` / ``diag_entry``, so a sweep binds straight from the
+    operator's ``data`` (*data*, and the argument of :meth:`with_values`)
+    and keeps nothing of the schedule but its :class:`SweepCounts`.
+    *zero_keep* (:func:`_zero_keep_mask`) selects the entries of the
+    zero-start slabs.
     """
 
     def __init__(self, sched, n: int, data: np.ndarray, *, optimized: bool,
@@ -251,7 +254,12 @@ class CompiledSweep:
         self.contiguous_rows = contiguous_rows
         self.counts = SweepCounts.of(sched)
 
-        self.slabs, self.zslabs = _sweep_slabs(sched, n, len(data), zero_keep)
+        def slabs(keep=slice(None)):
+            return Slabs(sched.level_row_ptr, sched.e_row[keep], sched.e_src[keep],
+                         sched.e_entry[keep], len(data), self.m)
+
+        self.slabs = slabs()
+        self.zslabs = None if zero_keep is None else slabs(np.flatnonzero(zero_keep))
         # A structurally missing diagonal reads the appended 0.0.
         self.diag_map = np.where(sched.diag_entry >= 0, sched.diag_entry,
                                  len(data)).astype(self.slabs.emap.dtype)
@@ -310,33 +318,6 @@ class CompiledSweep:
         return new
 
 
-def _sweep_slabs(sched, n: int, nvals: int,
-                 zero_keep: np.ndarray | None) -> tuple[Slabs, Slabs | None]:
-    """The slabs of *sched* over ``[swept rows, packed | +0.0 | sweep-start
-    x]`` and, given *zero_keep*, its zero-start slabs; their value maps
-    index the operator's *nvals* stored values (``sched.e_entry``).
-
-    Zero-start slabs keep only entries whose source can be nonzero when the
-    swept rows start at zero (lower-local reads, already-updated upper-local
-    reads, and external reads of rows swept earlier in the same smoothing
-    pass).  Dropped terms are exact ``a * 0.0`` products for finite ``a``;
-    the row sums start at +0.0 and can never be -0.0, so skipping them is
-    bitwise-neutral.
-    """
-    m = sched.nrows
-    packed = np.empty(n, dtype=np.intp)
-    packed[sched.rows] = np.arange(m)
-    # In-block reads go to the live packed row, external ones to the snapshot.
-    e_src = sched.e_cols + (m + 1)
-    np.copyto(e_src, packed.take(sched.e_cols), where=sched.e_local)
-    slabs = Slabs(sched.level_row_ptr, sched.e_out, e_src, sched.e_entry, nvals, m)
-    if zero_keep is None:
-        return slabs, None
-    keep = np.flatnonzero(zero_keep)
-    return slabs, Slabs(sched.level_row_ptr, sched.e_out[keep], e_src[keep],
-                        sched.e_entry[keep], nvals, m)
-
-
 def sweep_record(counts, k: int, zero_guess: bool, *, kernel: str,
                  optimized: bool, contiguous_rows: bool) -> KernelRecord:
     """The :meth:`CompiledSweep.record` of one sweep with :class:`SweepCounts`
@@ -363,28 +344,23 @@ def sweep_record(counts, k: int, zero_guess: bool, *, kernel: str,
 
 
 def _zero_keep_mask(sched, n: int, prefix_rows: np.ndarray | None) -> np.ndarray:
-    """Entries of *sched* whose source is potentially nonzero in a sweep
-    whose own rows start at zero, given that only ``prefix_rows`` (rows of
-    groups swept earlier in the same pass) hold nonzero values."""
+    """Entries of *sched* whose source can be nonzero in a sweep whose own
+    rows start at zero, given that only ``prefix_rows`` (rows of groups swept
+    earlier in the same pass) hold nonzero values: the lower-local reads
+    (already updated) and the external reads of a prefix row.
+
+    Every other read is an in-block row not yet updated, or a zero row: the
+    dropped terms are exact ``a * 0.0`` products for finite ``a``, and the
+    row sums start at +0.0 and can never be -0.0, so skipping them is
+    bitwise-neutral.
+    """
     keep = sched.e_lower.copy()
-    external = ~sched.e_local
     if prefix_rows is not None and len(prefix_rows):
-        nonzero = np.zeros(n, dtype=bool)
-        nonzero[prefix_rows] = True
-        keep |= external & nonzero[sched.e_cols]
-    upper_local = sched.e_local & ~sched.e_lower
-    if upper_local.any():
-        # Asymmetric patterns can schedule an upper-local neighbour into an
-        # *earlier* wavefront level, in which case its live value is already
-        # updated (nonzero) when read.
-        lvl_of = np.full(n, -1, dtype=np.int64)
-        pack_lvl = np.repeat(
-            np.arange(sched.nlevels, dtype=np.int64),
-            np.diff(sched.level_row_ptr),
-        )
-        lvl_of[sched.rows] = pack_lvl
-        row_lvl = pack_lvl[sched.e_out]
-        keep |= upper_local & (lvl_of[sched.e_cols] < row_lvl)
+        # Over the workspace: external sources sit at m + 1 + column.
+        m = sched.nrows
+        nonzero = np.zeros(m + 1 + n, dtype=bool)
+        nonzero[m + 1 + prefix_rows] = True
+        keep |= nonzero[sched.e_src]
     return keep
 
 
@@ -517,7 +493,7 @@ class SmootherPlan:
             prefix = (np.concatenate(smoother.groups[:gi])
                       if gi > 0 else None)
             for fwd in (True, False):
-                sched = smoother._schedules[(f"g{gi}", fwd)]
+                sched = smoother._schedules[(gi, fwd)]
                 if sched.nrows == 0:
                     self.sweeps[(gi, fwd)] = None
                     continue

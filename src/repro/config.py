@@ -110,8 +110,10 @@ class AMGConfig:
     dense_coarse_threshold: int = 500
     #: "V" (Tables 3/4), "W", or "F".
     cycle_type: str = "V"
-    #: "hybrid_gs", "lex", "multicolor", "jacobi", "l1_jacobi", or
-    #: "chebyshev".
+    #: "hybrid_gs", "lex", "multicolor", "jacobi", "l1_jacobi" or
+    #: "chebyshev" (others raise ValueError); the distributed build runs
+    #: the first four.  Read through
+    #: :func:`repro.amg.smoothers.smoother_variant`.
     smoother: str = "hybrid_gs"
     #: Hybrid-GS block count = modeled thread count.
     nthreads: int = 14

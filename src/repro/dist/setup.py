@@ -24,6 +24,7 @@ import numpy as np
 from ..analysis import check_dist_hierarchy, check_parcsr, checking
 from ..analysis.sched import check_schedule
 from ..amg.interp import EXTENDED_I, MULTIPASS, TWO_STAGE_EI, interp_scheme
+from ..amg.smoothers import smoother_variant
 from ..config import AMGConfig
 from ..perf.counters import VAL_BYTES, RecordTable, count, make_record, phase
 from .comm import SimComm, frozen_messages, message_batch
@@ -37,9 +38,6 @@ from .spgemm import dist_rap
 from .strength import dist_strength
 
 __all__ = ["DistLevel", "DistHierarchy", "dist_build_hierarchy"]
-
-_SMOOTHER_VARIANTS = {"hybrid_gs": "hybrid", "lex": "lex",
-                      "multicolor": "multicolor", "jacobi": "jacobi"}
 
 
 def _common(config: AMGConfig) -> dict:
@@ -200,7 +198,7 @@ class DistHierarchy:
                     lvl.smoother = DistSmoother(
                         self.comm, lvl.A, lvl.cf_parts,
                         nthreads=config.nthreads,
-                        variant=_SMOOTHER_VARIANTS[config.smoother],
+                        variant=smoother_variant(config.smoother, distributed=True),
                         optimized=config.flags.three_way_partition,
                         persistent=False,
                         seed=config.seed,
@@ -307,7 +305,7 @@ def dist_build_hierarchy(
                 lvl.smoother = DistSmoother(
                     comm, lvl.A, lvl.cf_parts,
                     nthreads=config.nthreads,
-                    variant=_SMOOTHER_VARIANTS[config.smoother],
+                    variant=smoother_variant(config.smoother, distributed=True),
                     optimized=flags.three_way_partition,
                     persistent=flags.persistent_comm,
                     seed=config.seed,

@@ -61,7 +61,7 @@ def _gs_pass_tables(stacked: HybridGSSmoother,
     counts = {}
     for key, sched in stacked._schedules.items():
         rank = np.searchsorted(bounds, sched.rows, side="right") - 1
-        e_rank = rank[sched.e_out]
+        e_rank = rank[sched.e_row]
         nrows = np.bincount(rank, minlength=nranks)
         nnz = (np.bincount(e_rank, minlength=nranks)
                + np.bincount(rank[sched.diag_entry >= 0], minlength=nranks))
@@ -73,7 +73,7 @@ def _gs_pass_tables(stacked: HybridGSSmoother,
         recs = []
         order = range(len(stacked.groups))
         for gi in order if forward else reversed(order):
-            c = counts[(f"g{gi}", forward)][p]
+            c = counts[(gi, forward)][p]
             if c.nrows:
                 recs.append(sweep_record(
                     c, 0, zero_guess, kernel="gs.hybrid",

@@ -38,6 +38,19 @@ def random_csr(
     return CSRMatrix.from_dense(dense)
 
 
+def convection_diffusion(nx: int) -> CSRMatrix:
+    """A structurally nonsymmetric operator: the ``nx x nx`` 5-point
+    Laplacian plus ``-0.5`` at diagonal offset -2 (a one-sided convection
+    term with no mirror entry) and ``+0.5`` on the diagonal."""
+    A = laplace_2d_5pt(nx)
+    n = A.nrows
+    i = np.arange(2, n)
+    rows = np.concatenate([A.row_ids(), i, np.arange(n)])
+    cols = np.concatenate([A.indices, i - 2, np.arange(n)])
+    vals = np.concatenate([A.data, np.full(n - 2, -0.5), np.full(n, 0.5)])
+    return CSRMatrix.from_coo(A.shape, rows, cols, vals)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -5,15 +5,14 @@ stacked ``diag`` (thread blocks balanced within each rank), the Fig. 4
 renumbering and ``ParCSRMatrix.from_sorted`` number their ``(rank, column)``
 keys through one dense map, and ``dist_extended_i`` runs the node kernel once
 per chunk of ranks over the block-diagonal stack of their compact blocks.
-The oracles here are the per-rank bodies: one ``HybridGSSmoother`` per rank
-merged by ``ref_merge_schedules`` (the deleted ``merge_schedules``, kept
-literally), per-rank renumbering, and one ``extended_i_interpolation`` call
+The oracles here are the per-rank bodies: one ``HybridGSSmoother`` per rank,
+its schedules built by ``test_gs_levels.ref_build_gs_schedule`` and merged by
+``ref_merge_schedules`` (the deleted ``merge_schedules``, kept literally),
+per-rank renumbering, and one ``extended_i_interpolation`` call
 per block.  Everything is compared bit for bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,12 +30,18 @@ from test_dist_setup_stacked import (
     ref_renumber_parallel,
 )
 from test_dist_stacked import sym_matrix
+from test_gs_levels import (
+    RefSchedule,
+    assert_same_schedule,
+    converted,
+    ref_build_gs_schedule,
+)
 
 import repro.dist.interp as dist_interp
 import repro.sparse.ops as ops
 from repro.amg import extended_i_interpolation, pmis, strength_matrix
 from repro.amg.interp_extended import extended_i_blocks
-from repro.amg.smoothers import GSSchedule, HybridGSSmoother
+from repro.amg.smoothers import HybridGSSmoother, block_of_rows
 from repro.amg.solveplan import SweepCounts, sweep_record
 from repro.dist import (
     ParCSRMatrix,
@@ -80,7 +85,7 @@ def ref_merge_schedules(scheds, offsets, entry_offsets):
     pos[r_order] = np.arange(len(r_order))
     row_base = np.cumsum([0] + [s.nrows for s in scheds[:-1]])
     levels = np.arange(nlev + 1)
-    return GSSchedule(
+    return RefSchedule(
         rows=cat("rows", offsets)[r_order],
         level_row_ptr=np.searchsorted(row_lvl[r_order], levels),
         e_ptr=np.searchsorted(e_lvl[e_order], levels),
@@ -103,7 +108,7 @@ def ref_pass_records(local, forward, zero_guess):
     recs = []
     order = range(len(local.groups))
     for gi in order if forward else reversed(order):
-        sched = local._schedules[(f"g{gi}", forward)]
+        sched = local._schedules[(gi, forward)]
         if sched.nrows:
             recs.append(sweep_record(
                 SweepCounts.of(sched), 0, zero_guess, kernel="gs.hybrid",
@@ -162,6 +167,14 @@ def check_gs_stack(n, cuts, kinds, cf, variant, nthreads, optimized, seed):
     offsets = part.bounds[:-1]
     entry_offsets = np.cumsum([0] + [s.A.nnz for s in local[:-1]])
 
+    def ref_schedules(s):
+        """Rank smoother *s*'s schedules, built by the reference."""
+        return {(gi, fwd): ref_build_gs_schedule(
+                    s.A, block_of_rows(s.A.nrows, s.nthreads, s.A, rows), forward=fwd)
+                for gi, rows in enumerate(s.groups) for fwd in (True, False)}
+
+    refs = [ref_schedules(s) for s in local]
+
     Ap = ParCSRMatrix.from_global(A, part)
     with silent():
         stacked = HybridGSSmoother(
@@ -170,15 +183,8 @@ def check_gs_stack(n, cuts, kinds, cf, variant, nthreads, optimized, seed):
             variant=variant, optimized=optimized, stack=part.bounds)
     assert sorted(stacked._schedules) == sorted(local[0]._schedules)
     for key, got in stacked._schedules.items():
-        want = ref_merge_schedules([s._schedules[key] for s in local],
-                                   offsets, entry_offsets)
-        for f in fields(GSSchedule):
-            g, w = getattr(got, f.name), getattr(want, f.name)
-            if isinstance(w, np.ndarray):
-                assert g.dtype == w.dtype, (key, f.name)
-                assert np.array_equal(g, w), (key, f.name)
-            else:
-                assert g == w, (key, f.name)
+        want = ref_merge_schedules([r[key] for r in refs], offsets, entry_offsets)
+        assert_same_schedule(got, converted(want, n))
 
     comm = SimComm(part.nranks)
     with phase("Setup_etc"):
@@ -204,8 +210,6 @@ class TestStackedSchedules:
                        optimized=False, seed=11)
 
     def test_block_ids_are_offset_by_rank(self):
-        from repro.amg.smoothers import block_of_rows
-
         A = sym_matrix(30, 2)
         bounds = np.array([0, 12, 12, 30])
         blk = block_of_rows(30, 4, A, stack=bounds)

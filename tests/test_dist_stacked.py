@@ -380,7 +380,7 @@ class TestStackedEqualsPerRank:
         _, _, sm = check_stack(sym_matrix(30, 4, 0.25), [0, 10, 20, 30],
                                cf=cf)
         local = ref_local_smoothers(sm.A, split(cf, sm.A.row_part), nthreads=2)
-        assert local[1]._schedules[("g0", True)].nrows == 0
+        assert local[1]._schedules[(0, True)].nrows == 0
 
     def test_node_aware_aggregated_arm(self):
         # Dense coupling between 8 small ranks: the 3-step plan wins.

@@ -47,7 +47,7 @@ class TestGSProperties:
         blk = block_of_rows(n, nblocks, A)
         x1 = rng.standard_normal(n)
         x2 = x1.copy()
-        gs_sweep(x1, b, build_gs_schedule(A, blk, forward=forward))
+        gs_sweep(A, x1, b, build_gs_schedule(A, blk, forward=forward))
         gs_sweep_reference(A, x2, b, blk, forward=forward)
         np.testing.assert_allclose(x1, x2, atol=1e-10)
 
@@ -71,8 +71,8 @@ class TestGSProperties:
 
         e0 = a_norm(x - x_star)
         for _ in range(3):
-            gs_sweep(x, b, fs)
-            gs_sweep(x, b, bs)
+            gs_sweep(A, x, b, fs)
+            gs_sweep(A, x, b, bs)
         assert a_norm(x - x_star) <= e0 * (1 + 1e-10)
 
 

@@ -1,7 +1,13 @@
 """Unit tests for the smoothers (§3.2, Fig. 2)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import convection_diffusion
+
+import repro
+from repro import dist
 
 from repro.amg import (
     HybridGSSmoother,
@@ -17,6 +23,7 @@ from repro.amg import (
 )
 from repro.perf import collect
 from repro.problems import laplace_2d_5pt, laplace_3d_7pt
+from repro.sparse import CSRMatrix
 from repro.sparse.spmv import spmv
 
 
@@ -30,7 +37,7 @@ class TestScheduleCorrectness:
         x1 = rng.standard_normal(A.nrows)
         x2 = x1.copy()
         sched = build_gs_schedule(A, blk, forward=forward)
-        gs_sweep(x1, b, sched)
+        gs_sweep(A, x1, b, sched)
         gs_sweep_reference(A, x2, b, blk, forward=forward)
         np.testing.assert_allclose(x1, x2, atol=1e-12)
 
@@ -42,9 +49,32 @@ class TestScheduleCorrectness:
         b = rng.standard_normal(A.nrows)
         x1 = rng.standard_normal(A.nrows)
         x2 = x1.copy()
-        gs_sweep(x1, b, build_gs_schedule(A, blk, forward=True))
+        gs_sweep(A, x1, b, build_gs_schedule(A, blk, forward=True))
         gs_sweep_reference(A, x2, b, blk, forward=True)
         np.testing.assert_allclose(x1, x2, atol=1e-12)
+
+    @pytest.mark.parametrize("nblocks", [1, 3, 16])
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("problem", ["convection", "random"])
+    def test_nonsymmetric_matches_sequential_reference(self, nblocks, forward,
+                                                       problem, rng):
+        """Couplings stored in one triangle only order their rows too."""
+        if problem == "convection":
+            A = convection_diffusion(9)
+        else:
+            dense = (rng.random((40, 40)) < 0.15) * rng.standard_normal((40, 40))
+            np.fill_diagonal(dense, 8.0)
+            A = CSRMatrix.from_dense(dense)
+            assert (A.to_dense() != 0).tolist() != (A.to_dense().T != 0).tolist()
+        cf = np.where(rng.random(A.nrows) < 0.4, 1, -1)
+        for rows in (None, np.flatnonzero(cf > 0)):
+            blk = block_of_rows(A.nrows, nblocks, A, rows)
+            b = rng.standard_normal(A.nrows)
+            x1 = rng.standard_normal(A.nrows)
+            x2 = x1.copy()
+            gs_sweep(A, x1, b, build_gs_schedule(A, blk, forward=forward))
+            gs_sweep_reference(A, x2, b, blk, forward=forward)
+            np.testing.assert_allclose(x1, x2, rtol=1e-13, atol=1e-13)
 
     def test_wavefront_count_one_block_2d(self):
         """Lexicographic wavefronts of the 2-D 5-point grid: one level per
@@ -65,7 +95,7 @@ class TestScheduleCorrectness:
         sched = build_gs_schedule(A, np.full(A.nrows, -1, dtype=np.int64))
         assert sched.nrows == 0
         x = np.ones(A.nrows)
-        gs_sweep(x, np.ones(A.nrows), sched)
+        gs_sweep(A, x, np.ones(A.nrows), sched)
         np.testing.assert_allclose(x, 1.0)
 
 
@@ -77,8 +107,8 @@ class TestSweeps:
         sched = build_gs_schedule(A, blk)
         x1 = np.zeros(A.nrows)
         x2 = np.zeros(A.nrows)
-        gs_sweep(x1, b, sched, zero_guess=True)
-        gs_sweep(x2, b, sched, zero_guess=False)
+        gs_sweep(A, x1, b, sched, zero_guess=True)
+        gs_sweep(A, x2, b, sched, zero_guess=False)
         np.testing.assert_allclose(x1, x2)
 
     def test_zero_guess_counts_less(self, rng):
@@ -86,9 +116,9 @@ class TestSweeps:
         b = rng.standard_normal(A.nrows)
         sched = build_gs_schedule(A, block_of_rows(A.nrows, 4, A))
         with collect() as lz:
-            gs_sweep(np.zeros(A.nrows), b, sched, zero_guess=True)
+            gs_sweep(A, np.zeros(A.nrows), b, sched, zero_guess=True)
         with collect() as ln:
-            gs_sweep(np.zeros(A.nrows), b, sched, zero_guess=False)
+            gs_sweep(A, np.zeros(A.nrows), b, sched, zero_guess=False)
         assert lz.total("bytes_total") < ln.total("bytes_total")
 
     def test_baseline_counts_branches(self, rng):
@@ -96,9 +126,9 @@ class TestSweeps:
         b = rng.standard_normal(A.nrows)
         sched = build_gs_schedule(A, block_of_rows(A.nrows, 4, A))
         with collect() as opt:
-            gs_sweep(np.zeros(A.nrows), b, sched, optimized=True)
+            gs_sweep(A, np.zeros(A.nrows), b, sched, optimized=True)
         with collect() as base:
-            gs_sweep(np.zeros(A.nrows), b, sched, optimized=False)
+            gs_sweep(A, np.zeros(A.nrows), b, sched, optimized=False)
         assert opt.total("branches") == 0
         assert base.total("branches") > 0
 
@@ -173,3 +203,46 @@ class TestSmootherObject:
         sm = HybridGSSmoother(A, nthreads=2, cf_marker=cf)
         assert len(sm.groups) == 2
         np.testing.assert_array_equal(sm.groups[0], np.flatnonzero(cf > 0))
+
+
+class TestNonsymmetricOperator:
+    """A structurally nonsymmetric operator — the case FGMRES is for —
+    converges through the facade and the distributed solver."""
+
+    def test_facade_fgmres(self):
+        A = convection_diffusion(40)
+        res = repro.solve(A, np.ones(A.nrows), method="fgmres", tol=1e-8)
+        assert res.converged
+        assert np.linalg.norm(np.ones(A.nrows) - spmv(A, res.x)) < 1e-6 * np.sqrt(A.nrows)
+
+    def test_distributed_fgmres(self):
+        from repro.bench.runner import run_distributed
+
+        run = run_distributed(convection_diffusion(48), repro.multi_node_config("ei"),
+                              2, label="convection")
+        assert run.converged
+
+
+@pytest.mark.parametrize("where, name", [
+    ("facade", "bogus"),
+    ("distributed", "bogus"),
+    ("distributed", "l1_jacobi"),
+    ("distributed", "chebyshev"),
+    ("constructor", "bogus"),
+])
+def test_unknown_smoother_names_raise_value_error(where, name):
+    A = laplace_2d_5pt(12)
+    if where == "constructor":
+        with pytest.raises(ValueError, match="known: 'hybrid', 'lex'"):
+            HybridGSSmoother(A, variant=name)
+        return
+    if where == "facade":
+        with pytest.raises(ValueError, match="known: 'hybrid_gs', 'lex'.*'chebyshev'"):
+            repro.solve(A, np.ones(A.nrows),
+                        config=replace(repro.single_node_config(), smoother=name))
+        return
+    part = dist.RowPartition.uniform(A.nrows, 2)
+    config = replace(repro.multi_node_config("ei"), smoother=name)
+    with pytest.raises(ValueError, match="known: 'hybrid_gs', 'lex', 'multicolor', 'jacobi'$"):
+        dist.dist_build_hierarchy(dist.SimComm(2), dist.ParCSRMatrix.from_global(A, part),
+                                  config)
