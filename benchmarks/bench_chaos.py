@@ -11,7 +11,9 @@ through a cache re-warm from a surviving replica, and once it is back
 Measured on the ``mixed`` preset widened to a fleet-sized key space and
 replayed as an open Poisson stream (so the crash window hits a live
 arrival process), baseline vs. the same workload under a one-crash plan,
-at 4 and 8 ranks.  Throughput is windowed on the modeled clock — a
+at 4 and 8 ranks.  The crash victim at each rank count is the rank that
+served the most requests in the no-fault run: a rank that holds no work
+displaces nothing when it dies.  Throughput is windowed on the modeled clock — a
 request *finishes* at ``arrival + latency_seconds`` — and the bench
 compares the post-recovery window (after the dead rank has re-warmed and
 rejoined) between the two runs.
@@ -49,9 +51,26 @@ SMOKE_RANKS = (4,)
 #: bench_shard.py so the two benches describe the same fleet.
 BASE = dict(replicas=2, max_batch=4, cache_entries=64, max_queue=256)
 
-#: One mid-stream crash: rank 1 dies at 6 ms and rejoins at 12 ms, while
-#: arrivals keep coming (the stream spans ~23 modeled ms at rate 4000).
-PLAN = ShardFaultPlan(seed=7, crashes=((1, 0.006, 0.012),))
+#: One mid-stream crash window: the victim dies at 6 ms and rejoins at
+#: 12 ms, while arrivals keep coming (the stream spans ~23 modeled ms at
+#: rate 4000).
+CRASH_WINDOW = (0.006, 0.012)
+PLAN_SEED = 7
+
+
+def crash_plan(victim: int) -> ShardFaultPlan:
+    """The one-crash plan with *victim* as the rank that dies."""
+    return ShardFaultPlan(seed=PLAN_SEED, crashes=((victim, *CRASH_WINDOW),))
+
+
+def busiest_rank(sharded: dict) -> int:
+    """The rank that served the most requests (lowest id on a tie).
+
+    A crash only displaces work on a rank that holds some, and which rank
+    that is depends on where the ring puts the keys at each rank count.
+    """
+    served = sharded["load_balance"]["completed_per_rank"]
+    return served.index(max(served))
 
 #: Post-recovery window start: crash end plus margin for re-warm + rejoin.
 POST_RECOVERY = 0.014
@@ -85,17 +104,23 @@ def _windowed_rate(finishes, start: float, end: float) -> float:
 
 
 def run_sweep(ranks=RANKS) -> dict:
-    """Baseline vs. chaos at each rank count; JSON-able results."""
+    """Baseline vs. chaos at each rank count; JSON-able results.
+
+    The crash victim at each rank count is the busiest rank of the
+    no-fault run.
+    """
     points = []
     for r in ranks:
         base_sh, _, base_fin = _run(r, None)
-        chaos_sh, chaos_res, chaos_fin = _run(r, PLAN)
+        victim = busiest_rank(base_sh)
+        chaos_sh, chaos_res, chaos_fin = _run(r, crash_plan(victim))
         horizon = max(base_fin[-1], chaos_fin[-1])
         base_rate = _windowed_rate(base_fin, POST_RECOVERY, horizon)
         chaos_rate = _windowed_rate(chaos_fin, POST_RECOVERY, horizon)
         faults = chaos_sh["faults"]
         points.append({
             "ranks": r,
+            "victim": victim,
             "base_makespan": base_sh["virtual_seconds"],
             "chaos_makespan": chaos_sh["virtual_seconds"],
             "post_recovery_rps_base": base_rate,
@@ -117,7 +142,8 @@ def run_sweep(ranks=RANKS) -> dict:
         })
     return {
         "workload": "mixed widened x4, 96 requests, open rate=4000/s",
-        "plan": PLAN.to_dict(),
+        "plan": {"seed": PLAN_SEED, "crash_window": list(CRASH_WINDOW),
+                 "victim": "busiest rank of the no-fault run"},
         "post_recovery_start": POST_RECOVERY,
         "config": dict(BASE),
         "points": points,
@@ -126,7 +152,7 @@ def run_sweep(ranks=RANKS) -> dict:
 
 def _report(res: dict) -> str:
     rows = [
-        (p["ranks"], round(p["chaos_makespan"] * 1e3, 3),
+        (p["ranks"], p["victim"], round(p["chaos_makespan"] * 1e3, 3),
          round(p["post_recovery_rps_base"], 1),
          round(p["post_recovery_rps_chaos"], 1),
          f"{p['post_recovery_ratio']:.3f}",
@@ -135,7 +161,8 @@ def _report(res: dict) -> str:
         for p in res["points"]
     ]
     return format_table(
-        ["ranks", "makespan ms", "post rps (base)", "post rps (chaos)",
+        ["ranks", "victim", "makespan ms", "post rps (base)",
+         "post rps (chaos)",
          "ratio", "failovers", "re-warm", "availability"],
         rows,
         title=f"Kill-and-rejoin recovery, {res['workload']}")

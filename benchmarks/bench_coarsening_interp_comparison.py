@@ -28,7 +28,7 @@ def _solve(A, **overrides):
     cfg = replace(single_node_config(nthreads=14), **overrides)
     s = AMGSolver(cfg)
     s.setup(A)
-    res = s.solve(np.ones(A.nrows), tol=1e-7, max_iter=200)
+    res = s.solve(np.ones(A.nrows), tol=1e-7, maxiter=200)
     return s, res
 
 

@@ -24,10 +24,11 @@ Commands
     and prints the fleet report instead.  ``--chaos PLAN.json`` injects
     seeded rank failures (crash/flap/slow windows) through the fault-
     tolerant router — health-tracked failover, hedged retries via
-    ``--hedge-delay``, cache re-warm on rejoin — and appends a fault
-    lifecycle section to the report.  ``--json PATH`` additionally
-    writes the deterministic metrics snapshot (bit-identical across runs
-    of the same workload and seed, with or without chaos; CI diffs it).
+    ``--hedge-delay`` (which needs the plan), cache re-warm on rejoin —
+    and appends a fault lifecycle section to the report.  ``--json PATH``
+    additionally writes the deterministic metrics snapshot (bit-identical
+    across runs of the same workload and seed, with or without chaos; CI
+    diffs it).
     Under ``--check cheap`` (or stricter) the service also records the
     ticket-lifecycle event log and runs the happens-before checker on it
     after the workload drains (see docs/analysis.md).
@@ -287,19 +288,24 @@ def cmd_serve_bench(args) -> int:
 
         plan = ShardFaultPlan.from_json_file(args.chaos)
 
-    config = ServiceConfig(
-        max_queue=args.queue, max_batch=args.k, max_wait=args.max_wait,
-        threads=args.threads, ranks=args.ranks,
-        replicas=min(args.replicas, args.ranks), shed_depth=args.shed_depth,
-        autoscale=args.autoscale, min_ranks=min(args.min_ranks, args.ranks),
-        heartbeat_interval=args.heartbeat, hedge_delay=args.hedge_delay)
     # A plain single-rank request is served by SolveService itself so the
     # report (and --json bytes) stay exactly what this command has always
     # produced; any sharded-tier feature routes through the sharded front.
-    sharded = (config.ranks > 1 or config.shed_depth is not None
-               or config.autoscale or plan is not None)
-    service = (ShardedSolveService(config, fault_plan=plan) if sharded
-               else SolveService(config))
+    sharded = (args.ranks > 1 or args.shed_depth is not None
+               or args.autoscale or plan is not None
+               or args.hedge_delay is not None)
+    try:
+        config = ServiceConfig(
+            max_queue=args.queue, max_batch=args.k, max_wait=args.max_wait,
+            threads=args.threads, ranks=args.ranks,
+            replicas=min(args.replicas, args.ranks),
+            shed_depth=args.shed_depth, autoscale=args.autoscale,
+            min_ranks=min(args.min_ranks, args.ranks),
+            heartbeat_interval=args.heartbeat, hedge_delay=args.hedge_delay)
+        service = (ShardedSolveService(config, fault_plan=plan) if sharded
+                   else SolveService(config))
+    except ValueError as exc:
+        raise SystemExit(f"serve-bench: {exc}") from None
     results = service.run_workload(build(spec))
 
     from .analysis import check_event_log, checking
@@ -463,12 +469,14 @@ def main(argv: list[str] | None = None) -> int:
                          metavar="S",
                          help="hedge interactive requests still unresolved "
                               "after S modeled seconds with one duplicate "
-                              "on another rank (default: no hedging)")
+                              "on another rank; hedges fire at heartbeat "
+                              "ticks, so this needs a non-empty --chaos "
+                              "plan (default: no hedging)")
     p_serve.add_argument("--heartbeat", type=float, default=1e-3,
                          metavar="S",
                          help="health-tracker heartbeat interval in modeled "
-                              "seconds (default 1e-3; only meaningful with "
-                              "--chaos or --hedge-delay)")
+                              "seconds (default 1e-3; heartbeats tick only "
+                              "under a non-empty --chaos plan)")
     p_serve.add_argument("--json", default=None, metavar="PATH",
                          help="write the deterministic metrics snapshot "
                               "JSON here")

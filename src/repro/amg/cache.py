@@ -32,9 +32,8 @@ The exact fingerprint is also the *coalescing key* of the solve service
 batched through one hierarchy.  :func:`repro.api.fingerprint` is the
 public spelling (it additionally coerces scipy/dense inputs).
 
-Entries are evicted LRU: the cache is bounded by ``max_entries`` (the
-legacy ``maxsize`` spelling is accepted), evictions are counted in
-``.evictions`` and logged on the ``repro.amg.cache`` logger so long-running
+Entries are evicted LRU: the cache is bounded by ``max_entries``,
+evictions are counted in ``.evictions`` and logged on the ``repro.amg.cache`` logger so long-running
 sweeps can see hierarchies being dropped.  All bookkeeping (entry map,
 pattern index, hit/miss/eviction counters) is guarded by one lock, so a
 cache shared by the service worker and submitting threads stays consistent
@@ -119,9 +118,8 @@ def fingerprint(A: CSRMatrix, config: AMGConfig | None = None) -> str:
 class HierarchyCache:
     """Bounded LRU cache of built AMG hierarchies, keyed by (matrix, config).
 
-    ``max_entries`` bounds the number of retained hierarchies (``maxsize``
-    is the legacy spelling of the same knob).  Evictions bump
-    ``.evictions`` and emit a log record on ``repro.amg.cache``.
+    ``max_entries`` bounds the number of retained hierarchies.  Evictions
+    bump ``.evictions`` and emit a log record on ``repro.amg.cache``.
 
     Two lookup tiers (see the module docstring): the exact tier keys on
     :func:`fingerprint` and returns the hierarchy untouched; the pattern
@@ -145,12 +143,7 @@ class HierarchyCache:
     threads — are never rewired to different numerics.
     """
 
-    def __init__(self, max_entries: int | None = None, *,
-                 maxsize: int | None = None) -> None:
-        if max_entries is None:
-            max_entries = 8 if maxsize is None else maxsize
-        elif maxsize is not None and maxsize != max_entries:
-            raise ValueError("pass max_entries or maxsize, not both")
+    def __init__(self, max_entries: int = 8) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
@@ -163,11 +156,6 @@ class HierarchyCache:
         self.misses = 0
         self.evictions = 0
         self.pattern_hits = 0
-
-    @property
-    def maxsize(self) -> int:
-        """Legacy alias for :attr:`max_entries`."""
-        return self.max_entries
 
     def __len__(self) -> int:
         with self._lock:

@@ -17,14 +17,14 @@ from ..config import AMGConfig
 from ..faults.guards import ResidualGuard
 from ..faults.plan import FaultEvent
 from ..perf.counters import phase
-from ..results import SolveResult, resolve_maxiter
+from ..results import SolveResult
 from ..sparse.blas1 import axpy, norm2
 from ..sparse.csr import CSRMatrix
 from ..sparse.spmv import residual
 from .cycle import cycle
 from .setup import Hierarchy, build_hierarchy
 
-__all__ = ["AMGSolver", "SolveResult", "resolve_maxiter"]
+__all__ = ["AMGSolver", "SolveResult"]
 
 
 class AMGSolver:
@@ -121,18 +121,16 @@ class AMGSolver:
         *,
         tol: float = 1e-7,
         maxiter: int | None = None,
-        max_iter: int | None = None,
         x0: np.ndarray | None = None,
         fmg_start: bool = False,
     ) -> SolveResult:
         """Iterate cycles until ``||r|| <= tol * ||b||``.
 
-        ``maxiter`` bounds the cycle count (default 500; the legacy
-        ``max_iter`` spelling is accepted too).  ``fmg_start`` seeds the
-        iteration with one full-multigrid pass (nested iteration) instead of
-        a zero guess.
+        ``maxiter`` bounds the cycle count (default 500).  ``fmg_start``
+        seeds the iteration with one full-multigrid pass (nested iteration)
+        instead of a zero guess.
         """
-        max_iter = resolve_maxiter(maxiter, max_iter, 500)
+        maxiter = 500 if maxiter is None else maxiter
         if self.hierarchy is None:
             raise RuntimeError("call setup() first")
         h = self.hierarchy
@@ -165,7 +163,7 @@ class AMGSolver:
         events: list[FaultEvent] = []
         reason = None
         guard = ResidualGuard(ref)
-        for it in range(1, max_iter + 1):
+        for it in range(1, maxiter + 1):
             corr = cycle(h, r, self.config.cycle_type)
             with phase("BLAS1"):
                 axpy(1.0, corr, x)
@@ -190,7 +188,6 @@ class AMGSolver:
         *,
         tol: float = 1e-7,
         maxiter: int | None = None,
-        max_iter: int | None = None,
         x0: np.ndarray | None = None,
     ) -> list[SolveResult]:
         """Solve ``A x_j = B[:, j]`` for all *k* columns with batched cycles.
@@ -212,7 +209,7 @@ class AMGSolver:
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2:
             raise ValueError(f"expected a 2-D (n, k) block, got shape {B.shape}")
-        max_iter = resolve_maxiter(maxiter, max_iter, 500)
+        maxiter = 500 if maxiter is None else maxiter
         h = self.hierarchy
         n, k = B.shape
         if k == 0:
@@ -245,7 +242,7 @@ class AMGSolver:
         active = np.flatnonzero(~converged & ~failed)
         guards = [ResidualGuard(ref[j]) for j in range(k)]
 
-        for _ in range(max_iter):
+        for _ in range(maxiter):
             if len(active) == 0:
                 break
             corr = cycle(h, R[:, active], self.config.cycle_type)

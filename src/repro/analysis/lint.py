@@ -29,12 +29,6 @@ linters cannot see:
     (borrow) array references, so mutating a borrowed array corrupts the
     lender.  Kernels must copy first (``indptr.copy()``) or build fresh
     arrays.
-``use-config-objects``
-    Library code must configure the serving tier through
-    :class:`~repro.serve.service.ServiceConfig` — constructing a
-    ``SolveService`` / ``ShardedSolveService`` with the deprecated
-    per-field keywords (``max_batch=...``, ``ranks=...``) is flagged.
-    The keywords only exist as a migration shim for external callers.
 ``no-count-in-hot-loop``
     No per-iteration performance counting in the compute tree: a
     ``count(...)`` call lexically inside a ``for``/``while`` body under
@@ -76,36 +70,12 @@ RULES = (
     "seeded-random",
     "no-bare-except",
     "no-borrowed-mutation",
-    "use-config-objects",
     "no-count-in-hot-loop",
     "lockset",
 )
 
 #: Path fragments of the compute tree scanned by ``no-count-in-hot-loop``.
 _HOT_TREES = ("repro/sparse/", "repro/amg/", "repro/dist/")
-
-#: Service classes whose constructors carry the deprecated per-field
-#: keyword shim (see ``repro.serve.service.resolve_service_config``).
-_SERVICE_CLASSES = {"SolveService", "ShardedSolveService"}
-
-
-def _service_config_fields() -> frozenset[str]:
-    """``ServiceConfig`` field names — the deprecated constructor keywords.
-
-    Introspected from the dataclass itself so the list can never drift
-    from :class:`~repro.serve.service.ServiceConfig` (it used to be a
-    hand-maintained literal); ``tests/test_shard.py`` keeps the pinning
-    test as a guard.  The *scanned* trees are still pure AST — only the
-    lint module's own import pulls in ``repro.serve``.
-    """
-    from dataclasses import fields
-
-    from ..serve.service import ServiceConfig
-
-    return frozenset(f.name for f in fields(ServiceConfig))
-
-
-SERVICE_CONFIG_FIELDS = _service_config_fields()
 
 #: Modules whose public module-level functions are instrumented kernels
 #: (matched as path suffixes, POSIX separators).
@@ -245,18 +215,6 @@ def _scan_simple_rules(tree: ast.Module, path: str) -> list[LintFinding]:
                     "seeded-random", path, node.lineno, symbol(),
                     f"np.random.{attr} uses unseeded module-global state; "
                     f"use a seeded np.random.default_rng(seed)"))
-            name = _call_target_names(node)
-            if name in _SERVICE_CLASSES:
-                legacy = sorted(
-                    kw.arg for kw in node.keywords
-                    if kw.arg in SERVICE_CONFIG_FIELDS)
-                if legacy:
-                    findings.append(LintFinding(
-                        "use-config-objects", path, node.lineno, symbol(),
-                        f"{name}({', '.join(legacy)}=...) bypasses "
-                        f"ServiceConfig; the per-field keywords are a "
-                        f"deprecated shim — pass "
-                        f"{name}(ServiceConfig({legacy[0]}=...))"))
         if func_params:
             _scan_borrowed_mutation(node, path, symbol(), func_params[-1],
                                     findings)

@@ -114,7 +114,7 @@ def run_single_node(
     label: str,
     gpu: bool = False,
     tol: float = 1e-7,
-    max_iter: int = 400,
+    maxiter: int = 400,
     seed: int = 7,
     name: str = "",
 ) -> SingleNodeResult:
@@ -125,7 +125,7 @@ def run_single_node(
     with collect() as setup_log:
         solver.setup(A)
     with collect() as solve_log:
-        res = solver.solve(b, tol=tol, max_iter=max_iter)
+        res = solver.solve(b, tol=tol, maxiter=maxiter)
     setup_t, _ = _split_phases(machine.phase_times(setup_log))
     _, solve_t = _split_phases(machine.phase_times(solve_log))
     return SingleNodeResult(
@@ -226,7 +226,7 @@ def run_distributed(
     tol: float = 1e-7,
     outer: str = "fgmres",
     seed: int = 7,
-    max_iter: int = 300,
+    maxiter: int = 300,
     network_scale: float | None = None,
     ppn: int | None = None,
 ) -> DistRunResult:
@@ -275,9 +275,9 @@ def run_distributed(
 
     if outer == "fgmres":
         res = dist_fgmres(comm, Ap, bp, precondition=solver.precondition,
-                          tol=tol, max_iter=max_iter)
+                          tol=tol, maxiter=maxiter)
     else:
-        res = solver.solve(bp, tol=tol, max_iter=max_iter)
+        res = solver.solve(bp, tol=tol, maxiter=maxiter)
 
     solve_logs = []
     for p, log in enumerate(comm.rank_logs):

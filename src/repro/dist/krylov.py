@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from ..krylov.cg import pcg_solve
 from ..krylov.gmres import fgmres_solve
 from ..perf.counters import phase
-from ..results import DistSolveResult, resolve_maxiter
+from ..results import DistSolveResult
 from .comm import SimComm
 from .halo import build_halo
 from .parcsr import ParCSRMatrix, ParVector
@@ -102,11 +102,10 @@ def dist_pcg(
     halo=None,
     tol: float = 1e-7,
     maxiter: int | None = None,
-    max_iter: int | None = None,
 ) -> DistSolveResult:
     """Distributed PCG for SPD ParCSR systems, from ``x = 0``."""
     return pcg_solve(ParSpace(comm, A, precondition, halo), b, tol=tol,
-                     maxiter=resolve_maxiter(maxiter, max_iter, 1000))
+                     maxiter=1000 if maxiter is None else maxiter)
 
 
 def dist_fgmres(
@@ -118,11 +117,10 @@ def dist_fgmres(
     halo=None,
     tol: float = 1e-7,
     maxiter: int | None = None,
-    max_iter: int | None = None,
     restart: int = 50,
 ) -> DistSolveResult:
     """Distributed Flexible GMRES (right-preconditioned, MGS + Givens),
     from ``x = 0``."""
     return fgmres_solve(ParSpace(comm, A, precondition, halo), b, tol=tol,
-                        maxiter=resolve_maxiter(maxiter, max_iter, 200),
+                        maxiter=200 if maxiter is None else maxiter,
                         restart=restart)

@@ -27,7 +27,7 @@ from ..config import AMGConfig
 from ..faults.guards import ResidualGuard
 from ..faults.plan import FaultEvent
 from ..perf.counters import phase
-from ..results import DistSolveResult, resolve_maxiter
+from ..results import DistSolveResult
 from .comm import SimComm
 from .parcsr import ParCSRMatrix, ParVector
 from .setup import DistHierarchy, dist_build_hierarchy
@@ -135,7 +135,6 @@ class DistAMGSolver:
         *,
         tol: float = 1e-7,
         maxiter: int | None = None,
-        max_iter: int | None = None,
         checkpoint_every: int = 5,
         max_restarts: int = 32,
     ) -> DistSolveResult:
@@ -150,7 +149,7 @@ class DistAMGSolver:
         """
         from ..faults.comm import CommFault
 
-        max_iter = resolve_maxiter(maxiter, max_iter, 300)
+        maxiter = 300 if maxiter is None else maxiter
         h = self.hierarchy
         comm = self.comm
         lvl0 = h.levels[0]
@@ -200,7 +199,7 @@ class DistAMGSolver:
 
         ckpt_it, ckpt_x, ckpt_res = 0, x.copy(), list(residuals)
         it = 0
-        while it < max_iter:
+        while it < maxiter:
             try:
                 if r is None:  # re-derive the residual after a rollback
                     r, _ = dist_residual_norm(comm, lvl0.A, x, b, lvl0.halo,
@@ -248,4 +247,4 @@ class DistAMGSolver:
                               reason=f"{verdict} at iteration {it}")
             if faulty and checkpoint_every > 0 and it % checkpoint_every == 0:
                 ckpt_it, ckpt_x, ckpt_res = it, x.copy(), list(residuals)
-        return result(x, max_iter, residuals, False)
+        return result(x, maxiter, residuals, False)

@@ -17,7 +17,7 @@ from collections.abc import Callable
 import numpy as np
 
 from ..perf.counters import phase
-from ..results import KrylovResult, resolve_maxiter
+from ..results import KrylovResult
 from ..sparse.csr import CSRMatrix
 from .space import Columns, NodeSpace
 
@@ -100,10 +100,9 @@ def bicgstab(
     x0: np.ndarray | None = None,
     tol: float = 1e-7,
     maxiter: int | None = None,
-    max_iter: int | None = None,
 ) -> KrylovResult:
     """Right-preconditioned BiCGStab."""
     b = np.asarray(b, dtype=np.float64)
     x0 = np.zeros(len(b)) if x0 is None else np.asarray(x0, dtype=np.float64)
     return bicgstab_solve(NodeSpace(A, precondition), b, x0=x0, tol=tol,
-                          maxiter=resolve_maxiter(maxiter, max_iter, 1000))
+                          maxiter=1000 if maxiter is None else maxiter)

@@ -19,7 +19,7 @@ from collections.abc import Callable
 import numpy as np
 
 from ..perf.counters import phase
-from ..results import KrylovResult, resolve_maxiter
+from ..results import KrylovResult
 from ..sparse.csr import CSRMatrix
 from .space import Columns, NodeSpace, columnwise
 
@@ -84,13 +84,12 @@ def pcg(
     x0: np.ndarray | None = None,
     tol: float = 1e-7,
     maxiter: int | None = None,
-    max_iter: int | None = None,
 ) -> KrylovResult:
     """Preconditioned CG for SPD systems."""
     b = np.asarray(b, dtype=np.float64)
     x0 = np.zeros(len(b)) if x0 is None else np.asarray(x0, dtype=np.float64)
     return pcg_solve(NodeSpace(A, precondition), b, x0=x0, tol=tol,
-                     maxiter=resolve_maxiter(maxiter, max_iter, 1000))
+                     maxiter=1000 if maxiter is None else maxiter)
 
 
 def pcg_multi(
@@ -104,7 +103,6 @@ def pcg_multi(
     x0: np.ndarray | None = None,
     tol: float = 1e-7,
     maxiter: int | None = None,
-    max_iter: int | None = None,
 ) -> list[KrylovResult]:
     """Blocked PCG over an ``(n, k)`` block of right-hand sides.
 
@@ -126,4 +124,4 @@ def pcg_multi(
         else columnwise(precondition)
     x0 = np.zeros(B.shape) if x0 is None else np.asarray(x0, dtype=np.float64)
     return pcg_solve(NodeSpace(A, M), B, x0=x0, tol=tol,
-                     maxiter=resolve_maxiter(maxiter, max_iter, 1000))
+                     maxiter=1000 if maxiter is None else maxiter)

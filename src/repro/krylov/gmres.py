@@ -20,7 +20,7 @@ from collections.abc import Callable
 import numpy as np
 
 from ..perf.counters import phase
-from ..results import KrylovResult, resolve_maxiter
+from ..results import KrylovResult
 from ..sparse.csr import CSRMatrix
 from .space import Columns, NodeSpace, columnwise
 
@@ -134,14 +134,13 @@ def fgmres(
     x0: np.ndarray | None = None,
     tol: float = 1e-7,
     maxiter: int | None = None,
-    max_iter: int | None = None,
     restart: int = 50,
 ) -> KrylovResult:
     """Flexible GMRES with a (possibly varying) right preconditioner."""
     b = np.asarray(b, dtype=np.float64)
     x0 = np.zeros(len(b)) if x0 is None else np.asarray(x0, dtype=np.float64)
     return fgmres_solve(NodeSpace(A, precondition), b, x0=x0, tol=tol,
-                        maxiter=resolve_maxiter(maxiter, max_iter, 200),
+                        maxiter=200 if maxiter is None else maxiter,
                         restart=restart)
 
 
@@ -152,12 +151,11 @@ def gmres(
     x0: np.ndarray | None = None,
     tol: float = 1e-7,
     maxiter: int | None = None,
-    max_iter: int | None = None,
     restart: int = 50,
 ) -> KrylovResult:
     """Plain (unpreconditioned) restarted GMRES — the Krylov baseline whose
     iteration growth with problem size motivates AMG (§1)."""
-    return fgmres(A, b, x0=x0, tol=tol, maxiter=maxiter, max_iter=max_iter,
+    return fgmres(A, b, x0=x0, tol=tol, maxiter=maxiter,
                   restart=restart)
 
 
@@ -169,7 +167,6 @@ def fgmres_multi(
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
     tol: float = 1e-7,
     maxiter: int | None = None,
-    max_iter: int | None = None,
     restart: int = 50,
 ) -> list[KrylovResult]:
     """Flexible GMRES over an ``(n, k)`` block of right-hand sides.
@@ -194,5 +191,5 @@ def fgmres_multi(
     M = precondition_multi if precondition_multi is not None \
         else columnwise(precondition)
     return fgmres_solve(NodeSpace(A, M), B, tol=tol,
-                        maxiter=resolve_maxiter(maxiter, max_iter, 200),
+                        maxiter=200 if maxiter is None else maxiter,
                         restart=restart)

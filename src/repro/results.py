@@ -24,23 +24,7 @@ from typing import Any
 import numpy as np
 
 __all__ = ["SolveResult", "KrylovResult", "DistSolveResult", "ServiceResult",
-           "SERVICE_STATUSES", "resolve_maxiter"]
-
-
-def resolve_maxiter(maxiter: int | None, max_iter: int | None, default: int) -> int:
-    """Resolve the ``maxiter`` / legacy ``max_iter`` keyword pair.
-
-    Every solver accepts both spellings (``maxiter`` is the unified API
-    name; ``max_iter`` predates it).  Passing both with different values is
-    an error.
-    """
-    if maxiter is not None and max_iter is not None and maxiter != max_iter:
-        raise TypeError("pass either maxiter or max_iter, not both")
-    if maxiter is not None:
-        return maxiter
-    if max_iter is not None:
-        return max_iter
-    return default
+           "SERVICE_STATUSES"]
 
 
 @dataclass

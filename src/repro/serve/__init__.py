@@ -30,7 +30,7 @@ from .health import HealthTracker, RankHealth
 from .metrics import Histogram, ServiceMetrics, ShardMetrics
 from .queue import AdmissionQueue
 from .request import PRIORITIES, Request, Ticket, priority_rank
-from .service import ServiceConfig, SolveService, resolve_service_config
+from .service import ServiceConfig, SolveService
 from .shard import HashRing, ShardedSolveService, ShardTicket
 from .workload import (
     NAMED_WORKLOADS,
@@ -57,7 +57,6 @@ __all__ = [
     "priority_rank",
     "ServiceConfig",
     "SolveService",
-    "resolve_service_config",
     "HashRing",
     "ShardTicket",
     "ShardedSolveService",

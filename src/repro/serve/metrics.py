@@ -24,6 +24,7 @@ import json
 
 from ..perf.counters import PerfLog
 from ..perf.machine import MachineModel
+from .health import HealthTracker
 
 __all__ = ["Histogram", "ServiceMetrics", "ShardMetrics"]
 
@@ -375,15 +376,17 @@ class ShardMetrics:
     # -- reporting ---------------------------------------------------------
     def snapshot(self, *, per_rank: list[dict], virtual_seconds: float,
                  active_ranks: int, replicas: int,
-                 faults: dict | None = None) -> dict:
+                 health: HealthTracker | None = None) -> dict:
         """Aggregated sharded report over the per-rank service snapshots.
 
         ``per_rank`` is one :meth:`ServiceMetrics.snapshot` per configured
         rank (index = rank id); ``virtual_seconds`` the makespan (the
         busiest rank's clock); ``active_ranks`` the autoscaler's current
-        worker count.  ``faults`` is a :meth:`faults_snapshot` and is
-        emitted only when given — a report without a fault plan stays
-        byte-identical to one produced before the fault lifecycle existed.
+        worker count.  ``health`` is the fault lifecycle's tracker; the
+        ``faults`` section (:meth:`faults_snapshot` at ``virtual_seconds``)
+        is emitted only when it is given — a report without a fault plan
+        stays byte-identical to one produced before the fault lifecycle
+        existed.
         """
         agg: dict[str, int] = {}
         for snap in per_rank:
@@ -438,11 +441,7 @@ class ShardMetrics:
             },
             "ranks": per_rank,
         }
-        if faults is not None:
-            out["sharded"]["faults"] = faults
+        if health is not None:
+            out["sharded"]["faults"] = self.faults_snapshot(
+                health.snapshot(virtual_seconds))
         return out
-
-    def to_json(self, **snapshot_kwargs) -> str:
-        """Deterministic JSON serialization of :meth:`snapshot`."""
-        return json.dumps(self.snapshot(**snapshot_kwargs), indent=2,
-                          sort_keys=True)

@@ -38,8 +38,7 @@ per column, PR 2).
 from __future__ import annotations
 
 import threading
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from .queue import AdmissionQueue
 from .request import Request, Ticket, priority_rank
 from .workload import Workload
 
-__all__ = ["ServiceConfig", "SolveService", "resolve_service_config"]
+__all__ = ["ServiceConfig", "SolveService"]
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,8 @@ class ServiceConfig:
     The first block configures one service rank (admission, coalescing,
     machine model); the second configures the sharded tier
     (:class:`~repro.serve.shard.ShardedSolveService`) and is ignored by a
-    plain single-rank :class:`SolveService`.  Constructor keywords on the
-    service classes that duplicate these fields are deprecated — pass a
-    ``ServiceConfig`` (the ``use-config-objects`` lint rule enforces this
-    for library code).
+    plain single-rank :class:`SolveService`.  The service classes take
+    this object and no per-field constructor keywords.
     """
 
     #: Admission-queue capacity; submits beyond it are rejected.
@@ -127,7 +124,9 @@ class ServiceConfig:
     #: Hedged requests: after this many modeled seconds without a result,
     #: an ``interactive`` request is duplicated to one replica and the
     #: first copy to finish wins (``None`` disables hedging).  Hedges fire
-    #: at heartbeat-tick granularity to keep the schedule deterministic.
+    #: at the fault lifecycle's heartbeat ticks to keep the schedule
+    #: deterministic, so the sharded tier accepts this only together with
+    #: a non-empty ``ShardFaultPlan``.
     hedge_delay: float | None = None
     #: Cache re-warm breadth: a rejoining rank replays this many of the
     #: hottest pattern fingerprints from a surviving replica before it
@@ -171,37 +170,6 @@ class ServiceConfig:
             raise ValueError("rewarm_top_k must be >= 0")
 
 
-#: ServiceConfig field names — the keywords the deprecation shim accepts.
-_CONFIG_FIELDS = frozenset(f.name for f in fields(ServiceConfig))
-
-
-def resolve_service_config(config: ServiceConfig | None, legacy: dict,
-                           cls_name: str) -> ServiceConfig:
-    """Fold deprecated per-field constructor keywords into a ServiceConfig.
-
-    ``SolveService(max_batch=8)``-style calls keep working but emit a
-    :class:`DeprecationWarning`; mixing a config object with legacy
-    keywords is an error (two sources of truth).  New call sites must pass
-    ``ServiceConfig`` — the ``use-config-objects`` lint rule rejects the
-    legacy spelling in library code.
-    """
-    if not legacy:
-        return config if config is not None else ServiceConfig()
-    unknown = sorted(set(legacy) - _CONFIG_FIELDS)
-    if unknown:
-        raise TypeError(
-            f"{cls_name}() got unexpected keyword argument(s) {unknown}")
-    if config is not None:
-        raise TypeError(
-            f"pass {cls_name} a ServiceConfig or the legacy keyword(s) "
-            f"{sorted(legacy)}, not both")
-    warnings.warn(
-        f"{cls_name}({', '.join(sorted(legacy))}=...) is deprecated; pass "
-        f"{cls_name}(ServiceConfig(...)) instead",
-        DeprecationWarning, stacklevel=3)
-    return ServiceConfig(**legacy)
-
-
 class SolveService:
     """Admission-controlled, micro-batching front end over ``repro.api``.
 
@@ -222,9 +190,8 @@ class SolveService:
     def __init__(self, config: ServiceConfig | None = None, *,
                  amg_config: AMGConfig | None = None,
                  machine: MachineModel | None = None,
-                 cache: HierarchyCache | None = None,
-                 **legacy) -> None:
-        self.config = resolve_service_config(config, legacy, "SolveService")
+                 cache: HierarchyCache | None = None) -> None:
+        self.config = config if config is not None else ServiceConfig()
         self.amg_config = amg_config or single_node_config(
             nthreads=self.config.threads)
         self.machine = machine or HaswellModel(threads=self.config.threads)

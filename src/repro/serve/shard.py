@@ -59,10 +59,17 @@ exception.  When the plan lets the rank breathe again it turns
 rejoins the ring.  With ``hedge_delay`` set, an ``interactive`` request
 still unresolved one hedge delay after arrival is duplicated to one
 replica at the next heartbeat tick; the first copy to finish wins and the
-loser is cancelled, freeing its queue slot.  Every fault-path quantity
-lands in a ``faults`` section of the metrics snapshot — emitted *only*
-when the lifecycle is active, so the no-fault snapshot stays byte-for-byte
-what it was without a plan.
+loser is cancelled, freeing its queue slot.  Hedges fire at heartbeat
+ticks, so ``hedge_delay`` without a non-empty plan is rejected.  Every
+fault-path quantity lands in a ``faults`` section of the metrics snapshot
+— emitted *only* when the lifecycle is active, so the no-fault snapshot
+stays byte-for-byte what it was without a plan.
+
+**One router.**  The fault-free fleet runs the lifecycle's own route,
+forward, deliver and cancel code; its lifecycle state (redirects, hedges,
+router-resolved failures) simply stays empty.  Only scheduling differs:
+heartbeats tick, and a waiting ``result`` drives the whole fleet, only
+under a plan.
 
 Everything runs on the same virtual clock as the single-rank service:
 identical seed + workload + config give bit-identical routing, results,
@@ -75,6 +82,7 @@ cost and the workload is replayed through the same clairvoyant path.
 from __future__ import annotations
 
 import hashlib
+import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 
@@ -88,7 +96,7 @@ from ..results import ServiceResult
 from .health import DOWN, REJOINING, UP, HealthTracker
 from .metrics import ShardMetrics
 from .request import Ticket
-from .service import ServiceConfig, SolveService, resolve_service_config
+from .service import ServiceConfig, SolveService
 from .workload import Workload
 
 __all__ = ["HashRing", "ShardTicket", "ShardedSolveService"]
@@ -199,20 +207,22 @@ class ShardedSolveService:
         res = svc.result(t)             # res.rank / res.home_rank / net_seconds
         print(svc.metrics_json())       # sharded + per-rank report
 
-    The constructor accepts the same deprecated per-field keywords as
-    :class:`~repro.serve.service.SolveService` (shimmed through
-    :func:`~repro.serve.service.resolve_service_config`).  All ranks share
-    one ``ServiceConfig`` and one AMG config, so a fingerprint computed on
-    any rank is valid on every rank.
+    All ranks share one ``ServiceConfig`` and one AMG config, so a
+    fingerprint computed on any rank is valid on every rank.
+
+    There is one router.  Every dispatched copy of a request — the first
+    forward, a failover re-forward, a hedge duplicate — goes through
+    :meth:`_forward`, which writes its route record, and every ticket is
+    redeemed through :meth:`_deliver`.  Without a fault plan the lifecycle
+    state (redirects, hedges, router-resolved failures) stays empty; only
+    scheduling tells the two apart.
     """
 
     def __init__(self, config: ServiceConfig | None = None, *,
                  amg_config: AMGConfig | None = None,
                  network: NetworkModel | None = None,
-                 fault_plan: ShardFaultPlan | None = None,
-                 **legacy) -> None:
-        self.config = resolve_service_config(config, legacy,
-                                             "ShardedSolveService")
+                 fault_plan: ShardFaultPlan | None = None) -> None:
+        self.config = config if config is not None else ServiceConfig()
         self.amg_config = amg_config or single_node_config(
             nthreads=self.config.threads)
         self.network = network or FDRInfinibandModel()
@@ -235,15 +245,22 @@ class ShardedSolveService:
         #: Active rank ids, always a prefix ``range(k)`` of the fleet.
         self._active = list(range(start))
         self.ring = HashRing(self._active, vnodes=self.config.ring_vnodes)
-        #: (rank, local id) -> route record for result wrapping.
+        #: (rank, local id) -> route record of every dispatched copy:
+        #: ``home``, ``rank``, ``origin`` (the ticket's own route key),
+        #: ``n``, ``nnz``, ``key``, ``req``, ``net`` (network seconds
+        #: charged so far), ``retries``, ``failovers``, ``local_arrival``
+        #: (arrival at the serving rank); ``exact`` once the operator is
+        #: fingerprinted for a forward.
         self._routes: dict[tuple[int, int], dict] = {}
         self._wrapped: dict[tuple[int, int], ServiceResult] = {}
         #: (rank, exact fingerprint) pairs whose operator already crossed
         #: the wire to that rank — later forwards ship only the vector.
         self._shipped: set[tuple[int, str]] = set()
-        #: Router-resolved (shed / fleet-down) results, by shard-level id.
-        self._shed_results: dict[int, ServiceResult] = {}
-        self._next_shed_id = 0
+        #: Results the router resolved itself, by route key: shed and
+        #: no-routable-rank submits under ``(-1, shard-level id)``,
+        #: exhausted failovers under their origin.
+        self._router_results: dict[tuple[int, int], ServiceResult] = {}
+        self._next_router_id = 0
         # -- fault lifecycle (active only under a non-empty fault plan) ----
         self._plan = fault_plan
         chaos = fault_plan is not None and not fault_plan.is_empty
@@ -252,9 +269,12 @@ class ShardedSolveService:
                 "autoscale and a non-empty ShardFaultPlan cannot be "
                 "combined: the autoscaler and the failure lifecycle would "
                 "both edit ring membership")
-        #: Health tracker; ``None`` means the fault lifecycle is inactive
-        #: and every chaos path below is skipped (the no-fault scheduler
-        #: stays bit-identical to running without a plan).
+        if self.config.hedge_delay is not None and not chaos:
+            raise ValueError(
+                "hedge_delay needs a non-empty ShardFaultPlan: hedges fire "
+                "at the fault lifecycle's heartbeat ticks")
+        #: Health tracker; ``None`` means the fault lifecycle is inactive:
+        #: no heartbeats tick and the lifecycle maps below stay empty.
         self._tracker = HealthTracker(
             fault_plan, self.config.ranks,
             interval=self.config.heartbeat_interval,
@@ -262,8 +282,6 @@ class ShardedSolveService:
             down_after=self.config.down_after) if chaos else None
         #: Origin route key -> latest (rank, local id) after failovers.
         self._redirects: dict[tuple[int, int], tuple[int, int]] = {}
-        #: Origin route key -> terminal router result (exhausted retries).
-        self._router_results: dict[tuple[int, int], ServiceResult] = {}
         #: Pattern key -> routed-request count (re-warm heat ranking).
         self._pattern_traffic: dict[str, int] = {}
         #: Origin route key -> {"deadline", "fired", "dup"} hedge registry.
@@ -304,90 +322,68 @@ class ShardedSolveService:
         cfg = config or self.amg_config
         if self.config.autoscale:
             self._autoscale(t)
-        chaos = self._tracker is not None
+        members = self.ring.members
         try:
             A_csr = _validate_operator(as_csr(A))
             _as_rhs(b, A_csr.nrows)
         except (TypeError, ValueError) as exc:
-            if chaos and not self.ring.members:
+            if not members:
                 return self._router_fail(
                     f"rejected: invalid request: {exc} (no routable ranks)",
                     priority, status="rejected")
             # Un-routable request: any rank produces the canonical
             # structured rejection.  Charged nowhere on the network.
-            rank = self.ring.members[0] if chaos else self._active[0]
+            rank = members[0]
             ticket = self.services[rank].submit(
                 A, b, config=cfg, method=method, tol=tol, maxiter=maxiter,
                 priority=priority, timeout=timeout, arrival=t)
-            rec = {"home": rank, "rank": rank, "forward_seconds": 0.0,
-                   "n": 0}
-            if chaos:
-                rec.update(origin=(rank, ticket.id), net=0.0, retries=0,
-                           failovers=0, original_rank=rank, local_arrival=t)
-            self._routes[(rank, ticket.id)] = rec
+            origin = (rank, ticket.id)
+            self._routes[origin] = {
+                "home": rank, "rank": rank, "origin": origin, "n": 0,
+                "net": 0.0, "retries": 0, "failovers": 0,
+                "local_arrival": t}
             self.events.record("router", "route", time=t, ticket=ticket.id,
                                rank=rank, detail="invalid")
             self.shard_metrics.record_route(forwarded=False)
             return ShardTicket(ticket.id, rank, rank)
 
         key = self.services[0].cache.pattern_key(A_csr, cfg)
-        if chaos:
-            self._pattern_traffic[key] = self._pattern_traffic.get(key, 0) + 1
-            if not self.ring.members:
-                return self._router_fail(
-                    "failed: no routable ranks (every service rank is down)",
-                    priority, status="failed")
+        self._pattern_traffic[key] = self._pattern_traffic.get(key, 0) + 1
+        if not members:
+            return self._router_fail(
+                "failed: no routable ranks (every service rank is down)",
+                priority, status="failed")
         candidates = self.ring.successors(
-            key, min(self.config.replicas, len(self.ring.members)))
+            key, min(self.config.replicas, len(members)))
         home = candidates[0]
-        depths = self.queue_depths()
+        if self.config.shed_depth is not None:
+            depths = self.queue_depths()
+            if all(depths[c] >= self.config.shed_depth for c in candidates):
+                return self._shed(candidates, depths, priority)
 
-        if (self.config.shed_depth is not None
-                and all(depths[c] >= self.config.shed_depth
-                        for c in candidates)):
-            return self._shed(candidates, depths, priority)
-
-        rank = self._pick_rank(key, A_csr.nnz, candidates)
-        fwd_seconds = 0.0
-        fwd_bytes = 0
-        shipped = False
-        exact = fingerprint(A_csr, cfg) if chaos else None
-        if rank != home:
-            if exact is None:
-                exact = fingerprint(A_csr, cfg)
-            fwd_bytes, fwd_seconds, shipped = self._ship_charge(
-                rank, A_csr.nrows, A_csr.nnz, exact)
+        rpri = priority or self.config.default_priority
+        rec = {"home": home, "n": A_csr.nrows, "nnz": A_csr.nnz, "key": key,
+               "retries": 0, "failovers": 0,
+               "req": dict(A=A_csr, b=b, config=cfg, method=method, tol=tol,
+                           maxiter=maxiter, priority=rpri, timeout=timeout)}
+        origin, nbytes, seconds, shipped = self._forward(
+            rec, candidates, t, free=home)
+        rank = origin[0]
         self.shard_metrics.record_route(
-            forwarded=rank != home, forward_bytes=fwd_bytes,
-            forward_seconds=fwd_seconds, shipped=shipped)
-        ticket = self.services[rank].submit(
-            A_csr, b, config=cfg, method=method, tol=tol, maxiter=maxiter,
-            priority=priority, timeout=timeout, arrival=t + fwd_seconds)
-        rec = {"home": home, "rank": rank, "forward_seconds": fwd_seconds,
-               "n": A_csr.nrows}
-        if chaos:
-            rpri = priority or self.config.default_priority
-            rec.update(
-                origin=(rank, ticket.id),
-                req=dict(A=A_csr, b=b, config=cfg, method=method, tol=tol,
-                         maxiter=maxiter, priority=rpri, timeout=timeout),
-                key=key, exact=exact, nnz=A_csr.nnz, net=fwd_seconds,
-                retries=0, failovers=0, original_rank=rank,
-                local_arrival=t + fwd_seconds)
-            if (self.config.hedge_delay is not None
-                    and rpri == "interactive"
-                    and len(self.ring.members) > 1):
-                self._pending_hedges[(rank, ticket.id)] = {
-                    "deadline": t + self.config.hedge_delay,
-                    "fired": False, "dup": None}
-        self._routes[(rank, ticket.id)] = rec
-        self.events.record("router", "route", time=t, ticket=ticket.id,
+            forwarded=rank != home, forward_bytes=nbytes,
+            forward_seconds=seconds, shipped=shipped)
+        if (self.config.hedge_delay is not None and rpri == "interactive"
+                and len(members) > 1):
+            self._pending_hedges[origin] = {
+                "deadline": t + self.config.hedge_delay,
+                "fired": False, "dup": None}
+        self.events.record("router", "route", time=t, ticket=origin[1],
                            rank=rank, detail=f"home=rank{home}")
         if rank != home:
             self.events.record("router", "forward", time=t,
-                               ticket=ticket.id, rank=rank,
+                               ticket=origin[1], rank=rank,
                                detail=f"off-home from rank{home}")
-        return ShardTicket(ticket.id, rank, home)
+        return ShardTicket(origin[1], rank, home)
 
     def _pick_rank(self, key: str, nnz: int, candidates: list[int]) -> int:
         """Best-scored candidate for a request of *nnz* work on *key*.
@@ -409,59 +405,97 @@ class ShardedSolveService:
 
         return min(candidates, key=score)
 
-    def _ship_charge(self, rank: int, n: int, nnz: int,
-                     exact: str) -> tuple[int, float, bool]:
-        """Wire cost of forwarding a request to *rank*.
+    def _forward(self, rec: dict, candidates: list[int], depart: float, *,
+                 net: float = 0.0, free: int | None = None,
+                 **changes) -> tuple[tuple[int, int], int, float, bool]:
+        """Dispatch one copy of *rec*'s request to the best of *candidates*.
+
+        The hop leaving at *depart* is charged through the network model
+        unless the pick is *free* (the home rank, on a first dispatch); the
+        copy arrives at its rank after the hop.  Its route record is *rec*
+        with the serving rank, ``net`` (*net* carried before this hop plus
+        the hop), the arrival and *changes*; the first dispatch of a ticket
+        is its ``origin``.  Returns ``(route key, hop bytes, hop seconds,
+        operator shipped)``.
+        """
+        target = self._pick_rank(rec["key"], rec["nnz"], candidates)
+        nbytes, seconds, shipped = ((0, 0.0, False) if target == free
+                                    else self._ship_charge(target, rec))
+        arrival = depart + seconds
+        req = rec["req"]
+        ticket = self.services[target].submit(
+            req["A"], req["b"], config=req["config"], method=req["method"],
+            tol=req["tol"], maxiter=req["maxiter"], priority=req["priority"],
+            timeout=req["timeout"], arrival=arrival)
+        route_key = (target, ticket.id)
+        route = dict(rec, rank=target, net=net + seconds,
+                     local_arrival=arrival, **changes)
+        route.setdefault("origin", route_key)
+        self._routes[route_key] = route
+        return route_key, nbytes, seconds, shipped
+
+    def _ship_charge(self, rank: int, rec: dict) -> tuple[int, float, bool]:
+        """Wire cost of forwarding *rec*'s request to *rank*.
 
         Returns ``(bytes, modeled seconds, operator shipped)``: the
         right-hand-side vector always crosses; the full CSR operator rides
-        along the first time this exact fingerprint reaches the rank.
+        along the first time this exact fingerprint reaches the rank.  The
+        fingerprint is taken on the request's first forward, so requests
+        served at home are never hashed here.
         """
-        nbytes = _vector_bytes(n)
+        exact = rec.get("exact")
+        if exact is None:
+            exact = rec["exact"] = fingerprint(rec["req"]["A"],
+                                               rec["req"]["config"])
+        nbytes = _vector_bytes(rec["n"])
         shipped = False
         if (rank, exact) not in self._shipped:
-            nbytes += _operator_bytes(n, nnz)
+            nbytes += _operator_bytes(rec["n"], rec["nnz"])
             self._shipped.add((rank, exact))
             shipped = True
         return nbytes, self.network.transfer_time(nbytes), shipped
 
+    # -- results the router resolves itself ---------------------------------
+    def _resolve_at_router(self, key: tuple[int, int], status: str,
+                           reason: str, priority: str, **route) -> None:
+        """Resolve request *key* without any rank serving it."""
+        self._router_results[key] = ServiceResult(
+            x=None, iterations=0, residuals=[], converged=False,
+            degraded=True, degraded_reason=reason, status=status,
+            request_id=key[1], priority=priority, rank=-1, **route)
+
+    def _router_ticket(self, kind: str, detail: str, status: str,
+                       reason: str, priority: str | None,
+                       home: int) -> ShardTicket:
+        """A ticket for a submit no rank takes, under a shard-level id."""
+        sid = self._next_router_id
+        self._next_router_id += 1
+        self.events.record("router", kind, time=self.now, ticket=sid,
+                           detail=detail)
+        self._resolve_at_router(
+            (-1, sid), status, reason,
+            priority or self.config.default_priority, home_rank=home)
+        return ShardTicket(sid, -1, home)
+
     def _router_fail(self, reason: str, priority: str | None, *,
                      status: str) -> ShardTicket:
         """Resolve a submit at the router when no rank can take it."""
-        sid = self._next_shed_id
-        self._next_shed_id += 1
-        self.events.record("router", "reject", time=self.now, ticket=sid,
-                           detail=status)
         self.shard_metrics.routed += 1
         if status == "failed":
             self.shard_metrics.failed += 1
-        self._shed_results[sid] = ServiceResult(
-            x=None, iterations=0, residuals=[], converged=False,
-            degraded=True, degraded_reason=reason, status=status,
-            request_id=sid,
-            priority=priority or self.config.default_priority,
-            rank=-1, home_rank=-1)
-        return ShardTicket(sid, -1, -1)
+        return self._router_ticket("reject", status, status, reason,
+                                   priority, -1)
 
     def _shed(self, candidates: list[int], depths: list[int],
               priority: str | None) -> ShardTicket:
         """Reject at the router: every candidate queue is too deep."""
         self.shard_metrics.record_shed()
-        sid = self._next_shed_id
-        self._next_shed_id += 1
-        self.events.record("router", "shed", time=self.now, ticket=sid,
-                           detail=f"candidates={candidates}")
         load = ", ".join(f"rank {c}: {depths[c]}" for c in candidates)
-        self._shed_results[sid] = ServiceResult(
-            x=None, iterations=0, residuals=[], converged=False,
-            degraded=True,
-            degraded_reason=(
-                f"rejected: shed: every candidate rank at or above "
-                f"shed_depth={self.config.shed_depth} ({load})"),
-            status="rejected", request_id=sid,
-            priority=priority or self.config.default_priority,
-            rank=-1, home_rank=candidates[0])
-        return ShardTicket(sid, -1, candidates[0])
+        return self._router_ticket(
+            "shed", f"candidates={candidates}", "rejected",
+            f"rejected: shed: every candidate rank at or above "
+            f"shed_depth={self.config.shed_depth} ({load})",
+            priority, candidates[0])
 
     def cancel(self, ticket: ShardTicket) -> bool:
         """Withdraw a pending request, wherever failover moved it.
@@ -471,16 +505,9 @@ class ShardedSolveService:
         copy is cancelled and its queue slot freed.  A pending hedge
         duplicate is cancelled along with it.
         """
-        if ticket.rank < 0:
-            return False
-        if self._tracker is None:
-            ok = self.services[ticket.rank].cancel(Ticket(ticket.id))
-            if ok:
-                self.events.record("router", "cancel", time=self.now,
-                                   ticket=ticket.id, rank=ticket.rank)
-            return ok
         origin = (ticket.rank, ticket.id)
-        if origin in self._wrapped or origin in self._router_results:
+        if (ticket.rank < 0 or origin in self._wrapped
+                or origin in self._router_results):
             return False
         cur = self._redirects.get(origin, origin)
         entry = self._pending_hedges.pop(origin, None)
@@ -522,106 +549,71 @@ class ShardedSolveService:
                wait: bool = True) -> ServiceResult | None:
         """The request's :class:`~repro.results.ServiceResult`.
 
-        Delegates to the serving rank, then wraps the result with the
-        route: ``rank``, ``home_rank``, and ``net_seconds`` (forward hop
-        plus, for completed forwarded requests, the result-return hop —
-        both charged through the network model).  Each result is wrapped
-        and counted in the shard metrics exactly once.
+        With ``wait=True`` the caller drives the fleet until the ticket
+        resolves: only the serving rank's worker without a fault plan (so
+        requests still queued on other ranks can go on coalescing with
+        later submits), the whole failure lifecycle under one.  The result
+        is then delivered by :meth:`_deliver`, exactly once.
         """
+        origin = (ticket.rank, ticket.id)
         if ticket.rank < 0:
-            return self._shed_results[ticket.id]
-        route_key = (ticket.rank, ticket.id)
-        if route_key in self._wrapped:
-            return self._wrapped[route_key]
-        if self._tracker is not None:
-            return self._result_chaos(route_key, wait)
-        res = self.services[ticket.rank].result(Ticket(ticket.id), wait=wait)
-        if res is None:
-            return None
-        route = self._routes[route_key]
+            return self._router_results[origin]
+        if origin in self._wrapped:
+            return self._wrapped[origin]
+        if wait:
+            if self._tracker is None:
+                self.services[ticket.rank].result(Ticket(ticket.id))
+            else:
+                self.run()
+        return self._deliver(origin)
+
+    def _deliver(self, origin: tuple[int, int]) -> ServiceResult | None:
+        """Wrap the ticket *origin*'s result with its route, once.
+
+        Follows the failover redirect to the request's current copy,
+        settles a hedge race (the earliest modeled finish wins; a loser
+        still queued is cancelled), and stamps the route's accounting:
+        ``rank``, ``home_rank``, ``net_seconds`` (every hop charged so far
+        plus, for a completed request served off its home rank, the
+        result-return hop), ``retries``, ``failovers``, ``hedged`` and
+        ``original_rank``.  A result the router resolved itself (exhausted
+        retries) is delivered as it is.  ``None`` while still pending.
+        """
+        wrapped = self._router_results.get(origin)
         ret_bytes = 0
         ret_seconds = 0.0
-        if route["rank"] != route["home"] and res.status == "completed":
-            ret_bytes = _vector_bytes(route["n"])
-            ret_seconds = self.network.transfer_time(ret_bytes)
-        wrapped = replace(
-            res, rank=route["rank"], home_rank=route["home"],
-            net_seconds=route["forward_seconds"] + ret_seconds)
-        self._wrapped[route_key] = wrapped
-        self.events.record("router", "deliver", time=self.now,
-                           ticket=ticket.id, rank=ticket.rank,
-                           detail=wrapped.status)
-        self.shard_metrics.record_result(
-            wrapped, return_bytes=ret_bytes, return_seconds=ret_seconds)
-        return wrapped
-
-    def _result_chaos(self, origin: tuple[int, int],
-                      wait: bool) -> ServiceResult | None:
-        """Redeem a ticket under the fault lifecycle.
-
-        Follows the failover redirect chain to the request's current copy,
-        resolves the hedge race (earliest modeled finish wins; the loser
-        is cancelled if still queued), and wraps the winner with the
-        accumulated fault accounting.  Results the router itself resolved
-        (exhausted retries) are returned as-is.
-        """
-        if wait:
-            self.run()
-        if origin in self._router_results:
-            wrapped = self._router_results[origin]
-            self._wrapped[origin] = wrapped
-            self.events.record("router", "deliver", time=self.now,
-                               ticket=origin[1], rank=origin[0],
-                               detail=wrapped.status)
-            self.shard_metrics.record_result(wrapped)
-            return wrapped
-        cur = self._redirects.get(origin, origin)
-        rec = self._routes[cur]
-        res = self.services[cur[0]]._results.get(cur[1])
-        entry = self._pending_hedges.pop(origin, None)
-        if res is None:
-            if entry is not None:
-                self._pending_hedges[origin] = entry
-            return None
         hedged = False
-        dup = entry.get("dup") if entry is not None else None
-        if dup is not None:
-            drec = self._routes[dup]
-            dres = self.services[dup[0]]._results.get(dup[1])
-            if dres is None:
-                if self.services[dup[0]].cancel(Ticket(dup[1])):
-                    self.shard_metrics.record_hedge_cancelled()
-            else:
-                finish = (rec["local_arrival"] + res.wait_seconds
-                          + res.solve_seconds)
-                dfinish = (drec["local_arrival"] + dres.wait_seconds
-                           + dres.solve_seconds)
-                d_ok = dres.status == "completed"
-                p_ok = res.status == "completed"
-                if d_ok and (not p_ok or dfinish < finish):
+        if wrapped is None:
+            cur = self._redirects.get(origin, origin)
+            rec = self._routes[cur]
+            res = self.services[cur[0]]._results.get(cur[1])
+            if res is None:
+                return None
+            entry = self._pending_hedges.pop(origin, None)
+            dup = entry.get("dup") if entry is not None else None
+            if dup is not None:
+                drec = self._routes[dup]
+                dres = self.services[dup[0]]._results.get(dup[1])
+                if dres is None:
+                    if self.services[dup[0]].cancel(Ticket(dup[1])):
+                        self.shard_metrics.record_hedge_cancelled()
+                elif dres.status == "completed" and (
+                        res.status != "completed"
+                        or _finish(drec, dres) < _finish(rec, res)):
                     cur, rec, res = dup, drec, dres
                     hedged = True
                 else:
                     self.shard_metrics.record_hedge_lost()
-        return self._wrap_chaos(origin, cur, rec, res, hedged)
-
-    def _wrap_chaos(self, origin: tuple[int, int], cur: tuple[int, int],
-                    rec: dict, res: ServiceResult,
-                    hedged: bool) -> ServiceResult:
-        """Stamp the fault accounting onto a redeemed chaos result."""
-        ret_bytes = 0
-        ret_seconds = 0.0
-        if cur[0] != rec["home"] and res.status == "completed":
-            ret_bytes = _vector_bytes(rec["n"])
-            ret_seconds = self.network.transfer_time(ret_bytes)
-        hedged = hedged or bool(rec.get("hedged"))
-        displaced = rec["failovers"] > 0 or hedged
-        wrapped = replace(
-            res, request_id=origin[1], rank=cur[0], home_rank=rec["home"],
-            net_seconds=rec["net"] + ret_seconds,
-            retries=rec["retries"], failovers=rec["failovers"],
-            hedged=hedged,
-            original_rank=rec["original_rank"] if displaced else -1)
+            if cur[0] != rec["home"] and res.status == "completed":
+                ret_bytes = _vector_bytes(rec["n"])
+                ret_seconds = self.network.transfer_time(ret_bytes)
+            hedged = hedged or bool(rec.get("hedged"))
+            displaced = rec["failovers"] > 0 or hedged
+            wrapped = replace(
+                res, request_id=origin[1], rank=cur[0],
+                home_rank=rec["home"], net_seconds=rec["net"] + ret_seconds,
+                retries=rec["retries"], failovers=rec["failovers"],
+                hedged=hedged, original_rank=origin[0] if displaced else -1)
         self._wrapped[origin] = wrapped
         self.events.record("router", "deliver", time=self.now,
                            ticket=origin[1], rank=origin[0],
@@ -643,27 +635,41 @@ class ShardedSolveService:
     def run(self) -> None:
         """Drive every rank's worker loop until all queues drain.
 
-        Under a fault plan this drives the full failure lifecycle instead:
-        heartbeat ticks, failover, re-warm, and hedging, until every rank
-        is back up and every queue has drained.
+        Under a fault plan this drives the full failure lifecycle first:
+        heartbeat ticks (failover, re-warm, hedging) continue past the
+        last arrival until every plan window has passed *and* every rank
+        has walked back to ``up`` (bounded: after the plan's end every
+        probe succeeds and each re-warm deadline is finite), so
+        post-recovery work lands on the full fleet.
         """
-        if self._tracker is not None:
-            self._finish_chaos()
+        if self._tracker is None:
+            while self.step():
+                pass
             return
-        while self.step():
-            pass
+        end = self._plan.end_time()
+        while (self._tracker.next_tick() <= end
+               or any(rec.state != UP for rec in self._tracker.ranks)):
+            self._advance_to(self._tracker.next_tick())
+        for svc in self.services:
+            svc.run()
+
+    def drain_until(self, horizon: float) -> None:
+        """Run all fleet work provably unaffected by arrivals past *horizon*."""
+        for svc in self.services:
+            svc.drain_until(horizon)
 
     # -- the fault lifecycle ------------------------------------------------
-    def _drain_alive(self, horizon: float) -> None:
-        """``drain_until(horizon)`` on every routable rank; dead and
-        rejoining ranks execute nothing."""
-        for rank, rec in enumerate(self._tracker.ranks):
-            if rec.routable:
-                self.services[rank].drain_until(horizon)
-
     def _advance_to(self, horizon: float) -> None:
-        """Advance the fault lifecycle through every heartbeat tick up to
-        *horizon*, draining routable ranks between ticks."""
+        """Run the fleet up to *horizon*.
+
+        Without a fault plan this is :meth:`drain_until`.  Under one, every
+        heartbeat tick up to *horizon* is processed in turn, with the
+        routable ranks drained up to each tick first; dead and rejoining
+        ranks execute nothing.
+        """
+        if self._tracker is None:
+            self.drain_until(horizon)
+            return
         while self._tracker.next_tick() <= horizon:
             tau = self._tracker.next_tick()
             self._drain_alive(tau)
@@ -673,20 +679,11 @@ class ShardedSolveService:
             self._settle_hedges(tau)
         self._drain_alive(horizon)
 
-    def _finish_chaos(self) -> None:
-        """Tick through the rest of the plan, then drain the fleet.
-
-        Ticks continue past the last arrival until every plan window has
-        passed *and* every rank has walked back to ``up`` (bounded: after
-        the plan's end every probe succeeds and each re-warm deadline is
-        finite), so post-recovery work lands on the full fleet.
-        """
-        end = self._plan.end_time()
-        while (self._tracker.next_tick() <= end
-               or any(rec.state != UP for rec in self._tracker.ranks)):
-            self._advance_to(self._tracker.next_tick())
-        for svc in self.services:
-            svc.run()
+    def _drain_alive(self, horizon: float) -> None:
+        """``drain_until(horizon)`` on every routable rank."""
+        for rank, rec in enumerate(self._tracker.ranks):
+            if rec.routable:
+                self.services[rank].drain_until(horizon)
 
     def _apply_transitions(self, events: list[dict], tau: float) -> None:
         """React to health transitions: ring membership, failover, re-warm."""
@@ -723,15 +720,13 @@ class ShardedSolveService:
         displaced: list[tuple[tuple[int, int], str]] = []
         for old_key in sorted(k for k in self._routes if k[0] == rank):
             rec = self._routes[old_key]
-            if rec.get("origin") in self._wrapped:
+            if rec["origin"] in self._wrapped:
                 continue
             res = svc._results.get(old_key[1])
             if res is None or res.status != "completed":
                 # Queued (evacuated below) or already terminal: keep.
                 continue
-            finish = (rec.get("local_arrival", 0.0) + res.wait_seconds
-                      + res.solve_seconds)
-            if finish > death:
+            if _finish(rec, res) > death:
                 svc.retract(old_key[1])
                 displaced.append((old_key, "in_flight"))
         for req in svc.evacuate():
@@ -785,43 +780,28 @@ class ShardedSolveService:
                 return
             reason = ("no routable ranks" if not members else
                       f"retry budget exhausted after {attempts} retries")
-            self._router_results[origin] = ServiceResult(
-                x=None, iterations=0, residuals=[], converged=False,
-                degraded=True, degraded_reason=f"failed: {cause}; {reason}",
-                status="failed", request_id=origin[1],
-                priority=rec["req"]["priority"], rank=-1,
-                home_rank=rec["home"], retries=rec["retries"],
-                failovers=rec["failovers"],
-                original_rank=rec["original_rank"])
+            self._resolve_at_router(
+                origin, "failed", f"failed: {cause}; {reason}",
+                rec["req"]["priority"], home_rank=rec["home"],
+                retries=rec["retries"], failovers=rec["failovers"],
+                original_rank=origin[0])
             self.shard_metrics.record_failed()
             return
         backoff = self.network.retry_penalty(
             policy.timeout, attempts, policy.backoff)
         candidates = self.ring.successors(
             rec["key"], min(self.config.replicas, len(members)))
-        target = self._pick_rank(rec["key"], rec["nnz"], candidates)
-        nbytes, fwd_seconds, shipped = self._ship_charge(
-            target, rec["n"], rec["nnz"], rec["exact"])
-        req = rec["req"]
-        new_arrival = tau + backoff + fwd_seconds
-        ticket = self.services[target].submit(
-            req["A"], req["b"], config=req["config"], method=req["method"],
-            tol=req["tol"], maxiter=req["maxiter"],
-            priority=req["priority"], timeout=req["timeout"],
-            arrival=new_arrival)
-        new_key = (target, ticket.id)
-        self._routes[new_key] = dict(
-            rec, rank=target, retries=attempts + 1,
-            failovers=rec["failovers"] + 1,
-            net=rec["net"] + backoff + fwd_seconds,
-            local_arrival=new_arrival)
+        new_key, nbytes, seconds, shipped = self._forward(
+            rec, candidates, tau + backoff, net=rec["net"] + backoff,
+            retries=attempts + 1, failovers=rec["failovers"] + 1)
         self._redirects[origin] = new_key
         self.events.record("router", "failover", time=tau,
                            ticket=origin[1], rank=origin[0],
-                           detail=f"attempt {attempts + 1} to rank{target}")
+                           detail=f"attempt {attempts + 1} to "
+                                  f"rank{new_key[0]}")
         self.shard_metrics.record_failover(
             backoff_seconds=backoff, forward_bytes=nbytes,
-            forward_seconds=fwd_seconds, shipped=shipped)
+            forward_seconds=seconds, shipped=shipped)
 
     def _start_rewarm(self, rank: int, tau: float) -> None:
         """A dead rank answered a probe: re-warm its cache before rejoin.
@@ -875,8 +855,6 @@ class ShardedSolveService:
         forward hop.  Firing happens at heartbeat ticks so the hedge
         schedule is a pure function of the (plan, workload) pair.
         """
-        if self.config.hedge_delay is None:
-            return
         for origin in sorted(self._pending_hedges):
             entry = self._pending_hedges[origin]
             if entry["fired"] or entry["deadline"] > tau:
@@ -888,37 +866,24 @@ class ShardedSolveService:
             if rec is None:
                 continue
             res = self.services[cur[0]]._results.get(cur[1])
-            if res is not None:
-                finish = (rec["local_arrival"] + res.wait_seconds
-                          + res.solve_seconds)
-                if res.status != "completed" or finish <= tau:
-                    del self._pending_hedges[origin]
-                    continue
+            if res is not None and (res.status != "completed"
+                                    or _finish(rec, res) <= tau):
+                del self._pending_hedges[origin]
+                continue
             members = self.ring.members
             cands = [c for c in self.ring.successors(
                 rec["key"], min(max(self.config.replicas, 2), len(members)))
                 if c != cur[0]]
             if not cands:
                 continue
-            target = self._pick_rank(rec["key"], rec["nnz"], cands)
-            nbytes, fwd_seconds, shipped = self._ship_charge(
-                target, rec["n"], rec["nnz"], rec["exact"])
-            req = rec["req"]
-            ticket = self.services[target].submit(
-                req["A"], req["b"], config=req["config"],
-                method=req["method"], tol=req["tol"],
-                maxiter=req["maxiter"], priority=req["priority"],
-                timeout=req["timeout"], arrival=tau + fwd_seconds)
-            dup = (target, ticket.id)
-            self._routes[dup] = dict(
-                rec, rank=target, net=fwd_seconds,
-                local_arrival=tau + fwd_seconds, hedge_of=origin)
+            dup, nbytes, seconds, shipped = self._forward(
+                rec, cands, tau, hedge_of=origin)
             entry.update(fired=True, dup=dup)
             self.events.record("router", "hedge", time=tau,
                                ticket=origin[1], rank=origin[0],
-                               detail=f"dup on rank{target}")
+                               detail=f"dup on rank{dup[0]}")
             self.shard_metrics.record_hedge_issued(
-                forward_bytes=nbytes, forward_seconds=fwd_seconds,
+                forward_bytes=nbytes, forward_seconds=seconds,
                 shipped=shipped)
 
     def _settle_hedges(self, tau: float) -> None:
@@ -941,53 +906,36 @@ class ShardedSolveService:
             dres = self.services[dup[0]]._results.get(dup[1])
             if (pres is not None and prec is not None and dres is None
                     and pres.status == "completed"
-                    and prec["local_arrival"] + pres.wait_seconds
-                    + pres.solve_seconds <= tau):
+                    and _finish(prec, pres) <= tau):
                 self.services[dup[0]].cancel(Ticket(dup[1]))
             elif (dres is not None and drec is not None and pres is None
                     and dres.status == "completed"
-                    and drec["local_arrival"] + dres.wait_seconds
-                    + dres.solve_seconds <= tau):
+                    and _finish(drec, dres) <= tau):
                 self.services[cur[0]].cancel(Ticket(cur[1]))
-
-    def drain_until(self, horizon: float) -> None:
-        """Run all fleet work provably unaffected by arrivals past *horizon*."""
-        for svc in self.services:
-            svc.drain_until(horizon)
 
     def run_workload(self, workload: Workload) -> list[ServiceResult]:
         """Replay a generated workload through the router, in arrival order.
 
-        Arrivals are interleaved with draining (``drain_until`` up to each
-        arrival) so the router and autoscaler observe live queue depths —
-        the same depths a long-running service would see.  The clairvoyant
-        batch guard makes this interleaving bit-identical to submitting
-        everything up front; with ``ranks=1`` and shedding/autoscale off
-        the up-front path is taken directly, which keeps the single rank's
-        metrics byte-identical to a plain ``SolveService`` run.
+        Arrivals are interleaved with :meth:`_advance_to` (draining up to
+        each arrival, and under a fault plan ticking the heartbeats in
+        between, so deaths, failovers and rejoins land between submissions
+        at their modeled times) so the router and autoscaler observe live
+        queue depths — the same depths a long-running service would see.
+        The clairvoyant batch guard makes this interleaving bit-identical
+        to submitting everything up front; with ``ranks=1``, no fault plan
+        and shedding/autoscale off the up-front path is taken directly,
+        which keeps the single rank's metrics byte-identical to a plain
+        ``SolveService`` run.
         """
         spec = workload.spec
-        if self._tracker is not None:
-            # Fault lifecycle: heartbeat ticks interleave with arrivals so
-            # deaths, failovers, and rejoins land between submissions at
-            # their modeled times.
-            tickets = []
-            for item in workload.items:
-                self._advance_to(item.arrival)
-                tickets.append(self.submit(
-                    workload.matrices[item.matrix_index], item.b,
-                    method=spec.method, tol=spec.tol, maxiter=spec.maxiter,
-                    priority=item.priority, timeout=spec.timeout,
-                    arrival=item.arrival))
-            self._finish_chaos()
-            return [self.result(t, wait=False) for t in tickets]
         interleave = (self.config.ranks > 1
                       or self.config.shed_depth is not None
-                      or self.config.autoscale)
+                      or self.config.autoscale
+                      or self._tracker is not None)
         tickets = []
         for item in workload.items:
             if interleave:
-                self.drain_until(item.arrival)
+                self._advance_to(item.arrival)
             tickets.append(self.submit(
                 workload.matrices[item.matrix_index], item.b,
                 method=spec.method, tol=spec.tol, maxiter=spec.maxiter,
@@ -997,28 +945,22 @@ class ShardedSolveService:
         return [self.result(t, wait=False) for t in tickets]
 
     # -- reporting ----------------------------------------------------------
-    def _faults_snapshot(self) -> dict | None:
-        """The ``faults`` metrics section, or ``None`` when no lifecycle
-        is active (its absence keeps no-fault snapshots byte-identical)."""
-        if self._tracker is None:
-            return None
-        return self.shard_metrics.faults_snapshot(
-            self._tracker.snapshot(self.now))
-
     def metrics_snapshot(self) -> dict:
-        """Sharded report: aggregate + locality + per-rank snapshots."""
+        """Sharded report: aggregate + locality + per-rank snapshots, plus
+        the ``faults`` section under a fault plan."""
         return self.shard_metrics.snapshot(
             per_rank=[svc.metrics_snapshot() for svc in self.services],
             virtual_seconds=self.now,
             active_ranks=len(self._active),
             replicas=self.config.replicas,
-            faults=self._faults_snapshot())
+            health=self._tracker)
 
     def metrics_json(self) -> str:
         """Deterministic JSON of :meth:`metrics_snapshot`."""
-        return self.shard_metrics.to_json(
-            per_rank=[svc.metrics_snapshot() for svc in self.services],
-            virtual_seconds=self.now,
-            active_ranks=len(self._active),
-            replicas=self.config.replicas,
-            faults=self._faults_snapshot())
+        return json.dumps(self.metrics_snapshot(), indent=2, sort_keys=True)
+
+
+def _finish(rec: dict, res: ServiceResult) -> float:
+    """Modeled finish time of a routed copy: arrival at its serving rank
+    plus the queue wait and the batch solve."""
+    return rec["local_arrival"] + res.wait_seconds + res.solve_seconds

@@ -366,3 +366,22 @@ def test_autoscale_conflicts_with_a_fault_plan():
     # An *empty* plan is inert and composes with autoscaling.
     ShardedSolveService(ServiceConfig(ranks=4, autoscale=True),
                         fault_plan=ShardFaultPlan())
+
+
+def test_hedge_delay_needs_a_fault_plan():
+    # Hedges fire at heartbeat ticks, which only a non-empty fault plan
+    # drives: a hedge_delay without one would silently never hedge.
+    cfg = ServiceConfig(ranks=4, hedge_delay=1e-4)
+    for plan in (None, ShardFaultPlan()):
+        with pytest.raises(ValueError, match="hedge_delay"):
+            ShardedSolveService(cfg, fault_plan=plan)
+    ShardedSolveService(cfg, fault_plan=_HARMLESS)
+
+
+def test_cli_hedge_delay_without_chaos_exits_with_the_message():
+    from repro.__main__ import main
+
+    for ranks in ("1", "4"):
+        with pytest.raises(SystemExit, match="hedge_delay needs"):
+            main(["serve-bench", "--workload", "tiny", "--ranks", ranks,
+                  "--hedge-delay", "1e-5"])

@@ -157,7 +157,7 @@ class TestClassicalInterpolation:
             cfg = replace(single_node_config(nthreads=4), interp=interp)
             s = AMGSolver(cfg)
             s.setup(A)
-            its[interp] = s.solve(b, tol=1e-7, max_iter=200).iterations
+            its[interp] = s.solve(b, tol=1e-7, maxiter=200).iterations
         assert its["classical"] > its["extended+i"]
 
 
@@ -198,7 +198,7 @@ class TestNewSmoothers:
         cfg = replace(single_node_config(nthreads=4), smoother=sm)
         s = AMGSolver(cfg)
         s.setup(A)
-        res = s.solve(np.ones(A.nrows), tol=1e-7, max_iter=100)
+        res = s.solve(np.ones(A.nrows), tol=1e-7, maxiter=100)
         assert res.converged, sm
 
 

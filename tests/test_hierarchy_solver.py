@@ -199,7 +199,7 @@ class TestPhaseAttribution:
             with collect() as log:
                 s = AMGSolver(cfg)
                 s.setup(A)
-                s.solve(b, max_iter=10, tol=1e-12)
+                s.solve(b, maxiter=10, tol=1e-12)
             return log.phase_total("SpMV", "bytes_read")
 
         base = spmv_phase_bytes(single_node_config(optimized=False, nthreads=4))
@@ -213,6 +213,6 @@ class TestPhaseAttribution:
             with collect() as log:
                 s = AMGSolver(single_node_config(optimized=optimized, nthreads=4))
                 s.setup(A)
-                s.solve(b, max_iter=5, tol=1e-12)
+                s.solve(b, maxiter=5, tol=1e-12)
             has_t = any(r.kernel == "transpose.per_restriction" for r in log.records)
             assert has_t == expect

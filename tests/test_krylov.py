@@ -20,7 +20,7 @@ class TestGMRES:
     def test_solves_spd(self, rng):
         A = random_csr(30, 30, seed=1, spd=True)
         b = rng.standard_normal(30)
-        res = gmres(A, b, tol=1e-10, max_iter=100)
+        res = gmres(A, b, tol=1e-10, maxiter=100)
         assert res.converged
         np.testing.assert_allclose(
             res.x, np.linalg.solve(A.to_dense(), b), atol=1e-6
@@ -38,7 +38,7 @@ class TestGMRES:
     def test_restart_path(self, rng):
         A = random_csr(40, 40, seed=2, spd=True)
         b = rng.standard_normal(40)
-        res = gmres(A, b, tol=1e-8, max_iter=150, restart=5)
+        res = gmres(A, b, tol=1e-8, maxiter=150, restart=5)
         assert res.converged
 
     def test_zero_rhs(self):
@@ -58,7 +58,7 @@ class TestGMRES:
         for nx in (8, 16, 24):
             A = laplace_2d_5pt(nx)
             b = np.ones(A.nrows)
-            res = gmres(A, b, tol=1e-6, max_iter=500, restart=500)
+            res = gmres(A, b, tol=1e-6, maxiter=500, restart=500)
             iters.append(res.iterations)
         assert iters[0] < iters[1] < iters[2]
 
@@ -80,7 +80,7 @@ class TestFGMRESWithAMG:
         s = AMGSolver(single_node_config(nthreads=4))
         s.setup(A)
         pre = fgmres(A, b, precondition=s.precondition, tol=1e-7)
-        plain = gmres(A, b, tol=1e-7, max_iter=500, restart=500)
+        plain = gmres(A, b, tol=1e-7, maxiter=500, restart=500)
         assert pre.iterations < plain.iterations / 3
 
 
@@ -163,4 +163,4 @@ class TestBiCGStabGuard:
         b = np.ones(A.nrows)
         res = bicgstab(A, b, maxiter=3, tol=1e-12)
         assert res.iterations == 3 and not res.converged
-        assert bicgstab(A, b, max_iter=3, tol=1e-12).residuals == res.residuals
+        assert bicgstab(A, b, maxiter=3, tol=1e-12).residuals == res.residuals

@@ -201,7 +201,7 @@ class TestHierarchyCache:
         assert (cache.hits, cache.misses) == (0, 2)
 
     def test_lru_eviction(self):
-        cache = HierarchyCache(maxsize=2)
+        cache = HierarchyCache(max_entries=2)
         cfg = single_node_config()
         mats = [random_csr(30, 30, seed=s, spd=True) for s in range(3)]
         for A in mats:
@@ -282,11 +282,10 @@ class TestFacade:
         b = rng.standard_normal(lap2d_small.nrows)
         solver = AMGSolver(single_node_config())
         solver.setup(lap2d_small)
-        r_new = solver.solve(b, maxiter=3)
-        r_old = solver.solve(b, max_iter=3)
-        assert r_new.iterations == r_old.iterations == 3
+        assert solver.solve(b, maxiter=3).iterations == 3
+        # ``maxiter`` is the one spelling; the old ``max_iter`` is gone.
         with pytest.raises(TypeError):
-            solver.solve(b, maxiter=3, max_iter=4)
+            solver.solve(b, max_iter=3)
 
     def test_unified_result_types(self, lap2d_small, rng):
         from repro.krylov import pcg

@@ -17,11 +17,11 @@ from repro.sparse.spmv import spmv
 from conftest import random_csr
 
 
-def solve_ok(A, tol=1e-8, max_iter=200):
+def solve_ok(A, tol=1e-8, maxiter=200):
     b = np.random.default_rng(0).standard_normal(A.nrows)
     s = AMGSolver(single_node_config(nthreads=2))
     s.setup(A)
-    res = s.solve(b, tol=tol, max_iter=max_iter)
+    res = s.solve(b, tol=tol, maxiter=maxiter)
     err = np.linalg.norm(b - spmv(A, res.x)) / np.linalg.norm(b)
     return res, err
 
@@ -80,7 +80,7 @@ class TestDegenerateOperators:
         b -= b.mean()
         s = AMGSolver(single_node_config(nthreads=2))
         s.setup(A)
-        res = fgmres(A, b, precondition=s.precondition, tol=1e-6, max_iter=300)
+        res = fgmres(A, b, precondition=s.precondition, tol=1e-6, maxiter=300)
         assert res.converged
 
     def test_single_row(self):
@@ -128,7 +128,7 @@ class TestSolverRobustness:
         A = laplace_2d_5pt(16)
         s = AMGSolver(single_node_config(nthreads=2))
         s.setup(A)
-        res = s.solve(np.ones(A.nrows), tol=1e-30, max_iter=3)
+        res = s.solve(np.ones(A.nrows), tol=1e-30, maxiter=3)
         assert not res.converged
         assert res.iterations == 3
 
@@ -154,7 +154,7 @@ class TestSolverRobustness:
         A = laplace_2d_5pt(8)
         s = AMGSolver(single_node_config(nthreads=2))
         s.setup(A)
-        res = s.solve(np.full(A.nrows, np.nan), max_iter=2)
+        res = s.solve(np.full(A.nrows, np.nan), maxiter=2)
         # Must terminate (not hang/crash); convergence is impossible.
         assert not res.converged or np.isnan(res.residuals[-1])
         assert res.degraded
@@ -312,12 +312,11 @@ class TestHierarchyCacheBound:
             cache.get_or_build(laplace_2d_5pt(7), cfg)
         assert any("evicted hierarchy" in r.message for r in caplog.records)
 
-    def test_maxsize_spelling_still_works(self):
+    def test_max_entries_is_the_one_spelling(self):
         from repro.amg.cache import HierarchyCache
 
-        cache = HierarchyCache(maxsize=3)
-        assert cache.max_entries == 3 and cache.maxsize == 3
+        assert HierarchyCache(3).max_entries == 3
         with pytest.raises(ValueError):
             HierarchyCache(max_entries=0)
-        with pytest.raises(ValueError):
-            HierarchyCache(max_entries=2, maxsize=3)
+        with pytest.raises(TypeError):
+            HierarchyCache(maxsize=3)

@@ -6,16 +6,17 @@ stability (adding a rank moves ~1/N of the key space), deterministic
 routing and metrics for a seeded workload, modeled network charges on
 forwarded requests, degraded requests staying isolated to their rank,
 bit-identity of the ranks=1 path against the plain SolveService, load
-shedding, and the queue-depth autoscaler — plus the API satellites:
-SolveOptions keyword folding and conflict detection, the ServiceConfig
-deprecation shim, the use-config-objects lint rule, and the sorted
-top-level ``__all__``.
+shedding, the queue-depth autoscaler, and a byte-identity matrix pinning
+results and metrics of the one router across fault-free and fault-plan
+runs — plus the API satellites: SolveOptions keyword folding and conflict
+detection, ServiceConfig as the one way to configure a service, and the
+sorted top-level ``__all__``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -23,7 +24,7 @@ import pytest
 
 import repro
 from repro.api import SolveOptions, setup, solve, solve_many
-from repro.analysis.lint import SERVICE_CONFIG_FIELDS, run_lint
+from repro.faults import ShardFaultPlan
 from repro.problems import laplace_2d_5pt
 from repro.serve import (
     HashRing,
@@ -303,8 +304,154 @@ def test_shard_metrics_json_is_sorted_and_stable():
     assert set(parsed) == {"ranks", "sharded"}
 
 
+def test_result_wait_drives_only_the_serving_rank():
+    # Without a fault plan, redeeming one ticket runs only its own rank's
+    # worker: a request queued on another rank stays queued, so a later
+    # same-key submit still joins its micro-batch.
+    svc = ShardedSolveService(ServiceConfig(ranks=2, replicas=1))
+    homes = {}
+    for n in range(6, 16):
+        A = laplace_2d_5pt(n)
+        key = svc.services[0].cache.pattern_key(A, svc.amg_config)
+        homes.setdefault(svc.ring.lookup(key), A)
+    rng = np.random.default_rng(4)
+    t0 = svc.submit(homes[0], rng.standard_normal(homes[0].nrows),
+                    arrival=0.0)
+    t1 = svc.submit(homes[1], rng.standard_normal(homes[1].nrows),
+                    arrival=0.0)
+    assert (t0.rank, t1.rank) == (0, 1)
+    assert svc.result(t0).status == "completed"
+    assert svc.services[1].queue_depth == 1
+    t2 = svc.submit(homes[1], rng.standard_normal(homes[1].nrows),
+                    arrival=0.0)
+    svc.run()
+    assert svc.result(t1).batch_size == svc.result(t2).batch_size == 2
+
+
 # ---------------------------------------------------------------------------
-# ServiceConfig consolidation and the deprecation shim
+# Byte-identity matrix of the one router
+# ---------------------------------------------------------------------------
+
+#: The CI chaos smoke's plan, and a chaos-activating plan that injects
+#: nothing observable (hedging needs a plan to fire at heartbeat ticks).
+_CI_PLAN = ShardFaultPlan(seed=7, crashes=((1, 0.004, 0.012),))
+_HARMLESS = ShardFaultPlan(seed=1, slow=((0, 0.0, 0.0005, 0.0),))
+
+_MATRIX_MODES = {
+    "plain": ({}, None),
+    "shed": ({"shed_depth": 2}, None),
+    "autoscale": ({"autoscale": True, "scale_up_depth": 2.0,
+                   "scale_down_depth": 0.5}, None),
+    "chaos": ({}, _CI_PLAN),
+    "hedge": ({"hedge_delay": 1e-4, "heartbeat_interval": 5e-4}, _HARMLESS),
+}
+
+#: (workload, ranks, mode) -> sha256 of ``metrics_json()`` and of every
+#: result field but ``x`` (iterate bytes are host-local; residual
+#: histories, statuses and every modeled quantity are not), recorded when
+#: the fault-free tier still ran a router of its own beside the fault
+#: lifecycle's.
+_MATRIX_DIGESTS = {
+    ("tiny", 1, "plain"): (
+        "50a9c19061f2b8a156a046e999595ee317ce0e7d288fe1c24764dc88e1c8cf44",
+        "c416164a2c971ca3242c77ad696f77269767a7753de62b50b6fdcc56f8f38474"),
+    ("tiny", 1, "shed"): (
+        "3df5caced0a10156432c82bfd2a3c93d0b23b9f0f0389917cf8772fb1b783766",
+        "6500c96797be4a5d8526873711cb24f4fe6938f44cfc41b7a023f827da6a18f3"),
+    ("tiny", 1, "autoscale"): (
+        "9d2823224a949a9669f86c80a7732055c4e809310a855b7a5ce56c32791755fd",
+        "c416164a2c971ca3242c77ad696f77269767a7753de62b50b6fdcc56f8f38474"),
+    ("tiny", 2, "plain"): (
+        "1116b14f6287ffcf78f4e09db97be8a027619d26920bf11c6da6a057d9de6856",
+        "f19519e03bc6d07def3227bb223d7901e6adbfb7fdc265baba2e5604d416cec3"),
+    ("tiny", 2, "shed"): (
+        "1116b14f6287ffcf78f4e09db97be8a027619d26920bf11c6da6a057d9de6856",
+        "f19519e03bc6d07def3227bb223d7901e6adbfb7fdc265baba2e5604d416cec3"),
+    ("tiny", 2, "autoscale"): (
+        "515facba1f634b8a6212eb465f3c7306548b0af5bf097ac17eb9e72f64b4db52",
+        "eb832ab3e51d5d06c0629962256c58f18cf238e01fe461bcadf762f7ca7b1ffb"),
+    ("tiny", 4, "plain"): (
+        "e5906d3556120eefbf65664de04b2327407d2c6551d59cf5555b251f63280200",
+        "0bbf10a4ee8d96d3e41ae1b03d0703e9448768f22851e20e1cf8c6c2b922f000"),
+    ("tiny", 4, "shed"): (
+        "e5906d3556120eefbf65664de04b2327407d2c6551d59cf5555b251f63280200",
+        "0bbf10a4ee8d96d3e41ae1b03d0703e9448768f22851e20e1cf8c6c2b922f000"),
+    ("tiny", 4, "autoscale"): (
+        "ec90be19fad5060dea7c0271d96914856ca38fed5e3ca3a8bf3d5d3caad98cad",
+        "eb832ab3e51d5d06c0629962256c58f18cf238e01fe461bcadf762f7ca7b1ffb"),
+    ("tiny", 2, "chaos"): (
+        "d412f93366b00bd2fcf6fbf96941ffa52cc70ddeea973bf09d3d2ddc861dfe22",
+        "b0c56037fcd8d0f5516b15ee474a486fab1a419106954009ecf767a320b6b319"),
+    ("tiny", 2, "hedge"): (
+        "3d5592de553a0a062e6e9d4d47497196f490d9e201e25c1cc5dbbd4dd2f37fbb",
+        "af27ab2530385aff5e61582489a5ae06a21b3a8c447cb217a710db0fdfffd7b2"),
+    ("tiny", 4, "chaos"): (
+        "b5204f313eb3c497420981b9ad4ad20ea47ba609942b035a2b4674129c708f36",
+        "d01ee5a5cfa7dbf78c4ba8d5f3c7c9165d9c8add55eeb0a73239b18f7a183441"),
+    ("tiny", 4, "hedge"): (
+        "6eafaa136f038f470d9c4f43c1b0009c484fc97ef8b25e375b2cdc910b826f56",
+        "4a92a9a14d71413825ea8954658d4ce7e11d84328dd4b2f7b54ee5bddb5f0015"),
+    ("mixed", 1, "plain"): (
+        "056250d6045eb8142103fe6ba95f106ad5c1b69bdac336efb803505810be5400",
+        "b03220f4ba10174f843e1fee39e38d309ca5a427c55264634a0a795649bdf105"),
+    ("mixed", 1, "shed"): (
+        "724f33b39f0f4289a8b50f677ba451e1f556161ee04a63f570293745c985ae79",
+        "1d211ad3a3970830be19f202eea0ff4a4f835ef65a46b7e48d595d79a4f8a7a8"),
+    ("mixed", 1, "autoscale"): (
+        "c889ec4d9bc4a2d138ed77a0a78cf12e8c670ad6cb77cbc2306faa8aede9afcd",
+        "b03220f4ba10174f843e1fee39e38d309ca5a427c55264634a0a795649bdf105"),
+    ("mixed", 2, "plain"): (
+        "67d9d3314e29d88cd55c0d7b28cec4a072c2ab1ad4c505fb173d4b6eecaa71d1",
+        "d51c621af80451fbe21c8f118e416c5d68d78344ff1ae1e2e47cafb2903d0c6c"),
+    ("mixed", 2, "shed"): (
+        "67d9d3314e29d88cd55c0d7b28cec4a072c2ab1ad4c505fb173d4b6eecaa71d1",
+        "d51c621af80451fbe21c8f118e416c5d68d78344ff1ae1e2e47cafb2903d0c6c"),
+    ("mixed", 2, "autoscale"): (
+        "415c4f4236c63b20da22bdb5e4a65b2b41b72e75b10ec5478404cbc64852e79c",
+        "61694a0726bbceafdee5838ba4aaa649a34e79c09bb40c83a67d53bb2b2281be"),
+    ("mixed", 4, "plain"): (
+        "720538d2a9a4c26b618dfbea11a2ca4e55f0fc9916669478edb0632d8c1b7dd1",
+        "98edaeb1313e3fc4de94a796471e1954be03cd167d939f3f427af70717d47381"),
+    ("mixed", 4, "shed"): (
+        "720538d2a9a4c26b618dfbea11a2ca4e55f0fc9916669478edb0632d8c1b7dd1",
+        "98edaeb1313e3fc4de94a796471e1954be03cd167d939f3f427af70717d47381"),
+    ("mixed", 4, "autoscale"): (
+        "5b01c69238b001f1fe07268be89e31281d58912d0ae148329c97661f359081c3",
+        "61694a0726bbceafdee5838ba4aaa649a34e79c09bb40c83a67d53bb2b2281be"),
+    ("mixed", 2, "chaos"): (
+        "3a8507ef4a9a82fc1be67a19813516f31aa785e68b77fcd428a115b1cbae83db",
+        "5d9540eb9a0eae862705a16058dd5557f30e8c86462df0c4de9823d144fe1a83"),
+    ("mixed", 2, "hedge"): (
+        "b9bb32d0cf521b65e10c080344c22543a9a2bacb49b39802f9eea9d7518f2b31",
+        "e38cfe7ddbfe749289fffc60c9178a235bdbe8e2f22154e326d0814a38594d2a"),
+    ("mixed", 4, "chaos"): (
+        "44334fa7d793fc908a4c90126a0c9d6cf702dc7f1d7d198d8fa6c33cdb30f938",
+        "034ded3741fc3533b664a37aac0d5b7a6c929d8c796eb98772648c931dae7ef7"),
+    ("mixed", 4, "hedge"): (
+        "71c32a5a48b08d4268ef85eb9b8f1454615174df76483462bceeafd8f96740aa",
+        "9524f498b8a33844f226e9893976064e6d965d50a1af462966a684a7862db093"),
+}
+
+
+@pytest.mark.parametrize("workload,ranks,mode", sorted(_MATRIX_DIGESTS))
+def test_one_router_is_byte_identical(workload, ranks, mode):
+    spec = (named_workload("tiny") if workload == "tiny"
+            else widened(named_workload("mixed"), copies=4, requests=64))
+    kw, plan = _MATRIX_MODES[mode]
+    svc = ShardedSolveService(_fleet_config(ranks, **kw), fault_plan=plan)
+    results = svc.run_workload(build(spec))
+    h = hashlib.sha256()
+    for res in results:
+        for f in fields(res):
+            if f.name != "x":
+                h.update(f"{f.name}={getattr(res, f.name)!r};".encode())
+    got = (hashlib.sha256(svc.metrics_json().encode()).hexdigest(),
+           h.hexdigest())
+    assert got == _MATRIX_DIGESTS[(workload, ranks, mode)]
+
+
+# ---------------------------------------------------------------------------
+# ServiceConfig consolidation
 # ---------------------------------------------------------------------------
 
 def test_service_config_validates_shard_fields():
@@ -321,40 +468,12 @@ def test_service_config_validates_shard_fields():
 
 
 @pytest.mark.parametrize("cls", [SolveService, ShardedSolveService])
-def test_legacy_keywords_warn_and_fold_into_config(cls):
-    with pytest.warns(DeprecationWarning, match="ServiceConfig"):
-        svc = cls(max_batch=3, max_queue=17)
-    assert svc.config.max_batch == 3
-    assert svc.config.max_queue == 17
-
-
-def test_legacy_keywords_conflict_with_config_object():
-    with pytest.raises(TypeError, match="not both"):
-        SolveService(ServiceConfig(), max_batch=3)
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        ShardedSolveService(max_batchez=3)
-
-
-def test_lint_field_list_matches_service_config():
-    assert SERVICE_CONFIG_FIELDS == frozenset(
-        f.name for f in fields(ServiceConfig))
-
-
-def test_use_config_objects_lint_rule(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(
-        "from repro.serve import ShardedSolveService, SolveService\n"
-        "svc = SolveService(max_batch=4)\n"
-        "sh = ShardedSolveService(ranks=2, replicas=2)\n")
-    findings = run_lint([bad], rules={"use-config-objects"})
-    assert len(findings) == 2
-    assert all(f.rule == "use-config-objects" for f in findings)
-    assert "ServiceConfig" in findings[0].message
-    good = tmp_path / "good.py"
-    good.write_text(
-        "from repro.serve import ServiceConfig, SolveService\n"
-        "svc = SolveService(ServiceConfig(max_batch=4))\n")
-    assert run_lint([good], rules={"use-config-objects"}) == []
+def test_service_knobs_only_through_config(cls):
+    # A ServiceConfig is the one way to set a knob: a per-field
+    # constructor keyword is an unknown argument.
+    with pytest.raises(TypeError):
+        cls(max_batch=3)
+    assert cls(ServiceConfig(max_batch=3)).config.max_batch == 3
 
 
 # ---------------------------------------------------------------------------
