@@ -18,6 +18,13 @@ set-up.  Node-level kernels that stay per rank count into their rank's log
 through :meth:`SimComm.run_on_ranks` (or a ``with comm.on_rank(r):``
 block).  A phase's modeled compute time is the makespan over ranks.
 
+The rank logs are paid per kernel, not per rank: ``record_on_ranks`` only
+queues the table's live rows (one append), and the queue is handed out to
+the ranks' logs — one ``list.extend`` per rank for everything queued — the
+first time anything touches a rank log's ``records``: a read, a direct
+count inside ``on_rank``, ``run_on_ranks``'s append.  Every rank's stream is
+therefore the one an immediate per-rank append gives, in the same order.
+
 Persistent communication (§4.4): a :class:`PersistentExchange` freezes a
 neighbor-exchange pattern once; every subsequent ``start()`` logs its
 messages with the ``persistent`` flag so the network model can drop the
@@ -44,12 +51,14 @@ logging path on a vanilla ``SimComm``, which therefore stays bit-identical
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ..perf.counters import PerfLog, RecordTable, collect, current_phase
+from ..perf.counters import KernelRecord, PerfLog, RecordTable, collect, current_phase
 from ..perf.network import MessageEvent, NetworkModel
 
 __all__ = ["SimComm", "PersistentExchange", "NodeAwareExchange",
@@ -112,7 +121,10 @@ class SimComm:
         if nranks < 1:
             raise ValueError("nranks must be >= 1")
         self.nranks = nranks
-        self.rank_logs: list[PerfLog] = [PerfLog() for _ in range(nranks)]
+        #: Live rows of the tables recorded since the last hand-out, oldest
+        #: first, each padded to one row per rank (see :meth:`_flush`).
+        self._queued: list[tuple] = []
+        self.rank_logs: list[PerfLog] = [_RankLog(self) for _ in range(nranks)]
         self.messages: list[_LoggedMessage] = []
         self.collectives: list[CollectiveEvent] = []
         self.persistent_created = 0
@@ -120,8 +132,18 @@ class SimComm:
         #: (in creation order) — the registry the comm-trace replay checks
         #: persistent traffic against (``comm.persistent_drift``).
         self.persistent_requests: list[PersistentExchange] = []
+        #: The persistent halo Krylov products with an operator use on this
+        #: communicator, built on first use (:mod:`repro.dist.krylov`).
+        self.krylov_halos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # -- per-rank compute attribution -----------------------------------
+    def _flush(self) -> None:
+        """Hand the queued rows out: rank *p* gets row *p* of every queued
+        table, in queue order, in one ``list.extend``."""
+        queued, self._queued = self._queued, []
+        for log, rows in zip(self.rank_logs, zip(*queued)):
+            log._records.extend(chain.from_iterable(rows))
+
     @contextmanager
     def on_rank(self, rank: int):
         """Attribute kernel counts in the block to *rank*'s compute log."""
@@ -150,9 +172,16 @@ class SimComm:
 
     def record_on_ranks(self, table: RecordTable) -> None:
         """Append row *p* of *table* to rank *p*'s compute log — the stream
-        ``with on_rank(p): count_record(...)`` per rank would produce."""
-        for log, recs in zip(self.rank_logs, table.live()):
-            log.records.extend(recs)
+        ``with on_rank(p): count_record(...)`` per rank would produce.
+
+        The rows are queued, one append per call (a table shorter than the
+        rank count is padded with empty rows), and reach the rank logs when
+        a log's ``records`` is next touched.
+        """
+        rows = table.live()
+        if len(rows) < self.nranks:
+            rows += ((),) * (self.nranks - len(rows))
+        self._queued.append(rows)
 
     def run_on_ranks(self, kernel) -> list:
         """``kernel(p)`` for every rank *p* in turn, the records of call *p*
@@ -245,10 +274,27 @@ class SimComm:
         return out
 
     def clear_logs(self) -> None:
+        self._queued.clear()
         for log in self.rank_logs:
             log.clear()
         self.messages.clear()
         self.collectives.clear()
+
+
+class _RankLog(PerfLog):
+    """One rank's compute log on a :class:`SimComm`: touching ``records``
+    first hands out the rows the communicator has queued, so the log always
+    reads, and appends after, everything recorded so far."""
+
+    def __init__(self, comm: SimComm) -> None:
+        self._comm = comm
+        self._records: list[KernelRecord] = []
+
+    @property
+    def records(self) -> list[KernelRecord]:
+        if self._comm._queued:
+            self._comm._flush()
+        return self._records
 
 
 class _FrozenExchange:

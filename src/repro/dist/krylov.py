@@ -1,7 +1,8 @@
 """Distributed Krylov solvers: AMG-preconditioned FGMRES (Table 4) and PCG.
 
 Neither has a loop of its own: ``dist_fgmres`` / ``dist_pcg`` run the
-node-level drivers over :class:`ParSpace` — ``dist_spmv`` through the halo,
+node-level drivers over :class:`ParSpace` — ``dist_spmv`` through the
+operator's one persistent Krylov halo per communicator (:func:`krylov_halo`),
 ``par_dot`` / ``par_norm2`` with their allreduces, ``par_axpy``.  PCG has
 fewer collectives per iteration (two dots + a norm vs. the Arnoldi sweep),
 which matters when allreduce latency dominates at scale (§5.4).  An
@@ -23,13 +24,23 @@ from .parcsr import ParCSRMatrix, ParVector
 from .solver import par_axpy, par_dot, par_norm2
 from .spmv import dist_spmv
 
-__all__ = ["ParSpace", "dist_pcg", "dist_fgmres"]
+__all__ = ["ParSpace", "krylov_halo", "dist_pcg", "dist_fgmres"]
+
+
+def krylov_halo(comm: SimComm, A: ParCSRMatrix):
+    """The persistent halo Krylov products with *A* use on *comm*: built and
+    registered once, on first use, and kept while *A* lives."""
+    halo = comm.krylov_halos.get(A)
+    if halo is None:
+        halo = comm.krylov_halos[A] = build_halo(comm, A, persistent=True)
+    return halo
 
 
 class ParSpace:
-    """Krylov vector space over ``ParVector``\\ s under *A* (a persistent
-    halo is built unless given).  Vectors only: an ``(n, k)`` ``ParVector``
-    raises ``ValueError``, so ``take`` is never needed."""
+    """Krylov vector space over ``ParVector``\\ s under *A* (on the
+    operator's :func:`krylov_halo` unless a halo is given).  Vectors only:
+    an ``(n, k)`` ``ParVector`` raises ``ValueError``, so ``take`` is never
+    needed."""
 
     def __init__(self, comm: SimComm, A: ParCSRMatrix, precondition=None,
                  halo=None) -> None:
@@ -39,7 +50,7 @@ class ParSpace:
         self.comm = comm
         self.A = A
         self._M = precondition
-        self.halo = build_halo(comm, A, persistent=True) if halo is None else halo
+        self.halo = krylov_halo(comm, A) if halo is None else halo
         self._faulty = comm.supports_fault_injection
         self._events_start = len(comm.events) if self._faulty else 0
 

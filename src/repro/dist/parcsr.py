@@ -20,8 +20,8 @@ boundaries.  Every row keeps its entries and their order, hence its
 floating-point sums, bit for bit.  The per-rank view of Fig. 3a
 (:attr:`ParCSRMatrix.blocks`) is materialised on first access, for the
 per-rank local kernels, the analyzers and callers that want it.  A
-:class:`ParVector` likewise owns one contiguous array (``parts`` are
-per-rank views of it).
+:class:`ParVector` likewise owns one contiguous array; its per-rank views
+(``parts``) are built on first access, which no solve-phase kernel makes.
 """
 
 from __future__ import annotations
@@ -297,10 +297,13 @@ class ParVector:
 
     ``array`` is the one contiguous backing array — ``(n,)`` or, for a
     multi-RHS block, ``(n, k)`` — and ``parts[p]`` is always the view of
-    rank *p*'s rows: a list of per-rank arrays (at construction, or
-    assigned to ``parts`` later) is copied into a fresh backing array; an
-    ``ndarray`` is adopted as the backing array itself.
+    rank *p*'s rows, built on the first read of ``parts``: a list of
+    per-rank arrays (at construction, or assigned to ``parts`` later) is
+    copied into a fresh backing array; an ``ndarray`` is adopted as the
+    backing array itself.
     """
+
+    _parts: list[np.ndarray] | None
 
     def __init__(self, parts: list[np.ndarray] | np.ndarray,
                  part: RowPartition) -> None:
@@ -312,6 +315,9 @@ class ParVector:
 
     @property
     def parts(self) -> list[np.ndarray]:
+        if self._parts is None:
+            b = self.part.bounds.tolist()
+            self._parts = [self.array[lo:hi] for lo, hi in zip(b, b[1:])]
         return self._parts
 
     @parts.setter
@@ -325,8 +331,7 @@ class ParVector:
         if len(array) != self.part.n:
             raise ValueError("vector part size mismatch")
         self.array = array
-        b = self.part.bounds
-        self._parts = [array[b[p]: b[p + 1]] for p in range(self.part.nranks)]
+        self._parts = None
 
     @classmethod
     def from_global(cls, x: np.ndarray, part: RowPartition) -> "ParVector":

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..perf.counters import VAL_BYTES, RecordTable, make_record
+from ..sparse.ops import run_starts
 
 __all__ = ["RowPartition"]
 
@@ -27,6 +28,12 @@ class RowPartition:
         if b[0] != 0 or np.any(np.diff(b) < 0):
             raise ValueError("invalid partition bounds")
         object.__setattr__(self, "_tables", {})
+        # (first row, rank count, size) of every run of equal-size ranks
+        sizes = np.diff(b)
+        first = run_starts(sizes)
+        object.__setattr__(self, "_runs", list(zip(
+            b[first].tolist(), np.diff(np.r_[first, len(sizes)]).tolist(),
+            sizes[first].tolist())))
 
     @classmethod
     def uniform(cls, n: int, nranks: int) -> "RowPartition":
@@ -73,6 +80,20 @@ class RowPartition:
                              bytes_written=writes * n * VAL_BYTES)]
                 for n in np.diff(self.bounds).tolist())
         return table
+
+    def dots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Every rank's local dot product of two vectors over this
+        partition: ``[x[lo:hi] @ y[lo:hi]]`` per rank, bit for bit.
+
+        One ``np.vecdot`` per run of consecutive equal-size ranks, over the
+        run's rows reshaped to one row per rank: ``vecdot`` takes each row
+        through the BLAS ``ddot`` that ``@`` calls on a 1-D pair, so every
+        partial keeps its summation order.
+        """
+        out = [np.vecdot(x[lo: lo + c * s].reshape(c, s),
+                         y[lo: lo + c * s].reshape(c, s))
+               for lo, c, s in self._runs]
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def ranks(self) -> np.ndarray:
         """Owning rank of every index ``0..n-1``."""

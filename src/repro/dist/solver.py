@@ -4,8 +4,10 @@ Vector primitives (``par_dot`` etc.) count local BLAS1 work per rank and
 log one allreduce per global reduction — the solve-phase collectives of
 Fig. 7's ``Solve_MPI`` bucket, alongside the halo exchanges.  Elementwise
 updates run once over the vectors' backing arrays and the per-rank records
-come from tables frozen per :class:`RowPartition`; only the local dot
-products stay per rank (their summation order is part of the result).
+come from tables frozen per :class:`RowPartition`.  The local dot products
+keep their per-rank summation order (it is part of the result) but not a
+call per rank: :meth:`RowPartition.dots` takes them with one ``np.vecdot``
+per run of equal-size ranks.
 
 Resilience: on a fault-injecting communicator
 (:class:`repro.faults.comm.FaultyComm`) ``DistAMGSolver.solve`` keeps
@@ -50,7 +52,7 @@ __all__ = [
 
 def par_dot(comm: SimComm, x: ParVector, y: ParVector) -> float:
     comm.record_on_ranks(x.part.vector_records("blas1.dot", 2, 2))
-    return comm.allreduce([float(a @ b) for a, b in zip(x.parts, y.parts)])
+    return comm.allreduce(x.part.dots(x.array, y.array))
 
 
 def par_norm2(comm: SimComm, x: ParVector) -> float:

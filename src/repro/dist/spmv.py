@@ -6,8 +6,10 @@ overlaps the exchange in the modeled implementation) and its ``offd`` block
 by the gathered buffer.  The vehicle runs all ranks at once — one SpMV over
 the stacked ``diag`` blocks and one over the stacked ``offd`` blocks
 (:meth:`ParCSRMatrix.stacked`) — and appends each rank's records from a
-table frozen per ``(kernel, width)``.  Per-rank *reductions* stay per rank:
-a BLAS dot's summation order is not reproducible by a segmented sum.
+table frozen per ``(kernel, width)``.  Per-rank *reductions* keep their
+per-rank BLAS dots — a dot's summation order is not reproducible by a
+segmented sum — taken by :meth:`RowPartition.dots`, one ``np.vecdot`` per
+run of equal-size ranks.
 
 Resilience: the halo exchange is the only communication here, so on a
 fault-injecting communicator (:class:`repro.faults.comm.FaultyComm`) every
@@ -100,5 +102,5 @@ def dist_residual_norm(
     else:
         comm.record_on_ranks(b.part.vector_records("residual_sub", 1, 2, 1))
         comm.record_on_ranks(b.part.vector_records("blas1.norm2", 2, 1))
-    total = comm.allreduce([float(p @ p) for p in r.parts])
+    total = comm.allreduce(r.part.dots(r.array, r.array))
     return r, float(np.sqrt(total))

@@ -666,6 +666,7 @@ class TestNoPerRankPython:
         wrap("dist_spmv", solver_mod, "dist_spmv")  # the V-cycle's
         wrap("dist_spmv", krylov_mod, "dist_spmv")  # the Krylov driver's
         wrap("offd_rhs", DistSmoother, "_offd_rhs")
+        wrap("flush", SimComm, "_flush")
         comm.clear_logs()
         res = dist_fgmres(comm, Ap, b, precondition=s.precondition, tol=1e-7,
                           **kw)
@@ -680,12 +681,16 @@ class TestNoPerRankPython:
         sizes = (len(comm.messages), [len(l.records) for l in comm.rank_logs])
         comm.clear_logs()
         res, calls = self.solve_counted(monkeypatch, warm32, halo=halo)
+        during = dict(calls)
         assert res.iterations == first.iterations == 6
         assert np.array_equal(res.x.to_global(), first.x.to_global())
         assert sizes == (len(comm.messages),
                          [len(l.records) for l in comm.rank_logs])
-        for name in ("log_message", "on_rank", "MessageEvent", "replace"):
-            assert calls[name] == 0, name
+        # Nothing reads the rank logs during a solve: their rows stay queued.
+        for name in ("log_message", "on_rank", "MessageEvent", "replace",
+                     "flush"):
+            assert during[name] == 0, name
+        assert calls["flush"] == 1  # the read above
         # Two stacked SpMVs per product, one per boundary term (the
         # zero-guess pre-smoothing passes skip theirs).
         assert calls["spmv"] == 2 * calls["dist_spmv"] > 0
@@ -693,13 +698,21 @@ class TestNoPerRankPython:
 
     def test_default_halo_freezes_one_batch_per_solve(self, monkeypatch,
                                                       warm32):
-        # halo=None builds one fresh persistent halo per solve (as before):
-        # its single batch and pack table are frozen on first use.
+        # halo=None solves on the operator's one Krylov halo, built on the
+        # first such solve: its single batch and pack table are frozen then,
+        # and a later solve freezes nothing.
         comm, Ap, s, b = warm32
+        assert Ap not in comm.krylov_halos
         res, calls = self.solve_counted(monkeypatch, warm32)
         pairs = len(build_halo(SimComm(32), Ap).pattern)
         assert res.iterations == 6
-        assert calls["log_message"] == calls["on_rank"] == 0
+        assert calls["log_message"] == calls["on_rank"] == calls["flush"] == 0
         assert calls["MessageEvent"] == pairs
         assert calls["replace"] == comm.nranks
+        assert len(comm.messages) == 9908
+        requests = len(comm.persistent_requests)
+        res, calls = self.solve_counted(monkeypatch, warm32)
+        assert res.iterations == 6
+        assert calls["MessageEvent"] == calls["replace"] == calls["flush"] == 0
+        assert len(comm.persistent_requests) == requests
         assert len(comm.messages) == 9908
