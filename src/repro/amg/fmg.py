@@ -5,8 +5,8 @@ restricts the right-hand side to the coarsest level, solves there, and
 interpolates upward, running one V-cycle per level on the way — producing
 an O(n) initial guess that is already accurate to the level of a few
 V-cycles.  A standard AMG-library feature (the natural companion of the
-paper's V-cycle solve phase); used by
-:meth:`repro.amg.solver.AMGSolver.solve` when ``fmg_start`` is requested.
+paper's V-cycle solve phase); mapped back to the caller's ordering, its
+result is an ``x0`` for :meth:`repro.amg.solver.AMGSolver.solve`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ __all__ = ["full_multigrid"]
 def full_multigrid(h: Hierarchy, b: np.ndarray, *, vcycles_per_level: int = 1) -> np.ndarray:
     """One FMG pass for ``A_0 x = b``; returns the fine-level approximation.
 
-    ``b`` must be given in level-0's stored ordering (callers inside
-    :class:`AMGSolver` handle the user-ordering translation).
+    ``b`` and the result are in level 0's stored ordering (``Level.new2old``
+    maps it from the caller's).
     """
     flags = h.config.flags
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import AMGConfig
-from ..faults.guards import ResidualGuard
-from ..faults.plan import FaultEvent
+from ..krylov.space import Columns, NodeSpace
 from ..perf.counters import phase
 from ..results import SolveResult
 from ..sparse.blas1 import axpy, norm2
@@ -122,66 +121,15 @@ class AMGSolver:
         tol: float = 1e-7,
         maxiter: int | None = None,
         x0: np.ndarray | None = None,
-        fmg_start: bool = False,
     ) -> SolveResult:
         """Iterate cycles until ``||r|| <= tol * ||b||``.
 
-        ``maxiter`` bounds the cycle count (default 500).  ``fmg_start``
-        seeds the iteration with one full-multigrid pass (nested iteration)
-        instead of a zero guess.
+        ``maxiter`` bounds the cycle count (default 500); ``x0`` is the
+        start (default zero).
         """
-        maxiter = 500 if maxiter is None else maxiter
-        if self.hierarchy is None:
-            raise RuntimeError("call setup() first")
-        h = self.hierarchy
-        bp = self._to_level0(np.asarray(b, dtype=np.float64))
-        if x0 is not None:
-            x = self._to_level0(np.asarray(x0, dtype=np.float64)).copy()
-        elif fmg_start:
-            from .fmg import full_multigrid
+        b, x = self._level0_operands(b, x0, ndim=1)
+        return self._iterate(b, x, tol, maxiter)
 
-            x = full_multigrid(h, bp)
-        else:
-            x = np.zeros(len(bp))
-
-        # Convergence reference: ||b|| (HYPRE's relative residual), falling
-        # back to the initial residual for a zero right-hand side.
-        with phase("BLAS1"):
-            bnorm = norm2(bp)
-        r, r0 = self._resnorm(x, bp)
-        ref = bnorm if bnorm > 0.0 else r0
-        if r0 == 0.0 or r0 <= tol * ref:
-            return SolveResult(self._from_level0(x), 0, [r0], True)
-        if not np.isfinite(r0):
-            return SolveResult(
-                self._from_level0(x), 0, [r0], False, degraded=True,
-                degraded_reason="nonfinite initial residual",
-                fault_events=[FaultEvent("nonfinite",
-                                         detail="initial residual")])
-        residuals = [r0]
-        converged = False
-        events: list[FaultEvent] = []
-        reason = None
-        guard = ResidualGuard(ref)
-        for it in range(1, maxiter + 1):
-            corr = cycle(h, r, self.config.cycle_type)
-            with phase("BLAS1"):
-                axpy(1.0, corr, x)
-            r, rn = self._resnorm(x, bp)
-            residuals.append(rn)
-            if rn <= tol * ref:
-                converged = True
-                break
-            verdict = guard.check(rn)
-            if verdict is not None:
-                events.append(FaultEvent(verdict, detail=f"cycle {it}"))
-                reason = f"{verdict} at cycle {it}"
-                break
-        return SolveResult(self._from_level0(x), len(residuals) - 1, residuals,
-                           converged, degraded=bool(events),
-                           degraded_reason=reason, fault_events=events)
-
-    # -- batched standalone solve -------------------------------------------
     def solve_many(
         self,
         B: np.ndarray,
@@ -195,87 +143,72 @@ class AMGSolver:
         One hierarchy, one batched cycle per iteration over the block of
         still-active columns: the level matrices, smoother structures, and
         coarse factor stream once per cycle instead of once per column.
-        Column *j*'s iterates are bit-identical to
-        ``solve(B[:, j], tol=..., maxiter=...)`` — a column that converges,
-        or that its own :class:`ResidualGuard` stops (non-finite, diverged,
-        stagnated), is frozen (dropped from the active block), exactly as
-        the single-RHS solve stops iterating it.
+        Column *j*'s result is that of ``solve(B[:, j], tol=..., maxiter=...)``
+        in every field: a column that converges, or that its own guard stops
+        (non-finite, diverged, stagnated), leaves the block exactly where the
+        single-RHS solve stops iterating it.
 
         Returns one :class:`SolveResult` per column (none for a block
         without columns).
         """
+        B, X = self._level0_operands(B, x0, ndim=2)
+        return self._iterate(B, X, tol, maxiter) if B.shape[1] else []
+
+    def _level0_operands(self, b, x0, *, ndim: int):
+        """*b* and the start (*x0*, default zero) in the level-0 ordering,
+        once *b* is checked to be a vector (``ndim=1``) or an ``(n, k)``
+        block (``ndim=2``) over the operator's *n* rows and *x0* to have its
+        shape: the permutation would silently truncate longer input."""
         if self.hierarchy is None:
             raise RuntimeError("call setup() first")
-        B = np.asarray(B, dtype=np.float64)
-        if B.ndim != 2:
-            raise ValueError(f"expected a 2-D (n, k) block, got shape {B.shape}")
-        maxiter = 500 if maxiter is None else maxiter
-        h = self.hierarchy
-        n, k = B.shape
-        if k == 0:
-            return []
+        n = self.hierarchy.levels[0].A.nrows
+        b = np.asarray(b, dtype=np.float64)
+        if b.ndim != ndim or b.shape[0] != n:
+            want = f"({n},)" if ndim == 1 else f"({n}, k)"
+            raise ValueError(f"expected b of shape {want}, got {b.shape}")
+        if x0 is None:
+            return self._to_level0(b), np.zeros(b.shape)
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != b.shape:
+            raise ValueError(f"x0 has shape {x0.shape}, b has {b.shape}")
+        return self._to_level0(b), self._to_level0(x0).copy()
 
-        Bp = self._to_level0(B)
-        if x0 is not None:
-            X = self._to_level0(np.asarray(x0, dtype=np.float64)).copy()
-            if X.shape != (n, k):
-                raise ValueError("x0 must match the shape of B")
-        else:
-            X = np.zeros((n, k))
+    def _iterate(self, b, x, tol: float, maxiter: int | None):
+        """The stationary iteration on a level-0 vector (one result) or
+        ``(n, k)`` block (a list), from the start *x*.
 
+        Per-column state — reference, guard, history, verdict — lives in
+        :class:`~repro.krylov.space.Columns`; a block is narrowed to the
+        columns still running only when one stops.
+        """
+        cols = Columns(_Level0Space(self), b, tol, "cycle {}", step="cycle")
         with phase("BLAS1"):
-            bnorms = norm2(Bp)
-        R, r0 = self._resnorm(X, Bp)
-        ref = np.where(bnorms > 0.0, bnorms, r0)
-
-        residuals: list[list[float]] = [[float(r0[j])] for j in range(k)]
-        iterations = np.zeros(k, dtype=np.int64)
-        converged = (r0 == 0.0) | (r0 <= tol * ref)
-        failed = np.zeros(k, dtype=bool)
-        col_events: list[list[FaultEvent]] = [[] for _ in range(k)]
-        for j in np.flatnonzero(~np.isfinite(r0)):
-            # A NaN/Inf column is frozen before the first cycle so it can
-            # never poison the blocked kernels its siblings run through.
-            failed[j] = True
-            col_events[j].append(FaultEvent("nonfinite",
-                                            detail="initial residual"))
-        active = np.flatnonzero(~converged & ~failed)
-        guards = [ResidualGuard(ref[j]) for j in range(k)]
-
-        for _ in range(maxiter):
-            if len(active) == 0:
+            bnorm = norm2(b)
+        r, rn = self._resnorm(x, b)
+        x, b, r = cols.retire(cols.start(rn, bnorm), x, b, r)
+        for it in range(1, (500 if maxiter is None else maxiter) + 1):
+            if not cols.running:
                 break
-            corr = cycle(h, R[:, active], self.config.cycle_type)
-            Xa = X[:, active]  # advanced indexing: a copy of the active block
+            corr = self.precondition(r, user_ordering=False)
             with phase("BLAS1"):
-                axpy(1.0, corr, Xa)
-            X[:, active] = Xa
-            Ra, rn = self._resnorm(X[:, active], Bp[:, active])
-            R[:, active] = Ra
-            done_local = []
-            for idx, j in enumerate(active):
-                residuals[j].append(float(rn[idx]))
-                iterations[j] += 1
-                if rn[idx] <= tol * ref[j]:
-                    converged[j] = True
-                    done_local.append(idx)
-                    continue
-                verdict = guards[j].check(rn[idx])
-                if verdict is not None:
-                    failed[j] = True
-                    col_events[j].append(FaultEvent(
-                        verdict, detail=f"cycle {int(iterations[j])}"))
-                    done_local.append(idx)
-            if done_local:
-                active = np.delete(active, done_local)
+                axpy(1.0, corr, x)
+            r, rn = self._resnorm(x, b)
+            done = [cols.observe(i, it, v)
+                    for i, v in enumerate((rn,) if cols.vector else rn)]
+            if any(done):
+                x, b, r = cols.retire(np.array(done), x, b, r)
+        return cols.results(x)
 
-        Xout = self._from_level0(X)
-        return [
-            SolveResult(Xout[:, j].copy(), int(iterations[j]), residuals[j],
-                        bool(converged[j]), degraded=bool(failed[j]),
-                        degraded_reason=(col_events[j][-1].kind
-                                         if failed[j] and col_events[j]
-                                         else None),
-                        fault_events=list(col_events[j]))
-            for j in range(k)
-        ]
+
+class _Level0Space(NodeSpace):
+    """The stationary iteration's vector space: level-0 vectors and blocks,
+    whose results come back in the caller's ordering."""
+
+    def __init__(self, solver: AMGSolver) -> None:
+        super().__init__(solver.hierarchy.levels[0].A)
+        self._from_level0 = solver._from_level0
+
+    def result(self, x, iterations, residuals, converged, reason, events):
+        return SolveResult(self._from_level0(x), iterations, residuals,
+                           converged, degraded=reason is not None,
+                           degraded_reason=reason, fault_events=events)

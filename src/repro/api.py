@@ -371,22 +371,8 @@ class SolverHandle:
         degradation ladder — one retry with plain diagonal-preconditioned
         CG — and flags the result ``degraded`` either way.
         """
-        b = _as_rhs(b, self.A.nrows)
-        with check_scope(self.check):
-            if method == "amg":
-                res = self._solver.solve(b, tol=tol, maxiter=maxiter)
-            elif method == "fgmres":
-                res = fgmres(self.A, b, precondition=self._solver.precondition,
-                             tol=tol, maxiter=maxiter)
-            elif method == "cg":
-                res = pcg(self.A, b, precondition=self._solver.precondition,
-                          tol=tol, maxiter=maxiter)
-            else:
-                raise ValueError(
-                    f"unknown method {method!r}; choose from {_METHODS}")
-            if fallback and res.degraded and not res.converged:
-                res = self._fallback(b, res, tol=tol, maxiter=maxiter)
-        return res
+        return self._solve(_as_rhs(b, self.A.nrows), method, tol, maxiter,
+                           fallback)
 
     def solve_many(
         self,
@@ -401,32 +387,41 @@ class SolverHandle:
 
         Broken columns are frozen by the blocked solvers without touching
         their siblings; with ``fallback`` on, each broken column is then
-        retried individually through the degradation ladder.  A block
-        without columns yields no results, whatever the method.
+        retried individually through the degradation ladder, exactly as
+        :meth:`solve` retries it.  A block without columns yields no
+        results, whatever the method.
         """
-        B = _as_rhs_block(B, self.A.nrows)
+        return self._solve(_as_rhs_block(B, self.A.nrows), method, tol,
+                           maxiter, fallback)
+
+    def _solve(self, B, method: str, tol: float, maxiter: int | None,
+               fallback: bool):
+        """*method* on a vector *B* (one result) or an ``(n, k)`` block (a
+        list), then the fallback ladder for each broken column."""
+        vector = B.ndim == 1
+        amg, M = self._solver, self._solver.precondition
+        kw = {"tol": tol, "maxiter": maxiter}
         with check_scope(self.check):
             if method == "amg":
-                results = self._solver.solve_many(B, tol=tol, maxiter=maxiter)
-            elif method == "fgmres":
-                results = fgmres_multi(
-                    self.A, B,
-                    precondition_multi=self._solver.precondition,
-                    tol=tol, maxiter=maxiter)
-            elif method == "cg":
-                results = pcg_multi(
-                    self.A, B,
-                    precondition_multi=self._solver.precondition,
-                    tol=tol, maxiter=maxiter)
+                results = (amg.solve if vector else amg.solve_many)(B, **kw)
+            elif method in ("cg", "fgmres"):
+                # Each width keeps its start: the vector FGMRES forms
+                # ``b - A·0``, the block one starts from ``r = B``, and the
+                # modeled record streams pin the SpMV this saves.
+                one, many = (pcg, pcg_multi) if method == "cg" \
+                    else (fgmres, fgmres_multi)
+                results = one(self.A, B, precondition=M, **kw) if vector \
+                    else many(self.A, B, precondition_multi=M, **kw)
             else:
                 raise ValueError(
                     f"unknown method {method!r}; choose from {_METHODS}")
             if fallback:
-                results = [
-                    self._fallback(B[:, j], r, tol=tol, maxiter=maxiter)
-                    if r.degraded and not r.converged else r
-                    for j, r in enumerate(results)
-                ]
+                columns = B.reshape(len(B), -1)
+                results = [self._fallback(columns[:, j], r, **kw)
+                           if r.degraded and not r.converged else r
+                           for j, r in enumerate([results] if vector
+                                                 else results)]
+                results = results[0] if vector else results
         return results
 
 

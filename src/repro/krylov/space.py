@@ -10,10 +10,11 @@ over a vector ``(n,)`` or a block ``(n, k)`` of right-hand sides;
 
 :class:`Columns` is the per-column state the drivers share, including one
 :class:`~repro.faults.guards.ResidualGuard` per column — the one guard site
-of the Krylov layer.  A column that converges or breaks is *retired*: its
-iterate is copied out and the working block narrowed to the others, so each
-column's bits are those of a solo solve.  A vector is a block of one column
-that is never narrowed.
+of the node-side solvers: the Krylov drivers and the stationary AMG
+iteration (:meth:`repro.amg.solver.AMGSolver.solve` / ``solve_many``).  A
+column that converges or breaks is *retired*: its iterate is copied out and
+the working block narrowed to the others, so each column's bits are those
+of a solo solve.  A vector is a block of one column that is never narrowed.
 """
 
 from __future__ import annotations
@@ -92,18 +93,21 @@ class Columns:
 
     Columns are addressed by their index ``i`` in the working block — the
     columns still iterating, in their original order.  ``detail`` formats
-    the iteration number into a guard verdict's event detail.
+    the iteration number into a guard verdict's event detail, and the
+    verdict's reason reads ``"<verdict> at <step> k"``.
     """
 
-    def __init__(self, space, b, tol: float, detail: str) -> None:
+    def __init__(self, space, b, tol: float, detail: str,
+                 step: str = "iteration") -> None:
         width = space.width(b)
         k = max(width, 1)
         self.space = space
         self.vector = width == 0
         self.tol = tol
         self.detail = detail
+        self.step = step
         self.active = np.arange(k)
-        self.r0 = np.zeros(k)
+        self.ref = np.zeros(k)
         self.guards: list[ResidualGuard] = []
         self.residuals: list[list[float]] = [[] for _ in range(k)]
         self.iterations = [0] * k
@@ -116,18 +120,35 @@ class Columns:
     def running(self) -> bool:
         return self.active.size > 0
 
-    def start(self, r0) -> np.ndarray:
+    def start(self, r0, bnorm=None) -> np.ndarray:
         """Take the initial residual norms; the mask of columns that stop
-        here (a zero residual converged, a broken one failed)."""
-        self.r0 = np.atleast_1d(r0)
-        self.guards = [ResidualGuard(v, stagnation=False) for v in self.r0]
-        done = np.zeros(self.r0.size, dtype=bool)
-        for i, v in enumerate(self.r0):
+        here (converged, or failed on a non-finite norm).
+
+        A Krylov column measures its residuals against ``r0`` and converges
+        here only on ``r0 == 0``.  The stationary iteration passes the norms
+        ``bnorm`` of its right-hand sides: a column then measures against
+        ``||b||`` (``r0`` when ``b = 0``), converges here already within
+        ``tol`` of it, and its guard also stops it on stagnation.  No guard
+        sees ``r0``.
+        """
+        r0 = np.atleast_1d(r0)
+        stationary = bnorm is not None
+        self.ref = np.where(bnorm > 0.0, bnorm, r0) if stationary else r0
+        self.guards = [ResidualGuard(v, stagnation=stationary)
+                       for v in self.ref]
+        converged = r0 == 0.0
+        if stationary:
+            converged |= r0 <= self.tol * self.ref
+        # An infinite ``b`` passes ``r0 <= tol * ||b||``; it still fails.
+        broken = ~np.isfinite(r0)
+        converged &= ~broken
+        for i, v in enumerate(r0):
             self.residuals[i].append(float(v))
-            self.converged[i] = bool(v == 0.0)
-            done[i] = self.converged[i] or self._guard(
-                i, v, "initial residual", "initial residual")
-        return done
+            self.converged[i] = bool(converged[i])
+            if broken[i]:
+                self.fail(i, "nonfinite", "initial residual",
+                          "nonfinite initial residual")
+        return converged | broken
 
     def observe(self, i: int, it: int, rn) -> bool:
         """Log column *i*'s residual norm at iteration *it*; True when the
@@ -135,15 +156,13 @@ class Columns:
         c = self.active[i]
         self.residuals[c].append(float(rn))
         self.iterations[c] = it
-        if rn <= self.tol * self.r0[c]:
+        if rn <= self.tol * self.ref[c]:
             self.converged[c] = True
             return True
-        return self._guard(i, rn, self.detail.format(it), f"at iteration {it}")
-
-    def _guard(self, i: int, rn, detail: str, where: str) -> bool:
-        verdict = self.guards[self.active[i]].check(rn)
+        verdict = self.guards[c].check(rn)
         if verdict is not None:
-            self.fail(i, verdict, detail, f"{verdict} {where}")
+            self.fail(i, verdict, self.detail.format(it),
+                      f"{verdict} at {self.step} {it}")
         return verdict is not None
 
     def fail(self, i: int, kind: str, detail: str, reason: str) -> None:

@@ -94,7 +94,9 @@ class TestSolveMany:
         Bad = _with_nan_column(B)
         results = s.solve_many(Bad, tol=1e-9)
         assert not results[1].converged and results[1].degraded
-        assert results[1].degraded_reason == "nonfinite"
+        assert results[1].degraded_reason == \
+            s.solve(Bad[:, 1], tol=1e-9).degraded_reason == \
+            "nonfinite initial residual"
         assert results[1].iterations == 0
         for c in (0, 2):
             solo = s.solve(B[:, c], tol=1e-9)
@@ -124,7 +126,9 @@ def _same_result(got, want):
     assert np.array(got.residuals).tobytes() == np.array(want.residuals).tobytes()
     assert got.fault_events == want.fault_events
     assert (got.converged, got.degraded) == (want.converged, want.degraded)
+    assert got.degraded_reason == want.degraded_reason
     assert got.x.tobytes() == want.x.tobytes()
+    assert type(got) is type(want)
 
 
 def _krylov_case(A, B, case):
@@ -167,7 +171,6 @@ def test_block_column_is_the_vector_solve(A, B, method, case, amg):
     for j, r in enumerate(results):
         solo = single(op, block[:, j], precondition=M, tol=1e-9, **kw)
         _same_result(r, solo)
-        assert r.degraded_reason == solo.degraded_reason
     kinds = [[e.kind for e in r.fault_events] for r in results]
     if case == "nan-column":
         assert kinds[1] == ["nonfinite"]
@@ -175,6 +178,61 @@ def test_block_column_is_the_vector_solve(A, B, method, case, amg):
         assert ["breakdown"] in kinds
     if case == "maxiter":
         assert any(not r.converged and not r.degraded for r in results)
+
+
+def _stationary_case(A, B, case):
+    """Operator, block and keywords of one stationary column-vs-vector
+    case, and the guard verdicts its columns end on."""
+    if case == "clean":
+        return A, B, {}, [[], [], []]
+    if case == "nan-column":
+        return A, _with_nan_column(B), {}, [[], ["nonfinite"], []]
+    if case == "inf-column":
+        Bad = B.copy()
+        Bad[3, 2] = np.inf
+        return A, Bad, {}, [[], [], ["nonfinite"]]
+    if case == "maxiter":
+        # Column 1 is zero: it converges at the start, its siblings run
+        # out of cycles.
+        Bz = B.copy()
+        Bz[:, 1] = 0.0
+        return A, Bz, {"maxiter": 3}, [[], [], []]
+    if case == "diverged":
+        # Indefinite shift: the V-cycle iteration blows up.
+        op = CSRMatrix.from_dense(laplace_2d_5pt(24).to_dense()
+                                  - 0.5 * np.eye(576))
+        Bd = np.random.default_rng(1).standard_normal((576, 3))
+        Bd[:, 0] = 0.0
+        return op, Bd, {}, [[], ["diverged"], ["diverged"]]
+    # Pure Neumann with a nonzero-mean right-hand side: the columns stall,
+    # each at its own cycle.
+    op = _pure_neumann(16)
+    return op, np.random.default_rng(0).standard_normal((256, 3)), {}, \
+        [["stagnated"]] * 3
+
+
+@pytest.mark.parametrize("case", ["clean", "nan-column", "inf-column",
+                                  "maxiter", "diverged", "stagnated"])
+def test_stationary_block_column_is_the_vector_solve(A, B, case):
+    """``AMGSolver.solve_many``'s column *j* is ``solve(B[:, j])`` in every
+    field, the texts of its verdicts included."""
+    op, block, kw, kinds = _stationary_case(A, B, case)
+    s = AMGSolver(single_node_config(nthreads=2))
+    s.setup(op)
+    results = s.solve_many(block, tol=1e-9, **kw)
+    for j, r in enumerate(results):
+        _same_result(r, s.solve(block[:, j], tol=1e-9, **kw))
+    assert [[e.kind for e in r.fault_events] for r in results] == kinds
+    for r in results:
+        if r.degraded:
+            assert not r.converged
+            assert r.degraded_reason in (
+                "nonfinite initial residual",
+                f"{r.fault_events[-1].kind} at cycle {r.iterations}")
+            assert r.fault_events[-1].detail in (
+                "initial residual", f"cycle {r.iterations}")
+    if case == "maxiter":
+        assert [r.iterations for r in results] == [3, 0, 3]
 
 
 class TestStagnationGuard:
@@ -202,10 +260,12 @@ class TestStagnationGuard:
 
         A, B = singular
         handle = repro.setup(A, cache=None)
-        for j, r in enumerate(handle.solve_many(B)):
-            solo = handle.solve(B[:, j])
-            assert "degraded_fallback" in [e.kind for e in solo.fault_events]
-            _same_result(r, solo)
+        for method in ("amg", "cg"):  # stagnation; CG breakdown
+            for j, r in enumerate(handle.solve_many(B, method=method)):
+                solo = handle.solve(B[:, j], method=method)
+                kinds = [e.kind for e in solo.fault_events]
+                assert "degraded_fallback" in kinds
+                _same_result(r, solo)
 
 
 @pytest.mark.parametrize("method", ["amg", "cg", "fgmres"])

@@ -161,6 +161,33 @@ class TestSolverRobustness:
         assert any(e.kind == "nonfinite" for e in res.fault_events)
 
 
+class TestOperandShapes:
+    """``solve`` / ``solve_many`` check their operands against the level-0
+    operator before the CF permutation ``v[new2old]``, which would cut
+    longer input down to *n* rows without a word."""
+
+    @pytest.fixture(scope="class")
+    def solver(self):
+        from repro.serve.workload import PROBLEM_BUILDERS
+
+        s = AMGSolver(single_node_config())
+        s.setup(PROBLEM_BUILDERS["lap3d27g"](8))
+        assert s.hierarchy.levels[0].new2old is not None
+        return s
+
+    def test_overlong_rhs_raises(self, solver):
+        with pytest.raises(ValueError, match=r"shape \(512,\)"):
+            solver.solve(np.ones(515))
+
+    def test_overlong_x0_raises(self, solver):
+        with pytest.raises(ValueError, match="x0"):
+            solver.solve(np.ones(512), x0=np.zeros(519))
+
+    def test_overlong_block_x0_raises(self, solver):
+        with pytest.raises(ValueError, match="x0"):
+            solver.solve_many(np.ones((512, 2)), x0=np.zeros((519, 2)))
+
+
 class TestFacadeValidation:
     """repro.api rejects garbage inputs with precise ValueErrors."""
 
