@@ -58,6 +58,7 @@ from ..perf.counters import (
     PTR_BYTES,
     VAL_BYTES,
     KernelRecord,
+    active_log,
     count,
     count_batch,
     count_record,
@@ -518,7 +519,9 @@ class SmootherPlan:
             if cs is None:
                 continue
             cs.run(x, b, zero=zero_exec)
-            count_record(cs.record(k, zero_guess))
+            log = active_log()
+            if log is not None:  # (a silenced sweep builds no record)
+                log.add_record(cs.record(k, zero_guess))
             zero_guess = False
         return x
 

@@ -11,19 +11,19 @@ optimizations change — are therefore exact; only the clock is modeled.
 Per-rank *compute* is attributed the same way: each rank owns a
 :class:`repro.perf.counters.PerfLog`.  A kernel that runs once over all
 ranks appends rank *p*'s row of a :class:`~repro.perf.counters.RecordTable`
-(:meth:`SimComm.record_on_ranks`) — frozen rows in the solve phase, whose
-records are pure functions of the partition and the sparsity; rows built
-from per-rank counts (:func:`~repro.perf.counters.make_records`) in the
-set-up.  Node-level kernels that stay per rank count into their rank's log
-through :meth:`SimComm.run_on_ranks` (or a ``with comm.on_rank(r):``
-block).  A phase's modeled compute time is the makespan over ranks.
+(:meth:`SimComm.record_on_ranks`) — tables frozen per kernel in the solve
+phase, whose records are pure functions of the partition and the sparsity;
+tables built from per-rank counts in the set-up.  Node-level kernels that
+stay per rank count into their rank's log through
+:meth:`SimComm.run_on_ranks` (or a ``with comm.on_rank(r):`` block).  A
+phase's modeled compute time is the makespan over ranks.
 
-The rank logs are paid per kernel, not per rank: ``record_on_ranks`` only
-queues the table's live rows (one append), and the queue is handed out to
-the ranks' logs — one ``list.extend`` per rank for everything queued — the
-first time anything touches a rank log's ``records``: a read, a direct
-count inside ``on_rank``, ``run_on_ranks``'s append.  Every rank's stream is
-therefore the one an immediate per-rank append gives, in the same order.
+The rank logs are paid per kernel and built when read: ``record_on_ranks``
+queues the table with the live phase and level (one append), ``len`` of a
+rank log adds the queue's row lengths to a per-rank pending count, and the
+first read of a rank log's ``records`` — anything but ``len`` — hands the
+queue out, one ``list.extend`` per rank.  Every rank's stream is therefore
+the one an immediate per-rank append gives, in the same order.
 
 Persistent communication (§4.4): a :class:`PersistentExchange` freezes a
 neighbor-exchange pattern once; every subsequent ``start()`` logs its
@@ -32,13 +32,13 @@ per-exchange setup cost, reproducing the 1.7–1.8x halo speedup the paper
 measures.
 
 Logging in bulk: an exchange logs the same messages every time it runs, so
-each exchange object freezes one tuple of immutable log entries per
-``(width, phase)`` (:func:`frozen_messages`) and :meth:`SimComm.log_batch`
-appends it with a single ``list.extend``; a set-up kernel builds the batch
-of everything it sends from arrays (:func:`message_batch`).  The log holds
-the same entries in the same order as per-message
-:meth:`SimComm.log_message` calls would produce; repeated exchanges alias
-the same entry objects.
+each exchange keeps one :class:`MessageBatch` — its sends as phase-free
+columns — per width, and a set-up kernel builds the batch of everything it
+sends from arrays.  :meth:`SimComm.log_batch` appends a batch as one
+segment under the live phase, :meth:`SimComm.log_message` one message; the
+log's ``len`` is a running count, and its entries are built on the first
+read, once per (batch, phase), so repeated exchanges alias the same
+entries.  The log reads as per-message ``log_message`` calls would leave it.
 
 Fault injection: :class:`repro.faults.comm.FaultyComm` subclasses this
 communicator and adds a ``reliable_send`` protocol (sequence-numbered acks,
@@ -52,17 +52,25 @@ logging path on a vanilla ``SimComm``, which therefore stays bit-identical
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from ..perf.counters import KernelRecord, PerfLog, RecordTable, collect, current_phase
+from ..perf.counters import (
+    KernelRecord,
+    PerfLog,
+    RecordTable,
+    collect,
+    current_level,
+    current_phase,
+)
 from ..perf.network import MessageEvent, NetworkModel
 
 __all__ = ["SimComm", "PersistentExchange", "NodeAwareExchange",
-           "CollectiveEvent", "frozen_messages", "message_batch"]
+           "CollectiveEvent", "MessageBatch", "frozen_messages"]
 
 
 @dataclass(frozen=True)
@@ -81,32 +89,141 @@ class _LoggedMessage:
     phase: str
 
 
+class MessageBatch:
+    """The messages ``src[i] -> dst[i]`` of ``nbytes[i]`` bytes tagged
+    ``tags[i]`` (arrays in send order; *tags* may be one str for all),
+    self-sends dropped, as phase-free columns.  Its log entries are built
+    once per phase; iterating it yields those of the live phase."""
+
+    def __init__(self, src, dst, nbytes, tags, *,
+                 persistent: bool = False) -> None:
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        keep = src != dst
+        if isinstance(tags, str):
+            tags = [tags] * len(src)
+        self._columns = (src[keep], dst[keep],
+                         np.asarray(nbytes)[keep].astype(np.int64),
+                         np.asarray(tags, dtype=object)[keep])
+        self._n = len(self._columns[0])
+        self._build = None
+        self.persistent = persistent
+        self._entries: dict[str, tuple[_LoggedMessage, ...]] = {}
+
+    @classmethod
+    def later(cls, n: int, build) -> "MessageBatch":
+        """The batch ``build()`` returns, of *n* messages, built on its
+        first read."""
+        batch = cls.__new__(cls)
+        batch._n, batch._build, batch._entries = n, build, {}
+        return batch
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return iter(self.entries(current_phase()))
+
+    def entries(self, phase: str) -> tuple[_LoggedMessage, ...]:
+        out = self._entries.get(phase)
+        if out is None:
+            if self._build is not None:
+                built = self._build()
+                if len(built) != self._n:
+                    raise ValueError("built batch does not fit its length")
+                self._columns, self.persistent = built._columns, built.persistent
+                self._build = None
+            out = self._entries[phase] = tuple(
+                _LoggedMessage(MessageEvent(s, d, b, self.persistent, t), phase)
+                for s, d, b, t in zip(*(c.tolist() for c in self._columns)))
+        return out
+
+
+def _rounds_batch(rounds, elem_bytes: float, persistent: bool) -> MessageBatch:
+    """One exchange of every ``(tag, pattern)`` round in turn (*pattern*
+    maps ``(src, dst) -> element count``) at *elem_bytes* per element."""
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(
+        pat for _, pat in rounds)), dtype=np.int64).reshape(-1, 2)
+    counts = np.fromiter(chain.from_iterable(pat.values() for _, pat in rounds),
+                         dtype=np.int64)
+    tags = np.repeat(np.array([tag for tag, _ in rounds], dtype=object),
+                     [len(pat) for _, pat in rounds])
+    return MessageBatch(pairs[:, 0], pairs[:, 1], counts * elem_bytes, tags,
+                        persistent=persistent)
+
+
 def frozen_messages(pattern: dict[tuple[int, int], int], elem_bytes: float,
-                    *, persistent: bool = False,
-                    tag: str = "") -> tuple[_LoggedMessage, ...]:
-    """The log entries of one exchange of *pattern* (``(src, dst) -> element
-    count``, self-sends skipped) under the live phase, as a frozen batch."""
-    ph = current_phase()
-    return tuple(
-        _LoggedMessage(
-            MessageEvent(src, dst, int(n * elem_bytes), persistent, tag), ph)
-        for (src, dst), n in pattern.items() if src != dst)
+                    *, persistent: bool = False, tag: str = "") -> MessageBatch:
+    """One exchange of *pattern* (``(src, dst) -> element count``,
+    self-sends skipped) as a batch."""
+    return _rounds_batch([(tag, pattern)], elem_bytes, persistent)
 
 
-def message_batch(src, dst, nbytes, tags, *,
-                  persistent: bool = False) -> tuple[_LoggedMessage, ...]:
-    """The log entries of messages ``src[i] -> dst[i]`` of ``nbytes[i]``
-    bytes tagged ``tags[i]`` (arrays in send order; *tags* may be one str
-    for all) under the live phase, as a frozen batch — what one
-    :meth:`SimComm.log_message` per message would append, self-sends
-    skipped."""
-    ph = current_phase()
-    if isinstance(tags, str):
-        tags = [tags] * len(src)
-    return tuple(
-        _LoggedMessage(MessageEvent(s, d, int(b), persistent, t), ph)
-        for s, d, b, t in zip(src.tolist(), dst.tolist(), nbytes.tolist(), tags)
-        if s != d)
+class _Deferred:
+    """A log that reads as a list whose pending tail is built on first
+    read: ``len`` counts the pending entries, and an index, a slice,
+    iteration, ``==``, ``append``, ``extend`` or ``clear`` builds them."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __eq__(self, other):
+        return self._list() == (
+            other._list() if isinstance(other, _Deferred) else other)
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+    def append(self, entry) -> None:
+        self._list().append(entry)
+
+    def extend(self, entries) -> None:
+        self._list().extend(entries)
+
+    def clear(self) -> None:
+        self._list().clear()
+
+
+class _MessageLog(_Deferred):
+    """:attr:`SimComm.messages`: built entries, then pending segments — a
+    batch or one message's fields, each with the phase it was appended
+    under."""
+
+    __slots__ = ("_built", "_segments", "_pending")
+
+    def __init__(self) -> None:
+        self._built: list[_LoggedMessage] = []
+        self._segments: list[tuple] = []
+        self._pending = 0
+
+    def _add(self, source, phase: str, n: int) -> None:
+        self._segments.append((source, phase))
+        self._pending += n
+
+    def _list(self) -> list[_LoggedMessage]:
+        if self._segments:
+            built = self._built
+            for source, ph in self._segments:
+                if isinstance(source, MessageBatch):
+                    built.extend(source.entries(ph))
+                else:
+                    built.append(_LoggedMessage(MessageEvent(*source), ph))
+            self._segments.clear()
+            self._pending = 0
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self._built) + self._pending
+
+    def clear(self) -> None:
+        self._built.clear()
+        self._segments.clear()
+        self._pending = 0
 
 
 class SimComm:
@@ -121,11 +238,14 @@ class SimComm:
         if nranks < 1:
             raise ValueError("nranks must be >= 1")
         self.nranks = nranks
-        #: Live rows of the tables recorded since the last hand-out, oldest
-        #: first, each padded to one row per rank (see :meth:`_flush`).
+        #: ``(table, phase, level)`` per table recorded since the last
+        #: hand-out (see :meth:`_flush`); the records per rank of the first
+        #: ``_counted`` of them (see :meth:`_pending_lengths`).
         self._queued: list[tuple] = []
-        self.rank_logs: list[PerfLog] = [_RankLog(self) for _ in range(nranks)]
-        self.messages: list[_LoggedMessage] = []
+        self._pending = np.zeros(nranks, dtype=np.int64)
+        self._counted = 0
+        self.rank_logs: list[PerfLog] = [_RankLog(self, p) for p in range(nranks)]
+        self.messages = _MessageLog()
         self.collectives: list[CollectiveEvent] = []
         self.persistent_created = 0
         #: Every :class:`PersistentExchange` frozen against this communicator
@@ -139,10 +259,14 @@ class SimComm:
     # -- per-rank compute attribution -----------------------------------
     def _flush(self) -> None:
         """Hand the queued rows out: rank *p* gets row *p* of every queued
-        table, in queue order, in one ``list.extend``."""
+        table under its tags, in queue order, in one ``list.extend``."""
         queued, self._queued = self._queued, []
-        for log, rows in zip(self.rank_logs, zip(*queued)):
-            log._records.extend(chain.from_iterable(rows))
+        self._pending[:], self._counted = 0, 0
+        n, empty = self.nranks, ((),) * self.nranks
+        rows = [t.live(ph, lv) for t, ph, lv in queued]
+        rows = [r if len(r) >= n else r + empty[len(r):] for r in rows]
+        for log, recs in zip(self.rank_logs, zip(*rows)):
+            log._records._built.extend(chain.from_iterable(recs))
 
     @contextmanager
     def on_rank(self, rank: int):
@@ -153,35 +277,36 @@ class SimComm:
     # -- point to point ---------------------------------------------------
     def log_message(self, src: int, dst: int, nbytes: float, *,
                     persistent: bool = False, tag: str = "") -> None:
-        self.messages.append(
-            _LoggedMessage(
-                MessageEvent(src, dst, int(nbytes), persistent, tag),
-                current_phase(),
-            )
-        )
+        self.messages._add((src, dst, int(nbytes), persistent, tag),
+                           current_phase(), 1)
 
-    def log_batch(self, batch: tuple[_LoggedMessage, ...]) -> None:
-        """Append a frozen batch (see :func:`frozen_messages`) in one go.
-
-        Only tuples are accepted: the entries are aliased by every later
-        append of the same batch, so the batch must not be editable.
-        """
-        if not isinstance(batch, tuple):
-            raise TypeError("log_batch takes a tuple of frozen log entries")
-        self.messages.extend(batch)
+    def log_batch(self, batch: MessageBatch) -> None:
+        """Append a batch (see :func:`frozen_messages`) under the live
+        phase, as one segment."""
+        if not isinstance(batch, MessageBatch):
+            raise TypeError("log_batch takes a MessageBatch")
+        self.messages._add(batch, current_phase(), len(batch))
 
     def record_on_ranks(self, table: RecordTable) -> None:
         """Append row *p* of *table* to rank *p*'s compute log — the stream
         ``with on_rank(p): count_record(...)`` per rank would produce.
 
-        The rows are queued, one append per call (a table shorter than the
-        rank count is padded with empty rows), and reach the rank logs when
-        a log's ``records`` is next touched.
+        The table is queued with the live phase and level, one append per
+        call, and its rows reach the rank logs when a log's ``records`` is
+        next read; rows past the rank count are dropped.
         """
-        rows = table.live()
-        if len(rows) < self.nranks:
-            rows += ((),) * (self.nranks - len(rows))
-        self._queued.append(rows)
+        self._queued.append((table, current_phase(), current_level()))
+
+    def _pending_lengths(self) -> np.ndarray:
+        """Records per rank in the queue: the count so far plus each table
+        queued since, once per distinct table."""
+        if self._counted < len(self._queued):
+            new = Counter(t for t, _, _ in self._queued[self._counted:])
+            for table, times in new.items():
+                n = min(table.nrows, self.nranks)
+                self._pending[:n] += times * table.lengths[:n]
+            self._counted = len(self._queued)
+        return self._pending
 
     def run_on_ranks(self, kernel) -> list:
         """``kernel(p)`` for every rank *p* in turn, the records of call *p*
@@ -275,31 +400,47 @@ class SimComm:
 
     def clear_logs(self) -> None:
         self._queued.clear()
+        self._pending[:], self._counted = 0, 0
         for log in self.rank_logs:
-            log.clear()
+            log._records._built.clear()
         self.messages.clear()
         self.collectives.clear()
 
 
-class _RankLog(PerfLog):
-    """One rank's compute log on a :class:`SimComm`: touching ``records``
-    first hands out the rows the communicator has queued, so the log always
-    reads, and appends after, everything recorded so far."""
+class _RankRecords(_Deferred):
+    """Rank *p*'s ``records``: a read first hands out the tables the
+    communicator has queued; ``len`` adds the rank's queued count."""
 
-    def __init__(self, comm: SimComm) -> None:
-        self._comm = comm
-        self._records: list[KernelRecord] = []
+    __slots__ = ("_comm", "_rank", "_built")
 
-    @property
-    def records(self) -> list[KernelRecord]:
+    def __init__(self, comm: SimComm, rank: int) -> None:
+        self._comm, self._rank = comm, rank
+        self._built: list[KernelRecord] = []
+
+    def _list(self) -> list[KernelRecord]:
         if self._comm._queued:
             self._comm._flush()
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self._built) + int(self._comm._pending_lengths()[self._rank])
+
+
+class _RankLog(PerfLog):
+    """One rank's compute log on a :class:`SimComm`, always reading (and
+    appending after) everything recorded so far (see :class:`_RankRecords`)."""
+
+    def __init__(self, comm: SimComm, rank: int) -> None:
+        self._records = _RankRecords(comm, rank)
+
+    @property
+    def records(self) -> _RankRecords:
         return self._records
 
 
 class _FrozenExchange:
     """An exchange over ``rounds`` of ``(tag, pattern)`` that logs the same
-    messages on every :meth:`start`: one frozen batch per (width, phase)."""
+    messages on every :meth:`start`: one batch per width."""
 
     def __init__(self, comm: SimComm, rounds, bytes_per_elem: float,
                  persistent: bool) -> None:
@@ -307,7 +448,7 @@ class _FrozenExchange:
         self.rounds = rounds
         self.bytes_per_elem = bytes_per_elem
         self.persistent = persistent
-        self._batches: dict[tuple[int, str], tuple[_LoggedMessage, ...]] = {}
+        self._batches: dict[int, MessageBatch] = {}
 
     def start(self, *, width: int = 1) -> None:
         """Log one message per neighbor pair of every round, in round order.
@@ -315,13 +456,12 @@ class _FrozenExchange:
         ``width > 1`` sends a *k*-column block through the same frozen
         pattern: still one message per pair, *k* times the bytes.
         """
-        key = (width, current_phase())
-        batch = self._batches.get(key)
+        batch = self._batches.get(width)
         if batch is None:
-            batch = self._batches[key] = tuple(
-                m for tag, pat in self.rounds
-                for m in frozen_messages(pat, width * self.bytes_per_elem,
-                                         persistent=self.persistent, tag=tag))
+            batch = self._batches[width] = MessageBatch.later(
+                sum(s != d for _, pat in self.rounds for s, d in pat),
+                lambda: _rounds_batch(self.rounds, width * self.bytes_per_elem,
+                                      self.persistent))
         self.comm.log_batch(batch)
 
 

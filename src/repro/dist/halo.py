@@ -10,9 +10,9 @@ pattern into a :class:`repro.dist.comm.PersistentExchange` (§4.4); otherwise
 every exchange logs the non-persistent per-message setup cost.
 
 Everything an exchange does is frozen with the pattern: the wire messages
-are one immutable batch per ``(width, phase)`` appended in bulk, the
-``halo.pack_unpack`` / ``halo.stage`` records are per-rank
-:class:`~repro.perf.counters.RecordTable` rows, and the data movement is
+are one :class:`~repro.dist.comm.MessageBatch` per width appended as one
+segment, the ``halo.pack_unpack`` / ``halo.stage`` records are per-rank
+:class:`~repro.perf.counters.RecordTable` columns, and the data movement is
 one fancy index over the vector's backing array (:meth:`HaloExchange.gather`
 returns the rank-concatenated buffer, ``__call__`` per-rank views of it).
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import VAL_BYTES, RecordTable, make_record
+from ..perf.counters import VAL_BYTES, RecordTable
 from ..sparse.ops import run_starts
 from .comm import NodeAwareExchange, PersistentExchange, SimComm
 from .parcsr import ParCSRMatrix, ParVector
@@ -143,18 +143,23 @@ class HaloExchange:
         per relaying node leader (empty on the flat schedule)."""
         recs = self._recs.get(width)
         if recs is None:
-            def copy_rec(kernel, elems):
-                return make_record(kernel,
-                                   bytes_read=elems * width * VAL_BYTES,
-                                   bytes_written=elems * width * VAL_BYTES)
-
+            nranks = self.comm.nranks
             relay = self.node_plan.relay if self.node_aware else {}
+            leaders = np.zeros(nranks, dtype=bool)
+            leaders[list(relay)] = True
+
+            def copies(kernel, elems, present=None):
+                elems = np.asarray(elems) * (width * VAL_BYTES)
+                return RecordTable.per_rank(kernel, nranks, bytes_read=elems,
+                                            bytes_written=elems,
+                                            present=present)
+
             recs = self._recs[width] = (
-                RecordTable([copy_rec("halo.pack_unpack", b - a)]
-                            for a, b in zip(self._ext_ptr, self._ext_ptr[1:])),
-                RecordTable([copy_rec("halo.stage", relay[p])]
-                            if p in relay else ()
-                            for p in range(self.comm.nranks)))
+                RecordTable.later(np.ones(nranks), lambda: copies(
+                    "halo.pack_unpack", np.diff(self._ext_ptr))),
+                RecordTable.later(leaders, lambda: copies(
+                    "halo.stage", [relay.get(p, 0) for p in range(nranks)],
+                    leaders)))
         return recs
 
     def gather(self, x: ParVector) -> np.ndarray:

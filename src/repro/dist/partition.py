@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..perf.counters import VAL_BYTES, RecordTable, make_record
+from ..perf.counters import VAL_BYTES, RecordTable
 from ..sparse.ops import run_starts
 
 __all__ = ["RowPartition"]
@@ -28,6 +28,7 @@ class RowPartition:
         if b[0] != 0 or np.any(np.diff(b) < 0):
             raise ValueError("invalid partition bounds")
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_n", int(b[-1]))
         # (first row, rank count, size) of every run of equal-size ranks
         sizes = np.diff(b)
         first = run_starts(sizes)
@@ -52,7 +53,7 @@ class RowPartition:
 
     @property
     def n(self) -> int:
-        return int(self.bounds[-1])
+        return self._n
 
     def size(self, rank: int) -> int:
         return int(self.bounds[rank + 1] - self.bounds[rank])
@@ -74,11 +75,12 @@ class RowPartition:
         key = (kernel, flops, reads, writes)
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = RecordTable(
-                [make_record(kernel, flops=flops * n,
-                             bytes_read=reads * n * VAL_BYTES,
-                             bytes_written=writes * n * VAL_BYTES)]
-                for n in np.diff(self.bounds).tolist())
+            n = np.diff(self.bounds)
+            table = self._tables[key] = RecordTable.later(
+                np.ones(self.nranks), lambda: RecordTable.per_rank(
+                    kernel, self.nranks, flops=flops * n,
+                    bytes_read=reads * n * VAL_BYTES,
+                    bytes_written=writes * n * VAL_BYTES))
         return table
 
     def dots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import IDX_BYTES, PTR_BYTES, RecordTable, make_records
+from ..perf.counters import IDX_BYTES, PTR_BYTES, RecordTable
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import indptr_from_counts, sorted_unique
 from .comm import SimComm
@@ -109,9 +109,9 @@ def dist_pmis(
         np.maximum.at(nbr_max, d_rid, u[diag.indices])
         np.maximum.at(nbr_max, o_rid, u_ext[offd.indices])
         state[und & (measure > nbr_max)] = C_PT
-        comm.record_on_ranks(RecordTable([r] for r in make_records(
+        comm.record_on_ranks(RecordTable.per_rank(
             "pmis.round", comm.nranks, bytes_read=round_read,
-            branches=undecided)))
+            branches=undecided))
 
         # Exchange updated states; undecided neighbours of C points in the
         # symmetrized strong graph become F (independence even under

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..perf.counters import IDX_BYTES, VAL_BYTES, RecordTable, make_records
 from ..sparse.ops import gather_range_indices, indptr_from_counts, run_starts
-from .comm import SimComm, message_batch
+from .comm import MessageBatch, SimComm
 from .parcsr import ParCSRMatrix
 
 __all__ = ["GatheredRows", "GatheredStack", "gather_matrix_rows",
@@ -179,7 +179,7 @@ def gather_rows(
     n_rows = np.diff(np.r_[first, len(pair)])[remote]
     n_ent = (np.add.reduceat(counts, first) if len(first) else first)[remote]
     src, dst = p_req[remote], p_own[remote]
-    comm.log_batch(message_batch(
+    comm.log_batch(MessageBatch(
         np.stack([src, dst], 1).ravel(), np.stack([dst, src], 1).ravel(),
         np.stack([
             n_rows * float(GLOBAL_IDX_BYTES),

@@ -27,7 +27,7 @@ from ..amg.interp import EXTENDED_I, MULTIPASS, TWO_STAGE_EI, interp_scheme
 from ..amg.smoothers import smoother_variant
 from ..config import AMGConfig
 from ..perf.counters import VAL_BYTES, RecordTable, count, make_record, phase
-from .comm import SimComm, frozen_messages, message_batch
+from .comm import MessageBatch, SimComm, frozen_messages
 from .halo import HaloExchange, build_halo
 from .interp import dist_extended_i, dist_multipass, dist_two_stage_ei
 from .parcsr import ParCSRMatrix, ParVector
@@ -106,7 +106,7 @@ class DistCoarseSolver:
         if self.direct:
             # Gather the coarsest operator to rank 0 once, at setup.
             senders = np.arange(1, comm.nranks)
-            comm.log_batch(message_batch(
+            comm.log_batch(MessageBatch(
                 senders, np.zeros_like(senders),
                 sum(A.rank_nnz())[1:] * 16, "coarse.gather"))
             dense = A.to_global().to_dense()

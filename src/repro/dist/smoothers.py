@@ -31,8 +31,6 @@ from ..perf.counters import (
     VAL_BYTES,
     RecordTable,
     collect,
-    make_record,
-    make_records,
     phase,
     silent,
 )
@@ -40,7 +38,7 @@ from ..sparse.spmv import spmv
 from .comm import SimComm
 from .halo import build_halo
 from .parcsr import ParCSRMatrix, ParVector
-from .spmv import _spmv_record
+from .spmv import _spmv_fields
 
 __all__ = ["DistSmoother"]
 
@@ -135,9 +133,9 @@ class DistSmoother:
                     stack=bounds)
             if variant == "lex":
                 with phase("Setup_etc"):
-                    comm.record_on_ranks(RecordTable([r] for r in make_records(
+                    comm.record_on_ranks(RecordTable.per_rank(
                         "gs.lex_schedule_setup", comm.nranks,
-                        **pattern_scan_fields(A.rank_nnz()[0]))))
+                        **pattern_scan_fields(A.rank_nnz()[0])))
             self._pass_recs = _gs_pass_tables(self.stacked, bounds)
         else:
             # Jacobi and multicolour smoothers are built per rank (a rank's
@@ -156,12 +154,13 @@ class DistSmoother:
         offd.lockstep()
 
         self._offd = offd
-        self._offd_recs = RecordTable(
-            [_spmv_record("gs.offd", n, o),
-             make_record("gs.offd_sub", flops=n, bytes_read=n * VAL_BYTES,
-                         bytes_written=n * VAL_BYTES)]
-            if o else () for n, o in zip(
-                np.diff(A.row_part.bounds).tolist(), A.rank_nnz()[1].tolist()))
+        n, o = np.diff(bounds), A.rank_nnz()[1]
+        self._offd_recs = RecordTable.join(
+            RecordTable.per_rank("gs.offd", len(n), **_spmv_fields(n, o),
+                                 present=o > 0),
+            RecordTable.per_rank("gs.offd_sub", len(n), flops=n,
+                                 bytes_read=n * VAL_BYTES,
+                                 bytes_written=n * VAL_BYTES, present=o > 0))
 
     def _offd_rhs(self, b: ParVector, x: ParVector, *, zero_guess: bool) -> np.ndarray:
         """``b - A_offd x_ext`` of all ranks (the Jacobi boundary term)."""

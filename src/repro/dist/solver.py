@@ -195,7 +195,12 @@ class DistAMGSolver:
 
         ref = bnorm if bnorm > 0.0 else r0
         residuals = [r0]
-        if r0 == 0.0:
+        if not np.isfinite(r0):
+            solver_events.append(
+                FaultEvent("nonfinite", detail="initial residual"))
+            return result(x, 0, residuals, False, degraded=True,
+                          reason="nonfinite initial residual")
+        if r0 <= tol * ref:
             return result(x, 0, residuals, True)
         guard = ResidualGuard(ref)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import VAL_BYTES, RecordTable, make_records
+from ..perf.counters import VAL_BYTES, RecordTable
 from ..sparse.csr import CSRMatrix
 from .comm import SimComm
 from .parcsr import ParCSRMatrix
@@ -53,13 +53,11 @@ def sparsify_parcsr(comm: SimComm, A: ParCSRMatrix,
     rank = A.row_part.ranks()
     d_nnz, o_nnz = A.rank_nnz()
     kept = np.bincount(rank[rid[keep]], minlength=comm.nranks)
-    records = make_records(
+    comm.record_on_ranks(RecordTable.per_rank(
         "sparsify.filter", comm.nranks,
         flops=2.0 * (d_nnz + o_nnz),
         bytes_read=(d_nnz + o_nnz) * VAL_BYTES,
-        bytes_written=kept * VAL_BYTES)
-    comm.record_on_ranks(RecordTable(
-        [r] if o else () for r, o in zip(records, o_nnz.tolist())))
+        bytes_written=kept * VAL_BYTES, present=o_nnz > 0))
     dropped = o_nnz - kept
     if not dropped.any():
         return A, 0

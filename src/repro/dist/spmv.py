@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import KernelRecord, RecordTable, make_record, silent
+from ..perf.counters import RecordTable, silent
 from ..sparse.spmv import rhs_width, spmv, spmv_traffic
 from .comm import SimComm
 from .halo import HaloExchange
@@ -34,13 +34,13 @@ from .parcsr import ParCSRMatrix, ParVector
 __all__ = ["dist_spmv", "dist_residual_norm"]
 
 
-def _spmv_record(kernel: str, nrows: int, nnz: int, width: int = 0) -> KernelRecord:
-    """What ``spmv(M, x, kernel=...)`` records for an *nrows*-row,
+def _spmv_fields(nrows, nnz, width: int = 0) -> dict:
+    """The fields ``spmv(M, x, kernel=...)`` records for an *nrows*-row,
     *nnz*-entry ``M`` and an *x* of *width* columns (0 = a vector), without
-    running it."""
+    running it (elementwise over arrays)."""
     br, bw = spmv_traffic(nrows, nnz, width)
-    return make_record(kernel, flops=2 * nnz * max(width, 1),
-                       bytes_read=br, bytes_written=bw)
+    return {"flops": 2 * nnz * max(width, 1), "bytes_read": br,
+            "bytes_written": bw}
 
 
 def _spmv_table(A: ParCSRMatrix, kernel: str, width: int) -> RecordTable:
@@ -48,11 +48,14 @@ def _spmv_table(A: ParCSRMatrix, kernel: str, width: int) -> RecordTable:
     has off-diagonal entries, its ``offd`` SpMV (*width* 0 = single RHS)."""
     table = A.tables.get((kernel, width))
     if table is None:
-        sizes = np.diff(A.row_part.bounds).tolist()
-        table = A.tables[(kernel, width)] = RecordTable(
-            [_spmv_record(kernel, n, d, width)]
-            + ([_spmv_record(kernel + ".offd", n, o, width)] if o else [])
-            for n, d, o in zip(sizes, *(c.tolist() for c in A.rank_nnz())))
+        sizes, (diag, offd) = np.diff(A.row_part.bounds), A.rank_nnz()
+        table = A.tables[(kernel, width)] = RecordTable.later(
+            1 + (offd > 0), lambda: RecordTable.join(
+                RecordTable.per_rank(kernel, len(sizes),
+                                     **_spmv_fields(sizes, diag, width)),
+                RecordTable.per_rank(kernel + ".offd", len(sizes),
+                                     **_spmv_fields(sizes, offd, width),
+                                     present=offd > 0)))
     return table
 
 

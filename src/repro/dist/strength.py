@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, RecordTable, make_records
+from ..perf.counters import IDX_BYTES, PTR_BYTES, VAL_BYTES, RecordTable
 from ..sparse.ops import segment_sum
 from .comm import SimComm
 from .parcsr import ParCSRMatrix, keep_entries
@@ -67,11 +67,11 @@ def dist_strength(
     d_nnz, o_nnz = A.rank_nnz()
     nnz, nloc = d_nnz + o_nnz, np.diff(A.row_part.bounds)
     kept = sum(S.rank_nnz())
-    comm.record_on_ranks(RecordTable([r] for r in make_records(
+    comm.record_on_ranks(RecordTable.per_rank(
         "strength", comm.nranks,
         flops=2 * nnz,
         bytes_read=nnz * (VAL_BYTES + IDX_BYTES) + (nloc + 1) * PTR_BYTES,
         bytes_written=kept * IDX_BYTES + (nloc + 1) * PTR_BYTES,
         branches=nnz,
-        parallel=parallel)))
+        parallel=parallel))
     return S

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.counters import VAL_BYTES, RecordTable, make_records
-from .comm import SimComm, message_batch
+from ..perf.counters import VAL_BYTES, RecordTable
+from .comm import MessageBatch, SimComm
 from .parcsr import ParCSRMatrix
 from .rowgather import GLOBAL_IDX_BYTES
 
@@ -34,20 +34,20 @@ def dist_transpose(comm: SimComm, A: ParCSRMatrix, *, tag: str = "transpose") ->
     sent = np.bincount(src * nranks + dst,
                        minlength=nranks * nranks).reshape(nranks, nranks)
     s, d = np.nonzero(sent)
-    comm.log_batch(message_batch(
+    comm.log_batch(MessageBatch(
         s, d, sent[s, d] * (VAL_BYTES + 2 * GLOBAL_IDX_BYTES), tag))
     out, got = sent.sum(axis=1), sent.sum(axis=0)
-    scatter = make_records(
+    scatter = RecordTable.per_rank(
         "transpose.scatter", nranks,
         bytes_read=out * (VAL_BYTES + GLOBAL_IDX_BYTES),
         bytes_written=out * (VAL_BYTES + 2 * GLOBAL_IDX_BYTES),
         branches=out)
     # Local counting-sort assembly of received triplets.
-    local_sort = make_records(
+    local_sort = RecordTable.per_rank(
         "transpose.local_sort", nranks,
         bytes_read=2 * got * (VAL_BYTES + GLOBAL_IDX_BYTES),
         bytes_written=got * (VAL_BYTES + GLOBAL_IDX_BYTES))
-    comm.record_on_ranks(RecordTable(zip(scatter, local_sort)))
+    comm.record_on_ranks(RecordTable.join(scatter, local_sort))
     # Transposed triplet: row = old column, col = old row.
     return ParCSRMatrix.from_triplets(
         cols, rows, np.concatenate([A.diag.data, A.offd.data]),

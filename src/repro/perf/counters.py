@@ -47,6 +47,7 @@ __all__ = [
     "make_records",
     "active_log",
     "current_phase",
+    "current_level",
 ]
 
 #: Bytes per column index in the modeled native implementation (HYPRE uses
@@ -254,6 +255,10 @@ def current_phase() -> str:
     return _PHASE_STACK[-1] if _PHASE_STACK else "unattributed"
 
 
+def current_level() -> int | None:
+    return _LEVEL_STACK[-1] if _LEVEL_STACK else None
+
+
 @contextmanager
 def collect(log: PerfLog | None = None):
     """Activate *log* (a fresh one if ``None``) for the enclosed block.
@@ -334,28 +339,100 @@ def count_record(rec: KernelRecord) -> None:
 
 
 class RecordTable:
-    """Prebuilt records in rows, one row per destination log (a rank).
+    """Prebuilt records in rows, one row per destination log (a rank), as
+    phase-free columns in row order (``lengths[p]`` records in row *p*).
 
-    ``live()`` is what appending every row through :func:`count_record`
-    would log under the current phase/level stacks; the retagged copy is
-    memoised per ``(phase, level)``, so ``dataclasses.replace`` runs once
-    per phase rather than once per append.  Rows alias their records across
-    appends: records are immutable once logged.
+    ``live(phase, level)`` is what appending every row through
+    :func:`count_record` under those tags would log: built once per
+    ``(phase, level)``, one :class:`KernelRecord` call each, and aliased
+    by every later hand-out (records are immutable once logged).
     """
 
     def __init__(self, rows) -> None:
-        self.rows = tuple(tuple(row) for row in rows)
+        """The table of *rows* of template records (their phase and level
+        are dropped)."""
+        rows = [tuple(row) for row in rows]
+        recs = [r for row in rows for r in row]
+        self._set([len(row) for row in rows], [r.kernel for r in recs],
+                  [(r.flops, r.bytes_read, r.bytes_written, r.branches,
+                    r.mispredicts) for r in recs], [r.parallel for r in recs])
+
+    def _set(self, lengths, kernel: list, values, parallel: list) -> None:
+        #: Records per row.
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.nrows = len(self.lengths)
+        self._kernel, self._parallel = kernel, parallel
+        self._values = np.asarray(values, dtype=np.float64).reshape(-1, 5)
+        self._build = None
         self._live: dict[tuple[str, int | None], tuple] = {}
 
-    def live(self) -> tuple[tuple[KernelRecord, ...], ...]:
-        ph = _PHASE_STACK[-1] if _PHASE_STACK else "unattributed"
-        lv = _LEVEL_STACK[-1] if _LEVEL_STACK else None
-        rows = self._live.get((ph, lv))
+    @classmethod
+    def later(cls, lengths, build) -> "RecordTable":
+        """The table ``build()`` returns, whose rows hold *lengths* records,
+        built on its first hand-out."""
+        table = cls.__new__(cls)
+        table._set(lengths, [], (), [])
+        table._build = build
+        return table
+
+    @classmethod
+    def per_rank(cls, kernel: str, n: int, *, flops=0.0, bytes_read=0.0,
+                 bytes_written=0.0, branches=0.0, parallel: bool = True,
+                 present=None) -> "RecordTable":
+        """One *kernel* record in each of *n* rows — the rows of *present*
+        only, when given — with fields as in :func:`make_records`
+        (length-*n* arrays or one value for all)."""
+        values = np.empty((n, 5))
+        values[:, 0], values[:, 1], values[:, 2], values[:, 3] = (
+            flops, bytes_read, bytes_written, branches)
+        np.multiply(values[:, 3], DEFAULT_MISPREDICT_RATE, out=values[:, 4])
+        lengths = np.ones(n, dtype=np.int64)
+        if present is not None:
+            lengths = np.asarray(present, dtype=np.int64)
+            values = values[lengths > 0]
+        table = cls.__new__(cls)
+        table._set(lengths, [kernel] * len(values), values,
+                   [parallel] * len(values))
+        return table
+
+    @classmethod
+    def join(cls, *tables: "RecordTable") -> "RecordTable":
+        """Row *p* of every table in turn, as row *p*."""
+        for t in tables:
+            t._resolve()
+        nrows = max(t.nrows for t in tables)
+        row = np.concatenate([np.repeat(np.arange(t.nrows), t.lengths)
+                              for t in tables])
+        order = np.argsort(row, kind="stable")
+        kernel = [k for t in tables for k in t._kernel]
+        parallel = [p for t in tables for p in t._parallel]
+        table = cls.__new__(cls)
+        table._set(np.bincount(row, minlength=nrows),
+                   [kernel[i] for i in order.tolist()],
+                   np.concatenate([t._values for t in tables])[order],
+                   [parallel[i] for i in order.tolist()])
+        return table
+
+    def _resolve(self) -> None:
+        """Build a :meth:`later` table's columns."""
+        if self._build is not None:
+            built = self._build()
+            if not np.array_equal(built.lengths, self.lengths):
+                raise ValueError("built table does not fit its row lengths")
+            self._set(self.lengths, built._kernel, built._values,
+                      built._parallel)
+
+    def live(self, phase: str, level: int | None
+             ) -> tuple[tuple[KernelRecord, ...], ...]:
+        rows = self._live.get((phase, level))
         if rows is None:
-            rows = self._live[(ph, lv)] = tuple(
-                tuple(r if r.phase == ph and r.level == lv
-                      else replace(r, phase=ph, level=lv) for r in row)
-                for row in self.rows)
+            self._resolve()
+            recs = [KernelRecord(phase, k, f, r, w, b, m, par, level)
+                    for k, (f, r, w, b, m), par in zip(
+                        self._kernel, self._values.tolist(), self._parallel)]
+            ends = np.cumsum(self.lengths).tolist()
+            rows = self._live[(phase, level)] = tuple(
+                tuple(recs[a:b]) for a, b in zip([0, *ends], ends))
         return rows
 
 
@@ -409,10 +486,7 @@ def make_records(
     now, built without *n* calls — the per-rank records of a kernel that
     ran once over all ranks, from segment sums over the rank boundaries.
     """
-    ph = _PHASE_STACK[-1] if _PHASE_STACK else "unattributed"
-    lv = _LEVEL_STACK[-1] if _LEVEL_STACK else None
-    cols = [np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
-            for c in (flops, bytes_read, bytes_written, branches)]
-    cols.append(cols[-1] * DEFAULT_MISPREDICT_RATE)
-    return [KernelRecord(ph, kernel, f, r, w, b, m, parallel, lv)
-            for f, r, w, b, m in zip(*(c.tolist() for c in cols))]
+    table = RecordTable.per_rank(
+        kernel, n, flops=flops, bytes_read=bytes_read,
+        bytes_written=bytes_written, branches=branches, parallel=parallel)
+    return [row[0] for row in table.live(current_phase(), current_level())]

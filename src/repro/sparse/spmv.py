@@ -80,7 +80,7 @@ def _operand(x, nrows: int) -> tuple[np.ndarray, int]:
 def spmv_traffic(nrows: int, nnz: int, width: int = 0, *,
                  write_output: bool = True) -> tuple[float, float]:
     """(bytes_read, bytes_written) of one CSR SpMV over *width* columns
-    (0 = one vector).
+    (0 = one vector); elementwise over arrays of *nrows* and *nnz*.
 
     The matrix stream (values, indices, row pointer) is read once; the
     gathered source vector is read, and the output written, per column.
@@ -88,7 +88,7 @@ def spmv_traffic(nrows: int, nnz: int, width: int = 0, *,
     k = max(width, 1)
     bytes_read = nnz * (VAL_BYTES + IDX_BYTES) + (nrows + 1) * PTR_BYTES + k * nnz * VAL_BYTES
     bytes_written = k * nrows * VAL_BYTES if write_output else 0.0
-    return float(bytes_read), float(bytes_written)
+    return 1.0 * bytes_read, 1.0 * bytes_written
 
 
 def spmv(A: CSRMatrix, x: np.ndarray, *, kernel: str | None = None) -> np.ndarray:

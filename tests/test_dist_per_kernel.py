@@ -6,9 +6,12 @@ kernel: ``SimComm.record_on_ranks`` extended every rank's log, a
 took one BLAS dot per rank.  Now a table's rows are queued once and handed
 out to the rank logs when they are read, the views are built on first
 access, and :meth:`RowPartition.dots` takes one ``np.vecdot`` per run of
-equal-size ranks.  The oracles here are the per-rank code: the old
-``record_on_ranks`` loop (:class:`LoopComm`), and the per-rank ``a @ b``
-list.  Streams compare with ``==``, floats by their bits.
+equal-size ranks.  The logs are segment logs: a table, a message batch or
+one message is appended as one segment and its entries are built on the
+first read.  The oracles here are the per-rank code: the old
+``record_on_ranks`` loop and a list-backed message log that builds each
+entry at its send (:class:`LoopComm`), and the per-rank ``a @ b`` list.
+Streams compare with ``==``, floats by their bits.
 """
 
 from __future__ import annotations
@@ -37,7 +40,23 @@ from repro.dist import (
 from repro.dist.solver import par_dot
 from repro.faults.comm import FaultyComm
 from repro.faults.plan import FaultPlan
-from repro.perf.counters import RecordTable, count, make_record, phase
+import repro.perf.counters as counters_mod
+from repro.dist.comm import (
+    MessageBatch,
+    NodeAwareExchange,
+    PersistentExchange,
+    _LoggedMessage,
+)
+from repro.perf.counters import (
+    VAL_BYTES,
+    RecordTable,
+    count,
+    current_level,
+    current_phase,
+    make_record,
+    phase,
+)
+from repro.perf.network import MessageEvent
 from repro.problems import laplace_3d_27pt
 
 
@@ -149,16 +168,29 @@ def test_residual_norm_is_the_per_rank_allreduce(case, fused):
 
 
 # ---------------------------------------------------------------------------
-# (b) Queued rank logs against the per-rank loop, under any interleaving
+# (b) Segment logs against the per-rank loop and a list, under any
+#     interleaving
 # ---------------------------------------------------------------------------
 
 
 class _PerRankLoop:
-    """``record_on_ranks`` as the per-rank loop it replaced."""
+    """The reference logs: ``record_on_ranks`` as the per-rank loop it
+    replaced, and the message log as a list that every send appends one
+    built entry to."""
+
+    def __init__(self, *a) -> None:
+        super().__init__(*a)
+        self.messages = []
 
     def record_on_ranks(self, table):
-        for log, recs in zip(self.rank_logs, table.live()):
+        for log, recs in zip(self.rank_logs,
+                             table.live(current_phase(), current_level())):
             log.records.extend(recs)
+
+    def log_message(self, src, dst, nbytes, *, persistent=False, tag=""):
+        self.messages.append(_LoggedMessage(
+            MessageEvent(src, dst, int(nbytes), persistent, tag),
+            current_phase()))
 
 
 class LoopComm(_PerRankLoop, SimComm):
@@ -185,12 +217,40 @@ TABLES = [_table("full", NRANKS), _table("wide", NRANKS, 3),
           _table("one", 1), _table("two", 2), RecordTable([]),
           _table("long", NRANKS + 2)]
 
+#: ``(persistent, rounds)`` of the frozen exchanges a program starts; the
+#: self-sends and the empty round log nothing.
+EXCHANGES = [
+    (True, [("halo", {(0, 1): 3, (1, 0): 2, (2, 2): 5, (3, 1): 1})]),
+    (True, [("halo.gather", {(1, 0): 4, (3, 2): 1}), ("halo.inter", {}),
+            ("halo.inter", {(0, 2): 7, (2, 0): 7}),
+            ("halo.scatter", {(0, 1): 2, (2, 3): 2, (2, 2): 1})]),
+    (False, [("halo", {(3, 0): 6, (0, 3): 5})]),
+]
+WIDTHS = [1, 3]
+#: One set-up kernel's sends: a self-send, per-message tags, float bytes.
+BATCH = (np.array([0, 1, 2, 2, 3]), np.array([1, 1, 0, 3, 2]),
+         np.array([16.0, 8.0, 24.5, 0.0, 99.9]), ["a", "b", "c", "d", "e"])
+
+PHASES = [None, "SpMV", "GS"]
 leaf_ops = st.one_of(
     st.tuples(st.just("rec"), st.integers(0, len(TABLES) - 1),
-              st.sampled_from([None, "SpMV", "GS"])),
+              st.sampled_from(PHASES)),
     st.tuples(st.just("read")),
+    st.tuples(st.just("lens")),
+    st.tuples(st.just("rank_read"), st.integers(0, NRANKS - 1),
+              st.integers(-3, 3), st.integers(-3, 3)),
     st.tuples(st.just("clear")),
     st.tuples(st.just("run"), st.booleans()),
+    st.tuples(st.just("start"), st.integers(0, len(EXCHANGES) - 1),
+              st.sampled_from(WIDTHS), st.sampled_from(PHASES)),
+    st.tuples(st.just("batch"), st.sampled_from(PHASES), st.booleans(),
+              st.booleans()),
+    st.tuples(st.just("send"), st.integers(0, NRANKS - 1),
+              st.integers(0, NRANKS - 1), st.floats(0, 100),
+              st.sampled_from(PHASES)),
+    st.tuples(st.just("msg_read"), st.sampled_from(["len", "index", "slice",
+                                                    "iter", "eq"]),
+              st.integers(-12, 12), st.integers(-12, 12)),
 )
 on_rank_body = st.lists(st.one_of(
     st.tuples(st.just("count"), st.integers(0, 3)),
@@ -202,16 +262,62 @@ programs = st.lists(st.one_of(
 
 
 def run_program(comm, program) -> list:
-    """Run *program* on *comm*; every rank's stream at each read and at the
-    end."""
+    """Run *program* on *comm*; every read's result, then every rank's
+    stream and the message log at the end."""
     seen = []
+    reference = isinstance(comm, _PerRankLoop)
+    exchanges = [
+        PersistentExchange(comm, rounds[0][1], tag=rounds[0][0])
+        if persistent and len(rounds) == 1
+        else NodeAwareExchange(comm, rounds, persistent=persistent)
+        for persistent, rounds in EXCHANGES]
 
-    def rec(t, ph):
+    def under(ph, fn, *args):
         if ph is None:
-            comm.record_on_ranks(TABLES[t])
-        else:
-            with phase(ph):
-                comm.record_on_ranks(TABLES[t])
+            return fn(*args)
+        with phase(ph):
+            return fn(*args)
+
+    def rec(t):
+        comm.record_on_ranks(TABLES[t])
+
+    def start(i, width):
+        if not reference:
+            exchanges[i].start(width=width)
+            return
+        persistent, rounds = EXCHANGES[i]
+        for tag, pattern in rounds:
+            for (src, dst), n in pattern.items():
+                if src != dst:
+                    comm.log_message(src, dst, n * width * VAL_BYTES,
+                                     persistent=persistent, tag=tag)
+
+    def batch(persistent, one_tag):
+        src, dst, nbytes, tags = BATCH
+        tags = "one" if one_tag else tags
+        if not reference:
+            comm.log_batch(MessageBatch(src, dst, nbytes, tags,
+                                         persistent=persistent))
+            return
+        for i, (s, d, b) in enumerate(zip(src.tolist(), dst.tolist(),
+                                          nbytes.tolist())):
+            if s != d:
+                comm.log_message(s, d, b, persistent=persistent,
+                                 tag=tags if one_tag else tags[i])
+
+    def msg_read(kind, i, j):
+        msgs = comm.messages
+        if kind == "len":
+            return len(msgs)
+        if kind == "index":
+            return msgs[i % len(msgs)] if len(msgs) else None
+        if kind == "slice":
+            return msgs[i:j]
+        if kind == "eq":
+            return msgs == list(msgs)
+        got = list(msgs)
+        assert all(a is b for a, b in zip(got, msgs))  # a read aliases
+        return got
 
     def kernel(p, nested):
         count(f"run.{p}", flops=p)
@@ -222,22 +328,39 @@ def run_program(comm, program) -> list:
 
     for op in program:
         if op[0] == "rec":
-            rec(*op[1:])
+            under(op[2], rec, op[1])
         elif op[0] == "read":
             seen.append(streams(comm))
+        elif op[0] == "lens":
+            seen.append(([len(log.records) for log in comm.rank_logs],
+                         [len(log) for log in comm.rank_logs]))
+        elif op[0] == "rank_read":
+            records = comm.rank_logs[op[1]].records
+            seen.append((records[op[2]:op[3]],
+                         records[op[2]] if -len(records) <= op[2] < len(records)
+                         else None))
         elif op[0] == "clear":
             comm.clear_logs()
         elif op[0] == "run":
             assert comm.run_on_ranks(lambda p: kernel(p, op[1])) == list(
                 range(NRANKS))
+        elif op[0] == "start":
+            under(op[3], start, op[1], op[2])
+        elif op[0] == "batch":
+            under(op[1], batch, op[2], op[3])
+        elif op[0] == "send":
+            under(op[4], comm.log_message, op[1], op[2], op[3])
+        elif op[0] == "msg_read":
+            seen.append(msg_read(*op[1:]))
         else:
             with comm.on_rank(op[1]):
                 for inner in op[2]:
                     if inner[0] == "count":
                         count(f"direct.{inner[1]}", bytes_read=inner[1])
                     else:
-                        rec(*inner[1:])
+                        under(inner[2], rec, inner[1])
     seen.append(streams(comm))
+    seen.append(list(comm.messages))
     return seen
 
 
@@ -256,22 +379,58 @@ def test_queued_logs_are_the_per_rank_loop_on_a_faulty_comm(program):
 
 
 def test_short_tables_queue_without_a_hand_out(monkeypatch):
+    calls = {"flush": 0, "KernelRecord": 0}
+
+    def counted(name, fn):
+        def wrapped(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+        return wrapped
+
     comm = SimComm(NRANKS)
-    flushes = []
-    flush = SimComm._flush
-    monkeypatch.setattr(SimComm, "_flush",
-                        lambda self: (flushes.append(1), flush(self)))
+    one, full, long = _table("one", 1), _table("full", NRANKS), _table(
+        "long", NRANKS + 2)
+    monkeypatch.setattr(SimComm, "_flush", counted("flush", SimComm._flush))
+    monkeypatch.setattr(counters_mod, "KernelRecord",
+                        counted("KernelRecord", counters_mod.KernelRecord))
     for _ in range(10):  # the coarse solve's one-row table, per V-cycle
-        comm.record_on_ranks(TABLES[2])
-        comm.record_on_ranks(TABLES[0])
-    assert not flushes
+        comm.record_on_ranks(one)
+        comm.record_on_ranks(full)
     log = comm.rank_logs[3]  # held across the appends below
-    comm.record_on_ranks(TABLES[5])
-    assert not flushes
-    assert [len(log) for log in comm.rank_logs] == [10 + 10 + 1, 20 + 2, 10 + 1, 2]
-    assert len(flushes) == 1  # one hand-out, on the first read
+    comm.record_on_ranks(long)
+    lens = [10 + 10 + 1, 20 + 2, 10 + 1, 2]
+    assert [len(log) for log in comm.rank_logs] == lens
+    assert [len(log.records) for log in comm.rank_logs] == lens
+    # len() reads the pending count: nothing handed out, nothing built.
+    assert calls == {"flush": 0, "KernelRecord": 0}
     assert [r.kernel for r in log.records] == ["long.3.0", "long.3.1"]
-    assert len(flushes) == 1  # nothing queued, nothing handed out
+    # One hand-out, on the first read; each table's records are built once
+    # for its (phase, level), rows past the rank count included.
+    assert calls == {"flush": 1, "KernelRecord": 1 + 4 + 7}
+    assert [len(log.records) for log in comm.rank_logs] == lens
+    assert [list(log.records) for log in comm.rank_logs] == [
+        list(log.records) for log in comm.rank_logs]
+    assert calls == {"flush": 1, "KernelRecord": 12}  # nothing more
+
+
+@pytest.mark.parametrize("rows", [1, 2, NRANKS, NRANKS + 2])
+def test_read_after_append_with_long_and_short_tables(rows):
+    """Each kind of read right after an append, on both logs, for tables
+    shorter and longer than the rank count."""
+    table = _table("t", rows)
+    for read in (len, lambda r: r[-1:], lambda r: r[0] if len(r) else None,
+                 list, lambda r: r == list(r)):
+        comm, ref = SimComm(NRANKS), LoopComm(NRANKS)
+        for c in (comm, ref):
+            c.record_on_ranks(TABLES[2])
+        for _ in range(2):
+            got = []
+            for c in (comm, ref):
+                with phase("GS"):
+                    c.record_on_ranks(table)
+                got.append([read(log.records) for log in c.rank_logs])
+            assert got[0] == got[1]
+        assert streams(comm) == streams(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,54 @@ class TestDistSolve:
         assert abs(r_seq.iterations - r_dis.iterations) <= 4
 
 
+class TestDistSolveStart:
+    """``DistAMGSolver.solve`` judges its initial residual as
+    ``AMGSolver.solve`` does, before any V-cycle."""
+
+    @staticmethod
+    def build(b):
+        from repro.amg import AMGSolver
+        from repro.config import single_node_config
+
+        A = laplace_2d_5pt(16)
+        comm, Ap, part = make(A, 4)
+        dis = DistAMGSolver(comm, multi_node_config("ei", nthreads=4))
+        dis.setup(Ap)
+        seq = AMGSolver(single_node_config(nthreads=4))
+        seq.setup(A)
+        marks = [len(log.records) for log in comm.rank_logs]
+        return comm, dis, seq, ParVector.from_global(b, part), marks
+
+    @staticmethod
+    def cycled(comm, marks) -> bool:
+        return any(r.phase == "GS" or r.kernel.startswith("spmv.restrict")
+                   for log, m in zip(comm.rank_logs, marks)
+                   for r in log.records[m:])
+
+    def test_nonfinite_rhs_stops_before_cycling(self):
+        b = np.ones(256)
+        b[0] = np.nan
+        comm, dis, seq, bp, marks = self.build(b)
+        got, want = dis.solve(bp, tol=1e-7), seq.solve(b, tol=1e-7)
+        for res in (got, want):
+            assert (res.iterations, res.converged, res.degraded,
+                    res.degraded_reason) == (
+                0, False, True, "nonfinite initial residual")
+            assert [(e.kind, e.detail) for e in res.fault_events] == [
+                ("nonfinite", "initial residual")]
+        assert len(got.residuals) == 1 and np.isnan(got.residuals[0])
+        assert not self.cycled(comm, marks)
+
+    def test_converges_at_start_within_tol(self):
+        comm, dis, seq, bp, marks = self.build(np.ones(256))
+        got, want = dis.solve(bp, tol=1.0), seq.solve(np.ones(256), tol=1.0)
+        for res in (got, want):
+            assert (res.iterations, res.converged, res.degraded) == (
+                0, True, False)
+        assert got.residuals == [16.0]
+        assert not self.cycled(comm, marks)
+
+
 class TestModeledTimes:
     def test_phase_breakdown_available(self):
         A = laplace_2d_5pt(16)

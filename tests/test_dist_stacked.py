@@ -626,8 +626,7 @@ class TestFaultsPerMessage:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def warm32():
+def build32():
     """The benchmark's distributed workload: 32 ranks, 4 per node."""
     A = laplace_3d_27pt(16)
     part = RowPartition.uniform(A.nrows, 32)
@@ -642,9 +641,38 @@ def warm32():
     return comm, Ap, s, b
 
 
+@pytest.fixture(scope="module")
+def warm32():
+    return build32()
+
+
+#: ``_sha`` of the message and record streams of one ``dist_fgmres`` on
+#: ``build32()``'s hierarchy (9,908 messages), at the parent of the segment
+#: logs.
+SOLVE_STREAM_AT_PARENT = "bf832139f9a6ef18"
+
+
+def solve_stream(comm, marks=(0, None)) -> str:
+    """``_sha`` of everything logged since *marks* (message count, record
+    count per rank)."""
+    m0, r0 = marks
+    return _sha(([(m.event, m.phase) for m in comm.messages[m0:]],
+                 [log.records[a:] for log, a in
+                  zip(comm.rank_logs, r0 or [0] * comm.nranks)]))
+
+
+def log_marks(comm):
+    return len(comm.messages), [len(log.records) for log in comm.rank_logs]
+
+
+#: What building a log entry calls: a read builds them, a solve must not.
+BUILDS = ("MessageEvent", "LoggedMessage", "KernelRecord", "replace",
+          "dataclasses.replace", "flush")
+
+
 class TestNoPerRankPython:
-    def solve_counted(self, monkeypatch, warm32, **kw):
-        comm, Ap, s, b = warm32
+    @staticmethod
+    def counting(monkeypatch) -> dict:
         calls = {}
 
         def wrap(name, owner, attr):
@@ -660,17 +688,47 @@ class TestNoPerRankPython:
         wrap("log_message", SimComm, "log_message")
         wrap("on_rank", SimComm, "on_rank")
         wrap("MessageEvent", comm_mod, "MessageEvent")
+        wrap("LoggedMessage", comm_mod, "_LoggedMessage")
+        wrap("KernelRecord", counters_mod, "KernelRecord")
         wrap("replace", counters_mod, "replace")
+        wrap("dataclasses.replace", dataclasses, "replace")
         wrap("spmv", spmv_mod, "spmv")
         wrap("gs.spmv", smoothers_mod, "spmv")
         wrap("dist_spmv", solver_mod, "dist_spmv")  # the V-cycle's
         wrap("dist_spmv", krylov_mod, "dist_spmv")  # the Krylov driver's
         wrap("offd_rhs", DistSmoother, "_offd_rhs")
         wrap("flush", SimComm, "_flush")
+        return calls
+
+    def solve_counted(self, monkeypatch, warm32, **kw):
+        comm, Ap, s, b = warm32
+        calls = self.counting(monkeypatch)
         comm.clear_logs()
         res = dist_fgmres(comm, Ap, b, precondition=s.precondition, tol=1e-7,
                           **kw)
         return res, calls
+
+    def assert_read_once(self, comm, calls, marks=(0, None)):
+        """A read builds the parent's stream; a second read builds nothing."""
+        assert solve_stream(comm, marks) == SOLVE_STREAM_AT_PARENT
+        assert calls["flush"] == 1
+        built = {name: calls[name] for name in BUILDS}
+        assert solve_stream(comm, marks) == SOLVE_STREAM_AT_PARENT
+        assert {name: calls[name] for name in BUILDS} == built
+
+    def test_first_solve_builds_no_log_entries(self, monkeypatch):
+        # The first solve on a freshly set-up hierarchy appends its
+        # messages and records as segments: nothing is built, retagged or
+        # handed out until a read, and len() reads the pending count.
+        comm, Ap, s, b = build32()
+        marks = log_marks(comm)
+        calls = self.counting(monkeypatch)
+        res = dist_fgmres(comm, Ap, b, precondition=s.precondition, tol=1e-7)
+        assert res.iterations == 6
+        assert log_marks(comm)[0] == marks[0] + 9908
+        for name in BUILDS + ("log_message", "on_rank"):
+            assert calls[name] == 0, name
+        self.assert_read_once(comm, calls, marks)
 
     def test_second_solve_on_the_hierarchys_halo(self, monkeypatch, warm32):
         comm, Ap, s, b = warm32
@@ -678,19 +736,17 @@ class TestNoPerRankPython:
         comm.clear_logs()
         first = dist_fgmres(comm, Ap, b, precondition=s.precondition,
                             tol=1e-7, halo=halo)
-        sizes = (len(comm.messages), [len(l.records) for l in comm.rank_logs])
+        sizes = log_marks(comm)
         comm.clear_logs()
         res, calls = self.solve_counted(monkeypatch, warm32, halo=halo)
-        during = dict(calls)
         assert res.iterations == first.iterations == 6
         assert np.array_equal(res.x.to_global(), first.x.to_global())
-        assert sizes == (len(comm.messages),
-                         [len(l.records) for l in comm.rank_logs])
-        # Nothing reads the rank logs during a solve: their rows stay queued.
-        for name in ("log_message", "on_rank", "MessageEvent", "replace",
-                     "flush"):
-            assert during[name] == 0, name
-        assert calls["flush"] == 1  # the read above
+        assert sizes == log_marks(comm)
+        # Nothing reads the logs during a solve, and len() builds nothing:
+        # the messages and rows stay in their segments.
+        for name in BUILDS + ("log_message", "on_rank"):
+            assert calls[name] == 0, name
+        self.assert_read_once(comm, calls)
         # Two stacked SpMVs per product, one per boundary term (the
         # zero-guess pre-smoothing passes skip theirs).
         assert calls["spmv"] == 2 * calls["dist_spmv"] > 0
@@ -700,19 +756,20 @@ class TestNoPerRankPython:
                                                       warm32):
         # halo=None solves on the operator's one Krylov halo, built on the
         # first such solve: its single batch and pack table are frozen then,
-        # and a later solve freezes nothing.
+        # as columns, and a later solve freezes nothing.
         comm, Ap, s, b = warm32
         assert Ap not in comm.krylov_halos
         res, calls = self.solve_counted(monkeypatch, warm32)
-        pairs = len(build_halo(SimComm(32), Ap).pattern)
         assert res.iterations == 6
-        assert calls["log_message"] == calls["on_rank"] == calls["flush"] == 0
-        assert calls["MessageEvent"] == pairs
-        assert calls["replace"] == comm.nranks
+        for name in BUILDS + ("log_message", "on_rank"):
+            assert calls[name] == 0, name
         assert len(comm.messages) == 9908
+        assert list(comm.krylov_halos[Ap]._wire._batches) == [1]
+        self.assert_read_once(comm, calls)
         requests = len(comm.persistent_requests)
         res, calls = self.solve_counted(monkeypatch, warm32)
         assert res.iterations == 6
-        assert calls["MessageEvent"] == calls["replace"] == calls["flush"] == 0
+        for name in BUILDS:
+            assert calls[name] == 0, name
         assert len(comm.persistent_requests) == requests
         assert len(comm.messages) == 9908
