@@ -13,10 +13,16 @@ replayed as an open Poisson stream (so the crash window hits a live
 arrival process), baseline vs. the same workload under a one-crash plan,
 at 4 and 8 ranks.  The crash victim at each rank count is the rank that
 served the most requests in the no-fault run: a rank that holds no work
-displaces nothing when it dies.  Throughput is windowed on the modeled clock — a
+displaces nothing when it dies.  The stream arrives faster than the fleet
+serves it, so queues are deep when the victim dies and the crash displaces
+a fifth of the stream or more; at a rate the fleet absorbs, a crash only
+ever held the two or three requests that arrived before it was detected,
+and the recovery check could not tell a working failover from one that
+loses the displaced work.  Throughput is windowed on the modeled clock — a
 request *finishes* at ``arrival + latency_seconds`` — and the bench
 compares the post-recovery window (after the dead rank has re-warmed and
-rejoined) between the two runs.
+rejoined) between the two runs: failed-over work finishes there, so a
+failover that drops it falls short.
 
 Acceptance (ISSUE 7): every request under chaos terminates with a
 structured status, failover and re-warm accounting are nonzero, and
@@ -51,10 +57,14 @@ SMOKE_RANKS = (4,)
 #: bench_shard.py so the two benches describe the same fleet.
 BASE = dict(replicas=2, max_batch=4, cache_entries=64, max_queue=256)
 
-#: One mid-stream crash window: the victim dies at 6 ms and rejoins at
-#: 12 ms, while arrivals keep coming (the stream spans ~23 modeled ms at
-#: rate 4000).
-CRASH_WINDOW = (0.006, 0.012)
+#: The stream: ``REQUESTS`` requests at ``RATE`` per modeled second — the
+#: arrivals span ~5 ms, and the fleet drains them by ~9-10 ms.
+REQUESTS = 192
+RATE = 40000.0
+
+#: One mid-stream crash window: the victim dies at 1 ms, with its queue
+#: filling, and rejoins at 4 ms, while arrivals keep coming.
+CRASH_WINDOW = (0.001, 0.004)
 PLAN_SEED = 7
 
 
@@ -73,13 +83,13 @@ def busiest_rank(sharded: dict) -> int:
     return served.index(max(served))
 
 #: Post-recovery window start: crash end plus margin for re-warm + rejoin.
-POST_RECOVERY = 0.014
+POST_RECOVERY = CRASH_WINDOW[1] + 0.002
 
 
 def chaos_spec() -> WorkloadSpec:
     """The widened ``mixed`` stream as an open Poisson arrival process."""
-    spec = widened(named_workload("mixed"), copies=4, requests=96)
-    return WorkloadSpec.from_dict({**asdict(spec), "rate": 4000.0})
+    spec = widened(named_workload("mixed"), copies=4, requests=REQUESTS)
+    return WorkloadSpec.from_dict({**asdict(spec), "rate": RATE})
 
 
 def _run(ranks: int, plan: ShardFaultPlan | None):
@@ -141,7 +151,8 @@ def run_sweep(ranks=RANKS) -> dict:
             "availability": faults["health"]["availability"],
         })
     return {
-        "workload": "mixed widened x4, 96 requests, open rate=4000/s",
+        "workload": (f"mixed widened x4, {REQUESTS} requests, "
+                     f"open rate={RATE:.0f}/s"),
         "plan": {"seed": PLAN_SEED, "crash_window": list(CRASH_WINDOW),
                  "victim": "busiest rank of the no-fault run"},
         "post_recovery_start": POST_RECOVERY,
@@ -152,7 +163,8 @@ def run_sweep(ranks=RANKS) -> dict:
 
 def _report(res: dict) -> str:
     rows = [
-        (p["ranks"], p["victim"], round(p["chaos_makespan"] * 1e3, 3),
+        (p["ranks"], p["victim"], p["displaced"],
+         round(p["chaos_makespan"] * 1e3, 3),
          round(p["post_recovery_rps_base"], 1),
          round(p["post_recovery_rps_chaos"], 1),
          f"{p['post_recovery_ratio']:.3f}",
@@ -161,7 +173,7 @@ def _report(res: dict) -> str:
         for p in res["points"]
     ]
     return format_table(
-        ["ranks", "victim", "makespan ms", "post rps (base)",
+        ["ranks", "victim", "displaced", "makespan ms", "post rps (base)",
          "post rps (chaos)",
          "ratio", "failovers", "re-warm", "availability"],
         rows,

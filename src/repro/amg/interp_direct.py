@@ -83,12 +83,16 @@ def direct_interpolation(
         np.concatenate([cc, c_idx[cols[sel]]]),
         np.concatenate([cv, w]),
     )
-    a_bytes = A.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES
-    count(
-        "interp.direct",
-        flops=6 * A.nnz,
-        bytes_read=a_bytes,
-        bytes_written=P.nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
-        branches=float(A.nnz),
-    )
+    count("interp.direct", **_direct_fields(n, A.nnz, P.nnz))
     return P
+
+
+def _direct_fields(n, a_nnz, p_nnz) -> dict:
+    """The record fields of building an *n*-row ``P`` of *p_nnz* entries
+    from an ``A`` of *a_nnz*: counts, or arrays of per-block counts."""
+    return dict(
+        flops=6 * a_nnz,
+        bytes_read=a_nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
+        bytes_written=p_nnz * (VAL_BYTES + IDX_BYTES) + (n + 1) * PTR_BYTES,
+        branches=a_nnz,
+    )

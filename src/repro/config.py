@@ -64,6 +64,15 @@ class OptimizationFlags:
     #: §4.3 — filter interpolation-construction row transfers.
     filter_interp_comm: bool = True
 
+    def __post_init__(self) -> None:
+        # The CF-block Galerkin product takes P's F rows as the rows after
+        # the C points: without the C-first ordering it builds a wrong
+        # coarse operator.
+        if self.rap_scheme == "cf_block" and not self.cf_reorder:
+            raise ValueError(
+                "rap_scheme='cf_block' needs cf_reorder=True; with "
+                "cf_reorder=False use rap_scheme 'fused', 'hypre' or 'unfused'")
+
 
 HYPRE_OPT_FLAGS = OptimizationFlags()
 HYPRE_BASE_FLAGS = OptimizationFlags(

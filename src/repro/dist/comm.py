@@ -9,14 +9,14 @@ afterwards.  Message counts and volumes — the quantities the paper's §4
 optimizations change — are therefore exact; only the clock is modeled.
 
 Per-rank *compute* is attributed the same way: each rank owns a
-:class:`repro.perf.counters.PerfLog`.  A kernel that runs once over all
-ranks appends rank *p*'s row of a :class:`~repro.perf.counters.RecordTable`
-(:meth:`SimComm.record_on_ranks`) — tables frozen per kernel in the solve
-phase, whose records are pure functions of the partition and the sparsity;
-tables built from per-rank counts in the set-up.  Node-level kernels that
-stay per rank count into their rank's log through
-:meth:`SimComm.run_on_ranks` (or a ``with comm.on_rank(r):`` block).  A
-phase's modeled compute time is the makespan over ranks.
+:class:`repro.perf.counters.PerfLog`.  Every kernel runs once over all
+ranks and appends rank *p*'s row of a
+:class:`~repro.perf.counters.RecordTable` (:meth:`SimComm.record_on_ranks`)
+— tables frozen per kernel in the solve phase, whose records are pure
+functions of the partition and the sparsity; tables built from per-rank
+sizes in the set-up.  That is the one way a rank is charged: node-level
+work that runs over the rank stack counts nothing itself.  A phase's
+modeled compute time is the makespan over ranks.
 
 The rank logs are paid per kernel and built when read: ``record_on_ranks``
 queues the table with the live phase and level (one append), ``len`` of a
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -63,7 +62,6 @@ from ..perf.counters import (
     KernelRecord,
     PerfLog,
     RecordTable,
-    collect,
     current_level,
     current_phase,
 )
@@ -268,12 +266,6 @@ class SimComm:
         for log, recs in zip(self.rank_logs, zip(*rows)):
             log._records._built.extend(chain.from_iterable(recs))
 
-    @contextmanager
-    def on_rank(self, rank: int):
-        """Attribute kernel counts in the block to *rank*'s compute log."""
-        with collect(self.rank_logs[rank]) as log:
-            yield log
-
     # -- point to point ---------------------------------------------------
     def log_message(self, src: int, dst: int, nbytes: float, *,
                     persistent: bool = False, tag: str = "") -> None:
@@ -289,7 +281,7 @@ class SimComm:
 
     def record_on_ranks(self, table: RecordTable) -> None:
         """Append row *p* of *table* to rank *p*'s compute log — the stream
-        ``with on_rank(p): count_record(...)`` per rank would produce.
+        counting row *p*'s records into rank *p*'s log would produce.
 
         The table is queued with the live phase and level, one append per
         call, and its rows reach the rank logs when a log's ``records`` is
@@ -307,19 +299,6 @@ class SimComm:
                 self._pending[:n] += times * table.lengths[:n]
             self._counted = len(self._queued)
         return self._pending
-
-    def run_on_ranks(self, kernel) -> list:
-        """``kernel(p)`` for every rank *p* in turn, the records of call *p*
-        attributed to rank *p* — what ``with on_rank(p): kernel(p)`` per
-        rank logs, under one log activation.  Returns the results."""
-        out, marks = [], [0]
-        with collect() as log:
-            for p in range(self.nranks):
-                out.append(kernel(p))
-                marks.append(len(log.records))
-        for rank_log, a, b in zip(self.rank_logs, marks, marks[1:]):
-            rank_log.records.extend(log.records[a:b])
-        return out
 
     def exchange(
         self,

@@ -17,28 +17,35 @@ tests) while the communication volume drops by >3x on the paper's inputs.
 The needed rows, the gather, the filter, the renumbering and the assembly
 of the compact blocks run once for all ranks (see
 :func:`dist_extended_i`), and the node-level kernel runs once per chunk of
-:data:`CHUNK_RANKS` ranks over the block-diagonal stack of their compact
-blocks, each rank charged the records its own call would count.
+:data:`~repro.dist.parcsr.CHUNK_RANKS` ranks over the block-diagonal stack
+of their compact blocks, each rank charged the records its own call would
+count.
 
 Multipass interpolation gathers *interpolation* rows instead (one
-distributed SpGEMM per pass); the 2-stage extended+i composes two
-distributed extended+i applications around a distributed RAP.
+distributed SpGEMM per pass); its first pass is one direct interpolation
+over the stack of the ranks' compact blocks, and the later passes' row
+selection, scaling and merge are array passes over all ranks' entries.  The
+2-stage extended+i composes two distributed extended+i applications around
+a distributed RAP.  Truncation is row-local, so it runs once over all rows.
+Every kernel here charges the ranks one way: a
+:class:`~repro.perf.counters.RecordTable` from per-rank sizes, appended with
+:meth:`~repro.dist.comm.SimComm.record_on_ranks`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..amg.interp_direct import direct_interpolation
+from ..amg.interp_direct import _direct_fields, direct_interpolation
 from ..amg.interp_extended import extended_i_blocks
-from ..amg.truncation import truncate_interpolation
+from ..amg.truncation import _truncation_record, truncate_interpolation
 from ..amg.interp_common import entries_in_pattern
-from ..perf.counters import RecordTable, phase
+from ..perf.counters import RecordTable, phase, silent
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import gather_range_indices, indptr_from_counts, segment_sum
 from .comm import SimComm
 from .halo import build_halo
-from .parcsr import ParCSRMatrix, ParVector, row_block, stack_rows
+from .parcsr import ParCSRMatrix, ParVector, rank_chunks, stack_rows
 from .partition import RowPartition
 from .renumber import renumber_ranks
 from .rowgather import gather_rows
@@ -53,13 +60,6 @@ __all__ = [
 ]
 
 C_PT = 1
-
-#: Ranks per node-level extended+i call.  The kernel's time is flat from a
-#: few ranks per call up, while its transients grow with the chunk (~0.9 MB
-#: per rank on the benchmark's shape; all 32 ranks in one call hold 29 MB):
-#: four keep them under 4 MB (EXPERIMENTS.md, "Distributed set-up over the
-#: rank stack").
-CHUNK_RANKS = 4
 
 
 def coarse_numbering(
@@ -107,8 +107,8 @@ def dist_extended_i(
 
     Needed rows, the gather, the renumbering and the compact-space
     assembly run once for all ranks; the node-level kernel then runs once
-    per chunk of :data:`CHUNK_RANKS` ranks over their compact blocks,
-    charging each rank its own records.
+    per chunk of :data:`~repro.dist.parcsr.CHUNK_RANKS` ranks over their
+    compact blocks, charging each rank its own records.
     """
     part = A.row_part
     n = part.n
@@ -207,8 +207,7 @@ def dist_extended_i(
     # what its own call would count.
     triplets, records = [], []
     with phase("Interp"):
-        for a in range(0, comm.nranks, CHUNK_RANKS):
-            b = min(a + CHUNK_RANKS, comm.nranks)
+        for a, b in rank_chunks(comm.nranks):
             rows = gather_range_indices(src[2 * a: 2 * b], src_count[2 * a: 2 * b])
             shift = np.repeat(off[a:b] - off[a], np.diff(off[a: b + 1]))
             c0, c1 = int(off[a]), int(off[b])
@@ -259,110 +258,98 @@ def dist_multipass(
     nthreads: int = 14,
     max_passes: int = 10,
 ) -> tuple[ParCSRMatrix, RowPartition]:
-    """Distributed multipass interpolation; returns ``(P, coarse_part)``."""
+    """Distributed multipass interpolation; returns ``(P, coarse_part)``.
+
+    Pass 1 is one direct interpolation over the block-diagonal stack of the
+    ranks' compact operators, each rank charged its own call's record.  A
+    later pass takes the rows it can complete (``W``: their strong
+    connections to done points), multiplies ``W P`` with one distributed
+    SpGEMM, and scales and merges the new rows.
+    """
     part = A.row_part
-    nranks = comm.nranks
+    n, rank = part.n, part.ranks()
     coarse_part, cgid_parts = coarse_numbering(comm, cf_parts)
-    cf_ext_A, cg_ext_A = (
-        np.split(ext, A.ext_ptr[1:-1]) for ext in _exchange_point_info(
-            comm, A, np.concatenate(cf_parts), np.concatenate(cgid_parts)))
-    # Per-rank strong flags of A's entries, in ``row_arrays_global`` order.
-    S_glob = S.to_global()
-    strong = []
-    for p in range(nranks):
-        r, c, _ = A.blocks[p].row_arrays_global(A.col_part.lo(p))
-        strong.append(entries_in_pattern(r + part.lo(p), c, S_glob))
+    cf, cg = np.concatenate(cf_parts), np.concatenate(cgid_parts)
+    cf_ext, cg_ext = _exchange_point_info(comm, A, cf, cg)
+    rows, cols, vals = A.triplets()
+    strong = entries_in_pattern(rows, cols, S.to_global())
 
-    # ---- pass 1 per rank: direct interpolation (no row gathering) ----
-    triplets = []
-    done_parts = []
-    for p in range(nranks):
-        blk = A.blocks[p]
-        sblk = S.blocks[p]
-        nloc = blk.nrows
-        ncol = len(blk.colmap)
-        m = nloc + ncol
-        with comm.on_rank(p), phase("Interp"):
-            ra = np.concatenate([blk.diag.row_ids(), blk.offd.row_ids()])
-            ca = np.concatenate([blk.diag.indices, nloc + blk.offd.indices])
-            va = np.concatenate([blk.diag.data, blk.offd.data])
-            A_c = CSRMatrix.from_coo((m, m), ra, ca, va)
-            s_pos = np.searchsorted(blk.colmap, sblk.colmap)
-            rs = np.concatenate([sblk.diag.row_ids(), sblk.offd.row_ids()])
-            cs = np.concatenate([sblk.diag.indices, nloc + s_pos[sblk.offd.indices]])
-            S_c = CSRMatrix.from_coo((m, m), rs, cs, np.ones(len(rs)))
-            cf_c = np.concatenate([cf_parts[p], cf_ext_A[p]])
-            cg_c = np.concatenate([cgid_parts[p], cg_ext_A[p]])
+    # ---- pass 1: direct interpolation (no row gathering) ----
+    # Rank p's compact block: its rows, then its colmap slots.  Blocks are
+    # stacked rank-major: local row i sits at ``at_local[i]``, stacked
+    # colmap slot e at ``at_ext[e]``.
+    at_local = np.arange(n) + A.ext_ptr[rank]
+    at_ext = np.arange(len(A.colmap)) + part.bounds[1:][A.ext_ranks()]
+    off = part.bounds + A.ext_ptr
+    m = int(off[-1])
+    d_n = A.diag.nnz  # the first d_n triplets are the diag block's
+    at_col = np.concatenate([at_local[cols[:d_n]], at_ext[A.offd.indices]])
+    A_c = CSRMatrix.from_coo((m, m), at_local[rows], at_col, vals)
+    s_slot = np.searchsorted(A.ext_ranks() * n + A.colmap,
+                             S.ext_ranks() * n + S.colmap)
+    s_rows = np.concatenate([S.diag.row_ids(), S.offd.row_ids()])
+    S_c = CSRMatrix.from_coo(
+        (m, m), at_local[s_rows],
+        np.concatenate([at_local[S.diag.indices],
+                        at_ext[s_slot[S.offd.indices]]]),
+        np.ones(len(s_rows)))
+    cf_c = np.empty(m, dtype=np.int64)
+    cg_c = np.empty(m, dtype=np.int64)
+    cf_c[at_local], cg_c[at_local] = cf, cg
+    cf_c[at_ext], cg_c[at_ext] = cf_ext, cg_ext
+    # Local F rows with a strong C neighbour.
+    has_c = np.bincount(S_c.row_ids(), weights=cf_c[S_c.indices] > 0,
+                        minlength=m)[at_local] > 0
+    p1 = (cf <= 0) & has_c
+    with silent():
+        Pd = direct_interpolation(A_c, S_c, cf_c, rows=at_local[p1])
+    with phase("Interp"):
+        comm.record_on_ranks(RecordTable.per_rank(
+            "interp.direct", comm.nranks, **_direct_fields(
+                np.diff(off), np.diff(A_c.indptr[off]),
+                np.diff(Pd.indptr[off]))))
+    gid = np.full(m, -1, dtype=np.int64)
+    gid[at_local] = np.arange(n)
+    p_rows = gid[Pd.row_ids()]
+    keep = p_rows >= 0
+    P = ParCSRMatrix.from_triplets(
+        p_rows[keep], cg_c[np.flatnonzero(cf_c > 0)[Pd.indices[keep]]],
+        Pd.data[keep], part, coarse_part)
+    del A_c, S_c, Pd, p_rows, keep
+    done = (cf > 0) | p1
 
-            # Local F rows with a strong C neighbour.
-            has_c = segment_sum(
-                (cf_c[cs] > 0).astype(np.float64), rs, nloc
-            ) > 0
-            p1_rows = np.flatnonzero((cf_parts[p] <= 0) & has_c)
-            Pd = direct_interpolation(A_c, S_c, cf_c, rows=p1_rows)
-            c_compact = np.flatnonzero(cf_c > 0)
-            rows_P = Pd.row_ids()
-            keep = rows_P < nloc
-            gcols_P = cg_c[c_compact[Pd.indices[keep]]]
-        triplets.append((rows_P[keep], gcols_P, Pd.data[keep]))
-        done = (cf_parts[p] > 0).copy()
-        done[p1_rows] = True
-        done_parts.append(done)
-
-    P = ParCSRMatrix.from_rank_triplets(triplets, part, coarse_part)
-
-    # Per-row normalization data (local).
-    sum_all_parts = []
-    for p in range(nranks):
-        blk = A.blocks[p]
-        nloc = blk.nrows
-        d_rid = blk.diag.row_ids()
-        od = blk.diag.indices != d_rid
-        s = segment_sum(np.where(od, blk.diag.data, 0.0), d_rid, nloc)
-        if blk.offd.nnz:
-            s += segment_sum(blk.offd.data, blk.offd.row_ids(), nloc)
-        sum_all_parts.append(s)
+    # Per-row normalization data: the off-diagonal row sums, the diag
+    # block's then the offd block's.
+    d_rid = rows[:d_n]
+    row_sum = segment_sum(np.where(cols[:d_n] != d_rid, vals[:d_n], 0.0),
+                          d_rid, n)
+    row_sum += segment_sum(vals[d_n:], rows[d_n:], n)
+    diag = A.diag.diagonal()
+    diag = np.where(np.abs(diag) > 1e-300, diag, 1.0)
 
     halo_A = build_halo(comm, A, persistent=False)
     npass = 1
     while npass < max_passes:
         remaining = comm.allreduce(
-            [float((~d).sum()) for d in done_parts], kind="mp.remaining"
-        )
+            np.bincount(rank[~done], minlength=comm.nranks).astype(np.float64),
+            kind="mp.remaining")
         if remaining == 0:
             break
         npass += 1
-        done_ext = halo_A(ParVector([d.astype(np.float64) for d in done_parts], part))
+        done_ext = halo_A.gather(ParVector(done.astype(np.float64), part))
 
-        # Build W: rows = still-todo local rows, entries a_ij over strong
-        # *done* neighbours j (local or external).
-        w_triplets = []
-        work_rows = []
-        for p in range(nranks):
-            blk = A.blocks[p]
-            sblk = S.blocks[p]
-            nloc = blk.nrows
-            with comm.on_rank(p), phase("Interp"):
-                lo = part.lo(p)
-                # strong mask aligned with row_arrays_global order
-                st = strong[p]
-                r, c, v = blk.row_arrays_global(A.col_part.lo(p))
-                col_owned = (c >= lo) & (c < part.hi(p))
-                col_done = np.zeros(len(c), dtype=bool)
-                col_done[col_owned] = done_parts[p][c[col_owned] - lo]
-                if (~col_owned).any():
-                    pos = np.searchsorted(blk.colmap, c[~col_owned])
-                    col_done[~col_owned] = done_ext[p][pos] > 0
-                todo = ~done_parts[p]
-                sel = st & col_done & todo[r] & (c != r + lo)
-                rows_ready = segment_sum(sel.astype(np.float64), r, nloc) > 0
-                work = todo & rows_ready
-                sel &= work[r]
-                w_triplets.append((r[sel], c[sel], v[sel]))
-                work_rows.append(np.flatnonzero(work))
-        if not any(len(w[0]) for w in w_triplets):
+        # W: rows = still-todo rows with a strong *done* neighbour, entries
+        # a_ij over those neighbours j (local or external).
+        todo = ~done
+        sel = strong & np.concatenate([done[cols[:d_n]],
+                                       done_ext[A.offd.indices] > 0])
+        sel &= todo[rows] & (cols != rows)
+        work = todo & (np.bincount(rows[sel], minlength=n) > 0)
+        sel &= work[rows]
+        if not sel.any():
             break
-        W = ParCSRMatrix.from_rank_triplets(w_triplets, part, part)
+        wr, wv = rows[sel], vals[sel]
+        W = ParCSRMatrix.from_triplets(wr, cols[sel], wv, part, part)
         contrib = dist_spgemm(
             comm, W, P,
             parallel_renumber=parallel_renumber,
@@ -370,33 +357,15 @@ def dist_multipass(
             tag="interp.mp",
         )
         # Scale and merge the new rows.
-        new_triplets = []
-        for p in range(nranks):
-            blk = A.blocks[p]
-            nloc = blk.nrows
-            with comm.on_rank(p), phase("Interp"):
-                wr, wc, wv = w_triplets[p]
-                sum_used = segment_sum(wv, wr, nloc)
-                diag = blk.diag.diagonal()
-                safe = np.abs(sum_used) > 1e-300
-                alpha = np.where(
-                    safe, sum_all_parts[p] / np.where(safe, sum_used, 1.0), 0.0
-                )
-                scale = -(alpha / np.where(np.abs(diag) > 1e-300, diag, 1.0))
-                cb = contrib.blocks[p]
-                rr, cc2, vv = cb.row_arrays_global(contrib.col_part.lo(p))
-                vv = vv * scale[rr]
-                pb = P.blocks[p]
-                pr, pc, pv = pb.row_arrays_global(P.col_part.lo(p))
-                new_triplets.append(
-                    (
-                        np.concatenate([pr, rr]),
-                        np.concatenate([pc, cc2]),
-                        np.concatenate([pv, vv]),
-                    )
-                )
-            done_parts[p][work_rows[p]] = True
-        P = ParCSRMatrix.from_rank_triplets(new_triplets, part, coarse_part)
+        sum_used = segment_sum(wv, wr, n)
+        safe = np.abs(sum_used) > 1e-300
+        alpha = np.where(safe, row_sum / np.where(safe, sum_used, 1.0), 0.0)
+        scale = -(alpha / diag)
+        (pr, pc, pv), (cr, cc, cv) = P.triplets(), contrib.triplets()
+        P = ParCSRMatrix.from_triplets(
+            np.concatenate([pr, cr]), np.concatenate([pc, cc]),
+            np.concatenate([pv, cv * scale[cr]]), part, coarse_part)
+        done[work] = True
 
     return par_truncate(comm, P, trunc_fact, max_elmts,
                         fused=fused_truncation), coarse_part
@@ -450,12 +419,19 @@ def par_truncate(
     comm: SimComm, P: ParCSRMatrix, trunc_fact: float, max_elmts: int,
     *, fused: bool = True,
 ) -> ParCSRMatrix:
-    """Row-wise interpolation truncation applied per rank (rows are local)."""
+    """Row-wise interpolation truncation: rows are local, so one call over
+    all rows truncates each rank's rows as the rank's own call would; each
+    rank is charged that call's record (none for a rank without entries)."""
     G = P.to_global()
-    rb = P.row_part.bounds.tolist()
-    with phase("Interp"):
-        T = comm.run_on_ranks(lambda p: truncate_interpolation(
-            row_block(G, rb[p], rb[p + 1], 0, G.ncols), trunc_fact, max_elmts,
-            fused=fused))
-    return ParCSRMatrix.from_rank_triplets(
-        [(t.row_ids(), t.indices, t.data) for t in T], P.row_part, P.col_part)
+    with silent():
+        T = truncate_interpolation(G, trunc_fact, max_elmts, fused=fused)
+    if trunc_fact > 0.0 or max_elmts > 0:
+        rb = P.row_part.bounds
+        p_nnz = np.diff(G.indptr[rb])
+        kernel, fields = _truncation_record(
+            np.diff(rb), p_nnz, np.diff(T.indptr[rb]), fused)
+        with phase("Interp"):
+            comm.record_on_ranks(RecordTable.per_rank(
+                kernel, comm.nranks, present=p_nnz > 0, **fields))
+    return ParCSRMatrix.from_triplets(T.row_ids(), T.indices, T.data,
+                                      P.row_part, P.col_part)

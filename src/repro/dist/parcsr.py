@@ -19,7 +19,7 @@ vectorized pass whose per-rank records are segment sums over the rank
 boundaries.  Every row keeps its entries and their order, hence its
 floating-point sums, bit for bit.  The per-rank view of Fig. 3a
 (:attr:`ParCSRMatrix.blocks`) is materialised on first access, for the
-per-rank local kernels, the analyzers and callers that want it.  A
+analyzers; no set-up or solve kernel reads it.  A
 :class:`ParVector` likewise owns one contiguous array; its per-rank views
 (``parts``) are built on first access, which no solve-phase kernel makes.
 """
@@ -34,7 +34,22 @@ from ..sparse.csr import CSRMatrix
 from ..sparse.ops import indptr_from_counts, unique_inverse
 from .partition import RowPartition
 
-__all__ = ["RankBlock", "ParCSRMatrix", "ParVector"]
+__all__ = ["RankBlock", "ParCSRMatrix", "ParVector", "rank_chunks"]
+
+#: Ranks per node-level call of a set-up kernel that runs over the rank
+#: stack a chunk at a time (extended+i, the local SpGEMM product).  The
+#: kernels' time is flat from a few ranks per call up, while their
+#: transients grow with the chunk (~0.9 MB per rank for extended+i on the
+#: benchmark's shape; all 32 ranks in one call hold 29 MB): four keep them
+#: under 4 MB (EXPERIMENTS.md, "Distributed set-up over the rank stack").
+CHUNK_RANKS = 4
+
+
+def rank_chunks(nranks: int):
+    """``(a, b)`` per chunk of at most :data:`CHUNK_RANKS` consecutive
+    ranks ``a .. b - 1``."""
+    for a in range(0, nranks, CHUNK_RANKS):
+        yield a, min(a + CHUNK_RANKS, nranks)
 
 
 @dataclass
@@ -52,15 +67,6 @@ class RankBlock:
     @property
     def nnz(self) -> int:
         return self.diag.nnz + self.offd.nnz
-
-    def row_arrays_global(self, col_lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All entries as ``(local_row, global_col, value)`` triplets."""
-        rows = np.concatenate([self.diag.row_ids(), self.offd.row_ids()])
-        cols = np.concatenate(
-            [self.diag.indices + col_lo, self.colmap[self.offd.indices]]
-        )
-        vals = np.concatenate([self.diag.data, self.offd.data])
-        return rows, cols, vals
 
 
 def row_block(M: CSRMatrix, lo: int, hi: int, col_lo: int, ncols: int) -> CSRMatrix:
@@ -152,7 +158,8 @@ class ParCSRMatrix:
     @property
     def blocks(self) -> list[RankBlock]:
         """The ranks' local ``(diag, offd, colmap)`` views of Fig. 3a,
-        materialised on first access (local column indices are copies)."""
+        materialised on first access (local column indices are copies).
+        For the analyzers: no set-up or solve kernel reads them."""
         if self._blocks is None:
             rb, cb, ext = (self.row_part.bounds.tolist(),
                            self.col_part.bounds.tolist(), self.ext_ptr.tolist())
@@ -223,18 +230,6 @@ class ParCSRMatrix:
         return cls.from_triplets(A.row_ids(), A.indices, A.data,
                                  row_part, col_part)
 
-    @classmethod
-    def from_rank_triplets(
-        cls,
-        triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        row_part: RowPartition,
-        col_part: RowPartition,
-    ) -> "ParCSRMatrix":
-        """Assemble from per-rank ``(local_row, global_col, value)`` arrays."""
-        rows, cols, vals = (np.concatenate(x) for x in zip(*triplets))
-        lo = np.repeat(row_part.bounds[:-1], [len(t[0]) for t in triplets])
-        return cls.from_triplets(rows + lo, cols, vals, row_part, col_part)
-
     def recompressed(self, diag: CSRMatrix, keep: np.ndarray, used: np.ndarray,
                      data: np.ndarray | None = None) -> "ParCSRMatrix":
         """These partitions over *diag* and the off-diagonal entries under
@@ -257,6 +252,15 @@ class ParCSRMatrix:
         return self.diag, self.offd
 
     # -- conversion ---------------------------------------------------------
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All entries as global ``(row, column, value)`` arrays: every
+        ``diag`` entry, then every ``offd`` entry (each row's entries in
+        stored order within both)."""
+        d, o = self.diag, self.offd
+        return (np.concatenate([d.row_ids(), o.row_ids()]),
+                np.concatenate([d.indices, self.colmap[o.indices]]),
+                np.concatenate([d.data, o.data]))
+
     def merge_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Where each stored entry goes when every row's ``diag`` and
         ``offd`` entries are merged in ascending global-column order:

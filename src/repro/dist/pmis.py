@@ -139,44 +139,24 @@ def dist_aggressive_pmis(
 
     # Distance-<=2 strong graph restricted to stage-1 C points.
     S2 = dist_spgemm(comm, S, S, tag="pmis.dist2")
-    cf_vec = ParVector([c.astype(np.float64) for c in cf1], S.row_part)
-    triplets = []
-    for p in range(comm.nranks):
-        pieces_r, pieces_c = [], []
-        for M in (S.blocks[p], S2.blocks[p]):
-            r, c, _ = M.row_arrays_global(S.col_part.lo(p))
-            pieces_r.append(r)
-            pieces_c.append(c)
-        rows = np.concatenate(pieces_r)
-        cols = np.concatenate(pieces_c)
-        grows = rows + S.row_part.lo(p)
-        keep = (cf1[p][rows] == C_PT) & (grows != cols)
-        triplets.append((rows[keep], cols[keep], np.ones(int(keep.sum()))))
-    Sc_all = ParCSRMatrix.from_rank_triplets(triplets, S.row_part, S.col_part)
+    cf = np.concatenate(cf1)
+    rows, cols, _ = (np.concatenate(x) for x in zip(S.triplets(), S2.triplets()))
+    keep = (cf[rows] == C_PT) & (rows != cols)
+    Sc_all = ParCSRMatrix.from_triplets(rows[keep], cols[keep],
+                                        np.ones(int(keep.sum())),
+                                        S.row_part, S.col_part)
     # Drop columns that are not C points: exchange cf and filter.
     halo = build_halo(comm, Sc_all, persistent=False)
-    cf_ext = halo(cf_vec)
-    triplets2 = []
-    for p in range(comm.nranks):
-        blk = Sc_all.blocks[p]
-        lo = S.col_part.lo(p)
-        d_keep = cf1[p][blk.diag.indices] == C_PT
-        o_keep = (
-            cf_ext[p][blk.offd.indices] == C_PT
-            if blk.offd.nnz
-            else np.zeros(0, dtype=bool)
-        )
-        rows = np.concatenate([blk.diag.row_ids()[d_keep], blk.offd.row_ids()[o_keep]])
-        cols = np.concatenate(
-            [blk.diag.indices[d_keep] + lo, blk.colmap[blk.offd.indices[o_keep]]]
-        )
-        triplets2.append((rows, cols, np.ones(len(rows))))
-    Sc = ParCSRMatrix.from_rank_triplets(triplets2, S.row_part, S.col_part)
+    cf_ext = halo.gather(ParVector(cf.astype(np.float64), S.row_part))
+    rows, cols, _ = Sc_all.triplets()
+    keep = np.concatenate([cf[Sc_all.diag.indices],
+                           cf_ext[Sc_all.offd.indices]]) == C_PT
+    Sc = ParCSRMatrix.from_triplets(rows[keep], cols[keep],
+                                    np.ones(int(keep.sum())),
+                                    S.row_part, S.col_part)
 
-    cand = [c == C_PT for c in cf1]
-    cf2 = dist_pmis(comm, Sc, seed=seed + 1, candidates=cand, measures=measures)
-    cf_final = [
-        np.where((cf1[p] == C_PT) & (cf2[p] == C_PT), C_PT, F_PT).astype(np.int64)
-        for p in range(comm.nranks)
-    ]
-    return cf_final, cf1
+    cf2 = dist_pmis(comm, Sc, seed=seed + 1, measures=measures,
+                    candidates=[c == C_PT for c in cf1])
+    cf_final = np.where((cf == C_PT) & (np.concatenate(cf2) == C_PT),
+                        C_PT, F_PT).astype(np.int64)
+    return np.split(cf_final, S.row_part.bounds[1:-1]), cf1

@@ -113,7 +113,7 @@ def gather_matrix_rows(
     candidate entry (``req_ranks[t]`` is the rank entry *t* would be sent
     to, ``row_gids[t]`` its row).  ``extra_payloads[name][q]`` is a
     per-owner-rank array aligned with rank *q*'s stored entries (diag then
-    offd, in ``row_arrays_global`` order) to ship alongside the values;
+    offd) to ship alongside the values;
     ``extra_bytes_per_entry`` is their counted wire size.
     """
     n = max(B.row_part.n, 1)

@@ -8,11 +8,14 @@ Each level looks its distributed interpolation kernel up by the scheme
 :func:`~repro.amg.interp.interp_scheme` gives it; classical and direct
 interpolation have no distributed build and are refused before any work.
 Every kernel on the way runs over the rank-stacked storage of
-:class:`~repro.dist.parcsr.ParCSRMatrix`, the node-level extended+i once per
-chunk of ranks and the GS schedules once over the whole stack; what is left
-per rank is the local SpGEMM, the multipass glue and the Jacobi /
-multicolour smoother builds (see docs/architecture.md, "Distributed
-set-up").
+:class:`~repro.dist.parcsr.ParCSRMatrix` — the node-level extended+i and
+the local SpGEMM product once per chunk of ranks, multipass, aggressive
+PMIS, truncation and the GS schedules once over the whole stack — and
+charges the ranks one way: a :class:`~repro.perf.counters.RecordTable` from
+per-rank sizes, appended with
+:meth:`~repro.dist.comm.SimComm.record_on_ranks`.  Only the Jacobi /
+multicolour smoothers are still built per rank (a colouring is seeded by
+its rank), silently (see docs/architecture.md, "Distributed set-up").
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from ..analysis.sched import check_schedule
 from ..amg.interp import EXTENDED_I, MULTIPASS, TWO_STAGE_EI, interp_scheme
 from ..amg.smoothers import smoother_variant
 from ..config import AMGConfig
-from ..perf.counters import VAL_BYTES, RecordTable, count, make_record, phase
+from ..perf.counters import VAL_BYTES, RecordTable, make_record, phase
 from .comm import MessageBatch, SimComm, frozen_messages
 from .halo import HaloExchange, build_halo
 from .interp import dist_extended_i, dist_multipass, dist_two_stage_ei
@@ -110,9 +113,10 @@ class DistCoarseSolver:
                 senders, np.zeros_like(senders),
                 sum(A.rank_nnz())[1:] * 16, "coarse.gather"))
             dense = A.to_global().to_dense()
-            with comm.on_rank(0):
-                count("coarse.factorize", flops=2.0 * self.n**3,
-                      bytes_written=self.n * self.n * VAL_BYTES, phase="Setup_etc")
+            with phase("Setup_etc"):
+                comm.record_on_ranks(RecordTable([[make_record(
+                    "coarse.factorize", flops=2.0 * self.n**3,
+                    bytes_written=self.n * self.n * VAL_BYTES)]]))
             self.inv = np.linalg.pinv(dense)
             self.smoother = None
             # Each solve gathers b to the root and scatters x back; sizes

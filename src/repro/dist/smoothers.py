@@ -16,8 +16,9 @@ each rank and numbered ``p * nthreads + t``, so each (C/F group, direction)
 wavefront schedule is every rank's own schedule side by side — level *l* of
 the stack is level *l* of every rank — and each rank's pass records come
 from its share of the stacked schedules.  Jacobi and multicolour smoothers
-are built per rank (a multicolour rank's colouring is seeded by its rank)
-and stacked.
+are built per rank (a multicolour rank's colouring is seeded by its rank),
+silently, and stacked.  A variant's set-up record (the lex schedule, the
+colouring) is charged from a table of the ranks' sizes.
 Only the one compiled stacked smoother is kept.
 """
 
@@ -37,7 +38,7 @@ from ..perf.counters import (
 from ..sparse.spmv import spmv
 from .comm import SimComm
 from .halo import build_halo
-from .parcsr import ParCSRMatrix, ParVector
+from .parcsr import ParCSRMatrix, ParVector, row_block
 from .spmv import _spmv_fields
 
 __all__ = ["DistSmoother"]
@@ -45,6 +46,10 @@ __all__ = ["DistSmoother"]
 
 #: The three passes a V-cycle runs: ``(forward, zero_guess)``.
 _PASSES = ((True, True), (True, False), (False, False))
+
+#: The set-up record a rank's own smoother of each variant counts.
+_SETUP_KERNEL = {"lex": "gs.lex_schedule_setup",
+                 "multicolor": "gs.coloring_setup"}
 
 
 def _gs_pass_tables(stacked: HybridGSSmoother,
@@ -131,24 +136,27 @@ class DistSmoother:
                     None if cf_parts is None else np.concatenate(cf_parts),
                     variant=variant, optimized=optimized, seed=seed,
                     stack=bounds)
-            if variant == "lex":
-                with phase("Setup_etc"):
-                    comm.record_on_ranks(RecordTable.per_rank(
-                        "gs.lex_schedule_setup", comm.nranks,
-                        **pattern_scan_fields(A.rank_nnz()[0])))
             self._pass_recs = _gs_pass_tables(self.stacked, bounds)
         else:
             # Jacobi and multicolour smoothers are built per rank (a rank's
-            # colouring is seeded by its rank) and stacked.
-            local: list[HybridGSSmoother] = comm.run_on_ranks(
-                lambda p: HybridGSSmoother(
-                    A.blocks[p].diag, nthreads,
-                    None if cf_parts is None else cf_parts[p],
-                    variant=variant, optimized=optimized, seed=seed + p))
+            # colouring is seeded by its rank), silently, and stacked.
+            rb, cb = bounds.tolist(), A.col_part.bounds.tolist()
+            with silent():
+                local = [HybridGSSmoother(
+                    row_block(diag, rb[p], rb[p + 1], cb[p], cb[p + 1] - cb[p]),
+                    nthreads, None if cf_parts is None else cf_parts[p],
+                    variant=variant, optimized=optimized, seed=seed + p)
+                    for p in range(comm.nranks)]
             self.stacked = HybridGSSmoother.stacked(local, diag)
             self._pass_recs = {key: RecordTable(_dry_run_records(sm, *key)
                                                 for sm in local)
                                for key in _PASSES}
+        if variant in _SETUP_KERNEL:
+            # Each rank charged its own smoother's set-up record.
+            with phase("Setup_etc"):
+                comm.record_on_ranks(RecordTable.per_rank(
+                    _SETUP_KERNEL[variant], comm.nranks,
+                    **pattern_scan_fields(A.rank_nnz()[0])))
         compile_smoother_plan(self.stacked)
         diag.lockstep()  # what dist_spmv and the boundary term multiply by
         offd.lockstep()

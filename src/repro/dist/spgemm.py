@@ -14,17 +14,26 @@ result's columns are mapped back through the extended colmap.
 The vehicle gathers, renumbers and stacks for all ranks at once: ``B``'s own
 rows over every rank's gathered rows form one right operand whose columns
 are the ranks' compact spaces back to back, and ``A``'s columns are
-re-pointed at its rows.  The node-level product then runs per rank, on the
-rank's rows of ``A`` — small sorts, and the kernel charges its own rank.
+re-pointed at its rows.  The node-level product then runs once per chunk of
+:data:`~repro.dist.parcsr.CHUNK_RANKS` ranks on their rows of ``A``: one
+Gustavson expansion, its terms grouped by (row, *global* column) — within a
+rank's row the compact and the global columns are one-to-one, so every
+output entry sums the terms the rank's own product sums, in the same order
+— and the result is the global matrix, rows sorted, with no second sort.
+Each rank is charged the record its own product would count, from its
+sizes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..sparse.spgemm import spgemm
+from ..perf.counters import RecordTable
+from ..sparse.csr import CSRMatrix
+from ..sparse.ops import group_rowcol, indptr_from_counts
+from ..sparse.spgemm import _expand, spgemm_traffic
 from .comm import SimComm
-from .parcsr import ParCSRMatrix, row_block, stack_rows
+from .parcsr import ParCSRMatrix, rank_chunks, row_block, stack_rows
 from .renumber import renumber_ranks
 from .rowgather import gather_rows
 
@@ -88,17 +97,31 @@ def dist_spgemm(
     # c -> gathered row c.
     Astack = stack_rows(A, A.diag.indices, B.row_part.n + A.offd.indices,
                         Bstack.nrows)
-    # The node-level product, per rank on its rows of the stack.
-    rb = A.row_part.bounds.tolist()
-    C = comm.run_on_ranks(lambda p: spgemm(
-        row_block(Astack, rb[p], rb[p + 1], 0, Bstack.nrows), Bstack,
-        method=spgemm_method, kernel=f"{tag}.local"))
-    del Astack, Bstack
-    # Compact columns back to global ids.
-    return ParCSRMatrix.from_triplets(
-        np.concatenate([Cp.row_ids() + lo for Cp, lo in zip(C, rb)]),
-        gid[np.concatenate([Cp.indices for Cp in C])],
-        np.concatenate([Cp.data for Cp in C]), A.row_part, B.col_part)
+    # The node-level product once per chunk of ranks on their rows of the
+    # stack, compact columns grouped as their global ids.
+    rb, ncols = A.row_part.bounds, B.col_part.n
+    a_ptr = Astack.indptr[rb]
+    row_nnz, indices, data, terms = [], [], [], []
+    for a, b in rank_chunks(comm.nranks):
+        Ac = row_block(Astack, rb[a], rb[b], 0, Bstack.nrows)
+        erows, ecols, bcounts, eb = _expand(Ac, Bstack)
+        slot, indptr, cols = group_rowcol(erows, gid[ecols], Ac.nrows, ncols)
+        row_nnz.append(np.diff(indptr))
+        indices.append(cols)
+        data.append(np.bincount(slot, weights=np.repeat(Ac.data, bcounts)
+                                * Bstack.data[eb], minlength=len(cols)))
+        terms.append(bcounts)
+    del Astack, Bstack, erows, ecols, eb, slot
+    C = CSRMatrix((A.row_part.n, ncols),
+                  indptr_from_counts(np.concatenate(row_nnz)),
+                  np.concatenate(indices), np.concatenate(data))
+    # Each rank charged what its own product counts, from its sizes.
+    term_ptr = indptr_from_counts(np.concatenate(terms))
+    comm.record_on_ranks(RecordTable.per_rank(
+        f"{tag}.local.{spgemm_method}", comm.nranks, **spgemm_traffic(
+            np.diff(a_ptr), np.diff(rb), np.diff(term_ptr[a_ptr]),
+            np.diff(C.indptr[rb]), spgemm_method)))
+    return ParCSRMatrix.from_sorted(C, A.row_part, B.col_part)
 
 
 def dist_rap(

@@ -21,8 +21,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from repro.perf.counters import collect  # noqa: E402
 from repro.problems import laplace_2d_5pt, laplace_3d_7pt, laplace_3d_27pt  # noqa: E402
 from repro.sparse import CSRMatrix  # noqa: E402
+
+
+def on_rank(comm, rank: int):
+    """Count the block's kernels into *rank*'s compute log on *comm* — the
+    per-rank attribution the reference loops of the distributed tests use
+    (the library charges ranks only through ``record_on_ranks``)."""
+    return collect(comm.rank_logs[rank])
 
 
 def random_csr(

@@ -19,7 +19,7 @@ from repro.dist.smoothers import DistSmoother
 from repro.perf import FDRInfinibandModel, HaswellModel, collect
 from repro.problems import laplace_2d_5pt
 
-from conftest import random_csr
+from conftest import on_rank, random_csr
 
 
 class TestCommAccounting:
@@ -75,9 +75,9 @@ class TestCommAccounting:
         from repro.perf import count, phase
 
         with phase("GS"):
-            with comm.on_rank(0):
+            with on_rank(comm, 0):
                 count("k", bytes_read=1e6)
-            with comm.on_rank(1):
+            with on_rank(comm, 1):
                 count("k", bytes_read=3e6)
         machine = HaswellModel()
         t = comm.compute_phase_makespan(machine)["GS"]
@@ -88,7 +88,7 @@ class TestCommAccounting:
     def test_clear_logs(self):
         comm = SimComm(2)
         comm.log_message(0, 1, 10)
-        with comm.on_rank(0):
+        with on_rank(comm, 0):
             from repro.perf import count
 
             count("k", flops=1)

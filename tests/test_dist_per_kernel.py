@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_csr
+from conftest import on_rank, random_csr
 from repro.config import multi_node_config
 from repro.dist import (
     DistAMGSolver,
@@ -240,7 +240,6 @@ leaf_ops = st.one_of(
     st.tuples(st.just("rank_read"), st.integers(0, NRANKS - 1),
               st.integers(-3, 3), st.integers(-3, 3)),
     st.tuples(st.just("clear")),
-    st.tuples(st.just("run"), st.booleans()),
     st.tuples(st.just("start"), st.integers(0, len(EXCHANGES) - 1),
               st.sampled_from(WIDTHS), st.sampled_from(PHASES)),
     st.tuples(st.just("batch"), st.sampled_from(PHASES), st.booleans(),
@@ -319,13 +318,6 @@ def run_program(comm, program) -> list:
         assert all(a is b for a, b in zip(got, msgs))  # a read aliases
         return got
 
-    def kernel(p, nested):
-        count(f"run.{p}", flops=p)
-        if nested and p == 1:
-            comm.record_on_ranks(TABLES[0])
-        count(f"run.{p}.after")
-        return p
-
     for op in program:
         if op[0] == "rec":
             under(op[2], rec, op[1])
@@ -341,9 +333,6 @@ def run_program(comm, program) -> list:
                          else None))
         elif op[0] == "clear":
             comm.clear_logs()
-        elif op[0] == "run":
-            assert comm.run_on_ranks(lambda p: kernel(p, op[1])) == list(
-                range(NRANKS))
         elif op[0] == "start":
             under(op[3], start, op[1], op[2])
         elif op[0] == "batch":
@@ -353,7 +342,7 @@ def run_program(comm, program) -> list:
         elif op[0] == "msg_read":
             seen.append(msg_read(*op[1:]))
         else:
-            with comm.on_rank(op[1]):
+            with on_rank(comm, op[1]):
                 for inner in op[2]:
                     if inner[0] == "count":
                         count(f"direct.{inner[1]}", bytes_read=inner[1])

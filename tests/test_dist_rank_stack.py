@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import on_rank
 from test_dist_setup_stacked import (
     assert_blocks_equal,
     assert_csr_identical,
@@ -38,6 +39,7 @@ from test_gs_levels import (
 )
 
 import repro.dist.interp as dist_interp
+import repro.dist.parcsr as dist_parcsr
 import repro.sparse.ops as ops
 from repro.amg import extended_i_interpolation, pmis, strength_matrix
 from repro.amg.interp_extended import extended_i_blocks
@@ -160,7 +162,7 @@ def check_gs_stack(n, cuts, kinds, cf, variant, nthreads, optimized, seed):
         build_halo(rcomm, rAp, persistent=True)
         local = []
         for p, blk in enumerate(rAp.blocks):
-            with rcomm.on_rank(p):
+            with on_rank(rcomm, p):
                 local.append(HybridGSSmoother(
                     blk.diag, cf_marker=None if cf_parts is None else cf_parts[p],
                     seed=p, **kw))
@@ -260,7 +262,7 @@ class TestDenseMaps:
         kw = {"nthreads": 4} if parallel else {}
         want = []
         for p in range(nranks):
-            with rcomm.on_rank(p):
+            with on_rank(rcomm, p):
                 want.append(ref(colmaps[p], queries[p], **kw))
         for p, (colmap_new, compressed, n_app) in enumerate(want):
             got_app = ren.appended[ren.app_ptr[p]: ren.app_ptr[p + 1]]
@@ -360,7 +362,7 @@ class TestExtendedIOverBlocks:
         part = RowPartition(np.array([0, 30, 30, 75, 110, 150, 190, 216]))
 
         def build(chunk):
-            monkeypatch.setattr(dist_interp, "CHUNK_RANKS", chunk)
+            monkeypatch.setattr(dist_parcsr, "CHUNK_RANKS", chunk)
             comm = SimComm(7)
             Ap = ParCSRMatrix.from_global(A, part)
             S = dist_strength(comm, Ap, 0.25, 0.8)

@@ -7,7 +7,7 @@ code: the ``ref_*`` functions below are the deleted per-rank bodies of
 ``_split_rows``, ``gather_matrix_rows``, ``dist_transpose``,
 ``dist_strength``, ``renumber_parallel`` (with its ``_finish``) and the
 ``HaloExchange`` pattern loop, kept literally — ``comm.log_message`` per
-message, ``with comm.on_rank(p)`` per rank, one ``from_coo`` per block.
+message, ``with on_rank(comm, p)`` per rank, one ``from_coo`` per block.
 Everything is compared bit for bit: arrays with ``np.array_equal``, the
 message log, the collectives and every rank's record stream with ``==``.
 
@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dist_setup_cases
+from conftest import on_rank
 from repro.analysis import check_scope
 from repro.config import multi_node_config
 from repro.dist import (
@@ -42,7 +43,7 @@ from repro.dist import (
     renumber_baseline,
     renumber_parallel,
 )
-from repro.dist.interp import CHUNK_RANKS
+from repro.dist.parcsr import CHUNK_RANKS
 from repro.perf.counters import (
     IDX_BYTES,
     PTR_BYTES,
@@ -143,7 +144,7 @@ def ref_gather_matrix_rows(comm, B, needed, *, tag="rowgather",
                     VAL_BYTES + GLOBAL_IDX_BYTES + extra_bytes_per_entry
                 ) + len(rows_q) * IDX_BYTES
                 comm.log_message(q, p, nbytes, tag=tag)
-                with comm.on_rank(q):
+                with on_rank(comm, q):
                     count("rowgather.pack",
                           bytes_read=len(v_sel) * (VAL_BYTES + IDX_BYTES),
                           bytes_written=len(v_sel) * (VAL_BYTES + GLOBAL_IDX_BYTES))
@@ -171,7 +172,7 @@ def ref_gather_matrix_rows(comm, B, needed, *, tag="rowgather",
         ) if len(want) else np.empty(0, dtype=np.int64)
         indptr = np.zeros(len(want) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        with comm.on_rank(p):
+        with on_rank(comm, p):
             count("rowgather.assemble",
                   bytes_read=len(av) * (VAL_BYTES + GLOBAL_IDX_BYTES),
                   bytes_written=len(av) * (VAL_BYTES + GLOBAL_IDX_BYTES),
@@ -191,7 +192,7 @@ def ref_dist_transpose(comm, A, *, tag="transpose"):
         r, c, v = row_arrays_global(blk, A.col_part.lo(p))
         gr = r + A.row_part.lo(p)
         dest = A.col_part.owner_of(c)
-        with comm.on_rank(p):
+        with on_rank(comm, p):
             count("transpose.scatter",
                   bytes_read=len(v) * (VAL_BYTES + GLOBAL_IDX_BYTES),
                   bytes_written=len(v) * (VAL_BYTES + 2 * GLOBAL_IDX_BYTES),
@@ -219,7 +220,7 @@ def ref_dist_transpose(comm, A, *, tag="transpose"):
             r = np.empty(0, dtype=np.int64)
             c = np.empty(0, dtype=np.int64)
             v = np.empty(0, dtype=np.float64)
-        with comm.on_rank(q):
+        with on_rank(comm, q):
             count("transpose.local_sort",
                   bytes_read=2 * len(v) * (VAL_BYTES + GLOBAL_IDX_BYTES),
                   bytes_written=len(v) * (VAL_BYTES + GLOBAL_IDX_BYTES))
@@ -275,7 +276,7 @@ def ref_dist_strength(comm, A, theta=0.25, max_row_sum=1.0, *, parallel=True):
         blocks.append((Sd, So, colmap))
 
         nnz = blk.nnz
-        with comm.on_rank(p):
+        with on_rank(comm, p):
             count(
                 "strength",
                 flops=2 * nnz,
@@ -463,16 +464,15 @@ def check_setup(n, cuts, seed, nc, ccuts, use_filter, use_payload,
     A = random_matrix(n, n, seed, density, dominant=True)
     P = random_matrix(n, nc, seed + 1, density)
 
-    # -- assembly: from_global / from_rank_triplets == _split_rows per rank
+    # -- assembly: from_global / from_triplets of the stacked triplets ==
+    # _split_rows per rank
     Ap = ParCSRMatrix.from_global(A, part)
     assert_blocks_equal(Ap, ref_from_global(A, part, part))
     Pp = ParCSRMatrix.from_global(P, part, cpart)
     ref_P = ref_from_global(P, part, cpart)
     assert_blocks_equal(Pp, ref_P)
-    triplets = [row_arrays_global(b, cpart.lo(p))
-                for p, b in enumerate(Pp.blocks)]
     assert_blocks_equal(
-        ParCSRMatrix.from_rank_triplets(triplets, part, cpart), ref_P)
+        ParCSRMatrix.from_triplets(*Pp.triplets(), part, cpart), ref_P)
     G = Pp.to_global()
     assert_csr_identical(G, CSRMatrix.from_coo(P.shape, P.row_ids(),
                                                P.indices, P.data))
@@ -656,7 +656,14 @@ class TestNoPerRankPython:
     ``build_gs_schedule`` calls, 16 ``extended_i_blocks`` calls (one per
     chunk of 4 ranks per level), 4 ``run_on_ranks`` (all from
     ``dist_spgemm``), 476 ``np.unique`` (474 in the node-aware halo plans)
-    and 2 ``on_rank`` (the coarse factorization).
+    and 2 ``on_rank`` (the coarse factorization).  Later changes took that
+    to 150,823 calls, 144 of them node ``spgemm`` calls (one per rank per
+    product).  With the local product stacked too, every kernel charges its
+    ranks through ``record_on_ranks`` and no log is activated: 130,342
+    calls, ``run_on_ranks`` and ``on_rank`` deleted, 0 ``collect``, 16
+    node ``spgemm`` calls (the distance-two product inside each
+    ``extended_i_blocks``) and one ``_expand`` per chunk of ranks per
+    distributed product.
     """
 
     @pytest.fixture(scope="class")
@@ -678,9 +685,6 @@ class TestNoPerRankPython:
             if event == "call":
                 code = frame.f_code
                 key = ("/".join(code.co_filename.split("/")[-2:]), code.co_name)
-                if code.co_name == "run_on_ranks":
-                    caller = ("run_on_ranks from", frame.f_back.f_code.co_name)
-                    seen[caller] = seen.get(caller, 0) + 1
             elif event == "c_call":
                 key = ("C", getattr(arg, "__qualname__", repr(arg)))
             else:
@@ -709,7 +713,7 @@ class TestNoPerRankPython:
         assert calls["messages"] == 18563  # dist.setup_messages, unchanged
         assert n("lib/_arraysetops_impl.py", "isin") <= 200
         assert n("sparse/csr.py", "from_coo") <= 100
-        assert n("dist/comm.py", "on_rank") <= 400
+        assert n("perf/counters.py", "collect") == 0  # no rank log activated
         assert n("dist/renumber.py", "renumber_parallel") == 0
 
     def test_node_kernels_run_over_the_rank_stack(self, calls):
@@ -727,10 +731,17 @@ class TestNoPerRankPython:
         assert n("amg/interp_extended.py", "extended_i_interpolation") == 0
         assert (n("amg/interp_extended.py", "extended_i_blocks")
                 <= math.ceil(32 / CHUNK_RANKS) * calls["interpolated levels"])
-        runs = {k[1]: v for k, v in calls.items() if k[0] == "run_on_ranks from"}
-        assert set(runs) == {"dist_spgemm"}, runs
+        # No kernel runs rank by rank: the only node SpGEMMs are the
+        # distance-two products inside extended+i, and each distributed
+        # product (two per Galerkin product) expands once per chunk.
+        assert not {"run_on_ranks", "on_rank"} & {k[1] for k in calls
+                                                  if isinstance(k, tuple)}
+        assert (n("sparse/spgemm.py", "spgemm")
+                == n("amg/interp_extended.py", "extended_i_blocks"))
+        assert (n("sparse/spgemm.py", "_expand")
+                <= n("sparse/spgemm.py", "spgemm")
+                + math.ceil(32 / CHUNK_RANKS) * 2 * calls["interpolated levels"])
 
     def test_total_calls(self, calls):
-        total = sum(v for k, v in calls.items()
-                    if isinstance(k, tuple) and k[0] != "run_on_ranks from")
+        total = sum(v for k, v in calls.items() if isinstance(k, tuple))
         assert total <= 194_000, total  # measured 185,008, plus 5 %

@@ -6,7 +6,7 @@ frozen message batches and per-rank record tables.  The oracle here is *not*
 that code: the ``ref_*`` functions below are the deleted per-rank loop
 bodies of the halo exchange, ``dist_spmv``, the smoother's boundary term and
 sweeps, the BLAS1 wrappers, the V-cycle and the coarse gather/scatter, kept
-literally — ``comm.log_message`` per message, ``with comm.on_rank(p)`` per
+literally — ``comm.log_message`` per message, ``with on_rank(comm, p)`` per
 rank, one 128-row kernel call per block.  Everything is compared bit for
 bit: arrays with ``np.array_equal``, the message log, the collectives and
 every rank's record stream with ``==``.
@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import on_rank
 import repro.dist.comm as comm_mod
 import repro.dist.krylov as krylov_mod
 import repro.dist.smoothers as smoothers_mod
@@ -73,7 +74,7 @@ def ref_halo(comm, halo, parts):
                     comm.log_message(src, dst, n * width * 8.0,
                                      persistent=halo.persistent, tag=tag)
         for leader, elems in halo.node_plan.relay.items():
-            with comm.on_rank(leader):
+            with on_rank(comm, leader):
                 count("halo.stage", bytes_read=elems * width * VAL_BYTES,
                       bytes_written=elems * width * VAL_BYTES)
     else:
@@ -86,7 +87,7 @@ def ref_halo(comm, halo, parts):
         ext.append(np.concatenate(pieces) if pieces
                    else np.empty((0, width) if multi else 0))
         n = sum(len(ids) for _, ids in halo.recv_plan[p])
-        with comm.on_rank(p):
+        with on_rank(comm, p):
             count("halo.pack_unpack", bytes_read=n * width * VAL_BYTES,
                   bytes_written=n * width * VAL_BYTES)
     return ext
@@ -96,7 +97,7 @@ def ref_spmv(comm, A, parts, halo, kernel="spmv"):
     ext = ref_halo(comm, halo, parts)
     out = []
     for p, blk in enumerate(A.blocks):
-        with comm.on_rank(p):
+        with on_rank(comm, p):
             y = spmv(blk.diag, parts[p], kernel=kernel)
             if blk.offd.nnz:
                 y += spmv(blk.offd, ext[p], kernel=kernel + ".offd")
@@ -136,7 +137,7 @@ def ref_smooth(sm, local, x, b, *, forward, zero_guess=False):
         ext = ref_halo(comm, sm.halo, x)
         rhs = []
         for p, blk in enumerate(sm.A.blocks):
-            with comm.on_rank(p):
+            with on_rank(comm, p):
                 if blk.offd.nnz:
                     rhs.append(b[p] - spmv(blk.offd, ext[p], kernel="gs.offd"))
                     count("gs.offd_sub", flops=blk.nrows,
@@ -145,7 +146,7 @@ def ref_smooth(sm, local, x, b, *, forward, zero_guess=False):
                 else:
                     rhs.append(b[p].copy())
     for p in range(comm.nranks):
-        with comm.on_rank(p):
+        with on_rank(comm, p):
             if forward:
                 local[p].presmooth(x[p], rhs[p], zero_guess=zero_guess)
             else:
@@ -156,7 +157,7 @@ def ref_smooth(sm, local, x, b, *, forward, zero_guess=False):
 def ref_dot(comm, x, y):
     locals_ = []
     for p in range(comm.nranks):
-        with comm.on_rank(p):
+        with on_rank(comm, p):
             n = len(x[p])
             count("blas1.dot", flops=2 * n, bytes_read=2 * n * VAL_BYTES)
         locals_.append(float(x[p] @ y[p]))
@@ -165,7 +166,7 @@ def ref_dot(comm, x, y):
 
 def ref_axpy(comm, alpha, x, y):
     for p in range(comm.nranks):
-        with comm.on_rank(p):
+        with on_rank(comm, p):
             n = len(x[p])
             y[p] += alpha * x[p]
             count("blas1.axpy", flops=2 * n, bytes_read=2 * n * VAL_BYTES,
@@ -183,7 +184,7 @@ def ref_vcycle(h, b, level=0):
             for p in range(1, comm.nranks):
                 comm.log_message(p, 0, len(b[p]) * VAL_BYTES, tag="coarse.b")
             x = cs.inv @ np.concatenate(b)
-            with comm.on_rank(0):
+            with on_rank(comm, 0):
                 count("coarse.direct_solve", flops=2.0 * cs.n * cs.n,
                       bytes_read=cs.n * cs.n * VAL_BYTES)
             for p in range(1, comm.nranks):
@@ -198,7 +199,7 @@ def ref_vcycle(h, b, level=0):
         Ax = ref_spmv(comm, lvl.A, x, lvl.halo, "spmv.residual")
         r = [bp - ap for bp, ap in zip(b, Ax)]
         for p in range(comm.nranks):
-            with comm.on_rank(p):
+            with on_rank(comm, p):
                 n = len(r[p])
                 count("residual_sub", flops=n, bytes_read=2 * n * VAL_BYTES,
                       bytes_written=n * VAL_BYTES)
@@ -686,7 +687,8 @@ class TestNoPerRankPython:
             monkeypatch.setattr(owner, attr, counted)
 
         wrap("log_message", SimComm, "log_message")
-        wrap("on_rank", SimComm, "on_rank")
+        wrap("rank_append", comm_mod._RankRecords, "append")
+        wrap("rank_append", comm_mod._RankRecords, "extend")
         wrap("MessageEvent", comm_mod, "MessageEvent")
         wrap("LoggedMessage", comm_mod, "_LoggedMessage")
         wrap("KernelRecord", counters_mod, "KernelRecord")
@@ -726,7 +728,7 @@ class TestNoPerRankPython:
         res = dist_fgmres(comm, Ap, b, precondition=s.precondition, tol=1e-7)
         assert res.iterations == 6
         assert log_marks(comm)[0] == marks[0] + 9908
-        for name in BUILDS + ("log_message", "on_rank"):
+        for name in BUILDS + ("log_message", "rank_append"):
             assert calls[name] == 0, name
         self.assert_read_once(comm, calls, marks)
 
@@ -744,7 +746,7 @@ class TestNoPerRankPython:
         assert sizes == log_marks(comm)
         # Nothing reads the logs during a solve, and len() builds nothing:
         # the messages and rows stay in their segments.
-        for name in BUILDS + ("log_message", "on_rank"):
+        for name in BUILDS + ("log_message", "rank_append"):
             assert calls[name] == 0, name
         self.assert_read_once(comm, calls)
         # Two stacked SpMVs per product, one per boundary term (the
@@ -761,7 +763,7 @@ class TestNoPerRankPython:
         assert Ap not in comm.krylov_halos
         res, calls = self.solve_counted(monkeypatch, warm32)
         assert res.iterations == 6
-        for name in BUILDS + ("log_message", "on_rank"):
+        for name in BUILDS + ("log_message", "rank_append"):
             assert calls[name] == 0, name
         assert len(comm.messages) == 9908
         assert list(comm.krylov_halos[Ap]._wire._batches) == [1]

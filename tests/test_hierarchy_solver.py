@@ -1,5 +1,7 @@
 """Integration tests: AMG hierarchy construction and the standalone solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,32 @@ class TestHierarchy:
                 np.testing.assert_allclose(
                     h.levels[l + 1].A.to_dense(), ref, atol=1e-10
                 )
+
+    @pytest.mark.parametrize("three_way", [True, False])
+    @pytest.mark.parametrize("cf_reorder", [True, False])
+    @pytest.mark.parametrize("rap_scheme",
+                             ["cf_block", "fused", "hypre", "unfused"])
+    def test_every_accepted_flag_combination_is_galerkin(
+            self, rap_scheme, cf_reorder, three_way):
+        """Each level's stored ``A`` is ``P^T A P`` (scipy) to 1e-12
+        relative under every accepted ``rap_scheme`` x ``cf_reorder`` x
+        ``three_way_partition``; the CF-block product without the C-first
+        ordering is refused (it built a wrong operator)."""
+        flags = dict(rap_scheme=rap_scheme, cf_reorder=cf_reorder,
+                     three_way_partition=three_way)
+        base = replace(single_node_config(True, nthreads=4), coarse_size=10)
+        if rap_scheme == "cf_block" and not cf_reorder:
+            with pytest.raises(ValueError, match="cf_block.*cf_reorder"):
+                replace(base.flags, **flags)
+            return
+        h = build_hierarchy(laplace_3d_27pt(7),
+                            base.with_flags(replace(base.flags, **flags)))
+        assert len(h.levels) > 2
+        for fine, coarse in zip(h.levels, h.levels[1:]):
+            P = fine.P.to_scipy()
+            ref = (P.T @ fine.A.to_scipy() @ P).toarray()
+            err = np.abs(coarse.A.to_dense() - ref).max() / np.abs(ref).max()
+            assert err <= 1e-12, err
 
     def test_cf_reorder_identity_block(self):
         A = laplace_2d_5pt(16)
