@@ -60,6 +60,8 @@ def _sym_pattern(S: CSRMatrix) -> CSRMatrix:
     St = transpose(S, kernel="pmis.transpose")
     rows = np.concatenate([S.row_ids(), St.row_ids()])
     cols = np.concatenate([S.indices, St.indices])
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
     adj = CSRMatrix.from_coo(S.shape, rows, cols, np.ones(len(rows)))
     return adj
 

@@ -435,12 +435,12 @@ def refresh_hierarchy(hierarchy, A_new: CSRMatrix):
         refreshed = Hierarchy(
             levels=new_levels, coarse_solver=coarse, config=config, plan=plan
         )
-        # Lockstep layouts are pattern + values too: share the pattern half
-        # (no sort), regather the values.
+        # Slab layouts are pattern + values too: share the pattern half
+        # (no sort, no slab build), bind the values with one take.
         for new, old in zip(new_levels, levels):
             for (M, transposed), (M_old, _) in zip(new.cycle_products(flags),
                                                    old.cycle_products(flags)):
-                M.share_lockstep(M_old, transposed)
+                M.share_layout(M_old, transposed)
         # Compile whatever the numeric rebuild could not carry over.
         attach_solve_plan(refreshed)
         fine_nnz = sum(lv.A.nnz for lv in new_levels[:-1])

@@ -65,7 +65,7 @@ __all__ = [
 @dataclass
 class GSSchedule:
     """Wavefront schedule of one GS sweep over a row subset: what the
-    compiled sweep's slabs (:class:`repro.amg.solveplan.Slabs`) read.
+    compiled sweep's slabs (:class:`repro.sparse.slabs.Slabs`) read.
 
     ``rows`` lists the swept rows packed level by level (``level_row_ptr``
     delimits levels) and ``diag_entry`` the position of each packed row's

@@ -6,7 +6,8 @@ traffic that is a pure function of the pattern.  This module holds each
 sweep's arithmetic **and** its traffic formula, exactly once:
 
 * **compiled GS sweeps** (:class:`CompiledSweep`): each wavefront level is
-  one padded ELL slab (:class:`Slabs`) over a schedule-ordered workspace
+  one padded ELL slab (:class:`~repro.sparse.slabs.Slabs`, the layout the
+  SpMV family runs on too) over a schedule-ordered workspace
   ``[swept rows, packed | +0.0 | sweep-start x]``, built straight from the
   :class:`~repro.amg.smoothers.GSSchedule`, whose entries already carry
   their workspace source (each row's non-zeros are classified once, at
@@ -32,10 +33,10 @@ compiling drops the smoother's wavefront schedules, and
 the sweeps straight from the new ``A.data`` through ``with_values``,
 sharing every index array with the plan it came from.  Compilation is
 pure pattern arithmetic and emits no perf records.  :func:`attach_solve_plan`
-also decides — and builds where admitted — the lockstep layouts
-(:meth:`repro.sparse.csr.CSRMatrix.lockstep`) of the operators the
-configured cycle multiplies by; the sweeps have their own slabs (a
-wavefront level holds 100-300 rows, far below that layout's crossover).
+also builds the slab layouts (:meth:`repro.sparse.csr.CSRMatrix.layout`)
+of the products the configured cycle performs: the same :class:`Slabs`
+builder and the same reduction, over slices of rows instead of wavefront
+levels.
 The public kernel functions (``gs_sweep``, ``multicolor_gs_sweep``,
 ``chebyshev_sweep``) are one-shot wrappers over the same classes.
 
@@ -48,7 +49,6 @@ column *j* alone.
 from __future__ import annotations
 
 import copy
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +65,7 @@ from ..perf.counters import (
     make_record,
 )
 from ..sparse.ops import gather_range_indices
+from ..sparse.slabs import Slabs, slab_sum
 from ..sparse.spmv import rhs_width, spmv_traffic
 
 __all__ = [
@@ -82,94 +83,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Compiled hybrid/lexicographic GS sweeps
 # ---------------------------------------------------------------------------
-
-class SlabLevel(NamedTuple):
-    """One wavefront level (or colour) bound to values.
-
-    It writes the workspace rows ``r0:r1``; ``src`` and ``vals`` ``(w, m)``
-    are its slab, ``diag`` ``(m,)`` its rows' diagonal.  A ``one_row``
-    level sums with ``np.bincount``: numpy would sum its reduction
-    pairwise.
-    """
-
-    r0: int
-    r1: int
-    src: np.ndarray
-    vals: np.ndarray
-    diag: np.ndarray
-    one_row: bool
-
-
-class Slabs:
-    """Padded ELL slabs of consecutive workspace row ranges, pattern only.
-
-    Level *l* writes the rows ``row_ptr[l]:row_ptr[l + 1]``; its slab is
-    ``(w_l, m_l)``, slot ``(p, i)`` holding the *p*-th entry (in entry
-    order) of the level's *i*-th row.  ``src`` is the workspace row each
-    slot reads — *pad*, a row kept at ``+0.0``, past a row's last entry —
-    and ``emap`` (int32) its value as an index into ``[values | 0.0]``.
-    Built in one vectorised pass; :meth:`bind` attaches values.
-    """
-
-    def __init__(self, row_ptr: np.ndarray, e_row: np.ndarray, e_src: np.ndarray,
-                 e_id: np.ndarray, nvals: int, pad: int) -> None:
-        """*e_row* is the workspace row each entry sums into (non-decreasing:
-        a row's entries are contiguous, in entry order), *e_src* the row it
-        reads, *e_id* its position in a value array of length *nvals*.
-        Every level holds at least one row."""
-        row_ptr = np.asarray(row_ptr, dtype=np.int64)
-        m = np.diff(row_ptr)
-        nrows = int(row_ptr[-1])
-        # Row r's entries are first[r]:first[r + 1] (e_row is sorted).
-        first = np.searchsorted(e_row, np.arange(nrows + 1))
-        cnt = np.diff(first)
-        w = np.maximum.reduceat(cnt, row_ptr[:-1]) if len(m) else m
-        off = np.zeros(len(m) + 1, dtype=np.int64)
-        np.cumsum(w * m, out=off[1:])
-        # Entry e, the p-th of row r (the i-th row of level l), goes to slot
-        # off[l] + p * m[l] + i = base[r] + e * m[l]: per-row arithmetic,
-        # then two repeats over the entries.
-        lvl = np.repeat(np.arange(len(m)), m)
-        stride = m[lvl]
-        base = off[lvl] - row_ptr[lvl] + np.arange(nrows) - first[:-1] * stride
-        slot = np.arange(len(e_row))
-        slot *= np.repeat(stride, cnt)
-        slot += np.repeat(base, cnt)
-        self.src = np.full(int(off[-1]), pad, dtype=np.intp)
-        self.src[slot] = e_src
-        self.emap = np.full(int(off[-1]), nvals,
-                            dtype=np.int32 if nvals < 2**31 else np.intp)
-        self.emap[slot] = e_id
-        # Per level: its rows, slab view, and where its values sit in the
-        # gathered array.
-        src = self.src
-        self.levels = [(r0, r1, src[a:b].reshape(wl, r1 - r0), a, b,
-                        (wl, r1 - r0), r1 - r0 == 1)
-                       for r0, r1, a, b, wl in zip(
-                           row_ptr[:-1].tolist(), row_ptr[1:].tolist(),
-                           off[:-1].tolist(), off[1:].tolist(), w.tolist())]
-
-    def bind(self, padded_vals: np.ndarray, diag: np.ndarray) -> list[SlabLevel]:
-        """The levels over *padded_vals* (the values, indexed by the entries'
-        ids, then one ``0.0``) and the per-row *diag* (in workspace order):
-        one ``take`` gathers every slab value."""
-        return self.split(padded_vals.take(self.emap), diag)
-
-    def split(self, v: np.ndarray, diag: np.ndarray) -> list[SlabLevel]:
-        """The levels over the gathered slab values *v* (``bind``'s
-        ``take``)."""
-        return [SlabLevel(r0, r1, src, v[a:b].reshape(shape), diag[r0:r1], one_row)
-                for r0, r1, src, a, b, shape, one_row in self.levels]
-
-
-@functools.lru_cache(maxsize=256)
-def _tiled_ids(w: int, size: int) -> np.ndarray:
-    """``bincount`` bins that sum a C-ordered ``(w, size)`` slab down its
-    columns (slot order within each bin)."""
-    ids = np.tile(np.arange(size, dtype=np.intp), w)
-    ids.setflags(write=False)
-    return ids
-
 
 def _sweep_levels(x: np.ndarray, b: np.ndarray, rows: np.ndarray,
                   levels, snapshot: bool) -> np.ndarray:
@@ -197,13 +110,8 @@ def _sweep_levels(x: np.ndarray, b: np.ndarray, rows: np.ndarray,
         out = ws[r0:r1]
         t = ws.take(src, axis=0)
         np.multiply(vals, t, out=t)
-        if one_row:
-            acc = np.bincount(_tiled_ids(len(t), out.size), weights=t.ravel(),
-                              minlength=out.size)
-            np.subtract(bp[r0:r1], acc.reshape(out.shape), out=out)
-        else:
-            np.add.reduce(t, axis=0, out=out, initial=0.0)
-            np.subtract(bp[r0:r1], out, out=out)
+        slab_sum(t, out, one_row)
+        np.subtract(bp[r0:r1], out, out=out)
         np.divide(out, diag, out=out)
     x[rows] = ws[:m]
     return x
@@ -581,9 +489,9 @@ def compile_smoother_plan(smoother) -> None:
 
 def attach_solve_plan(hierarchy) -> None:
     """Compile every smoother of *hierarchy* — the per-level ones and a
-    swept (non-direct) coarsest solver's — and decide (building where the
-    coverage rule admits) the lockstep layouts of the operators the
-    configured cycle multiplies by, so no solve pays for either.
+    swept (non-direct) coarsest solver's — and build the slab layouts of
+    the products the configured cycle performs, so no solve pays for
+    either.
 
     Idempotent and silent; works on any assembled hierarchy, whoever
     constructed its smoothers.
@@ -592,5 +500,5 @@ def attach_solve_plan(hierarchy) -> None:
     for lvl in hierarchy.levels:
         compile_smoother_plan(lvl.smoother)
         for M, transposed in lvl.cycle_products(flags):
-            M.lockstep(transposed)
+            M.layout(transposed)
     compile_smoother_plan(hierarchy.coarse_solver.smoother)

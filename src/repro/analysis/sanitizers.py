@@ -70,7 +70,7 @@ def check_csr(
     Cheap checks: indptr shape, start-at-zero, monotonicity, nnz/array-length
     consistency, column indices in ``[0, ncols)``.  Full checks add: column
     indices strictly increasing within each row (which also rules out
-    duplicates; skipped when ``sorted_indices=False``), memoised lockstep
+    duplicates; skipped when ``sorted_indices=False``), memoised slab
     layouts still holding ``A.data``'s values, and all values finite.
 
     ``full=None`` follows the active :func:`~repro.analysis.checking` level.
@@ -133,12 +133,12 @@ def check_csr(
                 f"{name} has {which} column index {int(indices[k + 1])} in "
                 f"row {row}",
                 **kw)
-    for direction, lay in zip(("row", "column"), getattr(A, "_lockstep", ())):
-        # A lockstep layout snapshots the values it was built from.
-        if lay and lay.vals.tobytes() != data.take(lay.perm()).tobytes():
+    for direction, lay in zip(("row", "column"), getattr(A, "_layout", ())):
+        # A slab layout snapshots the values it was bound to.
+        if lay is not None and not lay.holds(data):
             raise InvariantViolation(
                 "csr.stale_layout",
-                f"{name}.data changed after its {direction} lockstep layout "
+                f"{name}.data changed after its {direction} slab layout "
                 "was built, without invalidate_cache()",
                 **kw)
     if nnz and not np.isfinite(data).all():

@@ -42,7 +42,8 @@ def dist_random_measures(comm: SimComm, part, seed: int) -> list[np.ndarray]:
 
 
 def _union_adjacency(comm: SimComm, S: ParCSRMatrix) -> ParCSRMatrix:
-    """Pattern of ``S + S^T`` as a ParCSR matrix (unit values)."""
+    """Pattern of ``S + S^T`` as a ParCSR matrix (unit values, no
+    diagonal: a point is not its own neighbour)."""
     St = dist_transpose(comm, S, tag="pmis.transpose")
     n, m = S.shape
     keys = sorted_unique(np.concatenate(
@@ -50,6 +51,8 @@ def _union_adjacency(comm: SimComm, S: ParCSRMatrix) -> ParCSRMatrix:
          for M, cols in ((P.diag, P.diag.indices),
                          (P.offd, P.colmap[P.offd.indices]))]))
     rows = keys // max(m, 1)
+    off = keys - rows * m != rows
+    keys, rows = keys[off], rows[off]
     return ParCSRMatrix.from_sorted(
         CSRMatrix((n, m), indptr_from_counts(np.bincount(rows, minlength=n)),
                   keys - rows * m, np.ones(len(keys))),
@@ -108,7 +111,16 @@ def dist_pmis(
         nbr_max = np.full(n, -np.inf)
         np.maximum.at(nbr_max, d_rid, u[diag.indices])
         np.maximum.at(nbr_max, o_rid, u_ext[offd.indices])
-        state[und & (measure > nbr_max)] = C_PT
+        new_c = und & (measure > nbr_max)
+        if not new_c.any():
+            # Tied measures (given ones can tie): the node kernel's progress
+            # guarantee, the undecided point of largest measure (lowest
+            # global index among equals).  A round without progress shows
+            # in the next undecided count; picking the point is one maxloc.
+            cand = np.flatnonzero(und)
+            new_c[cand[np.argmax(measure[cand])]] = True
+            comm.allreduce(np.zeros(comm.nranks), kind="pmis.maxloc")
+        state[new_c] = C_PT
         comm.record_on_ranks(RecordTable.per_rank(
             "pmis.round", comm.nranks, bytes_read=round_read,
             branches=undecided))

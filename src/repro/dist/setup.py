@@ -299,12 +299,12 @@ def dist_build_hierarchy(
                         comm, lvl.R, persistent=flags.persistent_comm,
                         topology=topology, net=net,
                     )
-            # Decide the transfer operators' lockstep layouts now (the
-            # smoother does the same for A), so no solve pays for a build.
+            # Build the transfer operators' slab layouts now (the smoother
+            # does the same for A), so no solve pays for a build.
             for M in (lvl.P, lvl.R):
                 if M is not None:
                     for block in M.stacked():
-                        block.lockstep()
+                        block.layout()
             if l < len(levels) - 1 or levels[-1].A.shape[0] > config.dense_coarse_threshold:
                 lvl.smoother = DistSmoother(
                     comm, lvl.A, lvl.cf_parts,

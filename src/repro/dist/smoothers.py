@@ -158,8 +158,8 @@ class DistSmoother:
                     _SETUP_KERNEL[variant], comm.nranks,
                     **pattern_scan_fields(A.rank_nnz()[0])))
         compile_smoother_plan(self.stacked)
-        diag.lockstep()  # what dist_spmv and the boundary term multiply by
-        offd.lockstep()
+        diag.layout()  # what dist_spmv and the boundary term multiply by
+        offd.layout()
 
         self._offd = offd
         n, o = np.diff(bounds), A.rank_nnz()[1]

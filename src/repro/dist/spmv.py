@@ -77,9 +77,9 @@ def dist_spmv(
     x_ext = halo.gather(x)
     diag, offd = A.stacked()
     # ``+=`` adds an exact +0.0 on rows without off-diagonal entries.  Those
-    # rows keep their bits because diag's sums are never -0.0: either arm of
-    # ``CSRMatrix._dot`` (bincount, lockstep) starts every row from +0.0,
-    # and a sum is -0.0 only when both addends are.
+    # rows keep their bits because diag's sums are never -0.0: the slab
+    # reduction of ``CSRMatrix._dot`` starts every row from +0.0, and a sum
+    # is -0.0 only when both addends are.
     with silent():
         y = spmv(diag, x.array)
         y += spmv(offd, x_ext)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .ops import gather_range_indices, indptr_from_counts, row_ids_from_indptr, segment_sum
-from .ops import Lockstep, group_rowcol, rowcol_order, stable_order
+from .ops import group_rowcol, rowcol_order, stable_order
+from .slabs import SpMVLayout
 
 __all__ = ["CSRMatrix"]
 
@@ -33,16 +34,16 @@ class CSRMatrix:
     Notes
     -----
     The class memoizes two things derived from its arrays: the expanded
-    per-entry row-id array (:meth:`row_ids`, pattern only) and, for
-    operators large enough to profit, the :class:`~repro.sparse.ops.Lockstep`
-    layouts the SpMV family runs on (:meth:`lockstep`), which **snapshot
-    the values**.  Matrices are treated as frozen once built; code that
-    writes ``A.data`` (or the structure) after the first product must call
+    per-entry row-id array (:meth:`row_ids`, pattern only) and, per
+    direction, the padded-slab :class:`~repro.sparse.slabs.SpMVLayout`
+    the SpMV family runs on (:meth:`layout`), which **snapshots the
+    values**.  Matrices are treated as frozen once built; code that writes
+    ``A.data`` (or the structure) after the first product must call
     :meth:`invalidate_cache`.  ``REPRO_CHECK=full`` reports a layout that
     no longer matches ``A.data`` as ``csr.stale_layout``.
     """
 
-    __slots__ = ("shape", "indptr", "indices", "data", "_row_ids", "_lockstep")
+    __slots__ = ("shape", "indptr", "indices", "data", "_row_ids", "_layout")
 
     def __init__(
         self,
@@ -66,9 +67,8 @@ class CSRMatrix:
         self.indices = indices
         self.data = data
         self._row_ids: np.ndarray | None = None
-        #: Per direction (rows, columns): ``None`` = undecided, ``False`` =
-        #: below the coverage rule, else the layout.
-        self._lockstep: list = [None, None]
+        #: Per direction (rows, columns): the layout, ``None`` until built.
+        self._layout: list[SpMVLayout | None] = [None, None]
 
     # ------------------------------------------------------------------
     # Constructors
@@ -145,81 +145,65 @@ class CSRMatrix:
         return self._row_ids
 
     def invalidate_cache(self) -> None:
-        """Drop everything memoized from the arrays (row ids, lockstep
+        """Drop everything memoized from the arrays (row ids, slab
         layouts).  Nothing in the library mutates a built matrix; a caller
         that does — the layouts snapshot ``data`` — calls this afterwards."""
         self._row_ids = None
-        self._lockstep = [None, None]
+        self._layout = [None, None]
 
     # ------------------------------------------------------------------
     # Uncounted products (the SpMV family's execution core)
     # ------------------------------------------------------------------
-    def lockstep(self, transposed: bool = False) -> Lockstep | None:
-        """The layout :meth:`_dot` runs on, or ``None`` for an operator the
-        coverage rule (:meth:`Lockstep.admits`) leaves on ``bincount``.
-        Decided — and built — once per matrix and direction; set-up code
-        calls this so that no solve pays for the build."""
-        memo = self._lockstep[transposed]
-        if memo is None:
-            memo = self._build_lockstep(transposed)
-            self._set_lockstep(transposed, memo)
-        return memo or None
+    def layout(self, transposed: bool = False) -> SpMVLayout:
+        """The slab layout :meth:`_dot` runs on, built once per matrix and
+        direction; set-up code calls this so that no solve pays for the
+        build."""
+        lay = self._layout[transposed]
+        if lay is None:
+            lay = self._build_layout(transposed)
+            self._set_layout(transposed, lay)
+        return lay
 
-    def _set_lockstep(self, transposed: bool, memo: Lockstep | bool) -> None:
-        self._lockstep[transposed] = memo
-        if self._lockstep[0]:
-            # Row-covered: no product reads the row-id expansion again.
-            # Releasing its 8 B per entry pays for half of the layout;
-            # row_ids() recomputes it for whoever still asks.
+    def _set_layout(self, transposed: bool, lay: SpMVLayout) -> None:
+        self._layout[transposed] = lay
+        if self._layout[0] is not None:
+            # No product reads the row-id expansion again: releasing its
+            # 8 B per entry pays for part of the layout; row_ids()
+            # recomputes it for whoever still asks.
             self._row_ids = None
 
-    def _build_lockstep(self, transposed: bool) -> Lockstep | bool:
-        nnz, indices = self.nnz, self.indices
-        if not Lockstep.admits(nnz):
-            return False
-        if nnz and (indices.min() < 0 or indices.max() >= self.ncols):
-            # The layout gathers with mode="clip", which would clamp what
-            # the bincount arm's fancy index rejects.
+    def _build_layout(self, transposed: bool) -> SpMVLayout:
+        indices = self.indices
+        if self.nnz and (indices.min() < 0 or indices.max() >= self.ncols):
+            # The pad row sits at index ncols, and take() wraps -1 onto it:
+            # the fancy index of a plain gather would have rejected both.
             raise IndexError(f"column index out of range in {self!r}")
-        counts = (np.bincount(indices, minlength=self.ncols) if transposed
-                  else np.diff(self.indptr))
-        if not Lockstep.admits(nnz, int(counts.max(initial=0))):
-            return False
         if transposed:
-            return Lockstep.build(counts, stable_order(indices, self.ncols),
-                                  self.row_ids(), self.data)
-        return Lockstep.build(counts, None, indices, self.data)
+            return SpMVLayout.build(np.bincount(indices, minlength=self.ncols),
+                                    stable_order(indices, self.ncols),
+                                    self.row_ids(), self.data, self.nrows)
+        return SpMVLayout.build(np.diff(self.indptr), None, indices, self.data,
+                                self.ncols)
 
-    def share_lockstep(self, donor: "CSRMatrix", transposed: bool = False) -> None:
-        """Take over *donor*'s coverage decision and layout pattern for
-        this matrix's values: no sort, one gather.  The caller guarantees
-        equal sparsity patterns (numeric resetup does)."""
-        lay = donor._lockstep[transposed]
-        self._set_lockstep(transposed, lay.with_values(self.data) if lay else lay)
+    def share_layout(self, donor: "CSRMatrix", transposed: bool = False) -> None:
+        """Bind *donor*'s layout pattern to this matrix's values: no sort,
+        one ``take``.  The caller guarantees equal sparsity patterns
+        (numeric resetup does); a donor without a layout leaves this
+        matrix to build its own on its first product."""
+        lay = donor._layout[transposed]
+        if lay is not None:
+            self._set_layout(transposed, lay.with_values(self.data))
 
     def _dot(self, x: np.ndarray, transposed: bool = False) -> np.ndarray:
         """``sum_e data[e] * x[src[e]]`` per row — per column when
         *transposed* — in entry order, for a ``float64`` *x* of shape
-        ``(n,)`` or ``(n, k)``.  Uncounted: the kernel that calls it
-        records.  Both arms round identically (see :class:`Lockstep`)."""
+        ``(n,)`` or ``(n, k)``: ``np.bincount``'s summation order, bit for
+        bit (see :mod:`repro.sparse.slabs`).  Uncounted: the kernel that
+        calls it records."""
         if x.shape[0] != self.shape[not transposed]:
             raise ValueError(f"dimension mismatch: {self!r} against {x.shape}"
                              f"{' (transposed)' if transposed else ''}")
-        lay = self.lockstep(transposed)
-        if lay is not None:
-            return lay.dot(x)
-        if transposed:
-            src, seg, nseg = self.row_ids(), self.indices, self.ncols
-        else:
-            src, seg, nseg = self.indices, self.row_ids(), self.nrows
-        if x.ndim == 1:
-            t = x[src]
-            np.multiply(self.data, t, out=t)  # reuse the gather's buffer
-            return segment_sum(t, seg, nseg)
-        out = np.empty((nseg, x.shape[1]))
-        for j in range(x.shape[1]):
-            out[:, j] = segment_sum(self.data * x[src, j], seg, nseg)
-        return out
+        return self.layout(transposed).dot(x)
 
     # ------------------------------------------------------------------
     # Structure utilities
@@ -299,9 +283,9 @@ class CSRMatrix:
         if self.nnz:
             assert self.indices.min() >= 0 and self.indices.max() < self.ncols, \
                 "column index out of range"
-        for lay in self._lockstep:
-            assert not lay or lay.vals.tobytes() == self.data.take(lay.perm()).tobytes(), \
-                "stale lockstep layout: data changed without invalidate_cache()"
+        for lay in self._layout:
+            assert lay is None or lay.holds(self.data), \
+                "stale slab layout: data changed without invalidate_cache()"
 
     # ------------------------------------------------------------------
     # Conversion / comparison

@@ -19,7 +19,6 @@ __all__ = [
     "group_rowcol",
     "unique_inverse",
     "segment_sum",
-    "Lockstep",
     "run_starts",
     "sorted_unique",
     "prefix_sum_partition",
@@ -146,126 +145,6 @@ def segment_sum(values: np.ndarray, seg_ids: np.ndarray, nseg: int) -> np.ndarra
     if len(values) == 0:
         return np.zeros(nseg, dtype=np.float64)
     return np.bincount(seg_ids, weights=values, minlength=nseg)[:nseg]
-
-
-#: Which segment structures get a :class:`Lockstep` layout — decided from
-#: the structure alone, once per matrix and direction.  A lockstep step
-#: holds ``nnz / longest segment`` segments on average and costs one to
-#: three ufunc dispatches whatever it holds, so it needs enough of them to
-#: beat ``bincount``'s 3-4 ns per entry.  Measured over all 52 level
-#: operators of the four benchmark hierarchies (EXPERIMENTS.md "Lockstep
-#: SpMV", crossover table): a single right-hand side wins from ~650
-#: segments per step (0.4-0.7x), breaks even at 400-500, loses below
-#: (1.1-1.25x at ~200); eight right-hand sides win from ~100 (0.3-0.5x).
-#: Operators under 2^14 entries lose at k = 1 whatever their shape (fixed
-#: per-call cost) — that is all of ``serve-mixed``, which therefore runs
-#: the bincount arm only.  Width does not enter: the rule is per matrix,
-#: not per call.
-LOCKSTEP_MIN_NNZ = 1 << 14
-LOCKSTEP_MIN_SEGMENTS_PER_STEP = 256
-#: Elements of the gather/multiply buffer (64 KiB: stays in L1/L2).
-LOCKSTEP_BUFFER = 1 << 13
-
-
-class Lockstep:
-    """Frozen layout computing ``out[s] = sum_e vals[e] * x[src[e]]`` over
-    the entries *e* of every segment *s*, in entry order.
-
-    Segments are ranked by length, longest first (stable); step *p* holds
-    the *p*-th entry of every segment that has one — a prefix of the
-    ranking — stored contiguously.  :meth:`dot` then advances all segments
-    together: gather, multiply, add into the prefix of a ``+0.0``
-    accumulator — contiguous SIMD ufunc calls instead of ``bincount``'s
-    scalar loop, and an ``(n, k)`` operand rides along as the trailing
-    axis.  Per segment that is ``((0.0 + t0) + t1) + ...``:
-    ``np.bincount(seg, weights=vals * x[src])``'s summation order, bit for
-    bit (signed zeros, infinities, NaN placement and empty segments
-    included; the *sign* of a NaN that met a NaN of the other sign is an
-    instruction's operand order and not pinned).
-
-    Pattern half (shared by :meth:`with_values`): ``slot`` (segment ->
-    rank), ``bounds`` (step *p* is positions ``bounds[p]:bounds[p+1]``),
-    ``starts`` (first entry of each ranked segment), ``entry`` (position
-    in segment-sorted order -> stored entry; ``None`` when entries are
-    stored segment by segment, i.e. CSR rows) and ``src``.  Value half:
-    ``vals``.  16 B per entry plus the shared ``entry``.
-    """
-
-    __slots__ = ("slot", "bounds", "starts", "entry", "src", "vals")
-
-    def __init__(self, slot, bounds, starts, entry, src, vals) -> None:
-        self.slot, self.bounds, self.starts = slot, bounds, starts
-        self.entry, self.src, self.vals = entry, src, vals
-
-    @staticmethod
-    def admits(nnz: int, longest: int = 0) -> bool:
-        """The coverage rule (constants above); ``longest=0`` asks about
-        the entry floor alone."""
-        return nnz >= max(LOCKSTEP_MIN_NNZ, LOCKSTEP_MIN_SEGMENTS_PER_STEP * longest)
-
-    @classmethod
-    def build(cls, counts: np.ndarray, entry: np.ndarray | None,
-              src: np.ndarray, vals: np.ndarray) -> "Lockstep":
-        """Layout of segments with *counts* entries each, stored back to
-        back in the order *entry* lists them (``None`` = storage order);
-        *src* / *vals* are per stored entry.  *src* must be in range:
-        :meth:`dot` gathers with ``mode="clip"``."""
-        longest = int(counts.max(initial=0))
-        order = stable_order(longest - counts, longest + 1)
-        slot = np.empty_like(order)
-        slot[order] = np.arange(len(order))
-        # Segments longer than p, for every step p.
-        active = len(counts) - np.cumsum(np.bincount(counts))[:-1]
-        bounds = [0, *np.cumsum(active).tolist()]
-        starts = (np.cumsum(counts) - counts)[order]
-        self = cls(slot, bounds, starts, entry, None, None)
-        perm = self.perm()
-        self.src, self.vals = src.take(perm), vals.take(perm)
-        return self
-
-    def perm(self) -> np.ndarray:
-        """The stored entry at every lockstep position.  Recomputed (one
-        small add per step), not retained: it would be 8 B per entry."""
-        bounds, starts = self.bounds, self.starts
-        perm = np.empty(bounds[-1], dtype=np.int64)
-        for p in range(len(bounds) - 1):
-            a, b = bounds[p], bounds[p + 1]
-            np.add(starts[:b - a], p, out=perm[a:b])
-        return perm if self.entry is None else self.entry.take(perm)
-
-    def with_values(self, vals: np.ndarray) -> "Lockstep":
-        """The layout of the same pattern holding *vals* (per stored
-        entry): shares every pattern array, sorts nothing."""
-        return Lockstep(self.slot, self.bounds, self.starts, self.entry,
-                        self.src, vals.take(self.perm()))
-
-    def dot(self, x: np.ndarray) -> np.ndarray:
-        """Segment sums against a ``float64`` *x* of shape ``(n,)`` or ``(n, k)``."""
-        x = np.ascontiguousarray(x)  # take() would copy a strided x per call
-        bounds, src, tail = self.bounds, self.src, x.shape[1:]
-        vals = self.vals[:, None] if tail else self.vals
-        acc = np.zeros((len(self.slot),) + tail)
-        nsteps = len(bounds) - 1
-        # Consecutive steps share one gather and one multiply while their
-        # entries fit the cache-sized buffer (steps shrink, so the first
-        # one bounds them all): a long tail of short steps then costs one
-        # ufunc call per step, not three.
-        room = max(LOCKSTEP_BUFFER // max(x[:1].size, 1), bounds[1]) if nsteps else 0
-        buf = np.empty((room,) + tail)
-        p = 0
-        while p < nsteps:
-            a, q = bounds[p], p + 1
-            while q < nsteps and bounds[q + 1] - a <= room:
-                q += 1
-            b = bounds[q]
-            t = buf[:b - a]
-            x.take(src[a:b], axis=0, out=t, mode="clip")
-            np.multiply(vals[a:b], t, out=t)
-            for lo, hi in zip(bounds[p:q], bounds[p + 1:q + 1]):
-                s = acc[:hi - lo]
-                np.add(s, t[lo - a:hi - a], out=s)
-            p = q
-        return acc.take(self.slot, axis=0)
 
 
 def run_starts(keys: np.ndarray) -> np.ndarray:

@@ -31,12 +31,13 @@ residual (``spmv`` + ``residual_sub`` for a vector, one
 
 Execution: every kernel here is validation + :meth:`CSRMatrix._dot` + its
 own record.  ``_dot`` sums ``data[e] * x[src[e]]`` per row (or column) in
-entry order; on operators the coverage rule admits it runs the
-:class:`~repro.sparse.ops.Lockstep` layout — all rows advance one entry at
-a time, an ``(n, k)`` block rides along as the trailing axis, so the
-vehicle too streams the operator once for all *k* columns — and on small
-ones the ``bincount`` form.  Both round identically, so column *j* of a
-blocked product is bit-identical to the product of column *j*.
+entry order on the operator's padded slabs
+(:class:`~repro.sparse.slabs.SpMVLayout`, built by the GS sweeps' builder):
+per slice of rows one gather, one multiply and one reduction, an ``(n, k)``
+block riding along as the trailing axis, so the vehicle too streams the
+operator once for all *k* columns.  The sum is ``np.bincount``'s, bit for
+bit, so column *j* of a blocked product is bit-identical to the product of
+column *j*.
 """
 
 from __future__ import annotations

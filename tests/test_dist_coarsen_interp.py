@@ -1,5 +1,11 @@
 """Distributed coarsening/interpolation vs. the sequential kernels (§4.2–4.3)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -66,6 +72,45 @@ class TestDistPMIS:
         cf_d = np.concatenate(dist_pmis(comm, Sd, measures=mparts))
         cf_s = pmis(Ss, measures=m)
         np.testing.assert_array_equal(cf_d, cf_s)
+
+    @pytest.mark.parametrize("fractions", ["random", "tied"])
+    def test_stored_diagonal_terminates(self, fractions):
+        # A strength matrix that stores a diagonal entry: the 3-point path
+        # with S[1, 1], and (every measure tied, so a round selects nobody
+        # without the progress guarantee) the 2-point path.  Before the fix
+        # the point's own measure entered its neighbour maximum and the
+        # round loop never returned: run in a child with a timeout so that
+        # a regression fails instead of hanging.
+        code = textwrap.dedent(f"""
+            import numpy as np
+            from repro.amg import pmis
+            from repro.dist import ParCSRMatrix, RowPartition, SimComm, dist_pmis
+            from repro.sparse import CSRMatrix
+
+            cases = [(CSRMatrix.from_dense(np.array(
+                [[0, 1, 0], [1, 1, 1], [0, 1, 0]], float)), [-1, 1, -1]),
+                     (CSRMatrix.from_dense(np.array([[0, 1], [1, 0]], float)),
+                      [1, -1])]
+            for S, want in cases:
+                n = S.nrows
+                m = (np.full(n, 0.5) if {fractions!r} == "tied"
+                     else np.random.default_rng(4).random(n))
+                node = pmis(S, measures=m).tolist()
+                for nranks in sorted({{1, n}}):
+                    part = RowPartition.uniform(n, nranks)
+                    got = np.concatenate(dist_pmis(
+                        SimComm(nranks), ParCSRMatrix.from_global(S, part),
+                        measures=[m[part.lo(p):part.hi(p)] for p in range(nranks)]))
+                    assert got.tolist() == node, (n, nranks, got, node)
+                if n == 3 or {fractions!r} == "tied":
+                    assert node == want, node
+            print("ok")
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                             capture_output=True, text=True)
+        assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
 
     def test_aggressive_subset(self, problem):
         comm, Ap, part = make_dist(problem, 4)

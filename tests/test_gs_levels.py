@@ -24,7 +24,8 @@ re-derived from) — and every property compares bytes:
 * a refreshed smoother decides its zero-start skip from its own values.
 
 What may differ is only the *sign* of a NaN that met a NaN of the other
-sign (the operand order of one x86 instruction —
+sign (the operand order of one x86 instruction — pinned for the SpMV
+layout, which shares these slabs and their reduction, by
 ``tests/test_lockstep.py::TestNaNSign``): NaN positions are compared
 exactly, NaN payloads canonicalised.
 """
@@ -53,10 +54,10 @@ from repro.amg.smoothers import (
 from repro.amg.solveplan import (
     CompiledSweep,
     MulticolorPlan,
-    Slabs,
     _zero_keep_mask,
     compile_smoother_plan,
 )
+from repro.sparse.slabs import Slabs
 from repro.problems import laplace_2d_5pt, laplace_3d_27pt, rotated_anisotropy_2d
 from repro.serve.workload import PROBLEM_BUILDERS
 from repro.sparse import CSRMatrix

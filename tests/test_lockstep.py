@@ -1,17 +1,20 @@
-"""The lockstep segmented-sum core against the ``bincount`` kernels it replaced.
+"""The padded-slab SpMV layout against the ``bincount`` kernels it replaced.
 
 Every member of the SpMV family (six kernels, each on a vector and on an
 ``(n, k)`` block, ``ChebyPlan``'s inline products, ``dist_spmv`` through
-``spmv``) runs on :meth:`CSRMatrix._dot` — the
-:class:`~repro.sparse.ops.Lockstep` layout on operators the coverage rule
-admits, the ``bincount`` form on the rest.  The oracle here is *not* that
-code: the ``ref_*`` functions below are the eleven kernel bodies (six
-single-RHS ones and five blocked twins) of the commit before the core, kept
+``spmv``) runs on :meth:`CSRMatrix._dot`, which runs the operator's
+:class:`~repro.sparse.slabs.SpMVLayout` — slices of segments as padded ELL
+slabs, built by the GS sweeps' :class:`~repro.sparse.slabs.Slabs` — and
+nothing else.  The oracle here is *not* that code: the ``ref_*`` functions
+below are the eleven kernel bodies (six single-RHS ones and five blocked
+twins) of the commit before the SpMV family shared one core, kept
 literally (gather, multiply, ``np.bincount(weights=)``, the per-column
 loops, the ``count`` calls, the blocked twins' validation and traffic
 helpers).  Results are compared as **bytes** (``tobytes()``: signed zeros
 count), the record streams with ``==``, and every product additionally
 against ``analysis/sanitizers.py``'s independent ``np.add.at`` oracle.
+Each case runs at the shipped slice budget and at a shrunken one (many
+slices, ranked segments, one-row slices).
 
 One caveat, measured and pinned below (``TestNaNSign``): when a NaN *input*
 meets a computed NaN of the other sign, which sign the sum keeps is the
@@ -27,6 +30,7 @@ This file also runs under ``REPRO_CHECK=full`` in CI.
 from __future__ import annotations
 
 import importlib
+import inspect
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -37,7 +41,7 @@ from hypothesis import strategies as st
 
 import repro
 import repro.amg as amg
-import repro.sparse.ops as ops
+import repro.sparse.slabs as slabs
 from repro.amg.solveplan import ChebyPlan
 from repro.amg.solveplan import __file__ as solveplan_file
 from repro.analysis import InvariantViolation, check_csr, check_hierarchy
@@ -52,7 +56,7 @@ from repro.serve import ServiceConfig, SolveService
 from repro.serve.workload import PROBLEM_BUILDERS, WorkloadSpec
 from repro.serve.workload import build as build_workload
 from repro.sparse import CSRMatrix
-from repro.sparse.ops import Lockstep
+from repro.sparse.slabs import SpMVLayout
 from repro.sparse.spmv import spmv_traffic
 
 #: The kernel module (``repro.sparse.spmv`` the attribute is the function).
@@ -256,31 +260,33 @@ def ref_residual_multi(A, X, B, *, fused_norm=False):
 
 
 @contextmanager
-def coverage_rule(min_nnz=0, per_step=0):
-    """The two constants moved (default: every matrix takes the core)."""
-    saved = ops.LOCKSTEP_MIN_NNZ, ops.LOCKSTEP_MIN_SEGMENTS_PER_STEP
-    ops.LOCKSTEP_MIN_NNZ, ops.LOCKSTEP_MIN_SEGMENTS_PER_STEP = min_nnz, per_step
+def slab_budget(slots):
+    """:data:`repro.sparse.slabs.SLAB_SLOTS` moved for the layouts built
+    inside (a small budget: ranked segments, many slices, one-row slices)."""
+    saved = slabs.SLAB_SLOTS
+    slabs.SLAB_SLOTS = slots
     try:
         yield
     finally:
-        ops.LOCKSTEP_MIN_NNZ, ops.LOCKSTEP_MIN_SEGMENTS_PER_STEP = saved
+        slabs.SLAB_SLOTS = saved
 
 
 @contextmanager
 def counting_builds():
-    """Spy on :meth:`Lockstep.build` — the only place a layout is sorted."""
+    """Spy on :meth:`SpMVLayout.build` — the only place a layout's pattern
+    is made (``with_values`` binds values to an existing one)."""
     built = []
-    real = Lockstep.build.__func__
+    real = SpMVLayout.build.__func__
 
     def spy(cls, counts, *a):
         built.append(int(counts.sum()))
         return real(cls, counts, *a)
 
-    Lockstep.build = classmethod(spy)
+    SpMVLayout.build = classmethod(spy)
     try:
         yield built
     finally:
-        Lockstep.build = classmethod(real)
+        SpMVLayout.build = classmethod(real)
 
 
 def canon(a) -> bytes:
@@ -329,23 +335,20 @@ def run_family(A, x, xt, cperm, kernels, same=canon):
     return out, log.records
 
 
-def check_all_arms(A, x, xt, cperm=None, same=canon):
-    """Lockstep arm ≡ bincount arm ≡ the parent's bodies ≡ ``np.add.at``."""
+def check_all_arms(A, x, xt, cperm=None, same=canon, budget=1):
+    """The slab layout at the shipped budget and at *budget* ≡ the parent's
+    bodies ≡ ``np.add.at``."""
     want, want_recs = run_family(fresh(A), x, xt, cperm, None, same)
-    with coverage_rule():
-        B = fresh(A)
-        got, recs = run_family(B, x, xt, cperm, K, same)
-        assert A.nnz == 0 or all(isinstance(lay, Lockstep) for lay in B._lockstep)
-        B.check()                                # incl. "stale lockstep layout"
+    for slots in (slabs.SLAB_SLOTS, budget):
+        with slab_budget(slots):
+            B = fresh(A)
+            got, recs = run_family(B, x, xt, cperm, K, same)
+        assert all(isinstance(lay, SpMVLayout) for lay in B._layout)
+        B.check()                                # incl. "stale slab layout"
         if np.isfinite(A.data).all():
             check_csr(B, full=True, sorted_indices=False)
-    assert got == want
-    assert recs == want_recs
-    with coverage_rule(min_nnz=1 << 62):
-        C = fresh(A)
-        small, recs = run_family(C, x, xt, cperm, K, same)
-        assert C._lockstep == [False, False]
-    assert small == want and recs == want_recs
+        assert got == want, slots
+        assert recs == want_recs
     with np.errstate(all="ignore"):
         cols = [x, xt] if x.ndim == 1 else [*x.T, *xt.T]
         n = len(cols) // 2
@@ -368,10 +371,12 @@ value_or_nan = st.one_of(value, st.sampled_from([np.nan, -np.nan]))
 @st.composite
 def csr_and_vectors(draw, values=value, widths=(0, 1, 2, 3, 8)):
     """Unsorted, duplicated column indices; empty rows and columns; the
-    0 x n, n x 0 and one-row matrices; a block width (0 = 1-D)."""
+    0 x n, n x 0 and one-row matrices; a block width (0 = 1-D); operands
+    strided or not; and a slice budget from one slot (every segment its
+    own one-row slice) up."""
     nrows = draw(st.integers(0, 7))
     ncols = draw(st.integers(0, 7))
-    nnz = draw(st.integers(0, 24)) if nrows and ncols else 0
+    nnz = draw(st.integers(0, 30)) if nrows and ncols else 0
     rows = np.sort(np.array(draw(st.lists(st.integers(0, max(nrows - 1, 0)),
                                           min_size=nnz, max_size=nnz)), dtype=np.int64))
     cols = np.array(draw(st.lists(st.integers(0, max(ncols - 1, 0)),
@@ -381,15 +386,18 @@ def csr_and_vectors(draw, values=value, widths=(0, 1, 2, 3, 8)):
     np.cumsum(np.bincount(rows, minlength=nrows)[:nrows], out=indptr[1:])
     A = CSRMatrix((nrows, ncols), indptr, cols, data)
     k = draw(st.sampled_from(widths))
+    strided = draw(st.booleans())
 
     def vec(n):
         shape = (n,) if k == 0 else (n, k)
         flat = draw(st.lists(values, min_size=n * max(k, 1), max_size=n * max(k, 1)))
-        return np.array(flat, dtype=np.float64).reshape(shape)
+        v = np.array(flat, dtype=np.float64).reshape(shape)
+        return np.repeat(v, 2, axis=0)[::2] if strided else v
 
     cperm = (np.array(draw(st.permutations(range(ncols))), dtype=np.int64)
              if draw(st.booleans()) else None)
-    return A, vec(ncols), vec(nrows), cperm
+    budget = draw(st.integers(1, 40))
+    return A, vec(ncols), vec(nrows), cperm, budget
 
 
 class TestBitIdentity:
@@ -398,12 +406,14 @@ class TestBitIdentity:
     def test_nan_free_inputs_raw_bytes(self, case):
         # +-0.0, +-inf, overflow, subnormals; NaNs arise only from
         # inf - inf and 0 * inf, and still compare raw.
-        check_all_arms(*case, same=raw)
+        A, x, xt, cperm, budget = case
+        check_all_arms(A, x, xt, cperm, same=raw, budget=budget)
 
     @settings(max_examples=150, deadline=None)
     @given(csr_and_vectors(values=value_or_nan))
     def test_nan_inputs_same_placement(self, case):
-        check_all_arms(*case, same=canon)
+        A, x, xt, cperm, budget = case
+        check_all_arms(A, x, xt, cperm, same=canon, budget=budget)
 
     @pytest.mark.parametrize("order", ["F", "strided", "float32", "int"])
     @pytest.mark.parametrize("k", [0, 3])
@@ -421,11 +431,12 @@ class TestBitIdentity:
             x, xt = x.astype(np.float32), xt.astype(np.float32)
         else:
             x, xt = (x * 8).astype(np.int64), (xt * 8).astype(np.int32)
-        check_all_arms(A, x, xt, same=raw)
+        check_all_arms(A, x, xt, same=raw, budget=40)
 
     def test_segment_longer_than_16_bits(self, rng):
         # One row (and, transposed, one column) of 70,000 entries: the
-        # ranking's radix arm sorts 16-bit keys, this takes the other.
+        # ranking's radix arm sorts 16-bit keys, this takes the other, and
+        # the long segment is a one-row slice at the shipped budget.
         n = 70_000
         A = CSRMatrix((2, n), [0, n, n + 3], np.r_[np.arange(n), 0, 5, 5],
                       rng.standard_normal(n + 3))
@@ -444,48 +455,94 @@ class TestBitIdentity:
             check_all_arms(A, rng.standard_normal(ncols), rng.standard_normal(40),
                            same=raw)
 
-    @pytest.mark.parametrize("rule, covered", [
-        ((100, 0), False), ((96, 0), True),      # entry floor: nnz = 96
-        ((0, 33), False), ((0, 32), True),       # 96 entries / longest 3 = 32 per step
+    @pytest.mark.parametrize("k", [0, 1, 2, 8])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_row_longer_than_the_budget_is_a_one_row_slice(self, k, transposed, rng):
+        # A 100-entry segment among 3-entry ones, budget 64: it is a slice
+        # of its own, which numpy's reduction would sum pairwise (it does
+        # for k = 0 and 1); np.bincount keeps the order.
+        lengths = np.r_[3, 100, np.full(30, 3)]
+        A = CSRMatrix((len(lengths), 120), np.r_[0, np.cumsum(lengths)],
+                      np.concatenate([rng.permutation(120)[:c] for c in lengths]),
+                      rng.standard_normal(lengths.sum()))
+        if transposed:
+            A = A.transpose()
+        x = rng.standard_normal((A.ncols, k) if k else A.ncols)
+        xt = rng.standard_normal((A.nrows, k) if k else A.nrows)
+        with slab_budget(64):
+            lay = fresh(A).layout(transposed)
+            assert lay.slot is not None
+            assert [lv.src.shape for lv in lay.levels if lv.one_row] == [(100, 1)]
+        check_all_arms(A, x, xt, same=raw, budget=64)
+
+    @pytest.mark.parametrize("rule, one_row", [
+        ((96, 1), False), ((95, 2), True),       # one slice in storage order / ranked
+        ((6, 16), False), ((5, 32), True),       # two rows per slice / one
     ])
-    def test_either_side_of_both_thresholds(self, rule, covered, rng):
+    def test_either_side_of_both_thresholds(self, rule, one_row, rng):
+        # 32 rows of 3 entries: 96 slots in one storage-order slice.  One
+        # slot less and the rows are ranked into slices of budget // 3 rows;
+        # under 6 that is one row, which sums with bincount.
+        budget, nslices = rule
         A = CSRMatrix((32, 40), np.arange(0, 97, 3), rng.integers(0, 40, 96),
                       rng.standard_normal(96))
         x, X = rng.standard_normal(40), rng.standard_normal((40, 3))
         want = raw(ref_spmv(A, x)), raw(ref_spmv_multi(A, X))
-        with coverage_rule(*rule):
+        with slab_budget(budget):
             B = fresh(A)
             assert (raw(K.spmv(B, x)), raw(K.spmv(B, X))) == want
-            assert isinstance(B._lockstep[0], Lockstep) is covered
-            assert B.lockstep() is (B._lockstep[0] if covered else None)
+        lay = B.layout()
+        assert len(lay.levels) == nslices
+        assert (lay.slot is None) == (budget >= 96)
+        assert any(lv.one_row for lv in lay.levels) is one_row
 
     def test_decision_is_per_matrix_not_per_width(self, rng):
         A = rotated_anisotropy_2d(6)
-        with coverage_rule():
-            A.lockstep()
-        # Decided under the low rule; later calls of any width reuse it.
-        lay = A._lockstep[0]
+        with slab_budget(1):
+            A.layout()
+        # Built under the small budget; later calls of any width reuse it.
+        lay = A._layout[0]
         K.spmv(A, rng.standard_normal(A.ncols))
         K.spmv(A, rng.standard_normal((A.ncols, 8)))
-        assert A._lockstep[0] is lay
+        assert A._layout[0] is lay
 
     def test_cheby_plan_inline_products(self, rng):
         A = rotated_anisotropy_2d(8)
         diag = A.diagonal()
         b, B = rng.standard_normal(A.nrows), rng.standard_normal((A.nrows, 3))
-        small = ChebyPlan(fresh(A), diag, 2.0)
-        with collect() as want_log:
-            want = small.run(np.zeros(A.nrows), b), small.run(np.zeros((A.nrows, 3)), B)
-        assert small.A._lockstep[0] is False
+
+        def ref_run(x, b):
+            # ChebyPlan.run's recurrence over the reference products.
+            plan = ChebyPlan(A, diag, 2.0)
+            d_ = diag[:, None] if x.ndim == 2 else diag
+            dot = ref_spmv_multi if x.ndim == 2 else ref_spmv
+            theta, delta, sigma = plan._params()
+            rho = 1.0 / sigma
+            with collect():
+                r = b - dot(A, x)
+                d = (r / d_) / theta
+                x += d
+                for _ in range(plan.degree - 1):
+                    r = b - dot(A, x)
+                    rho_new = 1.0 / (2.0 * sigma - rho)
+                    d = rho_new * rho * d + (2.0 * rho_new / delta) * (r / d_)
+                    x += d
+                    rho = rho_new
+            return x
+
+        want = ref_run(np.zeros(A.nrows), b), ref_run(np.zeros((A.nrows, 3)), B)
+        logs = []
+        for slots in (slabs.SLAB_SLOTS, 1):
+            with slab_budget(slots):
+                plan = ChebyPlan(fresh(A), diag, 2.0)
+                with collect() as log:
+                    got = plan.run(np.zeros(A.nrows), b), plan.run(np.zeros((A.nrows, 3)), B)
+            assert isinstance(plan.A._layout[0], SpMVLayout)
+            assert [raw(v) for v in got] == [raw(v) for v in want]
+            logs.append(log.records)
+        assert logs[0] == logs[1]
         for j in range(3):   # the blocked sweep is the single one per column
-            assert raw(want[1][:, j]) == raw(small.run(np.zeros(A.nrows), B[:, j]))
-        with coverage_rule():
-            core = ChebyPlan(fresh(A), diag, 2.0)
-            with collect() as log:
-                got = core.run(np.zeros(A.nrows), b), core.run(np.zeros((A.nrows, 3)), B)
-        assert isinstance(core.A._lockstep[0], Lockstep)
-        assert [raw(v) for v in got] == [raw(v) for v in want]
-        assert log.records == want_log.records
+            assert raw(want[1][:, j]) == raw(plan.run(np.zeros(A.nrows), B[:, j]))
 
     def test_dist_spmv_on_an_offd_without_entries(self, rng):
         # Block-diagonal operator on 4 ranks: every row of the stacked offd
@@ -499,15 +556,15 @@ class TestBitIdentity:
         x = rng.standard_normal(4 * n)
         x[::5] = -0.0
         part = RowPartition.uniform(4 * n, 4)
-        with coverage_rule():
-            comm = SimComm(4)
-            Ap = ParCSRMatrix.from_global(A, part)
-            halo = build_halo(comm, Ap)
-            y = dist_spmv(comm, Ap, ParVector.from_global(x, part), halo)
-            diag, offd = Ap.stacked()
-            assert offd.nnz == 0 and isinstance(diag._lockstep[0], Lockstep)
-            X = np.stack([x, -x], axis=1)
-            Y = dist_spmv(comm, Ap, ParVector.from_global(X, part), halo)
+        comm = SimComm(4)
+        Ap = ParCSRMatrix.from_global(A, part)
+        halo = build_halo(comm, Ap)
+        y = dist_spmv(comm, Ap, ParVector.from_global(x, part), halo)
+        diag, offd = Ap.stacked()
+        assert offd.nnz == 0 and isinstance(diag._layout[0], SpMVLayout)
+        assert [lv.src.shape for lv in offd._layout[0].levels] == [(0, 4 * n)]
+        X = np.stack([x, -x], axis=1)
+        Y = dist_spmv(comm, Ap, ParVector.from_global(X, part), halo)
         assert raw(y.to_global()) == raw(ref_spmv(A, x))
         assert raw(Y.to_global()) == raw(ref_spmv_multi(A, X))
 
@@ -515,11 +572,14 @@ class TestBitIdentity:
 def test_the_per_column_loops_stay_deleted():
     # CI greps the same: one `for j in range(k)` left in sparse/spmv.py
     # (the fused residual norm: BLAS bit-identity needs contiguous
-    # columns), and neither the kernels nor ChebyPlan call segment_sum.
+    # columns), neither the kernels nor ChebyPlan call segment_sum, and
+    # CSRMatrix._dot has one arm: the layout.
     src = Path(K.__file__).read_text()
     assert src.count("for j in range(k)") == 1
     assert "segment_sum" not in src
     assert "segment_sum" not in Path(solveplan_file).read_text()
+    body = inspect.getsource(CSRMatrix._dot).split('"""')[-1]  # the code
+    assert body.count("return") == 1 and "bincount" not in body and "segment_sum" not in body
 
 
 class TestNaNSign:
@@ -529,7 +589,7 @@ class TestNaNSign:
         # result is NaN, and that finite rows beside it are exact, is.
         A = CSRMatrix((2, 2), [0, 2, 4], [0, 1, 0, 1], [np.inf, 1.0, 2.0, -0.0])
         x = np.array([0.0, np.nan])
-        with np.errstate(all="ignore"), coverage_rule():
+        with np.errstate(all="ignore"):
             got = K.spmv(fresh(A), x)
             want = ref_spmv(A, x)
         assert np.isnan(got).tolist() == np.isnan(want).tolist() == [True, True]
@@ -537,7 +597,7 @@ class TestNaNSign:
 
 
 # ---------------------------------------------------------------------------
-# Robustness: what the core would otherwise regress
+# Robustness: what the layout would otherwise regress
 # ---------------------------------------------------------------------------
 
 
@@ -545,13 +605,14 @@ class TestRobustness:
     @pytest.mark.parametrize("bad", [-1, 40, 1 << 40])
     @pytest.mark.parametrize("transposed", [False, True])
     def test_bad_column_index_raises_at_build(self, bad, transposed, rng):
+        # -1 and 40 would read the +0.0 pad row (take() wraps -1 onto it).
         A = CSRMatrix((32, 40), np.arange(0, 97, 3), rng.integers(0, 40, 96),
                       rng.standard_normal(96))
         A.indices[17] = bad
         x = rng.standard_normal(32 if transposed else 40)
-        with coverage_rule(), pytest.raises(IndexError, match="column index"):
+        with pytest.raises(IndexError, match="column index"):
             A._dot(x, transposed)
-        assert A._lockstep == [None, None]       # nothing half-built is kept
+        assert A._layout == [None, None]         # nothing half-built is kept
         with pytest.raises(AssertionError, match="column index"):
             A.check()
         with pytest.raises(InvariantViolation) as e:
@@ -564,48 +625,46 @@ class TestRobustness:
     def test_short_operand_raises_instead_of_clipping(self, kernel, xshape, rng):
         A = CSRMatrix((32, 40), np.arange(0, 97, 3), rng.integers(0, 40, 96),
                       rng.standard_normal(96))
-        for rule in ((0, 0), (1 << 14, 256)):
-            with coverage_rule(*rule), pytest.raises(ValueError, match="dimension mismatch"):
+        for slots in (1, slabs.SLAB_SLOTS):
+            with slab_budget(slots), pytest.raises(ValueError, match="dimension mismatch"):
                 kernel(fresh(A), rng.standard_normal(xshape))
 
     def test_mutation_without_invalidate_is_reported_and_with_is_correct(self, rng):
         A = rotated_anisotropy_2d(8)
         x = rng.standard_normal(A.ncols)
-        with coverage_rule():
-            K.spmv(A, x)
-            K.spmv_transposed(A, x)
+        K.spmv(A, x)
+        K.spmv_transposed(A, x)
+        A.check()
+        check_csr(A, full=True)
+        A.data[3] *= 2.0                         # the layouts snapshot values
+        with pytest.raises(AssertionError, match="stale slab layout"):
             A.check()
+        with pytest.raises(InvariantViolation) as e:
             check_csr(A, full=True)
-            A.data[3] *= 2.0                     # the layouts snapshot values
-            with pytest.raises(AssertionError, match="stale lockstep layout"):
-                A.check()
-            with pytest.raises(InvariantViolation) as e:
-                check_csr(A, full=True)
-            assert e.value.invariant == "csr.stale_layout"
-            check_csr(A, full=False)             # cheap level does not pay for it
-            A.invalidate_cache()
-            assert A._lockstep == [None, None] and A._row_ids is None
-            assert raw(K.spmv(A, x)) == raw(ref_spmv(A, x))
-            assert raw(K.spmv_transposed(A, x)) == raw(ref_spmv_transposed(A, x))
-            check_csr(A, full=True)
+        assert e.value.invariant == "csr.stale_layout"
+        check_csr(A, full=False)                 # cheap level does not pay for it
+        A.invalidate_cache()
+        assert A._layout == [None, None] and A._row_ids is None
+        assert raw(K.spmv(A, x)) == raw(ref_spmv(A, x))
+        assert raw(K.spmv_transposed(A, x)) == raw(ref_spmv_transposed(A, x))
+        check_csr(A, full=True)
 
     def test_check_hierarchy_names_the_stale_level(self):
         A = PROBLEM_BUILDERS["lap3d27g"](6)
-        with coverage_rule():
-            h = amg.build_hierarchy(A, repro.single_node_config(True))
+        h = amg.build_hierarchy(A, repro.single_node_config(True))
+        check_hierarchy(h, full=True)
+        last = h.num_levels - 2                  # the coarsest is solved, not multiplied by
+        assert isinstance(h.levels[last].A._layout[0], SpMVLayout)
+        h.levels[last].A.data[0] += 1.0
+        with pytest.raises(InvariantViolation) as e:
             check_hierarchy(h, full=True)
-            last = h.num_levels - 2              # the coarsest is solved, not multiplied by
-            assert isinstance(h.levels[last].A._lockstep[0], Lockstep)
-            h.levels[last].A.data[0] += 1.0
-            with pytest.raises(InvariantViolation) as e:
-                check_hierarchy(h, full=True)
         assert e.value.invariant == "csr.stale_layout" and e.value.level == last
 
     def test_poison_before_first_product_is_seen(self, rng):
         # tests/test_robustness.py's pattern: the write precedes the build.
         A = rotated_anisotropy_2d(8)
         A.data[0] = np.nan
-        with coverage_rule(), np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
             y = K.spmv(A, rng.standard_normal(A.ncols))
         assert np.isnan(y[0]) and np.isfinite(y[1:]).all()
 
@@ -614,29 +673,38 @@ class TestRobustness:
 # Refresh shares the pattern half, gathers the value half
 # ---------------------------------------------------------------------------
 
-PATTERN_FIELDS = ("slot", "bounds", "starts", "entry", "src")
-
 
 def layouts_of(h):
-    """``{(level, operator, transposed): layout}`` of everything covered."""
+    """``{(level, operator, transposed): layout}`` of everything built."""
     out = {}
     for l, lvl in enumerate(h.levels):
         for name in ("A", "P", "P_F", "R"):
             M = getattr(lvl, name)
-            for t, lay in enumerate(M._lockstep if M is not None else ()):
-                if lay:
+            for t, lay in enumerate(M._layout if M is not None else ()):
+                if lay is not None:
                     out[(l, name, bool(t))] = lay
     return out
 
 
+def cycle_keys(h):
+    """``(level, operator, transposed)`` of every product the cycle performs."""
+    keys = set()
+    for l, lvl in enumerate(h.levels):
+        for M, t in lvl.cycle_products(h.config.flags):
+            name = next(n for n in ("A", "P_F", "R", "P") if getattr(lvl, n) is M)
+            keys.add((l, name, t))
+    return keys
+
+
 def retained_bytes(layouts, shared=()):
-    seen = {id(a) for lay in shared for a in
-            (getattr(lay, f) for f in PATTERN_FIELDS) if isinstance(a, np.ndarray)}
+    def arrays(lay):
+        return (lay.slabs.src, lay.slabs.emap, lay.slot, lay.vals)
+
+    seen = {id(a) for lay in shared for a in arrays(lay) if a is not None}
     total = 0
     for lay in layouts:
-        for f in (*PATTERN_FIELDS, "vals"):
-            a = getattr(lay, f)
-            if isinstance(a, np.ndarray) and id(a) not in seen:
+        for a in arrays(lay):
+            if a is not None and id(a) not in seen:
                 seen.add(id(a))
                 total += a.nbytes
     return total
@@ -644,8 +712,6 @@ def retained_bytes(layouts, shared=()):
 
 @pytest.fixture(scope="module", params=["lap3d27g", "rotaniso2d"])
 def refresh_case(request):
-    # Sized so that the real rule covers level 0 (19,683-entry lap3d27g(9)
-    # would not have 256 rows per step on level 1; rotaniso(48) does).
     A = (PROBLEM_BUILDERS["lap3d27g"](12) if request.param == "lap3d27g"
          else rotated_anisotropy_2d(48))
     A2 = CSRMatrix(A.shape, A.indptr, A.indices, A.data * 1.02)
@@ -655,34 +721,38 @@ def refresh_case(request):
 
 
 class TestRefreshSharesPattern:
-    def test_pattern_is_the_parents_only_values_are_new(self, refresh_case):
+    def test_pattern_is_the_parents_only_values_are_new(self, refresh_case, monkeypatch):
         A, A2, cfg, h = refresh_case
         before = layouts_of(h)
-        assert before and (0, "A", False) in before
+        assert before.keys() == cycle_keys(h) and (0, "A", False) in before
+        binds = []
+        real = SpMVLayout.with_values
+
+        def spy(self, data):
+            binds.append(self)
+            return real(self, data)
+
+        monkeypatch.setattr(SpMVLayout, "with_values", spy)
         with counting_builds() as built:
             h2 = h.refresh(A2)
-        assert built == []                       # nothing sorted, nothing decided anew
+        assert built == []                       # no pattern built, nothing sorted
         after = layouts_of(h2)
         assert after.keys() == before.keys()
-        for key, lay in after.items():
-            for f in PATTERN_FIELDS:
-                assert getattr(lay, f) is getattr(before[key], f), (key, f)
-            assert lay.vals is not before[key].vals
-        # Undecided / rejected operators stay what they were.
-        for lvl, lvl2 in zip(h.levels, h2.levels):
-            for name in ("A", "P_F"):
-                M, M2 = getattr(lvl, name), getattr(lvl2, name)
-                if M is not None:
-                    assert [bool(x) for x in M._lockstep] == [bool(x) for x in M2._lockstep]
-                    assert [x is None for x in M._lockstep] == [x is None for x in M2._lockstep]
+        assert sorted(map(id, binds)) == sorted(map(id, before.values()))
+        for (l, name, t), lay in after.items():
+            old = before[(l, name, t)]
+            assert lay.slabs is old.slabs and lay.slot is old.slot
+            assert lay.vals is not old.vals
+            # One take through the shared value map binds the new values.
+            data = getattr(h2.levels[l], name).data
+            assert raw(lay.vals) == raw(np.append(data, 0.0).take(lay.slabs.emap))
         check_hierarchy(h2, full=True)           # incl. csr.stale_layout
-        # 16 B per covered entry of its own (src + vals) for the build, 8 B
-        # (vals) for a refresh; `entry` only for column directions.
-        covered = sum(len(lay.vals) for lay in before.values())
-        cols = sum(len(lay.vals) for (_, _, t), lay in before.items() if t)
-        n_sized = sum(2 * len(lay.slot) * 8 for lay in before.values())
-        assert retained_bytes(before.values()) == 16 * covered + 8 * cols + n_sized
-        assert retained_bytes(after.values(), shared=before.values()) == 8 * covered
+        # A build retains 20 B per slot (src, int32 emap, values) and a
+        # ranked layout 8 B per segment (slot); a refresh 8 B per slot.
+        slots = sum(len(lay.slabs.src) for lay in before.values())
+        ranked = sum(len(lay.slot) for lay in before.values() if lay.slot is not None)
+        assert retained_bytes(before.values()) == 20 * slots + 8 * ranked
+        assert retained_bytes(after.values(), shared=before.values()) == 8 * slots
 
     def test_refreshed_solve_is_a_cold_builds(self, refresh_case, rng):
         A, A2, cfg, h = refresh_case
@@ -708,11 +778,11 @@ class TestRefreshSharesPattern:
         assert built == [A2.nnz] and res.converged
         after = layouts_of(handle.hierarchy)
         assert after.keys() == before.keys()
-        assert all(after[k].src is before[k].src for k in after)
+        assert all(after[k].slabs is before[k].slabs for k in after)
 
 
 # ---------------------------------------------------------------------------
-# Coverage and no-build-in-solve on the benchmark's shapes
+# Built at set-up, never in a solve, on the benchmark's shapes
 # ---------------------------------------------------------------------------
 
 
@@ -726,47 +796,41 @@ def node_lap27():
 
 
 class TestBenchmarkShapes:
-    def test_node_lap27_covers_exactly_what_the_rule_admits(self, node_lap27):
+    def test_node_lap27_builds_every_cycle_product_at_set_up(self, node_lap27):
         A, solver, built = node_lap27
         h = solver.hierarchy
-        # Measured: level 0 A 195,112 entries / 27 per row; P_F 55,172
-        # entries, rows <= 14, columns <= 111; level 1 A 45,456 / 107.
-        # Level 1's P_F (6,819) and everything below are under 2^14.
-        assert sorted(layouts_of(h)) == [
-            (0, "A", False), (0, "P_F", False), (0, "P_F", True), (1, "A", False)]
-        assert sorted(built) == sorted([195112, 55172, 55172, 45456])
-        # A row-covered operator gives its row-id expansion back (8 B per
+        layouts = layouts_of(h)
+        assert layouts.keys() == cycle_keys(h)
+        assert sorted(built) == sorted(getattr(h.levels[l], name).nnz
+                                       for l, name, _ in layouts)
+        # Measured: level 0's A (195,112 entries, 27 per row) is 13 ranked
+        # slices; level 2's (6,977 entries, 91 rows) one in storage order.
+        assert len(layouts[(0, "A", False)].levels) == 13
+        assert layouts[(2, "A", False)].slot is None
+        # A row-laid-out operator gives its row-id expansion back (8 B per
         # entry); whoever still asks gets it recomputed.
         A0 = h.levels[0].A
         assert A0._row_ids is None
         assert np.array_equal(A0.row_ids(), np.repeat(np.arange(A0.nrows), np.diff(A0.indptr)))
-        for l, lvl in enumerate(h.levels[:-1]):
-            for M, t in lvl.cycle_products(h.config.flags):
-                assert M._lockstep[t] is not None, (l, t)    # decided at set-up
-                assert bool(M._lockstep[t]) == (
-                    M.nnz >= 1 << 14 and M.nnz >= 256 * max(
-                        np.bincount(M.indices).max() if t else np.diff(M.indptr).max(), 1))
 
     def test_node_lap27_solves_build_nothing(self, node_lap27, monkeypatch, rng):
         A, solver, _ = node_lap27
         B = rng.standard_normal((A.nrows, 8))
         calls = [0]
-        real = ops.segment_sum
+        real = slabs.np.bincount
+
+        import repro.sparse.csr as csr_mod
 
         def counted(*a):
             calls[0] += 1
             return real(*a)
 
-        import repro.sparse.csr as csr_mod
         monkeypatch.setattr(csr_mod, "segment_sum", counted)
         with counting_builds() as built:
             single = [solver.solve(B[:, j], tol=1e-8) for j in range(8)]
-            calls[0] = 0
             blocked = solver.solve_many(B, tol=1e-8)
         assert built == []
-        # Measured 575 at this commit's parent was 1,158: what is left is
-        # the per-column bincount arm on the levels under the rule.
-        assert 0 < calls[0] <= 600
+        assert calls[0] == 0                     # no bincount arm is left
         for s, m in zip(single, blocked):        # columns_match_singles
             assert raw(s.x) == raw(m.x) and s.residuals == m.residuals
 
@@ -778,31 +842,26 @@ class TestBenchmarkShapes:
         with counting_builds() as built:
             s.setup(Ap)
         h = s.hierarchy
-        covered = {}
+        laid_out = []
         for l, lvl in enumerate(h.levels):
+            if lvl.smoother is None:
+                continue
             for name in ("A", "P", "R"):
                 M = getattr(lvl, name)
-                for block, B in zip(("diag", "offd"), M.stacked() if M is not None else ()):
-                    assert B._lockstep[0] is not None or lvl.smoother is None, (l, name)
-                    if B._lockstep[0]:
-                        covered[(l, name, block)] = B.nnz
-        # Measured: the stacked level-0 operator (diag rows <= 9 entries,
-        # offd rows <= 21) and level 0's P.offd (rows <= 13).  R.offd
-        # (21,841 entries, rows <= 98) and level 1's A.offd (20,012, rows
-        # <= 106) are above the floor but have under 256 rows per step.
-        assert covered == {(0, "A", "diag"): 32384, (0, "A", "offd"): 64952,
-                           (0, "P", "offd"): 21841}
-        assert sorted(built) == sorted(covered.values())
+                for B in (M.stacked() if M is not None else ()):
+                    assert B._layout[0] is not None, (l, name)
+                    laid_out.append(B.nnz)
+        assert sorted(built) == sorted(laid_out)
         b = ParVector.from_global(rng.standard_normal(A.nrows), Ap.row_part)
         with counting_builds() as built:
             res = dist_fgmres(comm, Ap, b, precondition=s.precondition,
                               tol=1e-7, halo=h.levels[0].halo)
         assert built == [] and res.converged
 
-    def test_serve_mixed_operators_never_get_a_layout(self):
+    def test_serve_mixed_builds_at_set_up_only(self):
         # The mix of the serve-mixed workload: <= 576 rows, <= 10,648
-        # entries — all under the entry floor, so the service executes the
-        # parent's instructions.
+        # entries, every product one storage-order slice.  A warm service
+        # serves the whole stream again without building a layout.
         workload = build_workload(WorkloadSpec(
             seed=2, requests=24, rate=4000.0,
             problems=({"problem": "lap2d", "size": 24, "weight": 2.0},
@@ -812,13 +871,13 @@ class TestBenchmarkShapes:
         assert max(A.nrows for A in workload.matrices) == 576
         assert max(A.nnz for A in workload.matrices) == 10648
         for max_batch in (1, 8):
-            with counting_builds() as built:
-                svc = SolveService(ServiceConfig(max_batch=max_batch, max_queue=512))
-                results = svc.run_workload(workload)
-            assert built == []
-            assert all(r.ok for r in results)
+            svc = SolveService(ServiceConfig(max_batch=max_batch, max_queue=512))
+            assert all(r.ok for r in svc.run_workload(workload))
             assert len(svc.cache) > 0
             for hierarchy, _ in svc.cache._entries.values():
-                assert layouts_of(hierarchy) == {}
-            assert all(A._lockstep[1] is None and not A._lockstep[0]
-                       for A in workload.matrices)
+                layouts = layouts_of(hierarchy)
+                assert layouts.keys() == cycle_keys(hierarchy)
+                assert all(lay.slot is None for lay in layouts.values())
+            with counting_builds() as built:
+                assert all(r.ok for r in svc.run_workload(workload))
+            assert built == []

@@ -285,8 +285,10 @@ def _reachable(root, cls) -> list:
 
 #: tracemalloc-retained bytes of ``repro.setup(rotated_anisotropy_2d(64))``
 #: with this storage, measured on x86-64 with numpy 2.4 (sorted-order
-#: product plans and retained wavefront schedules took 22,229,419 B).
-RETAINED_BYTES = 16_640_804
+#: product plans and retained wavefront schedules took 22,229,419 B; a
+#: lockstep layout on level 0's ``A`` alone, in place of a slab layout on
+#: every cycle product, 16,634,735 B).
+RETAINED_BYTES = 17_989_742
 
 
 class TestFootprint:
