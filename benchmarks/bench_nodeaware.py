@@ -51,7 +51,7 @@ def _solve(A, part, comm, topo, net, b):
     pre_coll = len(comm.collectives)
     res = solver.solve(ParVector.from_global(b, part), tol=TOL)
     t_comm = net.exchange_time(
-        [m.event for m in comm.messages[pre_msgs:]], comm.nranks)
+        comm.messages.columns()[0].take(slice(pre_msgs, None)), comm.nranks)
     for c in comm.collectives[pre_coll:]:
         t_comm += net.allreduce_time(c.nranks, c.nbytes)
     del Ap

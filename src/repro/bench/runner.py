@@ -289,21 +289,20 @@ def run_distributed(
         for ph, t in machine.phase_times(log).items():
             solve_compute[ph] = max(solve_compute.get(ph, 0.0), t)
 
-    solve_msgs = [m.event for m in comm.messages[pre_msgs:]]
-    solve_comm = net.exchange_time(solve_msgs, nranks)
+    msgs, _ = comm.messages.columns()
+    solve_comm = net.exchange_time(msgs.take(slice(pre_msgs, None)), nranks)
     for c in comm.collectives[pre_coll:]:
         solve_comm += net.allreduce_time(c.nranks, c.nbytes)
 
-    halo_msgs = sum(1 for m in comm.messages if m.event.tag == "halo")
+    halo_msgs = comm.message_count(tag="halo")
 
     internode_msgs = 0
     internode_vol = 0.0
     node_aware_levels = 0
     if topo is not None:
-        for m in comm.messages:
-            if not topo.on_node(m.event.src, m.event.dst):
-                internode_msgs += 1
-                internode_vol += m.event.nbytes
+        off = topo.node_of(msgs.src) != topo.node_of(msgs.dst)
+        internode_msgs = int(np.count_nonzero(off))
+        internode_vol = float(msgs.nbytes[off].sum())
         node_aware_levels = sum(
             1 for lvl in solver.hierarchy.levels
             if lvl.halo is not None and lvl.halo.node_aware)

@@ -39,6 +39,10 @@ segment under the live phase, :meth:`SimComm.log_message` one message; the
 log's ``len`` is a running count, and its entries are built on the first
 read, once per (batch, phase), so repeated exchanges alias the same
 entries.  The log reads as per-message ``log_message`` calls would leave it.
+The modeled clock reads the segments as columns instead
+(:meth:`SimComm.comm_time`, :meth:`~SimComm.comm_volume`,
+:meth:`~SimComm.message_count`): the phase and tag filters are masks, and
+no entry is built to price, count or sum the traffic.
 
 Fault injection: :class:`repro.faults.comm.FaultyComm` subclasses this
 communicator and adds a ``reliable_send`` protocol (sequence-numbered acks,
@@ -65,7 +69,7 @@ from ..perf.counters import (
     current_level,
     current_phase,
 )
-from ..perf.network import MessageEvent, NetworkModel
+from ..perf.network import MessageColumns, MessageEvent, NetworkModel
 
 __all__ = ["SimComm", "PersistentExchange", "NodeAwareExchange",
            "CollectiveEvent", "MessageBatch", "frozen_messages"]
@@ -90,8 +94,9 @@ class _LoggedMessage:
 class MessageBatch:
     """The messages ``src[i] -> dst[i]`` of ``nbytes[i]`` bytes tagged
     ``tags[i]`` (arrays in send order; *tags* may be one str for all),
-    self-sends dropped, as phase-free columns.  Its log entries are built
-    once per phase; iterating it yields those of the live phase."""
+    self-sends dropped, as phase-free columns (:meth:`columns`).  Its log
+    entries are built once per phase; iterating it yields those of the live
+    phase."""
 
     def __init__(self, src, dst, nbytes, tags, *,
                  persistent: bool = False) -> None:
@@ -99,10 +104,11 @@ class MessageBatch:
         keep = src != dst
         if isinstance(tags, str):
             tags = [tags] * len(src)
-        self._columns = (src[keep], dst[keep],
-                         np.asarray(nbytes)[keep].astype(np.int64),
-                         np.asarray(tags, dtype=object)[keep])
-        self._n = len(self._columns[0])
+        self._n = int(np.count_nonzero(keep))
+        self._columns = MessageColumns(
+            src[keep], dst[keep], np.asarray(nbytes)[keep].astype(np.int64),
+            np.full(self._n, persistent, dtype=bool),
+            np.asarray(tags, dtype=object)[keep])
         self._build = None
         self.persistent = persistent
         self._entries: dict[str, tuple[_LoggedMessage, ...]] = {}
@@ -121,18 +127,25 @@ class MessageBatch:
     def __iter__(self):
         return iter(self.entries(current_phase()))
 
+    def columns(self) -> MessageColumns:
+        """The messages as columns (a deferred batch builds them here, and
+        no entry)."""
+        if self._build is not None:
+            built = self._build()
+            if len(built) != self._n:
+                raise ValueError("built batch does not fit its length")
+            self._columns, self.persistent = built._columns, built.persistent
+            self._build = None
+        return self._columns
+
     def entries(self, phase: str) -> tuple[_LoggedMessage, ...]:
         out = self._entries.get(phase)
         if out is None:
-            if self._build is not None:
-                built = self._build()
-                if len(built) != self._n:
-                    raise ValueError("built batch does not fit its length")
-                self._columns, self.persistent = built._columns, built.persistent
-                self._build = None
+            c = self.columns()
             out = self._entries[phase] = tuple(
                 _LoggedMessage(MessageEvent(s, d, b, self.persistent, t), phase)
-                for s, d, b, t in zip(*(c.tolist() for c in self._columns)))
+                for s, d, b, t in zip(c.src.tolist(), c.dst.tolist(),
+                                      c.nbytes.tolist(), c.tag.tolist()))
         return out
 
 
@@ -188,40 +201,75 @@ class _Deferred:
 
 
 class _MessageLog(_Deferred):
-    """:attr:`SimComm.messages`: built entries, then pending segments — a
-    batch or one message's fields, each with the phase it was appended
-    under."""
+    """:attr:`SimComm.messages`: segments — a batch or one message's fields
+    ``(src, dst, nbytes, persistent, tag)``, each with the phase it was
+    appended under — read as entries built for the segments not built yet,
+    or as columns (:meth:`columns`), which build no entry."""
 
-    __slots__ = ("_built", "_segments", "_pending")
+    __slots__ = ("_segments", "_len", "_built", "_nbuilt", "_cols", "_ncols")
 
     def __init__(self) -> None:
-        self._built: list[_LoggedMessage] = []
-        self._segments: list[tuple] = []
-        self._pending = 0
+        self.clear()
 
     def _add(self, source, phase: str, n: int) -> None:
         self._segments.append((source, phase))
-        self._pending += n
+        self._len += n
 
     def _list(self) -> list[_LoggedMessage]:
-        if self._segments:
-            built = self._built
-            for source, ph in self._segments:
+        built = self._built
+        for source, ph in self._segments[self._nbuilt:]:
+            if isinstance(source, MessageBatch):
+                built.extend(source.entries(ph))
+            else:
+                built.append(_LoggedMessage(MessageEvent(*source), ph))
+        self._nbuilt = len(self._segments)
+        return built
+
+    def columns(self) -> tuple[MessageColumns, np.ndarray]:
+        """Every message's fields as columns, in log order, and its phase
+        (an object array).  Segments appended since the last call are added
+        to the cached columns: a batch as its columns, each run of
+        one-message segments as one set of arrays."""
+        new = self._segments[self._ncols:]
+        if self._cols is None or new:
+            parts = [] if self._cols is None else [self._cols[0]]
+            phases, sizes, rows = [], [], []
+            for source, ph in new:
                 if isinstance(source, MessageBatch):
-                    built.extend(source.entries(ph))
+                    if rows:
+                        parts.append(MessageColumns.from_rows(rows))
+                        rows = []
+                    parts.append(source.columns())
+                    sizes.append(len(source))
                 else:
-                    built.append(_LoggedMessage(MessageEvent(*source), ph))
-            self._segments.clear()
-            self._pending = 0
-        return self._built
+                    rows.append(source)
+                    sizes.append(1)
+                phases.append(ph)
+            if rows or not parts:
+                parts.append(MessageColumns.from_rows(rows))
+            phase = np.repeat(np.array(phases, dtype=object), sizes)
+            if self._cols is not None:
+                phase = np.concatenate([self._cols[1], phase])
+            self._cols = (MessageColumns(*map(np.concatenate, zip(*parts))),
+                          phase)
+            self._ncols = len(self._segments)
+        return self._cols
 
     def __len__(self) -> int:
-        return len(self._built) + self._pending
+        return self._len
+
+    def append(self, entry: _LoggedMessage) -> None:
+        e = entry.event
+        self._add((e.src, e.dst, e.nbytes, e.persistent, e.tag), entry.phase, 1)
+
+    def extend(self, entries) -> None:
+        for entry in entries:
+            self.append(entry)
 
     def clear(self) -> None:
-        self._built.clear()
-        self._segments.clear()
-        self._pending = 0
+        self._segments, self._len = [], 0
+        self._built, self._nbuilt = [], 0
+        self._cols, self._ncols = None, 0
 
 
 class SimComm:
@@ -348,7 +396,9 @@ class SimComm:
         :meth:`NetworkModel.exchange_time` applied to the whole log gives the
         same asymptotics, so we use it per phase.
         """
-        msgs = [m.event for m in self.messages if phase is None or m.phase == phase]
+        msgs, phases = self.messages.columns()
+        if phase is not None:
+            msgs = msgs.take(phases == phase)
         t = net.exchange_time(msgs, self.nranks)
         for c in self.collectives:
             if phase is None or c.phase == phase:
@@ -357,17 +407,18 @@ class SimComm:
 
     def comm_volume(self, *, phase: str | None = None, tag: str | None = None) -> float:
         """Total logged point-to-point bytes (optionally filtered)."""
-        return float(
-            sum(
-                m.event.nbytes
-                for m in self.messages
-                if (phase is None or m.phase == phase)
-                and (tag is None or m.event.tag == tag)
-            )
-        )
+        msgs, phases = self.messages.columns()
+        keep = np.ones(len(phases), dtype=bool)
+        if phase is not None:
+            keep &= phases == phase
+        if tag is not None:
+            keep &= msgs.tag == tag
+        return float(msgs.nbytes[keep].sum())
 
     def message_count(self, *, tag: str | None = None) -> int:
-        return sum(1 for m in self.messages if tag is None or m.event.tag == tag)
+        if tag is None:
+            return len(self.messages)
+        return int(np.count_nonzero(self.messages.columns()[0].tag == tag))
 
     def compute_phase_makespan(self, machine, irregular_fraction: float = 0.5) -> dict[str, float]:
         """Per-phase compute makespan over ranks (modeled seconds)."""

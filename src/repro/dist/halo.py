@@ -68,8 +68,9 @@ class HaloExchange:
         owners = col_part.owner_of(colmap)
         pair = A.ext_ranks() * comm.nranks + owners
         first = run_starts(pair)
-        self._runs = (owners[first].tolist(), (pair[first] // comm.nranks).tolist(),
-                      first.tolist(), [*first[1:].tolist(), len(pair)])
+        runs = (owners[first], pair[first] // comm.nranks, first,
+                np.r_[first[1:], len(pair)][:len(first)])
+        self._runs = tuple(r.tolist() for r in runs)
         self.pattern = {(q, p): b - a for q, p, a, b in zip(*self._runs)}
         self.total_elems = len(colmap)
         # The gather, frozen with the pattern: rank p's external entries
@@ -88,15 +89,15 @@ class HaloExchange:
         self.node_plan = None
         self._node_exchange: NodeAwareExchange | None = None
         if topology is not None and not topology.trivial and comm.nranks > 1:
-            from ..topo import build_node_plan
+            from ..topo import plan_from_runs
 
             if topology.nranks != comm.nranks:
                 raise ValueError(
                     f"topology covers {topology.nranks} ranks, "
                     f"communicator has {comm.nranks}")
             self.topology = topology
-            self.node_plan = build_node_plan(
-                self._pieces(local=False), topology, net=net, bytes_per_elem=VAL_BYTES,
+            self.node_plan = plan_from_runs(
+                *runs, colmap, topology, net=net, bytes_per_elem=VAL_BYTES,
                 persistent=persistent)
             if self.node_plan.aggregated:
                 self._node_exchange = NodeAwareExchange(
@@ -116,21 +117,15 @@ class HaloExchange:
             or NodeAwareExchange(comm, [("halo", self.pattern)],
                                  bytes_per_elem=VAL_BYTES, persistent=False))
 
-    def _pieces(self, local: bool) -> list[list[tuple[int, np.ndarray]]]:
-        """Per receiving rank, ``(owner, ids)`` of every run of its colmap:
-        global ids, or indices *local* to the owner."""
-        out: list[list[tuple[int, np.ndarray]]] = [
-            [] for _ in range(self.comm.nranks)]
-        for q, p, a, b in zip(*self._runs):
-            ids = self._gather[a:b]
-            out[p].append((q, self.col_part.to_local(ids, q) if local else ids))
-        return out
-
     @property
     def recv_plan(self) -> list[list[tuple[int, np.ndarray]]]:
         """For each receiving rank: its owners and the owner-local indices
         of the entries it reads from each (the unpack side's view)."""
-        return self._pieces(local=True)
+        out: list[list[tuple[int, np.ndarray]]] = [
+            [] for _ in range(self.comm.nranks)]
+        for q, p, a, b in zip(*self._runs):
+            out[p].append((q, self.col_part.to_local(self._gather[a:b], q)))
+        return out
 
     @property
     def node_aware(self) -> bool:

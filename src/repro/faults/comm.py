@@ -164,13 +164,18 @@ class FaultyComm(SimComm):
             if e.kind in ("drop", "corrupt", "rank_down", "collective_down"):
                 t += net.retry_penalty(policy.timeout, e.attempt, policy.backoff)
         if self.plan.slow_ranks:
-            for m in self.messages:
-                if phase is not None and m.phase != phase:
-                    continue
-                factor = max(self.plan.slow_ranks.get(m.event.src, 1.0),
-                             self.plan.slow_ranks.get(m.event.dst, 1.0))
-                if factor > 1.0:
-                    t += (factor - 1.0) * net.message_time(m.event)
+            # Each message on a slow rank costs (factor - 1) times its own
+            # time more, added to t in message order (cumsum adds in order).
+            msgs, phases = self.messages.columns()
+            if phase is not None:
+                msgs = msgs.take(phases == phase)
+            slow = np.array([self.plan.slow_ranks.get(p, 1.0)
+                             for p in range(self.nranks)], dtype=float)
+            factor = np.maximum(slow[msgs.src], slow[msgs.dst])
+            msgs = msgs.take(factor > 1.0)
+            extra = (factor[factor > 1.0] - 1.0) * net.message_times(
+                msgs.src, msgs.dst, msgs.nbytes, msgs.persistent)
+            t = float(np.cumsum(np.r_[t, extra])[-1])
         return t
 
     # -- bookkeeping --------------------------------------------------------

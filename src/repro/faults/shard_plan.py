@@ -13,10 +13,14 @@ deterministic.
 
 Three kinds of windows:
 
-* ``crashes`` — ``[rank, start, end)``: the rank is dead for the whole
-  window (loses its queue, its in-flight batches, and its hierarchy
-  cache), then comes back at ``end`` and re-enters through the recovery
-  lifecycle (``rejoining`` → cache re-warm → ``up``).
+* ``crashes`` — ``[rank, start, end)``: the rank misses every heartbeat
+  probe in the window.  Once the health tracker declares it ``down``
+  (``down_after`` consecutive misses, ``down_after × heartbeat_interval``
+  = 3 ms by default) it loses its queue, its in-flight batches and its
+  hierarchy cache, and after ``end`` it re-enters through the recovery
+  lifecycle (``rejoining`` → cache re-warm → ``up``).  A crash shorter
+  than detection only makes the rank ``suspect``: it costs nothing, and
+  the rank serves what reaches it as if it were up.
 * ``flaps`` — ``[rank, start, end, period]``: the rank alternates dead /
   alive with the given period (down for the first half of each period)
   inside the window — the pathological neighbor that keeps tripping its
@@ -78,8 +82,10 @@ class ShardFaultPlan:
         (consumed in tick-then-rank order by the health tracker).
     crashes:
         ``(rank, start, end)`` windows (modeled seconds) during which the
-        rank is dead: it serves nothing, and everything it held — queued
-        requests, in-flight batches, cached hierarchies — is lost.
+        rank misses every heartbeat.  The loss starts at detection: once
+        the rank is declared ``down`` it serves nothing, and everything it
+        held — queued requests, in-flight batches, cached hierarchies — is
+        lost.  A window shorter than detection costs nothing.
     flaps:
         ``(rank, start, end, period)`` windows: the rank alternates dead
         (first half of each period) and alive inside the window.

@@ -16,6 +16,11 @@ communication* (§4.4) amortizes: persistent exchanges pay it once at request
 creation instead of on every exchange, reproducing the observed 1.7–1.8x
 halo-exchange speedup.
 
+Point-to-point traffic is priced by columns: :meth:`NetworkModel.message_times`
+evaluates the formula elementwise over ``(src, dst, nbytes, persistent)``
+arrays, and every other pricing of messages (:meth:`~NetworkModel.message_time`,
+:meth:`~NetworkModel.exchange_time`) goes through it.
+
 Collectives: an allreduce over P ranks costs ``ceil(log2 P)`` latency-bound
 rounds (recursive doubling).
 """
@@ -24,8 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
-__all__ = ["NetworkModel", "FDRInfinibandModel", "MessageEvent"]
+import numpy as np
+
+__all__ = ["NetworkModel", "FDRInfinibandModel", "MessageEvent",
+           "MessageColumns"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,49 @@ class MessageEvent:
     nbytes: int
     persistent: bool
     tag: str = ""
+
+
+class MessageColumns(NamedTuple):
+    """Point-to-point messages as columns, in send order: ``src``, ``dst``
+    and ``nbytes`` arrays, a bool ``persistent`` array and an object
+    ``tag`` array — the fields of :class:`MessageEvent`, one array each."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    nbytes: np.ndarray
+    persistent: np.ndarray
+    tag: np.ndarray
+
+    @classmethod
+    def of(cls, events: Iterable[MessageEvent]) -> "MessageColumns":
+        """The columns of a sequence of events."""
+        return cls.from_rows((e.src, e.dst, e.nbytes, e.persistent, e.tag)
+                             for e in events)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]) -> "MessageColumns":
+        """The columns of ``(src, dst, nbytes, persistent, tag)`` rows."""
+        rows = list(rows)
+        src, dst, nbytes, persistent, tag = zip(*rows) if rows else ((),) * 5
+        return cls(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+                   np.array(nbytes, dtype=None if rows else np.int64),
+                   np.array(persistent, dtype=bool), np.array(tag, dtype=object))
+
+    def take(self, index) -> "MessageColumns":
+        """The messages at *index* (a slice, a mask or positions)."""
+        return MessageColumns(*(c[index] for c in self))
+
+
+def _tier_times(nbytes: np.ndarray, persistent, alpha: float, small_bw: float,
+                peak_bw: float, rampup_bytes: float, setup: float) -> np.ndarray:
+    """``alpha + nbytes / bw`` (+ ``setup`` where not persistent) over the
+    quadratic ramp of one link tier, elementwise — the float operations of
+    the one-message formula, in its order."""
+    frac = nbytes / rampup_bytes
+    bw = np.where(nbytes >= rampup_bytes, peak_bw,
+                  small_bw + frac * frac * (peak_bw - small_bw))
+    t = alpha + nbytes / bw
+    return np.where(persistent, t, t + setup)
 
 
 @dataclass
@@ -92,13 +144,25 @@ class NetworkModel:
         frac = nbytes / self.rampup_bytes
         return self.small_msg_bw + frac * frac * (self.peak_bw - self.small_msg_bw)
 
-    def message_time(self, msg: MessageEvent) -> float:
-        t = self.alpha + msg.nbytes / self.message_bw(msg.nbytes)
-        if not msg.persistent:
-            t += self.exchange_setup
-        return t
+    def message_times(self, src, dst, nbytes, persistent) -> np.ndarray:
+        """Modeled seconds of each message ``src[i] -> dst[i]`` of
+        ``nbytes[i]`` bytes (``persistent`` may be one flag for all)::
 
-    def exchange_time(self, messages: list[MessageEvent], nranks: int) -> float:
+            alpha + nbytes / message_bw(nbytes)   (+ exchange_setup)
+
+        The flat model prices every pair alike; a two-tier model picks the
+        tier per pair."""
+        return _tier_times(np.asarray(nbytes), persistent, self.alpha,
+                           self.small_msg_bw, self.peak_bw, self.rampup_bytes,
+                           self.exchange_setup)
+
+    def message_time(self, msg: MessageEvent) -> float:
+        """:meth:`message_times` of one message."""
+        return float(self.message_times([msg.src], [msg.dst], [msg.nbytes],
+                                        [msg.persistent])[0])
+
+    def exchange_time(self, messages: MessageColumns | Iterable[MessageEvent],
+                      nranks: int) -> float:
         """Modeled time of one neighborhood exchange.
 
         Each rank sends/receives its messages concurrently; the exchange
@@ -106,13 +170,23 @@ class NetworkModel:
         over its messages (serialized through one NIC), which matches the
         paper's observation that halo exchange does not overlap across
         neighbors of a rank.
+
+        The sums are one ``bincount`` over the interleaved ids ``[src0,
+        dst0, src1, dst1, ...]`` with each time repeated twice: ``bincount``
+        adds in input order, so every rank's total is the one a per-message
+        ``per_rank[src] += t; per_rank[dst] += t`` loop leaves, bit for bit
+        (a self-send counts twice on its rank, as there).  A sequence of
+        :class:`MessageEvent` is read as its columns.
         """
-        per_rank = [0.0] * nranks
-        for m in messages:
-            t = self.message_time(m)
-            per_rank[m.src] += t
-            per_rank[m.dst] += t
-        return max(per_rank) if per_rank else 0.0
+        if not isinstance(messages, MessageColumns):
+            messages = MessageColumns.of(messages)
+        if nranks == 0 or len(messages.src) == 0:
+            return 0.0
+        t = self.message_times(messages.src, messages.dst, messages.nbytes,
+                               messages.persistent)
+        ids = np.stack([messages.src, messages.dst], axis=1).ravel()
+        return float(np.bincount(ids, weights=np.repeat(t, 2),
+                                 minlength=nranks).max())
 
     def transfer_time(self, nbytes: float) -> float:
         """Modeled seconds of a one-off, non-persistent transfer.

@@ -62,9 +62,11 @@ def comm_to_trace(comm, machine: MachineModel, net: NetworkModel) -> list[dict]:
              "args": {"name": f"rank {p}"}}
         )
     # Message volume per (src -> dst) as instant events on the source track.
+    cols, _ = comm.messages.columns()
+    durs = (net.message_times(cols.src, cols.dst, cols.nbytes,
+                              cols.persistent) * 1e6).tolist()
     t = 0.0
-    for m in comm.messages:
-        dur = net.message_time(m.event) * 1e6
+    for m, dur in zip(comm.messages, durs):
         events.append(
             {
                 "name": f"msg {m.event.src}->{m.event.dst} "

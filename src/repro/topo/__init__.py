@@ -8,7 +8,8 @@ ranks share a node — and everything that follows from it:
 * :class:`TwoTierNetworkModel` — the flat latency/bandwidth model of
   :mod:`repro.perf.network` split into a cheap intra-node and an expensive
   inter-node tier, with a hierarchical allreduce;
-* :class:`NodeAwarePlan` / :func:`build_node_plan` — the 3-step
+* :class:`NodeAwarePlan` / :func:`build_node_plan` /
+  :func:`plan_from_runs` — the 3-step
   aggregated wire schedule of Bienz et al. (arXiv:1904.05838) that
   :mod:`repro.dist.halo` executes: intra-node gather to the leader, one
   inter-node message per node pair, intra-node scatter, with a per-level
@@ -25,6 +26,7 @@ from .plan import (
     SCATTER_TAG,
     NodeAwarePlan,
     build_node_plan,
+    plan_from_runs,
 )
 from .network import TwoTierNetworkModel
 from .topology import NodeTopology
@@ -37,4 +39,5 @@ __all__ = [
     "NodeTopology",
     "TwoTierNetworkModel",
     "build_node_plan",
+    "plan_from_runs",
 ]

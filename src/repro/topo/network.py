@@ -5,11 +5,12 @@ Extends the flat latency/bandwidth model of
 messages between ranks that share a :class:`~repro.topo.NodeTopology`
 node: shared-memory transports have sub-microsecond latency and several
 times the sustained bandwidth of the NIC, and their software setup cost is
-a fraction of the network rendezvous.  Every priced
-:class:`~repro.perf.network.MessageEvent` carries its ``(src, dst)`` pair,
-so the tier is chosen per message; the inherited (inter-node) fields keep
-their meaning, which makes a two-tier model with ``ppn=1`` price every
-message exactly like its flat base.
+a fraction of the network rendezvous.  Every priced message carries its
+``(src, dst)`` pair, so the tier is chosen per message
+(:meth:`TwoTierNetworkModel.message_times` prices both tiers over the
+columns and keeps the intra-node time where the pair shares a node); the
+inherited (inter-node) fields keep their meaning, which makes a two-tier
+model with ``ppn=1`` price every message exactly like its flat base.
 
 ``allreduce_time`` becomes hierarchical (the shape every MPI library uses
 on fat nodes): an intra-node reduction to the node leader over the cheap
@@ -24,7 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ..perf.network import MessageEvent, NetworkModel
+import numpy as np
+
+from ..perf.network import NetworkModel, _tier_times
 from .topology import NodeTopology
 
 __all__ = ["TwoTierNetworkModel"]
@@ -72,24 +75,17 @@ class TwoTierNetworkModel(NetworkModel):
         )
 
     # -- tiers -------------------------------------------------------------
-    def on_node(self, src: int, dst: int) -> bool:
-        return self.topology.on_node(src, dst)
-
-    def intra_message_bw(self, nbytes: float) -> float:
-        """Effective intra-node bandwidth (same quadratic ramp shape)."""
-        if nbytes >= self.intra_rampup_bytes:
-            return self.intra_peak_bw
-        frac = nbytes / self.intra_rampup_bytes
-        return (self.intra_small_msg_bw
-                + frac * frac * (self.intra_peak_bw - self.intra_small_msg_bw))
-
-    def message_time(self, msg: MessageEvent) -> float:
-        if not self.on_node(msg.src, msg.dst):
-            return super().message_time(msg)
-        t = self.intra_alpha + msg.nbytes / self.intra_message_bw(msg.nbytes)
-        if not msg.persistent:
-            t += self.intra_exchange_setup
-        return t
+    def message_times(self, src, dst, nbytes, persistent) -> np.ndarray:
+        """The inherited (inter-node) times, with the intra-node tier's
+        where ``node_of(src) == node_of(dst)``."""
+        nbytes = np.asarray(nbytes)
+        node_of = self.topology.node_of
+        return np.where(
+            node_of(np.asarray(src)) == node_of(np.asarray(dst)),
+            _tier_times(nbytes, persistent, self.intra_alpha,
+                        self.intra_small_msg_bw, self.intra_peak_bw,
+                        self.intra_rampup_bytes, self.intra_exchange_setup),
+            super().message_times(src, dst, nbytes, persistent))
 
     # -- collectives -------------------------------------------------------
     def allreduce_time(self, nranks: int, nbytes: float = 8.0) -> float:

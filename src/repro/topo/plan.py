@@ -26,6 +26,13 @@ fine levels whose large surfaces already ride the bandwidth curve fall
 back to the flat exchange (the per-level policy of the ISSUE).  The
 *logical* pattern — who ultimately consumes what — is untouched either
 way, which is what keeps solve numerics bit-identical.
+
+The plan is built from the pattern's runs as arrays
+(:func:`plan_from_runs`; :func:`build_node_plan` flattens per-rank lists
+into them): node ids split the runs on- and off-node, one sort of
+``(group, gid)`` keys counts the distinct entries each gather / inter-node
+message carries, and both candidate schedules are priced as columns by
+:meth:`~repro.perf.network.NetworkModel.exchange_time`.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..perf.network import MessageEvent
+from ..perf.network import MessageColumns
+from ..sparse.ops import run_starts
 from .topology import NodeTopology
 
 __all__ = [
@@ -43,6 +51,7 @@ __all__ = [
     "SCATTER_TAG",
     "NodeAwarePlan",
     "build_node_plan",
+    "plan_from_runs",
 ]
 
 Pattern = dict[tuple[int, int], int]
@@ -106,14 +115,98 @@ class NodeAwarePlan:
                 else sum(self.off_node.values()))
 
 
-def _pattern_messages(patterns: list[Pattern], *, bytes_per_elem: int,
-                      persistent: bool) -> list[MessageEvent]:
-    return [
-        MessageEvent(s, d, n * bytes_per_elem, persistent)
-        for pat in patterns
-        for (s, d), n in pat.items()
-        if s != d
-    ]
+def _pattern(src: np.ndarray, dst: np.ndarray, n: np.ndarray) -> Pattern:
+    """``{(src[i], dst[i]): n[i]}`` in array order."""
+    return dict(zip(zip(src.tolist(), dst.tolist()), n.tolist()))
+
+
+def _distinct_per_group(group: np.ndarray, size: np.ndarray,
+                        start: np.ndarray, gids: np.ndarray):
+    """Distinct gids over the runs ``gids[start[r]:start[r] + size[r]]``
+    labelled ``group[r]`` (non-negative), per group: the groups ascending
+    and their counts, by one sort of ``(group, gid)`` keys and its
+    run-starts."""
+    ends = np.cumsum(size)
+    pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        start - (ends - size), size)
+    ids = gids[pos]
+    ids = ids - ids.min(initial=0)
+    span = ids.max(initial=0) + 1
+    key = np.repeat(group, size) * span + ids
+    key.sort()
+    groups = key[run_starts(key)] // span
+    first = run_starts(groups)
+    return groups[first], np.diff(np.r_[first, len(groups)])
+
+
+def plan_from_runs(owner, receiver, start, end, gids: np.ndarray,
+                   topology: NodeTopology, *, net=None,
+                   bytes_per_elem: int = 8,
+                   persistent: bool = True) -> NodeAwarePlan:
+    """Build (and price) the 3-step plan of the runs of a halo pattern.
+
+    Run *r* is ``gids[start[r]:end[r]]``, the global ids ``receiver[r]``
+    reads from ``owner[r]``, in the order the patterns keep; a receiver's
+    owners are distinct.  Self-reads and empty runs send nothing.  ``net``
+    prices the candidate schedules (default: the topology's default
+    two-tier model).
+    """
+    if net is None:
+        net = topology.network()
+    owner = np.asarray(owner, dtype=np.int64)
+    receiver = np.asarray(receiver, dtype=np.int64)
+    start = np.asarray(start, dtype=np.int64)
+    size = np.asarray(end, dtype=np.int64) - start
+    gids = np.asarray(gids, dtype=np.int64)
+    u, v = topology.node_of(owner), topology.node_of(receiver)
+    sends = (owner != receiver) & (size > 0)
+    on, off = sends & (u == v), sends & (u != v)
+    on_node = (owner[on], receiver[on], size[on])
+    off_node = (owner[off], receiver[off], size[off])
+
+    # Step 1: every off-node owner but a leader gathers to its leader.
+    q, n = _distinct_per_group(owner[off], size[off], start[off], gids)
+    lead = topology.leader_of(q)
+    gather = (q[q != lead], lead[q != lead], n[q != lead])
+    # Step 2: one message per (owner node, receiver node) pair.
+    nnodes = topology.nnodes
+    pair, n = _distinct_per_group(u[off] * nnodes + v[off], size[off],
+                                  start[off], gids)
+    internode = (topology.leader(pair // nnodes),
+                 topology.leader(pair % nnodes), n)
+    # Step 3: the receiver's leader forwards every off-node entry it reads.
+    elems = np.bincount(receiver[off], weights=size[off])
+    p = np.flatnonzero(elems)
+    lead = topology.leader_of(p)
+    scatter = (lead[p != lead], p[p != lead],
+               elems[p[p != lead]].astype(np.int64))
+
+    # Leaders stage what they gather in and scatter out, keyed in order of
+    # first appearance (gather round, then scatter round).
+    leaders = np.concatenate([gather[1], scatter[0]])
+    staged = np.bincount(leaders, weights=np.concatenate([gather[2],
+                                                          scatter[2]]))
+    leaders = leaders[np.sort(np.unique(leaders, return_index=True)[1])]
+
+    plan = NodeAwarePlan(
+        topology=topology, on_node=_pattern(*on_node),
+        off_node=_pattern(*off_node), gather=_pattern(*gather),
+        internode=_pattern(*internode), scatter=_pattern(*scatter),
+        relay=dict(zip(leaders.tolist(),
+                       staged[leaders].astype(np.int64).tolist())))
+
+    def exchange_time(*rounds) -> float:
+        src, dst, n = (np.concatenate(c) for c in zip(*rounds))
+        return net.exchange_time(
+            MessageColumns(src, dst, n * bytes_per_elem, persistent, None),
+            topology.nranks)
+
+    plan.t_flat = exchange_time(on_node, off_node)
+    plan.t_aggregated = exchange_time(on_node, gather, internode, scatter)
+    # Strict inequality: ppn=1 (3-step degenerates to the flat schedule)
+    # and tie cases keep the standard exchange, byte-identically.
+    plan.aggregated = bool(plan.off_node) and plan.t_aggregated < plan.t_flat
+    return plan
 
 
 def build_node_plan(
@@ -126,67 +219,18 @@ def build_node_plan(
 ) -> NodeAwarePlan:
     """Build (and price) the 3-step plan for one logical halo pattern.
 
-    ``needs[p]`` lists ``(owner_rank, global_ids)`` pairs: the vector
-    entries rank *p* reads from each owner.  ``net`` prices the candidate
-    schedules (default: the topology's default two-tier model).
+    ``needs[p]`` lists ``(owner_rank, global_ids)`` pairs, distinct owners
+    per rank: the vector entries rank *p* reads from each owner.  The pairs
+    are flattened into the runs :func:`plan_from_runs` takes.
     """
-    if net is None:
-        net = topology.network()
-    on_node: Pattern = {}
-    off_node: Pattern = {}
-    scatter: Pattern = {}
-    gather_ids: dict[int, list[np.ndarray]] = {}
-    inter_ids: dict[tuple[int, int], list[np.ndarray]] = {}
-
-    for p, plan in enumerate(needs):
-        vnode = topology.node_of(p)
-        off_elems = 0
-        for q, ids in plan:
-            if q == p or len(ids) == 0:
-                continue
-            if topology.on_node(q, p):
-                on_node[(int(q), p)] = len(ids)
-            else:
-                off_node[(int(q), p)] = len(ids)
-                off_elems += len(ids)
-                gather_ids.setdefault(int(q), []).append(ids)
-                inter_ids.setdefault((topology.node_of(int(q)), vnode),
-                                     []).append(ids)
-        if off_elems and p != topology.leader(vnode):
-            scatter[(topology.leader(vnode), p)] = off_elems
-
-    gather: Pattern = {}
-    for q in sorted(gather_ids):
-        leader = topology.leader_of(q)
-        if q == leader:
-            continue  # the leader's own entries are already staged
-        gather[(q, leader)] = int(
-            len(np.unique(np.concatenate(gather_ids[q]))))
-
-    internode: Pattern = {}
-    for (u, v) in sorted(inter_ids):
-        internode[(topology.leader(u), topology.leader(v))] = int(
-            len(np.unique(np.concatenate(inter_ids[(u, v)]))))
-
-    relay: dict[int, int] = {}
-    for (_q, leader), n in gather.items():
-        relay[leader] = relay.get(leader, 0) + n
-    for (leader, _p), n in scatter.items():
-        relay[leader] = relay.get(leader, 0) + n
-
-    plan_obj = NodeAwarePlan(
-        topology=topology, on_node=on_node, off_node=off_node,
-        gather=gather, internode=internode, scatter=scatter, relay=relay)
-    plan_obj.t_flat = net.exchange_time(
-        _pattern_messages([on_node, off_node], bytes_per_elem=bytes_per_elem,
-                          persistent=persistent),
-        topology.nranks)
-    plan_obj.t_aggregated = net.exchange_time(
-        _pattern_messages([on_node, gather, internode, scatter],
-                          bytes_per_elem=bytes_per_elem,
-                          persistent=persistent),
-        topology.nranks)
-    # Strict inequality: ppn=1 (3-step degenerates to the flat schedule)
-    # and tie cases keep the standard exchange, byte-identically.
-    plan_obj.aggregated = bool(off_node) and plan_obj.t_aggregated < plan_obj.t_flat
-    return plan_obj
+    if any(len({q for q, _ in plan}) != len(plan) for plan in needs):
+        raise ValueError("needs[p] must list each owner once")
+    runs = [(q, p, np.asarray(ids, dtype=np.int64).ravel())
+            for p, plan in enumerate(needs) for q, ids in plan]
+    owner, receiver, ids = zip(*runs) if runs else ((), (), ())
+    size = np.array([len(i) for i in ids], dtype=np.int64)
+    end = np.cumsum(size)
+    return plan_from_runs(
+        owner, receiver, end - size, end,
+        np.concatenate(ids or [np.zeros(0, np.int64)]), topology, net=net,
+        bytes_per_elem=bytes_per_elem, persistent=persistent)

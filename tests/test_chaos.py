@@ -13,6 +13,7 @@ plan, and ranks=1 vs. the plain SolveService.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -123,6 +124,35 @@ def test_single_rank_empty_plan_matches_solve_service():
                                 fault_plan=ShardFaultPlan())
     shard.run_workload(build(spec))
     assert plain.metrics_json() == shard.services[0].metrics_json()
+
+
+def test_crash_shorter_than_detection_costs_nothing():
+    # Loss starts at detection (down_after x heartbeat_interval = 3 ms by
+    # default): rank 3, dead 1.5-3.5 ms, is only ever suspect, and serves
+    # the requests that reach it in the window as if it were up.
+    spec = dataclasses.replace(
+        widened(named_workload("mixed"), copies=4, requests=96),
+        rate=16000.0)
+    workload = build(spec)
+
+    def run(plan):
+        svc = ShardedSolveService(_fleet_config(4), fault_plan=plan)
+        results = svc.run_workload(workload)
+        return svc, [(r.status, r.rank, r.wait_seconds, r.solve_seconds,
+                      r.net_seconds, r.retries, r.failovers)
+                     for r in results]
+
+    _, clean = run(None)
+    svc, crashed = run(ShardFaultPlan(crashes=((3, 0.0015, 0.0035),)))
+    assert crashed == clean
+    in_window = [r for r, item in zip(crashed, workload.items)
+                 if r[1] == 3 and 0.0015 <= item.arrival < 0.0035]
+    assert len(in_window) == 13
+    faults = json.loads(svc.metrics_json())["sharded"]["faults"]
+    assert faults["health"]["availability"] == 1.0
+    assert faults["failovers"] == 0
+    assert [t["state"] for t in faults["health"]["transitions"]] == [
+        "suspect", "up"]
 
 
 def test_faults_section_only_under_chaos():
