@@ -30,14 +30,14 @@ replays it and reports:
 :func:`check_comm_trace` raises a structured
 :class:`~repro.analysis.errors.InvariantViolation` for the first finding.
 
-A trace recorded under **injected faults** legitimately breaks two of the
-replays: dropped messages unbalance send/ack matching, and an exchange
-aborted mid-round (``CommFault``) leaves a partial persistent round.
-Those checks are not silently skipped — each skip is returned as a
-structured :class:`SkippedCheck` record (``scan_comm_trace(...,
-with_skips=True)``) and surfaced by :func:`check_comm_trace` as a
-``RuntimeWarning`` plus its return value, so a clean report can never be
-mistaken for a complete one.
+A trace recorded under **injected faults** legitimately breaks send/ack
+matching: an exchange that runs out of retries (``CommFault``) leaves sends
+that were never acknowledged.  That check is not silently skipped — the
+skip is returned as a structured :class:`SkippedCheck` record
+(``scan_comm_trace(..., with_skips=True)``) and surfaced by
+:func:`check_comm_trace` as a ``RuntimeWarning`` plus its return value, so
+a clean report can never be mistaken for a complete one.  (Persistent
+traffic stays judgeable: retransmissions are never persistent.)
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ __all__ = [
     "check_comm_trace",
 ]
 
-#: Tag suffixes appended by the reliable protocol
-#: (:meth:`repro.faults.comm.FaultyComm.reliable_send`).
+#: Tag suffixes appended by the reliable protocol to acks and
+#: retransmissions (:meth:`repro.faults.comm.FaultyComm.log_exchange`).
 ACK_SUFFIX = ".ack"
 RETRY_SUFFIX = ".retry"
 
@@ -104,9 +104,9 @@ class CommTrace:
     #: (enables send/ack matching).
     reliable: bool = False
     #: Whether faults actually fired while the trace was recorded (the
-    #: communicator logged at least one FaultEvent): send/ack matching and
-    #: persistent-round replay are unjudgeable on such a trace and are
-    #: reported as :class:`SkippedCheck` records instead of findings.
+    #: communicator logged at least one FaultEvent): send/ack matching is
+    #: unjudgeable on such a trace and is reported as a
+    #: :class:`SkippedCheck` record instead of findings.
     faulty: bool = False
 
     @classmethod
@@ -167,9 +167,9 @@ def scan_comm_trace(
     of them exactly.
 
     With ``with_skips=True`` the return value is a ``(findings, skips)``
-    pair; checks the trace makes unjudgeable (faulty runs, see
-    :class:`SkippedCheck`) contribute a skip record instead of silently
-    reporting clean.
+    pair; a check the trace makes unjudgeable (send/ack matching on a
+    faulty run, see :class:`SkippedCheck`) contributes a skip record
+    instead of silently reporting clean.
     """
     if not isinstance(trace, CommTrace):
         trace = CommTrace.from_comm(trace)
@@ -207,9 +207,9 @@ def scan_comm_trace(
     if trace.reliable and trace.faulty:
         skips.append(SkippedCheck(
             "comm.unreceived_send",
-            "faults fired during this run: injected drops and kills "
-            "legitimately unbalance send/ack matching, so missing acks "
-            "are not evidence of a schedule bug"))
+            "faults fired during this run: an exchange that ran out of "
+            "retries legitimately leaves unacknowledged sends, so missing "
+            "acks are not evidence of a schedule bug"))
     elif trace.reliable:
         sends: dict[tuple[int, int, str], int] = {}
         acks: dict[tuple[int, int, str], int] = {}
@@ -267,13 +267,7 @@ def scan_comm_trace(
                 return done(findings)
 
     # -- persistent-pattern drift -------------------------------------------
-    if persistent_patterns and trace.faulty:
-        skips.append(SkippedCheck(
-            "comm.persistent_drift",
-            "faults fired during this run: an exchange aborted mid-round "
-            "(CommFault) leaves a partial persistent round, so the replay "
-            "cannot distinguish drift from a legitimate abort"))
-    elif persistent_patterns:
+    if persistent_patterns:
         for tag, patterns in persistent_patterns.items():
             stream = [
                 (m.src, m.dst)

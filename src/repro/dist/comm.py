@@ -45,12 +45,13 @@ The modeled clock reads the segments as columns instead
 no entry is built to price, count or sum the traffic.
 
 Fault injection: :class:`repro.faults.comm.FaultyComm` subclasses this
-communicator and adds a ``reliable_send`` protocol (sequence-numbered acks,
-bounded retries).  Consumers that want resilient delivery — the halo
-exchange, and through it ``dist_spmv`` and the smoothers — check
-``supports_fault_injection`` / ``reliable_send`` and fall back to the plain
-logging path on a vanilla ``SimComm``, which therefore stays bit-identical
-(and modeled-time-identical) to the pre-fault-harness behavior.
+communicator and replaces one method, :meth:`SimComm.log_exchange`, through
+which every frozen exchange (the halo's wire, flat or node-aware) sends its
+batch; here it *is* :meth:`~SimComm.log_batch`.  A ``FaultyComm`` sends the
+same batch in acknowledged attempt rounds (sequence numbers, acks, bounded
+retries), so a vanilla ``SimComm`` stays bit-identical (and
+modeled-time-identical) to the pre-fault-harness behavior.  Set-up batches
+call ``log_batch`` directly and are never faulted.
 """
 
 from __future__ import annotations
@@ -93,13 +94,12 @@ class _LoggedMessage:
 
 class MessageBatch:
     """The messages ``src[i] -> dst[i]`` of ``nbytes[i]`` bytes tagged
-    ``tags[i]`` (arrays in send order; *tags* may be one str for all),
-    self-sends dropped, as phase-free columns (:meth:`columns`).  Its log
-    entries are built once per phase; iterating it yields those of the live
-    phase."""
+    ``tags[i]`` (arrays in send order; *tags* may be one str for all, and
+    *persistent* one bool for all or a flag per message), self-sends
+    dropped, as phase-free columns (:meth:`columns`).  Its log entries are
+    built once per phase; iterating it yields those of the live phase."""
 
-    def __init__(self, src, dst, nbytes, tags, *,
-                 persistent: bool = False) -> None:
+    def __init__(self, src, dst, nbytes, tags, *, persistent=False) -> None:
         src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
         keep = src != dst
         if isinstance(tags, str):
@@ -107,10 +107,9 @@ class MessageBatch:
         self._n = int(np.count_nonzero(keep))
         self._columns = MessageColumns(
             src[keep], dst[keep], np.asarray(nbytes)[keep].astype(np.int64),
-            np.full(self._n, persistent, dtype=bool),
+            np.broadcast_to(np.asarray(persistent, dtype=bool), keep.shape)[keep],
             np.asarray(tags, dtype=object)[keep])
         self._build = None
-        self.persistent = persistent
         self._entries: dict[str, tuple[_LoggedMessage, ...]] = {}
 
     @classmethod
@@ -134,8 +133,7 @@ class MessageBatch:
             built = self._build()
             if len(built) != self._n:
                 raise ValueError("built batch does not fit its length")
-            self._columns, self.persistent = built._columns, built.persistent
-            self._build = None
+            self._columns, self._build = built._columns, None
         return self._columns
 
     def entries(self, phase: str) -> tuple[_LoggedMessage, ...]:
@@ -143,9 +141,10 @@ class MessageBatch:
         if out is None:
             c = self.columns()
             out = self._entries[phase] = tuple(
-                _LoggedMessage(MessageEvent(s, d, b, self.persistent, t), phase)
-                for s, d, b, t in zip(c.src.tolist(), c.dst.tolist(),
-                                      c.nbytes.tolist(), c.tag.tolist()))
+                _LoggedMessage(MessageEvent(s, d, b, p, t), phase)
+                for s, d, b, p, t in zip(c.src.tolist(), c.dst.tolist(),
+                                         c.nbytes.tolist(),
+                                         c.persistent.tolist(), c.tag.tolist()))
         return out
 
 
@@ -327,6 +326,11 @@ class SimComm:
             raise TypeError("log_batch takes a MessageBatch")
         self.messages._add(batch, current_phase(), len(batch))
 
+    #: How a frozen exchange sends its batch (:meth:`_FrozenExchange.start`):
+    #: plain logging here; :class:`repro.faults.comm.FaultyComm` delivers the
+    #: batch in acknowledged attempt rounds instead.
+    log_exchange = log_batch
+
     def record_on_ranks(self, table: RecordTable) -> None:
         """Append row *p* of *table* to rank *p*'s compute log — the stream
         counting row *p*'s records into rank *p*'s log would produce.
@@ -347,26 +351,6 @@ class SimComm:
                 self._pending[:n] += times * table.lengths[:n]
             self._counted = len(self._queued)
         return self._pending
-
-    def exchange(
-        self,
-        payloads: dict[tuple[int, int], np.ndarray],
-        *,
-        persistent: bool = False,
-        tag: str = "",
-        bytes_per_elem: float = 8.0,
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """Deliver ``payloads[(src, dst)]`` to every destination.
-
-        Returns the same mapping (delivery is by reference — ranks share the
-        process); the side effect is the message log.
-        """
-        for (src, dst), data in payloads.items():
-            if src == dst:
-                continue
-            self.log_message(src, dst, len(data) * bytes_per_elem,
-                             persistent=persistent, tag=tag)
-        return payloads
 
     # -- collectives -------------------------------------------------------
     def allreduce(self, values, *, kind: str = "allreduce") -> float:
@@ -492,7 +476,7 @@ class _FrozenExchange:
                 sum(s != d for _, pat in self.rounds for s, d in pat),
                 lambda: _rounds_batch(self.rounds, width * self.bytes_per_elem,
                                       self.persistent))
-        self.comm.log_batch(batch)
+        self.comm.log_exchange(batch)
 
 
 class PersistentExchange(_FrozenExchange):

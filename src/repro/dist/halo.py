@@ -29,15 +29,11 @@ with or without a topology; only the logged wire messages (and the
 leaders' staging traffic) change.  A trivial topology (``ppn=1``) or a
 losing plan keeps the flat schedule byte-identically.
 
-On a fault-injecting communicator (one exposing ``reliable_send``, i.e.
-:class:`repro.faults.comm.FaultyComm`) every halo message instead goes
-through the reliable protocol: sequence-numbered, acked, retransmitted with
-exponential backoff when the fault plan drops or corrupts it, and raising
-:class:`repro.faults.comm.CommFault` when the retry budget is exhausted.
-The reliable protocol always runs the flat logical pattern — aggregation
-through a leader would turn one lost link into a whole node's retry storm,
-so node-aware plans are bypassed under fault injection — and it decides per
-message, so it is the one arm that still logs message by message.
+On a fault-injecting communicator (:class:`repro.faults.comm.FaultyComm`)
+the same wire — flat or 3-step — is sent under the reliable protocol: the
+communicator's :meth:`~repro.dist.comm.SimComm.log_exchange` acks and
+retransmits the frozen batch in attempt rounds, so faults hit the messages
+the schedule actually sends (a leader link included) and are priced on them.
 """
 
 from __future__ import annotations
@@ -169,19 +165,12 @@ class HaloExchange:
         """
         width = x.array.shape[1] if x.array.ndim == 2 else 1
         pack_recs, stage_recs = self._records(width)
-        reliable = getattr(self.comm, "reliable_send", None)
-        if reliable is not None:
-            for (src, dst), n in self.pattern.items():
-                if src != dst:
-                    reliable(src, dst, n * width * VAL_BYTES, tag="halo",
-                             persistent=self.persistent)
-        else:
-            self._wire.start(width=width)
-            if self._node_exchange is not None:
-                # Leaders relay the aggregated off-node traffic: the
-                # gathered entries are staged into per-destination buffers
-                # before the inter-node send / after the inter-node receive.
-                self.comm.record_on_ranks(stage_recs)
+        self._wire.start(width=width)
+        if self._node_exchange is not None:
+            # Leaders relay the aggregated off-node traffic: the gathered
+            # entries are staged into per-destination buffers before the
+            # inter-node send / after the inter-node receive.
+            self.comm.record_on_ranks(stage_recs)
         ext = x.array[self._gather]
         # Sender-side pack + receiver-side unpack traffic.
         self.comm.record_on_ranks(pack_recs)

@@ -13,9 +13,9 @@ run of equal-size ranks.
 
 Resilience: the halo exchange is the only communication here, so on a
 fault-injecting communicator (:class:`repro.faults.comm.FaultyComm`) every
-``dist_spmv`` inherits the sequence-numbered ack / retry / backoff protocol
-of :mod:`repro.dist.halo` and may raise
-:class:`repro.faults.comm.CommFault`; callers that want checkpointed
+``dist_spmv`` sends its halo's wire batch under the sequence-numbered
+ack / retry / backoff protocol (:meth:`FaultyComm.log_exchange`) and may
+raise :class:`repro.faults.comm.CommFault`; callers that want checkpointed
 recovery catch it (see ``DistAMGSolver.solve``).  ``dist_residual_norm``
 additionally performs one allreduce, which a ``FaultyComm`` gates on
 rank-failure windows.

@@ -1,14 +1,18 @@
 """Fault-injecting communicator: :class:`FaultyComm`.
 
-``FaultyComm`` is a drop-in :class:`~repro.dist.comm.SimComm` whose
-point-to-point deliveries run a **reliable protocol**: every message is
-sequence-numbered, acknowledged by the receiver, and retransmitted with
-exponential backoff when the :class:`~repro.faults.plan.FaultPlan` drops or
-corrupts it.  All protocol traffic — the original send, every
-retransmission, and every ack — is logged through the normal ``SimComm``
-message log, so the :class:`~repro.perf.network.NetworkModel` charges the
-recovery cost alongside the useful traffic; the sender-side timeout/backoff
-stalls are added on top via :meth:`NetworkModel.retry_penalty`.
+``FaultyComm`` is a drop-in :class:`~repro.dist.comm.SimComm` that sends
+each frozen exchange's wire batch — the flat halo or the node-aware 3-step
+schedule — under a **reliable protocol** (:meth:`FaultyComm.log_exchange`),
+in attempt rounds.  A round numbers its pending messages' clocks
+consecutively, classifies every attempt at once (:meth:`FaultPlan.draw`) and
+logs one batch: each attempt, followed by the receiver's ack when it
+succeeded.  Round 0 keeps the batch's tags and persistent flags; later
+rounds retransmit what failed, tagged ``tag + ".retry"``, not persistent.
+All protocol traffic is logged, so the
+:class:`~repro.perf.network.NetworkModel` charges the recovery cost alongside
+the useful traffic; the sender-side timeout/backoff stalls are added on top
+via :meth:`NetworkModel.retry_penalty`.  A one-message batch runs the
+classic per-message protocol, and a fault-free round 0 logs a cached batch.
 
 Because the rank "memories" share one Python process, payloads always
 arrive intact once an attempt succeeds: corruption is modeled as a checksum
@@ -17,26 +21,44 @@ numbers reaching the solver.  A solve that survives its fault plan is
 therefore **bit-identical** to the fault-free solve — the faults cost
 modeled time and show up in ``SolveResult.fault_events``, nothing else.
 
-Deliveries that exhaust their retries raise :class:`RetriesExhausted`, or
-:class:`RankFailure` when a transient rank-failure window is the cause;
-``DistAMGSolver.solve`` catches these and resumes from its last iterate
-checkpoint (see :mod:`repro.dist.solver`).
+An exchange whose retries run out raises :class:`RetriesExhausted`, or
+:class:`RankFailure` when a transient rank-failure window is the cause, for
+its first undelivered message; ``DistAMGSolver.solve`` catches these and
+resumes from its last iterate checkpoint (see :mod:`repro.dist.solver`).
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from ..dist.comm import SimComm
+from ..dist.comm import MessageBatch, SimComm
 from ..perf.counters import current_phase
-from ..perf.network import NetworkModel
-from .plan import FaultEvent, FaultPlan
+from ..perf.network import MessageColumns, NetworkModel
+from .plan import FAULT_KINDS, FaultEvent, FaultPlan
 
 __all__ = ["FaultyComm", "CommFault", "RetriesExhausted", "RankFailure",
            "ACK_BYTES"]
 
 #: Modeled size of an ack/nack message (sequence number + checksum).
 ACK_BYTES = 16.0
+
+
+def _attempts(c: MessageColumns, ok: np.ndarray, tags, persistent) -> MessageBatch:
+    """One attempt round as a batch: each message of *c*, sent under *tags*
+    with the *persistent* flag(s), followed by the receiver's ack (tagged
+    with the message's own tag + ``".ack"``) where *ok*."""
+    per = 1 + ok
+    row = np.repeat(np.arange(len(ok)), per)
+    ack = np.zeros(len(row), dtype=bool)
+    ack[(np.cumsum(per) - 1)[ok]] = True
+    return MessageBatch(
+        np.where(ack, c.dst[row], c.src[row]),
+        np.where(ack, c.src[row], c.dst[row]),
+        np.where(ack, int(ACK_BYTES), c.nbytes[row]),
+        np.where(ack, (c.tag + ".ack")[row], np.asarray(tags)[row]),
+        persistent=~ack & np.broadcast_to(persistent, ok.shape)[row])
 
 
 class CommFault(RuntimeError):
@@ -82,49 +104,50 @@ class FaultyComm(SimComm):
         self.clock = 0
         self._rng = np.random.default_rng(self.plan.seed)
         self._next_seq = 0
+        #: A batch's fault-free round 0 (each message and its ack), per batch.
+        self._acked: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    # -- reliable point-to-point -------------------------------------------
-    def reliable_send(self, src: int, dst: int, nbytes: float, *,
-                      tag: str = "", persistent: bool = False) -> int:
-        """Deliver one sequence-numbered message, retrying on faults.
-
-        Returns the number of retransmissions that were needed (0 on a
-        clean first attempt).  Raises :class:`RankFailure` /
-        :class:`RetriesExhausted` when the retry budget runs out.
-        """
-        plan, policy = self.plan, self.plan.retry
-        seq = self._next_seq
-        self._next_seq += 1
-        phase = current_phase()
-        for attempt in range(policy.max_retries + 1):
-            self.clock += 1
-            retry = attempt > 0
-            self.log_message(
-                src, dst, nbytes,
-                persistent=persistent and not retry,
-                tag=tag if not retry else f"{tag}.retry",
-            )
-            fault = plan.draw(self._rng, src, dst, self.clock)
-            if fault is None:
-                # Receiver checksums the payload and acks the sequence number.
-                self.log_message(dst, src, ACK_BYTES, tag=f"{tag}.ack")
-                if retry:
-                    self.events.append(FaultEvent(
-                        "delivered_after_retry", src=src, dst=dst, tag=tag,
-                        seq=seq, attempt=attempt, clock=self.clock,
-                        phase=phase,
-                    ))
-                return attempt
-            self.events.append(FaultEvent(
-                fault, src=src, dst=dst, tag=tag, seq=seq, attempt=attempt,
-                clock=self.clock, phase=phase,
-            ))
-        rank = plan.failed_rank((src, dst), self.clock)
+    # -- reliable delivery of a frozen exchange ----------------------------
+    def log_exchange(self, batch: MessageBatch) -> None:
+        """Deliver *batch* in attempt rounds (see the module docstring);
+        raise :class:`RankFailure` / :class:`RetriesExhausted` for the first
+        message still pending when the retry budget runs out."""
+        plan, n = self.plan, len(batch)
+        c = sub = batch.columns()
+        seqs = np.arange(self._next_seq, self._next_seq + n)
+        self._next_seq += n
+        pending = np.arange(n)
+        for attempt in range(plan.retry.max_retries + 1):
+            clock = np.arange(self.clock + 1, self.clock + len(pending) + 1)
+            self.clock += len(pending)
+            fault = plan.draw(self._rng, sub.src, sub.dst, clock)
+            ok = fault < 0
+            if attempt == 0 and ok.all():
+                if batch not in self._acked:
+                    self._acked[batch] = MessageBatch.later(
+                        2 * n, lambda: _attempts(c, ok, c.tag, c.persistent))
+                self.log_batch(self._acked[batch])
+                return
+            self.log_batch(_attempts(sub, ok, sub.tag + ".retry" if attempt
+                                     else sub.tag, not attempt and sub.persistent))
+            phase = current_phase()
+            for i in np.flatnonzero(~ok | (attempt > 0)).tolist():
+                self.events.append(FaultEvent(
+                    FAULT_KINDS[fault[i]] if fault[i] >= 0 else "delivered_after_retry",
+                    src=int(sub.src[i]), dst=int(sub.dst[i]), tag=sub.tag[i],
+                    seq=int(seqs[pending[i]]), attempt=attempt,
+                    clock=int(clock[i]), phase=phase))
+            pending, last = pending[~ok], clock[~ok]
+            if not len(pending):
+                return
+            sub = c.take(pending)
+        src, dst, tag, seq = int(sub.src[0]), int(sub.dst[0]), sub.tag[0], int(seqs[pending[0]])
+        rank = plan.failed_rank((src, dst), int(last[0]))
         if rank is not None:
             raise RankFailure(rank, src=src, dst=dst, tag=tag, seq=seq)
         raise RetriesExhausted(
             f"message {src}->{dst} tag={tag!r} seq={seq} lost after "
-            f"{policy.max_retries + 1} attempts",
+            f"{plan.retry.max_retries + 1} attempts",
             src=src, dst=dst, tag=tag, seq=seq,
         )
 

@@ -123,22 +123,25 @@ class FaultPlan:
                 return rank
         return None
 
-    def draw(self, rng: np.random.Generator, src: int, dst: int,
-             clock: int) -> str | None:
-        """Fault injected into one delivery attempt, or None for success.
+    def draw(self, rng: np.random.Generator, src, dst, clock) -> np.ndarray:
+        """Fault injected into each delivery attempt ``src[i] -> dst[i]`` at
+        ``clock[i]``: an index into :data:`FAULT_KINDS`, or -1 for success.
 
         Rank-failure windows dominate (no RNG draw — a dead rank fails
-        deterministically); otherwise one uniform draw picks drop /
-        corrupt / success so RNG consumption is identical across kinds.
+        deterministically); every other attempt takes one uniform, in
+        attempt order, that picks drop / corrupt / success, so RNG
+        consumption is identical across kinds.
         """
-        if self.failed_rank((src, dst), clock) is not None:
-            return "rank_down"
-        u = float(rng.random())
-        if u < self.drop_prob:
-            return "drop"
-        if u < self.drop_prob + self.corrupt_prob:
-            return "corrupt"
-        return None
+        src, dst, clock = (np.asarray(a) for a in (src, dst, clock))
+        down = np.zeros(clock.shape, dtype=bool)
+        for rank, start, end in self.rank_failures:
+            down |= (((src == rank) | (dst == rank))
+                     & (start <= clock) & (clock < end))
+        u = rng.random(int(np.count_nonzero(~down)))
+        out = np.full(clock.shape, FAULT_KINDS.index("rank_down"), dtype=np.int64)
+        out[~down] = np.where(u < self.drop_prob, 0, np.where(
+            u < self.drop_prob + self.corrupt_prob, 1, -1))
+        return out
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict:

@@ -21,7 +21,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from repro.perf.counters import collect  # noqa: E402
+from repro.faults.comm import ACK_BYTES, RankFailure, RetriesExhausted  # noqa: E402
+from repro.faults.plan import FaultEvent  # noqa: E402
+from repro.perf.counters import collect, current_phase  # noqa: E402
 from repro.problems import laplace_2d_5pt, laplace_3d_7pt, laplace_3d_27pt  # noqa: E402
 from repro.sparse import CSRMatrix  # noqa: E402
 
@@ -31,6 +33,53 @@ def on_rank(comm, rank: int):
     per-rank attribution the reference loops of the distributed tests use
     (the library charges ranks only through ``record_on_ranks``)."""
     return collect(comm.rank_logs[rank])
+
+
+def reliable_rounds(comm, sends) -> None:
+    """The reliable protocol of a ``FaultyComm`` exchange as a literal
+    per-round loop: *sends* are ``(src, dst, nbytes, persistent, tag)`` in
+    send order, each numbered with the next sequence number.  In every round
+    each pending message, in order, takes the next clock tick and is logged
+    (``tag + ".retry"`` and not persistent after round 0); a dead rank fails
+    it, otherwise one uniform picks drop / corrupt / success, and a success
+    logs the ack right after it.  When the retry budget runs out, the first
+    message still pending raises."""
+    plan = comm.plan
+    pending = []
+    for msg in sends:
+        pending.append((comm._next_seq, msg, None))
+        comm._next_seq += 1
+    for attempt in range(plan.retry.max_retries + 1):
+        left = []
+        for seq, (src, dst, nbytes, persistent, tag), _ in pending:
+            comm.clock += 1
+            comm.log_message(src, dst, nbytes, persistent=persistent and not attempt,
+                             tag=f"{tag}.retry" if attempt else tag)
+            if plan.failed_rank((src, dst), comm.clock) is not None:
+                fault = "rank_down"
+            else:
+                u = float(comm._rng.random())
+                fault = ("drop" if u < plan.drop_prob else "corrupt"
+                         if u < plan.drop_prob + plan.corrupt_prob else None)
+            if fault is None:
+                comm.log_message(dst, src, ACK_BYTES, tag=f"{tag}.ack")
+                if attempt:
+                    fault = "delivered_after_retry"
+            else:
+                left.append((seq, (src, dst, nbytes, persistent, tag), comm.clock))
+            if fault is not None:
+                comm.events.append(FaultEvent(
+                    fault, src=src, dst=dst, tag=tag, seq=seq, attempt=attempt,
+                    clock=comm.clock, phase=current_phase()))
+        pending = left
+        if not pending:
+            return
+    seq, (src, dst, _, _, tag), clock = pending[0]
+    rank = plan.failed_rank((src, dst), clock)
+    if rank is not None:
+        raise RankFailure(rank, src=src, dst=dst, tag=tag, seq=seq)
+    raise RetriesExhausted(f"message {src}->{dst} lost", src=src, dst=dst,
+                           tag=tag, seq=seq)
 
 
 def random_csr(

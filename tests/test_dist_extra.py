@@ -15,6 +15,7 @@ from repro.dist import (
     dist_spmv,
     gather_matrix_rows,
 )
+from repro.dist.comm import MessageBatch
 from repro.dist.smoothers import DistSmoother
 from repro.perf import FDRInfinibandModel, HaswellModel, collect
 from repro.problems import laplace_2d_5pt
@@ -31,8 +32,9 @@ class TestCommAccounting:
 
     def test_exchange_skips_self_messages(self):
         comm = SimComm(2)
-        comm.exchange({(0, 0): np.ones(5), (0, 1): np.ones(3)})
+        comm.log_batch(MessageBatch([0, 0], [0, 1], [40.0, 24.0], "x"))
         assert comm.message_count() == 1
+        assert comm.messages[0].event.nbytes == 24
 
     def test_allreduce_value_and_log(self):
         comm = SimComm(4)

@@ -10,7 +10,9 @@ equal-size ranks.  The logs are segment logs: a table, a message batch or
 one message is appended as one segment and its entries are built on the
 first read.  The oracles here are the per-rank code: the old
 ``record_on_ranks`` loop and a list-backed message log that builds each
-entry at its send (:class:`LoopComm`), and the per-rank ``a @ b`` list.
+entry at its send (:class:`LoopComm`; :class:`LoopFaultyComm` also sends an
+exchange through the literal per-round loop of the reliable protocol), and
+the per-rank ``a @ b`` list.
 Streams compare with ``==``, floats by their bits.
 """
 
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import on_rank, random_csr
+from conftest import on_rank, random_csr, reliable_rounds
 from repro.config import multi_node_config
 from repro.dist import (
     DistAMGSolver,
@@ -38,8 +40,8 @@ from repro.dist import (
     dist_spmv,
 )
 from repro.dist.solver import par_dot
-from repro.faults.comm import FaultyComm
-from repro.faults.plan import FaultPlan
+from repro.faults.comm import CommFault, FaultyComm
+from repro.faults.plan import FaultPlan, RetryPolicy
 import repro.perf.counters as counters_mod
 from repro.dist.comm import (
     MessageBatch,
@@ -194,11 +196,14 @@ class _PerRankLoop:
 
 
 class LoopComm(_PerRankLoop, SimComm):
-    pass
+    def send_exchange(self, sends) -> None:
+        for src, dst, nbytes, persistent, tag in sends:
+            self.log_message(src, dst, nbytes, persistent=persistent, tag=tag)
 
 
 class LoopFaultyComm(_PerRankLoop, FaultyComm):
-    pass
+    def send_exchange(self, sends) -> None:
+        reliable_rounds(self, sends)
 
 
 NRANKS = 4
@@ -281,15 +286,16 @@ def run_program(comm, program) -> list:
         comm.record_on_ranks(TABLES[t])
 
     def start(i, width):
-        if not reference:
-            exchanges[i].start(width=width)
-            return
         persistent, rounds = EXCHANGES[i]
-        for tag, pattern in rounds:
-            for (src, dst), n in pattern.items():
-                if src != dst:
-                    comm.log_message(src, dst, n * width * VAL_BYTES,
-                                     persistent=persistent, tag=tag)
+        try:
+            if not reference:
+                exchanges[i].start(width=width)
+                return
+            comm.send_exchange([(src, dst, n * width * VAL_BYTES, persistent, tag)
+                                for tag, pattern in rounds
+                                for (src, dst), n in pattern.items() if src != dst])
+        except CommFault as e:
+            seen.append((type(e), e.src, e.dst, e.tag, e.seq))
 
     def batch(persistent, one_tag):
         src, dst, nbytes, tags = BATCH
@@ -350,6 +356,7 @@ def run_program(comm, program) -> list:
                         under(inner[2], rec, inner[1])
     seen.append(streams(comm))
     seen.append(list(comm.messages))
+    seen.append((getattr(comm, "events", None), getattr(comm, "clock", None)))
     return seen
 
 
@@ -360,11 +367,17 @@ def test_queued_logs_are_the_per_rank_loop(program):
         LoopComm(NRANKS), program)
 
 
+#: Drops, corruptions and a rank down from clock 20 to 30, on a budget of
+#: two retries: exchanges deliver after retries and abort.
+LOSSY = FaultPlan(seed=1, drop_prob=0.3, corrupt_prob=0.1,
+                  rank_failures=((2, 20, 30),), retry=RetryPolicy(max_retries=2))
+
+
 @settings(max_examples=100, deadline=None)
-@given(programs)
-def test_queued_logs_are_the_per_rank_loop_on_a_faulty_comm(program):
-    assert run_program(FaultyComm(NRANKS, FaultPlan(seed=1)), program) == (
-        run_program(LoopFaultyComm(NRANKS, FaultPlan(seed=1)), program))
+@given(programs, st.sampled_from([FaultPlan(seed=1), LOSSY]))
+def test_queued_logs_are_the_per_rank_loop_on_a_faulty_comm(program, plan):
+    assert run_program(FaultyComm(NRANKS, plan), program) == (
+        run_program(LoopFaultyComm(NRANKS, plan), program))
 
 
 def test_short_tables_queue_without_a_hand_out(monkeypatch):

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import on_rank
+from conftest import on_rank, reliable_rounds
 import repro.dist.comm as comm_mod
 import repro.dist.krylov as krylov_mod
 import repro.dist.smoothers as smoothers_mod
@@ -61,26 +61,21 @@ from repro.topo import NodeTopology
 def ref_halo(comm, halo, parts):
     multi = parts[0].ndim == 2
     width = parts[0].shape[1] if multi else 1
-    reliable = getattr(comm, "reliable_send", None)
-    if reliable is not None:
-        for (src, dst), n in halo.pattern.items():
-            if src != dst:
-                reliable(src, dst, n * width * VAL_BYTES, tag="halo",
-                         persistent=halo.persistent)
-    elif halo.node_aware:
-        for tag, pat in halo._node_exchange.rounds:
-            for (src, dst), n in pat.items():
-                if src != dst:
-                    comm.log_message(src, dst, n * width * 8.0,
-                                     persistent=halo.persistent, tag=tag)
+    rounds = (halo._node_exchange.rounds if halo.node_aware
+              else [("halo", halo.pattern)])
+    sends = [(src, dst, n * width * VAL_BYTES, halo.persistent, tag)
+             for tag, pat in rounds for (src, dst), n in pat.items()
+             if src != dst]
+    if comm.supports_fault_injection:
+        reliable_rounds(comm, sends)
+    else:
+        for src, dst, nbytes, persistent, tag in sends:
+            comm.log_message(src, dst, nbytes, persistent=persistent, tag=tag)
+    if halo.node_aware:
         for leader, elems in halo.node_plan.relay.items():
             with on_rank(comm, leader):
                 count("halo.stage", bytes_read=elems * width * VAL_BYTES,
                       bytes_written=elems * width * VAL_BYTES)
-    else:
-        for (src, dst), n in halo.pattern.items():
-            comm.log_message(src, dst, n * width * VAL_BYTES,
-                             persistent=halo.persistent, tag="halo")
     ext = []
     for p in range(comm.nranks):
         pieces = [parts[q][ids] for q, ids in halo.recv_plan[p]]
@@ -552,13 +547,13 @@ class TestFrozenLog:
 
 
 # ---------------------------------------------------------------------------
-# Faults still decide per message
+# Faults ride the frozen wire: the per-round loop is the oracle
 # ---------------------------------------------------------------------------
 
 
 #: sha256 of the ``fault_events`` of ``test_checkpoint_rollback_events_and_
-#: iterate``'s solve at the parent of the rank-stacking PR.
-FAULT_EVENTS_AT_PARENT = "198f9a4ea944d24c"
+#: iterate``'s solve under the attempt-round protocol.
+FAULT_EVENTS = "1345a00cbab8b69f"
 
 
 @pytest.mark.faults
@@ -569,28 +564,31 @@ class TestFaultsPerMessage:
                         n, FaultPlan(seed=3, drop_prob=0.2)))
 
     def test_exhausted_retries_abort_after_the_same_prefix(self):
-        """Rank 2 dies after four clean deliveries: the first later message
-        touching it burns its retries and the exchange raises — same sends,
-        acks and retries as the per-message loop, nothing gathered."""
+        """Rank 2 dies at clock 5, inside the first round of the node-aware
+        exchange: the four messages of the round that touch it (a leader
+        link among them) each burn their two retries, and the exchange
+        raises for the first of them — same sends, acks and retries as the
+        per-round loop, nothing gathered."""
         A = sym_matrix(40, 8, 0.5)
         part = RowPartition.uniform(40, 4)
         plan = FaultPlan(seed=1, rank_failures=[(2, 5, 500)],
                          retry=RetryPolicy(max_retries=2))
         comm, rcomm = FaultyComm(4, plan), FaultyComm(4, plan)
-        halo = build_halo(comm, ParCSRMatrix.from_global(A, part),
-                          persistent=True, topology=NodeTopology(4, 2))
-        x = ParVector.from_global(np.ones(40), part)
+        halo, rhalo = (build_halo(c, ParCSRMatrix.from_global(A, part),
+                                  persistent=True, topology=NodeTopology(4, 2))
+                       for c in (comm, rcomm))
         with pytest.raises(CommFault) as got:
-            halo(x)
+            halo(ParVector.from_global(np.ones(40), part))
         with pytest.raises(CommFault) as want:
-            for (src, dst), n in halo.pattern.items():
-                rcomm.reliable_send(src, dst, n * VAL_BYTES, tag="halo",
-                                    persistent=True)
+            ref_halo(rcomm, rhalo, split(np.ones(40), part))
         assert type(got.value) is type(want.value)
         assert (got.value.src, got.value.dst, got.value.seq) == (
             want.value.src, want.value.dst, want.value.seq)
+        assert halo.node_aware
         tags = [m.event.tag for m in comm.messages]
-        assert tags.count("halo.retry") == 2 and tags.count("halo.ack") >= 4
+        assert sum(t.endswith(".retry") for t in tags) == 4 * 2
+        assert sum(t.endswith(".ack") for t in tags) == 6
+        assert comm.event_counts() == {"rank_down": 4 * 3}
         assert comm.events == rcomm.events
         assert_same_logs(comm, rcomm)
         # Raised before any rank's data was gathered or packed.
@@ -598,15 +596,16 @@ class TestFaultsPerMessage:
 
     def test_checkpoint_rollback_events_and_iterate(self):
         """A lossy link forces checkpoint restarts; the solve still lands on
-        the fault-free iterate, with the fault history of the per-message
-        protocol (pinned at the parent of the rank-stacking PR)."""
+        the fault-free iterate, with the pinned fault history of the
+        attempt rounds on the node-aware wire."""
         A = laplace_3d_27pt(8)
         part = RowPartition.uniform(A.nrows, 4)
         b = ParVector.from_global(
             np.random.default_rng(3).standard_normal(A.nrows), part)
         results = []
-        for comm in (FaultyComm(4, FaultPlan(seed=11, drop_prob=0.45)),
-                     SimComm(4)):
+        plan = FaultPlan(seed=11, drop_prob=0.45,
+                         retry=RetryPolicy(max_retries=5))
+        for comm in (FaultyComm(4, plan), SimComm(4)):
             s = DistAMGSolver(comm, multi_node_config("ei", nthreads=4),
                               topology=NodeTopology(4, 2))
             s.setup(ParCSRMatrix.from_global(A, part))
@@ -617,9 +616,9 @@ class TestFaultsPerMessage:
         assert np.array_equal(faulty.x.to_global(), clean.x.to_global())
         kinds = [e.kind for e in faulty.fault_events]
         assert (kinds.count("drop"), kinds.count("delivered_after_retry"),
-                kinds.count("checkpoint_restart")) == (458, 237, 3)
+                kinds.count("checkpoint_restart")) == (881, 465, 14)
         assert _sha([dataclasses.astuple(e) for e in faulty.fault_events]) \
-            == FAULT_EVENTS_AT_PARENT
+            == FAULT_EVENTS
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,16 @@ from repro.dist import (
     dist_fgmres,
     dist_pcg,
 )
+from repro.dist.comm import MessageBatch
+from repro.perf.network import MessageEvent
 from repro.faults import FaultEvent, FaultPlan, RetryPolicy
 from repro.faults.comm import ACK_BYTES, FaultyComm, RankFailure, RetriesExhausted
+from repro.faults.plan import FAULT_KINDS
+from repro.analysis import persistent_patterns_of, scan_comm_trace
 from repro.perf import FDRInfinibandModel
 from repro.perf.report import format_fault_summary
 from repro.problems import laplace_3d_27pt
+from repro.topo import NodeTopology
 
 pytestmark = pytest.mark.faults
 
@@ -88,16 +93,28 @@ class TestFaultPlan:
             RetryPolicy(**kwargs)
 
     def test_rank_failure_window_dominates_rng(self):
-        plan = FaultPlan(seed=0, rank_failures=((1, 0, 100),))
-        rng = np.random.default_rng(0)
-        assert plan.draw(rng, 0, 1, clock=5) == "rank_down"
-        assert plan.draw(rng, 2, 3, clock=5) is None  # other ranks fine
+        plan = FaultPlan(seed=0, drop_prob=0.5, rank_failures=((1, 0, 100),))
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        got = plan.draw(rng, [0, 2, 1, 2, 3], [1, 3, 2, 0, 1], [5, 5, 6, 7, 100])
+        assert [FAULT_KINDS[k] if k >= 0 else None for k in got.tolist()] == [
+            "rank_down", None, "rank_down", "drop", "drop"]
+        # The dead rank's attempts draw nothing: the other three take the
+        # first uniforms in attempt order (0.64, 0.27, 0.04).
+        assert rng.random() == ref.random(4)[3]
+
+
+def send_one(comm, src, dst, nbytes, tag):
+    """Deliver a one-message batch, where one attempt round is one attempt;
+    return the number of retransmissions it needed."""
+    before = len(comm.events)
+    comm.log_exchange(MessageBatch([src], [dst], [nbytes], tag))
+    return sum(e.kind != "delivered_after_retry" for e in comm.events[before:])
 
 
 class TestReliableDelivery:
     def test_clean_delivery_logs_ack(self):
         comm = FaultyComm(2, FaultPlan(seed=0))
-        retries = comm.reliable_send(0, 1, 800.0, tag="halo")
+        retries = send_one(comm, 0, 1, 800.0, "halo")
         assert retries == 0 and comm.events == []
         tags = [m.event.tag for m in comm.messages]
         assert tags == ["halo", "halo.ack"]
@@ -107,7 +124,7 @@ class TestReliableDelivery:
         # Certain first-attempt drop is impossible (prob < 1), so drive the
         # probability high and check the protocol survives with retries.
         comm = FaultyComm(2, FaultPlan(seed=1, drop_prob=0.5))
-        total_retries = sum(comm.reliable_send(0, 1, 100.0, tag="t")
+        total_retries = sum(send_one(comm, 0, 1, 100.0, "t")
                             for _ in range(20))
         assert total_retries > 0
         kinds = comm.event_counts()
@@ -121,7 +138,7 @@ class TestReliableDelivery:
             comm = FaultyComm(2, FaultPlan(seed=5, drop_prob=0.3,
                                            corrupt_prob=0.2))
             for _ in range(50):
-                comm.reliable_send(0, 1, 64.0, tag="x")
+                send_one(comm, 0, 1, 64.0, "x")
             return [(e.kind, e.seq, e.attempt, e.clock) for e in comm.events]
 
         assert run() == run()
@@ -131,7 +148,7 @@ class TestReliableDelivery:
                          retry=RetryPolicy(max_retries=2))
         comm = FaultyComm(2, plan)
         with pytest.raises(RankFailure) as ei:
-            comm.reliable_send(0, 1, 10.0, tag="halo")
+            send_one(comm, 0, 1, 10.0, "halo")
         assert ei.value.rank == 1
         assert comm.event_counts() == {"rank_down": 3}
 
@@ -181,6 +198,112 @@ class TestFaultFreeBitIdentity:
         assert acks > 0
         assert faulty.comm_time(net) > clean.comm_time(net)  # acks only
         assert faulty.event_counts() == {}
+
+
+def _sha(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+#: A flat-layout set-up, stationary solve and AMG-preconditioned FGMRES on
+#: lap27(8) over 4 ranks, on a ``FaultyComm`` whose plan fires no fault,
+#: captured under the per-message protocol: message count, sha of the
+#: ``(event, phase)`` stream, the attempt clock, and ``comm_time`` (FDR
+#: InfiniBand) as ``float.hex`` without and with a slow rank 1 (factor 2).
+FLAT_NO_FAULT_AT_PARENT = {
+    True: (1355, "8ec059347325df12", 651,
+           "0x1.15579b50bc74ep-8", "0x1.0bdab56b05a5fp-7"),
+    False: (1457, "ff5ee0e06c4e3cc4", 651,
+            "0x1.a648fb258ffd3p-8", "0x1.9c79c3e0bdc41p-7"),
+}
+
+
+def _flat_run(optimized, plan):
+    A = laplace_3d_27pt(8)
+    part = RowPartition.uniform(A.nrows, NRANKS)
+    b = ParVector.from_global(
+        np.random.default_rng(0).standard_normal(A.nrows), part)
+    comm = FaultyComm(NRANKS, plan)
+    s = DistAMGSolver(comm, multi_node_config("ei", optimized=optimized,
+                                              nthreads=2))
+    Ad = ParCSRMatrix.from_global(A, part)
+    s.setup(Ad)
+    r1 = s.solve(b, tol=1e-8)
+    r2 = dist_fgmres(comm, Ad, b, precondition=s.precondition, tol=1e-8)
+    assert (r1.iterations, r2.iterations) == (10, 7)
+    return comm, comm.comm_time(FDRInfinibandModel()).hex()
+
+
+def _node_aware_solve(comm, size=10):
+    """Set-up and stationary solve of lap27(*size*) over 8 ranks, 4 per
+    node: the coarser levels' halos adopt the 3-step schedule."""
+    A = laplace_3d_27pt(size)
+    part = RowPartition.uniform(A.nrows, comm.nranks)
+    topo = NodeTopology(comm.nranks, 4)
+    s = DistAMGSolver(comm, multi_node_config("ei", nthreads=2),
+                      topology=topo, net=topo.network())
+    s.setup(ParCSRMatrix.from_global(A, part))
+    assert sum(lvl.halo.node_aware for lvl in s.hierarchy.levels
+               if lvl.halo is not None) == 2
+    b = np.random.default_rng(0).standard_normal(A.nrows)
+    return s.solve(ParVector.from_global(b, part), tol=1e-8)
+
+
+class TestFaultsRideTheWire:
+    """A ``FaultyComm`` sends the halo's frozen wire batch — flat or
+    node-aware — in acknowledged attempt rounds."""
+
+    @pytest.mark.parametrize("optimized", [True, False],
+                             ids=["persistent", "nonpersistent"])
+    def test_flat_layout_without_faults_is_the_per_message_stream(self,
+                                                                  optimized):
+        n, stream, clock, t, t_slow = FLAT_NO_FAULT_AT_PARENT[optimized]
+        # An empty plan, and one that draws a uniform per attempt but
+        # fires nothing.
+        for plan in (FaultPlan(), FaultPlan(seed=3, drop_prob=1e-6)):
+            comm, got_t = _flat_run(optimized, plan)
+            assert comm.events == []
+            assert len(comm.messages) == n
+            assert _sha([(m.event, m.phase) for m in comm.messages]) == stream
+            assert comm.clock == clock and got_t == t
+        comm, got_t = _flat_run(optimized, FaultPlan(slow_ranks={1: 2.0}))
+        assert got_t == t_slow
+
+    def test_node_aware_empty_plan_is_simcomm_plus_acks(self):
+        clean, faulty = SimComm(8), FaultyComm(8, FaultPlan())
+        r0, r1 = _node_aware_solve(clean), _node_aware_solve(faulty)
+        assert r0.iterations == r1.iterations == 11
+        assert r0.x.to_global().tobytes() == r1.x.to_global().tobytes()
+        want = []
+        for m in clean.messages:
+            e = m.event
+            want.append((e, m.phase))
+            if e.tag.startswith("halo"):  # a frozen wire message
+                want.append((MessageEvent(e.dst, e.src, int(ACK_BYTES), False,
+                                          e.tag + ".ack"), m.phase))
+        assert [(m.event, m.phase) for m in faulty.messages] == want
+        assert faulty.events == []
+
+    def test_node_aware_drops_keep_the_iterate(self):
+        r0 = _node_aware_solve(SimComm(8))
+        faulty = FaultyComm(8, FaultPlan(seed=3, drop_prob=0.05))
+        r1 = _node_aware_solve(faulty)
+        assert r1.converged and r1.iterations == r0.iterations
+        assert r0.x.to_global().tobytes() == r1.x.to_global().tobytes()
+        counts = faulty.event_counts()
+        assert counts["drop"] > 0 and counts["delivered_after_retry"] > 0
+        # Faults hit the 3-step schedule's own links.
+        assert any(e.tag in ("halo.gather", "halo.node", "halo.scatter")
+                   for e in faulty.events)
+
+    def test_faulty_node_aware_trace_replays_clean(self):
+        faulty = FaultyComm(8, FaultPlan(seed=3, drop_prob=0.05))
+        _node_aware_solve(faulty)
+        assert faulty.events
+        findings, skips = scan_comm_trace(
+            faulty, persistent_patterns=persistent_patterns_of(faulty),
+            with_skips=True)
+        assert findings == []
+        assert [s.check for s in skips] == ["comm.unreceived_send"]
 
 
 class TestResilientSolve:
@@ -258,16 +381,24 @@ class TestResilientSolve:
 
 
 #: Unpreconditioned distributed Krylov solves on a fault-injecting
-#: communicator, taken before the solvers shared one driver per algorithm:
-#: iterations, ``degraded_reason``, ``(kind, detail)`` of every fault event
-#: and the sha256 prefix of the iterate's bytes.
-DROPS = [("drop", ""), ("delivered_after_retry", "")] * 6
-ABORT = [("rank_down", "")] * 3 + [("comm_abort", "rank 2 is down")]
-DIST_KRYLOV_FAULTS_AT_PARENT = {
+#: communicator: iterations, ``degraded_reason``, ``(kind, detail)`` of every
+#: fault event and the sha256 prefix of the iterate's bytes.  The iterations
+#: and iterates are those of the per-message protocol; the events are the
+#: attempt rounds' (one message dropped twice, and every message of the
+#: aborting exchange that touches rank 2 reported in each of its 3 rounds).
+DROPS = [("drop", "")] + [("drop", ""), ("delivered_after_retry", "")] * 5
+
+
+def abort(downs):
+    return ([("rank_down", "")] * downs
+            + [("comm_abort", "rank 2 is down")])
+
+
+DIST_KRYLOV_FAULTS = {
     ("dist_pcg", "drops"): (19, None, DROPS, "49ce1515dad1706f"),
-    ("dist_pcg", "abort"): (17, "rank 2 is down", ABORT, "e782f460d44ed5ef"),
+    ("dist_pcg", "abort"): (17, "rank 2 is down", abort(9), "e782f460d44ed5ef"),
     ("dist_fgmres", "drops"): (19, None, DROPS, "119e27e1fe16af7f"),
-    ("dist_fgmres", "abort"): (11, "rank 2 is down", ABORT, "ad7facb2586fc6e9"),
+    ("dist_fgmres", "abort"): (11, "rank 2 is down", abort(3), "ad7facb2586fc6e9"),
 }
 FAULT_PLANS = {
     "drops": FaultPlan(seed=9, drop_prob=0.05),
@@ -289,7 +420,7 @@ class TestDistKrylovFaults:
         got = (res.iterations, res.degraded_reason,
                [(e.kind, e.detail) for e in res.fault_events],
                hashlib.sha256(res.x.to_global().tobytes()).hexdigest()[:16])
-        assert got == DIST_KRYLOV_FAULTS_AT_PARENT[(solver.__name__, plan)]
+        assert got == DIST_KRYLOV_FAULTS[(solver.__name__, plan)]
 
 
 class TestFaultSummary:

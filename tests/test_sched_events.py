@@ -451,12 +451,21 @@ class TestSkippedChecks:
         assert [s.check for s in skips] == ["comm.unreceived_send"]
         assert "faults fired" in skips[0].reason
 
-    def test_faulty_trace_skips_persistent_replay(self):
-        trace = self._trace(faulty=True)
-        _, skips = scan_comm_trace(
-            trace, persistent_patterns={"halo": [[(0, 1)]]},
-            with_skips=True)
-        assert [s.check for s in skips] == ["comm.persistent_drift"]
+    def test_faulty_trace_still_judges_persistent_drift(self):
+        # Retransmissions are never persistent, so a faulty trace's
+        # persistent traffic is whole first rounds: drift is still caught.
+        patterns = {"halo": [[(0, 1)]]}
+        trace = self._trace(faulty=True, messages=[
+            TraceMessage(0, 1, 64.0, "halo", True),
+            TraceMessage(0, 1, 64.0, "halo.retry", False),
+            TraceMessage(1, 0, 64.0, "halo", True)])
+        findings, skips = scan_comm_trace(
+            trace, persistent_patterns=patterns, with_skips=True)
+        assert skips == []
+        assert [f.invariant for f in findings] == ["comm.persistent_drift"]
+        assert "1->0" in findings[0].detail
+        trace.messages.pop()
+        assert scan_comm_trace(trace, persistent_patterns=patterns) == []
 
     def test_clean_trace_has_no_skips(self):
         _, skips = scan_comm_trace(self._trace(), with_skips=True)
