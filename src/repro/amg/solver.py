@@ -5,11 +5,15 @@
 residual-norm reduction (Table 3: 1e-7).  The residual-norm evaluation uses
 the fused SpMV+dot kernel when the flag is on (§3.3).
 
+The iteration is :func:`stationary`, written against a space (as the Krylov
+drivers are), which :class:`repro.dist.DistAMGSolver` runs across ranks.
 The object is also directly usable as a preconditioner (one V-cycle per
 application) for the Krylov solvers in :mod:`repro.krylov`.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -17,13 +21,13 @@ from ..config import AMGConfig
 from ..krylov.space import Columns, NodeSpace
 from ..perf.counters import phase
 from ..results import SolveResult
-from ..sparse.blas1 import axpy, norm2
+from ..sparse.blas1 import norm2
 from ..sparse.csr import CSRMatrix
 from ..sparse.spmv import residual
 from .cycle import cycle
 from .setup import Hierarchy, build_hierarchy
 
-__all__ = ["AMGSolver", "SolveResult"]
+__all__ = ["AMGSolver", "SolveResult", "stationary"]
 
 
 class AMGSolver:
@@ -102,17 +106,6 @@ class AMGSolver:
     #: Pinned by the perf harness's ``krylov.pcg_multi8_iter_s`` rung.
     precondition_multi = precondition
 
-    def _resnorm(self, x: np.ndarray, b: np.ndarray):
-        """``r = b - A x`` on level 0 and its norm (per column for a block),
-        through the fused kernel when the flag is on (§3.3)."""
-        A0 = self.hierarchy.levels[0].A
-        with phase("SpMV"):
-            if self.config.flags.fuse_spmv_dot:
-                return residual(A0, x, b, fused_norm=True)
-            r = residual(A0, x, b)
-            with phase("BLAS1"):
-                return r, norm2(r)
-
     # -- standalone solve ----------------------------------------------------
     def solve(
         self,
@@ -174,39 +167,85 @@ class AMGSolver:
         return self._to_level0(b), self._to_level0(x0).copy()
 
     def _iterate(self, b, x, tol: float, maxiter: int | None):
-        """The stationary iteration on a level-0 vector (one result) or
-        ``(n, k)`` block (a list), from the start *x*.
-
-        Per-column state — reference, guard, history, verdict — lives in
-        :class:`~repro.krylov.space.Columns`; a block is narrowed to the
-        columns still running only when one stops.
-        """
+        """:func:`stationary` on a level-0 vector (one result) or ``(n, k)``
+        block (a list), from the start *x*."""
         cols = Columns(_Level0Space(self), b, tol, "cycle {}", step="cycle")
-        with phase("BLAS1"):
-            bnorm = norm2(b)
-        r, rn = self._resnorm(x, b)
-        x, b, r = cols.retire(cols.start(rn, bnorm), x, b, r)
-        for it in range(1, (500 if maxiter is None else maxiter) + 1):
-            if not cols.running:
-                break
-            corr = self.precondition(r, user_ordering=False)
+        return stationary(cols, b, x, 500 if maxiter is None else maxiter)
+
+
+#: Iterations between two checkpoints of a solve whose space can fault.
+CHECKPOINT_EVERY = 5
+
+
+def stationary(cols: Columns, b, x, maxiter: int, *, max_restarts: int = 32):
+    """``x <- x + M(b - A x)`` from *x*, ``M`` one AMG cycle (the space's
+    preconditioner): one result for a vector *b*, a list for a block.
+
+    Per-column state — reference, guard, history, verdict — lives in *cols*;
+    a block narrows only when a column stops.  A space that can fault
+    (``catches``) is checkpointed every :data:`CHECKPOINT_EVERY` iterations:
+    a fault re-runs the start, or rolls back to the last checkpoint, up to
+    *max_restarts* times in all.
+    """
+    space = cols.space
+    catches = space.catches
+    r = None
+    while r is None:  # a fault in the start re-runs it
+        try:
+            with space.edge_phase("BLAS1"):
+                bnorm = space.norm2(b)
+            r, rn = space.resnorm(x, b)
+        except catches as exc:
+            if not cols.restart(exc, max_restarts):
+                return cols.results(x)
+    x, b, r = cols.retire(cols.start(rn, bnorm), x, b, r)
+    if catches:
+        cols.checkpoint(0, x)
+    it = 0
+    while it < maxiter and cols.running:
+        try:
+            if r is None:
+                r, _ = space.resnorm(x, b)
+            corr = space.precondition(r)
             with phase("BLAS1"):
-                axpy(1.0, corr, x)
-            r, rn = self._resnorm(x, b)
-            done = [cols.observe(i, it, v)
-                    for i, v in enumerate((rn,) if cols.vector else rn)]
-            if any(done):
-                x, b, r = cols.retire(np.array(done), x, b, r)
-        return cols.results(x)
+                space.axpy(1.0, corr, x)
+            r, rn = space.resnorm(x, b)
+        except catches as exc:
+            if not cols.restart(exc, max_restarts):
+                break
+            it, x = cols.rollback()
+            r = None
+            continue
+        it += 1
+        done = [cols.observe(i, it, v)
+                for i, v in enumerate((rn,) if cols.vector else rn)]
+        if any(done):
+            x, b, r = cols.retire(np.array(done), x, b, r)
+        elif catches and it % CHECKPOINT_EVERY == 0:
+            cols.checkpoint(it, x)
+    return cols.results(x)
 
 
 class _Level0Space(NodeSpace):
-    """The stationary iteration's vector space: level-0 vectors and blocks,
-    whose results come back in the caller's ordering."""
+    """The stationary iteration's vector space: level-0 vectors and blocks
+    under the solver's cycle, whose results come back in the caller's
+    ordering."""
 
     def __init__(self, solver: AMGSolver) -> None:
         super().__init__(solver.hierarchy.levels[0].A)
+        self.precondition = partial(solver.precondition, user_ordering=False)
+        self._fused = solver.config.flags.fuse_spmv_dot
         self._from_level0 = solver._from_level0
+
+    def resnorm(self, x: np.ndarray, b: np.ndarray):
+        """``r = b - A x`` and its norm (per column for a block), through
+        the fused kernel when the flag is on (§3.3)."""
+        with phase("SpMV"):
+            if self._fused:
+                return residual(self.A, x, b, fused_norm=True)
+            r = residual(self.A, x, b)
+            with phase("BLAS1"):
+                return r, norm2(r)
 
     def result(self, x, iterations, residuals, converged, reason, events):
         return SolveResult(self._from_level0(x), iterations, residuals,

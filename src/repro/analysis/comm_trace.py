@@ -30,10 +30,10 @@ replays it and reports:
 :func:`check_comm_trace` raises a structured
 :class:`~repro.analysis.errors.InvariantViolation` for the first finding.
 
-A trace recorded under **injected faults** legitimately breaks send/ack
-matching: an exchange that runs out of retries (``CommFault``) leaves sends
-that were never acknowledged.  That check is not silently skipped — the
-skip is returned as a structured :class:`SkippedCheck` record
+A trace in which an exchange ran out of retries (``FaultyComm.exhausted``)
+legitimately breaks send/ack matching: it leaves sends that were never
+acknowledged.  That check is not silently skipped — the skip is returned
+as a structured :class:`SkippedCheck` record
 (``scan_comm_trace(..., with_skips=True)``) and surfaced by
 :func:`check_comm_trace` as a ``RuntimeWarning`` plus its return value, so
 a clean report can never be mistaken for a complete one.  (Persistent
@@ -103,10 +103,10 @@ class CommTrace:
     #: Whether the trace was produced under the ack/retry protocol
     #: (enables send/ack matching).
     reliable: bool = False
-    #: Whether faults actually fired while the trace was recorded (the
-    #: communicator logged at least one FaultEvent): send/ack matching is
-    #: unjudgeable on such a trace and is reported as a
-    #: :class:`SkippedCheck` record instead of findings.
+    #: Whether an exchange ran out of retries while the trace was recorded
+    #: (``FaultyComm.exhausted``): send/ack matching is unjudgeable on such
+    #: a trace and is reported as a :class:`SkippedCheck` record instead of
+    #: findings.
     faulty: bool = False
 
     @classmethod
@@ -122,7 +122,7 @@ class CommTrace:
             messages=msgs,
             collectives=[list(kinds) for _ in range(comm.nranks)],
             reliable=bool(getattr(comm, "supports_fault_injection", False)),
-            faulty=bool(getattr(comm, "events", ())),
+            faulty=bool(getattr(comm, "exhausted", 0)),
         )
 
 
@@ -207,9 +207,9 @@ def scan_comm_trace(
     if trace.reliable and trace.faulty:
         skips.append(SkippedCheck(
             "comm.unreceived_send",
-            "faults fired during this run: an exchange that ran out of "
-            "retries legitimately leaves unacknowledged sends, so missing "
-            "acks are not evidence of a schedule bug"))
+            "faults fired during this run and an exchange ran out of "
+            "retries: it legitimately leaves unacknowledged sends, so "
+            "missing acks are not evidence of a schedule bug"))
     elif trace.reliable:
         sends: dict[tuple[int, int, str], int] = {}
         acks: dict[tuple[int, int, str], int] = {}

@@ -50,8 +50,10 @@ which every frozen exchange (the halo's wire, flat or node-aware) sends its
 batch; here it *is* :meth:`~SimComm.log_batch`.  A ``FaultyComm`` sends the
 same batch in acknowledged attempt rounds (sequence numbers, acks, bounded
 retries), so a vanilla ``SimComm`` stays bit-identical (and
-modeled-time-identical) to the pre-fault-harness behavior.  Set-up batches
-call ``log_batch`` directly and are never faulted.
+modeled-time-identical) to the pre-fault-harness behavior.  Set-up halo
+gathers go through a frozen exchange too and are faulted; the other set-up
+batches (transposes, row gathers, the coarse gather and scatter) call
+``log_batch`` directly and are not.
 """
 
 from __future__ import annotations

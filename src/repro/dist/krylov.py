@@ -1,6 +1,11 @@
-"""Distributed Krylov solvers: AMG-preconditioned FGMRES (Table 4) and PCG.
+"""Distributed vector space and Krylov solvers: AMG-preconditioned FGMRES
+(Table 4) and PCG.
 
-Neither has a loop of its own: ``dist_fgmres`` / ``dist_pcg`` run the
+The BLAS1 (``par_dot`` etc.) counts local work per rank and logs one
+allreduce per reduction (Fig. 7's ``Solve_MPI`` bucket); local dots keep
+their per-rank summation order (:meth:`RowPartition.dots`).
+
+Neither solver has a loop of its own: ``dist_fgmres`` / ``dist_pcg`` run the
 node-level drivers over :class:`ParSpace` — ``dist_spmv`` through the
 operator's one persistent Krylov halo per communicator (:func:`krylov_halo`),
 ``par_dot`` / ``par_norm2`` with their allreduces, ``par_axpy``.  PCG has
@@ -14,6 +19,8 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 
+import numpy as np
+
 from ..krylov.cg import pcg_solve
 from ..krylov.gmres import fgmres_solve
 from ..perf.counters import phase
@@ -21,10 +28,25 @@ from ..results import DistSolveResult
 from .comm import SimComm
 from .halo import build_halo
 from .parcsr import ParCSRMatrix, ParVector
-from .solver import par_axpy, par_dot, par_norm2
 from .spmv import dist_spmv
 
-__all__ = ["ParSpace", "krylov_halo", "dist_pcg", "dist_fgmres"]
+__all__ = ["ParSpace", "krylov_halo", "dist_pcg", "dist_fgmres",
+           "par_dot", "par_norm2", "par_axpy"]
+
+
+def par_dot(comm: SimComm, x: ParVector, y: ParVector) -> float:
+    comm.record_on_ranks(x.part.vector_records("blas1.dot", 2, 2))
+    return comm.allreduce(x.part.dots(x.array, y.array))
+
+
+def par_norm2(comm: SimComm, x: ParVector) -> float:
+    return float(np.sqrt(max(par_dot(comm, x, x), 0.0)))
+
+
+def par_axpy(comm: SimComm, alpha: float, x: ParVector, y: ParVector) -> ParVector:
+    y.array += alpha * x.array
+    comm.record_on_ranks(x.part.vector_records("blas1.axpy", 2, 2, 1))
+    return y
 
 
 def krylov_halo(comm: SimComm, A: ParCSRMatrix):
@@ -37,10 +59,12 @@ def krylov_halo(comm: SimComm, A: ParCSRMatrix):
 
 
 class ParSpace:
-    """Krylov vector space over ``ParVector``\\ s under *A* (on the
-    operator's :func:`krylov_halo` unless a halo is given).  Vectors only:
-    an ``(n, k)`` ``ParVector`` raises ``ValueError``, so ``take`` is never
+    """Vector space over ``ParVector``\\ s under *A* (on the operator's
+    :func:`krylov_halo` unless a halo is given).  Vectors only: an
+    ``(n, k)`` ``ParVector`` raises ``ValueError``, so ``take`` is never
     needed."""
+
+    rescue = None
 
     def __init__(self, comm: SimComm, A: ParCSRMatrix, precondition=None,
                  halo=None) -> None:
@@ -57,7 +81,7 @@ class ParSpace:
     @staticmethod
     def width(b: ParVector) -> int:
         if b.array.ndim != 1:
-            raise ValueError("distributed Krylov solves take one right-hand "
+            raise ValueError("distributed solves take one right-hand "
                              f"side, got a block of shape {b.array.shape}")
         return 0
 

@@ -23,8 +23,8 @@ modeled time and show up in ``SolveResult.fault_events``, nothing else.
 
 An exchange whose retries run out raises :class:`RetriesExhausted`, or
 :class:`RankFailure` when a transient rank-failure window is the cause, for
-its first undelivered message; ``DistAMGSolver.solve`` catches these and
-resumes from its last iterate checkpoint (see :mod:`repro.dist.solver`).
+its first undelivered message (counted in ``exhausted``); the stationary
+driver rolls back to its last checkpoint (:func:`repro.amg.solver.stationary`).
 """
 
 from __future__ import annotations
@@ -102,6 +102,9 @@ class FaultyComm(SimComm):
         self.plan = plan if plan is not None else FaultPlan()
         self.events: list[FaultEvent] = []
         self.clock = 0
+        #: Exchanges that ran out of retries since the logs were cleared:
+        #: only those leave sends without an ack in ``messages``.
+        self.exhausted = 0
         self._rng = np.random.default_rng(self.plan.seed)
         self._next_seq = 0
         #: A batch's fault-free round 0 (each message and its ack), per batch.
@@ -141,6 +144,7 @@ class FaultyComm(SimComm):
             if not len(pending):
                 return
             sub = c.take(pending)
+        self.exhausted += 1
         src, dst, tag, seq = int(sub.src[0]), int(sub.dst[0]), sub.tag[0], int(seqs[pending[0]])
         rank = plan.failed_rank((src, dst), int(last[0]))
         if rank is not None:
@@ -212,3 +216,4 @@ class FaultyComm(SimComm):
     def clear_logs(self) -> None:
         super().clear_logs()
         self.events.clear()
+        self.exhausted = 0

@@ -2,16 +2,16 @@
 
 Each algorithm (:mod:`.cg`, :mod:`.gmres`, :mod:`.bicgstab`) is written once
 against a *space* that supplies the operator product, the preconditioner,
-the instrumented BLAS1 ops, the faults a solve survives and the result
-type — like Oceananigans' multigrid solver, built from a
+the instrumented BLAS1 ops, the faults a solve survives (and a rescue) and
+the result type — like Oceananigans' multigrid solver, built from a
 ``linear_operation!(Ax, x)`` rather than a matrix.  :class:`NodeSpace` runs
 over a vector ``(n,)`` or a block ``(n, k)`` of right-hand sides;
 :class:`repro.dist.krylov.ParSpace` over ``ParVector``\\ s.
 
 :class:`Columns` is the per-column state the drivers share, including one
 :class:`~repro.faults.guards.ResidualGuard` per column — the one guard site
-of the node-side solvers: the Krylov drivers and the stationary AMG
-iteration (:meth:`repro.amg.solver.AMGSolver.solve` / ``solve_many``).  A
+of every solver: the Krylov drivers and the stationary AMG iteration
+(:func:`repro.amg.solver.stationary`, on a node and across ranks).  A
 column that converges or breaks is *retired*: its iterate is copied out and
 the working block narrowed to the others, so each column's bits are those
 of a solo solve.  A vector is a block of one column that is never narrowed.
@@ -40,6 +40,9 @@ class NodeSpace:
     """
 
     catches: tuple[type[BaseException], ...] = ()
+    #: ``rescue(verdict, it)``: the detail of a ``sparsify_fallback`` that
+    #: keeps a column iterating, or None (a node has nothing to fall back to).
+    rescue = None
 
     def __init__(self, A, precondition=None) -> None:
         self.A = A
@@ -102,6 +105,7 @@ class Columns:
         width = space.width(b)
         k = max(width, 1)
         self.space = space
+        self.rescue = space.rescue
         self.vector = width == 0
         self.tol = tol
         self.detail = detail
@@ -115,6 +119,7 @@ class Columns:
         self.reasons: list[str | None] = [None] * k
         self.events: list[list[FaultEvent]] = [[] for _ in range(k)]
         self.x: list = [None] * k
+        self.restarts = 0
 
     @property
     def running(self) -> bool:
@@ -132,10 +137,9 @@ class Columns:
         sees ``r0``.
         """
         r0 = np.atleast_1d(r0)
-        stationary = bnorm is not None
+        self.stationary = stationary = bnorm is not None
         self.ref = np.where(bnorm > 0.0, bnorm, r0) if stationary else r0
-        self.guards = [ResidualGuard(v, stagnation=stationary)
-                       for v in self.ref]
+        self.guards = [self.guard(v) for v in self.ref]
         converged = r0 == 0.0
         if stationary:
             converged |= r0 <= self.tol * self.ref
@@ -150,6 +154,9 @@ class Columns:
                           "nonfinite initial residual")
         return converged | broken
 
+    def guard(self, ref) -> ResidualGuard:
+        return ResidualGuard(ref, stagnation=self.stationary)
+
     def observe(self, i: int, it: int, rn) -> bool:
         """Log column *i*'s residual norm at iteration *it*; True when the
         column stops there (converged, or a guard verdict)."""
@@ -160,6 +167,13 @@ class Columns:
             self.converged[c] = True
             return True
         verdict = self.guards[c].check(rn)
+        if self.rescue is not None:
+            fallback = self.rescue(verdict, it)
+            if fallback is not None:
+                self.events[c].append(
+                    FaultEvent("sparsify_fallback", detail=fallback))
+                self.guards[c] = self.guard(self.ref[c])
+                return False
         if verdict is not None:
             self.fail(i, verdict, self.detail.format(it),
                       f"{verdict} at {self.step} {it}")
@@ -179,6 +193,30 @@ class Columns:
             self.iterations[c] = it
             self.converged[c] = False
             self.fail(i, "comm_abort", str(exc), str(exc))
+
+    def checkpoint(self, it: int, x) -> None:
+        """Keep iteration *it*, a copy of *x* and the residual histories."""
+        self._checkpoint = (it, x.copy(), [list(h) for h in self.residuals])
+
+    def restart(self, exc: BaseException, max_restarts: int) -> bool:
+        """Log a ``checkpoint_restart`` for the space's fault *exc*; False
+        past *max_restarts*, when every running column stops on it."""
+        self.restarts += 1
+        for c in self.active:
+            self.events[c].append(FaultEvent(
+                "checkpoint_restart", detail=str(exc), attempt=self.restarts))
+            if self.restarts > max_restarts:
+                self.reasons[c] = f"comm fault persisted: {exc}"
+        return self.restarts <= max_restarts
+
+    def rollback(self):
+        """The last checkpoint's iteration and a copy of its iterate, the
+        histories restored to it.  Only a space that can fault takes
+        checkpoints, and it runs one column: the block never narrows."""
+        it, x, residuals = self._checkpoint
+        self.residuals = [list(h) for h in residuals]
+        self.iterations = [it] * len(self.iterations)
+        return it, x.copy()
 
     def retire(self, done: np.ndarray, x, *rest):
         """Freeze the working columns where *done* — copy out their iterate

@@ -27,7 +27,7 @@ from repro.perf.network import MessageEvent
 from repro.faults import FaultEvent, FaultPlan, RetryPolicy
 from repro.faults.comm import ACK_BYTES, FaultyComm, RankFailure, RetriesExhausted
 from repro.faults.plan import FAULT_KINDS
-from repro.analysis import persistent_patterns_of, scan_comm_trace
+from repro.analysis import CommTrace, persistent_patterns_of, scan_comm_trace
 from repro.perf import FDRInfinibandModel
 from repro.perf.report import format_fault_summary
 from repro.problems import laplace_3d_27pt
@@ -303,7 +303,72 @@ class TestFaultsRideTheWire:
             faulty, persistent_patterns=persistent_patterns_of(faulty),
             with_skips=True)
         assert findings == []
+        # No exchange ran out of retries: send/ack matching ran, clean.
+        assert faulty.exhausted == 0 and skips == []
+
+
+class TestSendAckMatching:
+    """Under attempt rounds every exchange that delivers acks each of its
+    messages once, however many rounds it takes: only a run in which an
+    exchange ran out of retries skips send/ack matching."""
+
+    @staticmethod
+    def lossy_solve(plan):
+        A = laplace_3d_27pt(8)
+        part = RowPartition.uniform(A.nrows, NRANKS)
+        topo = NodeTopology(NRANKS, 2)
+        comm = FaultyComm(NRANKS, plan)
+        s = DistAMGSolver(comm, multi_node_config("ei", nthreads=4),
+                          topology=topo, net=topo.network())
+        s.setup(ParCSRMatrix.from_global(A, part))
+        b = np.random.default_rng(3).standard_normal(A.nrows)
+        return comm, s.solve(ParVector.from_global(b, part), tol=1e-8)
+
+    @staticmethod
+    def scan(trace):
+        return scan_comm_trace(
+            trace, persistent_patterns=persistent_patterns_of(trace),
+            with_skips=True)
+
+    def test_lossy_solve_without_exhaustion_is_matched(self):
+        comm, res = self.lossy_solve(FaultPlan(seed=7, drop_prob=0.1))
+        assert res.converged and comm.exhausted == 0
+        assert comm.event_counts()["drop"] > 0
+        assert self.scan(comm) == ([], [])
+        # The matching ran: an ack taken out of the trace is flagged.
+        trace = CommTrace.from_comm(comm)
+        del trace.messages[next(i for i, m in enumerate(trace.messages)
+                                if m.tag.endswith(".ack"))]
+        findings, skips = scan_comm_trace(trace, with_skips=True)
+        assert [f.invariant for f in findings] == ["comm.unreceived_send"]
+        assert skips == []
+
+    def test_rollback_run_reports_the_skip(self):
+        comm, res = self.lossy_solve(FaultPlan(
+            seed=11, drop_prob=0.45, retry=RetryPolicy(max_retries=5)))
+        restarts = [e for e in res.fault_events
+                    if e.kind == "checkpoint_restart"]
+        assert res.converged and comm.exhausted == len(restarts) == 14
+        findings, skips = self.scan(comm)
+        assert findings == []
         assert [s.check for s in skips] == ["comm.unreceived_send"]
+        comm.clear_logs()
+        assert comm.exhausted == 0
+
+
+class TestCliSetupFault:
+    def test_setup_fault_is_a_structured_failure(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "plan.json"
+        FaultPlan(seed=11, drop_prob=0.45,
+                  retry=RetryPolicy(max_retries=4)).to_json(path)
+        assert main(["solve", "--problem", "lap3d27", "--size", "8",
+                     "--ranks", "4", "--topology", "ppn=2",
+                     "--faults", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("set-up failed: message ")
+        assert "lost after 5 attempts" in out and "fault summary" in out
 
 
 class TestResilientSolve:
