@@ -177,11 +177,13 @@ def _solve_distributed(args, A, b, cfg) -> int:
           f"{', faults=' + args.faults if args.faults else ''}")
     print(f"hierarchy     : {solver.hierarchy.num_levels} levels")
     if topo:
-        agg = sum(1 for lvl in solver.hierarchy.levels
+        # dist_vcycle hands the coarsest level to the coarse solver, which
+        # never sends that level's halo: only the levels above it do.
+        sent = solver.hierarchy.levels[:-1]
+        agg = sum(1 for lvl in sent
                   if lvl.halo is not None and lvl.halo.node_aware)
         print(f"topology      : {topo.ppn} ranks/node x {topo.nnodes} "
-              f"nodes, node-aware halos on {agg}/"
-              f"{solver.hierarchy.num_levels} levels")
+              f"nodes, node-aware halos on {agg}/{len(sent)} levels")
     print(f"convergence   : {res.iterations} iterations, "
           f"converged={res.converged}, degraded={res.degraded}, "
           f"true relres={true_res:.2e}")

@@ -43,7 +43,12 @@ The public kernel functions (``gs_sweep``, ``multicolor_gs_sweep``,
 Every ``run`` / ``sweep_groups`` takes an iterate ``(n,)`` or an ``(n, k)``
 block (*width* 0 or *k*): the block's columns ride along as the trailing
 axis of the same slabs, and column *j* is bit-identical to the sweep of
-column *j* alone.
+column *j* alone.  The SpMV family leads with the columns instead; a
+sweep does not, because its levels are many and small: a columns-first
+workspace read 0.80-0.88x of this one at k = 2 on the benchmark's large
+node operators, but 1.06-1.12x at k = 8 and 1.21-1.35x on a 576-row
+operator (EXPERIMENTS.md "Blocked slab products lead with the block's
+columns").
 """
 
 from __future__ import annotations
@@ -94,8 +99,9 @@ def _sweep_levels(x: np.ndarray, b: np.ndarray, rows: np.ndarray,
     order from ``+0.0`` — ``bincount``'s ``((0 + t0) + t1) + …``; a running
     sum from ``+0.0`` is never ``-0.0``, so the ``+0.0`` pads change
     nothing — straight into the level's rows, then ``(b - sum) / diag``.
-    A block's columns are the workspace's trailing axis, and the level's
-    values and diagonal take a unit axis to scale its rows.
+    A block's columns are the workspace's trailing axis (see the module
+    docstring for why not the leading one), and the level's values and
+    diagonal take a unit axis to scale its rows.
     """
     m, block = len(rows), x.ndim == 2
     ws = np.empty((m + 1 + (len(x) if snapshot else 0),) + x.shape[1:])

@@ -6,11 +6,19 @@ Fig. 2b).  :class:`Slabs` is that layout.  The GS sweeps
 (:mod:`repro.amg.solveplan`) run its levels as wavefront levels or
 colours over a workspace; the SpMV family (:class:`SpMVLayout`, run by
 :meth:`repro.sparse.csr.CSRMatrix._dot`) as slices of rows, or columns,
-over ``[x | +0.0]``.  Both sum through :func:`slab_sum`: down a slab's
-rows from ``+0.0`` in slot order, ``np.bincount``'s order bit for bit (a
-running sum from ``+0.0`` is never ``-0.0``, so the pads' ``+0.0 * 0.0``
-terms change nothing).  numpy reduces a ``(w, 1)`` slab pairwise, so a
-one-row level sums with ``np.bincount`` over tiled ids.
+over ``[x | +0.0]``.  Both sum down a slab's rows from ``+0.0`` in slot
+order, ``np.bincount``'s order bit for bit (a running sum from ``+0.0``
+is never ``-0.0``, so the pads' ``+0.0 * 0.0`` terms change nothing).
+numpy reduces a ``(w, 1)`` slab pairwise, so a one-row level sums with
+``np.bincount`` over tiled ids (:func:`slab_sum`).
+
+An ``(n, k)`` block takes a different axis in each: a sweep's workspace
+carries it as the trailing axis, an SpMV gathers its columns first, as
+``(k, w, m)`` slabs (:meth:`SpMVLayout.dot`).  A product's slices are few
+and large, so the leading layout's long inner loops pay (0.54-0.93x per
+product at k = 2 and 8, EXPERIMENTS.md "Blocked slab products lead with
+the block's columns"); a sweep's levels are many and small, where they
+do not (see :mod:`repro.amg.solveplan`).
 """
 
 from __future__ import annotations
@@ -27,10 +35,13 @@ __all__ = ["SLAB_SLOTS", "SlabLevel", "Slabs", "SpMVLayout", "slab_sum"]
 #: Slots per slice of an SpMV layout.  A product whose segments fit one
 #: ``nseg x longest`` slab of this many slots runs it in storage order;
 #: a larger one ranks its segments longest-first and cuts slices of at
-#: most this many slots (a gathered block of 128 KiB per right-hand
-#: side).  Measured on the benchmark hierarchies' largest products
-#: (EXPERIMENTS.md "One slab layout"): half the budget reads up to 16 %
-#: faster at eight right-hand sides and up to 16 % slower at one.
+#: most this many slots (a gathered slab of 128 KiB per right-hand
+#: side).  Measured on the benchmark hierarchies' largest products, a
+#: vector's and a columns-first block's (EXPERIMENTS.md "Blocked slab
+#: products lead with the block's columns"): half the budget reads slower
+#: for a vector on most of them (up to 1.27x), twice it slower at eight
+#: right-hand sides (up to 1.68x), so neither wins at one width without
+#: losing at the other.
 SLAB_SLOTS = 1 << 14
 
 
@@ -148,6 +159,8 @@ class SpMVLayout:
     cuts the ranking into slices of at most that many slots — a segment
     longer than that is a slice of its own, a one-row level — and
     un-ranks the result with one ``take`` (``slot``: segment -> rank).
+    An ``(n, k)`` operand's columns lead: each slice gathers a ``(k, w,
+    m)`` slab and reduces it over ``axis=1``.
 
     Pattern half (shared by :meth:`with_values`): ``slabs`` and ``slot``.
     Value half: ``vals``, the gathered slab values, and the ``levels``
@@ -205,14 +218,41 @@ class SpMVLayout:
         return self.vals.tobytes() == _slot_values(self.slabs, data).tobytes()
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """Segment sums against a ``float64`` *x* of shape ``(n,)`` or ``(n, k)``."""
-        tail = x.shape[1:]
-        xp = np.empty((len(x) + 1,) + tail)   # [x | +0.0]: the pad row
+        """Segment sums against a ``float64`` *x* of shape ``(n,)`` or
+        ``(n, k)``; a block's result is a C-contiguous ``(nseg, k)``."""
+        if x.ndim == 2:
+            return self._dot_block(x)
+        xp = np.empty(len(x) + 1)   # [x | +0.0]: the pad row
         xp[:-1] = x
         xp[-1] = 0.0
-        out = np.empty((self.nseg,) + tail)
+        out = np.empty(self.nseg)
         for r0, r1, src, vals, _, one_row in self.levels:
-            t = xp.take(src, axis=0)
-            np.multiply(vals[:, :, None] if tail else vals, t, out=t)
+            t = xp.take(src)
+            np.multiply(vals, t, out=t)
             slab_sum(t, out[r0:r1], one_row)
-        return out if self.slot is None else out.take(self.slot, axis=0)
+        return out if self.slot is None else out.take(self.slot)
+
+    def _dot_block(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`dot` of an ``(n, k)`` block, its columns leading: each
+        slice gathers a ``(k, w, m)`` slab from ``[xᵀ | +0.0]``, so the
+        multiply and the reduction over ``axis=1`` run along the slab's
+        long rows, never over an inner axis of length *k*.  The reduced
+        axis is not the innermost one, so numpy adds along it in slot
+        order (not pairwise): each column sums as the vector does."""
+        k = x.shape[1]
+        xp = np.empty((k, len(x) + 1))   # [xᵀ | +0.0]: the pad column
+        xp[:, :-1] = x.T
+        xp[:, -1] = 0.0
+        out = np.empty((k, self.nseg))
+        for r0, r1, src, vals, _, one_row in self.levels:
+            t = xp.take(src, axis=1)
+            np.multiply(vals, t, out=t)
+            if one_row:
+                slab_sum(np.moveaxis(t, 0, -1), out[:, r0:r1].T, True)
+            else:
+                np.add.reduce(t, axis=1, out=out[:, r0:r1], initial=0.0)
+            del t   # one slab at a time: the next is gathered after
+        del xp
+        # Back to (nseg, k) in C order: one copy, or the un-ranking take.
+        return (np.ascontiguousarray(out.T) if self.slot is None
+                else out.T.take(self.slot, axis=0))

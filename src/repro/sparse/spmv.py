@@ -33,11 +33,11 @@ Execution: every kernel here is validation + :meth:`CSRMatrix._dot` + its
 own record.  ``_dot`` sums ``data[e] * x[src[e]]`` per row (or column) in
 entry order on the operator's padded slabs
 (:class:`~repro.sparse.slabs.SpMVLayout`, built by the GS sweeps' builder):
-per slice of rows one gather, one multiply and one reduction, an ``(n, k)``
-block riding along as the trailing axis, so the vehicle too streams the
-operator once for all *k* columns.  The sum is ``np.bincount``'s, bit for
-bit, so column *j* of a blocked product is bit-identical to the product of
-column *j*.
+per slice of rows one gather, one multiply and one reduction.  An ``(n, k)``
+block's columns lead: each slice gathers a ``(k, w, m)`` slab, so the
+vehicle too streams the operator once for all *k* columns, in long inner
+loops.  The sum is ``np.bincount``'s, bit for bit, so column *j* of a
+blocked product is bit-identical to the product of column *j*.
 """
 
 from __future__ import annotations

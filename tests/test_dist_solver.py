@@ -244,6 +244,22 @@ class TestModeledTimes:
         m = re.search(r"solve ([0-9.]+) ms \(comm ([0-9.]+) ms\)", line)
         assert float(m[1]) > float(m[2]) > 0.0
 
+    @pytest.mark.parametrize("size, ranks, ppn, want", [
+        # per-level node_aware flags [False, True]: the coarsest is gathered
+        ("8", "4", "2", "node-aware halos on 0/1 levels"),
+        # flags [False, True, True]
+        ("12", "8", "4", "node-aware halos on 1/2 levels"),
+    ])
+    def test_cli_counts_only_the_halos_the_solve_sends(self, capsys, size,
+                                                       ranks, ppn, want):
+        from repro.__main__ import main
+
+        assert main(["solve", "--problem", "lap3d27", "--size", size,
+                     "--ranks", ranks, "--topology", f"ppn={ppn}"]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("topology"))
+        assert line.endswith(want)
+
 
 # ---------------------------------------------------------------------------
 # The stationary driver's oracle: captured before it moved onto Columns

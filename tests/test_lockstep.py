@@ -29,8 +29,10 @@ This file also runs under ``REPRO_CHECK=full`` in CI.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import inspect
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -569,6 +571,62 @@ class TestBitIdentity:
         assert raw(Y.to_global()) == raw(ref_spmv_multi(A, X))
 
 
+def contract_operator(rng):
+    """32 rows, one of 100 entries among 3-entry ones, over 120 columns."""
+    lengths = np.r_[3, 100, np.full(30, 3)]
+    return CSRMatrix((len(lengths), 120), np.r_[0, np.cumsum(lengths)],
+                     np.concatenate([rng.permutation(120)[:c] for c in lengths]),
+                     rng.standard_normal(lengths.sum()))
+
+
+def block_operand(order, n, rng):
+    """An ``(n, k)`` float64 block in memory *order*."""
+    if order == "k1":
+        return rng.standard_normal((n, 1))
+    X = rng.standard_normal((n, 6))
+    if order == "F":
+        return np.asfortranarray(X)
+    if order == "strided_rows":
+        return np.repeat(X, 2, axis=0)[::2]
+    if order == "strided_cols":
+        return X[:, ::2]
+    return X
+
+
+class TestBlockOutputContract:
+    """What a blocked product hands back: a C-contiguous float64 ``(nseg, k)``
+    whose every column is the vector product's, bit for bit, whatever the
+    operand's memory order and whatever the layout's slicing."""
+
+    @pytest.mark.parametrize("order", ["C", "F", "strided_rows", "strided_cols", "k1"])
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("budget", [None, 400, 64, 1])
+    def test_c_contiguous_and_columns_are_vector_products(self, order, transposed,
+                                                          budget, rng):
+        A = contract_operator(rng)
+        with slab_budget(slabs.SLAB_SLOTS if budget is None else budget):
+            B = fresh(A)
+            lay = B.layout(transposed)
+        # None: one storage-order slice; 400 and 64: ranked slices (64 cuts
+        # the 100-entry row into a one-row slice); 1: one-row slices, and
+        # transposed one slice (0, m) of the empty columns after them.
+        assert (lay.slot is None) == (budget is None)
+        assert (len(lay.levels) == 1) == (budget is None)
+        assert any(lv.one_row for lv in lay.levels) == (
+            budget == 1 or (budget == 64 and not transposed))
+        if budget == 1:
+            assert all(lv.one_row for lv in lay.levels if len(lv.src))
+            assert any(not len(lv.src) for lv in lay.levels) == transposed
+        X = block_operand(order, A.shape[not transposed], rng)
+        Y = B._dot(X, transposed)
+        assert Y.dtype == np.float64 and Y.shape == (lay.nseg, X.shape[1])
+        assert Y.flags.c_contiguous
+        hashlib.sha256(Y)        # a buffer hashlib accepts
+        for j in range(X.shape[1]):
+            want = B._dot(np.ascontiguousarray(X[:, j]), transposed)
+            assert raw(Y[:, j]) == raw(want), j
+
+
 def test_the_per_column_loops_stay_deleted():
     # CI greps the same: one `for j in range(k)` left in sparse/spmv.py
     # (the fused residual norm: BLAS bit-identity needs contiguous
@@ -833,6 +891,32 @@ class TestBenchmarkShapes:
         assert calls[0] == 0                     # no bincount arm is left
         for s, m in zip(single, blocked):        # columns_match_singles
             assert raw(s.x) == raw(m.x) and s.residuals == m.residuals
+
+    def test_node_lap27_blocked_product_holds_one_slab(self, node_lap27, rng):
+        # tracemalloc peak of one level-0 A._dot(X) at k = 8 (8,000 rows,
+        # 13 ranked slices, the largest 18 x 910 = 16,380 slots).  With the
+        # block on the trailing axis it read 3,121,224 B: the operand copy
+        # [x | +0.0] (8 k (n + 1) = 512,064 B), two gathered slabs (the
+        # previous slice's was still bound while the next was gathered:
+        # 2 x 8 k 16,380 = 2,096,640 B), the output (8 k nseg = 512,000 B)
+        # and 520 B of array headers.  Columns first, a call holds the
+        # operand copy, one slab and the output; the copy to C order comes
+        # after the operand copy and the slabs are freed.
+        A0 = node_lap27[1].hierarchy.levels[0].A
+        lay, k = A0.layout(), 8
+        X = rng.standard_normal((A0.ncols, k))
+        A0._dot(X)
+        tracemalloc.start()
+        try:
+            A0._dot(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slab = max(lv.src.size for lv in lay.levels)
+        held = 8 * k * ((A0.ncols + 1) + slab + lay.nseg)
+        assert (lay.nseg, slab, len(lay.levels)) == (8000, 16380, 13)
+        assert held <= peak <= held + 4096
+        assert peak <= 3_121_224
 
     def test_dist_32_ranks_solves_build_nothing(self, rng):
         A = laplace_3d_27pt(16)
